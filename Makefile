@@ -2,8 +2,9 @@
 #
 #   make build   compile everything
 #   make test    tier-1 tests
-#   make race    tests under the race detector (includes the httpfront
-#                concurrency stress test and the determinism regressions)
+#   make race    tests under the race detector (includes the storm,
+#                churn and differential suites and the determinism
+#                regressions)
 #   make vet     go vet
 #   make lint    the repo's custom determinism/concurrency analyzers,
 #                gated on lint.baseline.json (any non-baselined finding
@@ -11,43 +12,27 @@
 #   make lint-baseline  deliberately regenerate lint.baseline.json from
 #                current findings — a reviewed, committed act; never
 #                run in CI
-#   make race-failover  fault-tolerance stress tests under the race
-#                detector (backend crashes, failover retry, breaker churn)
-#   make race-overload  overload-control stress tests under the race
-#                detector (admission gate, degrade ladder, rate ramps)
-#   make race-dispatch  decision-core tests under the race detector
-#                (sim-vs-live differential replay, booking churn)
-#   make race-autoscale  elastic-pool stress tests under the race
-#                detector (join/drain churn storm, scripted scale replay)
-#   make race-snapshot  decision-snapshot suite under the race detector
-#                (concurrent snapshot publishes vs Route/Done/Rebook
-#                storms, the pre/post-snapshot differential, and the
-#                blocking-Recorder regression)
-#   make race-grayfault  gray-failure resilience suite under the race
-#                detector (slow-backend ejection, hedge races and
-#                cancellation leaks, degraded-transition churn)
-#   make race-fleet  multi-distributor fleet suite under the race
-#                detector (ownership-handoff storm racing ring
-#                membership changes, gossip-merge churn, multi-replica
-#                spray affinity)
-#   make bench-smoke  dispatch decision-latency microbench plus a short
-#                live-cluster loadgen run over all policies, plus the
-#                autoscale artifact (scale-up latency, warm-vs-cold join),
-#                the gray-fault artifact (p99 with the resilience
-#                layer off vs on under a slow=x10 backend) and the fleet
-#                artifact (decisions/sec, p99 and handoff rate at
-#                k ∈ {1,2,4} distributor replicas)
-#   make bench-gate  measure a fresh dispatch artifact and fail if its
-#                parallel decisions-per-second trendline regressed >15%
-#                against the committed BENCH_dispatch.baseline.json;
-#                also prints the fleet k ∈ {1,2,4} rows ungated
-#   make bench-baseline  deliberately re-measure and overwrite the
-#                committed bench baseline — a reviewed act; never in CI
+#   make stress  repeat a slice of the suite under the race detector to
+#                hunt a flake: make stress RUN='Fleet|Ring' PKG=./internal/fleet/ COUNT=20
+#                (a developer tool, not part of ci: `make race` already
+#                ran every test once)
+#   make bench   the repo benchmark (BENCHMARK.json, bench/README.md):
+#                the four workloads at their default length, failing
+#                when a run is not correct — status, body length,
+#                hit-rate band, schedule digest — never on this
+#                machine's speed; leaves each run's final JSON line in
+#                BENCH_<workload>.json
 #   make ci      the full gate CI runs on every push and PR
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-baseline race-failover race-overload race-dispatch race-autoscale race-snapshot race-grayfault race-fleet bench-smoke bench-gate bench-baseline ci
+# stress parameters: a -run pattern, the packages to run it in, and how
+# many times.
+RUN ?= .
+PKG ?= ./...
+COUNT ?= 2
+
+.PHONY: build test race vet lint lint-baseline stress bench ci
 
 build:
 	$(GO) build ./...
@@ -70,111 +55,20 @@ lint:
 lint-baseline:
 	$(GO) run ./cmd/prordlint -baseline lint.baseline.json -write-baseline ./...
 
-# The failover suite repeated under the race detector: backend crashes
-# masked by retry, breaker trips/half-open recovery, and the done()
-# bookkeeping churn test. Already part of `make race`; this target runs
-# it alone, repeated, for hunting flakes in the fault-tolerance path.
-race-failover:
-	$(GO) test -race -count=2 -run 'Failover|Fault|Probe|Churn|Breaker' \
-		./internal/health/ ./internal/httpfront/ ./internal/loadgen/
+stress:
+	$(GO) test -race -count=$(COUNT) -run '$(RUN)' $(PKG)
 
-# The overload suite repeated under the race detector: estimator/tier
-# transitions, the Critical-tier admission gate, tiered shedding
-# through both adapters of the decision core, and the loadgen rate-ramp
-# acceptance scenario. Already part of `make race`; this target runs it
-# alone, repeated, for hunting flakes in the overload path.
-race-overload:
-	$(GO) test -race -count=2 -run 'Overload|Admission|Shed|Tier|Gate|Ramp|Estimator' \
-		./internal/overload/ ./internal/httpfront/ ./internal/cluster/ ./internal/loadgen/
+# Timings are compared by the PR driver, parent against change on one
+# machine; a number committed from another machine measures the machine.
+# The harness exits non-zero when a run breaks down and reports a run
+# that finished with wrong answers as "correct":false in its last line,
+# so both are checked.
+bench:
+	@for w in proxy-hot conn-churn miss-bound sim-paper; do \
+		out=$$($(GO) run ./bench -workload $$w -seed 1) || { echo "$$out"; exit 1; }; \
+		echo "$$out"; \
+		echo "$$out" | tail -n 1 > BENCH_$$w.json; \
+		grep -q '"correct":true' BENCH_$$w.json || { echo "bench: $$w: run is not correct" >&2; exit 1; }; \
+	done
 
-# The shared decision core's correctness suite under the race detector:
-# the sim-vs-live differential replay (byte-identical decision streams)
-# and the concurrent booking churn test, repeated for flake hunting.
-# Already part of `make race`; this target runs it alone.
-race-dispatch:
-	$(GO) test -race -count=2 -run 'Differential|Churn' ./internal/dispatch/
-
-# The elastic-pool suite under the race detector: the autoscale state
-# machines, the concurrent join/drain churn storm against the decision
-# core, the scripted-scale sim-vs-live differential, and the live
-# front-end's scale paths, repeated for flake hunting. Already part of
-# `make race`; this target runs it alone.
-race-autoscale:
-	$(GO) test -race -count=2 ./internal/autoscale/
-	$(GO) test -race -count=2 -run 'Scale|Elastic|Autoscale|Warm|Drain' \
-		./internal/dispatch/ ./internal/httpfront/ ./internal/loadgen/
-
-# The lock-free read path's correctness suite under the race detector:
-# concurrent RefreshMining snapshot publishes and pool resizes against
-# Route/Done/Rebook storms, the golden-digest differential proving the
-# snapshot path reproduces the pre-snapshot decision stream, and the
-# blocking-Recorder regression (a stalled sink must not stall routing).
-# Already part of `make race`; this target runs it alone, repeated.
-race-snapshot:
-	$(GO) test -race -count=2 -run 'Snapshot|Recorder|Fold|Updater' \
-		./internal/dispatch/ ./internal/mining/
-
-# The gray-failure resilience suite under the race detector: the
-# latency-outlier detector's transitions, the live hedge race in both
-# finishing orders (leak checks), the degraded-vs-Route/Done/Rebook
-# churn storm in the decision core, and the deterministic sim replay.
-# Already part of `make race`; this target runs it alone, repeated.
-race-grayfault:
-	$(GO) test -race -count=2 ./internal/health/
-	$(GO) test -race -count=2 -run 'Gray|Hedge|Degraded|Slow|Deadline' \
-		./internal/dispatch/ ./internal/httpfront/ ./internal/cluster/ ./internal/loadgen/
-
-# The multi-distributor fleet suite under the race detector: the ring
-# and gossip churn storms in internal/fleet, the core's ownership-
-# handoff storm (Route/Done/Rebook racing ring membership changes), the
-# live front-end's forward/gossip churn, the deterministic k-distributor
-# sim replay, and the multi-replica loadgen spray with its session-
-# affinity invariant. Already part of `make race`; this target runs it
-# alone, repeated, for hunting flakes in the fleet path.
-race-fleet:
-	$(GO) test -race -count=2 ./internal/fleet/
-	$(GO) test -race -count=2 -run 'Fleet|Ownership|Ring|Gossip' \
-		./internal/dispatch/ ./internal/httpfront/ ./internal/cluster/ ./internal/loadgen/
-
-# A ~30s benchmark pass: the decision core's Route/Done microbenchmarks
-# (with the latency distribution written as BENCH_dispatch.json in the
-# shared artifact schema), then open-loop load against 2 demo backends
-# for each of the three headline policies, with the simulator comparison
-# attached in BENCH_loadgen.json. CI uploads both artifacts.
-bench-smoke:
-	BENCH_DISPATCH_OUT=$(CURDIR)/BENCH_dispatch.json $(GO) test \
-		-run TestDispatchBenchArtifact -bench 'BenchmarkDispatch' \
-		-benchtime 0.5s ./internal/dispatch/
-	$(GO) run ./cmd/prord-loadgen -mode open -policy WRR,LARD,PRORD \
-		-backends 2 -rate 300 -duration 10s -warmup 2s -seed 1 \
-		-scale 0.1 -out BENCH_loadgen.json
-	BENCH_AUTOSCALE_OUT=$(CURDIR)/BENCH_autoscale.json $(GO) test \
-		-run TestAutoscaleBenchArtifact ./internal/cluster/
-	BENCH_GRAYFAULT_OUT=$(CURDIR)/BENCH_grayfault.json $(GO) test \
-		-run TestGrayFaultBenchArtifact ./internal/cluster/
-	BENCH_FLEET_OUT=$(CURDIR)/BENCH_fleet.json $(GO) test \
-		-run TestFleetBenchArtifact ./internal/dispatch/
-
-# The dispatch throughput gate: measure a fresh artifact (same writer
-# bench-smoke uses) and compare its route-done-parallel throughput_rps
-# against the committed baseline. A zero trendline — the truncated-
-# artifact bug this gate exists for — or a >15% regression fails the
-# build; improvements pass and the baseline only moves via
-# `make bench-baseline`.
-bench-gate:
-	BENCH_DISPATCH_OUT=$(CURDIR)/BENCH_dispatch.json \
-	BENCH_FLEET_OUT=$(CURDIR)/BENCH_fleet.json $(GO) test \
-		-run 'TestDispatchBenchArtifact|TestFleetBenchArtifact' ./internal/dispatch/
-	$(GO) run ./cmd/prord-benchgate -fresh BENCH_dispatch.json \
-		-baseline BENCH_dispatch.baseline.json -tolerance 15 \
-		-fleet BENCH_fleet.json
-
-# Re-measuring the baseline resets the regression reference point: do it
-# only deliberately (after an accepted perf change or a hardware move)
-# and commit the diff so review shows the trendline jump. CI never runs
-# this.
-bench-baseline:
-	BENCH_DISPATCH_OUT=$(CURDIR)/BENCH_dispatch.baseline.json $(GO) test \
-		-run TestDispatchBenchArtifact ./internal/dispatch/
-
-ci: build vet lint race race-failover race-overload race-dispatch race-autoscale race-snapshot race-grayfault race-fleet bench-gate
+ci: build vet lint race bench

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"prord/internal/autoscale"
+	"prord/internal/cluster"
 	"prord/internal/health"
 	"prord/internal/httpfront"
 	"prord/internal/loadgen"
@@ -46,7 +47,7 @@ func main() {
 		workers     = flag.Int("workers", 8, "open loop: client connections carrying the schedule")
 		sessions    = flag.Int("sessions", 200, "closed loop: trace sessions to replay")
 		concurrency = flag.Int("concurrency", 16, "closed loop: concurrent clients")
-		thinkMs     = flag.Int("think-ms", 25, "closed loop: think time before each page (ms)")
+		thinkMs     = flag.Int("think-ms", 25, "closed loop: think time before each page (ms; 0 for none)")
 		duration    = flag.Duration("duration", 30*time.Second, "run length (open loop: schedule span)")
 		warmup      = flag.Duration("warmup", 2*time.Second, "initial window excluded from measurement")
 		seed        = flag.Int64("seed", 1, "workload and schedule seed")
@@ -110,11 +111,11 @@ func main() {
 	if *missMs < 0 {
 		fail(fmt.Errorf("-miss-ms must not be negative, got %d", *missMs))
 	}
-	faultSched, err := loadgen.ParseFaults(*faults)
+	faultSched, err := cluster.ParseFaults(*faults)
 	if err != nil {
 		fail(err)
 	}
-	scaleSched, err := loadgen.ParseScaleEvents(*scaleEvents)
+	scaleSched, err := cluster.ParseScaleEvents(*scaleEvents)
 	if err != nil {
 		fail(err)
 	}
@@ -154,7 +155,7 @@ func main() {
 		Workers:       *workers,
 		Sessions:      *sessions,
 		Concurrency:   *concurrency,
-		Think:         time.Duration(*thinkMs) * time.Millisecond,
+		Think:         thinkTime(*thinkMs),
 		Duration:      *duration,
 		Warmup:        *warmup,
 		Seed:          *seed,
@@ -205,6 +206,16 @@ func main() {
 		}
 		fmt.Printf("\nartifact written to %s\n", *out)
 	}
+}
+
+// thinkTime maps -think-ms onto loadgen.Config.Think, whose zero value
+// selects the 25ms default: an explicit 0 asks for no think time, which
+// that field spells as negative.
+func thinkTime(ms int) time.Duration {
+	if ms <= 0 {
+		return -1
+	}
+	return time.Duration(ms) * time.Millisecond
 }
 
 func fail(err error) {

@@ -1,13 +1,11 @@
 package cluster
 
 import (
-	"os"
 	"reflect"
 	"testing"
 	"time"
 
 	"prord/internal/autoscale"
-	"prord/internal/metrics"
 	"prord/internal/mining"
 	"prord/internal/overload"
 	"prord/internal/policy"
@@ -265,97 +263,4 @@ func TestSimWarmJoinBeatsColdJoin(t *testing.T) {
 			warm.HitRate, warm.Hits, warm.Hits+warm.Misses,
 			cold.HitRate, cold.Hits, cold.Hits+cold.Misses)
 	}
-}
-
-// TestAutoscaleBenchArtifact emits BENCH_autoscale.json when
-// BENCH_AUTOSCALE_OUT is set (make bench-smoke): one organic-controller
-// cell carrying scale-up decision latencies and drain accounting, and
-// one warm-vs-cold cell carrying the first-minute hit-rate delta.
-func TestAutoscaleBenchArtifact(t *testing.T) {
-	out := os.Getenv("BENCH_AUTOSCALE_OUT")
-	if out == "" {
-		t.Skip("BENCH_AUTOSCALE_OUT not set")
-	}
-
-	tr, _ := testWorkload(t, 3000, 57)
-	tr = retimeTail(tr, len(tr.Requests)/5, 200*time.Millisecond)
-	cl, err := New(Config{
-		Params: smallParams(4, 4, 2),
-		Policy: policy.NewWRR(4),
-		Overload: &overload.Config{
-			CapacityPerBackend: 2,
-			MinHold:            10 * time.Millisecond,
-		},
-		Autoscale: &autoscale.Config{
-			Initial:  2,
-			Min:      1,
-			WarmRamp: 8,
-			UpHold:   50 * time.Millisecond,
-			DownHold: 500 * time.Millisecond,
-			Cooldown: 200 * time.Millisecond,
-			ColdJoin: true,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	organic, err := cl.Run(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, cold := warmColdPair(t)
-
-	toRun := func(name string, res *Result) metrics.BenchRun {
-		as := res.Autoscale
-		run := metrics.BenchRun{
-			Name:          name,
-			Requests:      res.Metrics.Completed,
-			ThroughputRPS: metrics.Round(res.Throughput, 1),
-			Latency:       res.Metrics.Response.Summary(),
-			HitRate:       metrics.Round(res.HitRate, 4),
-			Autoscale: &metrics.AutoscaleSummary{
-				Joins:            as.Joins,
-				Drains:           as.Drains,
-				SessionsRebooked: as.SessionsRebooked,
-				FinalSize:        as.FinalSize,
-			},
-		}
-		for _, l := range as.ScaleUpLatencies {
-			run.Autoscale.ScaleUpLatencyMS = append(run.Autoscale.ScaleUpLatencyMS, l.Milliseconds())
-		}
-		return run
-	}
-	organicRun := toRun("organic-controller", organic)
-	warmRun := metrics.BenchRun{
-		Name: "warm-vs-cold-join",
-		Autoscale: &metrics.AutoscaleSummary{
-			Joins:         1,
-			FinalSize:     4,
-			WarmHitRate:   metrics.Round(warm.HitRate, 4),
-			ColdHitRate:   metrics.Round(cold.HitRate, 4),
-			WarmColdDelta: metrics.Round(warm.HitRate-cold.HitRate, 4),
-		},
-	}
-
-	art := &metrics.BenchArtifact{
-		Tool: "prord-sim-autoscale",
-		Workload: map[string]any{
-			"requests": len(tr.Requests),
-			"seed":     57,
-		},
-		Runs: []metrics.BenchRun{organicRun, warmRun},
-	}
-	art.Stamp(time.Now())
-	f, err := os.Create(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := art.Encode(f); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: organic joins=%d drains=%d rebooked=%d; warm %.3f vs cold %.3f",
-		out, organicRun.Autoscale.Joins, organicRun.Autoscale.Drains,
-		organicRun.Autoscale.SessionsRebooked,
-		warmRun.Autoscale.WarmHitRate, warmRun.Autoscale.ColdHitRate)
 }

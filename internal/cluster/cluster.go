@@ -57,7 +57,7 @@ type Config struct {
 	// slow-backend detector feeding the core's Degraded hook, plus
 	// optional hedged backup requests. Nil disables the layer (injected
 	// gray failures then hit the cluster with no defense, the baseline
-	// the BENCH_grayfault artifact compares against).
+	// TestGrayLayerCutsP99AtLeast2x compares against).
 	Gray *GrayConfig
 	// Power enables PARD-style [3] power management with Table 1's power
 	// parameters.
@@ -274,27 +274,11 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.down = make([]bool, cfg.Params.Backends)
 	c.gray = newGrayState(cfg.Params.Backends, cfg.Gray)
-	for _, f := range cfg.Failures {
-		if f.Server < 0 || f.Server >= cfg.Params.Backends {
-			return nil, fmt.Errorf("cluster: failure for invalid server %d", f.Server)
-		}
-		if f.At < 0 || (f.RecoverAt != 0 && f.RecoverAt <= f.At) {
-			return nil, fmt.Errorf("cluster: failure times invalid (%v, %v)", f.At, f.RecoverAt)
-		}
-		switch f.Mode {
-		case Slow:
-			if f.Slowdown <= 1 {
-				return nil, fmt.Errorf("cluster: slow failure needs a slowdown > 1, got x%g", f.Slowdown)
-			}
-		case ErrRate:
-			if f.ErrRate <= 0 || f.ErrRate >= 1 {
-				return nil, fmt.Errorf("cluster: errrate failure needs a rate in (0,1), got %g", f.ErrRate)
-			}
-		case Flap:
-			if f.FlapPeriod <= 0 || f.RecoverAt == 0 {
-				return nil, fmt.Errorf("cluster: flap failure needs a positive period and a recovery time")
-			}
-		}
+	if err := ValidateFailures(cfg.Failures, cfg.Params.Backends); err != nil {
+		return nil, err
+	}
+	if err := ValidateScaleEvents(cfg.ScaleEvents, cfg.Autoscale); err != nil {
+		return nil, err
 	}
 	if cfg.Features.Replication {
 		c.replmgr = replicate.NewManager(cfg.Miner.Ranker, cfg.ReplicateConfig)
@@ -319,13 +303,6 @@ func New(cfg Config) (*Cluster, error) {
 		if len(cfg.ScaleEvents) == 0 && cfg.Overload != nil {
 			c.actrl = autoscale.NewController(pool)
 		}
-		for _, ev := range cfg.ScaleEvents {
-			if ev.Delta == 0 || ev.At < 0 {
-				return nil, fmt.Errorf("cluster: scale event invalid (delta %d at %v)", ev.Delta, ev.At)
-			}
-		}
-	} else if len(cfg.ScaleEvents) > 0 {
-		return nil, fmt.Errorf("cluster: ScaleEvents need Config.Autoscale")
 	}
 	if cfg.Power.Enabled {
 		c.power = newPowerTracker(cfg.Power, cfg.Params.Backends)

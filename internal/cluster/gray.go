@@ -9,10 +9,10 @@ import (
 	"prord/internal/trace"
 )
 
-// FailureMode selects the injected failure kind, mirroring the live
-// load generator's fault grammar one-to-one (loadgen.FaultMode). The
-// zero value is the original fail-stop crash; the other modes are gray
-// failures the breaker alone cannot see.
+// FailureMode selects the injected failure kind; the load generator
+// replays the same modes against live backends. The zero value is the
+// original fail-stop crash; the other modes are gray failures the
+// breaker alone cannot see.
 type FailureMode int
 
 const (

@@ -1,12 +1,6 @@
 package cluster
 
-import (
-	"os"
-	"testing"
-	"time"
-
-	"prord/internal/metrics"
-)
+import "testing"
 
 // grayFaultPair runs the acceptance scenario twice on the same seeded
 // trace: one backend turns 10x slow an eighth of the way in, once with
@@ -46,70 +40,4 @@ func TestGrayLayerCutsP99AtLeast2x(t *testing.T) {
 		t.Fatalf("gray layer cut p99 %v -> %v (%.2fx), want >= 2x",
 			p99Off, p99On, float64(p99Off)/float64(p99On))
 	}
-}
-
-// TestGrayFaultBenchArtifact emits BENCH_grayfault.json when
-// BENCH_GRAYFAULT_OUT is set (make bench-smoke): the slow=x10 scenario
-// measured with the gray layer off and on, so the artifact carries the
-// p99 delta the layer is accountable for plus the detector and hedge
-// counters behind it.
-func TestGrayFaultBenchArtifact(t *testing.T) {
-	out := os.Getenv("BENCH_GRAYFAULT_OUT")
-	if out == "" {
-		t.Skip("BENCH_GRAYFAULT_OUT not set")
-	}
-	off, on := grayFaultPair(t)
-
-	toRun := func(name string, res *Result) metrics.BenchRun {
-		run := metrics.BenchRun{
-			Name:          name,
-			Requests:      res.Metrics.Completed,
-			ThroughputRPS: metrics.Round(res.Throughput, 1),
-			Latency:       res.Metrics.Response.Summary(),
-			HitRate:       metrics.Round(res.HitRate, 4),
-			Failovers:     res.Metrics.Failovers,
-		}
-		if g := res.Gray; g != nil {
-			run.Gray = &metrics.GraySummary{
-				Ejections:    g.Ejections,
-				Recoveries:   g.Recoveries,
-				GrayRebinds:  g.GrayRebinds,
-				HedgesFired:  g.HedgesFired,
-				HedgeWins:    g.HedgeWins,
-				HedgeCancels: g.HedgeCancels,
-			}
-		}
-		return run
-	}
-	offRun := toRun("slow-x10-undefended", off)
-	onRun := toRun("slow-x10-gray-layer", on)
-
-	art := &metrics.BenchArtifact{
-		Tool: "prord-sim-grayfault",
-		Config: map[string]any{
-			"backends":   4,
-			"faults":     "1@12.5%/slow=x10",
-			"hedge":      true,
-			"compressed": 200,
-		},
-		Workload: map[string]any{
-			"requests": off.Metrics.Completed,
-			"seed":     211,
-		},
-		Runs: []metrics.BenchRun{offRun, onRun},
-	}
-	art.Stamp(time.Now())
-	f, err := os.Create(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := art.Encode(f); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: p99 %dns -> %dns (%.2fx), p999 %dns -> %dns, ejections=%d hedges fired=%d won=%d",
-		out, offRun.Latency.P99NS, onRun.Latency.P99NS,
-		float64(offRun.Latency.P99NS)/float64(onRun.Latency.P99NS),
-		offRun.Latency.P999NS, onRun.Latency.P999NS,
-		onRun.Gray.Ejections, onRun.Gray.HedgesFired, onRun.Gray.HedgeWins)
 }

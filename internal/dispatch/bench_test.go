@@ -1,7 +1,6 @@
 package dispatch_test
 
-// Decision-path microbenchmarks for the shared PRORD core, plus the
-// BENCH_dispatch.json artifact writer `make bench-smoke` invokes. The
+// Decision-path microbenchmarks for the shared PRORD core. The
 // benchmarks measure the Route/Done pair — the work both adapters pay
 // per demand request — with no transport, policy-visible I/O, or
 // overload layer attached.
@@ -16,15 +15,11 @@ package dispatch_test
 
 import (
 	"fmt"
-	"os"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"prord/internal/dispatch"
-	"prord/internal/metrics"
 	"prord/internal/policy"
 )
 
@@ -97,125 +92,4 @@ func BenchmarkDispatchParallel(b *testing.B) {
 			i++
 		}
 	})
-}
-
-// TestDispatchBenchArtifact writes the decision-latency figures as a
-// BENCH artifact in the shared schema when BENCH_DISPATCH_OUT names a
-// destination (the `make bench-smoke` path). Without the variable it
-// is a no-op, keeping `go test ./...` free of file side effects.
-func TestDispatchBenchArtifact(t *testing.T) {
-	out := os.Getenv("BENCH_DISPATCH_OUT")
-	if out == "" {
-		t.Skip("BENCH_DISPATCH_OUT not set")
-	}
-	c, err := dispatch.New(dispatch.Config{
-		Backends: 8,
-		Policy:   policy.NewPRORD(policy.Thresholds{}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths := benchPaths(512)
-	keys := benchKeys(64)
-	now := time.Unix(0, 0)
-	const samples = 200000
-	var hist metrics.Histogram
-	seqStart := time.Now()
-	for i := 0; i < samples; i++ {
-		key, path := keys[i%len(keys)], paths[i%len(paths)]
-		start := time.Now()
-		o := c.Route(key, path, 4096, now)
-		c.Done(key, o.Server, path, false, false)
-		hist.Observe(time.Since(start))
-	}
-	seqElapsed := time.Since(seqStart)
-	st := c.Stats()
-
-	// The parallel cell is the bench gate's decisions-per-second
-	// trendline: the same mix from GOMAXPROCS goroutines against one
-	// fresh core, throughput measured over the whole phase.
-	pc := benchArtifactCore(t)
-	workers := runtime.GOMAXPROCS(0)
-	per := samples / workers
-	durs := make([][]time.Duration, workers)
-	pkeys := benchKeys(256)
-	var wg sync.WaitGroup
-	parStart := time.Now()
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			mine := make([]time.Duration, 0, per)
-			for i := 0; i < per; i++ {
-				key := pkeys[(g*31+i)%len(pkeys)]
-				path := paths[(g*17+i)%len(paths)]
-				start := time.Now()
-				o := pc.Route(key, path, 4096, now)
-				pc.Done(key, o.Server, path, false, false)
-				mine = append(mine, time.Since(start))
-			}
-			durs[g] = mine
-		}(g)
-	}
-	wg.Wait()
-	parElapsed := time.Since(parStart)
-	var phist metrics.Histogram
-	for _, ds := range durs {
-		for _, d := range ds {
-			phist.Observe(d)
-		}
-	}
-	pst := pc.Stats()
-
-	art := metrics.BenchArtifact{
-		Tool: "dispatch-bench",
-		Config: map[string]any{
-			"backends":   8,
-			"policy":     "PRORD",
-			"samples":    samples,
-			"gomaxprocs": workers,
-		},
-		Runs: []metrics.BenchRun{{
-			Name:          "route-done",
-			Requests:      st.Requests,
-			ThroughputRPS: metrics.Round(float64(samples)/seqElapsed.Seconds(), 1),
-			Latency:       hist.Summary(),
-			DispatchPerRequest: metrics.Round(
-				float64(st.Dispatches)/float64(st.Requests), 3),
-			Handoffs: st.Handoffs,
-		}, {
-			Name:          "route-done-parallel",
-			Requests:      pst.Requests,
-			ThroughputRPS: metrics.Round(float64(workers*per)/parElapsed.Seconds(), 1),
-			Latency:       phist.Summary(),
-			DispatchPerRequest: metrics.Round(
-				float64(pst.Dispatches)/float64(pst.Requests), 3),
-			Handoffs: pst.Handoffs,
-		}},
-	}
-	art.Stamp(time.Now())
-	f, err := os.Create(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := art.Encode(f); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: seq %d rps p50=%dns, parallel(%d) %d rps p50=%dns over %d samples",
-		out, int(float64(samples)/seqElapsed.Seconds()), hist.Summary().P50NS,
-		workers, int(float64(workers*per)/parElapsed.Seconds()), phist.Summary().P50NS, samples)
-}
-
-// benchArtifactCore builds the same core shape as benchCore for tests.
-func benchArtifactCore(t *testing.T) *dispatch.Core {
-	t.Helper()
-	c, err := dispatch.New(dispatch.Config{
-		Backends: 8,
-		Policy:   policy.NewPRORD(policy.Thresholds{}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
 }

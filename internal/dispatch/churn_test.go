@@ -1,7 +1,7 @@
 package dispatch_test
 
 // Concurrency churn test for the decision core, aimed at the race
-// detector (`make race-dispatch`): many goroutines drive the full
+// detector (`make race`): many goroutines drive the full
 // booking lifecycle — Route, failed attempts, Rebook retries, Done —
 // while another goroutine keeps invalidating backends, which rewrites
 // every lock stripe's locality and session state mid-flight. After the

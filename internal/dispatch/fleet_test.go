@@ -187,7 +187,7 @@ func TestNoteRemoteLocality(t *testing.T) {
 	c.NoteRemoteLocality(-1, "/g0/p9.html")
 }
 
-// TestFleetOwnershipStormRace is the `make race-fleet` handoff storm:
+// TestFleetOwnershipStormRace is the fleet's handoff storm (`make race`):
 // Route/Done/Rebook traffic races ring membership changes, foreign
 // touches (NoteFleetForward) and gossip folds (NoteRemoteLocality),
 // and the session table must come out consistent.

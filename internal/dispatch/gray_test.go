@@ -255,7 +255,7 @@ func TestDegradedHookNoopKeepsDecisionStream(t *testing.T) {
 }
 
 // TestCoreGrayDegradedChurn is the concurrency storm for the gray
-// wiring, aimed at the race detector (`make race-grayfault`): workers
+// wiring, aimed at the race detector (`make race`): workers
 // drive the full booking lifecycle — Route, failed attempts, Rebook,
 // hedge bookings, Done — while a flipper goroutine keeps toggling the
 // Degraded mask, rewriting the accept set mid-flight. After the storm

@@ -4,7 +4,7 @@ package dispatch_test
 // differential (differential_snapshot_test.go): the steady-state
 // allocation budget, the ordered record emitter's independence from a
 // blocked Recorder, and a race-detector storm of snapshot publishes
-// against routing traffic (`make race-snapshot`).
+// against routing traffic (`make race`).
 
 import (
 	"fmt"

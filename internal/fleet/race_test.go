@@ -8,7 +8,7 @@ import (
 )
 
 // TestRingChurnRace hammers lock-free Owner lookups while membership
-// churns: the `make race-fleet` storm for the ring's RCU publish path.
+// churns: the `make race` storm for the ring's RCU publish path.
 func TestRingChurnRace(t *testing.T) {
 	r, err := NewRing([]int{0, 1, 2, 3})
 	if err != nil {
@@ -49,7 +49,7 @@ func TestRingChurnRace(t *testing.T) {
 }
 
 // TestGossipChurnRace runs concurrent publishers, note-ers and mergers
-// over one Exchanger: the `make race-fleet` gossip-merge churn storm.
+// over one Exchanger: the `make race` gossip-merge churn storm.
 // Each merging replica checks the watermark invariant under the race —
 // no (replica, Seq) digest is ever applied twice.
 func TestGossipChurnRace(t *testing.T) {

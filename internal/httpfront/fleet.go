@@ -1,8 +1,8 @@
 package httpfront
 
 import (
+	"context"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,17 +17,19 @@ import (
 // popularity ranks, health verdicts) between replicas. Forwarding is
 // one in-process handler call — the user-space stand-in for the
 // distributor-to-distributor RPC a kernel deployment would make — and
-// is bounded to one hop by ForwardedHeader, so a racing ring change can
-// never bounce a request around the fleet.
+// is bounded to one hop by a mark in the forwarded request's context,
+// so a racing ring change can never bounce a request around the fleet
+// and no client can claim to have been forwarded already.
 
 // ReplicaHeader reports which fleet replica's core made the routing
 // decision for a response (only set in fleet mode): the load
 // generator's session-affinity assertions read it.
 const ReplicaHeader = "X-Prord-Replica"
 
-// ForwardedHeader marks a request already forwarded once by its ingress
-// replica; the receiver serves it locally whatever the ring says.
-const ForwardedHeader = "X-Prord-Fleet-Forwarded"
+// forwardedKey marks the context of a request already forwarded once by
+// its ingress replica; the receiver serves it locally whatever the ring
+// says.
+type forwardedKey struct{}
 
 // FleetConfig wires one Distributor into a multi-replica fleet. Ring
 // and Exchanger are shared by every replica in the fleet; ReplicaID
@@ -111,11 +113,8 @@ func (d *Distributor) peerFor(replica int) http.Handler {
 // twice) and true is returned. The core's forward accounting also
 // releases any stale local binding a ring change left behind.
 func (d *Distributor) forwardIfForeign(w http.ResponseWriter, r *http.Request) bool {
-	if d.fleet == nil || r.Header.Get(ForwardedHeader) != "" {
+	if d.fleet == nil || r.Context().Value(forwardedKey{}) != nil {
 		return false
-	}
-	if r.Header.Get(PrefetchHeader) != "" || r.Header.Get(ProbeHeader) != "" {
-		return false // internal traffic is never session-routed
 	}
 	owner, owned := d.core.Owner(r.RemoteAddr)
 	if owned {
@@ -129,9 +128,7 @@ func (d *Distributor) forwardIfForeign(w http.ResponseWriter, r *http.Request) b
 		return false
 	}
 	d.core.NoteFleetForward(r.RemoteAddr)
-	fwd := r.Clone(r.Context())
-	fwd.Header.Set(ForwardedHeader, strconv.Itoa(d.fleet.cfg.ReplicaID))
-	peer.ServeHTTP(w, fwd)
+	peer.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), forwardedKey{}, true)))
 	return true
 }
 

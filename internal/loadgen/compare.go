@@ -45,25 +45,6 @@ func (h *Harness) simCompare(polName string, live *metrics.BenchRun) (*metrics.S
 		feats = cluster.Features{Bundle: true, NavPrefetch: true}
 		miner = h.freshMiner()
 	}
-	// The fault schedule maps one-to-one onto the simulator's failure
-	// model, gray modes included. Open mode lines up exactly (sim times
-	// are the live arrival offsets); closed mode is approximate because
-	// simTrace compresses session times onto the measurement window.
-	var fails []cluster.Failure
-	for _, f := range h.cfg.Faults {
-		fails = append(fails, cluster.Failure{
-			Server: f.Backend, At: f.At, RecoverAt: f.RecoverAt,
-			Mode:     cluster.FailureMode(f.Mode),
-			Slowdown: f.Slowdown, ErrRate: f.ErrRate, FlapPeriod: f.FlapPeriod,
-		})
-	}
-	// The scale schedule maps the same way: the simulator's pool joins
-	// and drains at the live schedule's offsets (with the same closed-
-	// mode time-compression caveat as faults).
-	var scales []cluster.ScaleEvent
-	for _, e := range h.cfg.ScaleEvents {
-		scales = append(scales, cluster.ScaleEvent{Delta: e.Delta, At: e.At})
-	}
 	// The gray layer maps detector and hedging one-to-one; deadline
 	// budgets are a live-transport concern the simulator does not model.
 	var gray *cluster.GrayConfig
@@ -82,10 +63,10 @@ func (h *Harness) simCompare(polName string, live *metrics.BenchRun) (*metrics.S
 		Policy:      pol,
 		Features:    feats,
 		Miner:       miner,
-		Failures:    fails,
+		Failures:    h.cfg.Faults,
 		Overload:    h.cfg.Overload,
 		Autoscale:   h.cfg.Autoscale,
-		ScaleEvents: scales,
+		ScaleEvents: h.cfg.ScaleEvents,
 		Gray:        gray,
 	}
 	if h.cfg.FleetReplicas > 0 {
@@ -114,7 +95,7 @@ func (h *Harness) simCompare(polName string, live *metrics.BenchRun) (*metrics.S
 		sim.FleetForwards = res.Fleet.Forwards
 	}
 	sim.ThroughputDeltaPct = metrics.DeltaPct(live.ThroughputRPS, sim.ThroughputRPS)
-	sim.MeanLatencyDeltaPct = metrics.DeltaPct(float64(live.Latency.MeanUS), float64(sim.MeanUS))
+	sim.MeanLatencyDeltaPct = metrics.DeltaPct(float64(live.Latency.MeanNS/1000), float64(sim.MeanUS))
 	sim.ShedDeltaPct = metrics.DeltaPct(float64(live.Shed), float64(sim.Shed))
 	return sim, nil
 }

@@ -5,41 +5,45 @@ import (
 	"testing"
 	"time"
 
+	"prord/internal/cluster"
 	"prord/internal/health"
 )
 
+// The -faults and -scale-events grammar lives in cluster beside the
+// types it produces; its tests stay in this package, next to the
+// runners that replay a parsed schedule against live backends.
 func TestParseFaults(t *testing.T) {
-	got, err := ParseFaults(" 1@5s:8s, 0@300ms ")
+	got, err := cluster.ParseFaults(" 1@5s:8s, 0@300ms ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Fault{
-		{Backend: 1, At: 5 * time.Second, RecoverAt: 8 * time.Second},
-		{Backend: 0, At: 300 * time.Millisecond},
+	want := []cluster.Failure{
+		{Server: 1, At: 5 * time.Second, RecoverAt: 8 * time.Second},
+		{Server: 0, At: 300 * time.Millisecond},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("ParseFaults = %+v, want %+v", got, want)
 	}
-	if got, err := ParseFaults(""); err != nil || got != nil {
-		t.Fatalf("ParseFaults(\"\") = %+v, %v", got, err)
+	if got, err := cluster.ParseFaults(""); err != nil || got != nil {
+		t.Fatalf("cluster.ParseFaults(\"\") = %+v, %v", got, err)
 	}
 	for _, bad := range []string{"1", "x@3s", "1@", "1@3s:", "1@3x", "1@3s:4x", "@3s"} {
-		if _, err := ParseFaults(bad); err == nil {
-			t.Errorf("ParseFaults(%q) accepted", bad)
+		if _, err := cluster.ParseFaults(bad); err == nil {
+			t.Errorf("cluster.ParseFaults(%q) accepted", bad)
 		}
 	}
 }
 
 func TestParseFaultModes(t *testing.T) {
-	got, err := ParseFaults("1@5s:20s/slow=x10,0@2s/errrate=0.3,1@1s:9s/flap=500ms,0@3s/slow=x2.5")
+	got, err := cluster.ParseFaults("1@5s:20s/slow=x10,0@2s/errrate=0.3,1@1s:9s/flap=500ms,0@3s/slow=x2.5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Fault{
-		{Backend: 1, At: 5 * time.Second, RecoverAt: 20 * time.Second, Mode: Slow, Slowdown: 10},
-		{Backend: 0, At: 2 * time.Second, Mode: ErrRate, ErrRate: 0.3},
-		{Backend: 1, At: time.Second, RecoverAt: 9 * time.Second, Mode: Flap, FlapPeriod: 500 * time.Millisecond},
-		{Backend: 0, At: 3 * time.Second, Mode: Slow, Slowdown: 2.5},
+	want := []cluster.Failure{
+		{Server: 1, At: 5 * time.Second, RecoverAt: 20 * time.Second, Mode: cluster.Slow, Slowdown: 10},
+		{Server: 0, At: 2 * time.Second, Mode: cluster.ErrRate, ErrRate: 0.3},
+		{Server: 1, At: time.Second, RecoverAt: 9 * time.Second, Mode: cluster.Flap, FlapPeriod: 500 * time.Millisecond},
+		{Server: 0, At: 3 * time.Second, Mode: cluster.Slow, Slowdown: 2.5},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("ParseFaults = %+v, want %+v", got, want)
@@ -53,20 +57,20 @@ func TestParseFaultModes(t *testing.T) {
 		"1@5s/wobble=3",    // unknown mode
 	}
 	for _, s := range bad {
-		if _, err := ParseFaults(s); err == nil {
-			t.Errorf("ParseFaults(%q) accepted", s)
+		if _, err := cluster.ParseFaults(s); err == nil {
+			t.Errorf("cluster.ParseFaults(%q) accepted", s)
 		}
 	}
 }
 
 func TestValidateFaultModes(t *testing.T) {
-	bad := [][]Fault{
-		{{Backend: 0, At: time.Second, Mode: Slow, Slowdown: 1}},   // no dilation
-		{{Backend: 0, At: time.Second, Mode: Slow, Slowdown: 0.5}}, // speedup
-		{{Backend: 0, At: time.Second, Mode: ErrRate, ErrRate: 0}},
-		{{Backend: 0, At: time.Second, Mode: ErrRate, ErrRate: 1}},                      // full outage is fail-stop's job
-		{{Backend: 0, At: time.Second, RecoverAt: 2 * time.Second, Mode: Flap}},         // no period
-		{{Backend: 0, At: time.Second, Mode: Flap, FlapPeriod: 100 * time.Millisecond}}, // unbounded toggle schedule
+	bad := [][]cluster.Failure{
+		{{Server: 0, At: time.Second, Mode: cluster.Slow, Slowdown: 1}},   // no dilation
+		{{Server: 0, At: time.Second, Mode: cluster.Slow, Slowdown: 0.5}}, // speedup
+		{{Server: 0, At: time.Second, Mode: cluster.ErrRate, ErrRate: 0}},
+		{{Server: 0, At: time.Second, Mode: cluster.ErrRate, ErrRate: 1}},                      // full outage is fail-stop's job
+		{{Server: 0, At: time.Second, RecoverAt: 2 * time.Second, Mode: cluster.Flap}},         // no period
+		{{Server: 0, At: time.Second, Mode: cluster.Flap, FlapPeriod: 100 * time.Millisecond}}, // unbounded toggle schedule
 	}
 	for i, faults := range bad {
 		cfg := smallConfig(OpenLoop)
@@ -76,10 +80,10 @@ func TestValidateFaultModes(t *testing.T) {
 		}
 	}
 	cfg := smallConfig(OpenLoop)
-	cfg.Faults = []Fault{
-		{Backend: 1, At: 0, RecoverAt: time.Second, Mode: Slow, Slowdown: 10},
-		{Backend: 0, At: 0, Mode: ErrRate, ErrRate: 0.25},
-		{Backend: 1, At: 0, RecoverAt: time.Second, Mode: Flap, FlapPeriod: 100 * time.Millisecond},
+	cfg.Faults = []cluster.Failure{
+		{Server: 1, At: 0, RecoverAt: time.Second, Mode: cluster.Slow, Slowdown: 10},
+		{Server: 0, At: 0, Mode: cluster.ErrRate, ErrRate: 0.25},
+		{Server: 1, At: 0, RecoverAt: time.Second, Mode: cluster.Flap, FlapPeriod: 100 * time.Millisecond},
 	}
 	if err := cfg.withDefaults().Validate(); err != nil {
 		t.Fatalf("valid gray fault schedule rejected: %v", err)
@@ -87,12 +91,12 @@ func TestValidateFaultModes(t *testing.T) {
 }
 
 func TestValidateFaults(t *testing.T) {
-	bad := [][]Fault{
-		{{Backend: 2, At: time.Second}},                                 // out of range
-		{{Backend: -1, At: time.Second}},                                // out of range
-		{{Backend: 0, At: -time.Second}},                                // negative time
-		{{Backend: 0, At: 2 * time.Second, RecoverAt: time.Second}},     // recovery before outage
-		{{Backend: 0, At: 2 * time.Second, RecoverAt: 2 * time.Second}}, // recovery == outage
+	bad := [][]cluster.Failure{
+		{{Server: 2, At: time.Second}},                                 // out of range
+		{{Server: -1, At: time.Second}},                                // out of range
+		{{Server: 0, At: -time.Second}},                                // negative time
+		{{Server: 0, At: 2 * time.Second, RecoverAt: time.Second}},     // recovery before outage
+		{{Server: 0, At: 2 * time.Second, RecoverAt: 2 * time.Second}}, // recovery == outage
 	}
 	for i, faults := range bad {
 		cfg := smallConfig(OpenLoop)
@@ -102,7 +106,7 @@ func TestValidateFaults(t *testing.T) {
 		}
 	}
 	cfg := smallConfig(OpenLoop)
-	cfg.Faults = []Fault{{Backend: 1, At: 0, RecoverAt: time.Second}}
+	cfg.Faults = []cluster.Failure{{Server: 1, At: 0, RecoverAt: time.Second}}
 	if err := cfg.withDefaults().Validate(); err != nil {
 		t.Fatalf("valid fault schedule rejected: %v", err)
 	}
@@ -123,7 +127,7 @@ func TestFaultScheduleFailover(t *testing.T) {
 	cfg.Backends = 3
 	cfg.Health = health.Config{Threshold: 2, Backoff: time.Hour}
 	cfg.ProbeInterval = 5 * time.Millisecond
-	cfg.Faults = []Fault{{Backend: 1, At: 300 * time.Millisecond}}
+	cfg.Faults = []cluster.Failure{{Server: 1, At: 300 * time.Millisecond}}
 	h, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +187,7 @@ func TestRunWithFaultsClosedLoop(t *testing.T) {
 	cfg := smallConfig(ClosedLoop)
 	cfg.Backends = 3
 	cfg.Health = health.Config{Threshold: 2, Backoff: time.Hour}
-	cfg.Faults = []Fault{{Backend: 0, At: 100 * time.Millisecond}}
+	cfg.Faults = []cluster.Failure{{Server: 0, At: 100 * time.Millisecond}}
 	h, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"prord/internal/autoscale"
+	"prord/internal/cluster"
 	"prord/internal/health"
 	"prord/internal/httpfront"
 	"prord/internal/overload"
@@ -159,14 +160,19 @@ type Config struct {
 	// CacheBytes is each demo backend's memory cache. Default 4 MiB.
 	CacheBytes int64
 	// MissLatency is the simulated disk latency per backend cache miss.
-	// Default 8ms; set negative for none.
+	// Zero is no latency (the 8ms default is the -miss-ms flag's, not
+	// this field's); negative values are clamped to zero.
 	MissLatency time.Duration
 
-	// Faults schedules fail-stop backend outages during each live run;
-	// with CompareSim they are also mapped to cluster.Failures so the
-	// simulator crashes the same backends at the same offsets. Empty
-	// means a fault-free run.
-	Faults []Fault
+	// Faults schedules backend failures during each live run, in the
+	// simulator's own type: offsets count from run start — the clock
+	// the open-loop arrival schedule uses, so "kill backend 1 at 5s"
+	// lines up with the offered workload — and with CompareSim the
+	// simulator runs the same schedule. Closed-loop replay is
+	// completion-paced and its sim comparison compresses session times
+	// onto the measurement window, so offsets there are approximate in
+	// the simulator. Empty means a fault-free run.
+	Faults []cluster.Failure
 	// Health tunes the front-end's per-backend circuit breakers
 	// (httpfront.Config.Health); the zero value uses that package's
 	// defaults.
@@ -204,9 +210,9 @@ type Config struct {
 	// pool static.
 	Autoscale *autoscale.Config
 	// ScaleEvents schedules scripted pool resizes during each live run
-	// (requires Autoscale); with CompareSim they map onto
-	// cluster.ScaleEvents so the simulator scales at the same offsets.
-	ScaleEvents []ScaleEvent
+	// (requires Autoscale), on the same clock as Faults; with CompareSim
+	// the simulator scales at the same offsets.
+	ScaleEvents []cluster.ScaleEvent
 
 	// FleetReplicas enables multi-distributor fleet mode: the seeded
 	// trace is sprayed across this many front-end replicas over one
@@ -349,8 +355,8 @@ func (c Config) Validate() error {
 	if c.FleetReplicas > 1 && c.Autoscale != nil {
 		return fmt.Errorf("loadgen: fleet mode is incompatible with autoscale (each replica would resize the shared pool independently)")
 	}
-	if err := validateScaleEvents(c.ScaleEvents, c.Autoscale); err != nil {
+	if err := cluster.ValidateScaleEvents(c.ScaleEvents, c.Autoscale); err != nil {
 		return err
 	}
-	return validateFaults(c.Faults, c.Backends)
+	return cluster.ValidateFailures(c.Faults, c.Backends)
 }

@@ -3,6 +3,8 @@ package loadgen
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -191,7 +193,7 @@ func checkRun(t *testing.T, h *Harness, res *Result) {
 	if run.ThroughputRPS <= 0 {
 		t.Errorf("throughput = %v", run.ThroughputRPS)
 	}
-	if run.Latency.P50US <= 0 || run.Latency.P99US < run.Latency.P50US {
+	if run.Latency.P50NS <= 0 || run.Latency.P99NS < run.Latency.P50NS {
 		t.Errorf("latency summary inconsistent: %+v", run.Latency)
 	}
 	if run.FrontLatency == nil || run.FrontLatency.Count == 0 {
@@ -241,6 +243,32 @@ func TestOpenLoopLive(t *testing.T) {
 		if !strings.Contains(table.String(), want) {
 			t.Errorf("table missing %q:\n%s", want, table.String())
 		}
+	}
+}
+
+// TestOpenLoopLatencyFromDueTime pins what an open-loop sample means:
+// completion minus the scheduled arrival. One worker offers ten
+// requests due at once to a front that takes 20ms each, so the last
+// one queues behind nine others; timed from the send, every sample
+// would read one service time and the backlog would vanish.
+func TestOpenLoopLatencyFromDueTime(t *testing.T) {
+	const service = 20 * time.Millisecond
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(service)
+	}))
+	defer front.Close()
+	h, err := New(smallConfig(OpenLoop))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.cfg.Warmup = 0
+	h.open = [][]arrival{make([]arrival, 10)}
+	live := h.runOpen(&liveCluster{fronts: []*httptest.Server{front}}, time.Now())
+	if live.errors != 0 || live.meas.Count() != 10 {
+		t.Fatalf("%d errors, %d samples, want 0 and 10", live.errors, live.meas.Count())
+	}
+	if got, want := live.meas.Max(), 9*service; got < want {
+		t.Errorf("slowest sample %v hides the queue: the tenth request waited at least %v", got, want)
 	}
 }
 
@@ -301,7 +329,7 @@ func TestArtifactStableSections(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{`"schema": "prord-bench/2"`, `"tool": "prord-loadgen"`,
+	for _, want := range []string{`"schema": "prord-bench/3"`, `"tool": "prord-loadgen"`,
 		`"schedule_digest": "fnv64a:`, `"front_latency"`, `"sim"`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("artifact missing %q", want)

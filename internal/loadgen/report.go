@@ -125,7 +125,7 @@ type faultJSON struct {
 }
 
 // Artifact assembles the versioned machine-readable artifact. Stamp and
-// Encode it to produce BENCH_loadgen.json. With the same seed and
+// Encode it to produce the artifact file. With the same seed and
 // configuration, every field except generated_at and the genuinely
 // measured live quantities (latency summaries, hit rates, prefetch and
 // handoff counts) is byte-identical across runs; the config, workload
@@ -149,7 +149,7 @@ func (r *Result) Artifact() *metrics.BenchArtifact {
 	}
 	for _, f := range r.Config.Faults {
 		cfg.Faults = append(cfg.Faults, faultJSON{
-			Backend: f.Backend, AtMS: f.At.Milliseconds(), RecoverMS: f.RecoverAt.Milliseconds(),
+			Backend: f.Server, AtMS: f.At.Milliseconds(), RecoverMS: f.RecoverAt.Milliseconds(),
 			Mode: f.Mode.String(), SlowdownX: f.Slowdown, ErrRate: f.ErrRate,
 			FlapMS: f.FlapPeriod.Milliseconds(),
 		})
@@ -244,7 +244,7 @@ func (r *Result) WriteTable(w io.Writer) error {
 		run := &r.Runs[i]
 		if _, err := fmt.Fprintf(w, "%-16s %9.1f %9v %9v %9v %7.3f %6.2f %9.3f %7d\n",
 			run.Name, run.ThroughputRPS,
-			us(run.Latency.P50US), us(run.Latency.P90US), us(run.Latency.P99US),
+			round(run.Latency.P50NS), round(run.Latency.P90NS), round(run.Latency.P99NS),
 			run.HitRate, run.LoadSkew, run.DispatchPerRequest, run.Errors); err != nil {
 			return err
 		}
@@ -294,7 +294,7 @@ func (r *Result) WriteTable(w io.Writer) error {
 	return nil
 }
 
-// us renders integer microseconds as a rounded duration for the table.
-func us(v int64) time.Duration {
-	return (time.Duration(v) * time.Microsecond).Round(100 * time.Microsecond)
+// round renders integer nanoseconds as a duration rounded for the table.
+func round(ns int64) time.Duration {
+	return time.Duration(ns).Round(100 * time.Microsecond)
 }

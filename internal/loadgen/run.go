@@ -109,15 +109,15 @@ func (a *affinityTracker) reset() {
 	a.seen = ""
 }
 
-// fetch issues one GET and fully consumes the response. Transport
-// failures and non-2xx statuses count as errors — except a 503 carrying
-// the front-end's shed marker, which is the admission controller doing
-// its job under overload: those are reported as shed, not errored, and
-// contribute no latency sample. replica is the answering fleet
-// replica's id header ("" outside fleet mode), feeding the
-// session-affinity assertion.
-func fetch(client *http.Client, url string) (lat time.Duration, shed bool, replica string, err error) {
-	t0 := time.Now()
+// fetch issues one GET and fully consumes the response; lat runs from
+// `from`, the instant the caller holds the request was due, to the last
+// body byte. Transport failures and non-2xx statuses count as errors —
+// except a 503 carrying the front-end's shed marker, which is the
+// admission controller doing its job under overload: those are
+// reported as shed, not errored, and contribute no latency sample.
+// replica is the answering fleet replica's id header ("" outside fleet
+// mode), feeding the session-affinity assertion.
+func fetch(client *http.Client, url string, from time.Time) (lat time.Duration, shed bool, replica string, err error) {
 	resp, err := client.Get(url)
 	if err != nil {
 		return 0, false, "", err
@@ -127,7 +127,7 @@ func fetch(client *http.Client, url string) (lat time.Duration, shed bool, repli
 		resp.Header.Get(httpfront.ShedHeader) != ""
 	replica = resp.Header.Get(httpfront.ReplicaHeader)
 	resp.Body.Close()
-	d := time.Since(t0)
+	d := time.Since(from)
 	if err != nil {
 		return 0, false, "", err
 	}
@@ -144,14 +144,16 @@ func fetch(client *http.Client, url string) (lat time.Duration, shed bool, repli
 // its own arrival list, sleeping until each request's absolute due time
 // and issuing it regardless of earlier completions (catching up without
 // skipping when it falls behind, so the issued count stays
-// deterministic). Warmup classification uses the scheduled arrival
-// offset, not the wall clock, so the warm/measured split is identical
-// across runs. start anchors the schedule and is shared with the fault
-// runner so outage offsets line up with arrival offsets. In fleet mode
-// workers spray round-robin over the replicas' fronts (worker w →
-// front w mod k) — a worker's keep-alive connection is one session, so
-// the spray is the deterministic stand-in for an L4 switch pinning
-// connections to distributors.
+// deterministic). Latency is timed from the due time, not from the
+// send, so the queueing a late worker causes shows in its samples.
+// Warmup classification uses the scheduled arrival offset, not the wall
+// clock, so the warm/measured split is identical across runs. start
+// anchors the schedule and is shared with the fault runner so outage
+// offsets line up with arrival offsets. In fleet mode workers spray
+// round-robin over the replicas' fronts (worker w → front w mod k) — a
+// worker's keep-alive connection is one session, so the spray is the
+// deterministic stand-in for an L4 switch pinning connections to
+// distributors.
 func (h *Harness) runOpen(c *liveCluster, start time.Time) *liveStats {
 	locals := make([]workerLocal, len(h.open))
 	var wg sync.WaitGroup
@@ -165,10 +167,11 @@ func (h *Harness) runOpen(c *liveCluster, start time.Time) *liveStats {
 			l := &locals[w]
 			var aff affinityTracker
 			for _, a := range h.open[w] {
-				if d := time.Until(start.Add(a.at)); d > 0 {
+				due := start.Add(a.at)
+				if d := time.Until(due); d > 0 {
 					time.Sleep(d)
 				}
-				lat, shed, replica, err := fetch(client, frontURL+h.eval.Requests[a.idx].Path)
+				lat, shed, replica, err := fetch(client, frontURL+h.eval.Requests[a.idx].Path, due)
 				if err != nil {
 					l.errors++
 					aff.reset()
@@ -229,7 +232,7 @@ func (h *Harness) runClosed(c *liveCluster, start time.Time) *liveStats {
 						break
 					}
 					t0 := time.Now()
-					lat, shed, replica, err := fetch(client, frontURL+req.Path)
+					lat, shed, replica, err := fetch(client, frontURL+req.Path, t0)
 					if err != nil {
 						l.errors++
 						aff.reset()

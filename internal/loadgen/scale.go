@@ -1,76 +1,11 @@
 package loadgen
 
 import (
-	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
-	"prord/internal/autoscale"
+	"prord/internal/cluster"
 )
-
-// ScaleEvent schedules one scripted elastic-pool resize during a live
-// run, mirroring the simulator's cluster.ScaleEvent: Delta backends
-// join (positive) or drain (negative) at offset At from run start —
-// the same clock the fault schedule and the open-loop arrival schedule
-// use, so "join a backend at 5s" lines up with the offered workload.
-// Closed-loop replay is completion-paced and its sim comparison
-// compresses session times onto the measurement window, so scale
-// offsets there are approximate in the simulator.
-type ScaleEvent struct {
-	// Delta is the signed resize: +n joins n backends, -n drains n.
-	Delta int
-	// At is the resize time, as an offset from run start.
-	At time.Duration
-}
-
-// ParseScaleEvents parses a -scale-events flag value: comma-separated
-// "delta@at" items with Go duration syntax, e.g. "+1@5s,-1@20s" joins
-// one backend at 5s and drains one at 20s. An empty string is no scale
-// events.
-func ParseScaleEvents(s string) ([]ScaleEvent, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
-	var out []ScaleEvent
-	for _, item := range strings.Split(s, ",") {
-		item = strings.TrimSpace(item)
-		deltaStr, atStr, ok := strings.Cut(item, "@")
-		if !ok {
-			return nil, fmt.Errorf("loadgen: scale event %q: want delta@at", item)
-		}
-		delta, err := strconv.Atoi(deltaStr)
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: scale event %q: bad delta: %v", item, err)
-		}
-		at, err := time.ParseDuration(atStr)
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: scale event %q: bad time: %v", item, err)
-		}
-		out = append(out, ScaleEvent{Delta: delta, At: at})
-	}
-	return out, nil
-}
-
-// validateScaleEvents applies the same rules cluster.New enforces for
-// ScaleEvents, so a schedule that passes here also passes the sim
-// comparison's mapping.
-func validateScaleEvents(events []ScaleEvent, ac *autoscale.Config) error {
-	if len(events) > 0 && ac == nil {
-		return fmt.Errorf("loadgen: scale events require an Autoscale configuration")
-	}
-	for _, e := range events {
-		if e.Delta == 0 {
-			return fmt.Errorf("loadgen: scale event at %v has zero delta", e.At)
-		}
-		if e.At < 0 {
-			return fmt.Errorf("loadgen: scale event time %v must not be negative", e.At)
-		}
-	}
-	return nil
-}
 
 // startScaleEvents launches the scripted scale schedule against the
 // cluster's front-end, anchored at start like the fault runner. Each
@@ -83,7 +18,7 @@ func (h *Harness) startScaleEvents(c *liveCluster, start time.Time) (stop func()
 	if len(h.cfg.ScaleEvents) == 0 {
 		return func() {}
 	}
-	events := append([]ScaleEvent(nil), h.cfg.ScaleEvents...)
+	events := append([]cluster.ScaleEvent(nil), h.cfg.ScaleEvents...)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
 	quit := make(chan struct{})
 	done := make(chan struct{})

@@ -6,16 +6,17 @@ import (
 	"time"
 
 	"prord/internal/autoscale"
+	"prord/internal/cluster"
 	"prord/internal/metrics"
 	"prord/internal/overload"
 )
 
 func TestParseScaleEvents(t *testing.T) {
-	got, err := ParseScaleEvents(" +1@5s, -1@300ms ,2@1m")
+	got, err := cluster.ParseScaleEvents(" +1@5s, -1@300ms ,2@1m")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []ScaleEvent{
+	want := []cluster.ScaleEvent{
 		{Delta: 1, At: 5 * time.Second},
 		{Delta: -1, At: 300 * time.Millisecond},
 		{Delta: 2, At: time.Minute},
@@ -23,12 +24,12 @@ func TestParseScaleEvents(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("ParseScaleEvents = %+v, want %+v", got, want)
 	}
-	if got, err := ParseScaleEvents(""); err != nil || got != nil {
-		t.Fatalf("ParseScaleEvents(\"\") = %+v, %v", got, err)
+	if got, err := cluster.ParseScaleEvents(""); err != nil || got != nil {
+		t.Fatalf("cluster.ParseScaleEvents(\"\") = %+v, %v", got, err)
 	}
 	for _, bad := range []string{"+1", "x@3s", "+1@", "+1@3x", "@3s"} {
-		if _, err := ParseScaleEvents(bad); err == nil {
-			t.Errorf("ParseScaleEvents(%q) accepted", bad)
+		if _, err := cluster.ParseScaleEvents(bad); err == nil {
+			t.Errorf("cluster.ParseScaleEvents(%q) accepted", bad)
 		}
 	}
 }
@@ -36,7 +37,7 @@ func TestParseScaleEvents(t *testing.T) {
 func TestValidateScaleEvents(t *testing.T) {
 	// Events without an autoscale configuration are rejected.
 	cfg := smallConfig(OpenLoop)
-	cfg.ScaleEvents = []ScaleEvent{{Delta: 1, At: time.Second}}
+	cfg.ScaleEvents = []cluster.ScaleEvent{{Delta: 1, At: time.Second}}
 	if err := cfg.withDefaults().Validate(); err == nil {
 		t.Error("Validate accepted scale events without Autoscale")
 	}
@@ -44,7 +45,7 @@ func TestValidateScaleEvents(t *testing.T) {
 	if err := cfg.withDefaults().Validate(); err != nil {
 		t.Fatalf("valid scale schedule rejected: %v", err)
 	}
-	bad := [][]ScaleEvent{
+	bad := [][]cluster.ScaleEvent{
 		{{Delta: 0, At: time.Second}},  // zero delta
 		{{Delta: 1, At: -time.Second}}, // negative time
 	}
@@ -78,7 +79,7 @@ func TestRunWithScaleSchedule(t *testing.T) {
 		WarmRamp: 8,
 		ColdJoin: true, // keep the live/sim hit rates comparable
 	}
-	cfg.ScaleEvents = []ScaleEvent{
+	cfg.ScaleEvents = []cluster.ScaleEvent{
 		{Delta: 1, At: 250 * time.Millisecond},
 		{Delta: -1, At: 600 * time.Millisecond},
 	}

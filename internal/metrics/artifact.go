@@ -8,25 +8,18 @@ import (
 	"time"
 )
 
-// BenchSchema versions the benchmark artifact layout shared by
-// prord-bench and prord-loadgen (BENCH_*.json). Bump it whenever a field
-// is renamed, removed or changes meaning; adding fields is
-// backward-compatible and keeps the version.
+// BenchSchema versions the benchmark artifact prord-loadgen writes.
+// Bump it whenever a field is renamed, removed or changes meaning;
+// adding fields is backward-compatible and keeps the version.
 //
-// prord-bench/2 switched the latency summaries to nanosecond
-// resolution: the dispatch core's sub-microsecond decision latencies
-// truncated to zero in the v1 microsecond fields, flattening the
-// bench trendline. The *_us fields remain as derived aliases, and
-// DecodeBenchArtifact upgrades v1 artifacts on read.
-const BenchSchema = "prord-bench/2"
-
-// benchSchemaV1 is the superseded microsecond-resolution layout.
-const benchSchemaV1 = "prord-bench/1"
+// prord-bench/3 dropped the truncated *_us aliases of the latency
+// summaries: nanoseconds are the only resolution recorded. Nothing in
+// the repository reads artifacts back.
+const BenchSchema = "prord-bench/3"
 
 // LatencySummary is a latency histogram reduced to the quantities the
-// artifacts report. All durations are integers so the JSON encoding is
-// stable across platforms and runs; nanoseconds are authoritative and
-// the microsecond fields are truncated aliases kept for v1 consumers.
+// artifacts report. All durations are integer nanoseconds so the JSON
+// encoding is stable across platforms and runs.
 type LatencySummary struct {
 	Count  int64 `json:"count"`
 	MeanNS int64 `json:"mean_ns"`
@@ -36,18 +29,11 @@ type LatencySummary struct {
 	P90NS  int64 `json:"p90_ns"`
 	P99NS  int64 `json:"p99_ns"`
 	P999NS int64 `json:"p999_ns"`
-	MeanUS int64 `json:"mean_us"`
-	MinUS  int64 `json:"min_us"`
-	MaxUS  int64 `json:"max_us"`
-	P50US  int64 `json:"p50_us"`
-	P90US  int64 `json:"p90_us"`
-	P99US  int64 `json:"p99_us"`
-	P999US int64 `json:"p999_us"`
 }
 
 // Summary reduces the histogram to its artifact form.
 func (h *Histogram) Summary() LatencySummary {
-	s := LatencySummary{
+	return LatencySummary{
 		Count:  h.Count(),
 		MeanNS: h.Mean().Nanoseconds(),
 		MinNS:  h.Min().Nanoseconds(),
@@ -57,32 +43,6 @@ func (h *Histogram) Summary() LatencySummary {
 		P99NS:  h.Quantile(0.99).Nanoseconds(),
 		P999NS: h.Quantile(0.999).Nanoseconds(),
 	}
-	s.fillUS()
-	return s
-}
-
-// fillUS derives the microsecond aliases from the nanosecond fields.
-func (s *LatencySummary) fillUS() {
-	s.MeanUS = s.MeanNS / 1000
-	s.MinUS = s.MinNS / 1000
-	s.MaxUS = s.MaxNS / 1000
-	s.P50US = s.P50NS / 1000
-	s.P90US = s.P90NS / 1000
-	s.P99US = s.P99NS / 1000
-	s.P999US = s.P999NS / 1000
-}
-
-// upgradeV1 reconstructs the nanosecond fields of a v1 summary from
-// its microsecond values (the best available resolution). v1 never
-// recorded a p999, so that field stays zero rather than inventing one.
-func (s *LatencySummary) upgradeV1() {
-	s.MeanNS = s.MeanUS * 1000
-	s.MinNS = s.MinUS * 1000
-	s.MaxNS = s.MaxUS * 1000
-	s.P50NS = s.P50US * 1000
-	s.P90NS = s.P90US * 1000
-	s.P99NS = s.P99US * 1000
-	s.P999NS = s.P999US * 1000
 }
 
 // BackendSample is one backend's share of a benchmark run.
@@ -163,17 +123,6 @@ type AutoscaleSummary struct {
 	SessionsRebooked int64 `json:"sessions_rebooked"`
 	// FinalSize is the pool size when the run ended.
 	FinalSize int `json:"final_size"`
-	// ScaleUpLatencyMS are the organic controller's join decision
-	// latencies — how long the tier sat at Saturated before each join —
-	// in milliseconds. Empty for scripted schedules.
-	ScaleUpLatencyMS []int64 `json:"scale_up_latency_ms,omitempty"`
-	// WarmHitRate and ColdHitRate are the joined backend's first-minute
-	// memory hit rates with and without the rank-table warm preload, on
-	// the same seed and scale schedule. WarmColdDelta is their
-	// difference (positive = warming paid off).
-	WarmHitRate   float64 `json:"warm_hit_rate,omitempty"`
-	ColdHitRate   float64 `json:"cold_hit_rate,omitempty"`
-	WarmColdDelta float64 `json:"warm_cold_delta,omitempty"`
 }
 
 // GraySummary is the gray-failure resilience block of a benchmark run:
@@ -299,7 +248,7 @@ type BenchRun struct {
 // wall-clock quantities the producing tool documents).
 type BenchArtifact struct {
 	Schema string `json:"schema"`
-	// Tool names the producing command ("prord-bench", "prord-loadgen").
+	// Tool names the producing command ("prord-loadgen").
 	Tool string `json:"tool"`
 	// GeneratedAt is the single wall-clock timestamp of the artifact
 	// (RFC 3339). It is the only field two identically-seeded runs are
@@ -320,7 +269,7 @@ func (a *BenchArtifact) Stamp(t time.Time) {
 
 // Encode writes the artifact as stable indented JSON: struct field order
 // is fixed by declaration, map keys are sorted by encoding/json, and all
-// durations are integer microseconds. Callers should round free-form
+// durations are integers. Callers should round free-form
 // floats with Round before setting them.
 func (a *BenchArtifact) Encode(w io.Writer) error {
 	if a.Schema == "" {
@@ -332,33 +281,6 @@ func (a *BenchArtifact) Encode(w io.Writer) error {
 		return fmt.Errorf("metrics: encoding bench artifact: %w", err)
 	}
 	return nil
-}
-
-// DecodeBenchArtifact reads a benchmark artifact, upgrading
-// prord-bench/1 layouts in place: the v1 microsecond latency fields
-// populate the v2 nanosecond ones (at microsecond resolution — the
-// best v1 recorded) and the schema is rewritten to the current
-// version. Unknown schemas are an error so consumers fail loudly
-// instead of misreading fields.
-func DecodeBenchArtifact(r io.Reader) (*BenchArtifact, error) {
-	var a BenchArtifact
-	if err := json.NewDecoder(r).Decode(&a); err != nil {
-		return nil, fmt.Errorf("metrics: decoding bench artifact: %w", err)
-	}
-	switch a.Schema {
-	case BenchSchema:
-	case benchSchemaV1:
-		for i := range a.Runs {
-			a.Runs[i].Latency.upgradeV1()
-			if fl := a.Runs[i].FrontLatency; fl != nil {
-				fl.upgradeV1()
-			}
-		}
-		a.Schema = BenchSchema
-	default:
-		return nil, fmt.Errorf("metrics: unknown bench artifact schema %q", a.Schema)
-	}
-	return &a, nil
 }
 
 // Round rounds x to the given number of decimal digits, normalizing the

@@ -16,14 +16,14 @@ func TestHistogramSummary(t *testing.T) {
 	if s.Count != 512 {
 		t.Fatalf("Count = %d", s.Count)
 	}
-	if s.MinUS != 512 || s.MaxUS != 1023 {
-		t.Fatalf("Min/Max = %d/%d", s.MinUS, s.MaxUS)
+	if s.MinNS != 512_000 || s.MaxNS != 1023_000 {
+		t.Fatalf("Min/Max = %d/%d", s.MinNS, s.MaxNS)
 	}
-	if s.P50US < 766 || s.P50US > 770 {
-		t.Fatalf("P50 = %dµs, want ~768", s.P50US)
+	if s.P50NS < 766_000 || s.P50NS > 770_000 {
+		t.Fatalf("P50 = %dns, want ~768µs", s.P50NS)
 	}
-	if s.P99US >= s.MaxUS {
-		t.Fatalf("P99 = %dµs, want interpolated below max %d", s.P99US, s.MaxUS)
+	if s.P99NS >= s.MaxNS {
+		t.Fatalf("P99 = %dns, want interpolated below max %d", s.P99NS, s.MaxNS)
 	}
 }
 
@@ -58,7 +58,7 @@ func TestBenchArtifactEncodeStable(t *testing.T) {
 	if a.String() != b.String() {
 		t.Fatalf("two encodings differ:\n%s\n---\n%s", a.String(), b.String())
 	}
-	for _, want := range []string{`"schema": "prord-bench/2"`, `"p99_us"`, `"throughput_delta_pct"`, `"load_skew": 1`} {
+	for _, want := range []string{`"schema": "prord-bench/3"`, `"p99_ns"`, `"throughput_delta_pct"`, `"load_skew": 1`} {
 		if !strings.Contains(a.String(), want) {
 			t.Errorf("encoding missing %q:\n%s", want, a.String())
 		}

@@ -90,7 +90,9 @@ func (b *Bundles) rebuild() {
 			if float64(count) >= b.minSupport*float64(views) {
 				kept = append(kept, obj)
 			}
-			if count > bestCount[obj] {
+			// Ties go to the smaller page path: the range order of a map
+			// must not pick the parent.
+			if best := bestCount[obj]; count > best || (count == best && page < b.parentOf[obj]) {
 				bestCount[obj] = count
 				b.parentOf[obj] = page
 			}
