@@ -139,6 +139,18 @@ func (b *Breaker) OnSuccess(now time.Time) {
 	b.backoff = b.cfg.Backoff
 }
 
+// OnAbandon records a request that ended with no verdict on the backend
+// (the client hung up): counters and failure streak are untouched. An
+// abandoned half-open trial hands the claim back — the breaker re-opens
+// for another backoff interval, not doubled, instead of staying
+// HalfOpen with no trial in flight.
+func (b *Breaker) OnAbandon(now time.Time) {
+	if b.state == HalfOpen {
+		b.state = Open
+		b.openUntil = now.Add(b.backoff)
+	}
+}
+
 // OnFailure records a failed request or probe and reports whether this
 // failure tripped the breaker (Closed reaching the threshold, or a
 // failed half-open trial re-opening it). Failures while already open

@@ -90,6 +90,32 @@ func TestBreakerHalfOpenTrial(t *testing.T) {
 	}
 }
 
+// TestBreakerAbandonIsNoVerdict: a request the client cut short moves
+// neither the streak nor the counters, and an abandoned half-open trial
+// re-opens for the same backoff — not doubled, and not stuck HalfOpen.
+func TestBreakerAbandonIsNoVerdict(t *testing.T) {
+	ck := newClock()
+	b := NewBreaker(Config{Threshold: 2, Backoff: time.Second})
+	b.OnFailure(ck.now)
+	b.OnAbandon(ck.now)
+	if s := b.Snapshot(); s.State != Closed || s.ConsecutiveFailures != 1 || s.Failures != 1 || s.Successes != 0 {
+		t.Fatalf("abandon on a closed breaker changed it: %+v", s)
+	}
+	b.OnFailure(ck.now) // trip
+	ck.advance(time.Second)
+	b.Begin(ck.now)
+	b.OnAbandon(ck.now)
+	if s := b.Snapshot(); s.State != Open || s.Trips != 1 || s.Failures != 2 {
+		t.Fatalf("abandoned trial: %+v, want Open with no new trip or failure", s)
+	}
+	if b.Ready(ck.advance(999 * time.Millisecond)) {
+		t.Fatal("Ready before the re-armed backoff expired")
+	}
+	if !b.Ready(ck.advance(time.Millisecond)) {
+		t.Fatal("abandoned trial doubled the backoff")
+	}
+}
+
 func TestBreakerSuccessResetsStreak(t *testing.T) {
 	ck := newClock()
 	b := NewBreaker(Config{Threshold: 3})

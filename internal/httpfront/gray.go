@@ -3,8 +3,6 @@ package httpfront
 import (
 	"context"
 	"net/http"
-	"strconv"
-	"sync"
 	"time"
 
 	"prord/internal/health"
@@ -19,7 +17,7 @@ import (
 // tier-derived per-request deadline budgets. The detection and hedging
 // machinery is the same code the simulator runs (cluster.GrayConfig);
 // this layer adds the live substrate: wall-clock ticking, cancelable
-// proxy legs and the winner-takes-the-writer race.
+// round trips and the first-good-head race.
 type GrayConfig struct {
 	// Detector tunes the relative latency-outlier detector; zero fields
 	// take the health package defaults.
@@ -144,263 +142,118 @@ func (d *Distributor) hedgeable(path string) bool {
 	return d.detector.HedgeDelay() > 0
 }
 
-// proxyTo runs one reverse-proxy attempt, absorbing the ErrAbortHandler
-// panic net/http's ReverseProxy raises when a response copy is cut off
-// mid-stream (deadline-budget expiry, hedge-race cancellation, client
-// disconnect). The request's bookings must be released by the caller no
-// matter how the copy ended, so the abort cannot be allowed to unwind
-// ServeHTTP.
-func (d *Distributor) proxyTo(server int, w http.ResponseWriter, r *http.Request) {
-	defer func() {
-		if e := recover(); e != nil && e != http.ErrAbortHandler {
-			panic(e)
-		}
-	}()
-	d.proxies[server].ServeHTTP(w, r)
+// head is one hedge leg's answer: a response head, or why there is none.
+type head struct {
+	resp *http.Response
+	err  error
+	// void marks a transport error on a canceled leg — the referee
+	// already chose the other leg, or the client hung up — which is no
+	// verdict on the backend. A deadline expiry is not void.
+	void bool
 }
 
-// raceWriter arbitrates a hedged pair racing to answer one client:
-// exactly one leg claims the underlying writer, the other discards.
-// Leaf lock (lock class raceWriter.mu): nothing is called while it is
-// held.
-type raceWriter struct {
-	dst http.ResponseWriter
-
-	mu    sync.Mutex
-	owner int // 0 unclaimed; else the winning leg's id
+// good reports a head fit to deliver; failed, a genuine backend failure.
+// A void head is neither.
+func (h head) good() bool {
+	return h.resp != nil && h.resp.StatusCode < http.StatusInternalServerError
 }
+func (h head) failed() bool { return !h.good() && !h.void }
 
-// claim takes ownership for leg id, reporting whether it won.
-func (rw *raceWriter) claim(id int) bool {
-	rw.mu.Lock()
-	defer rw.mu.Unlock()
-	if rw.owner == 0 {
-		rw.owner = id
-	}
-	return rw.owner == id
-}
-
-// leg is one racer's http.ResponseWriter: it buffers headers until its
-// first success commit, claims the client writer on commit, and
-// discards everything once the other leg has claimed or its own
-// response failed. A leg is only ever used from its own goroutine; the
-// raceWriter is the sole shared state.
-type leg struct {
-	race        *raceWriter
-	id          int
-	ctx         context.Context
-	cancelSelf  context.CancelFunc
-	cancelOther func()
-	header      http.Header
-	status      int
-	failed      bool // genuine backend failure (5xx with a live context)
-	won         bool // this leg owns the client writer
-	lost        bool // the other leg owns it (or our transfer was canceled)
-}
-
-func newLeg(race *raceWriter, id int, ctx context.Context, cancelSelf context.CancelFunc, cancelOther func()) *leg {
-	return &leg{
-		race: race, id: id, ctx: ctx,
-		cancelSelf: cancelSelf, cancelOther: cancelOther,
-		header: make(http.Header), status: http.StatusOK,
+func (h head) close() {
+	if h.resp != nil {
+		h.resp.Body.Close()
 	}
 }
 
-func (l *leg) Header() http.Header {
-	if l.won {
-		return l.race.dst.Header()
-	}
-	return l.header
+// postHead runs one side of a hedged pair and posts its head on its own
+// 1-buffered channel, so a leg never outlives its round trip.
+func (d *Distributor) postHead(ctx context.Context, server int, r *http.Request, out chan<- head) {
+	resp, err := d.roundTrip(ctx, server, r)
+	out <- head{resp: resp, err: err, void: err != nil && ctx.Err() == context.Canceled}
 }
 
-// tryClaim commits this leg's response head to the client writer if the
-// race is still open; on loss the leg's context is canceled so the
-// proxy stops copying a body nobody will read.
-func (l *leg) tryClaim(code int) {
-	if !l.race.claim(l.id) {
-		l.lost = true
-		l.cancelSelf()
-		return
-	}
-	dst := l.race.dst.Header()
-	for k, vv := range l.header {
-		dst[k] = vv
-	}
-	l.won = true
-	l.status = code
-	l.race.dst.WriteHeader(code)
-	l.cancelOther()
+// hedge is a fired backup leg's booking.
+type hedge struct {
+	target int
+	start  time.Time
+	// primaryFailed is set when the backup delivered: whether the primary
+	// it replaced had genuinely failed, not just been canceled as slower.
+	primaryFailed bool
 }
 
-func (l *leg) WriteHeader(code int) {
-	if l.won || l.lost || l.failed {
-		return
-	}
-	if code >= http.StatusInternalServerError {
-		if l.ctx.Err() == context.Canceled {
-			// Not a backend failure: our transfer was canceled because
-			// the other leg already delivered (a deadline expiry reports
-			// DeadlineExceeded and still counts as failed).
-			l.lost = true
-			return
-		}
-		// A failed leg never claims the client: the race stays open for
-		// the other leg, and the caller replays the failure through the
-		// ordinary retry path if both legs lose.
-		l.status = code
-		l.failed = true
-		l.cancelSelf()
-		return
-	}
-	l.tryClaim(code)
-}
-
-func (l *leg) Write(p []byte) (int, error) {
-	if l.failed || l.lost {
-		return len(p), nil
-	}
-	if !l.won {
-		l.tryClaim(http.StatusOK)
-		if !l.won {
-			return len(p), nil
-		}
-	}
-	return l.race.dst.Write(p)
-}
-
-// Flush implements http.Flusher for the winning leg so streamed
-// responses keep flowing through the race.
-func (l *leg) Flush() {
-	if !l.won {
-		return
-	}
-	if f, ok := l.race.dst.(http.Flusher); ok {
-		f.Flush()
+// finishHedge settles a backup leg: its breaker attempt, its core
+// booking and, for a delivered response, its latency sample.
+func (d *Distributor) finishHedge(h *hedge, path string, failed, won bool) {
+	d.endAttempt(h.target, failed)
+	d.core.FinishHedge(h.target, path, failed, won)
+	if won && !failed {
+		d.observeLatency(h.target, time.Since(h.start))
 	}
 }
 
-// hedgedAttempt is the bookkeeping for one primary attempt with an
-// armed hedge timer. Its mutex is a leaf lock (lock class
-// hedgedAttempt.mu) guarding the primary-returned / backup-launched
-// handshake; the proxy work itself runs outside it.
-type hedgedAttempt struct {
-	race raceWriter
-
-	mu          sync.Mutex
-	primaryDone bool
-	launched    bool
-	cancelP     context.CancelFunc
-	cancelB     context.CancelFunc
-
-	// done closes when the backup goroutine finishes (only ever closed
-	// after launched is set; the primary waits on it in that case).
-	done chan struct{}
-
-	// Written by the backup goroutine before close(done); read by the
-	// primary goroutine after <-done.
-	fired     bool
-	target    int
-	backupWon bool
-}
-
-func (h *hedgedAttempt) cancelBackup() {
-	h.mu.Lock()
-	f := h.cancelB
-	h.mu.Unlock()
-	if f != nil {
-		f()
+// hedged runs the first attempt of an idempotent request with a backup
+// armed: if the primary has not answered after the detector's pooled-p95
+// hedge delay, one backup goes to the best non-degraded holder of the
+// file and the first good head wins (a failed head never does: the race
+// stays open for the other leg). The loser's context is canceled and its
+// body closed, and both legs have returned before hedged does.
+//
+// When the backup delivered, its response comes back with its booking
+// (won) for the caller to settle with finishHedge after the body copy.
+// Otherwise the primary's answer comes back, good or not, for the
+// ordinary retry machinery, and a fired backup is already settled. The
+// caller defers release, which cancels both legs, past the body copy.
+func (d *Distributor) hedged(ctx context.Context, r *http.Request, path string, primary int) (resp *http.Response, won *hedge, release context.CancelFunc, err error) {
+	ctxP, cancelP := context.WithCancel(ctx)
+	ctxB, cancelB := context.WithCancel(ctx)
+	release = func() { cancelP(); cancelB() }
+	primc, backc := make(chan head, 1), make(chan head, 1)
+	go d.postHead(ctxP, primary, r, primc)
+	timer := time.NewTimer(d.detector.HedgeDelay())
+	defer timer.Stop()
+	var prim, back head
+	select {
+	case prim = <-primc:
+		return prim.resp, nil, release, prim.err
+	case <-timer.C:
 	}
-}
-
-func (h *hedgedAttempt) cancelPrimary() {
-	h.mu.Lock()
-	f := h.cancelP
-	h.mu.Unlock()
-	if f != nil {
-		f()
-	}
-}
-
-// proxyHedged runs the first attempt of an idempotent request with a
-// hedged backup armed: if the primary has not answered after the
-// detector's pooled-p95 hedge delay, one backup goes to the best
-// non-degraded holder of the file and the first committed response
-// wins; the loser's transfer is canceled without goroutine or
-// connection leaks (both legs are context-bound and the caller waits
-// for both to return). It returns the primary leg's status plus
-// whether (and where) a backup delivered instead. When neither leg
-// delivered, the recorder is untouched and the caller replays the
-// failure into the ordinary retry machinery.
-func (d *Distributor) proxyHedged(rec *statusRecorder, r *http.Request, path string, primary int) (status int, hedgeWon bool, winner int) {
-	h := &hedgedAttempt{done: make(chan struct{})}
-	h.race.dst = rec
-	ctxP, cancelP := context.WithCancel(r.Context())
-	defer cancelP()
-	h.cancelP = cancelP
-	prim := newLeg(&h.race, 1, ctxP, cancelP, h.cancelBackup)
-	prim.header.Set(BackendHeader, strconv.Itoa(primary))
-	timer := time.AfterFunc(d.detector.HedgeDelay(), func() { d.fireHedge(h, r, path, primary) })
-	d.proxyTo(primary, prim, r.WithContext(ctxP))
-	h.mu.Lock()
-	h.primaryDone = true
-	launched := h.launched
-	h.mu.Unlock()
-	timer.Stop()
-	if launched {
-		<-h.done
-	}
-	status = prim.status
-	if h.fired {
-		if h.backupWon {
-			return status, true, h.target
-		}
-		if !prim.failed {
-			// The primary answered first: the backup was moot.
-			d.hedgeCancels.Add(1)
-		}
-	}
-	return status, false, primary
-}
-
-// fireHedge is the hedge timer's callback: book and run the backup leg.
-// It runs on the timer goroutine; once it marks itself launched, the
-// primary goroutine waits for h.done, so the backup can never outlive
-// the request.
-func (d *Distributor) fireHedge(h *hedgedAttempt, r *http.Request, path string, primary int) {
-	h.mu.Lock()
-	if h.primaryDone {
-		h.mu.Unlock()
-		return
-	}
-	h.launched = true
-	h.mu.Unlock()
-	defer close(h.done)
 	// Mirror the simulator's stand-down checks at fire time.
-	if d.core.Tier() >= overload.Saturated {
-		return
+	target, ok := -1, d.core.Tier() < overload.Saturated
+	if ok {
+		target, ok = d.core.HedgeTarget(path, primary, time.Now())
 	}
-	target, ok := d.core.HedgeTarget(path, primary, time.Now())
-	if !ok {
-		return
+	if !ok || !d.core.TryBeginHedge(target, path, d.gray.HedgeCap) {
+		prim = <-primc
+		return prim.resp, nil, release, prim.err
 	}
-	if !d.core.TryBeginHedge(target, path, d.gray.HedgeCap) {
-		return
-	}
-	h.fired, h.target = true, target
-	ctxB, cancelB := context.WithCancel(r.Context())
-	h.mu.Lock()
-	h.cancelB = cancelB
-	h.mu.Unlock()
-	defer cancelB()
-	backup := newLeg(&h.race, 2, ctxB, cancelB, h.cancelPrimary)
-	backup.header.Set(BackendHeader, strconv.Itoa(target))
 	d.beginAttempt(target)
-	start := time.Now()
-	d.proxyTo(target, backup, r.Clone(ctxB))
-	d.endAttempt(target, backup.failed)
-	d.core.FinishHedge(target, path, backup.failed, backup.won)
-	if backup.won {
-		d.observeLatency(target, time.Since(start))
-		h.backupWon = true
+	backup := &hedge{target: target, start: time.Now()}
+	go d.postHead(ctxB, target, r, backc)
+	backupWon := false
+	select {
+	case prim = <-primc:
+		if prim.good() {
+			cancelB()
+		}
+		back = <-backc
+		backupWon = !prim.good() && back.good()
+	case back = <-backc:
+		if back.good() {
+			cancelP()
+		}
+		prim = <-primc
+		backupWon = back.good()
 	}
+	if backupWon {
+		prim.close()
+		backup.primaryFailed = prim.failed()
+		return back.resp, backup, release, nil
+	}
+	back.close()
+	d.finishHedge(backup, path, back.failed(), false)
+	if !prim.failed() {
+		// The primary answered first: the backup was moot.
+		d.hedgeCancels.Add(1)
+	}
+	return prim.resp, nil, release, prim.err
 }

@@ -5,8 +5,13 @@
 // bundles, and issues prefetch hints to backends for predicted next
 // pages. The core makes every routing decision — the same code the
 // discrete-event simulator runs — while this package owns the live
-// substrate: reverse proxies, circuit breakers, health probes, the
-// prefetch-hint channel and the wall clock.
+// substrate: the forwarder and its transport, circuit breakers, health
+// probes, the prefetch-hint channel and the wall clock.
+//
+// Forwarding is one http.Transport round trip per attempt with the
+// verdict taken on the response head: a failed retryable attempt is
+// dropped, and a hedged pair refereed, before anything reaches the
+// client (forward.go). Upgrades (101) and 1xx are not forwarded.
 //
 // TCP handoff needs kernel support the paper assumes; the user-space
 // equivalent is reverse proxying, which this package uses. The
@@ -20,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httputil"
 	"net/url"
 	"strconv"
 	"sync"
@@ -152,7 +156,8 @@ type Observation struct {
 	Backend int
 	// Path is the requested URL path.
 	Path string
-	// Status is the response status code delivered to the client.
+	// Status is the response status code delivered to the client; 0
+	// when the client hung up before any response was written.
 	Status int
 	// Latency is the front-end's service time: routing decision plus
 	// proxied backend round-trip (excludes client network time).
@@ -216,9 +221,12 @@ type BackendHealth struct {
 // locality adapter: the core tracks residency in bounded per-backend LRU
 // maps, and breaker state feeds the core's availability view.
 type Distributor struct {
-	cfg         Config
-	core        *dispatch.Core
-	proxies     []*httputil.ReverseProxy
+	cfg  Config
+	core *dispatch.Core
+	// transport carries every backend-bound request: demand, hint, probe.
+	transport *http.Transport
+	// backendIDs are the BackendHeader values, shared read-only by responses.
+	backendIDs  [][]string
 	prefetch    chan prefetchJob
 	retries     int
 	probeClient *http.Client
@@ -277,24 +285,18 @@ func New(cfg Config) (*Distributor, error) {
 		cfg.PrefetchTimeout = 5 * time.Second
 	}
 	d := &Distributor{
-		cfg:     cfg,
-		retries: 1,
-		probes:  make([]int64, len(cfg.Backends)),
+		cfg:       cfg,
+		transport: newTransport(),
+		retries:   1,
+		probes:    make([]int64, len(cfg.Backends)),
 	}
 	if cfg.Retries > 0 {
 		d.retries = cfg.Retries
 	} else if cfg.Retries < 0 {
 		d.retries = 0
 	}
-	for _, u := range cfg.Backends {
-		p := httputil.NewSingleHostReverseProxy(u)
-		// Surface transport-level failures as a bare 502 so the failover
-		// path treats them exactly like a backend 5xx (the default
-		// handler also logs, which is noise under fault injection).
-		p.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
-			w.WriteHeader(http.StatusBadGateway)
-		}
-		d.proxies = append(d.proxies, p)
+	for i := range cfg.Backends {
+		d.backendIDs = append(d.backendIDs, []string{strconv.Itoa(i)})
 		d.breakers = append(d.breakers, health.NewBreaker(cfg.Health))
 	}
 	if cfg.Gray != nil {
@@ -385,7 +387,7 @@ func New(cfg Config) (*Distributor, error) {
 		go d.prefetchLoop(d.prefetch)
 	}
 	if cfg.ProbeInterval > 0 {
-		d.probeClient = &http.Client{Timeout: cfg.ProbeTimeout}
+		d.probeClient = &http.Client{Transport: d.transport, Timeout: cfg.ProbeTimeout}
 		d.probeStop = make(chan struct{})
 		go health.Probe(cfg.ProbeInterval, randutil.New(cfg.ProbeSeed), d.probeStop, d.probeOnce)
 	}
@@ -411,30 +413,46 @@ func New(cfg Config) (*Distributor, error) {
 // Core exposes the shared dispatch core (tests and diagnostics).
 func (d *Distributor) Core() *dispatch.Core { return d.core }
 
+// admitSlot is the grant channel of one admission, pooled so that the
+// admitted path allocates nothing.
+type admitSlot struct {
+	// granted is 1-buffered: the grant runs on the goroutine of whichever
+	// request frees the slot and must never block it.
+	granted chan struct{}
+	grant   func()
+}
+
+var admitSlots = sync.Pool{New: func() any {
+	s := &admitSlot{granted: make(chan struct{}, 1)}
+	s.grant = func() { s.granted <- struct{}{} }
+	return s
+}}
+
 // admit runs the core's admission control for one demand request,
 // waiting in the bounded accept queue up to QueueTimeout when the
 // Critical-tier gate is full. False means the request was shed (counted,
 // never proxied).
 func (d *Distributor) admit(key, path string) bool {
-	granted := make(chan struct{})
-	verdict, w := d.core.Admit(key, path, time.Now(), func() { close(granted) })
-	switch verdict {
-	case dispatch.Shed:
-		return false
-	case dispatch.Queued:
-		t := time.NewTimer(d.core.QueueTimeout())
-		defer t.Stop()
-		select {
-		case <-granted:
-			return true
-		case <-t.C:
-		}
-		// The slot may have been granted while the timer fired; if so the
-		// abandon fails and we own the slot.
-		return !d.core.AbandonWait(w, path, time.Now())
-	default:
-		return true
+	s := admitSlots.Get().(*admitSlot)
+	defer admitSlots.Put(s)
+	verdict, w := d.core.Admit(key, path, time.Now(), s.grant)
+	if verdict != dispatch.Queued {
+		return verdict != dispatch.Shed
 	}
+	t := time.NewTimer(d.core.QueueTimeout())
+	defer t.Stop()
+	select {
+	case <-s.granted:
+		return true
+	case <-t.C:
+	}
+	if d.core.AbandonWait(w, path, time.Now()) {
+		return false
+	}
+	// The slot was granted while the timer fired: the abandon failed and
+	// we own the slot. Its grant is running; take it so s goes back clean.
+	<-s.granted
+	return true
 }
 
 // reject answers a demand request the front-end refuses to proxy. shed
@@ -508,11 +526,13 @@ func (d *Distributor) enqueuePrefetch(plan dispatch.Plan) {
 	}
 }
 
-// ServeHTTP implements http.Handler. A failed attempt (backend 5xx or
-// transport error, surfaced as 502) on an idempotent request is buffered
-// rather than delivered, the failed backend's state is invalidated, and
-// the request is re-proxied to a healthy backend within the retry
-// budget; the client only sees a failure when every attempt failed.
+// ServeHTTP implements http.Handler. Each attempt is one round trip and
+// its verdict is taken on the response head: a failed attempt (backend
+// 5xx or transport error) on an idempotent request is dropped before
+// anything reaches the client, the failed backend's state is
+// invalidated, and the request goes to a healthy backend within the
+// retry budget; the client only sees a failure when every attempt
+// failed, or when a backend dies mid-body (the client sees the cut).
 // With overload control enabled the request first passes Critical-tier
 // admission; with every breaker open it is refused immediately.
 func (d *Distributor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -539,12 +559,16 @@ func (d *Distributor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		d.reject(w, true)
 		return
 	}
+	// client is canceled when the client hangs up; ctx adds the deadline
+	// budget, whose expiry (DeadlineExceeded) is the backend's failure.
+	client := r.Context()
+	ctx := client
 	if budget := d.deadlineBudget(); budget > 0 {
 		// One tier-derived deadline budget covers the whole request —
 		// every failover attempt and any hedged backup.
-		ctx, cancel := context.WithTimeout(r.Context(), budget)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(client, budget)
 		defer cancel()
-		r = r.WithContext(ctx)
 	}
 	out := d.core.Route(key, path, 0, time.Now())
 	if !out.OK {
@@ -555,6 +579,7 @@ func (d *Distributor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		d.reject(w, false)
 		return
 	}
+	prepareOutbound(r)
 	server := out.Server
 	d.beginAttempt(server)
 	idempotent := r.Method == http.MethodGet || r.Method == http.MethodHead
@@ -562,30 +587,64 @@ func (d *Distributor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if idempotent {
 		retries = d.retries
 	}
-	var rec *statusRecorder
-	winner := server
+	var (
+		winner int  // the backend whose answer the client got
+		status int  // what the client got; 0 after a hang-up
+		cut    bool // the backend died mid-body, after the head was committed
+	)
 	for attempt := 0; ; attempt++ {
-		rec = newStatusRecorder(w, attempt < retries)
-		rec.Header().Set(BackendHeader, strconv.Itoa(server))
+		winner = server
 		attemptStart := time.Now()
-		var status int
-		var hedgeWon bool
+		var (
+			resp *http.Response
+			err  error
+			won  *hedge // a backup that delivered in this attempt's place
+		)
 		if attempt == 0 && idempotent && r.ContentLength == 0 && d.hedgeable(path) {
-			status, hedgeWon, winner = d.proxyHedged(rec, r, path, server)
-			if !hedgeWon && status >= http.StatusInternalServerError {
-				// Neither leg delivered: replay the primary's failure
-				// into the recorder so the ordinary retry machinery
-				// (or the client, with retries exhausted) takes over.
-				rec.WriteHeader(status)
-				if !rec.discarded {
-					io.WriteString(rec, http.StatusText(status)+"\n")
-				}
-			}
+			var release context.CancelFunc
+			resp, won, release, err = d.hedged(ctx, r, path, server)
+			// The winning leg's context must outlive the body copy.
+			defer release()
 		} else {
-			d.proxyTo(server, rec, r)
-			status = rec.status
+			resp, err = d.roundTrip(ctx, server, r)
+		}
+		if err != nil && client.Err() != nil {
+			// The client hung up: no verdict on the backend — its breaker
+			// streak and latency window are untouched — and nobody to
+			// retry for or write to. Only the bookings are released.
+			status = 0
+			d.core.Done(key, server, path, false, false)
+			d.hmu.Lock()
+			d.breakers[server].OnAbandon(time.Now())
+			d.hmu.Unlock()
+			break
+		}
+		status = http.StatusBadGateway // a transport error
+		if resp != nil {
+			status = resp.StatusCode
 		}
 		failed := status >= http.StatusInternalServerError
+		if won != nil {
+			failed, winner = won.primaryFailed, won.target
+		}
+		// A failed attempt with retry budget left is swallowed, body unread.
+		swallow := failed && won == nil && attempt < retries
+		switch {
+		case swallow:
+			if resp != nil {
+				resp.Body.Close()
+			}
+		case resp == nil:
+			d.writeBare(w, winner, status)
+		default:
+			if readErr := d.deliver(w, winner, resp); readErr != nil && client.Err() == nil {
+				cut = true
+				failed = failed || won == nil
+			}
+		}
+		if won != nil {
+			d.finishHedge(won, path, cut, true)
+		}
 		d.core.Done(key, server, path, failed, attempt > 0)
 		d.endAttempt(server, failed)
 		if !failed {
@@ -596,17 +655,14 @@ func (d *Distributor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			// adverse samples.
 			d.observeLatency(server, time.Since(attemptStart))
 		}
-		if hedgeWon {
-			break
-		}
-		winner = server
-		if !failed || !rec.discarded {
+		if !swallow {
 			break
 		}
 		next, ok := d.core.Rebook(key, path, server, time.Now())
 		if !ok {
-			// No healthy alternative: deliver the buffered failure.
-			rec.release()
+			// No healthy alternative: the failed body is gone, so the bare
+			// status stands in.
+			d.writeBare(w, server, status)
 			break
 		}
 		server = next
@@ -627,7 +683,7 @@ func (d *Distributor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			d.enqueuePrefetch(plan)
 		}
 	}
-	if rec.status < http.StatusInternalServerError {
+	if status != 0 && status < http.StatusInternalServerError && !cut {
 		// The winner plausibly holds the file now; queue the delta (and a
 		// popularity observation) for the next gossip digest.
 		d.noteFleetServe(winner, path)
@@ -636,104 +692,15 @@ func (d *Distributor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		d.cfg.Observe(Observation{
 			Backend: winner,
 			Path:    path,
-			Status:  rec.status,
+			Status:  status,
 			Latency: latency,
 		})
 	}
-}
-
-// statusRecorder buffers the response head so a failed backend attempt
-// can be discarded and the request retried elsewhere without the client
-// seeing the failure. The head commits on the first success status (or
-// implicit 200); after that the body streams straight through.
-type statusRecorder struct {
-	dst       http.ResponseWriter
-	header    http.Header
-	retryable bool
-	status    int
-	committed bool
-	discarded bool
-}
-
-func newStatusRecorder(dst http.ResponseWriter, retryable bool) *statusRecorder {
-	return &statusRecorder{dst: dst, header: make(http.Header), status: http.StatusOK, retryable: retryable}
-}
-
-func (s *statusRecorder) Header() http.Header {
-	if s.committed {
-		return s.dst.Header()
+	if cut {
+		// Every booking is released; now let the client see the cut
+		// instead of a cleanly terminated, truncated body.
+		panic(http.ErrAbortHandler)
 	}
-	return s.header
-}
-
-// commit copies the buffered head to the underlying writer.
-func (s *statusRecorder) commit(code int) {
-	if s.committed || s.discarded {
-		return
-	}
-	dst := s.dst.Header()
-	for k, vv := range s.header {
-		dst[k] = vv
-	}
-	s.status = code
-	s.committed = true
-	s.dst.WriteHeader(code)
-}
-
-func (s *statusRecorder) WriteHeader(code int) {
-	if s.committed || s.discarded {
-		return
-	}
-	if s.retryable && code >= http.StatusInternalServerError {
-		// Swallow the failure: the distributor will retry elsewhere or
-		// release() this recorder if it cannot.
-		s.status = code
-		s.discarded = true
-		return
-	}
-	s.commit(code)
-}
-
-func (s *statusRecorder) Write(p []byte) (int, error) {
-	if s.discarded {
-		return len(p), nil
-	}
-	if !s.committed {
-		s.commit(http.StatusOK)
-	}
-	return s.dst.Write(p)
-}
-
-// Flush implements http.Flusher so streamed backend responses reach the
-// client incrementally instead of buffering at the front-end.
-func (s *statusRecorder) Flush() {
-	if s.discarded {
-		return
-	}
-	if !s.committed {
-		s.commit(http.StatusOK)
-	}
-	if f, ok := s.dst.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// Unwrap exposes the underlying writer to http.ResponseController.
-func (s *statusRecorder) Unwrap() http.ResponseWriter { return s.dst }
-
-// release delivers a swallowed failure after all retry options ran out.
-// The failed body was discarded, so content headers are dropped and a
-// minimal diagnostic body stands in.
-func (s *statusRecorder) release() {
-	if !s.discarded {
-		return
-	}
-	s.discarded = false
-	s.header.Del("Content-Length")
-	s.header.Set("Content-Type", "text/plain; charset=utf-8")
-	code := s.status
-	s.commit(code)
-	io.WriteString(s.dst, http.StatusText(code)+"\n")
 }
 
 // prefetchLoop sends prefetch hints to backends in the background. The
@@ -743,21 +710,14 @@ func (d *Distributor) prefetchLoop(jobs <-chan prefetchJob) {
 	// The timeout keeps one hung backend from stalling the single
 	// prefetch goroutine — and with it all prefetching — forever; an
 	// expired hint is simply dropped.
-	client := &http.Client{Timeout: d.cfg.PrefetchTimeout}
+	client := &http.Client{Transport: d.transport, Timeout: d.cfg.PrefetchTimeout}
 	for job := range jobs {
 		if d.backendBlocked(job.server) {
 			// Speculative work is shed first under degradation: no
 			// hints to backends with tripped breakers.
 			continue
 		}
-		u := *d.cfg.Backends[job.server]
-		u.Path = job.path
-		req, err := http.NewRequest(http.MethodGet, u.String(), nil)
-		if err != nil {
-			continue
-		}
-		req.Header.Set(PrefetchHeader, "1")
-		resp, err := client.Do(req)
+		resp, err := d.backendGet(client, job.server, job.path, PrefetchHeader)
 		if err != nil {
 			d.hmu.Lock()
 			d.prefetchFails++
@@ -811,20 +771,26 @@ func (d *Distributor) probeOnce() {
 
 // probeBackend issues one health probe and reports reachability.
 func (d *Distributor) probeBackend(i int) bool {
-	u := *d.cfg.Backends[i]
-	u.Path = d.cfg.ProbePath
-	req, err := http.NewRequest(http.MethodGet, u.String(), nil)
-	if err != nil {
-		return false
-	}
-	req.Header.Set(ProbeHeader, "1")
-	resp, err := d.probeClient.Do(req)
+	resp, err := d.backendGet(d.probeClient, i, d.cfg.ProbePath, ProbeHeader)
 	if err != nil {
 		return false
 	}
 	defer resp.Body.Close()
 	io.Copy(io.Discard, resp.Body)
 	return resp.StatusCode < http.StatusInternalServerError
+}
+
+// backendGet sends one of the front-end's own requests — a prefetch
+// hint or a probe, as mark says — straight to a backend.
+func (d *Distributor) backendGet(c *http.Client, server int, path, mark string) (*http.Response, error) {
+	u := *d.cfg.Backends[server]
+	u.Path = path
+	req, err := http.NewRequest(http.MethodGet, u.String(), nil)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set(mark, "1")
+	return c.Do(req)
 }
 
 // Stats returns a snapshot of the live counters, read off the dispatch
@@ -904,9 +870,10 @@ func (d *Distributor) Health() []BackendHealth {
 	return out
 }
 
-// Close stops the background prefetcher and the health prober. Safe to
-// call concurrently with in-flight requests: senders check the channel
-// under the lock, so the close cannot race an enqueue.
+// Close stops the background prefetcher and the health prober and
+// closes the idle backend connections. Safe to call concurrently with
+// in-flight requests: senders check the channel under the lock, so the
+// close cannot race an enqueue.
 func (d *Distributor) Close() {
 	d.hmu.Lock()
 	ch := d.prefetch
@@ -938,4 +905,5 @@ func (d *Distributor) Close() {
 	if fstop != nil {
 		close(fstop)
 	}
+	d.transport.CloseIdleConnections()
 }

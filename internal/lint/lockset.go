@@ -68,11 +68,10 @@ type rankDef struct {
 // emitter's mutex, the striped policy target tables, the WRR rotor
 // and the incremental mining updater are leaves for the same reason:
 // each guards a few fields and calls nothing while held. The gray
-// layer adds three more leaves: the latency-outlier detector's state
-// mutex (its evaluation sorts in-memory buffers only) and the hedge
-// race's two bookkeeping mutexes (writer arbitration and the
-// primary/backup handshake — the proxy work runs outside them). The
-// fleet layer adds five more leaves: the ownership ring's membership
+// layer adds one more leaf: the latency-outlier detector's state
+// mutex (its evaluation sorts in-memory buffers only); the hedge race
+// itself is refereed over a channel and holds no lock. The fleet layer
+// adds five more leaves: the ownership ring's membership
 // writer (readers are lock-free off an atomic snapshot), the gossip
 // digest board, the merger's watermark table (Apply callbacks run
 // outside it by contract), the pending-delta buffer, and the live
@@ -91,8 +90,6 @@ var lockHierarchy = []rankDef{
 	{"internal/mining", "Updater", "mu", 96, true},
 	{"internal/autoscale", "Pool", "mu", 95, true},
 	{"internal/health", "Detector", "mu", 97, true},
-	{"internal/httpfront", "raceWriter", "mu", 98, true},
-	{"internal/httpfront", "hedgedAttempt", "mu", 99, true},
 	{"internal/fleet", "Ring", "mu", 100, true},
 	{"internal/fleet", "Exchanger", "mu", 101, true},
 	{"internal/fleet", "Merger", "mu", 102, true},
@@ -601,7 +598,7 @@ var blockingHTTPFuncs = map[string]bool{
 	"ListenAndServe": true, "ListenAndServeTLS": true, "Serve": true, "ServeTLS": true,
 }
 
-// blockingHTTPMethods block on types in net/http / net/http/httputil.
+// blockingHTTPMethods block on types in net/http and its subpackages.
 var blockingHTTPMethods = map[string]bool{
 	"Do": true, "RoundTrip": true, "ListenAndServe": true, "ListenAndServeTLS": true,
 	"Serve": true, "ServeTLS": true, "Shutdown": true, "ServeHTTP": true,
@@ -655,16 +652,16 @@ func blockingStdlibCall(pkg *Package, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	name := f.Name()
-	switch f.Pkg().Path() {
-	case "sync":
+	switch path := f.Pkg().Path(); {
+	case path == "sync":
 		if name == "Wait" {
 			return "sync " + recvTypeName(f) + ".Wait", true
 		}
-	case "net/http", "net/http/httputil":
+	case path == "net/http" || strings.HasPrefix(path, "net/http/"):
 		if blockingHTTPMethods[name] {
 			return recvTypeName(f) + "." + name, true
 		}
-	case "net":
+	case path == "net":
 		if blockingNetMethods[name] {
 			return recvTypeName(f) + "." + name, true
 		}
