@@ -94,6 +94,10 @@ func main() {
 		}
 		fmt.Println()
 	}
+	if requests, events := r.Simulated(); requests > 0 {
+		fmt.Printf("simulated %d requests in %d events (%.4f events per request)\n",
+			requests, events, float64(events)/float64(requests))
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "prord-sim:", err)
 		os.Exit(1)

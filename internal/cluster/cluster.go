@@ -178,12 +178,12 @@ type Cluster struct {
 	// through the residency it is told about.
 	replicas map[string]map[int]bool
 	// waiters holds demand requests blocked on an in-flight prefetch of
-	// the same file at the same backend (keyed "file|server"), so demand
-	// traffic piggybacks on the prefetch disk read instead of issuing a
-	// duplicate one.
-	waiters map[string][]func()
+	// the same file at the same backend, so demand traffic piggybacks on
+	// the prefetch disk read instead of issuing a duplicate one.
+	waiters map[waiterKey][]*flight
 
 	met       metrics.Collector
+	tr        *trace.Trace // the trace Run is replaying
 	files     map[string]int64
 	power     *powerTracker // nil unless Config.Power.Enabled
 	gray      *grayState    // gray-fault injection + detection/hedging layer
@@ -212,7 +212,7 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:      cfg,
 		eng:      &sim.Engine{},
 		replicas: make(map[string]map[int]bool),
-		waiters:  make(map[string][]func()),
+		waiters:  make(map[waiterKey][]*flight),
 	}
 	total := cfg.Params.AppMemory + cfg.Params.PinnedMemory
 	maxPinned := cfg.Params.PinnedMemory

@@ -137,31 +137,37 @@ func (c *Cluster) observeServe(server int, issued, end time.Duration) {
 
 // hedgeRace coordinates a primary serve and its hedged backup; exactly
 // one of them delivers the response (continues the session), and each
-// releases its own booking when it finishes.
+// releases its own booking when it finishes. The losing leg can finish
+// after the session has moved on to its next request, so the race
+// carries its own copy of the flight and both legs work on that.
 type hedgeRace struct {
+	flight
 	delivered     bool // a response reached the client
 	backupOut     bool // a backup is booked and in flight
 	primaryFailed bool // the primary finished on a down backend
-	primaryServer int
+	backup        int  // the backup's backend, once it is out
 }
 
 // maybeHedge arms a hedged backup for a routed static request: after
 // the detector's hedge delay, if the primary has not delivered, send
-// one backup to the best non-degraded holder. Returns nil (no race
-// bookkeeping) when hedging is off or the request is not hedgeable.
-func (c *Cluster) maybeHedge(tr *trace.Trace, s *session, r *trace.Request, primary int, issued time.Duration) *hedgeRace {
+// one backup to the best non-degraded holder. It returns the flight the
+// primary continues on: the race's copy when one was armed, else f with
+// no race (hedging off, or the request not hedgeable).
+func (c *Cluster) maybeHedge(f *flight) *flight {
+	f.race = nil
 	g := c.gray
 	if g.detector == nil || !g.cfg.Hedge {
-		return nil
+		return f
 	}
-	if r.Dynamic || trace.IsDynamicPath(r.Path) {
-		return nil // generated content is not idempotent
+	if f.r.Dynamic || trace.IsDynamicPath(f.r.Path) {
+		return f // generated content is not idempotent
 	}
 	delay := g.detector.HedgeDelay()
 	if delay <= 0 {
-		return nil // not enough healthy samples yet
+		return f // not enough healthy samples yet
 	}
-	race := &hedgeRace{primaryServer: primary}
+	race := &hedgeRace{flight: *f}
+	race.race = race
 	c.eng.After(delay, func() {
 		if race.delivered || c.remaining <= 0 {
 			return
@@ -169,28 +175,30 @@ func (c *Cluster) maybeHedge(tr *trace.Trace, s *session, r *trace.Request, prim
 		if c.core.Tier() >= overload.Saturated {
 			return
 		}
-		target, ok := c.core.HedgeTarget(r.Path, primary, c.vnow())
+		target, ok := c.core.HedgeTarget(race.r.Path, race.server, c.vnow())
 		if !ok || c.unavailable(target) {
 			return
 		}
-		if !c.core.TryBeginHedge(target, r.Path, g.cfg.HedgeCap) {
+		if !c.core.TryBeginHedge(target, race.r.Path, g.cfg.HedgeCap) {
 			return
 		}
 		race.backupOut = true
-		c.hedgeArrive(tr, s, r, target, issued, race)
+		race.backup = target
+		c.hedgeArrive(race)
 	})
-	return race
+	return &race.flight
 }
 
 // hedgeArrive models the backup serve: the same memory/disk resolution
 // as a demand arrival, minus the side channels (no remote fetch, no
 // prefetch piggyback — the hedge is a plain GET at the target).
-func (c *Cluster) hedgeArrive(tr *trace.Trace, s *session, r *trace.Request, server int, issued time.Duration, race *hedgeRace) {
+func (c *Cluster) hedgeArrive(race *hedgeRace) {
+	r, server := race.r, race.backup
 	b := c.backends[server]
 	serve := func() {
 		b.cpu.Schedule(
 			c.dilate(server, c.cfg.Params.CPUPerRequest+perKBCost(r.Size, c.cfg.Params.CPUPerKB)),
-			func(_, end time.Duration) { c.hedgeComplete(tr, s, r, server, issued, end, race) },
+			func(_, _ time.Duration) { c.hedgeComplete(race) },
 		)
 	}
 	if b.store.Touch(r.Path) {
@@ -215,16 +223,17 @@ func (c *Cluster) hedgeArrive(tr *trace.Trace, s *session, r *trace.Request, ser
 // hedgeComplete finishes a backup serve: if it beat the primary it
 // delivers the response and continues the session; otherwise it just
 // releases its booking (a canceled hedge).
-func (c *Cluster) hedgeComplete(tr *trace.Trace, s *session, r *trace.Request, server int, issued, end time.Duration, race *hedgeRace) {
+func (c *Cluster) hedgeComplete(race *hedgeRace) {
+	server, path := race.backup, race.r.Path
 	race.backupOut = false
 	failed := c.down[server] || c.gray.softDown[server]
 	if race.delivered || failed {
-		c.core.FinishHedge(server, r.Path, failed, false)
+		c.core.FinishHedge(server, path, failed, false)
 		if !race.delivered {
 			if race.primaryFailed {
 				// Both legs failed: fall back to the ordinary retry path.
 				c.met.Failovers++
-				c.processRequest(tr, s, r, issued)
+				c.processRequest(&race.flight)
 			}
 			return
 		}
@@ -233,20 +242,22 @@ func (c *Cluster) hedgeComplete(tr *trace.Trace, s *session, r *trace.Request, s
 	}
 	// The backup won the race: deliver, observe, continue the session.
 	// The primary's booking is released by its own completion event.
-	c.core.FinishHedge(server, r.Path, false, true)
-	c.observeServe(server, issued, end)
+	c.core.FinishHedge(server, path, false, true)
+	c.observeServe(server, race.issued, c.eng.Now())
 	race.delivered = true
-	c.deliver(tr, s, r, server, issued, end)
+	c.deliver(&race.flight, server)
 }
 
-// deliver records one response reaching the client and advances the
-// session — shared by the primary completion path and a winning hedge.
-func (c *Cluster) deliver(tr *trace.Trace, s *session, r *trace.Request, server int, issued, end time.Duration) {
+// deliver records one response reaching the client from server and
+// advances the session — shared by the primary completion path and a
+// winning hedge.
+func (c *Cluster) deliver(f *flight, server int) {
+	s, r, end := f.s, f.r, c.eng.Now()
 	b := c.backends[server]
 	b.served++
 	c.met.Completed++
 	c.met.BytesServed += r.Size
-	c.met.Response.Observe(end - issued)
+	c.met.Response.Observe(end - f.issued)
 	if end > c.lastDone {
 		c.lastDone = end
 	}
@@ -265,5 +276,5 @@ func (c *Cluster) deliver(tr *trace.Trace, s *session, r *trace.Request, server 
 		}
 	}
 	c.autoscaleTick()
-	c.scheduleNext(tr, s)
+	c.scheduleNext(s)
 }

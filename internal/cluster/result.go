@@ -29,6 +29,10 @@ type Result struct {
 	Metrics metrics.Collector
 	// Makespan is the span from first request issue to last completion.
 	Makespan time.Duration
+	// Events is how many simulator events the run executed
+	// (sim.Engine.Executed): the replay's own cost in the unit every
+	// event-loop optimisation moves, where it is about three a request.
+	Events uint64
 	// Throughput is completed requests per second of makespan — "the
 	// summation of the number of requests processed by each of the
 	// backend servers" per unit time (Fig. 7's metric).
@@ -124,6 +128,7 @@ func (c *Cluster) result(tr *trace.Trace) *Result {
 		TraceName:    tr.Name,
 		Metrics:      c.met,
 		Makespan:     makespan,
+		Events:       c.eng.Executed(),
 		Throughput:   c.met.Throughput(makespan),
 		MeanResponse: c.met.Response.Mean(),
 		HitRate:      c.met.HitRate(),

@@ -19,6 +19,62 @@ type session struct {
 	key  string // the core's session key
 	reqs []int  // indices into the trace's request slice
 	next int
+	// fl is the session's request in flight. The loop is closed, so a
+	// session has one request outstanding and the record is reused for
+	// the next; only an armed hedge race, whose losing leg can outlive
+	// the request, works on a copy (see hedgeRace).
+	fl flight
+}
+
+// flight is one request on its way through the cluster. It is the
+// handler of every event of the request's life — front-end, network,
+// disk, CPU — and the event's op code says which step comes next, so
+// scheduling a step allocates nothing.
+type flight struct {
+	c *Cluster
+	s *session
+	r *trace.Request
+	// server and source are the core's placement (Outcome.Server and
+	// Outcome.Source).
+	server, source int
+	issued         time.Duration
+	race           *hedgeRace // nil unless a hedged backup is armed
+}
+
+// The steps of a flight, in the order a request meets them.
+const (
+	stepConnect = iota // the session's TCP connection is being set up
+	stepIssue          // the session sends its next request
+	stepRoute          // a queued request was granted an admission slot
+	stepArrive         // the front-end hands the request to its backend
+	stepFetched        // the bytes arrived from a remote memory
+	stepRead           // the demand disk read finished
+	stepServed         // the backend CPU finished the response
+	stepErrored        // the backend CPU finished an injected 503
+)
+
+// Handle implements sim.Handler.
+func (f *flight) Handle(op int) {
+	c := f.c
+	switch op {
+	case stepConnect:
+		// TCP connection establishment precedes the first request.
+		c.eng.AfterOp(c.cfg.Params.ConnectionLatency, f, stepIssue)
+	case stepIssue:
+		c.issue(f.s)
+	case stepRoute:
+		c.routeRequest(f)
+	case stepArrive:
+		c.arriveAtBackend(f)
+	case stepFetched:
+		c.serve(f)
+	case stepRead:
+		c.finishRead(f)
+	case stepServed:
+		c.complete(f)
+	case stepErrored:
+		c.failServe(f)
+	}
 }
 
 // Run replays tr against the cluster and returns the measured result.
@@ -31,6 +87,7 @@ func (c *Cluster) Run(tr *trace.Trace) (*Result, error) {
 	if len(tr.Requests) == 0 {
 		return nil, fmt.Errorf("cluster: empty trace")
 	}
+	c.tr = tr
 	c.files = tr.Files
 	c.remaining = len(tr.Requests)
 
@@ -38,9 +95,9 @@ func (c *Cluster) Run(tr *trace.Trace) (*Result, error) {
 	// must be deterministic (the event heap breaks time ties FIFO), so
 	// sort sessions by first-request time, then id.
 	bySession := tr.Sessions()
-	sessions := make([]*session, 0, len(bySession))
+	sessions := make([]session, 0, len(bySession))
 	for id, idxs := range bySession {
-		sessions = append(sessions, &session{id: id, key: strconv.Itoa(id), reqs: idxs})
+		sessions = append(sessions, session{id: id, key: strconv.Itoa(id), reqs: idxs})
 	}
 	sort.Slice(sessions, func(i, j int) bool {
 		ti := tr.Requests[sessions[i].reqs[0]].Time
@@ -51,18 +108,14 @@ func (c *Cluster) Run(tr *trace.Trace) (*Result, error) {
 		return sessions[i].id < sessions[j].id
 	})
 	c.firstArr = -1
-	for _, s := range sessions {
-		s := s
+	for i := range sessions {
+		s := &sessions[i]
+		s.fl = flight{c: c, s: s}
 		start := tr.Requests[s.reqs[0]].Time
 		if c.firstArr < 0 || start < c.firstArr {
 			c.firstArr = start
 		}
-		// TCP connection establishment precedes the first request.
-		c.eng.At(start, func() {
-			c.eng.After(c.cfg.Params.ConnectionLatency, func() {
-				c.issue(tr, s)
-			})
-		})
+		c.eng.AtOp(start, &s.fl, stepConnect)
 	}
 	// Injected backend failures and recoveries. Fail-stop crashes; the
 	// gray modes only change how the backend behaves while "up".
@@ -139,15 +192,16 @@ func (c *Cluster) Run(tr *trace.Trace) (*Result, error) {
 }
 
 // issue sends session s's next request into the cluster.
-func (c *Cluster) issue(tr *trace.Trace, s *session) {
-	r := &tr.Requests[s.reqs[s.next]]
-	issued := c.eng.Now()
-	c.processRequest(tr, s, r, issued)
+func (c *Cluster) issue(s *session) {
+	f := &s.fl
+	f.r = &c.tr.Requests[s.reqs[s.next]]
+	f.issued = c.eng.Now()
+	c.processRequest(f)
 }
 
 // scheduleNext arranges the session's following request after the current
 // one completes at time done.
-func (c *Cluster) scheduleNext(tr *trace.Trace, s *session) {
+func (c *Cluster) scheduleNext(s *session) {
 	s.next++
 	if s.next >= len(s.reqs) {
 		// Connection closes; the core drops its session, navigation
@@ -155,56 +209,63 @@ func (c *Cluster) scheduleNext(tr *trace.Trace, s *session) {
 		c.core.CloseConn(s.key)
 		return
 	}
-	gap := tr.Requests[s.reqs[s.next]].Time - tr.Requests[s.reqs[s.next-1]].Time
-	if gap < 0 {
-		gap = 0
-	}
-	c.eng.After(gap, func() { c.issue(tr, s) })
+	gap := c.tr.Requests[s.reqs[s.next]].Time - c.tr.Requests[s.reqs[s.next-1]].Time
+	c.eng.AfterOp(gap, &s.fl, stepIssue)
 }
 
 // processRequest runs the core's admission control and, once admitted,
 // its Fig. 4 routing flow. A queued request waits in the core's bounded
 // accept queue — the same one the live front-end uses — for up to
 // QueueTimeout of virtual time.
-func (c *Cluster) processRequest(tr *trace.Trace, s *session, r *trace.Request, issued time.Duration) {
-	verdict, w := c.core.Admit(s.key, r.Path, c.vnow(), func() {
+func (c *Cluster) processRequest(f *flight) {
+	if c.cfg.Overload == nil {
+		// No gate to pass: everything is admitted, and the grant
+		// callback below would be an allocation per request.
+		c.routeRequest(f)
+		return
+	}
+	verdict, w := c.core.Admit(f.s.key, f.r.Path, c.vnow(), func() {
 		// A slot freed while we were queued: resume at the current
 		// virtual time (the grant fires inside another request's
 		// completion event).
-		c.eng.After(0, func() { c.routeRequest(tr, s, r, issued) })
+		c.eng.AfterOp(0, f, stepRoute)
 	})
 	switch verdict {
 	case dispatch.Shed:
 		c.remaining--
-		c.scheduleNext(tr, s)
+		c.scheduleNext(f.s)
 	case dispatch.Queued:
-		wr := w
+		// The timer can fire long after the request was granted and
+		// finished, so it keeps its own copy of what it needs.
+		s, path := f.s, f.r.Path
 		c.eng.After(c.core.QueueTimeout(), func() {
-			if c.core.AbandonWait(wr, r.Path, c.vnow()) {
+			if c.core.AbandonWait(w, path, c.vnow()) {
 				c.remaining--
-				c.scheduleNext(tr, s)
+				c.scheduleNext(s)
 			}
 		})
 	default:
-		c.routeRequest(tr, s, r, issued)
+		c.routeRequest(f)
 	}
 }
 
 // routeRequest asks the core for a placement and hands the request to
 // the chosen backend through a front-end distributor.
-func (c *Cluster) routeRequest(tr *trace.Trace, s *session, r *trace.Request, issued time.Duration) {
+func (c *Cluster) routeRequest(f *flight) {
+	s, r := f.s, f.r
 	out := c.core.Route(s.key, r.Path, r.Size, c.vnow())
 	if !out.OK {
 		// Whole cluster down: the request is lost.
 		c.core.GateLeave()
 		c.met.Failed++
 		c.remaining--
-		c.scheduleNext(tr, s)
+		c.scheduleNext(s)
 		return
 	}
-	// Arm the hedged backup (nil when the gray layer is off or the
+	f.server, f.source = out.Server, out.Source
+	// Arm the hedged backup (a no-op when the gray layer is off or the
 	// request is not hedgeable) before the primary starts its serve.
-	race := c.maybeHedge(tr, s, r, out.Server, issued)
+	f = c.maybeHedge(f)
 	// Front-end occupancy: analysis + dispatcher consultation + handoff.
 	cost := c.cfg.Params.FrontPerRequest
 	if out.Dispatch {
@@ -229,9 +290,7 @@ func (c *Cluster) routeRequest(tr *trace.Trace, s *session, r *trace.Request, is
 			front = c.fronts[owner]
 		}
 	}
-	front.Schedule(cost, func(_, _ time.Duration) {
-		c.arriveAtBackend(tr, s, r, out, issued, race)
-	})
+	front.ScheduleOp(cost, f, stepArrive)
 }
 
 // arriveAtBackend resolves the content (memory hit, remote memory, or
@@ -239,113 +298,110 @@ func (c *Cluster) routeRequest(tr *trace.Trace, s *session, r *trace.Request, is
 // active slow fault dilates every cost at the backend; an active
 // errrate fault may fail the request outright after a token CPU cost
 // (the backend answered 503 quickly).
-func (c *Cluster) arriveAtBackend(tr *trace.Trace, s *session, r *trace.Request, out dispatch.Outcome, issued time.Duration, race *hedgeRace) {
-	b := c.backends[out.Server]
-	if c.errRoll(out.Server) {
-		b.cpu.Schedule(
-			c.dilate(out.Server, c.cfg.Params.CPUPerRequest),
-			func(_, end time.Duration) { c.failServe(tr, s, r, out.Server, issued, end, race) },
-		)
+func (c *Cluster) arriveAtBackend(f *flight) {
+	r, server := f.r, f.server
+	b := c.backends[server]
+	if c.errRoll(server) {
+		b.cpu.ScheduleOp(c.dilate(server, c.cfg.Params.CPUPerRequest), f, stepErrored)
 		return
-	}
-	serve := func() {
-		b.cpu.Schedule(
-			c.dilate(out.Server, c.cfg.Params.CPUPerRequest+perKBCost(r.Size, c.cfg.Params.CPUPerKB)),
-			func(_, end time.Duration) { c.complete(tr, s, r, out.Server, issued, end, race) },
-		)
 	}
 	switch {
 	case r.Dynamic || trace.IsDynamicPath(r.Path):
 		// Generated content: no cache, no disk — per-request CPU work.
 		c.met.DynamicServed++
-		b.cpu.Schedule(
-			c.dilate(out.Server, c.cfg.Params.DynamicCPU+perKBCost(r.Size, c.cfg.Params.CPUPerKB)),
-			func(_, end time.Duration) { c.complete(tr, s, r, out.Server, issued, end, race) },
-		)
-		return
+		b.cpu.ScheduleOp(
+			c.dilate(server, c.cfg.Params.DynamicCPU+perKBCost(r.Size, c.cfg.Params.CPUPerKB)),
+			f, stepServed)
 	case b.store.Touch(r.Path):
 		c.met.MemoryHits++
-		c.noteWarmServe(out.Server, true)
-		if c.core.ConsumePrefetch(out.Server, r.Path) {
+		c.noteWarmServe(server, true)
+		if c.core.ConsumePrefetch(server, r.Path) {
 			c.met.PrefetchHits++
 		}
-		serve()
-	case out.Source >= 0 && out.Source != out.Server && c.backends[out.Source].store.Contains(r.Path):
+		c.serve(f)
+	case f.source >= 0 && f.source != server && c.backends[f.source].store.Contains(r.Path):
 		// Back-end forwarding: pull the bytes from the remote memory over
 		// the internal network. No disk access, so it counts as a memory
 		// hit for locality purposes.
 		c.met.MemoryHits++
-		c.noteWarmServe(out.Server, true)
+		c.noteWarmServe(server, true)
 		c.met.RemoteFetches++
-		b.net.Schedule(c.dilate(out.Server, perKBCost(r.Size, c.cfg.Params.NetPerKB)), func(_, _ time.Duration) {
-			serve()
-		})
-	case c.core.PrefetchedHere(out.Server, r.Path):
+		b.net.ScheduleOp(c.dilate(server, perKBCost(r.Size, c.cfg.Params.NetPerKB)), f, stepFetched)
+	case c.core.PrefetchedHere(server, r.Path):
 		// A prefetch of this file is already reading the disk here:
 		// piggyback on it rather than issuing a duplicate read. The
 		// request still waited on disk, so it counts as a miss, but the
 		// prefetch was useful.
 		c.met.MemoryMisses++
-		c.noteWarmServe(out.Server, false)
+		c.noteWarmServe(server, false)
 		c.met.PrefetchHits++
-		key := waiterKey(r.Path, out.Server)
-		c.waiters[key] = append(c.waiters[key], serve)
+		key := waiterKey{r.Path, server}
+		c.waiters[key] = append(c.waiters[key], f)
 	default:
 		c.met.MemoryMisses++
-		c.noteWarmServe(out.Server, false)
-		b.disk.Schedule(
-			c.dilate(out.Server, c.cfg.Params.DiskFixed+perKBCost(r.Size, c.cfg.Params.DiskPerKB)),
-			func(_, _ time.Duration) {
-				if c.down[out.Server] {
-					serve() // completion path handles the retry
-					return
-				}
-				evicted, stored := b.store.Insert(r.Path, r.Size)
-				c.noteEvictions(out.Server, evicted)
-				if stored {
-					c.core.NoteResident(out.Server, r.Path)
-				}
-				serve()
-			},
-		)
+		c.noteWarmServe(server, false)
+		b.disk.ScheduleOp(
+			c.dilate(server, c.cfg.Params.DiskFixed+perKBCost(r.Size, c.cfg.Params.DiskPerKB)),
+			f, stepRead)
 	}
+}
+
+// finishRead stores the file a demand miss just read off the disk; on a
+// backend that crashed meanwhile the completion path handles the retry.
+func (c *Cluster) finishRead(f *flight) {
+	if !c.down[f.server] {
+		evicted, stored := c.backends[f.server].store.Insert(f.r.Path, f.r.Size)
+		c.noteEvictions(f.server, evicted)
+		if stored {
+			c.core.NoteResident(f.server, f.r.Path)
+		}
+	}
+	c.serve(f)
+}
+
+// serve sends the response, now in memory, through the backend CPU.
+func (c *Cluster) serve(f *flight) {
+	c.backends[f.server].cpu.ScheduleOp(
+		c.dilate(f.server, c.cfg.Params.CPUPerRequest+perKBCost(f.r.Size, c.cfg.Params.CPUPerKB)),
+		f, stepServed)
 }
 
 // complete finishes one primary serve: metrics, proactive planning,
 // next issue. With a hedge race open, only the first finisher delivers
 // the response; the loser just releases its booking.
-func (c *Cluster) complete(tr *trace.Trace, s *session, r *trace.Request, server int, issued, end time.Duration, race *hedgeRace) {
-	if c.down[server] || c.gray.softDown[server] {
+func (c *Cluster) complete(f *flight) {
+	if c.down[f.server] || c.gray.softDown[f.server] {
 		// The backend crashed (or its link flapped down) while serving:
 		// the response never reached the client, which retries through
 		// the front-end.
-		c.failServe(tr, s, r, server, issued, end, race)
+		c.failServe(f)
 		return
 	}
+	end := c.eng.Now()
 	// Feed the overload layer one completion (a crash-retry re-enters
 	// processRequest and is admitted again, keeping the count balanced).
 	// The primary owns this call: a winning hedge does not repeat it.
-	c.core.FinishRequest(c.vnow(), end-issued)
-	c.core.Done(s.key, server, r.Path, false, false)
-	c.observeServe(server, issued, end)
-	if race != nil {
+	c.core.FinishRequest(c.vnow(), end-f.issued)
+	c.core.Done(f.s.key, f.server, f.r.Path, false, false)
+	c.observeServe(f.server, f.issued, end)
+	if race := f.race; race != nil {
 		if race.delivered {
 			return // the hedge won; the session already moved on
 		}
 		race.delivered = true
 	}
-	c.deliver(tr, s, r, server, issued, end)
+	c.deliver(f, f.server)
 }
 
 // failServe finishes a primary serve that errored (crash, flap or an
 // errrate 503): the booking is released and the client retries through
 // the front-end — unless a hedged backup is still in flight, in which
 // case the race waits for it.
-func (c *Cluster) failServe(tr *trace.Trace, s *session, r *trace.Request, server int, issued, end time.Duration, race *hedgeRace) {
-	c.core.FinishRequest(c.vnow(), end-issued)
-	c.core.Done(s.key, server, r.Path, true, false)
+func (c *Cluster) failServe(f *flight) {
+	c.core.FinishRequest(c.vnow(), c.eng.Now()-f.issued)
+	c.core.Done(f.s.key, f.server, f.r.Path, true, false)
 	c.autoscaleTick()
-	if race != nil {
+	if race := f.race; race != nil {
 		if race.delivered {
 			return // the hedge already answered; nothing to retry
 		}
@@ -362,15 +418,18 @@ func (c *Cluster) failServe(tr *trace.Trace, s *session, r *trace.Request, serve
 	if !c.anyUp() {
 		c.met.Failed++
 		c.remaining--
-		c.scheduleNext(tr, s)
+		c.scheduleNext(f.s)
 		return
 	}
 	c.met.Failovers++
-	c.processRequest(tr, s, r, issued)
+	c.processRequest(f)
 }
 
-func waiterKey(file string, server int) string {
-	return fmt.Sprintf("%s|%d", file, server)
+// waiterKey names an in-flight prefetch: one file being read at one
+// backend.
+type waiterKey struct {
+	file   string
+	server int
 }
 
 // prefetchBatch reads one trigger's admitted files off the backend disk
@@ -401,12 +460,12 @@ func (c *Cluster) prefetchBatch(server int, files []string) {
 // finishPrefetch inserts a completed prefetch into pinned memory and
 // releases any demand requests that piggybacked on the read.
 func (c *Cluster) finishPrefetch(server int, file string, size int64) {
-	key := waiterKey(file, server)
+	key := waiterKey{file, server}
 	release := func() {
 		ws := c.waiters[key]
 		delete(c.waiters, key)
-		for _, w := range ws {
-			w()
+		for _, f := range ws {
+			c.serve(f)
 		}
 	}
 	if !c.core.PrefetchedHere(server, file) || c.down[server] {

@@ -197,7 +197,7 @@ func (r *Runner) Dynamic() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := cl.Run(eval)
+			res, err := r.replay(cl, eval)
 			if err != nil {
 				return nil, err
 			}

@@ -84,6 +84,9 @@ func (o Options) withDefaults() Options {
 // Runner executes experiments.
 type Runner struct {
 	opt Options
+	// requests and events tally every replay the runner has made.
+	requests int
+	events   uint64
 }
 
 // NewRunner returns a Runner with opt (unset fields defaulted).
@@ -93,6 +96,20 @@ func NewRunner(opt Options) *Runner {
 
 // Options returns the effective options.
 func (r *Runner) Options() Options { return r.opt }
+
+// replay runs tr through cl, adding the run to the runner's tally.
+func (r *Runner) replay(cl *cluster.Cluster, tr *trace.Trace) (*cluster.Result, error) {
+	res, err := cl.Run(tr)
+	if err == nil {
+		r.requests += len(tr.Requests)
+		r.events += res.Events
+	}
+	return res, err
+}
+
+// Simulated reports how many requests the runner has replayed so far,
+// over all its experiments, and how many simulator events that took.
+func (r *Runner) Simulated() (requests int, events uint64) { return r.requests, r.events }
 
 // compress divides all request times by factor, raising the offered load.
 func compress(tr *trace.Trace, factor float64) {
@@ -203,7 +220,7 @@ func (r *Runner) Execute(run Run) (*cluster.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := cl.Run(eval)
+	res, err := r.replay(cl, eval)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %s on %s: %w", run.Policy, run.Preset, err)
 	}

@@ -49,7 +49,7 @@ func (r *Runner) Power() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := cl.Run(eval)
+			res, err := r.replay(cl, eval)
 			if err != nil {
 				return nil, err
 			}
@@ -114,7 +114,7 @@ func (r *Runner) FrontEnds() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := cl.Run(eval)
+			res, err := r.replay(cl, eval)
 			if err != nil {
 				return nil, err
 			}
@@ -174,7 +174,7 @@ func (r *Runner) Failover() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := cl.Run(eval)
+		res, err := r.replay(cl, eval)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,9 @@
 package mining
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
 	"prord/internal/randutil"
@@ -170,5 +173,58 @@ func TestRankerDeterministicTies(t *testing.T) {
 	}
 	if got := r.Top(99); len(got) != 2 {
 		t.Fatalf("Top clamps to table size, got %v", got)
+	}
+}
+
+// TestRankerTableOrderOnTies holds TableInto — slices.SortFunc into a
+// reused buffer — to the order Table has always had, written out here
+// as the sort.Slice it used to be: count descending, path ascending.
+// The table is full of count ties, where a comparator that is not a
+// total order would let the two sorts disagree.
+func TestRankerTableOrderOnTies(t *testing.T) {
+	r := NewRanker(0.9)
+	rng := randutil.New(5)
+	for i := 0; i < 3000; i++ {
+		path := fmt.Sprintf("/f%04d", rng.Intn(3000))
+		for n := rng.Intn(4); n >= 0; n-- {
+			r.Observe(path)
+		}
+		if i%500 == 499 {
+			r.Age() // fractional counts, still heavily tied
+		}
+	}
+	want := make([]Entry, 0, r.Len())
+	for p, c := range r.counts {
+		want = append(want, Entry{Path: p, Count: c})
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].Count != want[j].Count {
+			return want[i].Count > want[j].Count
+		}
+		return want[i].Path < want[j].Path
+	})
+	ties := 0
+	for i := 1; i < len(want); i++ {
+		if want[i].Count == want[i-1].Count {
+			ties++
+		}
+	}
+	if ties < len(want)/2 {
+		t.Fatalf("only %d ties in %d rows: the table does not test tie order", ties, len(want))
+	}
+	buf := r.TableInto(nil)
+	if !reflect.DeepEqual(buf, want) {
+		t.Fatal("TableInto order differs from count desc, path asc")
+	}
+	if got := r.Table(); !reflect.DeepEqual(got, want) {
+		t.Fatal("Table order differs from count desc, path asc")
+	}
+	r.Observe(want[len(want)-1].Path) // move one row, then rank into the same storage
+	again := r.TableInto(buf)
+	if &again[0] != &buf[0] {
+		t.Error("TableInto did not reuse a buffer that was large enough")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { again = r.TableInto(again) }); allocs != 0 {
+		t.Errorf("TableInto into a large enough buffer allocates %v times", allocs)
 	}
 }

@@ -1,7 +1,8 @@
 package mining
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"prord/internal/trace"
 )
@@ -61,16 +62,24 @@ type Entry struct {
 
 // Table returns the rank table sorted by descending count (Algorithm 3's
 // "Sort(rank_table)"), ties broken by path for determinism.
-func (r *Ranker) Table() []Entry {
-	out := make([]Entry, 0, len(r.counts))
+func (r *Ranker) Table() []Entry { return r.TableInto(nil) }
+
+// TableInto is Table built in buf's storage, which is grown when it is
+// too small: a caller that ranks every tick passes the previous tick's
+// table back and allocates nothing.
+func (r *Ranker) TableInto(buf []Entry) []Entry {
+	out := slices.Grow(buf[:0], len(r.counts))
 	for p, c := range r.counts {
 		out = append(out, Entry{Path: p, Count: c})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+	slices.SortFunc(out, func(a, b Entry) int {
+		switch {
+		case a.Count > b.Count:
+			return -1
+		case a.Count < b.Count:
+			return 1
 		}
-		return out[i].Path < out[j].Path
+		return strings.Compare(a.Path, b.Path)
 	})
 	return out
 }

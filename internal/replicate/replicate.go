@@ -59,6 +59,9 @@ type Manager struct {
 	ranker *mining.Ranker
 	steps  int
 	placed map[string]bool // files with manager-placed replicas
+	// table and examined are Step's scratch space, kept between rounds.
+	table    []mining.Entry
+	examined map[string]bool
 }
 
 // NewManager returns a manager reading popularity from ranker.
@@ -66,7 +69,7 @@ func NewManager(ranker *mining.Ranker, cfg Config) *Manager {
 	if ranker == nil {
 		panic("replicate: nil ranker")
 	}
-	return &Manager{cfg: cfg.withDefaults(), ranker: ranker, placed: make(map[string]bool)}
+	return &Manager{cfg: cfg.withDefaults(), ranker: ranker, placed: make(map[string]bool), examined: make(map[string]bool)}
 }
 
 // Ranker exposes the underlying rank table (Observe feeds it per request).
@@ -107,7 +110,10 @@ func ceilFrac(n, num, den int) int {
 // the number of replicas pushed.
 func (m *Manager) Step(p Placer) int {
 	m.steps++
-	table := m.ranker.Table() // (i) Sort(rank_table)
+	m.table = m.ranker.TableInto(m.table) // (i) Sort(rank_table)
+	table := m.table
+	// Sum in rank order: float addition is not associative, and the sum
+	// feeds every count > t1 comparison below.
 	var total float64
 	for _, e := range table {
 		total += e.Count
@@ -118,7 +124,8 @@ func (m *Manager) Step(p Placer) int {
 		limit = m.cfg.MaxFiles
 	}
 	pushed := 0
-	examined := make(map[string]bool, limit)
+	examined := m.examined
+	clear(examined)
 	if t1 > 0 {
 		for _, e := range table[:limit] { // (ii) for every element
 			examined[e.Path] = true

@@ -273,3 +273,23 @@ func TestNilRankerPanics(t *testing.T) {
 	}()
 	NewManager(nil, Config{})
 }
+
+// BenchmarkManagerStep is Algorithm 3's tick at the simulator's shape: a
+// rank table of 3000 files of which the 64 hottest are examined. Decay
+// 1 keeps the table the same size from tick to tick.
+func BenchmarkManagerStep(b *testing.B) {
+	r := mining.NewRanker(1)
+	for f := 0; f < 3000; f++ {
+		path := fmt.Sprintf("/f%04d", f)
+		for n := 3000 / (f + 1); n >= 0; n-- {
+			r.Observe(path)
+		}
+	}
+	m := NewManager(r, Config{T1Fraction: 0.05, MaxFiles: 64})
+	p := newFakePlacer(8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Step(p)
+	}
+}

@@ -31,8 +31,8 @@ type PS struct {
 type psJob struct {
 	finishV float64 // vwork level at which the job completes
 	seq     uint64
-	arrived time.Duration
-	done    func(start, end time.Duration)
+	h       Handler
+	op      int
 	idx     int
 }
 
@@ -81,11 +81,10 @@ func (q *PS) advance() {
 	q.vAt = now
 }
 
-// Schedule adds a job requiring the given total service time; done (may
-// be nil) fires at completion with the job's arrival and completion
-// times (processor sharing "starts" every resident job immediately).
-// Negative service is treated as zero.
-func (q *PS) Schedule(service time.Duration, done func(start, end time.Duration)) {
+// ScheduleOp adds a job requiring the given total service time;
+// h.Handle(op) (h may be nil) runs at its completion. Negative service
+// is treated as zero.
+func (q *PS) ScheduleOp(service time.Duration, h Handler, op int) {
 	if service < 0 {
 		service = 0
 	}
@@ -94,11 +93,23 @@ func (q *PS) Schedule(service time.Duration, done func(start, end time.Duration)
 	job := &psJob{
 		finishV: q.vwork + service.Seconds(),
 		seq:     q.seq,
-		arrived: q.eng.Now(),
-		done:    done,
+		h:       h,
+		op:      op,
 	}
 	heap.Push(&q.jobs, job)
 	q.rearm()
+}
+
+// Schedule adds a job requiring the given total service time; done (may
+// be nil) fires at completion with the job's arrival and completion
+// times (processor sharing "starts" every resident job immediately).
+func (q *PS) Schedule(service time.Duration, done func(start, end time.Duration)) {
+	var h Handler
+	if done != nil {
+		arrived := q.eng.Now()
+		h = Func(func() { done(arrived, q.eng.Now()) })
+	}
+	q.ScheduleOp(service, h, 0)
 }
 
 // Utilization reports busy time as a fraction of elapsed virtual time.
@@ -145,15 +156,15 @@ func (q *PS) depart() {
 		q.vwork = job.finishV // absorb rounding slack
 	}
 	q.served++
-	if job.done != nil {
-		job.done(job.arrived, q.eng.Now())
+	if job.h != nil {
+		job.h.Handle(job.op)
 	}
 	// Jobs tied at the same virtual finish depart together.
 	for len(q.jobs) > 0 && q.jobs[0].finishV <= q.vwork+1e-12 {
 		tied := heap.Pop(&q.jobs).(*psJob)
 		q.served++
-		if tied.done != nil {
-			tied.done(tied.arrived, q.eng.Now())
+		if tied.h != nil {
+			tied.h.Handle(tied.op)
 		}
 	}
 	q.rearm()

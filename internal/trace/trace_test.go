@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -151,6 +152,33 @@ func TestSessionsAreConsistent(t *testing.T) {
 			if tr.Requests[idxs[j-1]].Time > tr.Requests[idxs[j]].Time {
 				t.Fatalf("session %d indices out of time order", id)
 			}
+		}
+	}
+}
+
+// TestSessionsSlicesDoNotShareRoom: Sessions carves every slice out of
+// one backing array, so each must hold exactly its session's indices in
+// order, and appending to one must not write into its neighbour.
+func TestSessionsSlicesDoNotShareRoom(t *testing.T) {
+	_, tr := smallTrace(t, 3)
+	want := make(map[int][]int)
+	for i := range tr.Requests {
+		s := tr.Requests[i].Session
+		want[s] = append(want[s], i)
+	}
+	sess := tr.Sessions()
+	if !reflect.DeepEqual(sess, want) {
+		t.Fatal("Sessions() differs from grouping by append")
+	}
+	for id, idxs := range sess {
+		if cap(idxs) != len(idxs) {
+			t.Fatalf("session %d: cap %d beyond len %d reaches into the next session", id, cap(idxs), len(idxs))
+		}
+		sess[id] = append(idxs, -1)
+	}
+	for id, idxs := range sess {
+		if got := idxs[:len(idxs)-1]; !reflect.DeepEqual(got, want[id]) {
+			t.Fatalf("session %d clobbered by an append to its neighbour: %v, want %v", id, got, want[id])
 		}
 	}
 }
