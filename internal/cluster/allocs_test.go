@@ -16,9 +16,9 @@ import (
 // sim-paper cell in small — the WorldCup preset, PRORD with every
 // feature, memory at 30% of the data set — must replay for at most
 // three heap objects a request, counted over the whole process around
-// Run. The closure-per-step simulator this replaced took twelve; what
-// is left is the core's own (session state, navigation tracking,
-// prefetch plans), not the substrate's.
+// Run. Scheduling a request's steps allocates nothing; what is counted
+// is the core's own (session state, navigation tracking, prefetch
+// plans) and the per-run set-up, which a longer trace spreads thinner.
 func TestRunAllocsPerRequest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

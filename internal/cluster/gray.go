@@ -208,13 +208,7 @@ func (c *Cluster) hedgeArrive(race *hedgeRace) {
 	b.disk.Schedule(
 		c.dilate(server, c.cfg.Params.DiskFixed+perKBCost(r.Size, c.cfg.Params.DiskPerKB)),
 		func(_, _ time.Duration) {
-			if !c.down[server] {
-				evicted, stored := b.store.Insert(r.Path, r.Size)
-				c.noteEvictions(server, evicted)
-				if stored {
-					c.core.NoteResident(server, r.Path)
-				}
-			}
+			c.storeRead(server, r)
 			serve()
 		},
 	)

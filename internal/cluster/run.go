@@ -346,16 +346,23 @@ func (c *Cluster) arriveAtBackend(f *flight) {
 	}
 }
 
-// finishRead stores the file a demand miss just read off the disk; on a
-// backend that crashed meanwhile the completion path handles the retry.
-func (c *Cluster) finishRead(f *flight) {
-	if !c.down[f.server] {
-		evicted, stored := c.backends[f.server].store.Insert(f.r.Path, f.r.Size)
-		c.noteEvictions(f.server, evicted)
-		if stored {
-			c.core.NoteResident(f.server, f.r.Path)
-		}
+// storeRead caches the file a disk read just brought into a backend's
+// memory, unless the backend crashed while reading.
+func (c *Cluster) storeRead(server int, r *trace.Request) {
+	if c.down[server] {
+		return
 	}
+	evicted, stored := c.backends[server].store.Insert(r.Path, r.Size)
+	c.noteEvictions(server, evicted)
+	if stored {
+		c.core.NoteResident(server, r.Path)
+	}
+}
+
+// finishRead ends a demand miss's disk read; on a backend that crashed
+// meanwhile the completion path handles the retry.
+func (c *Cluster) finishRead(f *flight) {
+	c.storeRead(f.server, f.r)
 	c.serve(f)
 }
 
