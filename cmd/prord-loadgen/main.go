@@ -15,7 +15,6 @@
 //	prord-loadgen -mode open -backends 4 -faults 1@5s/slow=x10 -gray -hedge -deadline 2s
 //	prord-loadgen -mode open -rate 100 -ramp-to 1000 -overload -overload-capacity 8
 //	prord-loadgen -mode open -backends 4 -pool-initial 2 -scale-events +1@5s,-1@20s
-//	prord-loadgen -mode closed -policy prord -fleet-replicas 4 -sessions 400
 //
 // The same seed and flags reproduce the same offered workload
 // byte-for-byte (see the schedule_digest field); only genuinely measured
@@ -76,8 +75,6 @@ func main() {
 		deadline = flag.Duration("deadline", 0, "with -gray: per-request deadline budget at Normal tier; halves at Saturated, quarters at Critical (0 disables)")
 		grayMult = flag.Float64("gray-multiplier", 0, "with -gray: relative outlier threshold k over the pool median (0: default 3)")
 		grayHold = flag.Duration("gray-hold", 0, "with -gray: time over threshold before ejection (0: default 2s)")
-
-		fleetReplicas = flag.Int("fleet-replicas", 0, "spray the trace across this many front-end distributor replicas with ring-partitioned session ownership and gossiped shared state (0: single distributor, no fleet layer)")
 
 		overloadOn = flag.Bool("overload", false, "enable front-end overload control (degrade ladder + admission); the sim comparison runs the same core ladder when -sim is set")
 		capacity   = flag.Int("overload-capacity", 0, "in-flight capacity per backend (0: default 64)")
@@ -172,7 +169,6 @@ func main() {
 		Gray:          gcfg,
 		Autoscale:     ascfg,
 		ScaleEvents:   scaleSched,
-		FleetReplicas: *fleetReplicas,
 		CompareSim:    *sim,
 	}
 	h, err := loadgen.New(cfg)

@@ -47,7 +47,6 @@ import (
 	"time"
 
 	"prord/internal/autoscale"
-	"prord/internal/fleet"
 	"prord/internal/health"
 	"prord/internal/httpfront"
 	"prord/internal/mining"
@@ -87,9 +86,6 @@ func main() {
 		queueLimit = flag.Int("overload-queue", 0, "accept-queue slots at Critical tier (0: default 16, negative disables queuing)")
 		minHold    = flag.Duration("overload-min-hold", 0, "minimum time at a tier before stepping back down (0: default 1s)")
 
-		fleetReplicas = flag.Int("fleet-replicas", 0, "run this many front-end distributor replicas over the shared backend pool, with ring-partitioned session ownership and gossiped shared state; replica 0 listens on -addr, the rest on ephemeral localhost ports (0: single distributor, no fleet layer)")
-		fleetGossip   = flag.Duration("fleet-gossip", 0, "with -fleet-replicas: gossip publish+merge period (0: default 250ms)")
-
 		poolInitial  = flag.Int("pool-initial", 0, "enable the elastic backend pool starting at this many of the -backends servers (0 disables)")
 		poolMin      = flag.Int("pool-min", 0, "elastic pool floor (0: default 1)")
 		poolUpHold   = flag.Duration("pool-up-hold", 0, "sustained Saturated time before the controller joins a backend (0: default 2s)")
@@ -109,12 +105,6 @@ func main() {
 	if *missMs < 0 {
 		fail(fmt.Errorf("-miss-ms must not be negative, got %d", *missMs))
 	}
-	if *fleetReplicas < 0 {
-		fail(fmt.Errorf("-fleet-replicas must not be negative, got %d", *fleetReplicas))
-	}
-	if *fleetReplicas > 1 && *poolInitial > 0 {
-		fail(fmt.Errorf("-fleet-replicas is incompatible with the elastic pool (each replica would resize the shared pool independently)"))
-	}
 
 	preset, err := presetByName(*workload)
 	if err != nil {
@@ -126,27 +116,20 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	// newMiner builds one replica's mined model (or loads the offline
-	// one). In fleet mode every replica gets its own instance: online
-	// mining mutates the model, and reconciliation is the gossip
-	// layer's job, not shared memory's.
-	newMiner := func() (*mining.Miner, error) {
-		if *model != "" {
-			f, err := os.Open(*model)
-			if err != nil {
-				return nil, err
-			}
-			defer f.Close()
-			return mining.Load(f)
-		}
-		return mining.Mine(tr, mining.DefaultOptions()), nil
-	}
-	miner, err := newMiner()
-	if err != nil {
-		fail(err)
-	}
+	var miner *mining.Miner
 	if *model != "" {
+		f, err := os.Open(*model)
+		if err != nil {
+			fail(err)
+		}
+		miner, err = mining.Load(f)
+		f.Close()
+		if err != nil {
+			fail(err)
+		}
 		fmt.Printf("loaded model from %s: %s\n", *model, miner.Summary())
+	} else {
+		miner = mining.Mine(tr, mining.DefaultOptions())
 	}
 	files := site.FileTable()
 
@@ -179,6 +162,10 @@ func main() {
 		fmt.Printf("backend-%d: %s\n", i, u)
 	}
 
+	pol, err := policy.ByName(*polName, *backends, policy.Thresholds{})
+	if err != nil {
+		fail(err)
+	}
 	var ovcfg *overload.Config
 	if *overloadOn {
 		ovcfg = &overload.Config{
@@ -208,104 +195,31 @@ func main() {
 			ColdJoin: *coldJoin,
 		}
 	}
-	// Fleet mode boots k distributor replicas over the same backend
-	// pool, sharing one ownership ring and gossip exchanger. Replica 0
-	// answers on -addr; the rest get ephemeral localhost ports, each
-	// with its own operations endpoints.
-	replicas := *fleetReplicas
-	var ring *fleet.Ring
-	var ex *fleet.Exchanger
-	if replicas > 0 {
-		members := make([]int, replicas)
-		for i := range members {
-			members[i] = i
-		}
-		if ring, err = fleet.NewRing(members); err != nil {
-			fail(err)
-		}
-		ex = fleet.NewExchanger()
-	} else {
-		replicas = 1
-	}
-	var dists []*httpfront.Distributor
-	var polLabel string
-	for i := 0; i < replicas; i++ {
-		pol, err := policy.ByName(*polName, *backends, policy.Thresholds{})
-		if err != nil {
-			fail(err)
-		}
-		if i == 0 {
-			polLabel = pol.Name()
-		}
-		m := miner
-		if i > 0 {
-			if m, err = newMiner(); err != nil {
-				fail(err)
-			}
-		}
-		cfg := httpfront.Config{
-			Backends: urls,
-			Policy:   pol,
-			Miner:    m,
-			Prefetch: *polName == "PRORD",
-			Retries:  *retries,
+	dist, err := httpfront.New(httpfront.Config{
+		Backends: urls,
+		Policy:   pol,
+		Miner:    miner,
+		Prefetch: *polName == "PRORD",
+		Retries:  *retries,
 
-			MiningRefreshEvery: *refresh,
-			Health: health.Config{
-				Threshold:  *breakThresh,
-				Backoff:    *breakBackoff,
-				MaxBackoff: *breakMax,
-			},
-			ProbeInterval: *probeInterval,
-			ProbeTimeout:  *probeTimeout,
-			ProbeSeed:     *seed,
-			Overload:      ovcfg,
-			Gray:          gcfg,
-			Autoscale:     ascfg,
-			ScaleInterval: *poolTick,
-		}
-		if ring != nil {
-			cfg.Fleet = &httpfront.FleetConfig{
-				ReplicaID:      i,
-				Ring:           ring,
-				Exchanger:      ex,
-				GossipInterval: *fleetGossip,
-			}
-		}
-		d, err := httpfront.New(cfg)
-		if err != nil {
-			fail(err)
-		}
-		defer d.Close()
-		dists = append(dists, d)
+		MiningRefreshEvery: *refresh,
+		Health: health.Config{
+			Threshold:  *breakThresh,
+			Backoff:    *breakBackoff,
+			MaxBackoff: *breakMax,
+		},
+		ProbeInterval: *probeInterval,
+		ProbeTimeout:  *probeTimeout,
+		ProbeSeed:     *seed,
+		Overload:      ovcfg,
+		Gray:          gcfg,
+		Autoscale:     ascfg,
+		ScaleInterval: *poolTick,
+	})
+	if err != nil {
+		fail(err)
 	}
-	if ring != nil {
-		handlers := make([]http.Handler, len(dists))
-		for i, d := range dists {
-			handlers[i] = d
-		}
-		for _, d := range dists {
-			d.SetPeers(handlers)
-		}
-	}
-	dist := dists[0]
-	for i := 1; i < len(dists); i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fail(err)
-		}
-		rmux := http.NewServeMux()
-		rmux.Handle("/_prord/stats", httpfront.StatsHandler(dists[i]))
-		rmux.Handle("/_prord/cluster", httpfront.ClusterStatsHandler(dists[i], demos))
-		rmux.Handle("/", dists[i])
-		srv := &http.Server{Handler: rmux}
-		go func() {
-			if err := srv.Serve(ln); err != http.ErrServerClosed {
-				fail(err)
-			}
-		}()
-		fmt.Printf("fleet replica %d: http://%s\n", i, ln.Addr())
-	}
+	defer dist.Close()
 
 	mux := http.NewServeMux()
 	mux.Handle("/_prord/stats", httpfront.StatsHandler(dist))
@@ -313,7 +227,7 @@ func main() {
 	mux.Handle("/", dist)
 
 	fmt.Printf("prord-server: %s policy, %d backends, site %s (%d files)\n",
-		polLabel, *backends, *workload, len(files))
+		pol.Name(), *backends, *workload, len(files))
 	fmt.Printf("front-end listening on %s — try a page like %s\n", *addr, examplePage(site))
 	if err := http.ListenAndServe(*addr, mux); err != nil {
 		fail(err)

@@ -8,7 +8,6 @@ import (
 	"prord/internal/autoscale"
 	"prord/internal/cache"
 	"prord/internal/dispatch"
-	"prord/internal/fleet"
 	"prord/internal/metrics"
 	"prord/internal/mining"
 	"prord/internal/overload"
@@ -68,15 +67,13 @@ type Config struct {
 	// state is shared. 0 or 1 = the paper's single-front-end design.
 	Distributors int
 	// Fleet partitions session ownership across the Distributors
-	// front-end replicas: a consistent-hash ring over session keys picks
+	// front-end nodes: a consistent-hash ring over session keys picks
 	// each session's owning distributor, and a request whose L4-pinned
-	// ingress replica is not the owner pays Params.FleetForwardLatency
-	// and is served through the owner's front — the modeled counterpart
-	// of the live fleet's in-process ownership handoff. Dispatcher state
-	// stays shared: the simulator is the zero-staleness limit of the
-	// gossip layer, which is exactly what the live-vs-sim differential
-	// wants to compare against. With one distributor the ring has a
-	// single member and the run is bit-identical to Fleet=false.
+	// ingress distributor is not the owner pays Params.FleetForwardLatency
+	// and is served through the owner's front. Dispatcher state stays
+	// shared, so the ring models only the forward hop's cost. With one
+	// distributor every session is owned by its ingress and the run is
+	// bit-identical to Fleet=false.
 	Fleet bool
 	// CPUSharing switches the backend CPUs from FCFS to processor
 	// sharing (time-sliced web server workers); disks stay FCFS.
@@ -162,7 +159,7 @@ type Cluster struct {
 	fronts   []*sim.FCFS
 	// ring is the fleet's session-ownership ring over distributor
 	// indices (nil unless Config.Fleet).
-	ring *fleet.Ring
+	ring *ring
 
 	core    *dispatch.Core
 	replmgr *replicate.Manager
@@ -235,11 +232,7 @@ func New(cfg Config) (*Cluster, error) {
 		for i := range members {
 			members[i] = i
 		}
-		ring, err := fleet.NewRing(members)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		c.ring = ring
+		c.ring = newRing(members)
 	}
 	for i := 0; i < cfg.Params.Backends; i++ {
 		var store cache.Store

@@ -58,8 +58,8 @@ func TestFleetSimSingleDistributorIdentical(t *testing.T) {
 	if rOn.Fleet == nil {
 		t.Fatal("Fleet result missing with Fleet on")
 	}
-	if rOn.Fleet.Replicas != 1 || rOn.Fleet.Forwards != 0 || rOn.Fleet.RingEpoch != 1 {
-		t.Errorf("k=1 fleet block = %+v, want 1 replica, 0 forwards, epoch 1", rOn.Fleet)
+	if rOn.Fleet.Replicas != 1 || rOn.Fleet.Forwards != 0 {
+		t.Errorf("k=1 fleet block = %+v, want 1 replica, 0 forwards", rOn.Fleet)
 	}
 }
 

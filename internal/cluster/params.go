@@ -45,9 +45,9 @@ type Params struct {
 	// DispatchLatency is the distributor-dispatcher consultation cost.
 	DispatchLatency time.Duration
 	// FleetForwardLatency is the distributor-to-distributor hop paid when
-	// fleet mode forwards a request from its L4-pinned ingress replica to
-	// the session's ring owner (an internal LAN RPC, cheaper than a full
-	// TCP handoff).
+	// Config.Fleet forwards a request from its L4-pinned ingress
+	// distributor to the session's ring owner (an internal LAN RPC,
+	// cheaper than a full TCP handoff).
 	FleetForwardLatency time.Duration
 	// PrefetchQueueLimit throttles proactive disk reads: a backend skips
 	// a prefetch when its disk queue already holds more than this many

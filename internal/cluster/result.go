@@ -78,9 +78,6 @@ type FleetResult struct {
 	// and hash-pinned ingress it converges to (k-1)/k; a lower rate
 	// means ingress pinning and ring ownership agree more often.
 	ForwardRate float64
-	// RingEpoch is the ownership ring's final epoch (1 for a static
-	// membership).
-	RingEpoch uint64
 }
 
 // AutoscaleResult is the elastic pool's run outcome.
@@ -177,9 +174,8 @@ func (c *Cluster) result(tr *trace.Trace) *Result {
 	}
 	if c.ring != nil {
 		fr := &FleetResult{
-			Replicas:  c.ring.Size(),
-			Forwards:  c.met.FleetForwards,
-			RingEpoch: c.ring.Epoch(),
+			Replicas: c.cfg.Distributors,
+			Forwards: c.met.FleetForwards,
 		}
 		if c.met.Completed > 0 {
 			fr.ForwardRate = float64(fr.Forwards) / float64(c.met.Completed)

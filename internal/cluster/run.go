@@ -284,7 +284,7 @@ func (c *Cluster) routeRequest(f *flight) {
 	ingress := s.id % len(c.fronts)
 	front := c.fronts[ingress]
 	if c.ring != nil {
-		if owner := c.ring.Owner(s.key); owner != ingress {
+		if owner := c.ring.owner(s.key); owner != ingress {
 			c.met.FleetForwards++
 			cost += c.cfg.Params.FleetForwardLatency
 			front = c.fronts[owner]

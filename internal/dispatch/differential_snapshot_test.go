@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"prord/internal/dispatch"
-	"prord/internal/fleet"
 	"prord/internal/mining"
 	"prord/internal/overload"
 	"prord/internal/policy"
@@ -42,10 +41,6 @@ const (
 type replayConfig struct {
 	refreshEvery int
 	overload     *overload.Config
-	// fleet replays through a single-member ownership ring with the
-	// adapter's per-request Owner check, as a k=1 fleet front-end
-	// would — the differential proving the fleet path changes nothing.
-	fleet bool
 }
 
 // replayDigest replays a seeded synthetic trace through a PRORD core
@@ -60,19 +55,6 @@ func replayDigest(t *testing.T, rc replayConfig) uint64 {
 	train, eval := full.Split(0.4)
 	m := mining.Mine(train, mining.Options{})
 
-	// The fleet replay owns every session on a one-member ring (an
-	// arbitrary nonzero replica id, proving the id itself never leaks
-	// into decisions).
-	var ring *fleet.Ring
-	replica := 0
-	if rc.fleet {
-		ring, err = fleet.NewRing([]int{5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		replica = 5
-	}
-
 	h := fnv.New64a()
 	c, err := dispatch.New(dispatch.Config{
 		Backends:           4,
@@ -82,8 +64,6 @@ func replayDigest(t *testing.T, rc replayConfig) uint64 {
 		Features:           dispatch.Features{Bundle: true, NavPrefetch: true, GroupPrefetch: true},
 		Overload:           rc.overload,
 		MiningRefreshEvery: rc.refreshEvery,
-		Ring:               ring,
-		ReplicaID:          replica,
 		Recorder: func(r dispatch.Record) {
 			fmt.Fprintf(h, "R|%d|%d|%s|%d|%d|%d|%t|%t|%t|%t|%t\n",
 				r.Seq, r.Conn, r.Path, r.Tier, r.Verdict, r.Server,
@@ -98,13 +78,6 @@ func replayDigest(t *testing.T, rc replayConfig) uint64 {
 	for i := range eval.Requests {
 		r := &eval.Requests[i]
 		key := fmt.Sprintf("sess-%d", r.Session)
-		if rc.fleet {
-			// The adapter's ownership check: on a k=1 ring it must never
-			// ask for a forward.
-			if owner, owned := c.Owner(key); !owned {
-				t.Fatalf("k=1 ring disowned %q to replica %d", key, owner)
-			}
-		}
 		if rc.overload != nil {
 			v, _ := c.Admit(key, r.Path, now, nil)
 			if v == dispatch.Shed {

@@ -36,7 +36,6 @@ import (
 
 	"prord/internal/autoscale"
 	"prord/internal/cache"
-	"prord/internal/fleet"
 	"prord/internal/mining"
 	"prord/internal/overload"
 	"prord/internal/policy"
@@ -153,17 +152,6 @@ type Config struct {
 	// makes, in decision order. It runs on the deciding goroutine and
 	// must be fast; it exists for differential testing and diagnostics.
 	Recorder func(Record)
-	// Ring, when non-nil, makes session ownership explicit for a fleet
-	// of front-end replicas: the consistent-hash ring assigns every
-	// session key an owning replica, Owner reports the verdict for this
-	// core (identified by ReplicaID), and the adapter forwards foreign
-	// sessions to their owner (one hop, bounded). A single-member ring
-	// is bit-identical to no ring: every key is owned here and no core
-	// decision changes. Nil keeps the single-distributor behavior.
-	Ring *fleet.Ring
-	// ReplicaID is this core's replica id on the Ring (ignored without
-	// one). It must be a ring member.
-	ReplicaID int
 }
 
 // Verdict is the admission outcome for one request.
@@ -319,14 +307,6 @@ type Stats struct {
 	// HedgeWins counts hedged attempts that delivered the response
 	// (the primary was canceled).
 	HedgeWins int64
-	// FleetForwards counts requests that arrived at this replica for a
-	// session the ring assigns elsewhere and were handed to their owner
-	// (one hop).
-	FleetForwards int64
-	// OwnershipRebinds counts sessions the ring reassigned away from
-	// this replica whose stale local state was released on a later
-	// foreign touch.
-	OwnershipRebinds int64
 	// PerBackend counts demand bookings per backend, including retries.
 	PerBackend []int64
 }
@@ -383,7 +363,6 @@ type coreStats struct {
 	prefetches, prefetchShed, replicationsShed               atomic.Int64
 	shed, unroutable, errors, failovers, retries             atomic.Int64
 	grayRebinds, hedgesFired, hedgeWins                      atomic.Int64
-	fleetForwards, ownershipRebinds                          atomic.Int64
 }
 
 // New builds a Core from cfg.
@@ -400,19 +379,6 @@ func New(cfg Config) (*Core, error) {
 	if cfg.Pool != nil && cfg.Pool.Max() != cfg.Backends {
 		return nil, fmt.Errorf("dispatch: Pool.Max %d must equal Backends %d",
 			cfg.Pool.Max(), cfg.Backends)
-	}
-	if cfg.Ring != nil {
-		member := false
-		for _, m := range cfg.Ring.Members() {
-			if m == cfg.ReplicaID {
-				member = true
-				break
-			}
-		}
-		if !member {
-			return nil, fmt.Errorf("dispatch: ReplicaID %d is not a ring member %v",
-				cfg.ReplicaID, cfg.Ring.Members())
-		}
 	}
 	if cfg.LocalityEntries <= 0 {
 		cfg.LocalityEntries = 4096
@@ -618,8 +584,6 @@ func (c *Core) Stats() Stats {
 		GrayRebinds:      c.stats.grayRebinds.Load(),
 		HedgesFired:      c.stats.hedgesFired.Load(),
 		HedgeWins:        c.stats.hedgeWins.Load(),
-		FleetForwards:    c.stats.fleetForwards.Load(),
-		OwnershipRebinds: c.stats.ownershipRebinds.Load(),
 		PerBackend:       make([]int64, len(c.perBackend)),
 	}
 	for i := range c.perBackend {

@@ -47,39 +47,25 @@ func (c *Core) snapshot() *decisionSnapshot { return c.snap.Load() }
 func (c *Core) SnapshotEpoch() uint64 { return c.snap.Load().epoch }
 
 // Ranker returns the popularity rank table of the current snapshot —
-// the one replication refresh and warm-join preloads should read, so
-// they observe folded online popularity rather than only the offline
-// mine. Nil when the core was built without a Miner. The returned
-// table is immutable; a later RefreshMining publishes a new one.
+// the one replication refresh and warm-join preloads should read. Nil
+// when the core was built without a Miner. The returned table is
+// immutable.
 func (c *Core) Ranker() *mining.Ranker { return c.snap.Load().ranker }
 
-// ObserveRank buffers one served request for the popularity rank
-// table's next incremental fold. No-op when the core has no rank
-// table. Lock-free apart from the updater's leaf mutex.
-func (c *Core) ObserveRank(path string) {
-	if c.snap.Load().ranker == nil {
-		return
-	}
-	c.updater.ObserveRank(path)
-}
-
-// MiningPending returns the observations buffered for the next
-// RefreshMining fold (navigation + rank).
+// MiningPending returns the navigation observations buffered for the
+// next RefreshMining fold.
 func (c *Core) MiningPending() int { return c.updater.Pending() }
 
 // RefreshMining drains the incremental updater and publishes a fresh
 // decision snapshot with the buffered navigation observations folded
-// into a copy-on-write navigation model and the buffered rank
-// observations folded into a copy-on-write rank table. In-progress
-// decisions keep the snapshot they loaded; no reader blocks. No-op
-// when nothing is buffered. It reports whether a new snapshot was
-// published.
+// into a copy-on-write navigation model. In-progress decisions keep the
+// snapshot they loaded; no reader blocks. No-op when nothing is
+// buffered. It reports whether a new snapshot was published.
 //
 // In batched mode (MiningRefreshEvery > 0) the core calls this itself
 // every MiningRefreshEvery navigation observations; adapters call it
-// on their refresh tick (the paper's interval t) so rank folds — and
-// any observation dribble below the batch size — land on a bounded
-// schedule.
+// on their refresh tick (the paper's interval t) so any observation
+// dribble below the batch size lands on a bounded schedule.
 func (c *Core) RefreshMining() bool {
 	if c.updater.Pending() == 0 {
 		return false
@@ -88,20 +74,15 @@ func (c *Core) RefreshMining() bool {
 	defer c.wrMu.Unlock()
 	// Take under wrMu: a concurrent refresher's fold is fully published
 	// before this one drains, so folds always chain off the latest copy.
-	nav, rank := c.updater.Take()
-	if len(nav) == 0 && len(rank) == 0 {
+	nav, _ := c.updater.Take()
+	if len(nav) == 0 {
 		return false
 	}
 	cur := c.snap.Load()
 	ns := *cur
 	ns.epoch++
-	if len(nav) > 0 {
-		if f, ok := ns.nav.(mining.Folder); ok {
-			ns.nav = f.FoldObs(nav)
-		}
-	}
-	if len(rank) > 0 && ns.ranker != nil {
-		ns.ranker = ns.ranker.Fold(rank)
+	if f, ok := ns.nav.(mining.Folder); ok {
+		ns.nav = f.FoldObs(nav)
 	}
 	c.snap.Store(&ns)
 	return true

@@ -147,9 +147,8 @@ func TestRecorderBlockingDoesNotStallRoutes(t *testing.T) {
 // TestSnapshotPublishChurn storms the epoch-snapshot machinery under
 // the race detector: routing workers drive Route/PlanProactive/Rebook/
 // Done (the batched observeNav path publishes snapshots on its own as
-// batches fill) while a publisher goroutine folds rank observations
-// and forces extra RefreshMining publishes and a crasher invalidates
-// backends. Afterward the books must balance and the epoch must have
+// batches fill) while a publisher goroutine forces extra RefreshMining
+// publishes and a crasher invalidates backends. Afterward the books must balance and the epoch must have
 // advanced past the boot snapshot.
 func TestSnapshotPublishChurn(t *testing.T) {
 	_, full, err := trace.GeneratePreset(trace.PresetSynthetic, 800.0/30000.0, 7777)
@@ -207,17 +206,13 @@ func TestSnapshotPublishChurn(t *testing.T) {
 	storm.Add(1)
 	go func() {
 		defer storm.Done()
-		rng := randutil.New(17)
-		for i := 0; ; i++ {
+		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			c.ObserveRank(fmt.Sprintf("/g%d/p%d.html", rng.Intn(4), rng.Intn(128)))
-			if i%4 == 0 {
-				c.RefreshMining()
-			}
+			c.RefreshMining()
 		}
 	}()
 	storm.Add(1)

@@ -166,12 +166,11 @@ func ClusterStatsHandler(d *Distributor, backends []*DemoBackend) http.Handler {
 		Overload    *OverloadState    `json:"overload,omitempty"`
 		Pool        *autoscale.Status `json:"pool,omitempty"`
 		Gray        *GrayStats        `json:"gray,omitempty"`
-		Fleet       *FleetState       `json:"fleet,omitempty"`
 		Backends    []DemoStats       `json:"backends"`
 	}
 	return jsonHandler(func() any {
 		p := payload{Distributor: d.Stats(), Health: d.Health(),
-			Overload: d.Overload(), Pool: d.Pool(), Gray: d.Gray(), Fleet: d.Fleet()}
+			Overload: d.Overload(), Pool: d.Pool(), Gray: d.Gray()}
 		for _, b := range backends {
 			p.Backends = append(p.Backends, b.Stats())
 		}

@@ -138,14 +138,6 @@ type Config struct {
 	// ScaleInterval is the autoscale housekeeping tick (warm-ramp
 	// promotion, organic controller, drain reaping). Default 500ms.
 	ScaleInterval time.Duration
-	// Fleet wires this distributor into a multi-replica fleet:
-	// partitioned session ownership over a shared consistent-hash ring,
-	// one-hop forwarding of foreign-owned requests to registered peers
-	// (SetPeers), and a gossip loop reconciling locality, popularity and
-	// health state with the other replicas. Nil runs the classic
-	// single-distributor front-end; a single-member ring behaves
-	// identically to nil.
-	Fleet *FleetConfig
 }
 
 // Observation is one completed demand request as seen by the front-end:
@@ -251,9 +243,6 @@ type Distributor struct {
 
 	pool  *autoscale.Pool
 	actrl *autoscale.Controller
-
-	// Fleet machinery (nil unless Config.Fleet is set).
-	fleet *fleetState
 }
 
 type prefetchJob struct {
@@ -303,16 +292,6 @@ func New(cfg Config) (*Distributor, error) {
 		d.gray = cfg.Gray.withDefaults()
 		d.detector = health.NewDetector(len(cfg.Backends), d.gray.Detector)
 	}
-	if cfg.Fleet != nil {
-		fc := *cfg.Fleet
-		if fc.Ring == nil || fc.Exchanger == nil {
-			return nil, fmt.Errorf("httpfront: Fleet needs the fleet's shared Ring and Exchanger")
-		}
-		if fc.GossipInterval <= 0 {
-			fc.GossipInterval = 250 * time.Millisecond
-		}
-		d.fleet = newFleetState(fc)
-	}
 	if cfg.Autoscale != nil {
 		ac := *cfg.Autoscale
 		if ac.Max <= 0 {
@@ -356,22 +335,8 @@ func New(cfg Config) (*Distributor, error) {
 		Recorder: cfg.Recorder,
 		Pool:     d.pool,
 	}
-	if d.fleet != nil {
-		dcfg.Ring = d.fleet.cfg.Ring
-		dcfg.ReplicaID = d.fleet.cfg.ReplicaID
-	}
-	// The Degraded view unions the local detector's verdicts with the
-	// fleet's gossiped ones: a backend one replica measured as sick is
-	// soft-excluded everywhere within the health staleness bound.
-	switch {
-	case d.detector != nil && d.fleet != nil:
-		dcfg.Degraded = func(server int) bool {
-			return d.detector.Degraded(server) || d.fleetDegraded(server)
-		}
-	case d.detector != nil:
+	if d.detector != nil {
 		dcfg.Degraded = d.detector.Degraded
-	case d.fleet != nil:
-		dcfg.Degraded = d.fleetDegraded
 	}
 	if cfg.Overload != nil {
 		// Saturated-tier routing degrades to locality-only LARD.
@@ -402,10 +367,6 @@ func New(cfg Config) (*Distributor, error) {
 	if d.detector != nil {
 		d.grayStop = make(chan struct{})
 		go d.grayTickLoop(d.grayStop, d.gray.Detector.EvalInterval)
-	}
-	if d.fleet != nil {
-		d.fleet.stop = make(chan struct{})
-		go d.gossipLoop(d.fleet.stop, d.fleet.cfg.GossipInterval)
 	}
 	return d, nil
 }
@@ -542,15 +503,6 @@ func (d *Distributor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// cache-warming 204.
 	r.Header.Del(PrefetchHeader)
 	r.Header.Del(ProbeHeader)
-	// Ownership handoff first: a request whose session another replica
-	// owns is forwarded there (one in-process hop) before any local
-	// admission or routing state is touched.
-	if d.forwardIfForeign(w, r) {
-		return
-	}
-	if d.fleet != nil {
-		w.Header().Set(ReplicaHeader, strconv.Itoa(d.fleet.cfg.ReplicaID))
-	}
 	start := time.Now()
 	// RemoteAddr is stable per keep-alive connection, making it the
 	// session key.
@@ -682,11 +634,6 @@ func (d *Distributor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if plan, ok := d.core.PlanProactive(key, winner, path, time.Now()); ok {
 			d.enqueuePrefetch(plan)
 		}
-	}
-	if status != 0 && status < http.StatusInternalServerError && !cut {
-		// The winner plausibly holds the file now; queue the delta (and a
-		// popularity observation) for the next gossip digest.
-		d.noteFleetServe(winner, path)
 	}
 	if d.cfg.Observe != nil {
 		d.cfg.Observe(Observation{
@@ -884,11 +831,6 @@ func (d *Distributor) Close() {
 	d.scaleStop = nil
 	gray := d.grayStop
 	d.grayStop = nil
-	var fstop chan struct{}
-	if d.fleet != nil {
-		fstop = d.fleet.stop
-		d.fleet.stop = nil
-	}
 	d.hmu.Unlock()
 	if ch != nil {
 		close(ch)
@@ -901,9 +843,6 @@ func (d *Distributor) Close() {
 	}
 	if gray != nil {
 		close(gray)
-	}
-	if fstop != nil {
-		close(fstop)
 	}
 	d.transport.CloseIdleConnections()
 }

@@ -179,6 +179,47 @@ func TestPrefetchHintReachesBackend(t *testing.T) {
 	}
 }
 
+// TestForgedInternalHeadersChangeNothing is the public listener's trust
+// boundary: a client that sets the front-end's own marks, prefetch and
+// probe, gets the same status, backend and body as one that sets none,
+// and moves the distributor's counters the same way. Believed, either
+// mark would reach the backend, which answers it with a cache-warming
+// 204.
+func TestForgedInternalHeadersChangeNothing(t *testing.T) {
+	// Each request goes to a fresh, identical cluster, so the two
+	// decisions start from the same state.
+	get := func(forged ...string) (*httptest.ResponseRecorder, Stats) {
+		d, _, _ := testCluster(t, 2, Config{Miner: testMiner(), Prefetch: true})
+		req := httptest.NewRequest(http.MethodGet, "/a.html", nil)
+		req.RemoteAddr = "10.2.0.1:4242"
+		for _, h := range forged {
+			req.Header.Set(h, "1")
+		}
+		rec := httptest.NewRecorder()
+		d.ServeHTTP(rec, req)
+		return rec, d.Stats()
+	}
+	honest, hs := get()
+	forged, fs := get(PrefetchHeader, ProbeHeader)
+	if honest.Code != http.StatusOK || honest.Body.Len() == 0 || hs.Prefetches == 0 {
+		t.Fatalf("honest request: status %d with %d body bytes and %d prefetches, want 200 with a body and a planned prefetch",
+			honest.Code, honest.Body.Len(), hs.Prefetches)
+	}
+	if forged.Code != honest.Code {
+		t.Errorf("forged headers changed the status: %d, want %d", forged.Code, honest.Code)
+	}
+	if got, want := forged.Header().Get(BackendHeader), honest.Header().Get(BackendHeader); got != want {
+		t.Errorf("forged headers changed the serving backend: %q, want %q", got, want)
+	}
+	if forged.Body.String() != honest.Body.String() {
+		t.Errorf("forged headers changed the body: %d bytes, want %d", forged.Body.Len(), honest.Body.Len())
+	}
+	if fs.Prefetches != hs.Prefetches || fs.Dispatches != hs.Dispatches {
+		t.Errorf("forged headers moved the counters: prefetches %d, dispatches %d; want %d, %d",
+			fs.Prefetches, fs.Dispatches, hs.Prefetches, hs.Dispatches)
+	}
+}
+
 func TestBackendCacheWarming(t *testing.T) {
 	b := NewDemoBackend("x", testFiles, 1<<20, 0)
 	srv := httptest.NewServer(b)

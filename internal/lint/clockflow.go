@@ -24,14 +24,13 @@ var clockflowRootPackages = []string{
 	"internal/overload",
 	"internal/health",
 	"internal/autoscale",
-	"internal/fleet",
 }
 
 // ClockFlow forbids wall-clock reads anywhere reachable from the
 // dispatch core's entry packages.
 var ClockFlow = &Analyzer{
 	Name:         "clockflow",
-	Doc:          "forbid wall-clock reads in any function reachable from dispatch/cluster/overload/health/autoscale/fleet entry points (interprocedural)",
+	Doc:          "forbid wall-clock reads in any function reachable from dispatch/cluster/overload/health/autoscale entry points (interprocedural)",
 	WholeProgram: true,
 	Run:          runClockFlow,
 }

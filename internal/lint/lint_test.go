@@ -100,7 +100,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{name: "lockorder-stripe-rank-independent", fixture: "lockorder/stripe.go", pkgPath: "prord/internal/other", analyzers: []*Analyzer{LockOrder}},
 		{name: "lockorder-clean", fixture: "lockorder/clean.go", pkgPath: "prord/internal/dispatch", analyzers: []*Analyzer{LockOrder}},
 		{name: "lockorder-detectorleaf", fixture: "lockorder/detectorleaf.go", pkgPath: "prord/internal/health", analyzers: []*Analyzer{LockOrder}},
-		{name: "lockorder-fleetleaf", fixture: "lockorder/fleetleaf.go", pkgPath: "prord/internal/fleet", analyzers: []*Analyzer{LockOrder}},
 		{name: "clockflow-indirect", fixture: "clockflow/indirect.go", pkgPath: "prord/internal/dispatch", analyzers: []*Analyzer{ClockFlow}},
 		{name: "clockflow-out-of-scope", fixture: "clockflow/indirect.go", pkgPath: "prord/internal/webmining", analyzers: []*Analyzer{ClockFlow}, wantNone: true},
 		{name: "staleignore", fixture: "staleignore/stale.go", pkgPath: "prord/internal/mining", analyzers: []*Analyzer{NoPrint, StaleIgnore}},

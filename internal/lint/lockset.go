@@ -70,13 +70,7 @@ type rankDef struct {
 // each guards a few fields and calls nothing while held. The gray
 // layer adds one more leaf: the latency-outlier detector's state
 // mutex (its evaluation sorts in-memory buffers only); the hedge race
-// itself is refereed over a channel and holds no lock. The fleet layer
-// adds five more leaves: the ownership ring's membership
-// writer (readers are lock-free off an atomic snapshot), the gossip
-// digest board, the merger's watermark table (Apply callbacks run
-// outside it by contract), the pending-delta buffer, and the live
-// adapter's per-peer health-verdict mutex (the union mask the core
-// reads is published through an atomic pointer).
+// itself is refereed over a channel and holds no lock.
 var lockHierarchy = []rankDef{
 	{"internal/autoscale", "Controller", "mu", 5, false},
 	{"internal/dispatch", "Core", "wrMu", 10, false},
@@ -90,11 +84,6 @@ var lockHierarchy = []rankDef{
 	{"internal/mining", "Updater", "mu", 96, true},
 	{"internal/autoscale", "Pool", "mu", 95, true},
 	{"internal/health", "Detector", "mu", 97, true},
-	{"internal/fleet", "Ring", "mu", 100, true},
-	{"internal/fleet", "Exchanger", "mu", 101, true},
-	{"internal/fleet", "Merger", "mu", 102, true},
-	{"internal/fleet", "Buffer", "mu", 103, true},
-	{"internal/httpfront", "fleetState", "healthMu", 104, true},
 }
 
 // classifyLock maps the receiver of a Lock/Unlock call to its class.

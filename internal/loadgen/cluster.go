@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"prord/internal/cluster"
-	"prord/internal/fleet"
 	"prord/internal/httpfront"
 	"prord/internal/metrics"
 	"prord/internal/policy"
@@ -87,29 +86,22 @@ func (g *gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // liveCluster is one booted policy-under-test: demo backends on real
-// listeners behind one or more distributor replicas, plus the
-// front-end test servers the workers talk to. Each backend sits behind
-// a gate so the fault schedule can kill and revive it mid-run. In
-// fleet mode every replica shares the ownership ring and gossip
-// exchanger; dist/front alias replica 0 so single-front code paths
-// (scale events, overload snapshots) keep working.
+// listeners behind one distributor, plus the front-end test server the
+// workers talk to. Each backend sits behind a gate so the fault
+// schedule can kill and revive it mid-run.
 type liveCluster struct {
 	demos   []*httpfront.DemoBackend
 	gates   []*gate
 	servers []*httptest.Server
-	dists   []*httpfront.Distributor
-	fronts  []*httptest.Server
 	dist    *httpfront.Distributor
 	front   *httptest.Server
 	obs     *observer
 }
 
-// startCluster boots backends and the front-end replicas for one
-// policy. The mined model (and prefetching) is wired in only for
-// PRORD, matching the sim comparison's feature gating: baselines route
-// on policy state alone. Every replica gets its own policy instance
-// and miner — policy state is per-replica in a fleet, which is exactly
-// what the gossip layer exists to reconcile.
+// startCluster boots backends and the front-end for one policy. The
+// mined model (and prefetching) is wired in only for PRORD, matching
+// the sim comparison's feature gating: baselines route on policy state
+// alone.
 func (h *Harness) startCluster(polName string) (*liveCluster, error) {
 	c := &liveCluster{obs: &observer{}}
 	ok := false
@@ -135,95 +127,33 @@ func (h *Harness) startCluster(polName string) (*liveCluster, error) {
 		}
 		urls = append(urls, u)
 	}
-	replicas := h.cfg.FleetReplicas
-	var ring *fleet.Ring
-	var ex *fleet.Exchanger
-	if replicas > 0 {
-		members := make([]int, replicas)
-		for i := range members {
-			members[i] = i
-		}
-		var err error
-		if ring, err = fleet.NewRing(members); err != nil {
-			return nil, err
-		}
-		ex = fleet.NewExchanger()
-	} else {
-		replicas = 1
+	pol, err := policy.ByName(polName, h.cfg.Backends, policy.Thresholds{})
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < replicas; i++ {
-		pol, err := policy.ByName(polName, h.cfg.Backends, policy.Thresholds{})
-		if err != nil {
-			return nil, err
-		}
-		cfg := httpfront.Config{
-			Backends:      urls,
-			Policy:        pol,
-			Observe:       c.obs.observe,
-			Health:        h.cfg.Health,
-			Retries:       h.cfg.FrontRetries,
-			ProbeInterval: h.cfg.ProbeInterval,
-			ProbeSeed:     h.cfg.Seed,
-			Overload:      h.cfg.Overload,
-			Autoscale:     h.cfg.Autoscale,
-			Gray:          h.cfg.Gray,
-		}
-		if ring != nil {
-			cfg.Fleet = &httpfront.FleetConfig{ReplicaID: i, Ring: ring, Exchanger: ex}
-		}
-		if polName == "PRORD" {
-			cfg.Miner = h.freshMiner()
-			cfg.Prefetch = true
-		}
-		d, err := httpfront.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		c.dists = append(c.dists, d)
-		c.fronts = append(c.fronts, httptest.NewServer(d))
+	cfg := httpfront.Config{
+		Backends:      urls,
+		Policy:        pol,
+		Observe:       c.obs.observe,
+		Health:        h.cfg.Health,
+		Retries:       h.cfg.FrontRetries,
+		ProbeInterval: h.cfg.ProbeInterval,
+		ProbeSeed:     h.cfg.Seed,
+		Overload:      h.cfg.Overload,
+		Autoscale:     h.cfg.Autoscale,
+		Gray:          h.cfg.Gray,
 	}
-	if ring != nil {
-		handlers := make([]http.Handler, len(c.dists))
-		for i, d := range c.dists {
-			handlers[i] = d
-		}
-		for _, d := range c.dists {
-			d.SetPeers(handlers)
-		}
+	if polName == "PRORD" {
+		cfg.Miner = h.freshMiner()
+		cfg.Prefetch = true
 	}
-	c.dist, c.front = c.dists[0], c.fronts[0]
+	c.dist, err = httpfront.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.front = httptest.NewServer(c.dist)
 	ok = true
 	return c, nil
-}
-
-// fleetStats sums the distributor counters across all replicas
-// (element-wise for PerBackend); with one replica it is that replica's
-// snapshot unchanged. A forwarded request is counted only at the owning
-// replica — the ingress hands it over before any accounting — so the
-// sums count each demand request once.
-func (c *liveCluster) fleetStats() httpfront.Stats {
-	st := c.dists[0].Stats()
-	for _, d := range c.dists[1:] {
-		s := d.Stats()
-		st.Requests += s.Requests
-		st.Dispatches += s.Dispatches
-		st.DirectForwards += s.DirectForwards
-		st.Handoffs += s.Handoffs
-		st.Prefetches += s.Prefetches
-		st.Errors += s.Errors
-		st.Failovers += s.Failovers
-		st.Retries += s.Retries
-		st.Shed += s.Shed
-		st.PrefetchShed += s.PrefetchShed
-		st.PrefetchHintsDropped += s.PrefetchHintsDropped
-		st.Unavailable += s.Unavailable
-		for i, n := range s.PerBackend {
-			if i < len(st.PerBackend) {
-				st.PerBackend[i] += n
-			}
-		}
-	}
-	return st
 }
 
 // startFaults launches the fault schedule against the cluster's gates,
@@ -334,11 +264,11 @@ func (c *liveCluster) prefetchCount() int64 {
 // close tears the cluster down in reverse boot order. Safe on a
 // partially built cluster.
 func (c *liveCluster) close() {
-	for _, f := range c.fronts {
-		f.Close()
+	if c.front != nil {
+		c.front.Close()
 	}
-	for _, d := range c.dists {
-		d.Close()
+	if c.dist != nil {
+		c.dist.Close()
 	}
 	for _, s := range c.servers {
 		s.Close()

@@ -55,10 +55,7 @@ func (h *Harness) simCompare(polName string, live *metrics.BenchRun) (*metrics.S
 			HedgeCap: g.HedgeCap,
 		}
 	}
-	// Fleet mode maps replica-for-replica: the simulator runs the same
-	// distributor count with ownership partitioned over the same ring
-	// construction, as the zero-staleness limit of the gossip layer.
-	ccfg := cluster.Config{
+	cl, err := cluster.New(cluster.Config{
 		Params:      params,
 		Policy:      pol,
 		Features:    feats,
@@ -68,12 +65,7 @@ func (h *Harness) simCompare(polName string, live *metrics.BenchRun) (*metrics.S
 		Autoscale:   h.cfg.Autoscale,
 		ScaleEvents: h.cfg.ScaleEvents,
 		Gray:        gray,
-	}
-	if h.cfg.FleetReplicas > 0 {
-		ccfg.Distributors = h.cfg.FleetReplicas
-		ccfg.Fleet = true
-	}
-	cl, err := cluster.New(ccfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -90,9 +82,6 @@ func (h *Harness) simCompare(polName string, live *metrics.BenchRun) (*metrics.S
 		PrefetchShed:     res.Metrics.PrefetchShed,
 		ReplicationsShed: res.Metrics.ReplicationsShed,
 		TierTransitions:  tierTransitions(res.TierTransitions),
-	}
-	if res.Fleet != nil {
-		sim.FleetForwards = res.Fleet.Forwards
 	}
 	sim.ThroughputDeltaPct = metrics.DeltaPct(live.ThroughputRPS, sim.ThroughputRPS)
 	sim.MeanLatencyDeltaPct = metrics.DeltaPct(float64(live.Latency.MeanNS/1000), float64(sim.MeanUS))

@@ -214,17 +214,6 @@ type Config struct {
 	// the simulator scales at the same offsets.
 	ScaleEvents []cluster.ScaleEvent
 
-	// FleetReplicas enables multi-distributor fleet mode: the seeded
-	// trace is sprayed across this many front-end replicas over one
-	// shared backend pool, session ownership is partitioned over a
-	// consistent-hash ring, and a request entering through a non-owner
-	// is forwarded one hop to the owning replica. 0 keeps the
-	// single-distributor topology (no fleet layer); 1 runs the fleet
-	// layer with a single-member ring — same routing decisions, plus
-	// the fleet block in stats and artifacts. With CompareSim the
-	// simulator runs the same replica count with Fleet mode on.
-	FleetReplicas int
-
 	// CompareSim runs the discrete-event simulator on the same workload
 	// and policy after each live run and attaches live-vs-sim deltas.
 	CompareSim bool
@@ -348,12 +337,6 @@ func (c Config) Validate() error {
 		if err := ac.WithDefaults().Validate(); err != nil {
 			return err
 		}
-	}
-	if c.FleetReplicas < 0 {
-		return fmt.Errorf("loadgen: fleet replicas must not be negative, got %d", c.FleetReplicas)
-	}
-	if c.FleetReplicas > 1 && c.Autoscale != nil {
-		return fmt.Errorf("loadgen: fleet mode is incompatible with autoscale (each replica would resize the shared pool independently)")
 	}
 	if err := cluster.ValidateScaleEvents(c.ScaleEvents, c.Autoscale); err != nil {
 		return err

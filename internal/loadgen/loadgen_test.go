@@ -263,7 +263,7 @@ func TestOpenLoopLatencyFromDueTime(t *testing.T) {
 	}
 	h.cfg.Warmup = 0
 	h.open = [][]arrival{make([]arrival, 10)}
-	live := h.runOpen(&liveCluster{fronts: []*httptest.Server{front}}, time.Now())
+	live := h.runOpen(&liveCluster{front: front}, time.Now())
 	if live.errors != 0 || live.meas.Count() != 10 {
 		t.Fatalf("%d errors, %d samples, want 0 and 10", live.errors, live.meas.Count())
 	}
@@ -329,7 +329,7 @@ func TestArtifactStableSections(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{`"schema": "prord-bench/3"`, `"tool": "prord-loadgen"`,
+	for _, want := range []string{`"schema": "prord-bench/4"`, `"tool": "prord-loadgen"`,
 		`"schedule_digest": "fnv64a:`, `"front_latency"`, `"sim"`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("artifact missing %q", want)

@@ -235,7 +235,7 @@ func TestOverloadRampEmbeddedNeverShed(t *testing.T) {
 					time.Sleep(d)
 				}
 				req := &h.eval.Requests[a.idx]
-				_, shed, _, err := fetch(client, c.front.URL+req.Path, time.Now())
+				_, shed, err := fetch(client, c.front.URL+req.Path, time.Now())
 				if err != nil {
 					continue
 				}

@@ -53,11 +53,8 @@ type configJSON struct {
 	// Gray echoes the effective (defaulted) gray-failure resilience
 	// configuration; omitted when the layer is off so older artifacts
 	// are unchanged.
-	Gray *grayJSON `json:"gray,omitempty"`
-	// Fleet echoes the multi-distributor topology; omitted for the
-	// single-distributor default so older artifacts are unchanged.
-	Fleet      *fleetJSON `json:"fleet,omitempty"`
-	CompareSim bool       `json:"compare_sim"`
+	Gray       *grayJSON `json:"gray,omitempty"`
+	CompareSim bool      `json:"compare_sim"`
 }
 
 // overloadJSON is the stable echo of the overload configuration.
@@ -98,11 +95,6 @@ type grayJSON struct {
 	Hedge         bool    `json:"hedge"`
 	HedgeCap      int     `json:"hedge_cap,omitempty"`
 	DeadlineMS    int64   `json:"deadline_ms,omitempty"`
-}
-
-// fleetJSON is the stable echo of the multi-distributor topology.
-type fleetJSON struct {
-	Replicas int `json:"replicas"`
 }
 
 // scaleJSON is the stable echo of one scripted pool resize.
@@ -206,9 +198,6 @@ func (r *Result) Artifact() *metrics.BenchArtifact {
 			DeadlineMS:    gc.Deadline.Milliseconds(),
 		}
 	}
-	if r.Config.FleetReplicas > 0 {
-		cfg.Fleet = &fleetJSON{Replicas: r.Config.FleetReplicas}
-	}
 	switch r.Config.Mode {
 	case OpenLoop:
 		cfg.RateRPS = r.Config.Rate
@@ -272,14 +261,6 @@ func (r *Result) WriteTable(w io.Writer) error {
 				"%-16s ejections=%d recoveries=%d rebinds=%d hedges=%d/%d won cancels=%d\n",
 				"  gray", g.Ejections, g.Recoveries, g.GrayRebinds,
 				g.HedgeWins, g.HedgesFired, g.HedgeCancels); err != nil {
-				return err
-			}
-		}
-		if f := run.Fleet; f != nil {
-			if _, err := fmt.Fprintf(w,
-				"%-16s replicas=%d forwards=%d (rate %.3f) rebinds=%d affinity_breaches=%d\n",
-				"  fleet", f.Replicas, f.Forwards, f.ForwardRate,
-				f.OwnershipRebinds, f.AffinityBreaches); err != nil {
 				return err
 			}
 		}

@@ -41,22 +41,20 @@ func tierTransitions(ts []overload.Transition) []metrics.TierTransition {
 // split by warmup vs measurement window, plus error, shed and timing
 // totals.
 type liveStats struct {
-	warm             metrics.Histogram
-	meas             metrics.Histogram
-	errors           int64
-	shed             int64
-	affinityBreaches int64
-	elapsed          time.Duration
+	warm    metrics.Histogram
+	meas    metrics.Histogram
+	errors  int64
+	shed    int64
+	elapsed time.Duration
 }
 
 // workerLocal is one worker's lock-free accumulator, merged after the
 // run so the hot path never contends.
 type workerLocal struct {
-	warm             metrics.Histogram
-	meas             metrics.Histogram
-	errors           int64
-	shed             int64
-	affinityBreaches int64
+	warm   metrics.Histogram
+	meas   metrics.Histogram
+	errors int64
+	shed   int64
 }
 
 // merge folds per-worker accumulators into campaign totals.
@@ -67,46 +65,8 @@ func merge(locals []workerLocal, elapsed time.Duration) *liveStats {
 		out.meas.Merge(&locals[i].meas)
 		out.errors += locals[i].errors
 		out.shed += locals[i].shed
-		out.affinityBreaches += locals[i].affinityBreaches
 	}
 	return out
-}
-
-// affinityTracker asserts the fleet's session-affinity invariant over
-// one replayed session: every response on the session's connection
-// must carry the same replica id (the ring owner answers, wherever the
-// request entered). A session that saw two replicas is one breach.
-type affinityTracker struct {
-	seen     string
-	breached bool
-}
-
-func (a *affinityTracker) observe(replica string) {
-	if replica == "" || a.breached {
-		return // not a fleet response, or already counted
-	}
-	if a.seen == "" {
-		a.seen = replica
-		return
-	}
-	if replica != a.seen {
-		a.breached = true
-	}
-}
-
-// breaches reports 1 if the session broke affinity, else 0.
-func (a *affinityTracker) breaches() int64 {
-	if a.breached {
-		return 1
-	}
-	return 0
-}
-
-// reset forgets the pinned replica but keeps any recorded breach.
-// Called after a transport error: the client may have re-dialed, and a
-// fresh connection is legitimately a fresh session with a new owner.
-func (a *affinityTracker) reset() {
-	a.seen = ""
 }
 
 // fetch issues one GET and fully consumes the response; lat runs from
@@ -115,29 +75,26 @@ func (a *affinityTracker) reset() {
 // except a 503 carrying the front-end's shed marker, which is the
 // admission controller doing its job under overload: those are
 // reported as shed, not errored, and contribute no latency sample.
-// replica is the answering fleet replica's id header ("" outside fleet
-// mode), feeding the session-affinity assertion.
-func fetch(client *http.Client, url string, from time.Time) (lat time.Duration, shed bool, replica string, err error) {
+func fetch(client *http.Client, url string, from time.Time) (lat time.Duration, shed bool, err error) {
 	resp, err := client.Get(url)
 	if err != nil {
-		return 0, false, "", err
+		return 0, false, err
 	}
 	_, err = io.Copy(io.Discard, resp.Body)
 	shedResp := resp.StatusCode == http.StatusServiceUnavailable &&
 		resp.Header.Get(httpfront.ShedHeader) != ""
-	replica = resp.Header.Get(httpfront.ReplicaHeader)
 	resp.Body.Close()
 	d := time.Since(from)
 	if err != nil {
-		return 0, false, "", err
+		return 0, false, err
 	}
 	if shedResp {
-		return 0, true, replica, nil
+		return 0, true, nil
 	}
 	if resp.StatusCode >= 300 {
-		return 0, false, replica, fmt.Errorf("loadgen: GET %s: status %d", url, resp.StatusCode)
+		return 0, false, fmt.Errorf("loadgen: GET %s: status %d", url, resp.StatusCode)
 	}
-	return d, false, replica, nil
+	return d, false, nil
 }
 
 // runOpen replays the precomputed open-loop schedule: each worker walks
@@ -149,11 +106,7 @@ func fetch(client *http.Client, url string, from time.Time) (lat time.Duration, 
 // Warmup classification uses the scheduled arrival offset, not the wall
 // clock, so the warm/measured split is identical across runs. start
 // anchors the schedule and is shared with the fault runner so outage
-// offsets line up with arrival offsets. In fleet mode workers spray
-// round-robin over the replicas' fronts (worker w → front w mod k) — a
-// worker's keep-alive connection is one session, so the spray is the
-// deterministic stand-in for an L4 switch pinning connections to
-// distributors.
+// offsets line up with arrival offsets.
 func (h *Harness) runOpen(c *liveCluster, start time.Time) *liveStats {
 	locals := make([]workerLocal, len(h.open))
 	var wg sync.WaitGroup
@@ -161,23 +114,19 @@ func (h *Harness) runOpen(c *liveCluster, start time.Time) *liveStats {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			frontURL := c.fronts[w%len(c.fronts)].URL
 			client := sessionClient()
 			defer client.CloseIdleConnections()
 			l := &locals[w]
-			var aff affinityTracker
 			for _, a := range h.open[w] {
 				due := start.Add(a.at)
 				if d := time.Until(due); d > 0 {
 					time.Sleep(d)
 				}
-				lat, shed, replica, err := fetch(client, frontURL+h.eval.Requests[a.idx].Path, due)
+				lat, shed, err := fetch(client, c.front.URL+h.eval.Requests[a.idx].Path, due)
 				if err != nil {
 					l.errors++
-					aff.reset()
 					continue
 				}
-				aff.observe(replica)
 				if shed {
 					l.shed++
 					continue
@@ -188,7 +137,6 @@ func (h *Harness) runOpen(c *liveCluster, start time.Time) *liveStats {
 					l.meas.Observe(lat)
 				}
 			}
-			l.affinityBreaches += aff.breaches()
 		}(w)
 	}
 	wg.Wait()
@@ -200,10 +148,7 @@ func (h *Harness) runOpen(c *liveCluster, start time.Time) *liveStats {
 // deterministic; each session runs on its own keep-alive connection
 // (sessions are what the distributor tracks by connection), pausing
 // Think before each page request. Issuing stops at the Duration
-// deadline; in-flight requests are allowed to finish. In fleet mode
-// sessions spray round-robin over the replicas' fronts (session s →
-// front s mod k), so roughly (k-1)/k of sessions enter through a
-// non-owner and exercise the forwarding path.
+// deadline; in-flight requests are allowed to finish.
 func (h *Harness) runClosed(c *liveCluster, start time.Time) *liveStats {
 	locals := make([]workerLocal, h.cfg.Concurrency)
 	var wg sync.WaitGroup
@@ -218,9 +163,7 @@ func (h *Harness) runClosed(c *liveCluster, start time.Time) *liveStats {
 				if !time.Now().Before(deadline) {
 					return
 				}
-				frontURL := c.fronts[s%len(c.fronts)].URL
 				client := sessionClient()
-				var aff affinityTracker
 				for i, idx := range h.scripts[s].Reqs {
 					req := &h.eval.Requests[idx]
 					// Users pause before following a link; embedded
@@ -232,13 +175,11 @@ func (h *Harness) runClosed(c *liveCluster, start time.Time) *liveStats {
 						break
 					}
 					t0 := time.Now()
-					lat, shed, replica, err := fetch(client, frontURL+req.Path, t0)
+					lat, shed, err := fetch(client, c.front.URL+req.Path, t0)
 					if err != nil {
 						l.errors++
-						aff.reset()
 						continue
 					}
-					aff.observe(replica)
 					if shed {
 						l.shed++
 						continue
@@ -249,7 +190,6 @@ func (h *Harness) runClosed(c *liveCluster, start time.Time) *liveStats {
 						l.meas.Observe(lat)
 					}
 				}
-				l.affinityBreaches += aff.breaches()
 				client.CloseIdleConnections()
 			}
 		}(w)
@@ -327,7 +267,7 @@ func (h *Harness) reduce(polName string, c *liveCluster, live *liveStats) *metri
 		run.ThroughputRPS = metrics.Round(float64(run.Requests)/window.Seconds(), 1)
 	}
 
-	st := c.fleetStats()
+	st := c.dist.Stats()
 	run.Handoffs = st.Handoffs
 	run.Prefetches = st.Prefetches
 	run.Failovers = st.Failovers
@@ -364,33 +304,8 @@ func (h *Harness) reduce(polName string, c *liveCluster, live *liveStats) *metri
 			HedgeCancels: g.HedgeCancels,
 		}
 	}
-	if fst := c.dist.Fleet(); fst != nil {
-		fs := &metrics.FleetSummary{
-			Replicas:         fst.Replicas,
-			RingEpoch:        fst.RingEpoch,
-			AffinityBreaches: live.affinityBreaches,
-		}
-		for _, d := range c.dists {
-			cs := d.Core().Stats()
-			fs.Forwards += cs.FleetForwards
-			fs.OwnershipRebinds += cs.OwnershipRebinds
-		}
-		if st.Requests > 0 {
-			fs.ForwardRate = metrics.Round(float64(fs.Forwards)/float64(st.Requests), 3)
-		}
-		run.Fleet = fs
-	}
 
-	// Breaker trips are summed across replicas: each front-end runs its
-	// own breakers over the shared backends.
-	trips := make([]int64, h.cfg.Backends)
-	for _, d := range c.dists {
-		for i, b := range d.Health() {
-			if i < len(trips) {
-				trips[i] += b.Trips
-			}
-		}
-	}
+	bh := c.dist.Health()
 	var hits, misses int64
 	for i, b := range c.demos {
 		bs := b.Stats()
@@ -400,8 +315,8 @@ func (h *Harness) reduce(polName string, c *liveCluster, live *liveStats) *metri
 		if i < len(st.PerBackend) {
 			sample.Requests = st.PerBackend[i]
 		}
-		if i < len(trips) {
-			sample.BreakerTrips = trips[i]
+		if i < len(bh) {
+			sample.BreakerTrips = bh[i].Trips
 		}
 		if lookups := bs.Hits + bs.Misses; lookups > 0 {
 			sample.HitRate = metrics.Round(float64(bs.Hits)/float64(lookups), 3)

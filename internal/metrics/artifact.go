@@ -13,9 +13,11 @@ import (
 // adding fields is backward-compatible and keeps the version.
 //
 // prord-bench/3 dropped the truncated *_us aliases of the latency
-// summaries: nanoseconds are the only resolution recorded. Nothing in
-// the repository reads artifacts back.
-const BenchSchema = "prord-bench/3"
+// summaries: nanoseconds are the only resolution recorded.
+// prord-bench/4 dropped the run's fleet block and the sim block's
+// fleet_forwards with the live distributor fleet. Nothing in the
+// repository reads artifacts back.
+const BenchSchema = "prord-bench/4"
 
 // LatencySummary is a latency histogram reduced to the quantities the
 // artifacts report. All durations are integer nanoseconds so the JSON
@@ -106,10 +108,6 @@ type SimComparison struct {
 	// TierTransitions is the simulator's degrade-ladder history; it is
 	// deterministic and part of the byte-stability guarantee.
 	TierTransitions []TierTransition `json:"tier_transitions,omitempty"`
-	// FleetForwards counts simulated requests forwarded from their
-	// hash-pinned ingress distributor to the session's ring owner
-	// (fleet runs only). The live counterpart is BenchRun.Fleet.
-	FleetForwards int64 `json:"fleet_forwards,omitempty"`
 }
 
 // AutoscaleSummary is the elastic-pool block of a benchmark run:
@@ -142,31 +140,6 @@ type GraySummary struct {
 	HedgesFired  int64 `json:"hedges_fired"`
 	HedgeWins    int64 `json:"hedge_wins"`
 	HedgeCancels int64 `json:"hedge_cancels"`
-}
-
-// FleetSummary is the multi-distributor block of a benchmark run:
-// session-ownership partitioning outcomes aggregated across the
-// front-end fleet.
-type FleetSummary struct {
-	// Replicas is the fleet size (front-end distributor count).
-	Replicas int `json:"replicas"`
-	// RingEpoch counts ownership-ring membership publishes (1 for a
-	// fleet whose membership never changed).
-	RingEpoch uint64 `json:"ring_epoch"`
-	// Forwards counts requests that entered through a replica that does
-	// not own their session and were handed to the ring owner.
-	Forwards int64 `json:"forwards"`
-	// ForwardRate is Forwards per demand request the fleet accepted
-	// (warmup included — forwarding runs the whole run). With ingress
-	// sprayed uniformly it converges to (k-1)/k for k replicas.
-	ForwardRate float64 `json:"forward_rate"`
-	// OwnershipRebinds counts stale local session bindings released when
-	// a foreign touch revealed the ring had moved the session elsewhere.
-	OwnershipRebinds int64 `json:"ownership_rebinds"`
-	// AffinityBreaches counts replayed sessions that saw responses from
-	// more than one replica over a single connection — the session-
-	// affinity invariant the load generator asserts. Expected 0.
-	AffinityBreaches int64 `json:"affinity_breaches"`
 }
 
 // BenchRun is one measured cell of a benchmark artifact (one policy on
@@ -229,9 +202,6 @@ type BenchRun struct {
 	// Gray holds the gray-failure resilience outcome when the detection
 	// or hedging layer was enabled.
 	Gray *GraySummary `json:"gray,omitempty"`
-	// Fleet holds the multi-distributor outcome when the run sprayed
-	// load across a fleet of front-end replicas.
-	Fleet *FleetSummary `json:"fleet,omitempty"`
 	// Backends holds per-backend request counts and hit rates in backend
 	// order.
 	Backends []BackendSample `json:"backends,omitempty"`

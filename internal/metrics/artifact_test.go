@@ -58,9 +58,16 @@ func TestBenchArtifactEncodeStable(t *testing.T) {
 	if a.String() != b.String() {
 		t.Fatalf("two encodings differ:\n%s\n---\n%s", a.String(), b.String())
 	}
-	for _, want := range []string{`"schema": "prord-bench/3"`, `"p99_ns"`, `"throughput_delta_pct"`, `"load_skew": 1`} {
+	for _, want := range []string{`"schema": "prord-bench/4"`, `"p99_ns"`, `"throughput_delta_pct"`, `"load_skew": 1`} {
 		if !strings.Contains(a.String(), want) {
 			t.Errorf("encoding missing %q:\n%s", want, a.String())
+		}
+	}
+	// prord-bench/4 removed the run's fleet block and the sim block's
+	// fleet_forwards.
+	for _, gone := range []string{`"fleet"`, `"fleet_forwards"`} {
+		if strings.Contains(a.String(), gone) {
+			t.Errorf("encoding still carries %s:\n%s", gone, a.String())
 		}
 	}
 	// GeneratedAt stays out of the encoding until stamped, so the

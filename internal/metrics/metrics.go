@@ -172,9 +172,9 @@ type Collector struct {
 	// ReplicationsShed counts replication refresh rounds skipped at
 	// Elevated tier or above.
 	ReplicationsShed int64
-	// FleetForwards counts requests that arrived at a distributor replica
-	// that does not own the session and were forwarded one hop to the
-	// ring owner (multi-distributor fleet mode).
+	// FleetForwards counts requests that arrived at a distributor that
+	// does not own the session and were forwarded one hop to the ring
+	// owner (the simulator's cluster.Config.Fleet).
 	FleetForwards int64
 	// BytesServed totals response bytes delivered to clients.
 	BytesServed int64
