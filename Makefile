@@ -13,7 +13,7 @@
 #                current findings — a reviewed, committed act; never
 #                run in CI
 #   make stress  repeat a slice of the suite under the race detector to
-#                hunt a flake: make stress RUN='Golden|Fleet' PKG=./internal/cluster/ COUNT=20
+#                hunt a flake: make stress RUN='Golden|Deterministic' PKG=./internal/cluster/ COUNT=20
 #                (a developer tool, not part of ci: `make race` already
 #                ran every test once)
 #   make bench   the repo benchmark (BENCHMARK.json, bench/README.md):

@@ -14,7 +14,6 @@
 //	prord-loadgen -mode open -backends 3 -faults 1@10s:20s -probe-interval 250ms
 //	prord-loadgen -mode open -backends 4 -faults 1@5s/slow=x10 -gray -hedge -deadline 2s
 //	prord-loadgen -mode open -rate 100 -ramp-to 1000 -overload -overload-capacity 8
-//	prord-loadgen -mode open -backends 4 -pool-initial 2 -scale-events +1@5s,-1@20s
 //
 // The same seed and flags reproduce the same offered workload
 // byte-for-byte (see the schedule_digest field); only genuinely measured
@@ -28,7 +27,6 @@ import (
 	"strings"
 	"time"
 
-	"prord/internal/autoscale"
 	"prord/internal/cluster"
 	"prord/internal/health"
 	"prord/internal/httpfront"
@@ -63,11 +61,6 @@ func main() {
 		breakThresh   = flag.Int("breaker-threshold", 0, "consecutive failures that trip a backend's breaker (0: front-end default)")
 		breakBackoff  = flag.Duration("breaker-backoff", 0, "initial breaker open time before a half-open trial (0: front-end default)")
 		retries       = flag.Int("retries", 0, "failover retries per request (0: front-end default of 1, negative disables)")
-
-		scaleEvents = flag.String("scale-events", "", "scripted pool resizes: delta@at,... (e.g. +1@5s,-1@20s); requires -pool-initial")
-		poolInitial = flag.Int("pool-initial", 0, "enable the elastic backend pool starting at this many of the -backends servers (0 disables)")
-		poolMin     = flag.Int("pool-min", 0, "elastic pool floor the schedule cannot drain below (0: default 1)")
-		coldJoin    = flag.Bool("cold-join", false, "elastic pool: skip the rank-table warm preload on joins (the bench control arm)")
 
 		grayOn   = flag.Bool("gray", false, "enable the gray-failure resilience layer: latency-outlier detector with slow-backend ejection and progressive session rebinding; -hedge and -deadline build on it")
 		hedge    = flag.Bool("hedge", false, "with -gray: hedge idempotent static requests after the pooled-p95 delay, first committed response wins")
@@ -112,18 +105,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	scaleSched, err := cluster.ParseScaleEvents(*scaleEvents)
-	if err != nil {
-		fail(err)
-	}
-	var ascfg *autoscale.Config
-	if *poolInitial > 0 {
-		ascfg = &autoscale.Config{
-			Initial:  *poolInitial,
-			Min:      *poolMin,
-			ColdJoin: *coldJoin,
-		}
-	}
 	var gcfg *httpfront.GrayConfig
 	if *grayOn {
 		gcfg = &httpfront.GrayConfig{
@@ -167,8 +148,6 @@ func main() {
 		FrontRetries:  *retries,
 		Overload:      ovcfg,
 		Gray:          gcfg,
-		Autoscale:     ascfg,
-		ScaleEvents:   scaleSched,
 		CompareSim:    *sim,
 	}
 	h, err := loadgen.New(cfg)

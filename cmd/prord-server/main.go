@@ -28,13 +28,6 @@
 // response winning. Tune with the -gray-*, -hedge* and -deadline
 // flags or disable with -gray=false; counters are visible on
 // /_prord/cluster under "gray".
-//
-// With -pool-initial the backend pool becomes elastic: the server
-// starts with that many of the -backends servers in rotation and an
-// organic controller (requires -overload) joins one — warm-preloading
-// the rank table's top files — when the tier holds Saturated, and
-// drains one when it holds Normal. Pool membership and lifecycle
-// states are visible on /_prord/cluster under "pool".
 package main
 
 import (
@@ -46,7 +39,6 @@ import (
 	"os"
 	"time"
 
-	"prord/internal/autoscale"
 	"prord/internal/health"
 	"prord/internal/httpfront"
 	"prord/internal/mining"
@@ -85,15 +77,6 @@ func main() {
 		capacity   = flag.Int("overload-capacity", 0, "in-flight capacity per backend before the cluster counts as saturated (0: default 64)")
 		queueLimit = flag.Int("overload-queue", 0, "accept-queue slots at Critical tier (0: default 16, negative disables queuing)")
 		minHold    = flag.Duration("overload-min-hold", 0, "minimum time at a tier before stepping back down (0: default 1s)")
-
-		poolInitial  = flag.Int("pool-initial", 0, "enable the elastic backend pool starting at this many of the -backends servers (0 disables)")
-		poolMin      = flag.Int("pool-min", 0, "elastic pool floor (0: default 1)")
-		poolUpHold   = flag.Duration("pool-up-hold", 0, "sustained Saturated time before the controller joins a backend (0: default 2s)")
-		poolDownHold = flag.Duration("pool-down-hold", 0, "sustained Normal time before the controller drains a backend (0: default 10s)")
-		poolCooldown = flag.Duration("pool-cooldown", 0, "minimum spacing between scale decisions (0: default 5s)")
-		warmTop      = flag.Int("pool-warm-top", 0, "rank-table files preloaded into a joining backend (0: default 32)")
-		coldJoin     = flag.Bool("pool-cold-join", false, "skip the rank-table warm preload on joins")
-		poolTick     = flag.Duration("pool-interval", 0, "autoscale housekeeping tick: controller, warm promotion, drain reaping (0: default 500ms)")
 	)
 	flag.Parse()
 	if *backends <= 0 {
@@ -183,18 +166,6 @@ func main() {
 			Deadline: *deadline,
 		}
 	}
-	var ascfg *autoscale.Config
-	if *poolInitial > 0 {
-		ascfg = &autoscale.Config{
-			Initial:  *poolInitial,
-			Min:      *poolMin,
-			UpHold:   *poolUpHold,
-			DownHold: *poolDownHold,
-			Cooldown: *poolCooldown,
-			WarmTop:  *warmTop,
-			ColdJoin: *coldJoin,
-		}
-	}
 	dist, err := httpfront.New(httpfront.Config{
 		Backends: urls,
 		Policy:   pol,
@@ -213,8 +184,6 @@ func main() {
 		ProbeSeed:     *seed,
 		Overload:      ovcfg,
 		Gray:          gcfg,
-		Autoscale:     ascfg,
-		ScaleInterval: *poolTick,
 	})
 	if err != nil {
 		fail(err)

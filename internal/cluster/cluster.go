@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"prord/internal/autoscale"
 	"prord/internal/cache"
 	"prord/internal/dispatch"
 	"prord/internal/metrics"
@@ -66,15 +65,6 @@ type Config struct {
 	// architecture). Connections stick to one distributor; dispatcher
 	// state is shared. 0 or 1 = the paper's single-front-end design.
 	Distributors int
-	// Fleet partitions session ownership across the Distributors
-	// front-end nodes: a consistent-hash ring over session keys picks
-	// each session's owning distributor, and a request whose L4-pinned
-	// ingress distributor is not the owner pays Params.FleetForwardLatency
-	// and is served through the owner's front. Dispatcher state stays
-	// shared, so the ring models only the forward hop's cost. With one
-	// distributor every session is owned by its ingress and the run is
-	// bit-identical to Fleet=false.
-	Fleet bool
 	// CPUSharing switches the backend CPUs from FCFS to processor
 	// sharing (time-sliced web server workers); disks stay FCFS.
 	CPUSharing bool
@@ -91,27 +81,6 @@ type Config struct {
 	// makes, in decision order (differential testing against the live
 	// front-end).
 	Recorder func(dispatch.Record)
-	// Autoscale enables the elastic backend pool: Params.Backends becomes
-	// the provisioned maximum and the pool starts at Autoscale.Initial
-	// members. With ScaleEvents empty and Overload enabled, an organic
-	// controller watches the tier ladder and resizes the pool itself;
-	// scripted ScaleEvents drive the pool directly (deterministic seeded
-	// scale schedules) and suppress the controller. Joining backends
-	// warm-preload the top rank-table files unless Autoscale.ColdJoin;
-	// draining backends finish their bound work and are reaped once their
-	// bookings hit zero. Nil keeps the fixed pool.
-	Autoscale *autoscale.Config
-	// ScaleEvents injects scripted pool resizes at virtual times.
-	ScaleEvents []ScaleEvent
-}
-
-// ScaleEvent is one scripted pool resize.
-type ScaleEvent struct {
-	// Delta is the signed membership change: +n joins n backends, -n
-	// drains n.
-	Delta int
-	// At is the virtual time the resize fires.
-	At time.Duration
 }
 
 // Failure is one injected backend failure.
@@ -157,18 +126,9 @@ type Cluster struct {
 	eng      *sim.Engine
 	backends []*backend
 	fronts   []*sim.FCFS
-	// ring is the fleet's session-ownership ring over distributor
-	// indices (nil unless Config.Fleet).
-	ring *ring
 
 	core    *dispatch.Core
 	replmgr *replicate.Manager
-	pool    *autoscale.Pool
-	actrl   *autoscale.Controller
-
-	// joinWindows tracks each join's first-minute serve outcomes at the
-	// joined backend (the warm-vs-cold bench signal).
-	joinWindows []*joinWindow
 
 	// replicas tracks Algorithm 3's placements (file -> backends); the
 	// replication manager owns placement, the core only routes to them
@@ -213,11 +173,8 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	total := cfg.Params.AppMemory + cfg.Params.PinnedMemory
 	maxPinned := cfg.Params.PinnedMemory
-	if !cfg.Features.Any() && !(cfg.Autoscale != nil && !cfg.Autoscale.ColdJoin) {
-		// Baselines never pin, so the whole pool serves demand traffic.
-		// Warm joins are the exception: their rank-table preload lands in
-		// pinned memory whatever the policy, or joining backends would
-		// silently come up cold.
+	if !cfg.Features.Any() {
+		// Baselines never pin, so the whole memory serves demand traffic.
 		maxPinned = 0
 	}
 	if cfg.Distributors < 1 {
@@ -226,13 +183,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	for i := 0; i < cfg.Distributors; i++ {
 		c.fronts = append(c.fronts, sim.NewFCFS(c.eng))
-	}
-	if cfg.Fleet {
-		members := make([]int, cfg.Distributors)
-		for i := range members {
-			members[i] = i
-		}
-		c.ring = newRing(members)
 	}
 	for i := 0; i < cfg.Params.Backends; i++ {
 		var store cache.Store
@@ -270,32 +220,8 @@ func New(cfg Config) (*Cluster, error) {
 	if err := ValidateFailures(cfg.Failures, cfg.Params.Backends); err != nil {
 		return nil, err
 	}
-	if err := ValidateScaleEvents(cfg.ScaleEvents, cfg.Autoscale); err != nil {
-		return nil, err
-	}
 	if cfg.Features.Replication {
 		c.replmgr = replicate.NewManager(cfg.Miner.Ranker, cfg.ReplicateConfig)
-	}
-	if cfg.Autoscale != nil {
-		ac := *cfg.Autoscale
-		if ac.Max <= 0 {
-			ac.Max = cfg.Params.Backends
-		}
-		if ac.Max != cfg.Params.Backends {
-			return nil, fmt.Errorf("cluster: Autoscale.Max %d must equal Params.Backends %d",
-				ac.Max, cfg.Params.Backends)
-		}
-		pool, err := autoscale.NewPool(ac)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		c.pool = pool
-		// Scripted schedules drive the pool directly; the organic
-		// controller only runs when there is a tier signal to watch and no
-		// script to defer to.
-		if len(cfg.ScaleEvents) == 0 && cfg.Overload != nil {
-			c.actrl = autoscale.NewController(pool)
-		}
 	}
 	if cfg.Power.Enabled {
 		c.power = newPowerTracker(cfg.Power, cfg.Params.Backends)
@@ -335,7 +261,6 @@ func New(cfg Config) (*Cluster, error) {
 		},
 		Overload: cfg.Overload,
 		Recorder: cfg.Recorder,
-		Pool:     c.pool,
 	}
 	if c.gray.detector != nil {
 		// Degraded backends are soft-excluded from new placements and
@@ -411,18 +336,6 @@ func (c *Cluster) recoverServer(server int) {
 	c.down[server] = false
 }
 
-// poolPresent reports whether a backend is a member of the elastic
-// pool (always true with a fixed pool).
-func (c *Cluster) poolPresent(i int) bool {
-	return c.pool == nil || c.pool.Present(i)
-}
-
-// poolAccepting reports whether a backend may take new placements and
-// speculative work (not Draining; always true with a fixed pool).
-func (c *Cluster) poolAccepting(i int) bool {
-	return c.pool == nil || c.pool.AcceptingNew(i)
-}
-
 // anyUp reports whether at least one backend is alive.
 func (c *Cluster) anyUp() bool {
 	for _, d := range c.down {
@@ -447,8 +360,8 @@ func (c *Cluster) Holders(file string) []int {
 // network into the target's pinned memory.
 func (c *Cluster) Replicate(file string, server int) {
 	size, ok := c.files[file]
-	if !ok || trace.IsDynamicPath(file) || c.down[server] || !c.poolAccepting(server) {
-		return // unknown, uncacheable, target crashed or leaving the pool
+	if !ok || trace.IsDynamicPath(file) || c.down[server] {
+		return // unknown, uncacheable or target crashed
 	}
 	b := c.backends[server]
 	addSet(c.replicas, file, server)

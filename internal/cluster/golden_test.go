@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"prord/internal/autoscale"
 	"prord/internal/dispatch"
 	"prord/internal/mining"
 	"prord/internal/overload"
@@ -39,7 +38,7 @@ func goldenCounters(res *Result) string {
 		m.Completed, m.MemoryHits, m.MemoryMisses, m.Dispatches, m.Handoffs,
 		m.DirectForwards, m.Prefetches, m.PrefetchHits, m.Replications,
 		m.RemoteFetches, m.Failovers, m.Failed, m.Shed, m.PrefetchShed,
-		m.ReplicationsShed, m.FleetForwards, m.BytesServed, m.DynamicServed,
+		m.ReplicationsShed, m.BytesServed, m.DynamicServed,
 	})
 }
 
@@ -69,6 +68,16 @@ func goldenSynth(requests int, seed int64, compress time.Duration) func(*testing
 	}
 }
 
+// traceSpan returns the first and last arrival offsets. (An eval
+// split's offsets start partway through the full trace, so 0 is long
+// before any traffic.)
+func traceSpan(tr *trace.Trace) (first, last time.Duration) {
+	if len(tr.Requests) == 0 {
+		return 0, 0
+	}
+	return tr.Requests[0].Time, tr.Requests[len(tr.Requests)-1].Time
+}
+
 // TestGoldenRuns pins the simulator's digits over the hot path and over
 // the cold paths the benchmark's sim-paper cell never runs. Do not edit
 // a constant to make a change pass: a changed constant is a changed
@@ -87,7 +96,7 @@ func TestGoldenRuns(t *testing.T) {
 			name: "prord-all", workload: goldenSynth(2000, 11, 0),
 			config: func(_, _, _ time.Duration) Config { return goldenPRORD() },
 			want: golden{digest: 0xf28630d113b9cbe5, events: 4696, thr: 0x403b0e2ae7cb0901, hit: 0x3fe2dcc151acd8f5, resp: 4804738,
-				counters: "[1213 715 498 743 264 469 221 192 449 0 0 0 0 0 0 0 8701049 0]"},
+				counters: "[1213 715 498 743 264 469 221 192 449 0 0 0 0 0 0 8701049 0]"},
 		},
 		{
 			// Pinned memory smaller than some files: prefetches that cannot
@@ -101,7 +110,7 @@ func TestGoldenRuns(t *testing.T) {
 				return c
 			},
 			want: golden{digest: 0xe8ca093537baa675, events: 21114, thr: 0x4081cf1443df9782, hit: 0x3fda6395cde33645, resp: 69732219,
-				counters: "[2401 990 1411 1108 669 1265 996 770 12332 0 0 0 0 0 0 0 15680157 0]"},
+				counters: "[2401 990 1411 1108 669 1265 996 770 12332 0 0 0 0 0 0 15680157 0]"},
 		},
 		{
 			name: "lard", workload: goldenSynth(2000, 11, 0),
@@ -109,7 +118,7 @@ func TestGoldenRuns(t *testing.T) {
 				return Config{Params: smallParams(4, 1, 1), Policy: policy.NewLARD(policy.Thresholds{})}
 			},
 			want: golden{digest: 0xbc6ff2b6876ca5af, events: 4370, thr: 0x403afba132a93e14, hit: 0x3fdb622308a72633, resp: 6585239,
-				counters: "[1213 519 694 1213 436 0 0 0 0 0 0 0 0 0 0 0 8701049 0]"},
+				counters: "[1213 519 694 1213 436 0 0 0 0 0 0 0 0 0 0 8701049 0]"},
 		},
 		{
 			name: "wrr", workload: goldenSynth(2000, 11, 0),
@@ -117,7 +126,7 @@ func TestGoldenRuns(t *testing.T) {
 				return Config{Params: smallParams(4, 1, 1), Policy: policy.NewWRR(4)}
 			},
 			want: golden{digest: 0xb5d6b9c62a9d71d8, events: 4587, thr: 0x403ae8ea0d5fb381, hit: 0x3fcfde3b83e784c0, resp: 8620460,
-				counters: "[1213 302 911 0 37 1176 0 0 0 0 0 0 0 0 0 0 8701049 0]"},
+				counters: "[1213 302 911 0 37 1176 0 0 0 0 0 0 0 0 0 8701049 0]"},
 		},
 		{
 			name: "extlard-remote", workload: goldenSynth(3000, 29, 0),
@@ -125,7 +134,7 @@ func TestGoldenRuns(t *testing.T) {
 				return Config{Params: smallParams(4, 4, 2), Policy: policy.NewExtLARD(policy.Thresholds{})}
 			},
 			want: golden{digest: 0x2647b30563677512, events: 6840, thr: 0x40402893bdbb969a, hit: 0x3fe110c37b071a6d, resp: 6104932,
-				counters: "[1802 961 841 1802 63 0 0 0 0 530 0 0 0 0 0 0 13194880 0]"},
+				counters: "[1802 961 841 1802 63 0 0 0 0 530 0 0 0 0 0 13194880 0]"},
 		},
 		{
 			name:     "dynamic",
@@ -136,7 +145,7 @@ func TestGoldenRuns(t *testing.T) {
 				return c
 			},
 			want: golden{digest: 0xce52f94ccb9c8fd, events: 6340, thr: 0x40318b00c569bc2b, hit: 0x3fe2c63fc8d5c3aa, resp: 4919822,
-				counters: "[1283 697 491 767 295 514 253 223 477 0 0 0 0 0 0 0 10341779 95]"},
+				counters: "[1283 697 491 767 295 514 253 223 477 0 0 0 0 0 0 10341779 95]"},
 		},
 		{
 			name: "crash-recover", workload: goldenSynth(3000, 103, 300),
@@ -146,7 +155,7 @@ func TestGoldenRuns(t *testing.T) {
 				return c
 			},
 			want: golden{digest: 0x15146be867752769, events: 6250, thr: 0x408a61d220e09213, hit: 0x3fe25c79cc1f93bc, resp: 35178201,
-				counters: "[1805 1042 774 1041 520 766 218 270 0 0 11 0 0 0 0 0 14635564 0]"},
+				counters: "[1805 1042 774 1041 520 766 218 270 0 0 11 0 0 0 0 14635564 0]"},
 		},
 		{
 			name: "all-down", workload: goldenSynth(1500, 107, 300),
@@ -160,7 +169,7 @@ func TestGoldenRuns(t *testing.T) {
 				return c
 			},
 			want: golden{digest: 0x408f0c5681507a39, events: 2012, thr: 0x406ba2c5bde381a4, hit: 0x3fd315b79bf81a53, resp: 20513107,
-				counters: "[373 116 273 272 69 115 113 84 0 0 0 560 0 0 0 0 2753636 0]"},
+				counters: "[373 116 273 272 69 115 113 84 0 0 0 560 0 0 0 2753636 0]"},
 		},
 		{
 			name: "slow-hedge", workload: goldenSynth(4000, 223, 300),
@@ -171,7 +180,7 @@ func TestGoldenRuns(t *testing.T) {
 				return c
 			},
 			want: golden{digest: 0xbcee8e08f6a25ad6, events: 10645, thr: 0x4088b1ba166274cb, hit: 0x3fe2f5e342872f5e, resp: 53343649,
-				counters: "[2405 1425 980 1223 702 1166 316 384 0 0 0 0 0 0 0 0 16087859 0]"},
+				counters: "[2405 1425 980 1223 702 1166 316 384 0 0 0 0 0 0 0 16087859 0]"},
 		},
 		{
 			name: "errrate-hedge", workload: goldenSynth(3000, 227, 300),
@@ -186,7 +195,7 @@ func TestGoldenRuns(t *testing.T) {
 				return c
 			},
 			want: golden{digest: 0xefaf342577a01671, events: 8147, thr: 0x407c1af6e0b65bbe, hit: 0x3fe293c60438db8d, resp: 44634914,
-				counters: "[1815 1056 763 908 440 902 310 349 0 0 5 0 0 0 0 0 12818834 0]"},
+				counters: "[1815 1056 763 908 440 902 310 349 0 0 5 0 0 0 0 12818834 0]"},
 		},
 		{
 			name: "flap-hedge", workload: goldenSynth(3000, 229, 300),
@@ -200,7 +209,7 @@ func TestGoldenRuns(t *testing.T) {
 				return c
 			},
 			want: golden{digest: 0xd97e4e8cb0d6f6ea, events: 8187, thr: 0x40769a06d45b594e, hit: 0x3fe2b40f375ed1ee, resp: 40178743,
-				counters: "[1808 1062 755 913 436 897 243 265 60 0 9 0 0 0 0 0 14862557 0]"},
+				counters: "[1808 1062 755 913 436 897 243 265 60 0 9 0 0 0 0 14862557 0]"},
 		},
 		{
 			// The slow backend flaps too and so do the hedge targets, so
@@ -219,7 +228,7 @@ func TestGoldenRuns(t *testing.T) {
 				return c
 			},
 			want: golden{digest: 0x6f0b522497ef0d53, events: 11069, thr: 0x40707527a4613f80, hit: 0x3fe36c0addefb318, resp: 49773861,
-				counters: "[2406 1487 963 1122 608 1310 366 417 101 0 44 0 0 0 0 0 18784444 0]"},
+				counters: "[2406 1487 963 1122 608 1310 366 417 101 0 44 0 0 0 0 18784444 0]"},
 		},
 		{
 			// A hair trigger: two slots and a short queue, so requests are
@@ -237,7 +246,7 @@ func TestGoldenRuns(t *testing.T) {
 				return c
 			},
 			want: golden{digest: 0xb5250495305d0d2d, events: 3730, thr: 0x406567e63fb16997, hit: 0x3fcc4365a399d142, resp: 14431522,
-				counters: "[471 104 367 429 100 42 22 15 0 0 0 0 1373 56 0 0 3414613 0]"},
+				counters: "[471 104 367 429 100 42 22 15 0 0 0 0 1373 56 0 3414613 0]"},
 		},
 		{
 			name: "overload-crash", workload: goldenSynth(3000, 9, 100),
@@ -254,41 +263,7 @@ func TestGoldenRuns(t *testing.T) {
 				return c
 			},
 			want: golden{digest: 0x10b2378d6d7227a9, events: 3617, thr: 0x4055eef65181be1a, hit: 0x3fc3333333333333, resp: 24409148,
-				counters: "[395 60 340 400 50 0 0 0 0 0 0 584 824 70 0 0 2671132 0]"},
-		},
-		{
-			name: "scripted-scale", workload: goldenSynth(3000, 51, 0),
-			config: func(first, _, last time.Duration) Config {
-				span := last - first
-				c := goldenPRORD()
-				c.Autoscale = &autoscale.Config{Initial: 2, Min: 1, WarmRamp: 16}
-				c.ScaleEvents = []ScaleEvent{
-					{Delta: 1, At: first + span/8},
-					{Delta: 1, At: first + span/4},
-					{Delta: -1, At: first + 3*span/4},
-				}
-				return c
-			},
-			want: golden{digest: 0x3283e510d3f93866, events: 7230, thr: 0x40331cb683696c0d, hit: 0x3fe30c4c5561655b, resp: 4958212,
-				counters: "[1811 1078 733 978 402 833 654 485 864 0 0 0 0 0 0 0 13505732 0]"},
-		},
-		{
-			name: "organic-scale",
-			workload: func(t *testing.T) (*trace.Trace, *mining.Miner) {
-				tr, m := testWorkload(t, 3000, 57)
-				return retimeTail(tr, len(tr.Requests)/5, 200*time.Millisecond), m
-			},
-			config: func(_, _, _ time.Duration) Config {
-				c := goldenPRORD()
-				c.Overload = &overload.Config{CapacityPerBackend: 2, MinHold: 10 * time.Millisecond}
-				c.Autoscale = &autoscale.Config{
-					Initial: 2, Min: 1, WarmRamp: 8,
-					UpHold: 50 * time.Millisecond, DownHold: 500 * time.Millisecond, Cooldown: 200 * time.Millisecond,
-				}
-				return c
-			},
-			want: golden{digest: 0xfb4e471b4844e9e9, events: 6776, thr: 0x4032e5a5715afaf0, hit: 0x3fe1b91b91b91b92, resp: 5782221,
-				counters: "[1820 1008 812 909 238 909 596 384 336 0 0 0 0 158 5 0 13276671 0]"},
+				counters: "[395 60 340 400 50 0 0 0 0 0 0 584 824 70 0 2671132 0]"},
 		},
 		{
 			name: "power", workload: goldenSynth(4000, 207, 400),
@@ -300,7 +275,7 @@ func TestGoldenRuns(t *testing.T) {
 				return c
 			},
 			want: golden{digest: 0xa7d7ef5913b85fe, events: 8500, thr: 0x40918d9da7eae8b5, hit: 0x3fe4ecaf5e1f4598, resp: 20654465,
-				counters: "[2445 1638 867 1130 712 1354 407 468 0 0 60 0 0 0 0 0 18752051 0]"},
+				counters: "[2445 1638 867 1130 712 1354 407 468 0 0 60 0 0 0 0 18752051 0]"},
 		},
 		{
 			// The lightly loaded trace leaves one backend awake; crashing
@@ -313,7 +288,7 @@ func TestGoldenRuns(t *testing.T) {
 				return c
 			},
 			want: golden{digest: 0xc511b2c29289963e, events: 6491, thr: 0x4027110931cb4937, hit: 0x3fdf1b2c55cf5fd2, resp: 7608819,
-				counters: "[1253 609 644 822 70 430 281 210 757 0 0 0 0 0 0 0 9068502 0]"},
+				counters: "[1253 609 644 822 70 430 281 210 757 0 0 0 0 0 0 9068502 0]"},
 		},
 		{
 			name: "cpu-sharing", workload: goldenSynth(1500, 47, 300),
@@ -323,18 +298,7 @@ func TestGoldenRuns(t *testing.T) {
 				return c
 			},
 			want: golden{digest: 0xf7d8ed8ba9593960, events: 3340, thr: 0x407d15be9be92560, hit: 0x3fdae36e5abf9472, resp: 17698649,
-				counters: "[914 384 530 653 252 260 125 128 0 0 0 0 0 0 0 0 7172286 0]"},
-		},
-		{
-			name: "fleet-2", workload: goldenSynth(2000, 11, 0),
-			config: func(_, _, _ time.Duration) Config {
-				c := goldenPRORD()
-				c.Distributors = 2
-				c.Fleet = true
-				return c
-			},
-			want: golden{digest: 0x23544d0465093f1a, events: 4699, thr: 0x403b0cab5f4a9716, hit: 0x3fe2c87ea0d15bce, resp: 4884206,
-				counters: "[1213 712 501 743 255 469 225 196 449 0 0 0 0 0 0 591 8701049 0]"},
+				counters: "[914 384 530 653 252 260 125 128 0 0 0 0 0 0 0 7172286 0]"},
 		},
 		{
 			name: "gdsf", workload: goldenSynth(2000, 43, 0),
@@ -344,7 +308,7 @@ func TestGoldenRuns(t *testing.T) {
 				return c
 			},
 			want: golden{digest: 0x83bdad4c20d8d0e, events: 4836, thr: 0x403a4f3f904b25c5, hit: 0x3fe130463796ac9e, resp: 5494983,
-				counters: "[1225 658 567 778 330 447 175 154 485 0 0 0 0 0 0 0 9427313 0]"},
+				counters: "[1225 658 567 778 330 447 175 154 485 0 0 0 0 0 0 9427313 0]"},
 		},
 	}
 	for _, row := range rows {
@@ -418,13 +382,8 @@ func goldenCoverage(t *testing.T, name string, res *Result) {
 		need("HedgesFired", res.Gray.HedgesFired)
 	case "overload-queue", "overload-crash":
 		need("Shed", m.Shed)
-	case "scripted-scale", "organic-scale":
-		need("Joins", res.Autoscale.Joins)
-		need("Drains", res.Autoscale.Drains)
 	case "power", "power-wake-fallback":
 		need("Wakes", res.Wakes)
 		need("Sleeps", res.Sleeps)
-	case "fleet-2":
-		need("FleetForwards", m.FleetForwards)
 	}
 }

@@ -269,6 +269,5 @@ func (c *Cluster) deliver(f *flight, server int) {
 			c.prefetchBatch(plan.Server, plan.Group)
 		}
 	}
-	c.autoscaleTick()
 	c.scheduleNext(s)
 }

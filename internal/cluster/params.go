@@ -44,11 +44,6 @@ type Params struct {
 	FrontPerRequest time.Duration
 	// DispatchLatency is the distributor-dispatcher consultation cost.
 	DispatchLatency time.Duration
-	// FleetForwardLatency is the distributor-to-distributor hop paid when
-	// Config.Fleet forwards a request from its L4-pinned ingress
-	// distributor to the session's ring owner (an internal LAN RPC,
-	// cheaper than a full TCP handoff).
-	FleetForwardLatency time.Duration
 	// PrefetchQueueLimit throttles proactive disk reads: a backend skips
 	// a prefetch when its disk queue already holds more than this many
 	// jobs, so prefetching consumes idle disk bandwidth instead of
@@ -63,21 +58,20 @@ type Params struct {
 // defaults.
 func DefaultParams() Params {
 	return Params{
-		Backends:            8,
-		AppMemory:           128 << 20,
-		PinnedMemory:        72 << 20,
-		ConnectionLatency:   150 * time.Microsecond,
-		HandoffLatency:      200 * time.Microsecond,
-		NetPerKB:            80 * time.Microsecond,
-		DiskFixed:           10 * time.Millisecond,
-		DiskPerKB:           100 * time.Microsecond,
-		CPUPerRequest:       100 * time.Microsecond,
-		CPUPerKB:            40 * time.Microsecond,
-		FrontPerRequest:     15 * time.Microsecond,
-		DispatchLatency:     20 * time.Microsecond,
-		FleetForwardLatency: 100 * time.Microsecond,
-		PrefetchQueueLimit:  3,
-		DynamicCPU:          4 * time.Millisecond,
+		Backends:           8,
+		AppMemory:          128 << 20,
+		PinnedMemory:       72 << 20,
+		ConnectionLatency:  150 * time.Microsecond,
+		HandoffLatency:     200 * time.Microsecond,
+		NetPerKB:           80 * time.Microsecond,
+		DiskFixed:          10 * time.Millisecond,
+		DiskPerKB:          100 * time.Microsecond,
+		CPUPerRequest:      100 * time.Microsecond,
+		CPUPerKB:           40 * time.Microsecond,
+		FrontPerRequest:    15 * time.Microsecond,
+		DispatchLatency:    20 * time.Microsecond,
+		PrefetchQueueLimit: 3,
+		DynamicCPU:         4 * time.Millisecond,
 	}
 }
 
@@ -92,7 +86,7 @@ func (p Params) Validate() error {
 	for _, d := range []time.Duration{
 		p.ConnectionLatency, p.HandoffLatency, p.NetPerKB, p.DiskFixed,
 		p.DiskPerKB, p.CPUPerRequest, p.CPUPerKB, p.FrontPerRequest,
-		p.DispatchLatency, p.FleetForwardLatency,
+		p.DispatchLatency,
 	} {
 		if d < 0 {
 			return fmt.Errorf("cluster: negative latency parameter")

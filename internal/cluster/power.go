@@ -178,5 +178,5 @@ func (c *Cluster) sleeping(i int) bool {
 // backend looks available, and only the detector's Degraded hook can
 // steer work away.
 func (c *Cluster) unavailable(i int) bool {
-	return c.down[i] || c.gray.softDown[i] || c.sleeping(i) || !c.poolPresent(i)
+	return c.down[i] || c.gray.softDown[i] || c.sleeping(i)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"prord/internal/autoscale"
 	"prord/internal/metrics"
 	"prord/internal/overload"
 	"prord/internal/trace"
@@ -56,56 +55,9 @@ type Result struct {
 	// virtual time (nil when Config.Overload is nil). Deterministic for a
 	// given trace and configuration.
 	TierTransitions []overload.Transition
-	// Autoscale summarizes the elastic pool after the run (nil when
-	// Config.Autoscale is nil).
-	Autoscale *AutoscaleResult
 	// Gray summarizes the gray-failure resilience layer (nil when
 	// Config.Gray is nil).
 	Gray *GrayResult
-	// Fleet summarizes the multi-distributor fleet (nil when Config.Fleet
-	// is off).
-	Fleet *FleetResult
-}
-
-// FleetResult is the partitioned-ownership fleet's run outcome.
-type FleetResult struct {
-	// Replicas is the distributor fleet size (ring membership).
-	Replicas int
-	// Forwards counts requests whose L4-pinned ingress distributor was
-	// not the session's ring owner and paid the forward hop.
-	Forwards int64
-	// ForwardRate is Forwards over completed requests. With k replicas
-	// and hash-pinned ingress it converges to (k-1)/k; a lower rate
-	// means ingress pinning and ring ownership agree more often.
-	ForwardRate float64
-}
-
-// AutoscaleResult is the elastic pool's run outcome.
-type AutoscaleResult struct {
-	// Joins and Drains count pool membership changes.
-	Joins, Drains int64
-	// SessionsRebooked counts sessions unpinned by completed drains
-	// (each re-bound through the normal path on its next request).
-	SessionsRebooked int64
-	// FinalSize is the pool size when the run ended.
-	FinalSize int
-	// ScaleUpLatencies are the organic controller's join decision
-	// latencies (how long Saturated persisted before each join); empty
-	// for scripted schedules.
-	ScaleUpLatencies []time.Duration
-	// Events is the pool's lifecycle transition log on virtual time.
-	Events []autoscale.Event
-	// JoinWindows reports each join's first-window hit rate at the
-	// joined backend (the warm-vs-cold bench signal).
-	JoinWindows []JoinWindowStats
-}
-
-// JoinWindowStats is one join's first-window outcome.
-type JoinWindowStats struct {
-	Server       int
-	Start        time.Duration
-	Hits, Misses int64
-	HitRate      float64
 }
 
 // result collects the run outcome, folding the dispatch core's decision
@@ -140,27 +92,6 @@ func (c *Cluster) result(tr *trace.Trace) *Result {
 		res.FrontUtilization = append(res.FrontUtilization, f.Utilization())
 	}
 	res.TierTransitions = c.core.TierTransitions()
-	if c.pool != nil {
-		joins, drains, rebooked := c.pool.Counters()
-		ar := &AutoscaleResult{
-			Joins:            joins,
-			Drains:           drains,
-			SessionsRebooked: rebooked,
-			FinalSize:        c.pool.Size(),
-			Events:           c.pool.Events(),
-		}
-		if c.actrl != nil {
-			ar.ScaleUpLatencies = c.actrl.ScaleUpLatencies()
-		}
-		for _, w := range c.joinWindows {
-			jw := JoinWindowStats{Server: w.server, Start: w.start, Hits: w.hits, Misses: w.misses}
-			if total := w.hits + w.misses; total > 0 {
-				jw.HitRate = float64(w.hits) / float64(total)
-			}
-			ar.JoinWindows = append(ar.JoinWindows, jw)
-		}
-		res.Autoscale = ar
-	}
 	if d := c.gray.detector; d != nil {
 		res.Gray = &GrayResult{
 			Ejections:    d.Ejections(),
@@ -171,16 +102,6 @@ func (c *Cluster) result(tr *trace.Trace) *Result {
 			HedgeCancels: c.gray.hedgeCancels,
 			Backends:     d.Snapshot(),
 		}
-	}
-	if c.ring != nil {
-		fr := &FleetResult{
-			Replicas: c.cfg.Distributors,
-			Forwards: c.met.FleetForwards,
-		}
-		if c.met.Completed > 0 {
-			fr.ForwardRate = float64(fr.Forwards) / float64(c.met.Completed)
-		}
-		res.Fleet = fr
 	}
 	for _, b := range c.backends {
 		res.Servers = append(res.Servers, ServerStats{

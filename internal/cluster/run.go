@@ -149,12 +149,6 @@ func (c *Cluster) Run(tr *trace.Trace) (*Result, error) {
 			}
 		}
 	}
-	// Scripted pool resizes (the deterministic counterpart of the
-	// organic autoscale controller).
-	for _, ev := range c.cfg.ScaleEvents {
-		ev := ev
-		c.eng.At(ev.At, func() { c.applyScale(ev.Delta) })
-	}
 	// The PARD-style power controller, kept alive only while work remains.
 	if c.power != nil {
 		var tick func()
@@ -277,20 +271,8 @@ func (c *Cluster) routeRequest(f *flight) {
 	if c.replmgr != nil {
 		c.replmgr.Ranker().Observe(r.Path)
 	}
-	// The L4 switch pins each connection to one distributor; with the
-	// fleet ring on, a non-owner ingress replica forwards the request to
-	// the session's owning distributor (one modeled internal hop) and
-	// the owner's front does the per-request work.
-	ingress := s.id % len(c.fronts)
-	front := c.fronts[ingress]
-	if c.ring != nil {
-		if owner := c.ring.owner(s.key); owner != ingress {
-			c.met.FleetForwards++
-			cost += c.cfg.Params.FleetForwardLatency
-			front = c.fronts[owner]
-		}
-	}
-	front.ScheduleOp(cost, f, stepArrive)
+	// The L4 switch pins each connection to one distributor.
+	c.fronts[s.id%len(c.fronts)].ScheduleOp(cost, f, stepArrive)
 }
 
 // arriveAtBackend resolves the content (memory hit, remote memory, or
@@ -314,7 +296,6 @@ func (c *Cluster) arriveAtBackend(f *flight) {
 			f, stepServed)
 	case b.store.Touch(r.Path):
 		c.met.MemoryHits++
-		c.noteWarmServe(server, true)
 		if c.core.ConsumePrefetch(server, r.Path) {
 			c.met.PrefetchHits++
 		}
@@ -324,7 +305,6 @@ func (c *Cluster) arriveAtBackend(f *flight) {
 		// the internal network. No disk access, so it counts as a memory
 		// hit for locality purposes.
 		c.met.MemoryHits++
-		c.noteWarmServe(server, true)
 		c.met.RemoteFetches++
 		b.net.ScheduleOp(c.dilate(server, perKBCost(r.Size, c.cfg.Params.NetPerKB)), f, stepFetched)
 	case c.core.PrefetchedHere(server, r.Path):
@@ -333,13 +313,11 @@ func (c *Cluster) arriveAtBackend(f *flight) {
 		// request still waited on disk, so it counts as a miss, but the
 		// prefetch was useful.
 		c.met.MemoryMisses++
-		c.noteWarmServe(server, false)
 		c.met.PrefetchHits++
 		key := waiterKey{r.Path, server}
 		c.waiters[key] = append(c.waiters[key], f)
 	default:
 		c.met.MemoryMisses++
-		c.noteWarmServe(server, false)
 		b.disk.ScheduleOp(
 			c.dilate(server, c.cfg.Params.DiskFixed+perKBCost(r.Size, c.cfg.Params.DiskPerKB)),
 			f, stepRead)
@@ -407,7 +385,6 @@ func (c *Cluster) complete(f *flight) {
 func (c *Cluster) failServe(f *flight) {
 	c.core.FinishRequest(c.vnow(), c.eng.Now()-f.issued)
 	c.core.Done(f.s.key, f.server, f.r.Path, true, false)
-	c.autoscaleTick()
 	if race := f.race; race != nil {
 		if race.delivered {
 			return // the hedge already answered; nothing to retry

@@ -5,14 +5,11 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"prord/internal/autoscale"
 )
 
-// This file is the one fault and scale-schedule grammar: the flag
-// syntax, and the rules a schedule must satisfy whether the simulator
-// runs it on virtual time or the load generator replays it against
-// live backends.
+// This file is the one fault-schedule grammar: the flag syntax, and
+// the rules a schedule must satisfy whether the simulator runs it on
+// virtual time or the load generator replays it against live backends.
 
 // String returns the mode's grammar keyword ("" for fail-stop).
 func (m FailureMode) String() string {
@@ -140,50 +137,6 @@ func ValidateFailures(failures []Failure, backends int) error {
 			if f.FlapPeriod <= 0 || f.RecoverAt == 0 {
 				return fmt.Errorf("cluster: flap failure needs a positive period and a recovery time to bound its toggle schedule")
 			}
-		}
-	}
-	return nil
-}
-
-// ParseScaleEvents parses a -scale-events flag value: comma-separated
-// "delta@at" items with Go duration syntax, e.g. "+1@5s,-1@20s" joins
-// one backend at 5s and drains one at 20s. An empty string is no scale
-// events.
-func ParseScaleEvents(s string) ([]ScaleEvent, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
-	var out []ScaleEvent
-	for _, item := range strings.Split(s, ",") {
-		item = strings.TrimSpace(item)
-		deltaStr, atStr, ok := strings.Cut(item, "@")
-		if !ok {
-			return nil, fmt.Errorf("cluster: scale event %q: want delta@at", item)
-		}
-		delta, err := strconv.Atoi(deltaStr)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: scale event %q: bad delta: %v", item, err)
-		}
-		at, err := time.ParseDuration(atStr)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: scale event %q: bad time: %v", item, err)
-		}
-		out = append(out, ScaleEvent{Delta: delta, At: at})
-	}
-	return out, nil
-}
-
-// ValidateScaleEvents checks a scripted resize schedule: it needs an
-// elastic pool to act on, and every event a non-zero delta at a
-// non-negative time.
-func ValidateScaleEvents(events []ScaleEvent, ac *autoscale.Config) error {
-	if len(events) > 0 && ac == nil {
-		return fmt.Errorf("cluster: ScaleEvents need an Autoscale configuration")
-	}
-	for _, ev := range events {
-		if ev.Delta == 0 || ev.At < 0 {
-			return fmt.Errorf("cluster: scale event invalid (delta %d at %v)", ev.Delta, ev.At)
 		}
 	}
 	return nil

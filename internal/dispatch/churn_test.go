@@ -14,9 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"prord/internal/autoscale"
 	"prord/internal/dispatch"
-	"prord/internal/overload"
 	"prord/internal/policy"
 	"prord/internal/randutil"
 )
@@ -111,156 +109,5 @@ func TestCoreConcurrentChurn(t *testing.T) {
 	st := c.Stats()
 	if want := int64(workers * iters); st.Requests != want {
 		t.Errorf("Stats.Requests = %d, want %d", st.Requests, want)
-	}
-}
-
-// TestCoreConcurrentChurnElastic repeats the churn storm over an
-// elastic pool while a scaler goroutine runs the full Join → Settle →
-// Drain → Remove/Detach lifecycle and a crasher invalidates backends —
-// including mid-drain, exercising the rebook-accounting handshake under
-// the race detector. The pool floor guarantees a route target always
-// exists, so after the storm the books must still balance exactly.
-func TestCoreConcurrentChurnElastic(t *testing.T) {
-	const backends = 8
-	pool, err := autoscale.NewPool(autoscale.Config{
-		Max:      backends,
-		Min:      2,
-		Initial:  4,
-		WarmRamp: 32,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := dispatch.New(dispatch.Config{
-		Backends:        backends,
-		Policy:          policy.NewPRORD(policy.Thresholds{}),
-		LocalityEntries: 512,
-		MaxSessions:     256,
-		Pool:            pool,
-		Overload:        &overload.Config{CapacityPerBackend: 1 << 20},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Unix(0, 0)
-
-	const workers = 8
-	const iters = 3000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := randutil.New(int64(2000 + w))
-			for i := 0; i < iters; i++ {
-				key := fmt.Sprintf("10.2.%d.%d:99", w, rng.Intn(64))
-				path := fmt.Sprintf("/g%d/p%d.html", rng.Intn(4), rng.Intn(128))
-				out := c.Route(key, path, 2048, now)
-				if !out.OK {
-					t.Errorf("worker %d: no backend available with the pool floor at 2", w)
-					continue
-				}
-				switch rng.Intn(10) {
-				case 0:
-					c.Done(key, out.Server, path, true, false)
-					if srv, ok := c.Rebook(key, path, out.Server, now); ok {
-						c.Done(key, srv, path, false, true)
-					}
-				default:
-					c.Done(key, out.Server, path, false, false)
-				}
-			}
-		}(w)
-	}
-
-	stop := make(chan struct{})
-	var storm sync.WaitGroup
-
-	// The scaler churns the pool through every lifecycle edge. Removes
-	// ignore the loads==0 reap contract on purpose: the core must keep
-	// its books balanced even when a backend vanishes mid-flight.
-	storm.Add(1)
-	go func() {
-		defer storm.Done()
-		rng := randutil.New(11)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			switch rng.Intn(4) {
-			case 0:
-				if idx, ok := pool.Join(now); ok {
-					c.SetPoolSize(pool.Size(), now)
-					_ = idx
-				}
-			case 1:
-				pool.Drain(now)
-			case 2:
-				pool.Settle(now)
-			case 3:
-				for _, i := range pool.DrainingSet() {
-					countRebooks, ok := pool.Remove(i, now)
-					if !ok {
-						continue
-					}
-					unpinned := c.DetachBackend(i)
-					if countRebooks {
-						pool.NoteRebooked(unpinned)
-					}
-					c.SetPoolSize(pool.Size(), now)
-				}
-			}
-			runtime.Gosched()
-		}
-	}()
-
-	// The crasher invalidates random slots — sometimes Draining ones,
-	// which is exactly the double-count hazard the pool's crashed flag
-	// guards.
-	storm.Add(1)
-	go func() {
-		defer storm.Done()
-		rng := randutil.New(13)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			c.InvalidateBackend(rng.Intn(backends))
-			runtime.Gosched()
-		}
-	}()
-
-	wg.Wait()
-	close(stop)
-	storm.Wait()
-
-	for s, l := range c.Loads() {
-		if l != 0 {
-			t.Errorf("backend %d still has %d booked requests after drain", s, l)
-		}
-	}
-	if n := c.InFlightFiles(); n != 0 {
-		t.Errorf("%d files still marked in flight after drain", n)
-	}
-	total, busy, problem := c.SessionCheck()
-	if problem != "" {
-		t.Errorf("session table corrupt: %s", problem)
-	}
-	if busy != 0 {
-		t.Errorf("%d sessions still busy after drain", busy)
-	}
-	if total > 256 {
-		t.Errorf("session table grew to %d entries despite bound 256", total)
-	}
-	st := c.Stats()
-	if want := int64(workers * iters); st.Requests != want {
-		t.Errorf("Stats.Requests = %d, want %d", st.Requests, want)
-	}
-	if size := pool.Size(); size < 2 || size > backends {
-		t.Errorf("pool size %d escaped [2, %d]", size, backends)
 	}
 }

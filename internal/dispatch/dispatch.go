@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"prord/internal/autoscale"
 	"prord/internal/cache"
 	"prord/internal/mining"
 	"prord/internal/overload"
@@ -129,15 +128,6 @@ type Config struct {
 	// means no backend is ever degraded — bit-identical to the
 	// pre-detector behavior.
 	Degraded func(server int) bool
-	// Pool, when non-nil, makes the backend set elastic: Backends becomes
-	// the provisioned maximum (Pool.Max must equal it) and membership is
-	// read per decision — Absent slots are invisible, Draining backends
-	// serve bound sessions but take no new placements, and Warming
-	// backends carry a decaying load penalty until their cache ramp
-	// completes. The pool's read path is lock-free, so consulting it
-	// under the core's locks adds no edge to the lock hierarchy. Nil
-	// keeps the fixed-pool behavior bit-for-bit.
-	Pool *autoscale.Pool
 	// MiningRefreshEvery batches online navigation learning: instead of
 	// folding every observation into the mined model in place, the core
 	// buffers observations in an incremental updater and publishes a
@@ -325,8 +315,8 @@ type Stats struct {
 // The routing read path takes none of the ranked locks: Route loads
 // the decision snapshot with one atomic pointer read and touches only
 // leaf locks. wrMu serializes the rare writers — snapshot publishes
-// (RefreshMining) and backend detach sweeps — against each other, not
-// against readers.
+// (RefreshMining) and backend invalidation sweeps — against each
+// other, not against readers.
 type Core struct {
 	cfg     Config
 	nshards int
@@ -339,7 +329,7 @@ type Core struct {
 	perBackend []atomic.Int64 // total bookings per backend
 	hedges     []atomic.Int64 // outstanding hedged attempts per backend
 
-	wrMu sync.Mutex // serializes snapshot writers and detach sweeps
+	wrMu sync.Mutex // serializes snapshot writers and invalidation sweeps
 	snap atomic.Pointer[decisionSnapshot]
 
 	updater *mining.Updater // buffered observations for the next fold
@@ -375,10 +365,6 @@ func New(cfg Config) (*Core, error) {
 	}
 	if cfg.Features.any() && cfg.Miner == nil {
 		return nil, fmt.Errorf("dispatch: features %+v need a Miner", cfg.Features)
-	}
-	if cfg.Pool != nil && cfg.Pool.Max() != cfg.Backends {
-		return nil, fmt.Errorf("dispatch: Pool.Max %d must equal Backends %d",
-			cfg.Pool.Max(), cfg.Backends)
 	}
 	if cfg.LocalityEntries <= 0 {
 		cfg.LocalityEntries = 4096
@@ -458,39 +444,10 @@ func New(cfg Config) (*Core, error) {
 			return nil, fmt.Errorf("dispatch: %w", err)
 		}
 		c.ovcfg = oc
-		// With an elastic pool the capacity tracks the *present* backend
-		// count, not the provisioned maximum; SetPoolSize keeps it current.
-		nb := cfg.Backends
-		if cfg.Pool != nil {
-			nb = cfg.Pool.Size()
-		}
-		c.est = overload.NewEstimator(oc, nb)
-		c.gate = overload.NewGate(oc.CapacityPerBackend*nb, oc.QueueLimit)
+		c.est = overload.NewEstimator(oc, cfg.Backends)
+		c.gate = overload.NewGate(oc.CapacityPerBackend*cfg.Backends, oc.QueueLimit)
 	}
 	return c, nil
-}
-
-// SetPoolSize re-sizes the overload layer for an elastically resized
-// pool: the estimator's capacity recomputes (and the ladder re-tiers
-// against it), and the admission gate's in-flight bound follows. Queued
-// requests granted by freed headroom have their grant callbacks run
-// before SetPoolSize returns. No-op when the overload layer is
-// disabled.
-func (c *Core) SetPoolSize(n int, now time.Time) {
-	if c.est == nil {
-		return
-	}
-	if n < 1 {
-		n = 1
-	}
-	c.ovMu.Lock()
-	c.est.SetBackends(n, now)
-	c.tierC.Store(int32(c.est.Tier()))
-	grants := c.gate.SetLimit(c.ovcfg.CapacityPerBackend * n)
-	c.ovMu.Unlock()
-	for _, g := range grants {
-		g()
-	}
 }
 
 // Tier returns the degrade ladder's current position (Normal when the

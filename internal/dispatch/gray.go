@@ -7,11 +7,11 @@ import (
 )
 
 // pickTarget picks the best alternative backend for path, excluding
-// backend exclude: least-routeLoad among accepting backends the
-// locality state says hold the file (replication and prefetch make a
-// holder likely), then least-loaded accepting, then — unless
-// acceptOnly — least-loaded merely-available (Draining or degraded;
-// a hard failover must land somewhere). Shared by Rebook's failover
+// backend exclude: least-loaded among accepting backends the locality
+// state says hold the file (replication and prefetch make a holder
+// likely), then least-loaded accepting, then — unless acceptOnly —
+// least-loaded merely-available (degraded; a hard failover must land
+// somewhere). Shared by Rebook's failover
 // retry and HedgeTarget so both prefer a warm replica over a cold
 // least-loaded backend.
 func (c *Core) pickTarget(path string, exclude int, acceptOnly bool, now time.Time) (int, bool) {
@@ -28,12 +28,7 @@ func (c *Core) pickTarget(path string, exclude int, acceptOnly bool, now time.Ti
 		}
 	}
 	f.mu.Unlock()
-	accepts := func(i int) bool {
-		if c.cfg.Pool != nil && !c.cfg.Pool.AcceptingNew(i) {
-			return false
-		}
-		return !c.degraded(i)
-	}
+	accepts := func(i int) bool { return !c.degraded(i) }
 	pick := func(needHolder, needAccept bool) (int, bool) {
 		best, found := -1, false
 		for i := range avail {
@@ -46,7 +41,7 @@ func (c *Core) pickTarget(path string, exclude int, acceptOnly bool, now time.Ti
 			if needAccept && !accepts(i) {
 				continue
 			}
-			if !found || c.routeLoad(i) < c.routeLoad(best) {
+			if !found || c.loadOf(i) < c.loadOf(best) {
 				best, found = i, true
 			}
 		}

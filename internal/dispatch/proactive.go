@@ -25,11 +25,6 @@ func (c *Core) PlanProactive(key string, server int, page string, now time.Time)
 	if !c.cfg.Features.any() || c.cfg.Miner == nil || trace.IsEmbeddedPath(page) {
 		return Plan{}, false
 	}
-	if c.cfg.Pool != nil && !c.cfg.Pool.AcceptingNew(server) {
-		// A Draining (or just-removed) backend gets no speculative work:
-		// its cache is on the way out.
-		return Plan{}, false
-	}
 	if c.est != nil && c.Tier() >= overload.Elevated {
 		c.stats.prefetchShed.Add(1)
 		return Plan{}, false
@@ -170,16 +165,6 @@ func (c *Core) cold(file string) bool {
 		}
 	}
 	return true
-}
-
-// MarkPrefetched registers one warm-join preload placement: the
-// adapter is about to pull a rank-table file into a joining backend's
-// cache, and the mark makes the placement visible to routing (and to
-// the piggyback path in the simulator) exactly like a PlanProactive
-// admission. Same admission chain as prefetch planning; it reports
-// whether the adapter should fetch the file.
-func (c *Core) MarkPrefetched(server int, file string) bool {
-	return c.admitPrefetch(server, file)
 }
 
 // admitPrefetch registers one prefetch placement if the file is

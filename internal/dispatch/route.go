@@ -217,7 +217,7 @@ func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
 	}
 	// Load-blind policies (WRR) may still pick an unavailable backend;
 	// re-route to the least-loaded accepting one. Likewise a fresh
-	// placement on a Draining backend moves to an accepting one — only a
+	// placement on a degraded backend moves to an accepting one — only a
 	// session already pinned there may keep following its binding.
 	if !avail[dec.Server] || (!accept[dec.Server] && !(haveLast && last == dec.Server)) {
 		best, found := -1, false
@@ -225,7 +225,7 @@ func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
 			if !accept[i] {
 				continue
 			}
-			if !found || c.routeLoad(i) < c.routeLoad(best) {
+			if !found || c.loadOf(i) < c.loadOf(best) {
 				best, found = i, true
 			}
 		}
@@ -350,11 +350,6 @@ func (c *Core) Done(key string, server int, path string, failed, retried bool) {
 		c.stats.errors.Add(1)
 		return
 	}
-	if c.cfg.Pool != nil {
-		// Advance the backend's warm ramp: each served request shrinks the
-		// penalty a Warming backend carries toward promotion.
-		c.cfg.Pool.NoteServed(server)
-	}
 	if retried {
 		c.stats.failovers.Add(1)
 	}
@@ -364,8 +359,8 @@ func (c *Core) Done(key string, server int, path string, failed, retried bool) {
 // failed: it picks the best alternative via the shared target helper —
 // a backend the locality state says holds the file first (replication
 // placed warm copies for exactly this moment), then the least-loaded
-// backend open to new placements, falling back to Draining or degraded
-// ones only when nothing else is up — re-pins the session, and
+// backend open to new placements, falling back to degraded ones only
+// when nothing else is up — re-pins the session, and
 // registers the retry in the routing state. ok is false when no
 // alternative backend exists.
 func (c *Core) Rebook(key, path string, exclude int, now time.Time) (server int, ok bool) {
@@ -399,34 +394,11 @@ func (c *Core) Rebook(key, path string, exclude int, now time.Time) (server int,
 // backend that crashed or whose breaker tripped: its locality state
 // (exact residency or the optimistic map — the process behind it
 // likely lost its memory), its prefetch marks, and every session
-// pinned to it, which must re-bind on its next request. An elastic
-// pool is notified so a backend invalidated *while Draining* is not
-// also credited drain rebooks when it is later reaped — the sessions
-// were already unpinned here, and counting the reaper's (empty) detach
-// again would double-count.
+// pinned to it, which must re-bind on its next request. The writer
+// mutex serializes the sweep against concurrent invalidations and
+// snapshot publishes; routing reads proceed under the shard leaves
+// throughout.
 func (c *Core) InvalidateBackend(server int) {
-	c.detach(server)
-	if c.cfg.Pool != nil {
-		c.cfg.Pool.NoteInvalidated(server)
-	}
-}
-
-// DetachBackend is the drain-completion counterpart of
-// InvalidateBackend: same state teardown, but it returns how many
-// sessions were unpinned so the adapter can account them as rebooked
-// by the drain (each re-binds through the normal path on its next
-// request).
-func (c *Core) DetachBackend(server int) (unpinned int) {
-	return c.detach(server)
-}
-
-// detach clears a backend's locality state, prefetch marks and session
-// pins, returning the number of sessions unpinned. The writer mutex
-// serializes detach sweeps against each other (and against snapshot
-// publishes) so concurrent InvalidateBackend/DetachBackend calls for
-// the same backend cannot double-count unpinned sessions; routing
-// reads proceed under the shard leaves throughout.
-func (c *Core) detach(server int) (unpinned int) {
 	c.wrMu.Lock()
 	defer c.wrMu.Unlock()
 	for i := range c.fsh {
@@ -450,10 +422,8 @@ func (c *Core) detach(server int) (unpinned int) {
 		for _, st := range sh.byKey {
 			if st.hasSrv && st.server == server {
 				st.hasSrv = false
-				unpinned++
 			}
 		}
 		sh.mu.Unlock()
 	}
-	return unpinned
 }

@@ -33,9 +33,6 @@ type decisionSnapshot struct {
 	// learns into the same object in place under trackMu and this
 	// reference is not consulted on the prediction path.
 	nav mining.OnlinePredictor
-	// ranker is the popularity rank table replication and warm joins
-	// read (nil without a Miner).
-	ranker *mining.Ranker
 }
 
 // snapshot returns the current decision snapshot. Lock-free; the
@@ -45,12 +42,6 @@ func (c *Core) snapshot() *decisionSnapshot { return c.snap.Load() }
 // SnapshotEpoch returns the published snapshot's epoch: 1 after New,
 // +1 per RefreshMining publish. Lock-free.
 func (c *Core) SnapshotEpoch() uint64 { return c.snap.Load().epoch }
-
-// Ranker returns the popularity rank table of the current snapshot —
-// the one replication refresh and warm-join preloads should read. Nil
-// when the core was built without a Miner. The returned table is
-// immutable.
-func (c *Core) Ranker() *mining.Ranker { return c.snap.Load().ranker }
 
 // MiningPending returns the navigation observations buffered for the
 // next RefreshMining fold.
@@ -63,9 +54,8 @@ func (c *Core) MiningPending() int { return c.updater.Pending() }
 // buffered. It reports whether a new snapshot was published.
 //
 // In batched mode (MiningRefreshEvery > 0) the core calls this itself
-// every MiningRefreshEvery navigation observations; adapters call it
-// on their refresh tick (the paper's interval t) so any observation
-// dribble below the batch size lands on a bounded schedule.
+// every MiningRefreshEvery navigation observations; a caller may call
+// it directly to fold a partial batch.
 func (c *Core) RefreshMining() bool {
 	if c.updater.Pending() == 0 {
 		return false
@@ -74,7 +64,7 @@ func (c *Core) RefreshMining() bool {
 	defer c.wrMu.Unlock()
 	// Take under wrMu: a concurrent refresher's fold is fully published
 	// before this one drains, so folds always chain off the latest copy.
-	nav, _ := c.updater.Take()
+	nav := c.updater.Take()
 	if len(nav) == 0 {
 		return false
 	}
@@ -97,7 +87,6 @@ func buildSnapshot(cfg Config) (*decisionSnapshot, error) {
 	}
 	if cfg.Miner != nil {
 		s.bundles = cfg.Miner.Bundles
-		s.ranker = cfg.Miner.Ranker
 		s.nav = cfg.Miner.Nav
 		if s.nav == nil {
 			s.nav = cfg.Miner.Model

@@ -148,14 +148,8 @@ func (c *Core) CloseConn(key string) {
 	}
 }
 
-// available reports whether a backend can take new work at now. With an
-// elastic pool, Absent slots are never available; Draining backends are
-// (bound sessions still route to them) — the accept mask handles their
-// exclusion from new placements.
+// available reports whether a backend can take new work at now.
 func (c *Core) available(server int, now time.Time) bool {
-	if c.cfg.Pool != nil && !c.cfg.Pool.Present(server) {
-		return false
-	}
 	if c.cfg.Available == nil {
 		return true
 	}
@@ -197,17 +191,6 @@ func (c *Core) loadOf(server int) int {
 	return int(c.loads[server].Load())
 }
 
-// routeLoad is the placement signal for new work: the load signal plus
-// the warm-ramp penalty a just-joined backend carries, so load-aware
-// policies ramp traffic onto it instead of dogpiling the empty cache.
-func (c *Core) routeLoad(server int) int {
-	l := c.loadOf(server)
-	if c.cfg.Pool != nil {
-		l += c.cfg.Pool.Penalty(server)
-	}
-	return l
-}
-
 // degraded reports the gray-failure detector's verdict for a backend
 // (never degraded without a Degraded hook). Lock-free per the Config
 // contract, so it is safe under shard leaf locks.
@@ -219,22 +202,18 @@ func (c *Core) degraded(server int) bool {
 // accept mask narrower than the availability mask. When false, Route
 // uses the availability mask directly — the historical behavior.
 func (c *Core) narrowsAccept() bool {
-	return c.cfg.Pool != nil || c.cfg.Degraded != nil
+	return c.cfg.Degraded != nil
 }
 
 // fillAccept narrows an availability mask to backends open to new
-// placements — not Draining, not gray-degraded — filling accept
-// (pre-sized to match avail). When nothing accepts — every present
-// backend is draining or degraded — it falls back to the availability
-// mask so traffic still routes. Callers without a pool or detector use
-// the availability mask directly.
+// placements — not gray-degraded — filling accept (pre-sized to match
+// avail). When nothing accepts — every available backend is degraded —
+// it falls back to the availability mask so traffic still routes.
+// Callers without a detector use the availability mask directly.
 func (c *Core) fillAccept(accept, avail []bool) []bool {
 	n := 0
 	for i := range avail {
 		if !avail[i] {
-			continue
-		}
-		if c.cfg.Pool != nil && !c.cfg.Pool.AcceptingNew(i) {
 			continue
 		}
 		if c.degraded(i) {
@@ -290,12 +269,9 @@ func (f *fileShard) residentHere(exact bool, server int, file string) bool {
 // coreView implements policy.View for one routing decision, filtering
 // unavailable backends exactly as both adapters used to: their load
 // reads as the UnavailableLoad sentinel, they vanish from server sets,
-// and a connection pinned to one loses its binding. With an elastic
-// pool the accept mask additionally hides Draining backends from new
-// placements (the breaker-style exclusion, applied one lifecycle state
-// earlier) while LastServer still honors a session's pin to one, and
-// Warming backends report their load inflated by the decaying ramp
-// penalty. The view lives in the per-decision scratch, takes shard
+// and a connection pinned to one loses its binding. With a gray-failure
+// detector the accept mask additionally hides degraded backends from
+// new placements. The view lives in the per-decision scratch, takes shard
 // mutexes strictly as leaves (an ordering the lockorder analyzer
 // verifies interprocedurally on every lint run) and serves
 // server-set results from one reusable buffer — per the policy.View
@@ -313,7 +289,7 @@ func (v *coreView) Load(i int) int {
 	if !v.accept[i] {
 		return policy.UnavailableLoad
 	}
-	return v.c.routeLoad(i)
+	return v.c.loadOf(i)
 }
 
 func (v *coreView) ServersWith(file string) []int {
@@ -396,8 +372,6 @@ func (v *coreView) LastServer(conn int) (int, bool) {
 	if v.c.degraded(server) {
 		// A pin to a gray-failing backend is not honored: the session
 		// re-binds through the normal path — this request, this session.
-		// (A Draining pin, by contrast, stays honored: the backend is
-		// healthy and its cache is warm until the drain completes.)
 		return 0, false
 	}
 	return server, true

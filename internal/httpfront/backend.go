@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"prord/internal/autoscale"
 	"prord/internal/cache"
 )
 
@@ -156,21 +155,19 @@ func (b *DemoBackend) StatsHandler() http.Handler {
 
 // ClusterStatsHandler serves the whole live cluster's state in one
 // document: the distributor's counters, per-backend health, the
-// overload layer's tier and ladder history (when enabled), the elastic
-// pool's membership (when enabled), and each demo backend's counters,
-// in backend order.
+// overload layer's tier and ladder history (when enabled), and each
+// demo backend's counters, in backend order.
 func ClusterStatsHandler(d *Distributor, backends []*DemoBackend) http.Handler {
 	type payload struct {
-		Distributor Stats             `json:"distributor"`
-		Health      []BackendHealth   `json:"health"`
-		Overload    *OverloadState    `json:"overload,omitempty"`
-		Pool        *autoscale.Status `json:"pool,omitempty"`
-		Gray        *GrayStats        `json:"gray,omitempty"`
-		Backends    []DemoStats       `json:"backends"`
+		Distributor Stats           `json:"distributor"`
+		Health      []BackendHealth `json:"health"`
+		Overload    *OverloadState  `json:"overload,omitempty"`
+		Gray        *GrayStats      `json:"gray,omitempty"`
+		Backends    []DemoStats     `json:"backends"`
 	}
 	return jsonHandler(func() any {
 		p := payload{Distributor: d.Stats(), Health: d.Health(),
-			Overload: d.Overload(), Pool: d.Pool(), Gray: d.Gray()}
+			Overload: d.Overload(), Gray: d.Gray()}
 		for _, b := range backends {
 			p.Backends = append(p.Backends, b.Stats())
 		}

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"prord/internal/autoscale"
 	"prord/internal/health"
 	"prord/internal/overload"
 	"prord/internal/policy"
@@ -220,41 +219,6 @@ func TestScaledDeadline(t *testing.T) {
 	}
 	if got := scaledDeadline(0, overload.Critical); got != 0 {
 		t.Errorf("scaledDeadline(0, Critical) = %v, want 0 (disabled)", got)
-	}
-}
-
-// TestProbeSkipsAbsentAndDrainingMembers is the prober regression: the
-// active prober must only target pool members that could take new
-// traffic — probing an Absent (deprovisioned) or Draining backend just
-// manufactures breaker churn.
-func TestProbeSkipsAbsentAndDrainingMembers(t *testing.T) {
-	d, _, _ := testCluster(t, 3, Config{
-		Health:        health.Config{Threshold: 1, Backoff: time.Hour},
-		ProbeInterval: time.Hour,
-		Autoscale:     &autoscale.Config{Initial: 2, Min: 1},
-	})
-	// Slots: Initial=2 leaves backend 2 Absent; drain one member so all
-	// three non-probe-worthy states are covered.
-	if _, ok := d.pool.Drain(time.Now()); !ok {
-		t.Fatal("drain refused")
-	}
-	now := time.Now()
-	d.hmu.Lock()
-	for _, b := range d.breakers {
-		b.OnFailure(now) // Threshold 1: every breaker is now open
-	}
-	d.hmu.Unlock()
-	d.probeOnce()
-	d.hmu.Lock()
-	defer d.hmu.Unlock()
-	for i := range d.probes {
-		member := d.pool.AcceptingNew(i)
-		if member && d.probes[i] == 0 {
-			t.Errorf("pool member %d with an open breaker was not probed", i)
-		}
-		if !member && d.probes[i] != 0 {
-			t.Errorf("absent/draining backend %d was probed", i)
-		}
 	}
 }
 

@@ -31,7 +31,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"prord/internal/autoscale"
 	"prord/internal/dispatch"
 	"prord/internal/health"
 	"prord/internal/mining"
@@ -71,10 +70,9 @@ type Config struct {
 	Prefetch bool
 	// MiningRefreshEvery batches online mining: navigation observations
 	// buffer in the core's incremental updater and fold into a fresh
-	// decision snapshot once this many accumulate (the scale tick also
-	// folds whatever is pending, so partial batches are not stranded).
-	// 0 trains the navigation model in place on every observation, the
-	// historical behavior. Negative is rejected.
+	// decision snapshot once this many accumulate. 0 trains the
+	// navigation model in place on every observation, the historical
+	// behavior. Negative is rejected.
 	MiningRefreshEvery int
 	// LocalityEntries bounds the per-backend locality map (how many
 	// recently-served files the dispatcher remembers per backend).
@@ -126,18 +124,6 @@ type Config struct {
 	// per-request deadline budgets. Nil disables the layer entirely (no
 	// behavior change).
 	Gray *GrayConfig
-	// Autoscale enables the elastic backend pool: Backends becomes the
-	// provisioned maximum and the pool starts at Autoscale.Initial
-	// members. With Overload also enabled, an organic controller watches
-	// the tier ladder on the scale tick and resizes the pool; ScaleUp
-	// and ScaleDown drive it directly (the load generator's scripted
-	// schedules). Warm joins preload rank-table files through the
-	// prefetch-hint path, so they need Prefetch and a Miner; otherwise
-	// joins are effectively cold. Nil keeps the fixed pool.
-	Autoscale *autoscale.Config
-	// ScaleInterval is the autoscale housekeeping tick (warm-ramp
-	// promotion, organic controller, drain reaping). Default 500ms.
-	ScaleInterval time.Duration
 }
 
 // Observation is one completed demand request as seen by the front-end:
@@ -233,16 +219,12 @@ type Distributor struct {
 	hintsDropped  int64
 	prefetchFails int64
 	probeStop     chan struct{}
-	scaleStop     chan struct{}
 	grayStop      chan struct{}
 
 	// Gray-failure resilience layer (nil/zero when Config.Gray is nil).
 	gray         GrayConfig
 	detector     *health.Detector
 	hedgeCancels atomic.Int64
-
-	pool  *autoscale.Pool
-	actrl *autoscale.Controller
 }
 
 type prefetchJob struct {
@@ -292,24 +274,6 @@ func New(cfg Config) (*Distributor, error) {
 		d.gray = cfg.Gray.withDefaults()
 		d.detector = health.NewDetector(len(cfg.Backends), d.gray.Detector)
 	}
-	if cfg.Autoscale != nil {
-		ac := *cfg.Autoscale
-		if ac.Max <= 0 {
-			ac.Max = len(cfg.Backends)
-		}
-		if ac.Max != len(cfg.Backends) {
-			return nil, fmt.Errorf("httpfront: Autoscale.Max %d must equal backend count %d",
-				ac.Max, len(cfg.Backends))
-		}
-		pool, err := autoscale.NewPool(ac)
-		if err != nil {
-			return nil, fmt.Errorf("httpfront: %w", err)
-		}
-		d.pool = pool
-		if cfg.Overload != nil {
-			d.actrl = autoscale.NewController(pool)
-		}
-	}
 	dcfg := dispatch.Config{
 		Backends: len(cfg.Backends),
 		Policy:   cfg.Policy,
@@ -333,7 +297,6 @@ func New(cfg Config) (*Distributor, error) {
 		},
 		Overload: cfg.Overload,
 		Recorder: cfg.Recorder,
-		Pool:     d.pool,
 	}
 	if d.detector != nil {
 		dcfg.Degraded = d.detector.Degraded
@@ -355,14 +318,6 @@ func New(cfg Config) (*Distributor, error) {
 		d.probeClient = &http.Client{Transport: d.transport, Timeout: cfg.ProbeTimeout}
 		d.probeStop = make(chan struct{})
 		go health.Probe(cfg.ProbeInterval, randutil.New(cfg.ProbeSeed), d.probeStop, d.probeOnce)
-	}
-	if d.pool != nil {
-		interval := cfg.ScaleInterval
-		if interval <= 0 {
-			interval = 500 * time.Millisecond
-		}
-		d.scaleStop = make(chan struct{})
-		go d.scaleLoop(d.scaleStop, interval)
 	}
 	if d.detector != nil {
 		d.grayStop = make(chan struct{})
@@ -622,11 +577,6 @@ func (d *Distributor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	latency := time.Since(start)
 	d.core.FinishRequest(time.Now(), latency)
-	// Reap on the completion path (not just the scale tick) so a drained
-	// backend leaves as soon as its last booking clears — the same reap
-	// point the simulator uses, which keeps sequential replays
-	// deterministic for differential testing.
-	d.reapDrains()
 	// PRORD's proactive pass (bundle, navigation, category prefetch over
 	// HTTP hints) runs after the page is served, like the simulator's
 	// backend-side prefetching.
@@ -690,14 +640,6 @@ func (d *Distributor) probeOnce() {
 	d.hmu.Lock()
 	var targets []int
 	for i, b := range d.breakers {
-		if d.pool != nil && !d.pool.AcceptingNew(i) {
-			// Absent and Draining pool members are not probe targets:
-			// Absent backends are deprovisioned (probing them only
-			// manufactures breaker churn against a machine that is
-			// supposed to be off), and Draining ones are leaving
-			// regardless of what a probe finds.
-			continue
-		}
 		if b.State() != health.Closed {
 			targets = append(targets, i)
 		}
@@ -827,8 +769,6 @@ func (d *Distributor) Close() {
 	d.prefetch = nil
 	stop := d.probeStop
 	d.probeStop = nil
-	scale := d.scaleStop
-	d.scaleStop = nil
 	gray := d.grayStop
 	d.grayStop = nil
 	d.hmu.Unlock()
@@ -837,9 +777,6 @@ func (d *Distributor) Close() {
 	}
 	if stop != nil {
 		close(stop)
-	}
-	if scale != nil {
-		close(scale)
 	}
 	if gray != nil {
 		close(gray)

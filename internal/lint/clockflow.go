@@ -23,14 +23,13 @@ var clockflowRootPackages = []string{
 	"internal/cluster",
 	"internal/overload",
 	"internal/health",
-	"internal/autoscale",
 }
 
 // ClockFlow forbids wall-clock reads anywhere reachable from the
 // dispatch core's entry packages.
 var ClockFlow = &Analyzer{
 	Name:         "clockflow",
-	Doc:          "forbid wall-clock reads in any function reachable from dispatch/cluster/overload/health/autoscale entry points (interprocedural)",
+	Doc:          "forbid wall-clock reads in any function reachable from dispatch/cluster/overload/health entry points (interprocedural)",
 	WholeProgram: true,
 	Run:          runClockFlow,
 }

@@ -13,7 +13,7 @@ import (
 //
 //	Core.wrMu (10) → Core.trackMu (20) → Core.ovMu (30) → leaves
 //	sessionShard.mu (90)  fileShard.mu (91)  recordEmitter.mu (92)
-//	targetStripe.mu (93)  WRR.mu (94)  Pool.mu (95)  Updater.mu (96)
+//	targetStripe.mu (93)  WRR.mu (94)  Updater.mu (96)
 //	Detector.mu (97)
 //
 // wrMu is the snapshot writer mutex: the routing read path itself

@@ -72,7 +72,6 @@ type rankDef struct {
 // mutex (its evaluation sorts in-memory buffers only); the hedge race
 // itself is refereed over a channel and holds no lock.
 var lockHierarchy = []rankDef{
-	{"internal/autoscale", "Controller", "mu", 5, false},
 	{"internal/dispatch", "Core", "wrMu", 10, false},
 	{"internal/dispatch", "Core", "trackMu", 20, false},
 	{"internal/dispatch", "Core", "ovMu", 30, false},
@@ -82,7 +81,6 @@ var lockHierarchy = []rankDef{
 	{"internal/policy", "targetStripe", "mu", 93, true},
 	{"internal/policy", "WRR", "mu", 94, true},
 	{"internal/mining", "Updater", "mu", 96, true},
-	{"internal/autoscale", "Pool", "mu", 95, true},
 	{"internal/health", "Detector", "mu", 97, true},
 }
 

@@ -140,7 +140,6 @@ func (h *Harness) startCluster(polName string) (*liveCluster, error) {
 		ProbeInterval: h.cfg.ProbeInterval,
 		ProbeSeed:     h.cfg.Seed,
 		Overload:      h.cfg.Overload,
-		Autoscale:     h.cfg.Autoscale,
 		Gray:          h.cfg.Gray,
 	}
 	if polName == "PRORD" {

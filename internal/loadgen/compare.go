@@ -56,15 +56,13 @@ func (h *Harness) simCompare(polName string, live *metrics.BenchRun) (*metrics.S
 		}
 	}
 	cl, err := cluster.New(cluster.Config{
-		Params:      params,
-		Policy:      pol,
-		Features:    feats,
-		Miner:       miner,
-		Failures:    h.cfg.Faults,
-		Overload:    h.cfg.Overload,
-		Autoscale:   h.cfg.Autoscale,
-		ScaleEvents: h.cfg.ScaleEvents,
-		Gray:        gray,
+		Params:   params,
+		Policy:   pol,
+		Features: feats,
+		Miner:    miner,
+		Failures: h.cfg.Faults,
+		Overload: h.cfg.Overload,
+		Gray:     gray,
 	})
 	if err != nil {
 		return nil, err

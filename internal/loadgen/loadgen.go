@@ -28,7 +28,6 @@ import (
 	"strings"
 	"time"
 
-	"prord/internal/autoscale"
 	"prord/internal/cluster"
 	"prord/internal/health"
 	"prord/internal/httpfront"
@@ -202,18 +201,6 @@ type Config struct {
 	// Nil disables the layer.
 	Gray *httpfront.GrayConfig
 
-	// Autoscale enables the front-end's elastic backend pool
-	// (httpfront.Config.Autoscale): Backends becomes the provisioned
-	// maximum (Max defaults to Backends and must equal it when set) and
-	// the pool starts at Autoscale.Initial members. With CompareSim the
-	// same configuration drives the simulator's pool. Nil keeps the
-	// pool static.
-	Autoscale *autoscale.Config
-	// ScaleEvents schedules scripted pool resizes during each live run
-	// (requires Autoscale), on the same clock as Faults; with CompareSim
-	// the simulator scales at the same offsets.
-	ScaleEvents []cluster.ScaleEvent
-
 	// CompareSim runs the discrete-event simulator on the same workload
 	// and policy after each live run and attaches live-vs-sim deltas.
 	CompareSim bool
@@ -325,21 +312,6 @@ func (c Config) Validate() error {
 		if err := c.Overload.WithDefaults().Validate(); err != nil {
 			return err
 		}
-	}
-	if c.Autoscale != nil {
-		ac := *c.Autoscale
-		if ac.Max == 0 {
-			ac.Max = c.Backends
-		}
-		if ac.Max != c.Backends {
-			return fmt.Errorf("loadgen: autoscale Max %d must equal backends %d", ac.Max, c.Backends)
-		}
-		if err := ac.WithDefaults().Validate(); err != nil {
-			return err
-		}
-	}
-	if err := cluster.ValidateScaleEvents(c.ScaleEvents, c.Autoscale); err != nil {
-		return err
 	}
 	return cluster.ValidateFailures(c.Faults, c.Backends)
 }

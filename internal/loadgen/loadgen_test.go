@@ -329,7 +329,7 @@ func TestArtifactStableSections(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{`"schema": "prord-bench/4"`, `"tool": "prord-loadgen"`,
+	for _, want := range []string{`"schema": "prord-bench/5"`, `"tool": "prord-loadgen"`,
 		`"schedule_digest": "fnv64a:`, `"front_latency"`, `"sim"`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("artifact missing %q", want)

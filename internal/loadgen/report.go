@@ -45,11 +45,6 @@ type configJSON struct {
 	// omitted when overload control is off so older artifacts are
 	// unchanged.
 	Overload *overloadJSON `json:"overload,omitempty"`
-	// Autoscale echoes the effective elastic-pool configuration and
-	// ScaleEvents the scripted resize schedule; both are omitted when
-	// the pool is static so older artifacts are unchanged.
-	Autoscale   *autoscaleJSON `json:"autoscale,omitempty"`
-	ScaleEvents []scaleJSON    `json:"scale_events,omitempty"`
 	// Gray echoes the effective (defaulted) gray-failure resilience
 	// configuration; omitted when the layer is off so older artifacts
 	// are unchanged.
@@ -67,21 +62,6 @@ type overloadJSON struct {
 	MinHoldMS          int64   `json:"min_hold_ms"`
 }
 
-// autoscaleJSON is the stable echo of the effective (defaulted)
-// elastic-pool configuration.
-type autoscaleJSON struct {
-	Max         int   `json:"max"`
-	Min         int   `json:"min"`
-	Initial     int   `json:"initial"`
-	UpHoldMS    int64 `json:"up_hold_ms"`
-	DownHoldMS  int64 `json:"down_hold_ms"`
-	CooldownMS  int64 `json:"cooldown_ms"`
-	WarmTop     int   `json:"warm_top"`
-	WarmRamp    int64 `json:"warm_ramp"`
-	WarmPenalty int   `json:"warm_penalty"`
-	ColdJoin    bool  `json:"cold_join,omitempty"`
-}
-
 // grayJSON is the stable echo of the effective (defaulted)
 // gray-failure resilience configuration.
 type grayJSON struct {
@@ -95,12 +75,6 @@ type grayJSON struct {
 	Hedge         bool    `json:"hedge"`
 	HedgeCap      int     `json:"hedge_cap,omitempty"`
 	DeadlineMS    int64   `json:"deadline_ms,omitempty"`
-}
-
-// scaleJSON is the stable echo of one scripted pool resize.
-type scaleJSON struct {
-	Delta int   `json:"delta"`
-	AtMS  int64 `json:"at_ms"`
 }
 
 // faultJSON is the stable echo of one scheduled backend fault. The
@@ -156,28 +130,6 @@ func (r *Result) Artifact() *metrics.BenchArtifact {
 			CriticalAt:         eff.CriticalAt,
 			MinHoldMS:          eff.MinHold.Milliseconds(),
 		}
-	}
-	if ac := r.Config.Autoscale; ac != nil {
-		eff := *ac
-		if eff.Max == 0 {
-			eff.Max = r.Config.Backends
-		}
-		eff = eff.WithDefaults()
-		cfg.Autoscale = &autoscaleJSON{
-			Max:         eff.Max,
-			Min:         eff.Min,
-			Initial:     eff.Initial,
-			UpHoldMS:    eff.UpHold.Milliseconds(),
-			DownHoldMS:  eff.DownHold.Milliseconds(),
-			CooldownMS:  eff.Cooldown.Milliseconds(),
-			WarmTop:     eff.WarmTop,
-			WarmRamp:    eff.WarmRamp,
-			WarmPenalty: eff.WarmPenalty,
-			ColdJoin:    eff.ColdJoin,
-		}
-	}
-	for _, e := range r.Config.ScaleEvents {
-		cfg.ScaleEvents = append(cfg.ScaleEvents, scaleJSON{Delta: e.Delta, AtMS: e.At.Milliseconds()})
 	}
 	if gc := r.Config.Gray; gc != nil {
 		det := gc.Detector.WithDefaults()
@@ -247,12 +199,6 @@ func (r *Result) WriteTable(w io.Writer) error {
 			if _, err := fmt.Fprintf(w, "%-16s shed=%d prefetch_shed=%d goodput=%.1f req/s tiers=%d\n",
 				"  overload", run.Shed, run.PrefetchShed, run.GoodputRPS,
 				len(run.TierTransitions)); err != nil {
-				return err
-			}
-		}
-		if as := run.Autoscale; as != nil && (as.Joins > 0 || as.Drains > 0) {
-			if _, err := fmt.Fprintf(w, "%-16s joins=%d drains=%d rebooked=%d final_size=%d\n",
-				"  autoscale", as.Joins, as.Drains, as.SessionsRebooked, as.FinalSize); err != nil {
 				return err
 			}
 		}

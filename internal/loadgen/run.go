@@ -215,7 +215,6 @@ func (h *Harness) Run(polName string) (*metrics.BenchRun, error) {
 
 	start := time.Now()
 	stopFaults := h.startFaults(c, start)
-	stopScale := h.startScaleEvents(c, start)
 	var live *liveStats
 	switch h.cfg.Mode {
 	case OpenLoop:
@@ -223,11 +222,9 @@ func (h *Harness) Run(polName string) (*metrics.BenchRun, error) {
 	case ClosedLoop:
 		live = h.runClosed(c, start)
 	default:
-		stopScale()
 		stopFaults()
 		return nil, fmt.Errorf("loadgen: unknown mode %d", int(h.cfg.Mode))
 	}
-	stopScale()
 	stopFaults()
 	c.drainPrefetches(time.Second)
 
@@ -286,14 +283,6 @@ func (h *Harness) reduce(polName string, c *liveCluster, live *liveStats) *metri
 		run.DispatchPerRequest = metrics.Round(float64(st.Dispatches)/float64(st.Requests), 3)
 	}
 	run.LoadSkew = metrics.Skew(st.PerBackend)
-	if ps := c.dist.Pool(); ps != nil {
-		run.Autoscale = &metrics.AutoscaleSummary{
-			Joins:            ps.Joins,
-			Drains:           ps.Drains,
-			SessionsRebooked: ps.SessionsRebooked,
-			FinalSize:        ps.Size,
-		}
-	}
 	if g := c.dist.Gray(); g != nil {
 		run.Gray = &metrics.GraySummary{
 			Ejections:    g.Ejections,

@@ -15,9 +15,10 @@ import (
 // prord-bench/3 dropped the truncated *_us aliases of the latency
 // summaries: nanoseconds are the only resolution recorded.
 // prord-bench/4 dropped the run's fleet block and the sim block's
-// fleet_forwards with the live distributor fleet. Nothing in the
-// repository reads artifacts back.
-const BenchSchema = "prord-bench/4"
+// fleet_forwards with the live distributor fleet.
+// prord-bench/5 dropped the run's elastic-pool block with the pool.
+// Nothing in the repository reads artifacts back.
+const BenchSchema = "prord-bench/5"
 
 // LatencySummary is a latency histogram reduced to the quantities the
 // artifacts report. All durations are integer nanoseconds so the JSON
@@ -110,19 +111,6 @@ type SimComparison struct {
 	TierTransitions []TierTransition `json:"tier_transitions,omitempty"`
 }
 
-// AutoscaleSummary is the elastic-pool block of a benchmark run:
-// membership churn, drain accounting and the warm-join payoff.
-type AutoscaleSummary struct {
-	// Joins and Drains count pool membership changes over the run.
-	Joins  int64 `json:"joins"`
-	Drains int64 `json:"drains"`
-	// SessionsRebooked counts sessions unpinned by completed drains and
-	// re-bound through the normal routing path.
-	SessionsRebooked int64 `json:"sessions_rebooked"`
-	// FinalSize is the pool size when the run ended.
-	FinalSize int `json:"final_size"`
-}
-
 // GraySummary is the gray-failure resilience block of a benchmark run:
 // what the latency-outlier detector did and how the hedging layer's
 // backup requests fared.
@@ -197,8 +185,6 @@ type BenchRun struct {
 	// byte-stability guarantee (the simulator's deterministic ladder is
 	// under Sim).
 	TierTransitions []TierTransition `json:"tier_transitions,omitempty"`
-	// Autoscale holds the elastic-pool outcome when the run scaled.
-	Autoscale *AutoscaleSummary `json:"autoscale,omitempty"`
 	// Gray holds the gray-failure resilience outcome when the detection
 	// or hedging layer was enabled.
 	Gray *GraySummary `json:"gray,omitempty"`

@@ -58,7 +58,7 @@ func TestBenchArtifactEncodeStable(t *testing.T) {
 	if a.String() != b.String() {
 		t.Fatalf("two encodings differ:\n%s\n---\n%s", a.String(), b.String())
 	}
-	for _, want := range []string{`"schema": "prord-bench/4"`, `"p99_ns"`, `"throughput_delta_pct"`, `"load_skew": 1`} {
+	for _, want := range []string{`"schema": "prord-bench/5"`, `"p99_ns"`, `"throughput_delta_pct"`, `"load_skew": 1`} {
 		if !strings.Contains(a.String(), want) {
 			t.Errorf("encoding missing %q:\n%s", want, a.String())
 		}

@@ -172,10 +172,6 @@ type Collector struct {
 	// ReplicationsShed counts replication refresh rounds skipped at
 	// Elevated tier or above.
 	ReplicationsShed int64
-	// FleetForwards counts requests that arrived at a distributor that
-	// does not own the session and were forwarded one hop to the ring
-	// owner (the simulator's cluster.Config.Fleet).
-	FleetForwards int64
 	// BytesServed totals response bytes delivered to clients.
 	BytesServed int64
 	// DynamicServed counts requests for generated (uncacheable) content;

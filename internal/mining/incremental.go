@@ -6,10 +6,10 @@ import "sync"
 // batch pass (Mine) builds the initial model from a training log, and
 // an Updater keeps it current afterwards without stop-the-world
 // re-mines. Live navigation observations buffer in the Updater
-// (control plane); a periodic Refresh folds them into copy-on-write
-// copies of the dependency-graph model and the popularity rank table
-// (data plane), which the consumer publishes atomically — readers keep
-// predicting against the previous immutable copy while the fold runs.
+// (control plane); a batched Refresh folds them into a copy-on-write
+// copy of the dependency-graph model (data plane), which the consumer
+// publishes atomically — readers keep predicting against the previous
+// immutable copy while the fold runs.
 // The refresh interval t from the paper therefore bounds prediction
 // staleness, not lock-hold time.
 
@@ -32,13 +32,12 @@ type Folder interface {
 	FoldObs(obs []NavObs) OnlinePredictor
 }
 
-// Updater accumulates online mining observations for a later batch
+// Updater accumulates online navigation observations for a later batch
 // fold. All methods are safe for concurrent use; its mutex is a leaf —
 // nothing is acquired and nothing blocks while it is held.
 type Updater struct {
-	mu   sync.Mutex
-	nav  []NavObs
-	rank []string
+	mu  sync.Mutex
+	nav []NavObs
 }
 
 // NewUpdater returns an empty updater.
@@ -54,35 +53,21 @@ func (u *Updater) ObserveNav(prev, page string) int {
 	return n
 }
 
-// ObserveRank buffers one served request for the rank-table fold.
-func (u *Updater) ObserveRank(path string) {
-	u.mu.Lock()
-	u.rank = append(u.rank, path)
-	u.mu.Unlock()
-}
-
-// Pending returns the number of buffered observations (nav + rank).
+// Pending returns the number of buffered observations.
 func (u *Updater) Pending() int {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return len(u.nav) + len(u.rank)
-}
-
-// PendingNav returns the buffered navigation observation count alone.
-func (u *Updater) PendingNav() int {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	return len(u.nav)
 }
 
-// Take drains the buffers, returning the observations in arrival
-// order. The returned slices are owned by the caller.
-func (u *Updater) Take() (nav []NavObs, rank []string) {
+// Take drains the buffer, returning the observations in arrival order.
+// The returned slice is owned by the caller.
+func (u *Updater) Take() []NavObs {
 	u.mu.Lock()
-	nav, rank = u.nav, u.rank
-	u.nav, u.rank = nil, nil
+	nav := u.nav
+	u.nav = nil
 	u.mu.Unlock()
-	return nav, rank
+	return nav
 }
 
 // Fold returns a new Model with the observations applied, observation
@@ -143,21 +128,5 @@ func (m *Model) Fold(obs []NavObs) *Model {
 
 // FoldObs implements Folder.
 func (m *Model) FoldObs(obs []NavObs) OnlinePredictor { return m.Fold(obs) }
-
-// Fold returns a new Ranker with one observation applied per path,
-// sharing nothing mutable with the receiver, which is not modified.
-func (r *Ranker) Fold(paths []string) *Ranker {
-	if len(paths) == 0 {
-		return r
-	}
-	nr := &Ranker{decay: r.decay, counts: make(map[string]float64, len(r.counts)+len(paths))}
-	for k, v := range r.counts {
-		nr.counts[k] = v
-	}
-	for _, p := range paths {
-		nr.counts[p]++
-	}
-	return nr
-}
 
 var _ Folder = (*Model)(nil)

@@ -105,55 +105,25 @@ func TestModelFoldEmpty(t *testing.T) {
 	}
 }
 
-func TestRankerFoldMatchesObserve(t *testing.T) {
-	paths := []string{"/a", "/b", "/a", "/c", "/a", "/b"}
-	inPlace := NewRanker(0.9)
-	base := NewRanker(0.9)
-	inPlace.Observe("/seed")
-	base.Observe("/seed")
-	for _, p := range paths {
-		inPlace.Observe(p)
-	}
-	folded := base.Fold(paths)
-	if !reflect.DeepEqual(folded.counts, inPlace.counts) {
-		t.Errorf("folded counts = %v, want %v", folded.counts, inPlace.counts)
-	}
-	if len(base.counts) != 1 {
-		t.Errorf("Fold mutated the base ranker: %v", base.counts)
-	}
-	if folded.decay != inPlace.decay {
-		t.Errorf("folded decay = %v, want %v", folded.decay, inPlace.decay)
-	}
-}
-
 func TestUpdaterTakeDrains(t *testing.T) {
 	u := NewUpdater()
 	u.ObserveNav("", "/a")
 	if n := u.ObserveNav("/a", "/b"); n != 2 {
 		t.Errorf("ObserveNav count = %d, want 2", n)
 	}
-	u.ObserveRank("/a")
-	u.ObserveRank("/b")
-	if p := u.Pending(); p != 4 {
-		t.Errorf("Pending = %d, want 4", p)
+	if p := u.Pending(); p != 2 {
+		t.Errorf("Pending = %d, want 2", p)
 	}
-	if p := u.PendingNav(); p != 2 {
-		t.Errorf("PendingNav = %d, want 2", p)
-	}
-	nav, rank := u.Take()
+	nav := u.Take()
 	wantNav := []NavObs{{Page: "/a"}, {Prev: "/a", Page: "/b"}}
 	if !reflect.DeepEqual(nav, wantNav) {
 		t.Errorf("nav = %v, want %v", nav, wantNav)
 	}
-	if !reflect.DeepEqual(rank, []string{"/a", "/b"}) {
-		t.Errorf("rank = %v, want [/a /b]", rank)
-	}
 	if u.Pending() != 0 {
 		t.Error("Take did not drain")
 	}
-	nav, rank = u.Take()
-	if nav != nil || rank != nil {
-		t.Error("second Take should return nil slices")
+	if nav = u.Take(); nav != nil {
+		t.Error("second Take should return a nil slice")
 	}
 }
 

@@ -59,8 +59,8 @@ func (g *Gate) Enter(enforce bool, grant func()) (wait *Waiter, ok bool) {
 // non-empty the slot passes straight to its head (the in-flight count
 // is unchanged) and the head's grant callback is returned for the owner
 // to run outside its mutex; otherwise the count drops and Leave returns
-// nil. After SetLimit shrank the gate, slots are reclaimed — not handed
-// on — until the in-flight count is back under the limit.
+// nil. While unenforced admissions hold the in-flight count over the
+// limit, slots are reclaimed — not handed on — until it is back under.
 func (g *Gate) Leave() (grant func()) {
 	if g.inflight <= g.limit && len(g.queue) > 0 {
 		w := g.queue[0]
@@ -71,26 +71,6 @@ func (g *Gate) Leave() (grant func()) {
 		g.inflight--
 	}
 	return nil
-}
-
-// SetLimit resizes the in-flight bound for an elastically resized
-// pool. Growing the limit promotes queued waiters into the freed
-// headroom; their grant callbacks are returned for the owner to run
-// outside its mutex, exactly like Leave's. Shrinking never evicts
-// admitted requests — the in-flight count drains down naturally as
-// requests Leave.
-func (g *Gate) SetLimit(limit int) (grants []func()) {
-	if limit < 1 {
-		limit = 1
-	}
-	g.limit = limit
-	for g.inflight < g.limit && len(g.queue) > 0 {
-		w := g.queue[0]
-		g.queue = g.queue[1:]
-		g.inflight++
-		grants = append(grants, w.grant)
-	}
-	return grants
 }
 
 // Abandon withdraws a queued request after its wait timed out. It

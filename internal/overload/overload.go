@@ -204,22 +204,6 @@ func NewEstimator(cfg Config, backends int) *Estimator {
 	return &Estimator{cfg: cfg, capacity: cfg.CapacityPerBackend * backends}
 }
 
-// SetBackends recomputes the cluster capacity for a resized backend
-// pool and re-tiers against it. Without this, an estimator built for
-// the startup pool keeps judging pressure against stale capacity as
-// the pool elastically grows or shrinks (or as breakers exclude
-// backends), making the tier ladder meaningless. Re-tiering waits for
-// the first request, which anchors the transition log's time origin.
-func (e *Estimator) SetBackends(n int, now time.Time) {
-	if n < 1 {
-		n = 1
-	}
-	e.capacity = e.cfg.CapacityPerBackend * n
-	if e.started {
-		e.retier(now)
-	}
-}
-
 // Begin records one demand request entering the cluster and re-tiers.
 // The first call anchors the transition log's time origin.
 func (e *Estimator) Begin(now time.Time) {

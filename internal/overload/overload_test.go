@@ -247,6 +247,36 @@ func TestGateBypassNotEnforced(t *testing.T) {
 	}
 }
 
+// TestGateLeaveReclaimsOverLimit checks that while bypass admissions
+// hold the in-flight count over the limit, Leave reclaims slots instead
+// of handing them to the queue, and the waiter is granted once the
+// count is back at the limit.
+func TestGateLeaveReclaimsOverLimit(t *testing.T) {
+	g := NewGate(1, 1)
+	for i := 0; i < 3; i++ {
+		if _, ok := g.Enter(false, nil); !ok {
+			t.Fatalf("bypass request %d refused", i)
+		}
+	}
+	granted := false
+	if w, ok := g.Enter(true, func() { granted = true }); !ok || w == nil {
+		t.Fatal("enforced request not queued at a full gate")
+	}
+	for i := 0; i < 2; i++ {
+		if grant := g.Leave(); grant != nil {
+			t.Fatalf("Leave %d over the limit handed out a slot", i)
+		}
+	}
+	grant := g.Leave()
+	if grant == nil {
+		t.Fatal("Leave at the limit stranded the waiter")
+	}
+	grant()
+	if !granted || g.InFlight() != 1 || g.Queued() != 0 {
+		t.Fatalf("end state: granted=%t inflight=%d queued=%d, want true/1/0", granted, g.InFlight(), g.Queued())
+	}
+}
+
 func TestGateAbandon(t *testing.T) {
 	g := NewGate(1, 2)
 	g.Enter(true, nil)

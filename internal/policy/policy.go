@@ -63,6 +63,11 @@ type View interface {
 	LastServer(conn int) (int, bool)
 }
 
+// UnavailableLoad is the load a View reports for an excluded backend:
+// large enough that every load comparison avoids it, with headroom so
+// adding real queue depth cannot overflow.
+const UnavailableLoad = int(^uint(0) >> 2)
+
 // Decision is a routing outcome.
 type Decision struct {
 	// Server is the backend that serves the response to the client.
