@@ -22,6 +22,10 @@
 #                hit-rate band, schedule digest — never on this
 #                machine's speed; leaves each run's final JSON line in
 #                BENCH_<workload>.json
+#   make fuzz    run every Fuzz* target for FUZZTIME (default 5s), one
+#                target per invocation; a failing input lands in the
+#                target's testdata/fuzz directory, to be committed under
+#                a descriptive name once the bug it found is fixed
 #   make ci      the full gate CI runs on every push and PR
 
 GO ?= go
@@ -32,7 +36,10 @@ RUN ?= .
 PKG ?= ./...
 COUNT ?= 2
 
-.PHONY: build test race vet lint lint-baseline stress bench ci
+# fuzz parameter: how long each Fuzz* target runs.
+FUZZTIME ?= 5s
+
+.PHONY: build test race vet lint lint-baseline stress fuzz bench ci
 
 build:
 	$(GO) build ./...
@@ -58,6 +65,15 @@ lint-baseline:
 stress:
 	$(GO) test -race -count=$(COUNT) -run '$(RUN)' $(PKG)
 
+# Targets are found by name, so a new Fuzz* function joins without an
+# edit here. go test fuzzes one target per invocation.
+fuzz:
+	@grep -rHo --include='*_test.go' '^func Fuzz[A-Za-z0-9_]*' . | sort | while IFS=: read -r file decl; do \
+		dir=$$(dirname "$$file"); name=$${decl#func }; \
+		echo "fuzz: $$dir $$name"; \
+		$(GO) test "$$dir" -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done
+
 # Timings are compared by the PR driver, parent against change on one
 # machine; a number committed from another machine measures the machine.
 # The harness exits non-zero when a run breaks down and reports a run
@@ -71,4 +87,4 @@ bench:
 		grep -q '"correct":true' BENCH_$$w.json || { echo "bench: $$w: run is not correct" >&2; exit 1; }; \
 	done
 
-ci: build vet lint race bench
+ci: build vet lint race fuzz bench

@@ -57,7 +57,6 @@ func main() {
 		missMs   = flag.Int("miss-ms", 10, "simulated disk latency per backend miss (ms)")
 		seed     = flag.Int64("seed", 42, "site generation seed")
 		model    = flag.String("model", "", "load a mined model (logmine -o) instead of mining at startup")
-		refresh  = flag.Int("mining-refresh", 0, "batch online mining: fold navigation observations into a fresh decision snapshot every N observations (0: train in place per observation)")
 
 		retries       = flag.Int("retries", 0, "failover retries per request (0: default of 1, negative disables)")
 		probeInterval = flag.Duration("probe-interval", time.Second, "active health-probe interval for tripped backends (0 disables)")
@@ -172,8 +171,6 @@ func main() {
 		Miner:    miner,
 		Prefetch: *polName == "PRORD",
 		Retries:  *retries,
-
-		MiningRefreshEvery: *refresh,
 		Health: health.Config{
 			Threshold:  *breakThresh,
 			Backoff:    *breakBackoff,

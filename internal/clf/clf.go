@@ -85,6 +85,11 @@ func Parse(line string) (Entry, error) {
 		return e, fmt.Errorf("%w: unterminated timestamp", ErrMalformed)
 	}
 	ts, err := time.Parse(TimeLayout, rest[1:end])
+	if err == nil && ts.Nanosecond() != 0 {
+		// time.Parse accepts a fractional second the layout does not
+		// have, and String could not write it back.
+		err = errors.New("fractional seconds")
+	}
 	if err != nil {
 		return e, fmt.Errorf("%w: bad timestamp %q: %v", ErrMalformed, rest[1:end], err)
 	}
@@ -123,7 +128,10 @@ func Parse(line string) (Entry, error) {
 	sizeStr, _, _ := cutField(rest)
 	if sizeStr == "" || sizeStr == "-" {
 		e.Bytes = -1
-	} else if e.Bytes, err = strconv.ParseInt(sizeStr, 10, 64); err != nil {
+	} else if e.Bytes, err = strconv.ParseInt(sizeStr, 10, 64); err != nil || e.Bytes < 0 {
+		// "-" is the only way to log an unknown size: String writes
+		// every negative size as "-", so "-5" would not survive a
+		// write and a re-read.
 		return e, fmt.Errorf("%w: bad size %q", ErrMalformed, sizeStr)
 	}
 	return e, nil

@@ -61,6 +61,7 @@ func TestParseErrors(t *testing.T) {
 		`h - - [10/Oct/2000:13:55:36 -0700] GET / 200 5`,             // unquoted request
 		`h - - [10/Oct/2000:13:55:36 -0700] "GET / HTTP/1.1" abc 5`,  // bad status
 		`h - - [10/Oct/2000:13:55:36 -0700] "GET / HTTP/1.1" 200 xx`, // bad size
+		`h - - [10/Oct/2000:13:55:36 -0700] "GET / HTTP/1.1" 200 -5`, // negative size
 		`h - - [10/Oct/2000:13:55:36 -0700] "GET / HTTP/1.1"`,        // missing status
 		`h - - [10/Oct/2000:13:55:36 -0700] "G E T / HTTP/1.1" 200 5`,
 	}
@@ -109,6 +110,42 @@ func TestRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzParse: Parse never panics, and an entry it accepts writes out as
+// a line that parses back to an equal entry. The committed corpus in
+// testdata/fuzz/FuzzParse names each input that once broke the
+// round trip.
+func FuzzParse(f *testing.F) {
+	f.Add(sample)
+	f.Add(`h - - [10/Oct/2000:13:55:36 -0700] "GET / HTTP/1.1" 304 -`)
+	f.Add(`h - - [10/Oct/2000:13:55:36 -0700] "GET /x" 200 10`)
+	f.Add(`s3.10.0.0.1 - - [01/Jul/2006:00:00:00 +0000] "GET /g0/p0.html HTTP/1.1" 200 4096`)
+	f.Fuzz(func(t *testing.T, line string) {
+		e, err := Parse(line)
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("Parse(%q) error %v does not wrap ErrMalformed", line, err)
+			}
+			return
+		}
+		again, err := Parse(e.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) = %+v, whose line %q does not parse: %v", line, e, e.String(), err)
+		}
+		_, off := e.Time.Zone()
+		_, againOff := again.Time.Zone()
+		if !e.Time.Equal(again.Time) || off != againOff {
+			t.Fatalf("Parse(%q): time %v reads back as %v", line, e.Time, again.Time)
+		}
+		// fields drops Entry's String method, so a mismatch prints the
+		// fields themselves rather than two identical formatted lines.
+		type fields Entry
+		e.Time, again.Time = time.Time{}, time.Time{}
+		if again != e {
+			t.Fatalf("Parse(%q) = %+v reads back as %+v", line, fields(e), fields(again))
+		}
+	})
 }
 
 func TestReaderSkipsMalformed(t *testing.T) {

@@ -27,12 +27,6 @@ type Config struct {
 	// Miner supplies the web-log mining products. Required when any
 	// feature is enabled.
 	Miner *mining.Miner
-	// MiningRefreshEvery batches the core's online mining: navigation
-	// observations buffer and fold into a fresh decision snapshot once
-	// this many accumulate. 0 trains the navigation model in place per
-	// observation (the historical behavior; with batch size 1 the two
-	// modes make identical decisions). Negative is rejected.
-	MiningRefreshEvery int
 	// ReplicationInterval is Algorithm 3's period t. Zero defaults to 5s
 	// of simulated time.
 	ReplicationInterval time.Duration
@@ -65,9 +59,6 @@ type Config struct {
 	// architecture). Connections stick to one distributor; dispatcher
 	// state is shared. 0 or 1 = the paper's single-front-end design.
 	Distributors int
-	// CPUSharing switches the backend CPUs from FCFS to processor
-	// sharing (time-sliced web server workers); disks stay FCFS.
-	CPUSharing bool
 	// Overload enables the same degrade ladder the live front-end runs,
 	// driven by virtual time: Elevated sheds prefetch and replication
 	// work, Saturated falls back to locality-only LARD, and Critical runs
@@ -107,7 +98,7 @@ type Failure struct {
 // backend is one backend server: CPU, disk, internal NIC and memory.
 type backend struct {
 	id    int
-	cpu   sim.Station
+	cpu   *sim.FCFS
 	disk  *sim.FCFS
 	net   *sim.FCFS
 	store cache.Store
@@ -203,13 +194,9 @@ func New(cfg Config) (*Cluster, error) {
 			// pinned space serves demand.
 			store = cache.NewPinning(total, maxPinned)
 		}
-		var cpu sim.Station = sim.NewFCFS(c.eng)
-		if cfg.CPUSharing {
-			cpu = sim.NewPS(c.eng)
-		}
 		c.backends = append(c.backends, &backend{
 			id:    i,
-			cpu:   cpu,
+			cpu:   sim.NewFCFS(c.eng),
 			disk:  sim.NewFCFS(c.eng),
 			net:   sim.NewFCFS(c.eng),
 			store: store,
@@ -241,8 +228,7 @@ func New(cfg Config) (*Cluster, error) {
 		Exact: true,
 		// Replayed sessions are closed explicitly when their script ends;
 		// the idle-eviction valve must never fire mid-trace.
-		MaxSessions:        1 << 30,
-		MiningRefreshEvery: cfg.MiningRefreshEvery,
+		MaxSessions: 1 << 30,
 		// Single-threaded replay needs no lock striping, and one stripe
 		// keeps connection ids dense.
 		Shards: 1,

@@ -285,34 +285,6 @@ func TestGDSFVariant(t *testing.T) {
 	}
 }
 
-func TestCPUSharingVariant(t *testing.T) {
-	run := func() *Result {
-		tr, m := testWorkload(t, 1500, 47)
-		cl, err := New(Config{
-			Params:     smallParams(4, 4, 2),
-			Policy:     policy.NewPRORD(policy.Thresholds{}),
-			Features:   AllFeatures(),
-			Miner:      m,
-			CPUSharing: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := cl.Run(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Metrics.Completed != int64(len(tr.Requests)) {
-			t.Fatalf("PS-CPU run incomplete: %d of %d", res.Metrics.Completed, len(tr.Requests))
-		}
-		return res
-	}
-	a, b := run(), run()
-	if a.Metrics != b.Metrics {
-		t.Fatal("PS-CPU runs must be deterministic")
-	}
-}
-
 func TestScalingBackends(t *testing.T) {
 	// §5.1: results are consistent from 6 to 16 backends — more backends
 	// must not reduce completion or explode response times.

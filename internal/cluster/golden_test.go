@@ -291,16 +291,6 @@ func TestGoldenRuns(t *testing.T) {
 				counters: "[1253 609 644 822 70 430 281 210 757 0 0 0 0 0 0 9068502 0]"},
 		},
 		{
-			name: "cpu-sharing", workload: goldenSynth(1500, 47, 300),
-			config: func(_, _, _ time.Duration) Config {
-				c := goldenPRORD()
-				c.CPUSharing = true
-				return c
-			},
-			want: golden{digest: 0xf7d8ed8ba9593960, events: 3340, thr: 0x407d15be9be92560, hit: 0x3fdae36e5abf9472, resp: 17698649,
-				counters: "[914 384 530 653 252 260 125 128 0 0 0 0 0 0 0 7172286 0]"},
-		},
-		{
 			name: "gdsf", workload: goldenSynth(2000, 43, 0),
 			config: func(_, _, _ time.Duration) Config {
 				c := goldenPRORD()

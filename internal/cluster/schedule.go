@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -121,16 +122,17 @@ func ValidateFailures(failures []Failure, backends int) error {
 		if f.At < 0 || (f.RecoverAt != 0 && f.RecoverAt <= f.At) {
 			return fmt.Errorf("cluster: failure times invalid (%v, %v)", f.At, f.RecoverAt)
 		}
+		// The range checks are written so that NaN fails them.
 		switch f.Mode {
 		case Slow:
-			if f.Slowdown <= 1 {
-				return fmt.Errorf("cluster: slow failure needs a slowdown > 1, got x%g", f.Slowdown)
+			if !(f.Slowdown > 1) || math.IsInf(f.Slowdown, 1) {
+				return fmt.Errorf("cluster: slow failure needs a finite slowdown > 1, got x%g", f.Slowdown)
 			}
 		case ErrRate:
 			// 1 is rejected: a backend that fails everything is
 			// FailStop, and retrying against a 100%-erroring-but-
 			// available backend would never terminate.
-			if f.ErrRate <= 0 || f.ErrRate >= 1 {
+			if !(f.ErrRate > 0 && f.ErrRate < 1) {
 				return fmt.Errorf("cluster: errrate failure needs a rate in (0,1), got %g (use fail-stop for a full outage)", f.ErrRate)
 			}
 		case Flap:

@@ -7,8 +7,8 @@ package dispatch_test
 //
 // BenchmarkDispatch is single-goroutine decision latency.
 // BenchmarkDispatchParallel drives the same mix from all cores: the
-// routing read path takes no global lock — policy inputs come from an
-// atomic snapshot load, policy state is striped, and booking runs on
+// routing read path takes no global lock — policy inputs are fixed at
+// New, policy state is striped, and booking runs on
 // striped shard locks — so decisions per second scale with
 // GOMAXPROCS, and the steady-state pair allocates nothing (asserted
 // by TestRouteDoneAllocs).

@@ -4,16 +4,11 @@ package dispatch_test
 // trace is replayed through the core and the complete decision stream —
 // every Record field, every proactive plan — is reduced to an FNV-1a
 // digest and compared against a constant captured from the
-// polMu-serialized implementation (the pre-snapshot semantics). The
-// epoch-snapshot refactor must not change a single decision: same
-// policy state evolution, same bundle classification, same navigation
-// predictions, same tier reads, same Seq numbering.
-//
-// The batched variant replays the identical trace with the incremental
-// mining updater folding every observation immediately
-// (MiningRefreshEvery: 1) and requires the same digest — proving the
-// copy-on-write fold is observation-for-observation equivalent to the
-// in-place online learning it replaces.
+// polMu-serialized implementation. Moving the policy inputs out from
+// under that mutex must not change a single decision: same policy
+// state evolution, same bundle classification, same navigation
+// predictions (the model still learns in place, per observation), same
+// tier reads, same Seq numbering.
 
 import (
 	"fmt"
@@ -30,23 +25,17 @@ import (
 
 // goldenDigests were produced by the polMu-serialized Route path (the
 // code as of the commit introducing this test) over the seeded replays
-// below. They change only when decision semantics change — which this
-// PR promises not to do.
+// below. They change only when decision semantics change.
 const (
 	goldenPlainDigest    uint64 = 0x37f86f2c042ad7d5
 	goldenOverloadDigest uint64 = 0x8e57878b7380d7df
 )
 
-// replayConfig parameterizes one digest replay.
-type replayConfig struct {
-	refreshEvery int
-	overload     *overload.Config
-}
-
 // replayDigest replays a seeded synthetic trace through a PRORD core
 // with every proactive feature enabled and digests the full decision
-// stream: admission verdicts, routing records and proactive plans.
-func replayDigest(t *testing.T, rc replayConfig) uint64 {
+// stream: admission verdicts, routing records and proactive plans. A
+// non-nil ov turns the overload ladder on.
+func replayDigest(t *testing.T, ov *overload.Config) uint64 {
 	t.Helper()
 	_, full, err := trace.GeneratePreset(trace.PresetSynthetic, 800.0/30000.0, 4242)
 	if err != nil {
@@ -57,13 +46,12 @@ func replayDigest(t *testing.T, rc replayConfig) uint64 {
 
 	h := fnv.New64a()
 	c, err := dispatch.New(dispatch.Config{
-		Backends:           4,
-		Policy:             policy.NewPRORD(policy.Thresholds{}),
-		Fallback:           policy.NewLARD(policy.Thresholds{}),
-		Miner:              m,
-		Features:           dispatch.Features{Bundle: true, NavPrefetch: true, GroupPrefetch: true},
-		Overload:           rc.overload,
-		MiningRefreshEvery: rc.refreshEvery,
+		Backends: 4,
+		Policy:   policy.NewPRORD(policy.Thresholds{}),
+		Fallback: policy.NewLARD(policy.Thresholds{}),
+		Miner:    m,
+		Features: dispatch.Features{Bundle: true, NavPrefetch: true, GroupPrefetch: true},
+		Overload: ov,
 		Recorder: func(r dispatch.Record) {
 			fmt.Fprintf(h, "R|%d|%d|%s|%d|%d|%d|%t|%t|%t|%t|%t\n",
 				r.Seq, r.Conn, r.Path, r.Tier, r.Verdict, r.Server,
@@ -78,7 +66,7 @@ func replayDigest(t *testing.T, rc replayConfig) uint64 {
 	for i := range eval.Requests {
 		r := &eval.Requests[i]
 		key := fmt.Sprintf("sess-%d", r.Session)
-		if rc.overload != nil {
+		if ov != nil {
 			v, _ := c.Admit(key, r.Path, now, nil)
 			if v == dispatch.Shed {
 				now = now.Add(50 * time.Millisecond)
@@ -87,7 +75,7 @@ func replayDigest(t *testing.T, rc replayConfig) uint64 {
 		}
 		out := c.Route(key, r.Path, r.Size, now)
 		if !out.OK {
-			if rc.overload != nil {
+			if ov != nil {
 				c.GateLeave()
 			}
 			continue
@@ -98,7 +86,7 @@ func replayDigest(t *testing.T, rc replayConfig) uint64 {
 			}
 		}
 		c.Done(key, out.Server, r.Path, false, false)
-		if rc.overload != nil {
+		if ov != nil {
 			c.FinishRequest(now, 3*time.Millisecond)
 		}
 		now = now.Add(50 * time.Millisecond)
@@ -119,25 +107,13 @@ func hairTriggerOverload() *overload.Config {
 	}
 }
 
-// TestSnapshotDecisionStreamGolden pins the snapshot read path to the
+// TestSnapshotDecisionStreamGolden pins the lock-free read path to the
 // decision stream the polMu-serialized path produced.
 func TestSnapshotDecisionStreamGolden(t *testing.T) {
-	if got := replayDigest(t, replayConfig{}); got != goldenPlainDigest {
+	if got := replayDigest(t, nil); got != goldenPlainDigest {
 		t.Errorf("plain replay digest = %#x, want %#x (decision stream diverged from the polMu-path golden)", got, goldenPlainDigest)
 	}
-	if got := replayDigest(t, replayConfig{overload: hairTriggerOverload()}); got != goldenOverloadDigest {
+	if got := replayDigest(t, hairTriggerOverload()); got != goldenOverloadDigest {
 		t.Errorf("overload replay digest = %#x, want %#x (tiered decision stream diverged from the polMu-path golden)", got, goldenOverloadDigest)
-	}
-}
-
-// TestSnapshotBatchedMiningEquivalence replays with the incremental
-// updater at refresh-every-1: the copy-on-write fold must reproduce
-// the in-place online learning decision for decision.
-func TestSnapshotBatchedMiningEquivalence(t *testing.T) {
-	if got := replayDigest(t, replayConfig{refreshEvery: 1}); got != goldenPlainDigest {
-		t.Errorf("batched (refresh-every-1) digest = %#x, want %#x (incremental fold diverged from in-place learning)", got, goldenPlainDigest)
-	}
-	if got := replayDigest(t, replayConfig{refreshEvery: 1, overload: hairTriggerOverload()}); got != goldenOverloadDigest {
-		t.Errorf("batched overload digest = %#x, want %#x", got, goldenOverloadDigest)
 	}
 }

@@ -14,18 +14,18 @@
 // as an argument, so the simulator drives the core with virtual time
 // and stays bit-reproducible (the repo's nowallclock analyzer enforces
 // this). The core is goroutine-safe and its decision read path is
-// contention-free: the read-mostly policy inputs (policies, bundle
-// index, navigation model, rank table) live in an immutable
-// decisionSnapshot published through an atomic pointer — readers
-// pointer-load it once per decision, writers copy-update-publish under
-// a narrow writer mutex (RCU) — while the mutable hot-path state
-// (locality maps, prefetch marks, in-flight counters, session
-// bindings) is striped into per-shard leaf locks keyed by file-path
-// and connection hashes. A steady-state Route+Done pair takes no
-// global lock and performs no heap allocation, so the live front-end
-// scales across cores instead of serializing every request on one
-// dispatcher mutex. Under the single-threaded simulator the same
-// locks are uncontended and the core stays deterministic.
+// contention-free: the policy inputs (policies, bundle index,
+// navigation predictor) are fixed at New and never replaced, so
+// decisions read them without a lock; the navigation predictor learns
+// in place, per connection, under one narrow tracker mutex (Algorithm
+// 2's online tracking); and the mutable hot-path state (locality maps,
+// prefetch marks, in-flight counters, session bindings) is striped
+// into per-shard leaf locks keyed by file-path and connection hashes.
+// A steady-state Route+Done pair takes no global lock and performs no
+// heap allocation, so the live front-end scales across cores instead
+// of serializing every request on one dispatcher mutex. Under the
+// single-threaded simulator the same locks are uncontended and the
+// core stays deterministic.
 package dispatch
 
 import (
@@ -128,16 +128,6 @@ type Config struct {
 	// means no backend is ever degraded — bit-identical to the
 	// pre-detector behavior.
 	Degraded func(server int) bool
-	// MiningRefreshEvery batches online navigation learning: instead of
-	// folding every observation into the mined model in place, the core
-	// buffers observations in an incremental updater and publishes a
-	// copy-on-write fold as a fresh decision snapshot after this many
-	// observations (and on every explicit RefreshMining call). 0 (the
-	// default) keeps the immediate in-place fold — byte-identical to
-	// the historical behavior. 1 is semantically identical to 0 but
-	// pays one fold per observation; larger values trade prediction
-	// freshness for fold amortization on hot front-ends.
-	MiningRefreshEvery int
 	// Recorder, when non-nil, receives one Record per decision the core
 	// makes, in decision order. It runs on the deciding goroutine and
 	// must be fast; it exists for differential testing and diagnostics.
@@ -307,16 +297,16 @@ type Stats struct {
 // Lock hierarchy (machine-checked by prordlint's lockorder analyzer —
 // see lockHierarchy in internal/lint/lockset.go): locks nest only in
 // ascending rank, and the leaf mutexes — the shard locks, the record
-// emitter, the policy stripes and the mining updater — admit no nested
-// acquisition and no blocking operation while held.
+// emitter and the policy stripes — admit no nested acquisition and no
+// blocking operation while held.
 //
 //	wrMu (10) → trackMu (20) → ovMu (30) → sessionShard.mu / fileShard.mu / leaves
 //
-// The routing read path takes none of the ranked locks: Route loads
-// the decision snapshot with one atomic pointer read and touches only
-// leaf locks. wrMu serializes the rare writers — snapshot publishes
-// (RefreshMining) and backend invalidation sweeps — against each
-// other, not against readers.
+// The routing read path takes none of the ranked locks: the policy
+// inputs (cfg's policies and its Miner's bundle index) are fixed at
+// New, and Route touches only leaf locks. wrMu serializes backend invalidation
+// sweeps against each other, not against readers; trackMu serializes
+// the navigation tracker, which trains its predictor in place.
 type Core struct {
 	cfg     Config
 	nshards int
@@ -329,13 +319,11 @@ type Core struct {
 	perBackend []atomic.Int64 // total bookings per backend
 	hedges     []atomic.Int64 // outstanding hedged attempts per backend
 
-	wrMu sync.Mutex // serializes snapshot writers and invalidation sweeps
-	snap atomic.Pointer[decisionSnapshot]
+	wrMu sync.Mutex // serializes invalidation sweeps
 
-	updater *mining.Updater // buffered observations for the next fold
-	emitter *recordEmitter  // nil without a Recorder
+	emitter *recordEmitter // nil without a Recorder
 
-	trackMu sync.Mutex // serializes the navigation tracker's windows
+	trackMu sync.Mutex // serializes the navigation tracker and its in-place learning
 	tracker *mining.Tracker
 
 	ovMu  sync.Mutex // serializes estimator and gate
@@ -392,7 +380,6 @@ func New(cfg Config) (*Core, error) {
 	c := &Core{
 		cfg:        cfg,
 		nshards:    cfg.Shards,
-		updater:    mining.NewUpdater(),
 		loads:      make([]atomic.Int64, cfg.Backends),
 		perBackend: make([]atomic.Int64, cfg.Backends),
 		hedges:     make([]atomic.Int64, cfg.Backends),
@@ -427,16 +414,14 @@ func New(cfg Config) (*Core, error) {
 		// Objects are read-only and safe without a lock on the hot path.
 		cfg.Miner.Bundles.Pages()
 	}
-	snap, err := buildSnapshot(cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.snap.Store(snap)
 	if cfg.Features.NavPrefetch && cfg.Miner != nil {
-		// Immediate mode trains the model in place per observation; in
-		// batched mode the tracker only slides windows and learning goes
-		// through the updater's copy-on-write folds.
-		c.tracker = mining.NewTracker(snap.nav, cfg.MiningRefreshEvery == 0)
+		// The tracker trains the predictor in place per observation,
+		// under trackMu.
+		nav := cfg.Miner.Nav
+		if nav == nil {
+			nav = cfg.Miner.Model
+		}
+		c.tracker = mining.NewTracker(nav, true)
 	}
 	if cfg.Overload != nil {
 		oc := cfg.Overload.WithDefaults()

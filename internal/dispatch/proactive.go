@@ -68,29 +68,12 @@ func (c *Core) PlanProactive(key string, server int, page string, now time.Time)
 }
 
 // observeNav advances a connection's navigation window with the new
-// page and predicts its next page. In immediate mode
-// (MiningRefreshEvery 0) the tracker also trains the model in place,
-// exactly the historical behavior. In batched mode the window slides
-// under trackMu but learning is deferred: the observation buffers in
-// the incremental updater, a refresh fires once the batch size is
-// reached (folding the buffer into a fresh snapshot), and the
-// prediction runs against the current snapshot's immutable model —
-// with batch size 1 that sequence is train-then-predict, decision-
-// for-decision identical to immediate mode.
+// page, trains the model in place on the transition (Algorithm 2's
+// online tracking) and predicts the connection's next page.
 func (c *Core) observeNav(id int, page string) (mining.Prediction, bool) {
-	if c.cfg.MiningRefreshEvery == 0 {
-		c.trackMu.Lock()
-		pred, predicted := c.tracker.Observe(id, page)
-		c.trackMu.Unlock()
-		return pred, predicted
-	}
 	c.trackMu.Lock()
-	prev, window := c.tracker.Advance(id, page)
-	c.trackMu.Unlock()
-	if c.updater.ObserveNav(prev, page) >= c.cfg.MiningRefreshEvery {
-		c.RefreshMining()
-	}
-	return c.snapshot().nav.Predict(window)
+	defer c.trackMu.Unlock()
+	return c.tracker.Observe(id, page)
 }
 
 // groupPrefetch implements §4.1's category-driven prefetching: once a

@@ -118,11 +118,11 @@ func (c *Core) FinishRequest(now time.Time, latency time.Duration) {
 // be paired with exactly one Done; OK false means no backend was
 // available (the request was counted and released, not booked).
 //
-// Route takes no ranked lock: the policy inputs come from one atomic
-// snapshot load, the tier from its lock-free cache, and every mutable
-// touch goes through leaf locks (session/file shards, policy stripes)
-// or atomics. The per-decision masks and policy view come from a
-// pooled scratch, so the steady-state path does not allocate.
+// Route takes no ranked lock: the policy inputs are fixed at New, the
+// tier comes from its lock-free cache, and every mutable touch goes
+// through leaf locks (session/file shards, policy stripes) or atomics.
+// The per-decision masks and policy view come from a pooled scratch,
+// so the steady-state path does not allocate.
 func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
 	st, evicted := c.lookupSession(key)
 	c.closeIDs(evicted)
@@ -135,15 +135,15 @@ func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
 	lastPage := st.lastPage
 	sh.mu.Unlock()
 
-	snap := c.snapshot()
 	tier := c.Tier()
 
 	// From Saturated up the ladder stops the bundle-aware dispatcher
-	// bypass: requests route as plain (non-embedded) traffic.
+	// bypass: requests route as plain (non-embedded) traffic. New
+	// guarantees a Miner whenever a feature is on.
 	embedded := false
-	if tier < overload.Saturated && c.cfg.Features.Bundle && snap.bundles != nil &&
+	if tier < overload.Saturated && c.cfg.Features.Bundle && c.cfg.Miner.Bundles != nil &&
 		lastPage != "" && trace.IsEmbeddedPath(path) {
-		if parent, ok := snap.bundles.Parent(path); ok && parent == lastPage {
+		if parent, ok := c.cfg.Miner.Bundles.Parent(path); ok && parent == lastPage {
 			embedded = true
 		}
 	}
@@ -183,9 +183,9 @@ func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
 
 	// From Saturated up, routing degrades to the locality-only fallback:
 	// cheap, cache-friendly placement with none of PRORD's machinery.
-	pol := snap.pol
-	if tier >= overload.Saturated && snap.fallback != nil {
-		pol = snap.fallback
+	pol := c.cfg.Policy
+	if tier >= overload.Saturated && c.cfg.Fallback != nil {
+		pol = c.cfg.Fallback
 	}
 
 	accept := avail
@@ -394,10 +394,9 @@ func (c *Core) Rebook(key, path string, exclude int, now time.Time) (server int,
 // backend that crashed or whose breaker tripped: its locality state
 // (exact residency or the optimistic map — the process behind it
 // likely lost its memory), its prefetch marks, and every session
-// pinned to it, which must re-bind on its next request. The writer
-// mutex serializes the sweep against concurrent invalidations and
-// snapshot publishes; routing reads proceed under the shard leaves
-// throughout.
+// pinned to it, which must re-bind on its next request. wrMu
+// serializes the sweep against concurrent invalidations; routing reads
+// proceed under the shard leaves throughout.
 func (c *Core) InvalidateBackend(server int) {
 	c.wrMu.Lock()
 	defer c.wrMu.Unlock()

@@ -118,9 +118,8 @@ func (c *Core) closeIDs(ids []int) {
 		}
 		c.trackMu.Unlock()
 	}
-	snap := c.snapshot()
-	cc, closes := snap.pol.(policy.ConnCloser)
-	fc, fcloses := snap.fallback.(policy.ConnCloser)
+	cc, closes := c.cfg.Policy.(policy.ConnCloser)
+	fc, fcloses := c.cfg.Fallback.(policy.ConnCloser)
 	for _, id := range ids {
 		if closes {
 			cc.ConnClose(id)

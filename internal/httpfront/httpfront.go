@@ -68,12 +68,6 @@ type Config struct {
 	Miner *mining.Miner
 	// Prefetch enables navigation prefetch hints to backends. Needs Miner.
 	Prefetch bool
-	// MiningRefreshEvery batches online mining: navigation observations
-	// buffer in the core's incremental updater and fold into a fresh
-	// decision snapshot once this many accumulate. 0 trains the
-	// navigation model in place on every observation, the historical
-	// behavior. Negative is rejected.
-	MiningRefreshEvery int
 	// LocalityEntries bounds the per-backend locality map (how many
 	// recently-served files the dispatcher remembers per backend).
 	// Default 4096.
@@ -286,10 +280,9 @@ func New(cfg Config) (*Distributor, error) {
 			NavPrefetch:   cfg.Prefetch,
 			GroupPrefetch: cfg.Prefetch && cfg.Miner != nil && cfg.Miner.Categorizer != nil,
 		},
-		Exact:              false,
-		LocalityEntries:    cfg.LocalityEntries,
-		MaxSessions:        cfg.MaxSessions,
-		MiningRefreshEvery: cfg.MiningRefreshEvery,
+		Exact:           false,
+		LocalityEntries: cfg.LocalityEntries,
+		MaxSessions:     cfg.MaxSessions,
 		Available: func(server int, now time.Time) bool {
 			d.hmu.Lock()
 			defer d.hmu.Unlock()

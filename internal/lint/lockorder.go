@@ -13,12 +13,11 @@ import (
 //
 //	Core.wrMu (10) → Core.trackMu (20) → Core.ovMu (30) → leaves
 //	sessionShard.mu (90)  fileShard.mu (91)  recordEmitter.mu (92)
-//	targetStripe.mu (93)  WRR.mu (94)  Updater.mu (96)
-//	Detector.mu (97)
+//	targetStripe.mu (93)  WRR.mu (94)  Detector.mu (97)
 //
-// wrMu is the snapshot writer mutex: the routing read path itself
-// acquires no Core-level lock (policy inputs come from an atomic
-// snapshot load), so only snapshot publishers ever hold it.
+// wrMu serializes backend invalidation sweeps: the routing read path
+// itself acquires no Core-level lock (policy inputs are fixed at New),
+// so only the sweeps ever hold it.
 //
 // Three ordering rules apply at every acquisition — direct, or
 // transitively through a synchronous callee:

@@ -58,15 +58,14 @@ type rankDef struct {
 }
 
 // lockHierarchy is the dispatch core's documented lock order: the
-// snapshot writer mutex first (the read path takes no lock at all —
-// policy inputs come from an atomic snapshot load, so the old polMu
-// is gone), then the tracker and overload locks, with the
-// session/file shard stripes as leaves — nothing is ever acquired
-// while a shard stripe is held, and a second stripe of either shard
-// class is never taken (stripe order is not statically checkable, so
-// nesting same-class stripes is flagged outright). The record
-// emitter's mutex, the striped policy target tables, the WRR rotor
-// and the incremental mining updater are leaves for the same reason:
+// invalidation-sweep mutex first (the read path takes no lock at all —
+// policy inputs are fixed at New, so the old polMu is gone), then the
+// tracker and overload locks, with the session/file shard stripes as
+// leaves — nothing is ever acquired while a shard stripe is held, and
+// a second stripe of either shard class is never taken (stripe order
+// is not statically checkable, so nesting same-class stripes is
+// flagged outright). The record emitter's mutex, the striped policy
+// target tables and the WRR rotor are leaves for the same reason:
 // each guards a few fields and calls nothing while held. The gray
 // layer adds one more leaf: the latency-outlier detector's state
 // mutex (its evaluation sorts in-memory buffers only); the hedge race
@@ -80,7 +79,6 @@ var lockHierarchy = []rankDef{
 	{"internal/dispatch", "recordEmitter", "mu", 92, true},
 	{"internal/policy", "targetStripe", "mu", 93, true},
 	{"internal/policy", "WRR", "mu", 94, true},
-	{"internal/mining", "Updater", "mu", 96, true},
 	{"internal/health", "Detector", "mu", 97, true},
 }
 

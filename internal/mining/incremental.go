@@ -1,73 +1,11 @@
 package mining
 
-import "sync"
-
-// This file is the incremental half of the mining split: the offline
-// batch pass (Mine) builds the initial model from a training log, and
-// an Updater keeps it current afterwards without stop-the-world
-// re-mines. Live navigation observations buffer in the Updater
-// (control plane); a batched Refresh folds them into a copy-on-write
-// copy of the dependency-graph model (data plane), which the consumer
-// publishes atomically — readers keep predicting against the previous
-// immutable copy while the fold runs.
-// The refresh interval t from the paper therefore bounds prediction
-// staleness, not lock-hold time.
-
-// NavObs is one buffered online navigation observation: a connection
-// requested Page, and Prev was the last page of its tracked window
-// ("" when the window was empty — a session's first page).
+// NavObs is one online navigation observation: a connection requested
+// Page, and Prev was the last page of its tracked window ("" when the
+// window was empty — a session's first page).
 type NavObs struct {
 	Prev string
 	Page string
-}
-
-// Folder is an OnlinePredictor that supports copy-on-write batch
-// folds: FoldObs returns a new, independent predictor with the
-// observations applied, leaving the receiver untouched so already
-// published snapshots stay immutable. The default n-order Model
-// implements it; the comparison predictors (PPM, SeqRules, DG) learn
-// in place only.
-type Folder interface {
-	OnlinePredictor
-	FoldObs(obs []NavObs) OnlinePredictor
-}
-
-// Updater accumulates online navigation observations for a later batch
-// fold. All methods are safe for concurrent use; its mutex is a leaf —
-// nothing is acquired and nothing blocks while it is held.
-type Updater struct {
-	mu  sync.Mutex
-	nav []NavObs
-}
-
-// NewUpdater returns an empty updater.
-func NewUpdater() *Updater { return &Updater{} }
-
-// ObserveNav buffers one navigation observation and returns the
-// buffered navigation count.
-func (u *Updater) ObserveNav(prev, page string) int {
-	u.mu.Lock()
-	u.nav = append(u.nav, NavObs{Prev: prev, Page: page})
-	n := len(u.nav)
-	u.mu.Unlock()
-	return n
-}
-
-// Pending returns the number of buffered observations.
-func (u *Updater) Pending() int {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return len(u.nav)
-}
-
-// Take drains the buffer, returning the observations in arrival order.
-// The returned slice is owned by the caller.
-func (u *Updater) Take() []NavObs {
-	u.mu.Lock()
-	nav := u.nav
-	u.nav = nil
-	u.mu.Unlock()
-	return nav
 }
 
 // Fold returns a new Model with the observations applied, observation
@@ -125,8 +63,3 @@ func (m *Model) Fold(obs []NavObs) *Model {
 	}
 	return nm
 }
-
-// FoldObs implements Folder.
-func (m *Model) FoldObs(obs []NavObs) OnlinePredictor { return m.Fold(obs) }
-
-var _ Folder = (*Model)(nil)

@@ -104,54 +104,3 @@ func TestModelFoldEmpty(t *testing.T) {
 		t.Error("Fold(nil) should return the receiver unchanged")
 	}
 }
-
-func TestUpdaterTakeDrains(t *testing.T) {
-	u := NewUpdater()
-	u.ObserveNav("", "/a")
-	if n := u.ObserveNav("/a", "/b"); n != 2 {
-		t.Errorf("ObserveNav count = %d, want 2", n)
-	}
-	if p := u.Pending(); p != 2 {
-		t.Errorf("Pending = %d, want 2", p)
-	}
-	nav := u.Take()
-	wantNav := []NavObs{{Page: "/a"}, {Prev: "/a", Page: "/b"}}
-	if !reflect.DeepEqual(nav, wantNav) {
-		t.Errorf("nav = %v, want %v", nav, wantNav)
-	}
-	if u.Pending() != 0 {
-		t.Error("Take did not drain")
-	}
-	if nav = u.Take(); nav != nil {
-		t.Error("second Take should return a nil slice")
-	}
-}
-
-func TestTrackerAdvanceMatchesObserveWindow(t *testing.T) {
-	obsModel := NewModel(2)
-	applyInPlace(obsModel, foldObs(50))
-	advModel := NewModel(2)
-	applyInPlace(advModel, foldObs(50))
-
-	online := NewTracker(obsModel, true)
-	batched := NewTracker(advModel, false)
-
-	pages := []string{"/x", "/y", "/x", "/z", "/y", "/x"}
-	for i, p := range pages {
-		online.Observe(1, p)
-		prev, window := batched.Advance(1, p)
-		// Folding the advanced observation reproduces the online model.
-		folded := advModel.Fold([]NavObs{{Prev: prev, Page: p}})
-		advModel = folded
-		batched.model = folded
-
-		oc, oa, oo := modelState(obsModel)
-		fc, fa, fo := modelState(folded)
-		if oo != fo || !reflect.DeepEqual(oa, fa) || !reflect.DeepEqual(oc, fc) {
-			t.Fatalf("step %d: Advance+Fold model diverged from Observe", i)
-		}
-		if !reflect.DeepEqual(window, online.Recent(1)) {
-			t.Fatalf("step %d: window = %v, want %v", i, window, online.Recent(1))
-		}
-	}
-}

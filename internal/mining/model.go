@@ -231,33 +231,6 @@ func (t *Tracker) Observe(conn int, page string) (Prediction, bool) {
 	return t.model.Predict(seq)
 }
 
-// Advance records that conn requested page — sliding the connection's
-// tracked window exactly as Observe does — but never mutates the model
-// and makes no prediction. It returns the previous last page of the
-// window ("" when the window was empty) and a copy of the advanced
-// window, so the caller can buffer a NavObs for a later batch fold and
-// predict against an immutable snapshot model outside the tracker's
-// lock. Observe with online learning is equivalent to Advance +
-// folding {prev, page} + Predict on the advanced window.
-func (t *Tracker) Advance(conn int, page string) (prev string, window []string) {
-	seq := t.recent[conn]
-	if len(seq) > 0 {
-		prev = seq[len(seq)-1]
-	}
-	seq = append(seq, page)
-	w := t.model.Window()
-	if w < 1 {
-		w = 1
-	}
-	if over := len(seq) - w; over > 0 {
-		seq = seq[over:]
-	}
-	t.recent[conn] = seq
-	window = make([]string, len(seq))
-	copy(window, seq)
-	return prev, window
-}
-
 // Recent returns the connection's tracked page sequence.
 func (t *Tracker) Recent(conn int) []string { return t.recent[conn] }
 

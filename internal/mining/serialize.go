@@ -117,6 +117,12 @@ func Load(r io.Reader) (*Miner, error) {
 		m.Ranker.counts = in.RankCounts
 	}
 	if cj := in.Categorizer; cj != nil && cj.Groups > 0 {
+		// Classify indexes both tables by group: a short one would
+		// panic the first session that reaches category prefetching.
+		if len(cj.PageFreq) != cj.Groups || len(cj.Prior) != cj.Groups {
+			return nil, fmt.Errorf("mining: categorizer has %d groups but %d page_freq rows and %d priors",
+				cj.Groups, len(cj.PageFreq), len(cj.Prior))
+		}
 		c := &Categorizer{
 			groups:     cj.Groups,
 			pageFreq:   cj.PageFreq,

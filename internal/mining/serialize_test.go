@@ -100,6 +100,96 @@ func TestLoadRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsMismatchedCategorizer is the regression test for a
+// model file whose categorizer declares more groups than it has tables:
+// Load used to accept it, and the first Classify panicked with an index
+// out of range.
+func TestLoadRejectsMismatchedCategorizer(t *testing.T) {
+	for _, cat := range []string{
+		`{"groups":2,"page_freq":[],"prior":[]}`,
+		`{"groups":2,"page_freq":[{},{}],"prior":[0.5]}`,
+		`{"groups":1,"page_freq":[{},{}],"prior":[1]}`,
+	} {
+		m, err := Load(strings.NewReader(`{"version":1,"categorizer":` + cat + `}`))
+		if err == nil {
+			t.Errorf("Load accepted categorizer %s (Classify would see %d groups)", cat, m.Categorizer.Groups())
+		}
+	}
+}
+
+// FuzzLoad: for any input Load accepts, the queries the front-end makes
+// of a loaded miner — navigation prediction and online learning, bundle
+// lookups, the rank table and category classification — do not panic.
+func FuzzLoad(f *testing.F) {
+	// A small labeled log, so the saved seed carries every section
+	// (contexts, bundles, ranks, categorizer) and stays short enough
+	// for the fuzzer to minimize quickly.
+	tr := labeledTrace(map[int][][]string{
+		0: {{"/s/a", "/s/a.gif", "/s/b"}, {"/s/a", "/s/a.gif", "/s/c"}},
+		1: {{"/f/x", "/f/y"}, {"/f/x", "/f/z", "/f/z.css"}},
+	})
+	var saved bytes.Buffer
+	if err := Mine(tr, DefaultOptions()).Save(&saved); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(saved.Bytes())
+	f.Add([]byte(`{"version":1}`))
+	f.Add([]byte(`{"version":1,"categorizer":{"groups":2,"page_freq":[],"prior":[]}}`))
+	f.Add([]byte(`{"version":1,"options":{"Order":3},"contexts":{"/a":{"total":0,"next":null},"/a|/b":{"total":-1,"next":{"/c":2}}},"accessed":{"/a":1}}`))
+	f.Add([]byte(`{"version":1,"page_views":{"/a":0},"object_counts":{"/a":{"/a.gif":-3},"/b":null},"rank_counts":{"/a":-1}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		pages := []string{"/a", "/b"}
+		for p := range m.Model.accessed {
+			pages = append(pages, p)
+		}
+		for key := range m.Model.ctx {
+			pages = append(pages, strings.Split(key, ctxSep)...)
+		}
+		if len(pages) > 16 {
+			pages = pages[:16]
+		}
+		for i := range pages {
+			m.Model.Predict(pages[:i+1])
+			m.Model.PredictAll(pages[i:])
+		}
+		tracker := NewTracker(m.Nav, true)
+		for _, p := range pages {
+			tracker.Observe(1, p)
+		}
+
+		for _, page := range m.Bundles.Pages() {
+			for _, obj := range m.Bundles.Objects(page) {
+				m.Bundles.Parent(obj)
+			}
+		}
+		for page, objs := range m.Bundles.objCounts {
+			m.Bundles.Objects(page)
+			for obj := range objs {
+				m.Bundles.Parent(obj)
+			}
+		}
+		m.Ranker.Table()
+		m.Ranker.Top(3)
+
+		if c := m.Categorizer; c != nil {
+			vocab := make([]string, 0, len(c.vocabulary))
+			for p := range c.vocabulary {
+				vocab = append(vocab, p)
+			}
+			c.Classify(nil)
+			c.Classify(pages)
+			c.Classify(vocab)
+			for g := -1; g <= c.Groups() && g < 8; g++ {
+				c.TopPages(g, 4)
+			}
+		}
+	})
+}
+
 func TestSaveTrained(t *testing.T) {
 	tr := seqTrace([]string{"A", "B"}, []string{"A", "B"})
 	var buf bytes.Buffer

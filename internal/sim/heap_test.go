@@ -173,7 +173,7 @@ func TestTypedSchedulingDoesNotAllocate(t *testing.T) {
 // probe records what a station's books say while the job's own handler
 // runs.
 type probe struct {
-	q      Station
+	q      *FCFS
 	queued []int
 	served []uint64
 }
@@ -188,26 +188,21 @@ func (p *probe) Handle(int) {
 // already be off the books — not queued, counted served — when its
 // handler runs, on both entry points.
 func TestStationBooksCloseBeforeHandler(t *testing.T) {
-	for _, name := range []string{"FCFS", "PS"} {
-		eng := &Engine{}
-		var q Station = NewFCFS(eng)
-		if name == "PS" {
-			q = NewPS(eng)
-		}
-		p := &probe{q: q}
-		q.ScheduleOp(time.Millisecond, p, 0)
-		q.Schedule(2*time.Millisecond, func(_, _ time.Duration) { p.Handle(0) })
-		q.ScheduleOp(3*time.Millisecond, nil, 0)
-		if q.QueueLen() != 3 {
-			t.Fatalf("%s: QueueLen = %d with three jobs booked", name, q.QueueLen())
-		}
-		eng.Run()
-		if fmt.Sprint(p.queued) != "[2 1]" || fmt.Sprint(p.served) != "[1 2]" {
-			t.Errorf("%s: handlers saw QueueLen %v and Served %v, want [2 1] and [1 2]", name, p.queued, p.served)
-		}
-		if q.QueueLen() != 0 || q.Served() != 3 || eng.Executed() < 3 {
-			t.Errorf("%s: after the run QueueLen=%d Served=%d Executed=%d", name, q.QueueLen(), q.Served(), eng.Executed())
-		}
+	eng := &Engine{}
+	q := NewFCFS(eng)
+	p := &probe{q: q}
+	q.ScheduleOp(time.Millisecond, p, 0)
+	q.Schedule(2*time.Millisecond, func(_, _ time.Duration) { p.Handle(0) })
+	q.ScheduleOp(3*time.Millisecond, nil, 0)
+	if q.QueueLen() != 3 {
+		t.Fatalf("QueueLen = %d with three jobs booked", q.QueueLen())
+	}
+	eng.Run()
+	if fmt.Sprint(p.queued) != "[2 1]" || fmt.Sprint(p.served) != "[1 2]" {
+		t.Errorf("handlers saw QueueLen %v and Served %v, want [2 1] and [1 2]", p.queued, p.served)
+	}
+	if q.QueueLen() != 0 || q.Served() != 3 || eng.Executed() < 3 {
+		t.Errorf("after the run QueueLen=%d Served=%d Executed=%d", q.QueueLen(), q.Served(), eng.Executed())
 	}
 }
 

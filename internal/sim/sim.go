@@ -1,7 +1,6 @@
 // Package sim is a small discrete-event simulation engine: an event heap
-// driven by a virtual clock, plus the queueing primitives the cluster
-// model is built from (FCFS service stations and processor-sharing
-// stations). The PRORD paper evaluates with a C++ event-driven cluster
+// driven by a virtual clock, plus the queueing primitive the cluster
+// model is built from (the FCFS service station). The PRORD paper evaluates with a C++ event-driven cluster
 // simulator; this package is the Go equivalent substrate.
 //
 // Events run in (time, seq) order, where seq is assigned when the event
@@ -178,23 +177,6 @@ func (e *Engine) RunUntil(deadline time.Duration) {
 	}
 }
 
-// Station is a single-server service station: FCFS or processor sharing.
-type Station interface {
-	// ScheduleOp enqueues a job; h.Handle(op) runs at completion (h may
-	// be nil).
-	ScheduleOp(service time.Duration, h Handler, op int)
-	// Schedule is ScheduleOp with a callback: done fires at completion
-	// with the job's service start (FCFS) or arrival (PS) and completion
-	// times.
-	Schedule(service time.Duration, done func(start, end time.Duration))
-	// QueueLen reports jobs waiting or in service.
-	QueueLen() int
-	// Served reports completed jobs.
-	Served() uint64
-	// Utilization reports busy time as a fraction of elapsed time.
-	Utilization() float64
-}
-
 // FCFS is a first-come-first-served single-server station (one disk arm,
 // one NIC, one handoff engine...). Jobs are served one at a time in
 // arrival order; Schedule returns immediately and the done callback fires
@@ -273,11 +255,6 @@ func (q *FCFS) Schedule(service time.Duration, done func(start, end time.Duratio
 	}
 	q.eng.schedule(end, q, h, 0)
 }
-
-var (
-	_ Station = (*FCFS)(nil)
-	_ Station = (*PS)(nil)
-)
 
 // Delay returns how long a job arriving now would wait before starting
 // service.
