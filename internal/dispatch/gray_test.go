@@ -167,6 +167,29 @@ func TestRebookPrefersFileHolder(t *testing.T) {
 	c.Done(holderKey, holder, path, false, false)
 }
 
+// TestRebookSkipsDynamicLocality pins the failover booking to Route's
+// rule: a dynamic response is uncacheable, so the backend a failed
+// attempt moved to must not be believed to hold it — otherwise
+// locality-first policies would route the path there by locality.
+func TestRebookSkipsDynamicLocality(t *testing.T) {
+	c := newGrayCore(t, 4, nil)
+	now := time.Unix(0, 0)
+	const key, path = "10.3.2.1:1", "/x.cgi"
+	out := c.Route(key, path, 1024, now)
+	if !out.OK {
+		t.Fatal("unroutable")
+	}
+	c.Done(key, out.Server, path, true, false)
+	next, ok := c.Rebook(key, path, out.Server, now)
+	if !ok {
+		t.Fatal("Rebook found no target")
+	}
+	if c.LocalityContains(next, path) {
+		t.Errorf("Rebook put dynamic %s into backend %d's locality view", path, next)
+	}
+	c.Done(key, next, path, false, true)
+}
+
 func TestHedgeTargetAvoidsPrimaryAndDegraded(t *testing.T) {
 	g := newGrayMask(3)
 	c := newGrayCore(t, 3, g)
