@@ -87,4 +87,7 @@ bench:
 		grep -q '"correct":true' BENCH_$$w.json || { echo "bench: $$w: run is not correct" >&2; exit 1; }; \
 	done
 
-ci: build vet lint race fuzz bench
+# test runs before race: the allocation ratchets (TestRouteDoneAllocs,
+# TestRunAllocsPerRequest, TestForwardAllocs) skip under the race
+# detector, whose instrumentation allocates.
+ci: build vet lint test race fuzz bench

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"prord/internal/cache"
@@ -124,7 +123,7 @@ type Cluster struct {
 	// replicas tracks Algorithm 3's placements (file -> backends); the
 	// replication manager owns placement, the core only routes to them
 	// through the residency it is told about.
-	replicas map[string]map[int]bool
+	replicas map[string]dispatch.ServerSet
 	// waiters holds demand requests blocked on an in-flight prefetch of
 	// the same file at the same backend, so demand traffic piggybacks on
 	// the prefetch disk read instead of issuing a duplicate one.
@@ -159,7 +158,7 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:      cfg,
 		eng:      &sim.Engine{},
-		replicas: make(map[string]map[int]bool),
+		replicas: make(map[string]dispatch.ServerSet),
 		waiters:  make(map[waiterKey][]*flight),
 	}
 	total := cfg.Params.AppMemory + cfg.Params.PinnedMemory
@@ -307,7 +306,7 @@ func (c *Cluster) crash(server int) {
 		c.gray.detector.Reset(server)
 	}
 	for file := range c.replicas {
-		delSet(c.replicas, file, server)
+		c.unplace(file, server)
 	}
 	// Drop resident objects (memory contents are lost on restart). The
 	// store has no iteration API; rebuild it cold by removing every known
@@ -339,7 +338,7 @@ func (c *Cluster) NumServers() int { return len(c.backends) }
 
 // Holders implements replicate.Placer.
 func (c *Cluster) Holders(file string) []int {
-	return sortedKeys(c.replicas[file])
+	return c.replicas[file].AppendTo(nil)
 }
 
 // Replicate implements replicate.Placer: copy the file over the internal
@@ -350,12 +349,12 @@ func (c *Cluster) Replicate(file string, server int) {
 		return // unknown, uncacheable or target crashed
 	}
 	b := c.backends[server]
-	addSet(c.replicas, file, server)
+	c.replicas[file] = c.replicas[file].Add(server)
 	c.met.Replications++
 	b.net.Schedule(c.dilate(server, perKBCost(size, c.cfg.Params.NetPerKB)), func(_, _ time.Duration) {
 		// The replica may have been dropped — or the backend crashed —
 		// while in transit.
-		if !c.replicas[file][server] || c.down[server] {
+		if !c.replicas[file].Has(server) || c.down[server] {
 			return
 		}
 		evicted, stored := b.store.InsertPinned(file, size)
@@ -363,14 +362,14 @@ func (c *Cluster) Replicate(file string, server int) {
 		if stored {
 			c.core.NoteResident(server, file)
 		} else {
-			delSet(c.replicas, file, server)
+			c.unplace(file, server)
 		}
 	})
 }
 
 // Drop implements replicate.Placer.
 func (c *Cluster) Drop(file string, server int) {
-	delSet(c.replicas, file, server)
+	c.unplace(file, server)
 	if c.backends[server].store.RemovePinned(file) {
 		c.noteGone(server, file)
 	}
@@ -383,42 +382,24 @@ var _ replicate.Placer = (*Cluster)(nil)
 // noteGone records that a backend no longer holds file in memory.
 func (c *Cluster) noteGone(server int, file string) {
 	c.core.NoteGone(server, file)
-	delSet(c.replicas, file, server)
+	c.unplace(file, server)
+}
+
+// unplace forgets a replica placement; a file with none left leaves the
+// table.
+func (c *Cluster) unplace(file string, server int) {
+	if set, ok := c.replicas[file]; ok {
+		if set = set.Remove(server); set.Empty() {
+			delete(c.replicas, file)
+		} else {
+			c.replicas[file] = set
+		}
+	}
 }
 
 // noteEvictions processes cache eviction lists.
 func (c *Cluster) noteEvictions(server int, evicted []cache.Item) {
 	for _, it := range evicted {
 		c.noteGone(server, it.Key)
-	}
-}
-
-func sortedKeys(m map[int]bool) []int {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(m))
-	for s := range m {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func addSet(m map[string]map[int]bool, file string, server int) {
-	set, ok := m[file]
-	if !ok {
-		set = make(map[int]bool)
-		m[file] = set
-	}
-	set[server] = true
-}
-
-func delSet(m map[string]map[int]bool, file string, server int) {
-	if set, ok := m[file]; ok {
-		delete(set, server)
-		if len(set) == 0 {
-			delete(m, file)
-		}
 	}
 }

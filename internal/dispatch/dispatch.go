@@ -18,9 +18,10 @@
 // navigation predictor) are fixed at New and never replaced, so
 // decisions read them without a lock; the navigation predictor learns
 // in place, per connection, under one narrow tracker mutex (Algorithm
-// 2's online tracking); and the mutable hot-path state (locality maps,
-// prefetch marks, in-flight counters, session bindings) is striped
-// into per-shard leaf locks keyed by file-path and connection hashes.
+// 2's online tracking); and the mutable hot-path state (one record per
+// file holding its backend sets and in-flight counts, the locality
+// maps, session bindings) is striped into per-shard leaf locks keyed by
+// file-path and connection hashes.
 // A steady-state Route+Done pair takes no global lock and performs no
 // heap allocation, so the live front-end scales across cores instead
 // of serializing every request on one dispatcher mutex. Under the
@@ -61,7 +62,7 @@ func (f Features) any() bool { return f.Bundle || f.NavPrefetch || f.GroupPrefet
 
 // Config assembles a Core.
 type Config struct {
-	// Backends is the backend server count. Required.
+	// Backends is the backend server count, 1 to 64. Required.
 	Backends int
 	// Policy is the distribution policy under test. Required.
 	Policy policy.Policy
@@ -294,6 +295,12 @@ type Stats struct {
 // Core is the shared decision engine. Build one with New; all methods
 // are safe for concurrent use.
 //
+// Per-file state lives in one record per path in the path's file
+// shard: the backends holding it (exact mode), the backends with a
+// prefetch mark, the backends with a request in flight, and per-backend
+// in-flight counts. Every such set — and every per-decision mask — is a
+// ServerSet word, which caps a core at 64 backends.
+//
 // Lock hierarchy (machine-checked by prordlint's lockorder analyzer —
 // see lockHierarchy in internal/lint/lockset.go): locks nest only in
 // ascending rank, and the leaf mutexes — the shard locks, the record
@@ -345,8 +352,8 @@ type coreStats struct {
 
 // New builds a Core from cfg.
 func New(cfg Config) (*Core, error) {
-	if cfg.Backends < 1 {
-		return nil, fmt.Errorf("dispatch: Backends must be >= 1, got %d", cfg.Backends)
+	if cfg.Backends < 1 || cfg.Backends > maxBackends {
+		return nil, fmt.Errorf("dispatch: Backends must be in [1, %d], got %d", maxBackends, cfg.Backends)
 	}
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("dispatch: Config.Policy is required")
@@ -399,9 +406,7 @@ func New(cfg Config) (*Core, error) {
 	c.fsh = make([]fileShard, c.nshards)
 	for i := range c.fsh {
 		f := &c.fsh[i]
-		f.memory = make(map[string]map[int]bool)
-		f.prefetched = make(map[string]map[int]bool)
-		f.inflight = make(map[string]map[int]int)
+		f.files = make(map[string]*fileState)
 		if !cfg.Exact {
 			f.locality = make([]*cache.LRU, cfg.Backends)
 			for s := range f.locality {

@@ -1,10 +1,6 @@
 package dispatch
 
-import (
-	"time"
-
-	"prord/internal/trace"
-)
+import "time"
 
 // pickTarget picks the best alternative backend for path, excluding
 // backend exclude: least-loaded among accepting backends the locality
@@ -15,61 +11,29 @@ import (
 // retry and HedgeTarget so both prefer a warm replica over a cold
 // least-loaded backend.
 func (c *Core) pickTarget(path string, exclude int, acceptOnly bool, now time.Time) (int, bool) {
-	avail, navail := c.availMask(nil, now)
-	if navail == 0 {
-		return -1, false
-	}
-	holder := make([]bool, len(avail))
+	avail := c.availMask(now).Remove(exclude)
 	f := c.fileShardFor(path)
 	f.mu.Lock()
-	for i := range holder {
-		if avail[i] && (f.residentHere(c.cfg.Exact, i, path) || f.prefetched[path][i]) {
-			holder[i] = true
-		}
-	}
+	holders := f.believed(c.cfg.Exact, path, avail) | f.peek(path).prefetched&avail
 	f.mu.Unlock()
-	accepts := func(i int) bool { return !c.degraded(i) }
-	pick := func(needHolder, needAccept bool) (int, bool) {
-		best, found := -1, false
-		for i := range avail {
-			if i == exclude || !avail[i] {
-				continue
-			}
-			if needHolder && !holder[i] {
-				continue
-			}
-			if needAccept && !accepts(i) {
-				continue
-			}
-			if !found || c.loadOf(i) < c.loadOf(best) {
-				best, found = i, true
-			}
-		}
-		return best, found
-	}
-	if s, ok := pick(true, true); ok {
+	accept := c.healthy(avail)
+	if s, ok := c.leastLoaded(holders & accept); ok {
 		return s, true
 	}
-	if s, ok := pick(false, true); ok {
-		return s, true
+	if s, ok := c.leastLoaded(accept); ok || acceptOnly {
+		return s, ok
 	}
-	if acceptOnly {
-		return -1, false
-	}
-	return pick(false, false)
+	return c.leastLoaded(avail)
 }
 
 // HedgeTarget picks the backend for a hedged backup request on path:
 // the best accepting, non-degraded backend other than the primary,
-// preferring one that already holds the file. ok is false when no
-// backend is worth hedging to and the caller should skip the hedge.
-// The choice does not book anything — pair it with TryBeginHedge.
+// preferring one that already holds the file. ok is false (and the
+// backend -1) when no backend is worth hedging to and the caller should
+// skip the hedge. The choice does not book anything — pair it with
+// TryBeginHedge.
 func (c *Core) HedgeTarget(path string, primary int, now time.Time) (int, bool) {
-	s, ok := c.pickTarget(path, primary, true, now)
-	if !ok {
-		return -1, false
-	}
-	return s, true
+	return c.pickTarget(path, primary, true, now)
 }
 
 // TryBeginHedge books a hedged backup attempt for path on server,
@@ -92,18 +56,8 @@ func (c *Core) TryBeginHedge(server int, path string, limit int) bool {
 	} else {
 		c.hedges[server].Add(1)
 	}
-	c.loads[server].Add(1)
 	c.stats.hedgesFired.Add(1)
-	f := c.fileShardFor(path)
-	f.mu.Lock()
-	incFlight(f.inflight, path, server)
-	if !c.cfg.Exact && !trace.IsDynamicPath(path) {
-		// The backend will have the file hot after serving the hedge,
-		// exactly like a Route booking.
-		f.locality[server].Insert(path, 1)
-		delSet(f.prefetched, path, server)
-	}
-	f.mu.Unlock()
+	c.book(server, path)
 	return true
 }
 
@@ -117,15 +71,7 @@ func (c *Core) FinishHedge(server int, path string, failed, won bool) {
 		return
 	}
 	c.hedges[server].Add(-1)
-	c.loads[server].Add(-1)
-	f := c.fileShardFor(path)
-	f.mu.Lock()
-	decFlight(f.inflight, path, server)
-	if failed && !c.cfg.Exact {
-		f.locality[server].Remove(path)
-		delSet(f.prefetched, path, server)
-	}
-	f.mu.Unlock()
+	c.release(server, path, failed)
 	if won {
 		c.stats.hedgeWins.Add(1)
 	}

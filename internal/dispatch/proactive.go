@@ -136,18 +136,7 @@ func (c *Core) cold(file string) bool {
 	f := c.fileShardFor(file)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.prefetched[file]) > 0 {
-		return false
-	}
-	if c.cfg.Exact {
-		return len(f.memory[file]) == 0
-	}
-	for s := range f.locality {
-		if f.locality[s].Contains(file) {
-			return false
-		}
-	}
-	return true
+	return f.peek(file).prefetched.Empty() && f.believed(c.cfg.Exact, file, ^ServerSet(0)).Empty()
 }
 
 // admitPrefetch registers one prefetch placement if the file is
@@ -164,13 +153,11 @@ func (c *Core) admitPrefetch(server int, file string) bool {
 	f := c.fileShardFor(file)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.residentHere(c.cfg.Exact, server, file) {
-		return false
+	if f.residentHere(c.cfg.Exact, server, file) || f.peek(file).prefetched.Has(server) {
+		return false // held, or already being prefetched here
 	}
-	if f.prefetched[file][server] {
-		return false // already being prefetched here
-	}
-	addSet(f.prefetched, file, server)
+	fs := f.record(file, c.cfg.Backends)
+	fs.prefetched = fs.prefetched.Add(server)
 	c.stats.prefetches.Add(1)
 	return true
 }

@@ -22,9 +22,9 @@ import (
 
 // TestRouteDoneAllocs pins the steady-state allocation budget of the
 // Route/Done pair at zero: policy inputs are plain fields fixed at New,
-// masks and the policy view come from pooled scratch, shard hashing is
-// inline FNV-1a, and booking reuses retained per-path maps. Warm-up
-// pays the one-time costs (sessions, locality sets, scratch).
+// masks are single words, the policy view comes from a pool, shard
+// hashing is inline FNV-1a, and booking reuses retained per-path
+// records. Warm-up pays the one-time costs (sessions, records, views).
 func TestRouteDoneAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on paths the production build does not")
@@ -58,7 +58,7 @@ func TestRouteDoneAllocs(t *testing.T) {
 		step(i)
 		i++
 	})
-	// A GC can empty the scratch pool mid-run and cost one stray
+	// A GC can empty the view pool mid-run and cost one stray
 	// allocation; averaged over 2000 runs that is ~0.0005, so a small
 	// tolerance separates it from a real per-decision allocation.
 	if allocs > 0.1 {

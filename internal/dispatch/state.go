@@ -1,6 +1,8 @@
 package dispatch
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -8,6 +10,37 @@ import (
 	"prord/internal/cache"
 	"prord/internal/policy"
 )
+
+// maxBackends is the most backends a Core serves: a ServerSet holds
+// one bit per backend in one word.
+const maxBackends = 64
+
+// ServerSet is a set of backend indexes, one bit per backend. Every
+// "which backends" question the core answers — resident, prefetched, in
+// flight, available, accepting — is one word.
+type ServerSet uint64
+
+// Has reports whether backend s is a member.
+func (m ServerSet) Has(s int) bool { return m&(1<<uint(s)) != 0 }
+
+// Add returns the set with backend s added.
+func (m ServerSet) Add(s int) ServerSet { return m | 1<<uint(s) }
+
+// Remove returns the set with backend s removed.
+func (m ServerSet) Remove(s int) ServerSet { return m &^ (1 << uint(s)) }
+
+// Empty reports whether the set has no member.
+func (m ServerSet) Empty() bool { return m == 0 }
+
+// AppendTo appends the members to dst in ascending order, growing dst
+// at most once.
+func (m ServerSet) AppendTo(dst []int) []int {
+	dst = slices.Grow(dst, bits.OnesCount64(uint64(m)))
+	for ; m != 0; m &= m - 1 {
+		dst = append(dst, bits.TrailingZeros64(uint64(m)))
+	}
+	return dst
+}
 
 // session is one tracked client connection. Guarded by its shard's
 // mutex.
@@ -32,15 +65,59 @@ type sessionShard struct {
 	byID  map[int]*session
 }
 
-// fileShard is one stripe of the per-file routing state. In optimistic
-// mode it also carries this stripe's slice of every backend's locality
-// LRU (each bounded to LocalityEntries/Shards entries).
+// fileShard is one stripe of the per-file routing state: one record
+// per path the stripe has booked, marked or (exact mode) placed. In
+// optimistic mode it also carries this stripe's slice of every
+// backend's locality LRU (each bounded to LocalityEntries/Shards
+// entries).
 type fileShard struct {
-	mu         sync.Mutex
-	memory     map[string]map[int]bool // exact mode: file -> resident backends
-	prefetched map[string]map[int]bool // file -> backends with a prefetch mark
-	inflight   map[string]map[int]int  // file -> backend -> outstanding count
-	locality   []*cache.LRU            // optimistic mode: per backend
+	mu       sync.Mutex
+	files    map[string]*fileState
+	locality []*cache.LRU // optimistic mode: per backend
+}
+
+// fileState is what the core tracks about one path. A record outlives
+// its last booking: a hot file cycles between one and zero outstanding
+// requests constantly, and re-making the record on every cycle would be
+// the routing path's only steady-state allocation. Per-path retention
+// is bounded by the same request universe as the policies' target
+// tables.
+type fileState struct {
+	resident   ServerSet // exact mode: backends holding the file
+	prefetched ServerSet // backends with a prefetch mark
+	busy       ServerSet // backends with flight > 0
+	flight     []int32   // outstanding requests per backend
+}
+
+// record returns path's record, creating it on first touch. Callers
+// hold the shard mutex.
+func (f *fileShard) record(path string, backends int) *fileState {
+	fs := f.files[path]
+	if fs == nil {
+		fs = &fileState{flight: make([]int32, backends)}
+		f.files[path] = fs
+	}
+	return fs
+}
+
+// peek returns a copy of path's record for reading its sets (the zero
+// record when the stripe has none). Callers hold the shard mutex.
+func (f *fileShard) peek(path string) fileState {
+	if fs := f.files[path]; fs != nil {
+		return *fs
+	}
+	return fileState{}
+}
+
+// unmark drops path's prefetch mark at server and reports whether one
+// was set. Callers hold the shard mutex.
+func (f *fileShard) unmark(path string, server int) bool {
+	fs := f.files[path]
+	if fs == nil || !fs.prefetched.Has(server) {
+		return false
+	}
+	fs.prefetched = fs.prefetched.Remove(server)
+	return true
 }
 
 // shardOf hashes a string onto a stripe index. The FNV-1a loop is
@@ -147,39 +224,15 @@ func (c *Core) CloseConn(key string) {
 	}
 }
 
-// available reports whether a backend can take new work at now.
-func (c *Core) available(server int, now time.Time) bool {
-	if c.cfg.Available == nil {
-		return true
-	}
-	return c.cfg.Available(server, now)
-}
-
-// availMask evaluates every backend's availability once per decision,
-// filling the caller's buffer (grown if needed) to keep the routing
-// path allocation-free.
-func (c *Core) availMask(buf []bool, now time.Time) (mask []bool, n int) {
-	mask = boolBuf(buf, c.cfg.Backends)
-	for i := range mask {
-		if c.available(i, now) {
-			mask[i] = true
-			n++
+// availMask evaluates every backend's availability once per decision.
+func (c *Core) availMask(now time.Time) ServerSet {
+	var m ServerSet
+	for i := 0; i < c.cfg.Backends; i++ {
+		if c.cfg.Available == nil || c.cfg.Available(i, now) {
+			m = m.Add(i)
 		}
 	}
-	return mask, n
-}
-
-// boolBuf returns a length-n false-filled slice backed by buf when it
-// has the capacity.
-func boolBuf(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = false
-	}
-	return buf
+	return m
 }
 
 // loadOf returns the routable-load signal for an available backend.
@@ -190,6 +243,18 @@ func (c *Core) loadOf(server int) int {
 	return int(c.loads[server].Load())
 }
 
+// leastLoaded returns the member of set with the lowest load, the
+// lowest index on ties; -1 and false when set is empty.
+func (c *Core) leastLoaded(set ServerSet) (best int, found bool) {
+	best = -1
+	for i := 0; i < c.cfg.Backends; i++ {
+		if set.Has(i) && (!found || c.loadOf(i) < c.loadOf(best)) {
+			best, found = i, true
+		}
+	}
+	return best, found
+}
+
 // degraded reports the gray-failure detector's verdict for a backend
 // (never degraded without a Degraded hook). Lock-free per the Config
 // contract, so it is safe under shard leaf locks.
@@ -197,72 +262,69 @@ func (c *Core) degraded(server int) bool {
 	return c.cfg.Degraded != nil && c.cfg.Degraded(server)
 }
 
-// narrowsAccept reports whether any configured layer can make the
-// accept mask narrower than the availability mask. When false, Route
-// uses the availability mask directly — the historical behavior.
-func (c *Core) narrowsAccept() bool {
-	return c.cfg.Degraded != nil
-}
-
-// fillAccept narrows an availability mask to backends open to new
-// placements — not gray-degraded — filling accept (pre-sized to match
-// avail). When nothing accepts — every available backend is degraded —
-// it falls back to the availability mask so traffic still routes.
-// Callers without a detector use the availability mask directly.
-func (c *Core) fillAccept(accept, avail []bool) []bool {
-	n := 0
-	for i := range avail {
-		if !avail[i] {
-			continue
-		}
-		if c.degraded(i) {
-			continue
-		}
-		accept[i] = true
-		n++
+// healthy returns the members of set the gray-failure detector does
+// not flag (all of them without a Degraded hook).
+func (c *Core) healthy(set ServerSet) ServerSet {
+	if c.cfg.Degraded == nil {
+		return set
 	}
-	if n == 0 {
-		return avail
+	for i := 0; i < c.cfg.Backends; i++ {
+		if set.Has(i) && c.cfg.Degraded(i) {
+			set = set.Remove(i)
+		}
 	}
-	return accept
+	return set
 }
 
-// scratch is the per-decision working set Route borrows from a
-// sync.Pool: the availability and accept masks, the policy view, and
-// the view's reusable server-list buffer. Pooling keeps the
-// steady-state routing path at zero heap allocations.
-type scratch struct {
-	avail  []bool
-	accept []bool
-	view   coreView
+// acceptMask narrows an availability mask to backends open to new
+// placements — not gray-degraded. When nothing accepts — every
+// available backend is degraded — it falls back to the availability
+// mask so traffic still routes.
+func (c *Core) acceptMask(avail ServerSet) ServerSet {
+	if accept := c.healthy(avail); !accept.Empty() {
+		return accept
+	}
+	return avail
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+// viewPool recycles Route's policy views, each with its reusable
+// server-list buffer, so the steady-state routing path does not
+// allocate.
+var viewPool = sync.Pool{New: func() any { return new(coreView) }}
 
-// getScratch borrows a scratch and wires its view to the core.
-func (c *Core) getScratch() *scratch {
-	sc := scratchPool.Get().(*scratch)
-	sc.view.c = c
-	return sc
+// getView borrows a view of one decision's masks.
+func (c *Core) getView(avail, accept ServerSet) *coreView {
+	v := viewPool.Get().(*coreView)
+	v.c, v.avail, v.accept = c, avail, accept
+	return v
 }
 
-// putScratch returns a scratch to the pool, dropping references that
-// would pin core state.
-func (sc *scratch) put() {
-	sc.view.c = nil
-	sc.view.avail = nil
-	sc.view.accept = nil
-	scratchPool.Put(sc)
+// put returns a view to the pool, dropping its reference to the core.
+func (v *coreView) put() {
+	v.c = nil
+	viewPool.Put(v)
 }
 
-// residentHere reports whether the core believes a backend holds file:
-// ground truth in exact mode, the bounded locality LRU otherwise.
+// residentHere reports whether the core believes a backend holds file.
 // Callers hold the file's shard mutex.
 func (f *fileShard) residentHere(exact bool, server int, file string) bool {
+	return !f.believed(exact, file, ServerSet(0).Add(server)).Empty()
+}
+
+// believed returns the members of among that the core believes hold
+// file: ground truth in exact mode, the bounded locality LRUs
+// otherwise. Callers hold the file's shard mutex.
+func (f *fileShard) believed(exact bool, file string, among ServerSet) ServerSet {
 	if exact {
-		return f.memory[file][server]
+		return f.peek(file).resident & among
 	}
-	return f.locality[server].Contains(file)
+	var out ServerSet
+	for s := range f.locality {
+		if among.Has(s) && f.locality[s].Contains(file) {
+			out = out.Add(s)
+		}
+	}
+	return out
 }
 
 // coreView implements policy.View for one routing decision, filtering
@@ -270,22 +332,22 @@ func (f *fileShard) residentHere(exact bool, server int, file string) bool {
 // reads as the UnavailableLoad sentinel, they vanish from server sets,
 // and a connection pinned to one loses its binding. With a gray-failure
 // detector the accept mask additionally hides degraded backends from
-// new placements. The view lives in the per-decision scratch, takes shard
-// mutexes strictly as leaves (an ordering the lockorder analyzer
-// verifies interprocedurally on every lint run) and serves
-// server-set results from one reusable buffer — per the policy.View
-// contract those slices are valid only until the next view call.
+// new placements. The view is pooled, takes shard mutexes strictly as
+// leaves (an ordering the lockorder analyzer verifies interprocedurally
+// on every lint run) and serves server-set results from one reusable
+// buffer — per the policy.View contract those slices are valid only
+// until the next view call.
 type coreView struct {
 	c      *Core
-	avail  []bool // present and healthy: bound sessions may stay
-	accept []bool // additionally open to new placements
-	buf    []int  // reusable result buffer for ServersWith/PrefetchedAt
+	avail  ServerSet // present and healthy: bound sessions may stay
+	accept ServerSet // additionally open to new placements
+	buf    []int     // reusable result buffer for ServersWith/PrefetchedAt
 }
 
 func (v *coreView) NumServers() int { return v.c.cfg.Backends }
 
 func (v *coreView) Load(i int) int {
-	if !v.accept[i] {
+	if !v.accept.Has(i) {
 		return policy.UnavailableLoad
 	}
 	return v.c.loadOf(i)
@@ -294,66 +356,41 @@ func (v *coreView) Load(i int) int {
 func (v *coreView) ServersWith(file string) []int {
 	f := v.c.fileShardFor(file)
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	if v.c.cfg.Exact {
-		return v.filter(f.memory[file])
-	}
-	out := v.buf[:0]
-	for s := range v.accept {
-		if v.accept[s] && f.locality[s].Contains(file) {
-			out = append(out, s)
-		}
-	}
-	v.buf = out
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	holders := f.believed(v.c.cfg.Exact, file, v.accept)
+	f.mu.Unlock()
+	return v.list(holders)
 }
 
 func (v *coreView) PrefetchedAt(file string) []int {
 	f := v.c.fileShardFor(file)
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	return v.filter(f.prefetched[file])
+	marked := f.peek(file).prefetched & v.accept
+	f.mu.Unlock()
+	return v.list(marked)
 }
 
-// filter returns the available members of a server set in ascending
-// order, so policies that pick the first candidate behave the same on
-// every run instead of following map iteration order. The result
-// shares the view's buffer.
-func (v *coreView) filter(set map[int]bool) []int {
-	if len(set) == 0 {
+// list returns a server set in ascending order, so policies that pick
+// the first candidate behave the same on every run; nil when the set is
+// empty. The result shares the view's buffer.
+func (v *coreView) list(set ServerSet) []int {
+	if set.Empty() {
 		return nil
 	}
-	out := v.buf[:0]
-	for s := range set {
-		if v.accept[s] {
-			out = append(out, s)
-		}
-	}
-	sort.Ints(out)
-	v.buf = out
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	v.buf = set.AppendTo(v.buf[:0])
+	return v.buf
 }
 
+// InFlight returns the lowest accepting backend with a request for file
+// outstanding.
 func (v *coreView) InFlight(file string) (int, bool) {
 	f := v.c.fileShardFor(file)
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	best, found := 0, false
-	for s, n := range f.inflight[file] {
-		if n <= 0 || !v.accept[s] {
-			continue
-		}
-		if !found || s < best {
-			best, found = s, true
-		}
+	busy := f.peek(file).busy & v.accept
+	f.mu.Unlock()
+	if busy.Empty() {
+		return 0, false
 	}
-	return best, found
+	return bits.TrailingZeros64(uint64(busy)), true
 }
 
 func (v *coreView) LastServer(conn int) (int, bool) {
@@ -365,7 +402,7 @@ func (v *coreView) LastServer(conn int) (int, bool) {
 		server, has = st.server, true
 	}
 	sh.mu.Unlock()
-	if !has || !v.avail[server] {
+	if !has || !v.avail.Has(server) {
 		return 0, false
 	}
 	if v.c.degraded(server) {
@@ -388,7 +425,8 @@ func (c *Core) NoteResident(server int, file string) {
 	}
 	f := c.fileShardFor(file)
 	f.mu.Lock()
-	addSet(f.memory, file, server)
+	fs := f.record(file, c.cfg.Backends)
+	fs.resident = fs.resident.Add(server)
 	f.mu.Unlock()
 }
 
@@ -400,8 +438,10 @@ func (c *Core) NoteGone(server int, file string) {
 	}
 	f := c.fileShardFor(file)
 	f.mu.Lock()
-	delSet(f.memory, file, server)
-	delSet(f.prefetched, file, server)
+	if fs := f.files[file]; fs != nil {
+		fs.resident = fs.resident.Remove(server)
+		fs.prefetched = fs.prefetched.Remove(server)
+	}
 	f.mu.Unlock()
 }
 
@@ -412,7 +452,7 @@ func (c *Core) PrefetchedHere(server int, file string) bool {
 	f := c.fileShardFor(file)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.prefetched[file][server]
+	return f.peek(file).prefetched.Has(server)
 }
 
 // ConsumePrefetch clears file's prefetch mark at the backend and
@@ -421,11 +461,7 @@ func (c *Core) ConsumePrefetch(server int, file string) bool {
 	f := c.fileShardFor(file)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if !f.prefetched[file][server] {
-		return false
-	}
-	delSet(f.prefetched, file, server)
-	return true
+	return f.unmark(file, server)
 }
 
 // UnmarkPrefetch drops file's prefetch mark at the backend without
@@ -433,7 +469,7 @@ func (c *Core) ConsumePrefetch(server int, file string) bool {
 func (c *Core) UnmarkPrefetch(server int, file string) {
 	f := c.fileShardFor(file)
 	f.mu.Lock()
-	delSet(f.prefetched, file, server)
+	f.unmark(file, server)
 	f.mu.Unlock()
 }
 
@@ -505,30 +541,28 @@ func (c *Core) ResidencySnapshot() map[string][]int {
 	if !c.cfg.Exact {
 		return nil
 	}
-	out := make(map[string][]int)
-	for i := range c.fsh {
-		f := &c.fsh[i]
-		f.mu.Lock()
-		for file, set := range f.memory {
-			// A file lives in exactly one shard, so this is the only
-			// write to its entry.
-			out[file] = sortedKeys(set)
-		}
-		f.mu.Unlock()
-	}
-	return out
+	return c.setsByFile(func(fs *fileState) ServerSet { return fs.resident })
 }
 
 // PrefetchMarks returns the current prefetch placements: file ->
 // marked backends, ascending.
 func (c *Core) PrefetchMarks() map[string][]int {
+	return c.setsByFile(func(fs *fileState) ServerSet { return fs.prefetched })
+}
+
+// setsByFile lists one set of every file's record, ascending, for the
+// files where that set is not empty. It locks every shard in turn; not
+// for hot paths.
+func (c *Core) setsByFile(set func(*fileState) ServerSet) map[string][]int {
 	out := make(map[string][]int)
 	for i := range c.fsh {
 		f := &c.fsh[i]
 		f.mu.Lock()
-		for file, set := range f.prefetched {
-			if len(set) > 0 {
-				out[file] = sortedKeys(set)
+		for file, fs := range f.files {
+			if m := set(fs); !m.Empty() {
+				// A file lives in exactly one shard, so this is the only
+				// write to its entry.
+				out[file] = m.AppendTo(nil)
 			}
 		}
 		f.mu.Unlock()
@@ -568,22 +602,11 @@ func (c *Core) SessionCheck() (total, busy int, problem string) {
 	return total, busy, problem
 }
 
-// InFlightFiles returns the number of files with outstanding requests.
-// Drained entries linger in the table as empty inner maps (see
-// decFlight), so only non-empty sets count.
+// InFlightFiles returns the number of files with outstanding requests:
+// records whose busy set is not empty. A drained record stays in its
+// shard (see fileState) but does not count.
 func (c *Core) InFlightFiles() int {
-	n := 0
-	for i := range c.fsh {
-		f := &c.fsh[i]
-		f.mu.Lock()
-		for _, set := range f.inflight {
-			if len(set) > 0 {
-				n++
-			}
-		}
-		f.mu.Unlock()
-	}
-	return n
+	return len(c.setsByFile(func(fs *fileState) ServerSet { return fs.busy }))
 }
 
 // --- small helpers ---
@@ -597,57 +620,4 @@ func newShardLRU(entries int64, shards int) *cache.LRU {
 		per = 1
 	}
 	return cache.NewLRU(per)
-}
-
-func sortedKeys(m map[int]bool) []int {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(m))
-	for s := range m {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func addSet(m map[string]map[int]bool, file string, server int) {
-	set, ok := m[file]
-	if !ok {
-		set = make(map[int]bool)
-		m[file] = set
-	}
-	set[server] = true
-}
-
-func delSet(m map[string]map[int]bool, file string, server int) {
-	if set, ok := m[file]; ok {
-		delete(set, server)
-		if len(set) == 0 {
-			delete(m, file)
-		}
-	}
-}
-
-func incFlight(m map[string]map[int]int, file string, server int) {
-	set, ok := m[file]
-	if !ok {
-		set = make(map[int]int)
-		m[file] = set
-	}
-	set[server]++
-}
-
-func decFlight(m map[string]map[int]int, file string, server int) {
-	if set, ok := m[file]; ok {
-		set[server]--
-		if set[server] <= 0 {
-			delete(set, server)
-		}
-		// The drained inner map is deliberately retained: a hot file
-		// cycles between one and zero outstanding requests constantly,
-		// and re-making the map on every cycle is the routing path's
-		// only steady-state allocation. Per-path retention is bounded
-		// by the same request universe as the policies' target tables.
-	}
 }
