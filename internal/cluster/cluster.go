@@ -152,6 +152,9 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Features.Any() && cfg.Miner == nil {
 		return nil, fmt.Errorf("cluster: features %+v need a Miner", cfg.Features)
 	}
+	if cfg.Gray != nil && cfg.Gray.HedgeCap < 0 {
+		return nil, fmt.Errorf("cluster: Gray.HedgeCap must not be negative, got %d", cfg.Gray.HedgeCap)
+	}
 	if cfg.ReplicationInterval <= 0 {
 		cfg.ReplicationInterval = 5 * time.Second
 	}

@@ -47,7 +47,8 @@ type GrayConfig struct {
 	// response wins. Hedging is suppressed at Saturated and Critical
 	// tiers — duplicating work under overload makes the overload worse.
 	Hedge bool
-	// HedgeCap bounds outstanding hedges per backend; 0 defaults to 2.
+	// HedgeCap bounds outstanding hedges per backend; 0 defaults to 2,
+	// and New rejects a negative cap.
 	HedgeCap int
 }
 

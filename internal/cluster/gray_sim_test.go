@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,6 +68,20 @@ func TestGrayFailureValidation(t *testing.T) {
 		if _, err := New(mkCfg(f)); err != nil {
 			t.Errorf("case %d: valid gray failure rejected: %v", i, err)
 		}
+	}
+}
+
+// TestNewRejectsNegativeHedgeCap: the default only replaced 0, so a
+// negative cap reached the core, which read it as "uncapped".
+func TestNewRejectsNegativeHedgeCap(t *testing.T) {
+	cfg := Config{Params: smallParams(2, 4, 2), Policy: policy.NewWRR(2),
+		Gray: &GrayConfig{Hedge: true, HedgeCap: -1}}
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "HedgeCap") {
+		t.Fatalf("HedgeCap -1: err = %v, want an error naming HedgeCap", err)
+	}
+	cfg.Gray.HedgeCap = 0
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("HedgeCap 0 (the default): %v", err)
 	}
 }
 

@@ -37,8 +37,8 @@ func (c *Core) HedgeTarget(path string, primary int, now time.Time) (int, bool) 
 }
 
 // TryBeginHedge books a hedged backup attempt for path on server,
-// respecting limit outstanding hedges per backend (limit <= 0:
-// uncapped). The booking mirrors a Route booking's load and in-flight
+// respecting limit outstanding hedges per backend; limit must be
+// positive. The booking mirrors a Route booking's load and in-flight
 // state but binds no session and emits no decision record, so hedging
 // never perturbs the decision stream differential tests compare. A
 // false return means the backend is at its hedge cap and nothing was
@@ -48,13 +48,9 @@ func (c *Core) TryBeginHedge(server int, path string, limit int) bool {
 	if server < 0 || server >= c.cfg.Backends {
 		return false
 	}
-	if limit > 0 {
-		if n := c.hedges[server].Add(1); n > int64(limit) {
-			c.hedges[server].Add(-1)
-			return false
-		}
-	} else {
-		c.hedges[server].Add(1)
+	if n := c.hedges[server].Add(1); n > int64(limit) {
+		c.hedges[server].Add(-1)
+		return false
 	}
 	c.stats.hedgesFired.Add(1)
 	c.book(server, path)

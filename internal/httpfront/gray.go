@@ -31,7 +31,7 @@ type GrayConfig struct {
 	// the overload worse.
 	Hedge bool
 	// HedgeCap bounds outstanding hedged requests per backend; 0
-	// defaults to 2.
+	// defaults to 2, and New rejects a negative cap.
 	HedgeCap int
 	// Deadline is the per-request deadline budget at Normal and
 	// Elevated tiers; it halves at Saturated and quarters at Critical,

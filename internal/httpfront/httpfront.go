@@ -237,6 +237,9 @@ func New(cfg Config) (*Distributor, error) {
 	if cfg.Prefetch && cfg.Miner == nil {
 		return nil, fmt.Errorf("httpfront: Prefetch requires a Miner")
 	}
+	if cfg.Gray != nil && cfg.Gray.HedgeCap < 0 {
+		return nil, fmt.Errorf("httpfront: Gray.HedgeCap must not be negative, got %d", cfg.Gray.HedgeCap)
+	}
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = time.Second
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -89,6 +90,25 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Backends: []*url.URL{u}, Prefetch: true}); err == nil {
 		t.Fatal("Prefetch without Miner should fail")
 	}
+}
+
+// TestNewRejectsNegativeHedgeCap: the default only replaced 0, so a
+// negative cap reached the core, which read it as "uncapped".
+func TestNewRejectsNegativeHedgeCap(t *testing.T) {
+	u, _ := url.Parse("http://localhost:1")
+	cfg := Config{Backends: []*url.URL{u}, Gray: &GrayConfig{Hedge: true, HedgeCap: -1}}
+	if d, err := New(cfg); err == nil || !strings.Contains(err.Error(), "HedgeCap") {
+		if d != nil {
+			d.Close()
+		}
+		t.Fatalf("HedgeCap -1: err = %v, want an error naming HedgeCap", err)
+	}
+	cfg.Gray.HedgeCap = 0
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatalf("HedgeCap 0 (the default): %v", err)
+	}
+	d.Close()
 }
 
 func TestProxyServesContent(t *testing.T) {
