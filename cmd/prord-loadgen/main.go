@@ -32,6 +32,7 @@ import (
 	"prord/internal/httpfront"
 	"prord/internal/loadgen"
 	"prord/internal/overload"
+	"prord/internal/trace"
 )
 
 func main() {
@@ -83,9 +84,9 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	p, err := loadgen.ParsePreset(*preset)
+	p, err := trace.ParsePreset(*preset)
 	if err != nil {
-		fail(err)
+		fail(fmt.Errorf("-preset: %w", err))
 	}
 	var pols []string
 	for _, name := range strings.Split(*policies, ",") {

@@ -88,9 +88,9 @@ func main() {
 		fail(fmt.Errorf("-miss-ms must not be negative, got %d", *missMs))
 	}
 
-	preset, err := presetByName(*workload)
+	preset, err := trace.ParsePreset(*workload)
 	if err != nil {
-		fail(err)
+		fail(fmt.Errorf("-workload: %w", err))
 	}
 	// Build the site, a training trace and the miner (or load a model
 	// mined offline with logmine -o).
@@ -197,19 +197,6 @@ func main() {
 	fmt.Printf("front-end listening on %s — try a page like %s\n", *addr, examplePage(site))
 	if err := http.ListenAndServe(*addr, mux); err != nil {
 		fail(err)
-	}
-}
-
-func presetByName(name string) (trace.Preset, error) {
-	switch name {
-	case "cs":
-		return trace.PresetCS, nil
-	case "worldcup":
-		return trace.PresetWorldCup, nil
-	case "synthetic":
-		return trace.PresetSynthetic, nil
-	default:
-		return 0, fmt.Errorf("unknown workload %q", name)
 	}
 }
 

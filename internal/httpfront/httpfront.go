@@ -56,6 +56,12 @@ const ProbeHeader = "X-Prord-Probe"
 // off per Retry-After and retry, nothing is wrong with its request.
 const ShedHeader = "X-Prord-Shed"
 
+// probePath is the path health probes request.
+const probePath = "/"
+
+// prefetchTimeout bounds one prefetch-hint round trip.
+const prefetchTimeout = 5 * time.Second
+
 // Config assembles a Distributor.
 type Config struct {
 	// Backends are the backend server base URLs. At least one.
@@ -97,11 +103,6 @@ type Config struct {
 	ProbeTimeout time.Duration
 	// ProbeSeed seeds the probe-interval jitter. Default 1.
 	ProbeSeed int64
-	// ProbePath is the path probes request. Default "/".
-	ProbePath string
-	// PrefetchTimeout bounds one prefetch-hint round-trip so a hung
-	// backend cannot stall the prefetcher forever. Default 5s.
-	PrefetchTimeout time.Duration
 	// Overload enables the overload-control layer: a load estimator
 	// classifying the cluster into degrade-ladder tiers, tiered shedding
 	// of PRORD's proactive work, and Critical-tier admission control.
@@ -245,12 +246,6 @@ func New(cfg Config) (*Distributor, error) {
 	}
 	if cfg.ProbeSeed == 0 {
 		cfg.ProbeSeed = 1
-	}
-	if cfg.ProbePath == "" {
-		cfg.ProbePath = "/"
-	}
-	if cfg.PrefetchTimeout <= 0 {
-		cfg.PrefetchTimeout = 5 * time.Second
 	}
 	d := &Distributor{
 		cfg:       cfg,
@@ -603,7 +598,7 @@ func (d *Distributor) prefetchLoop(jobs <-chan prefetchJob) {
 	// The timeout keeps one hung backend from stalling the single
 	// prefetch goroutine — and with it all prefetching — forever; an
 	// expired hint is simply dropped.
-	client := &http.Client{Transport: d.transport, Timeout: d.cfg.PrefetchTimeout}
+	client := &http.Client{Transport: d.transport, Timeout: prefetchTimeout}
 	for job := range jobs {
 		if d.backendBlocked(job.server) {
 			// Speculative work is shed first under degradation: no
@@ -656,7 +651,7 @@ func (d *Distributor) probeOnce() {
 
 // probeBackend issues one health probe and reports reachability.
 func (d *Distributor) probeBackend(i int) bool {
-	resp, err := d.backendGet(d.probeClient, i, d.cfg.ProbePath, ProbeHeader)
+	resp, err := d.backendGet(d.probeClient, i, probePath, ProbeHeader)
 	if err != nil {
 		return false
 	}

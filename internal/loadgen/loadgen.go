@@ -73,21 +73,6 @@ func ParseMode(s string) (Mode, error) {
 	}
 }
 
-// ParsePreset parses a workload preset name ("cs", "worldcup",
-// "synthetic").
-func ParsePreset(s string) (trace.Preset, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "cs":
-		return trace.PresetCS, nil
-	case "worldcup":
-		return trace.PresetWorldCup, nil
-	case "synthetic":
-		return trace.PresetSynthetic, nil
-	default:
-		return 0, fmt.Errorf("loadgen: unknown preset %q (want cs, worldcup or synthetic)", s)
-	}
-}
-
 // CanonicalPolicy resolves a case-insensitive policy name ("prord",
 // "lard/r") to its canonical spelling from policy.Names.
 func CanonicalPolicy(name string) (string, error) {

@@ -44,12 +44,6 @@ func TestParseMode(t *testing.T) {
 	if _, err := ParseMode("loop"); err == nil {
 		t.Error("ParseMode(loop) should fail")
 	}
-	if _, err := ParsePreset("nope"); err == nil {
-		t.Error("ParsePreset(nope) should fail")
-	}
-	if p, err := ParsePreset("WorldCup"); err != nil || p != trace.PresetWorldCup {
-		t.Errorf("ParsePreset(WorldCup) = %v, %v", p, err)
-	}
 }
 
 func TestCanonicalPolicy(t *testing.T) {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"prord/internal/randutil"
@@ -194,6 +195,21 @@ func (p Preset) String() string {
 		return "Synthetic"
 	default:
 		return fmt.Sprintf("Preset(%d)", int(p))
+	}
+}
+
+// ParsePreset parses a preset's command-line name ("cs", "worldcup" or
+// "synthetic"), ignoring case and surrounding space.
+func ParsePreset(s string) (Preset, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "cs":
+		return PresetCS, nil
+	case "worldcup":
+		return PresetWorldCup, nil
+	case "synthetic":
+		return PresetSynthetic, nil
+	default:
+		return 0, fmt.Errorf("trace: unknown preset %q (want cs, worldcup or synthetic)", s)
 	}
 }
 

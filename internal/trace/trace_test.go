@@ -2,6 +2,7 @@ package trace
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -312,6 +313,25 @@ func TestPresetErrors(t *testing.T) {
 	}
 	if _, _, err := GeneratePreset(PresetCS, 0, 1); err == nil {
 		t.Fatal("zero scale should error")
+	}
+}
+
+func TestParsePreset(t *testing.T) {
+	for in, want := range map[string]Preset{
+		"cs": PresetCS, "WorldCup": PresetWorldCup, " synthetic ": PresetSynthetic,
+	} {
+		if got, err := ParsePreset(in); err != nil || got != want {
+			t.Errorf("ParsePreset(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	_, err := ParsePreset("nope")
+	if err == nil {
+		t.Fatal("ParsePreset(nope) should fail")
+	}
+	for _, name := range []string{"cs", "worldcup", "synthetic"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name preset %s", err, name)
+		}
 	}
 }
 

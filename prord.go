@@ -1,13 +1,13 @@
 package prord
 
 import (
-	"fmt"
 	"io"
 	"time"
 
 	"prord/internal/cluster"
 	"prord/internal/experiment"
 	"prord/internal/mining"
+	"prord/internal/policy"
 	"prord/internal/trace"
 )
 
@@ -147,23 +147,8 @@ func Workloads() []string {
 	return []string{"cs", "worldcup", "synthetic"}
 }
 
-func presetByName(name string) (trace.Preset, error) {
-	switch name {
-	case "cs":
-		return trace.PresetCS, nil
-	case "worldcup":
-		return trace.PresetWorldCup, nil
-	case "synthetic":
-		return trace.PresetSynthetic, nil
-	default:
-		return 0, fmt.Errorf("prord: unknown workload %q (have %v)", name, Workloads())
-	}
-}
-
 // Policies lists the available distribution-policy names.
-func Policies() []string {
-	return []string{"WRR", "LARD-conn", "LARD", "LARD/R", "Ext-LARD-PHTTP", "PRORD"}
-}
+func Policies() []string { return policy.Names() }
 
 // PolicySummary is one row of a Compare run.
 type PolicySummary struct {
@@ -181,7 +166,7 @@ type PolicySummary struct {
 // summary per policy. PRORD runs with all three enhancements; the other
 // policies run bare.
 func Compare(workload string, policies []string, opt Options) ([]PolicySummary, error) {
-	preset, err := presetByName(workload)
+	preset, err := trace.ParsePreset(workload)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +202,7 @@ func Compare(workload string, policies []string, opt Options) ([]PolicySummary, 
 // matched to one of the paper's workloads. It returns the number of
 // requests written.
 func WriteSyntheticTrace(w io.Writer, workload string, scale float64, seed int64) (int, error) {
-	preset, err := presetByName(workload)
+	preset, err := trace.ParsePreset(workload)
 	if err != nil {
 		return 0, err
 	}
