@@ -1,17 +1,13 @@
 # PRORD build, test and correctness tooling.
 #
 #   make build   compile everything
-#   make test    tier-1 tests
+#   make test    tier-1 tests, including the lint gate: TestRepoIsClean
+#                runs the repo's determinism/concurrency analyzers
+#                (internal/lint) over the whole module
 #   make race    tests under the race detector (includes the storm,
 #                churn and differential suites and the determinism
 #                regressions)
 #   make vet     go vet
-#   make lint    the repo's custom determinism/concurrency analyzers,
-#                gated on lint.baseline.json (any non-baselined finding
-#                fails); writes prordlint.sarif for upload
-#   make lint-baseline  deliberately regenerate lint.baseline.json from
-#                current findings — a reviewed, committed act; never
-#                run in CI
 #   make stress  repeat a slice of the suite under the race detector to
 #                hunt a flake: make stress RUN='Golden|Deterministic' PKG=./internal/cluster/ COUNT=20
 #                (a developer tool, not part of ci: `make race` already
@@ -39,7 +35,7 @@ COUNT ?= 2
 # fuzz parameter: how long each Fuzz* target runs.
 FUZZTIME ?= 5s
 
-.PHONY: build test race vet lint lint-baseline stress fuzz bench ci
+.PHONY: build test race vet stress fuzz bench ci
 
 build:
 	$(GO) build ./...
@@ -52,15 +48,6 @@ race:
 
 vet:
 	$(GO) vet ./...
-
-lint:
-	$(GO) run ./cmd/prordlint -baseline lint.baseline.json -sarif prordlint.sarif ./...
-
-# Regenerating the baseline grandfathers every current finding: do it
-# only when deliberately accepting new debt, and commit the diff so the
-# review shows exactly what was grandfathered. CI never runs this.
-lint-baseline:
-	$(GO) run ./cmd/prordlint -baseline lint.baseline.json -write-baseline ./...
 
 stress:
 	$(GO) test -race -count=$(COUNT) -run '$(RUN)' $(PKG)
@@ -90,4 +77,4 @@ bench:
 # test runs before race: the allocation ratchets (TestRouteDoneAllocs,
 # TestRunAllocsPerRequest, TestForwardAllocs) skip under the race
 # detector, whose instrumentation allocates.
-ci: build vet lint test race fuzz bench
+ci: build vet test race fuzz bench

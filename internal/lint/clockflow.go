@@ -9,27 +9,36 @@ import (
 // clockflowRootPackages are the package-path suffixes whose functions
 // are treated as entry points: everything they can reach — in any
 // module package, through any edge kind, including goroutines and
-// stored closures — must obtain time from the injected clock.
-//
-// This is the call-graph generalization of nowallclock: that analyzer
-// scans a fixed package list file by file, so a covered package could
-// launder a wall-clock read through a helper in an uncovered package
-// (or through a per-file allowance). clockflow closes those holes by
-// following reachability instead of file location. The one legitimate
-// wall-clock user (the health prober's inter-probe timer) carries a
-// line-level //lint:ignore clockflow directive with its justification.
+// stored closures — must obtain time from the injected or simulated
+// clock. Their results are part of the reproducibility contract, and a
+// wall-clock read makes two runs of the same seed diverge.
 var clockflowRootPackages = []string{
-	"internal/dispatch",
+	"internal/sim",
 	"internal/cluster",
-	"internal/overload",
+	"internal/dispatch",
+	"internal/policy",
+	"internal/replicate",
 	"internal/health",
+	"internal/overload",
 }
 
-// ClockFlow forbids wall-clock reads anywhere reachable from the
-// dispatch core's entry packages.
+// wallClockFuncs are the time package functions that read or wait on the
+// wall (or process monotonic) clock. Pure constructors and conversions
+// (time.Duration, time.Millisecond, d.Seconds(), ...) are fine.
+var wallClockFuncs = map[string]bool{
+	"Now": true, "Since": true, "Until": true, "Sleep": true,
+	"After": true, "Tick": true, "NewTicker": true, "NewTimer": true,
+	"AfterFunc": true,
+}
+
+// ClockFlow forbids wall-clock reads in any function reachable from the
+// simulated-time packages (interprocedural). Following reachability
+// instead of file location means a covered package cannot launder a
+// clock read through a helper in an uncovered one. The one legitimate
+// wall-clock user, the health prober's inter-probe timer, carries a
+// line-level //lint:ignore clockflow directive with its justification.
 var ClockFlow = &Analyzer{
 	Name:         "clockflow",
-	Doc:          "forbid wall-clock reads in any function reachable from dispatch/cluster/overload/health entry points (interprocedural)",
 	WholeProgram: true,
 	Run:          runClockFlow,
 }
@@ -48,7 +57,7 @@ func runClockFlow(pass *Pass) {
 
 	// BFS from every root function over all edge kinds: a deferred call,
 	// a spawned goroutine and a stored closure all execute on behalf of
-	// the core, so a wall-clock read in any of them still breaks replay.
+	// a root, so a wall-clock read in any of them still breaks replay.
 	pred := map[*Node]*Node{}
 	reached := map[*Node]bool{}
 	var queue []*Node
@@ -90,7 +99,7 @@ func runClockFlow(pass *Pass) {
 				return true
 			}
 			pass.Reportf(sel.Pos(),
-				"time.%s reads the wall clock on a path reachable from the dispatch core (%s); obtain time from the injected clock",
+				"time.%s reads the wall clock on a path reachable from simulated-time code (%s); obtain time from the injected clock",
 				sel.Sel.Name, chain)
 			return true
 		})

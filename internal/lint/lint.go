@@ -1,17 +1,16 @@
 // Package lint is a stdlib-only static-analysis engine for the PRORD
 // repository. It enforces the determinism and concurrency invariants the
-// compiler cannot see: seeded randomness only (norand), simulated time in
-// simulation code (nowallclock), order-insensitive map iteration in
-// aggregation paths (maporder), lock/unlock pairing and locked access to
-// shared state (mutexhygiene), no stray printing from library code
-// (noprint), the dispatch lock hierarchy and blocking-under-lock freedom
-// (lockorder), injected-clock discipline along every call path reachable
-// from the dispatch core (clockflow), and a rot-free suppression
-// inventory (staleignore).
+// compiler cannot see: seeded randomness only (norand), no wall-clock
+// reads on any call path reachable from simulated-time code (clockflow),
+// order-insensitive map iteration in aggregation paths (maporder),
+// lock/unlock pairing and locked access to shared state (mutexhygiene),
+// no stray printing from library code (noprint), the dispatch lock
+// hierarchy and blocking-under-lock freedom (lockorder), and a rot-free
+// suppression inventory (staleignore).
 //
 // The engine is built on go/parser, go/types and go/importer alone — no
-// module dependencies — and is exposed as the prordlint command. Since
-// the interprocedural analyzers landed, every Run first builds a Program
+// module dependencies. Its gate is TestRepoIsClean, which lints the
+// whole module on every go test run. Every Run first builds a Program
 // (callgraph.go): a type-resolved static call graph over all loaded
 // packages, plus per-function lock/blocking effect summaries computed to
 // a fixed point (lockset.go). Per-package analyzers receive the Program
@@ -38,11 +37,9 @@ import (
 // An Analyzer is one named check over a type-checked package, or over
 // the whole program.
 type Analyzer struct {
-	// Name identifies the analyzer in findings, flags and suppression
+	// Name identifies the analyzer in findings and suppression
 	// directives. Lower-case, no spaces.
 	Name string
-	// Doc is a one-line description shown by prordlint -list.
-	Doc string
 	// WholeProgram marks analyzers that run once over the Program
 	// (Pass.Pkg is nil) instead of once per package.
 	WholeProgram bool
@@ -54,11 +51,11 @@ type Analyzer struct {
 
 // A Finding is one rule violation at a source position.
 type Finding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Column   int
+	Message  string
 }
 
 // String renders the finding in the conventional file:line:col form.
@@ -100,7 +97,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NoRand,
-		NoWallClock,
 		MapOrder,
 		MutexHygiene,
 		NoPrint,

@@ -11,7 +11,15 @@ import (
 	"reflect"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
+)
+
+// fixtureFset and fixtureStd are shared by every fixture, so the
+// standard library is type-checked from source once per test binary.
+var (
+	fixtureFset = token.NewFileSet()
+	fixtureStd  = importer.ForCompiler(fixtureFset, "source", nil)
 )
 
 // checkFixture parses and type-checks one testdata file under an
@@ -19,7 +27,7 @@ import (
 // inside and outside their scope).
 func checkFixture(t *testing.T, fixture, pkgPath string) *Package {
 	t.Helper()
-	fset := token.NewFileSet()
+	fset := fixtureFset
 	path := filepath.Join("testdata", fixture)
 	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 	if err != nil {
@@ -27,7 +35,7 @@ func checkFixture(t *testing.T, fixture, pkgPath string) *Package {
 	}
 	var typeErrs []error
 	conf := types.Config{
-		Importer: importer.ForCompiler(fset, "source", nil),
+		Importer: fixtureStd,
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
 	info := &types.Info{
@@ -40,7 +48,7 @@ func checkFixture(t *testing.T, fixture, pkgPath string) *Package {
 	if len(typeErrs) > 0 {
 		t.Fatalf("fixture %s has type errors (the test would be meaningless): %v", fixture, typeErrs)
 	}
-	return &Package{Path: pkgPath, Dir: "testdata", Fset: fset, Files: []*ast.File{f}, Types: tpkg, Info: info}
+	return &Package{Path: pkgPath, Fset: fset, Files: []*ast.File{f}, Types: tpkg, Info: info}
 }
 
 var wantRe = regexp.MustCompile(`// want ([a-z]+)`)
@@ -71,7 +79,7 @@ func gotFindings(findings []Finding) map[int]string {
 }
 
 func TestAnalyzersOnFixtures(t *testing.T) {
-	cases := []struct {
+	type fixtureCase struct {
 		name      string
 		fixture   string
 		pkgPath   string
@@ -79,15 +87,10 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		// wantNone overrides the fixture's want markers: the package
 		// path puts it out of the analyzer's scope.
 		wantNone bool
-	}{
+	}
+	cases := []fixtureCase{
 		{name: "norand", fixture: "norand.go", pkgPath: "prord/internal/trace", analyzers: []*Analyzer{NoRand}},
 		{name: "norand-exempt-in-randutil", fixture: "norand.go", pkgPath: "prord/internal/randutil", analyzers: []*Analyzer{NoRand}, wantNone: true},
-		{name: "nowallclock", fixture: "nowallclock.go", pkgPath: "prord/internal/sim", analyzers: []*Analyzer{NoWallClock}},
-		{name: "nowallclock-cluster", fixture: "nowallclock.go", pkgPath: "prord/internal/cluster", analyzers: []*Analyzer{NoWallClock}},
-		{name: "nowallclock-exempt-elsewhere", fixture: "nowallclock.go", pkgPath: "prord/internal/httpfront", analyzers: []*Analyzer{NoWallClock}, wantNone: true},
-		{name: "nowallclock-health", fixture: "nowallclock.go", pkgPath: "prord/internal/health", analyzers: []*Analyzer{NoWallClock}},
-		{name: "nowallclock-health-prober-allowed", fixture: "prober.go", pkgPath: "prord/internal/health", analyzers: []*Analyzer{NoWallClock}, wantNone: true},
-		{name: "nowallclock-prober-name-no-allowance-elsewhere", fixture: "prober.go", pkgPath: "prord/internal/sim", analyzers: []*Analyzer{NoWallClock}},
 		{name: "maporder", fixture: "maporder.go", pkgPath: "prord/internal/experiment", analyzers: []*Analyzer{MapOrder}},
 		{name: "mutexhygiene", fixture: "mutexhygiene.go", pkgPath: "prord/internal/httpfront", analyzers: []*Analyzer{MutexHygiene}},
 		{name: "noprint", fixture: "noprint.go", pkgPath: "prord/internal/mining", analyzers: []*Analyzer{NoPrint}},
@@ -102,7 +105,21 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{name: "lockorder-detectorleaf", fixture: "lockorder/detectorleaf.go", pkgPath: "prord/internal/health", analyzers: []*Analyzer{LockOrder}},
 		{name: "clockflow-indirect", fixture: "clockflow/indirect.go", pkgPath: "prord/internal/dispatch", analyzers: []*Analyzer{ClockFlow}},
 		{name: "clockflow-out-of-scope", fixture: "clockflow/indirect.go", pkgPath: "prord/internal/webmining", analyzers: []*Analyzer{ClockFlow}, wantNone: true},
+		{name: "clockflow-ignored", fixture: "clockflow/ignored.go", pkgPath: "prord/internal/health", analyzers: []*Analyzer{ClockFlow, StaleIgnore}},
 		{name: "staleignore", fixture: "staleignore/stale.go", pkgPath: "prord/internal/mining", analyzers: []*Analyzer{NoPrint, StaleIgnore}},
+	}
+	// Every simulated-time root flags both wall-clock fixtures, the
+	// health prober's name included; httpfront reads real time freely.
+	for _, pkg := range []string{"sim", "cluster", "health", "policy", "replicate", "httpfront"} {
+		for _, fixture := range []string{"wallclock", "prober"} {
+			cases = append(cases, fixtureCase{
+				name:      "clockflow-" + fixture + "-" + pkg,
+				fixture:   "clockflow/" + fixture + ".go",
+				pkgPath:   "prord/internal/" + pkg,
+				analyzers: []*Analyzer{ClockFlow},
+				wantNone:  pkg == "httpfront",
+			})
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -213,34 +230,51 @@ func TestFindingsAreSorted(t *testing.T) {
 	}
 }
 
+// module caches one Load of the whole module for the tests that need it.
+var module struct {
+	once sync.Once
+	pkgs []*Package
+	err  error
+}
+
+func loadModule(t *testing.T) []*Package {
+	t.Helper()
+	module.once.Do(func() { module.pkgs, module.err = Load() })
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.pkgs
+}
+
 func TestLoaderResolvesModulePackages(t *testing.T) {
-	pkgs, err := Load([]string{"prord/internal/randutil"})
-	if err != nil {
-		t.Fatal(err)
+	pkgs := loadModule(t)
+	byPath := map[string]*Package{}
+	for _, pkg := range pkgs {
+		if strings.Contains(pkg.Path, "testdata") {
+			t.Errorf("loaded a testdata package: %s", pkg.Path)
+		}
+		byPath[pkg.Path] = pkg
 	}
-	if len(pkgs) != 1 || pkgs[0].Path != "prord/internal/randutil" {
-		t.Fatalf("unexpected packages: %+v", pkgs)
+	if byPath["prord"] == nil {
+		t.Error("module root package not loaded")
 	}
-	if len(pkgs[0].TypeErrors) > 0 {
-		t.Fatalf("type errors loading randutil: %v", pkgs[0].TypeErrors)
+	randutil := byPath["prord/internal/randutil"]
+	if randutil == nil {
+		t.Fatalf("prord/internal/randutil not among %d loaded packages", len(pkgs))
 	}
-	if len(pkgs[0].Files) == 0 {
+	if len(randutil.TypeErrors) > 0 {
+		t.Fatalf("type errors loading randutil: %v", randutil.TypeErrors)
+	}
+	if len(randutil.Files) == 0 {
 		t.Fatal("no files loaded")
 	}
 }
 
 // TestRepoIsClean lints the whole module with every analyzer: the tree
-// must stay free of determinism and concurrency findings. This is the
-// same gate CI applies via `go run ./cmd/prordlint ./...`.
+// must stay free of determinism and concurrency findings. It is the
+// repo's only lint gate, so it runs in -short mode too.
 func TestRepoIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-module lint skipped in -short mode")
-	}
-	pkgs, err := Load([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := Run(pkgs, Analyzers())
+	findings := Run(loadModule(t), Analyzers())
 	for _, f := range findings {
 		t.Errorf("%s", f)
 	}

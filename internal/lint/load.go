@@ -18,8 +18,6 @@ import (
 type Package struct {
 	// Path is the import path ("prord/internal/sim").
 	Path string
-	// Dir is the directory the sources were read from.
-	Dir string
 	// Fset positions every file in the loader's shared file set.
 	Fset *token.FileSet
 	// Files are the parsed non-test sources, sorted by file name.
@@ -34,11 +32,11 @@ type Package struct {
 	TypeErrors []error
 }
 
-// A Loader parses and type-checks packages of one module from source.
+// A loader parses and type-checks packages of one module from source.
 // Imports within the module are resolved recursively from the module
 // tree; all other imports (the standard library) go through the
 // go/importer source importer. No export data or go command is needed.
-type Loader struct {
+type loader struct {
 	fset       *token.FileSet
 	moduleDir  string
 	modulePath string
@@ -47,30 +45,48 @@ type Loader struct {
 	loading    map[string]bool     // import-cycle guard
 }
 
-// NewLoader returns a Loader rooted at the module containing dir. It
-// locates go.mod by walking upward and reads the module path from it.
-func NewLoader(dir string) (*Loader, error) {
-	abs, err := filepath.Abs(dir)
+// Load parses and type-checks every package of the module containing
+// the working directory, in directory-walk order. Like ./... it skips
+// testdata, vendor, and directories whose names start with "." or "_".
+func Load() ([]*Package, error) {
+	wd, err := os.Getwd()
 	if err != nil {
 		return nil, err
 	}
-	modDir, modPath, err := findModule(abs)
+	modDir, modPath, err := findModule(wd)
 	if err != nil {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	return &Loader{
+	l := &loader{
 		fset:       fset,
 		moduleDir:  modDir,
 		modulePath: modPath,
 		std:        importer.ForCompiler(fset, "source", nil),
 		pkgs:       map[string]*Package{},
 		loading:    map[string]bool{},
-	}, nil
+	}
+	var pkgs []*Package
+	err = filepath.WalkDir(modDir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if path != modDir && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || name == "vendor") {
+			return filepath.SkipDir
+		}
+		if len(goFiles(path)) == 0 {
+			return nil
+		}
+		pkg, err := l.load(l.importPathFor(path), path)
+		if err != nil {
+			return fmt.Errorf("lint: loading %s: %w", path, err)
+		}
+		pkgs = append(pkgs, pkg)
+		return nil
+	})
+	return pkgs, err
 }
-
-// ModuleDir returns the root directory of the loaded module.
-func (l *Loader) ModuleDir() string { return l.moduleDir }
 
 // findModule walks up from dir to the enclosing go.mod and parses its
 // module path.
@@ -94,101 +110,22 @@ func findModule(dir string) (modDir, modPath string, err error) {
 	}
 }
 
-// Expand resolves package patterns to directories. Supported forms:
-// "./..." and "dir/..." (recursive), plain directories, and
-// module-rooted import paths. Directories without non-test Go files are
-// skipped in recursive walks but are an error when named directly.
-func (l *Loader) Expand(patterns []string) ([]string, error) {
-	var dirs []string
-	seen := map[string]bool{}
-	add := func(d string) {
-		if !seen[d] {
-			seen[d] = true
-			dirs = append(dirs, d)
-		}
-	}
-	for _, pat := range patterns {
-		switch {
-		case pat == "all", pat == "...":
-			pat = "./..."
-			fallthrough
-		case strings.HasSuffix(pat, "/..."):
-			root := strings.TrimSuffix(pat, "/...")
-			if root == "." || root == "" {
-				root = l.moduleDir
-			}
-			root = l.resolveDir(root)
-			err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				if !d.IsDir() {
-					return nil
-				}
-				name := d.Name()
-				if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || name == "vendor") {
-					return filepath.SkipDir
-				}
-				if hasGoFiles(path) {
-					add(path)
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-		default:
-			d := l.resolveDir(pat)
-			if !hasGoFiles(d) {
-				return nil, fmt.Errorf("lint: no Go files in %s", pat)
-			}
-			add(d)
-		}
-	}
-	sort.Strings(dirs)
-	return dirs, nil
-}
-
-// resolveDir maps a pattern root to a directory: an existing path is used
-// as-is; otherwise a module-rooted import path is tried.
-func (l *Loader) resolveDir(root string) string {
-	if fi, err := os.Stat(root); err == nil && fi.IsDir() {
-		return root
-	}
-	if root == l.modulePath {
-		return l.moduleDir
-	}
-	if rest, ok := strings.CutPrefix(root, l.modulePath+"/"); ok {
-		return filepath.Join(l.moduleDir, filepath.FromSlash(rest))
-	}
-	return root
-}
-
-func hasGoFiles(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
+// goFiles lists the non-test Go sources in dir, sorted.
+func goFiles(dir string) []string {
+	entries, _ := os.ReadDir(dir)
+	var names []string
 	for _, e := range entries {
 		name := e.Name()
 		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
-			return true
+			names = append(names, name)
 		}
 	}
-	return false
-}
-
-// LoadDir parses and type-checks the package in dir.
-func (l *Loader) LoadDir(dir string) (*Package, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	return l.load(l.importPathFor(abs), abs)
+	sort.Strings(names)
+	return names
 }
 
 // importPathFor derives the import path of a directory inside the module.
-func (l *Loader) importPathFor(absDir string) string {
+func (l *loader) importPathFor(absDir string) string {
 	rel, err := filepath.Rel(l.moduleDir, absDir)
 	if err != nil || rel == "." {
 		return l.modulePath
@@ -197,7 +134,7 @@ func (l *Loader) importPathFor(absDir string) string {
 }
 
 // load parses and checks one package, memoized by import path.
-func (l *Loader) load(path, dir string) (*Package, error) {
+func (l *loader) load(path, dir string) (*Package, error) {
 	if pkg, ok := l.pkgs[path]; ok {
 		return pkg, nil
 	}
@@ -207,19 +144,7 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	l.loading[path] = true
 	defer delete(l.loading, path)
 
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var fileNames []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		fileNames = append(fileNames, name)
-	}
-	sort.Strings(fileNames)
+	fileNames := goFiles(dir)
 	if len(fileNames) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
@@ -232,7 +157,7 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 		files = append(files, f)
 	}
 
-	pkg := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files}
+	pkg := &Package{Path: path, Fset: l.fset, Files: files}
 	conf := types.Config{
 		Importer:    l,
 		FakeImportC: true,
@@ -254,7 +179,7 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 
 // Import implements types.Importer: module-local paths load from the
 // module tree, everything else from the standard library source importer.
-func (l *Loader) Import(path string) (*types.Package, error) {
+func (l *loader) Import(path string) (*types.Package, error) {
 	if path == l.modulePath || strings.HasPrefix(path, l.modulePath+"/") {
 		rest := strings.TrimPrefix(strings.TrimPrefix(path, l.modulePath), "/")
 		pkg, err := l.load(path, filepath.Join(l.moduleDir, filepath.FromSlash(rest)))
@@ -264,40 +189,4 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		return pkg.Types, nil
 	}
 	return l.std.Import(path)
-}
-
-// Load expands patterns and returns the analyzed packages in a stable
-// order.
-func Load(patterns []string) ([]*Package, error) {
-	pkgs, _, err := LoadWithRoot(patterns)
-	return pkgs, err
-}
-
-// LoadWithRoot is Load plus the module root directory the packages were
-// resolved against — the base SARIF URIs and baseline entries are
-// relativized to.
-func LoadWithRoot(patterns []string) ([]*Package, string, error) {
-	start := "."
-	if len(patterns) > 0 && !strings.Contains(patterns[0], "...") {
-		if fi, err := os.Stat(patterns[0]); err == nil && fi.IsDir() {
-			start = patterns[0]
-		}
-	}
-	l, err := NewLoader(start)
-	if err != nil {
-		return nil, "", err
-	}
-	dirs, err := l.Expand(patterns)
-	if err != nil {
-		return nil, "", err
-	}
-	var pkgs []*Package
-	for _, dir := range dirs {
-		pkg, err := l.LoadDir(dir)
-		if err != nil {
-			return nil, "", fmt.Errorf("lint: loading %s: %w", dir, err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, l.ModuleDir(), nil
 }

@@ -39,7 +39,6 @@ import (
 // including when the block happens inside a callee.
 var LockOrder = &Analyzer{
 	Name:         "lockorder",
-	Doc:          "verify the dispatch lock hierarchy and flag blocking calls made while holding a lock (interprocedural)",
 	WholeProgram: true,
 	Run:          runLockOrder,
 }

@@ -20,7 +20,6 @@ import (
 // would not sharpen it.
 var MapOrder = &Analyzer{
 	Name: "maporder",
-	Doc:  "flag map iteration feeding order-sensitive output unless sorted afterwards",
 	Run:  runMapOrder,
 }
 

@@ -27,7 +27,6 @@ import (
 // receiver-mutex acquisition are flagged.
 var MutexHygiene = &Analyzer{
 	Name: "mutexhygiene",
-	Doc:  "flag Lock() without matching Unlock, and unlocked field writes in exported methods of mutex-holding types",
 	Run:  runMutexHygiene,
 }
 

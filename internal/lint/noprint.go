@@ -22,7 +22,6 @@ var printFuncs = map[string]bool{
 // site itself, so reachability facts would not change the verdict.
 var NoPrint = &Analyzer{
 	Name: "noprint",
-	Doc:  "forbid fmt.Print*/println and direct os.Stdout writes in internal library code",
 	Run: func(pass *Pass) {
 		if !strings.Contains(pass.Pkg.Path, "/internal/") {
 			return

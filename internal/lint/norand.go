@@ -31,7 +31,6 @@ var globalRandFuncs = map[string]bool{
 // itself flagged wherever it lives, so reachability adds nothing).
 var NoRand = &Analyzer{
 	Name: "norand",
-	Doc:  "forbid global math/rand top-level functions outside internal/randutil",
 	Run: func(pass *Pass) {
 		if strings.HasSuffix(pass.Pkg.Path, randExemptSuffix) {
 			return

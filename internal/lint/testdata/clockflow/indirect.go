@@ -1,7 +1,7 @@
 // clockflow fixture: a wall-clock read laundered through helpers. The
 // file type-checks under prord/internal/dispatch, making Entry a root;
 // the read two hops away must still be found via the call graph (the
-// hole the file-scoped nowallclock allowances cannot close).
+// hole a file-scoped check cannot close).
 package dispatch
 
 import "time"
