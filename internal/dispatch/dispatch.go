@@ -12,7 +12,7 @@
 //
 // Every method that consults or advances a clock takes the current time
 // as an argument, so the simulator drives the core with virtual time
-// and stays bit-reproducible (the repo's nowallclock analyzer enforces
+// and stays bit-reproducible (the repo's clockflow analyzer enforces
 // this). The core is goroutine-safe and its decision read path is
 // contention-free: the policy inputs (policies, bundle index,
 // navigation predictor) are fixed at New and never replaced, so
@@ -301,7 +301,7 @@ type Stats struct {
 // in-flight counts. Every such set — and every per-decision mask — is a
 // ServerSet word, which caps a core at 64 backends.
 //
-// Lock hierarchy (machine-checked by prordlint's lockorder analyzer —
+// Lock hierarchy (machine-checked by internal/lint's lockorder analyzer —
 // see lockHierarchy in internal/lint/lockset.go): locks nest only in
 // ascending rank, and the leaf mutexes — the shard locks, the record
 // emitter and the policy stripes — admit no nested acquisition and no

@@ -14,8 +14,8 @@ import (
 // the same Params and seed must yield byte-identical serialized Results.
 // Every figure and table in this repo rests on that property; a stray
 // wall-clock read, global rand draw or map-ordered aggregation breaks it
-// (which is what prordlint's analyzers guard statically — this test is
-// the dynamic check).
+// (which is what internal/lint's analyzers guard statically — this test
+// is the dynamic check).
 func TestSimulationIsDeterministic(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Scale = 0.05

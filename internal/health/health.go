@@ -5,7 +5,7 @@
 // The breaker is a pure state machine: every transition takes the
 // current time as an argument, so production code drives it with the
 // wall clock while tests drive it with a synthetic one. The repo's
-// nowallclock analyzer enforces the split — only the prober (prober.go)
+// clockflow analyzer enforces the split — only the prober (prober.go)
 // may touch real timers, because waiting between probes is the one job
 // that genuinely needs them.
 package health

@@ -1,5 +1,6 @@
 // Wall-clock allowance: this file is the one place in internal/health
-// permitted to use real timers (see internal/lint/nowallclock.go). The
+// permitted to use real timers, through the //lint:ignore clockflow
+// directive on its timer (see internal/lint/clockflow.go). The
 // prober must wait real time between probes, but its jitter comes from a
 // seeded randutil.Source so the probe schedule is reproducible.
 

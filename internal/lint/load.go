@@ -110,7 +110,8 @@ func findModule(dir string) (modDir, modPath string, err error) {
 	}
 }
 
-// goFiles lists the non-test Go sources in dir, sorted.
+// goFiles lists the non-test Go sources in dir, sorted. An unreadable
+// directory lists nothing, which load reports as having no Go files.
 func goFiles(dir string) []string {
 	entries, _ := os.ReadDir(dir)
 	var names []string

@@ -19,7 +19,7 @@
 // Like health.Breaker, the estimator is a pure state machine: every
 // transition takes the current time as an argument, so the live
 // front-end drives it with the wall clock while the simulator and tests
-// drive it with a virtual one. The repo's nowallclock analyzer enforces
+// drive it with a virtual one. The repo's clockflow analyzer enforces
 // the split. Neither type is goroutine-safe; the owner serializes
 // access (the front-end holds its routing mutex).
 package overload
