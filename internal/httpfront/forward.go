@@ -1,31 +1,12 @@
 package httpfront
 
 import (
-	"context"
 	"io"
 	"net"
 	"net/http"
-	"net/url"
 	"strings"
 	"sync"
-	"time"
 )
-
-// newTransport builds the transport every backend-bound request —
-// demand, prefetch hint, probe — goes through. A proxy passes
-// Accept-Encoding through rather than negotiating and inflating, the
-// backends are addressed directly, never via an environment proxy, and
-// the idle cap is a constant well above any per-backend concurrency, so
-// a connection finishing a request is kept, not closed and redialed.
-func newTransport() *http.Transport {
-	return &http.Transport{
-		DialContext:           (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
-		DisableCompression:    true,
-		MaxIdleConnsPerHost:   256,
-		IdleConnTimeout:       90 * time.Second,
-		ExpectContinueTimeout: time.Second,
-	}
-}
 
 // hopHeaders are the hop-by-hop headers (RFC 2616 §13.5.1) stripped in
 // both directions on top of whatever Connection lists.
@@ -49,10 +30,6 @@ func stripHopByHop(h http.Header) {
 	}
 }
 
-// noUserAgent stops the transport from inventing a User-Agent for a
-// client that sent none.
-var noUserAgent = []string{""}
-
 // prepareOutbound turns the inbound header map into the outbound one,
 // once per request: every attempt and hedge leg then shares it
 // read-only.
@@ -64,47 +41,6 @@ func prepareOutbound(r *http.Request) {
 		}
 		r.Header.Set("X-Forwarded-For", ip)
 	}
-	if _, ok := r.Header["User-Agent"]; !ok {
-		r.Header["User-Agent"] = noUserAgent
-	}
-}
-
-// joinPath joins a backend's base path and a request path with exactly
-// one slash between them, in both the decoded and the escaped form.
-func joinPath(a, b *url.URL) (path, rawPath string) {
-	apath, bpath := a.EscapedPath(), b.EscapedPath()
-	switch aslash, bslash := strings.HasSuffix(apath, "/"), strings.HasPrefix(bpath, "/"); {
-	case aslash && bslash:
-		path, rawPath = a.Path+b.Path[1:], apath+bpath[1:]
-	case !aslash && !bslash:
-		path, rawPath = a.Path+"/"+b.Path, apath+"/"+bpath
-	default:
-		path, rawPath = a.Path+b.Path, apath+bpath
-	}
-	return path, rawPath
-}
-
-// roundTrip is one attempt: the prepared request re-addressed to a
-// backend (its Host and headers reach the backend as the client sent
-// them) and sent over the owned transport. Canceling ctx abandons the
-// attempt, response body included.
-func (d *Distributor) roundTrip(ctx context.Context, server int, r *http.Request) (*http.Response, error) {
-	base := d.cfg.Backends[server]
-	out := r.WithContext(ctx)
-	u := *r.URL
-	u.Scheme, u.Host = base.Scheme, base.Host
-	u.Path, u.RawPath = joinPath(base, r.URL)
-	if base.RawQuery != "" && u.RawQuery != "" {
-		u.RawQuery = base.RawQuery + "&" + u.RawQuery
-	} else {
-		u.RawQuery = base.RawQuery + u.RawQuery
-	}
-	out.URL = &u
-	out.Close = false
-	if r.ContentLength == 0 {
-		out.Body = nil
-	}
-	return d.transport.RoundTrip(out)
 }
 
 // copyBufs holds the 32 KB buffers response bodies are copied through.
@@ -113,31 +49,37 @@ var copyBufs = sync.Pool{New: func() any {
 	return &b
 }}
 
-// deliver commits a backend response to the client: the head's header
-// slices are handed over as they are, then the body streams through a
-// pooled buffer — flushed per write when the backend announced no
-// length, so a streaming backend streams through — and its trailers
-// follow. It returns the error of a backend read that failed
-// after the head was committed; a failed write is the client's and
-// only ends the copy.
-func (d *Distributor) deliver(w http.ResponseWriter, server int, resp *http.Response) (readErr error) {
-	defer resp.Body.Close()
-	stripHopByHop(resp.Header)
-	h := w.Header()
-	for k, vv := range resp.Header {
-		h[k] = vv
+// deliver commits a backend response to the client: the head's fields
+// are handed over as the value slices they were read into, minus the
+// hop-by-hop ones and, for a chunked body, Content-Length; then the
+// body streams through a pooled buffer — flushed per write when the
+// backend announced no length, so a streaming backend streams through —
+// and its trailers follow. It returns the error of a backend read that
+// failed after the head was committed; a failed write is the client's
+// and only ends the copy.
+func (d *Distributor) deliver(w http.ResponseWriter, server int, h *head, body io.Reader) (readErr error) {
+	hdr := w.Header()
+	for _, f := range h.fields {
+		if hopByHop(h, f.key) || h.chunked && f.key == "Content-Length" {
+			continue
+		}
+		if vv, ok := hdr[f.key]; ok {
+			hdr[f.key] = append(vv, f.vals[0])
+		} else {
+			hdr[f.key] = f.vals
+		}
 	}
-	h[BackendHeader] = d.backendIDs[server]
-	w.WriteHeader(resp.StatusCode)
+	hdr[BackendHeader] = d.backendIDs[server]
+	w.WriteHeader(h.status)
 	var flush *http.ResponseController
-	if resp.ContentLength < 0 {
+	if h.length < 0 {
 		flush = http.NewResponseController(w)
 	}
-	if resp.Body != http.NoBody {
+	if h.length != 0 {
 		bufp := copyBufs.Get().(*[]byte)
 		defer copyBufs.Put(bufp)
 		for {
-			n, err := resp.Body.Read(*bufp)
+			n, err := body.Read(*bufp)
 			if n > 0 {
 				if _, werr := w.Write((*bufp)[:n]); werr != nil {
 					return nil
@@ -155,16 +97,32 @@ func (d *Distributor) deliver(w http.ResponseWriter, server int, resp *http.Resp
 			}
 		}
 	}
-	if len(resp.Trailer) > 0 && flush != nil {
+	if len(h.trailer) > 0 && flush != nil {
 		// Trailers need a chunked body; an unflushed empty one would be
 		// given a Content-Length.
 		_ = flush.Flush()
 	}
-	for k, vv := range resp.Trailer {
+	for k, vv := range h.trailer {
 		// The prefix form needs no announcement before the head.
-		h[http.TrailerPrefix+k] = vv
+		hdr[http.TrailerPrefix+k] = vv
 	}
 	return nil
+}
+
+// hopByHop reports whether a response field stops at the front-end: one
+// of hopHeaders, or a name the head's Connection fields list.
+func hopByHop(h *head, key string) bool {
+	for _, hop := range hopHeaders {
+		if key == hop {
+			return true
+		}
+	}
+	for _, f := range h.fields {
+		if f.key == "Connection" && listContains(f.vals[0], key) {
+			return true
+		}
+	}
+	return false
 }
 
 // writeBare answers with a status and its text where there is no
