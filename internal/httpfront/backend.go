@@ -2,7 +2,6 @@ package httpfront
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -21,8 +20,8 @@ const CacheStateHeader = "X-Prord-Cache"
 // resident (the "disk"). Prefetch-hinted requests (PrefetchHeader) warm
 // the cache and return 204 without a body.
 type DemoBackend struct {
-	name        string
-	files       map[string]int64
+	files       map[string]*demoFile
+	server      []string // the X-Prord-Server value
 	missLatency time.Duration
 
 	mu    sync.Mutex
@@ -38,15 +37,45 @@ type DemoStats struct {
 	Prefetches int64 `json:"prefetches"`
 }
 
+// demoFile is one file's response, built once: the content pattern and
+// the header values, which responses share read-only. Whole bodies are
+// never held.
+type demoFile struct {
+	size        int64
+	pattern     []byte
+	contentType []string
+	length      []string
+}
+
+// The shared CacheStateHeader values and Content-Type values.
+var (
+	cacheHit  = []string{"hit"}
+	cacheMiss = []string{"miss"}
+	typeGIF   = []string{"image/gif"}
+	typeCSS   = []string{"text/css"}
+	typeHTML  = []string{"text/html; charset=utf-8"}
+)
+
 // NewDemoBackend builds a backend named name serving the given file table
 // (path -> size) with cacheBytes of memory and the given miss latency.
 func NewDemoBackend(name string, files map[string]int64, cacheBytes int64, missLatency time.Duration) *DemoBackend {
-	return &DemoBackend{
-		name:        name,
-		files:       files,
+	b := &DemoBackend{
+		files:       make(map[string]*demoFile, len(files)),
+		server:      []string{name},
 		missLatency: missLatency,
 		cache:       cache.NewLRU(cacheBytes),
 	}
+	for path, size := range files {
+		b.files[path] = &demoFile{
+			size: size,
+			// Deterministic pseudo-content: the path repeated to the
+			// file size.
+			pattern:     []byte("<!-- " + path + " -->\n"),
+			contentType: contentType(path),
+			length:      []string{strconv.FormatInt(size, 10)},
+		}
+	}
+	return b
 }
 
 // Stats returns a snapshot of the backend's counters.
@@ -82,20 +111,20 @@ func (b *DemoBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	size, ok := b.files[r.URL.Path]
+	f, ok := b.files[r.URL.Path]
 	if !ok {
 		http.NotFound(w, r)
 		return
 	}
 	if r.Header.Get(PrefetchHeader) != "" {
-		b.ensureResident(r.URL.Path, size)
+		b.ensureResident(r.URL.Path, f.size)
 		b.mu.Lock()
 		b.stats.Prefetches++
 		b.mu.Unlock()
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	hit := b.ensureResident(r.URL.Path, size)
+	hit := b.ensureResident(r.URL.Path, f.size)
 	b.mu.Lock()
 	b.stats.Served++
 	if hit {
@@ -105,20 +134,18 @@ func (b *DemoBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	b.mu.Unlock()
 
-	state := "miss"
+	h := w.Header()
+	h[CacheStateHeader] = cacheMiss
 	if hit {
-		state = "hit"
+		h[CacheStateHeader] = cacheHit
 	}
-	w.Header().Set(CacheStateHeader, state)
-	w.Header().Set("X-Prord-Server", b.name)
-	w.Header().Set("Content-Type", contentType(r.URL.Path))
-	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-	// Deterministic pseudo-content: the path repeated to the file size.
-	pattern := []byte(fmt.Sprintf("<!-- %s -->\n", r.URL.Path))
+	h["X-Prord-Server"] = b.server
+	h["Content-Type"] = f.contentType
+	h["Content-Length"] = f.length
 	var written int64
-	for written < size {
-		chunk := pattern
-		if rest := size - written; rest < int64(len(chunk)) {
+	for written < f.size {
+		chunk := f.pattern
+		if rest := f.size - written; rest < int64(len(chunk)) {
 			chunk = chunk[:rest]
 		}
 		n, err := w.Write(chunk)
@@ -129,14 +156,14 @@ func (b *DemoBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func contentType(path string) string {
+func contentType(path string) []string {
 	switch {
 	case len(path) > 4 && path[len(path)-4:] == ".gif":
-		return "image/gif"
+		return typeGIF
 	case len(path) > 4 && path[len(path)-4:] == ".css":
-		return "text/css"
+		return typeCSS
 	default:
-		return "text/html; charset=utf-8"
+		return typeHTML
 	}
 }
 
