@@ -32,9 +32,10 @@
 // failing (soft exclusion plus progressive session rebinding), and
 // idempotent static requests still unanswered after the pooled-p95
 // delay are hedged to a second backend with the first committed
-// response winning. Tune with the -gray-*, -hedge* and -deadline
-// flags or disable with -gray=false; counters are visible on the admin
-// listener's /_prord/cluster under "gray".
+// response winning. Tune with the -gray-* and -hedge* flags or disable
+// with -gray=false; counters are visible on the admin listener's
+// /_prord/cluster under "gray". -deadline sets a per-request deadline
+// budget, scaled down with the overload tier.
 package main
 
 import (
@@ -77,7 +78,7 @@ func main() {
 		grayOn   = flag.Bool("gray", true, "enable the gray-failure resilience layer: latency-outlier detector with slow-backend ejection and progressive session rebinding")
 		hedge    = flag.Bool("hedge", true, "with -gray: hedge idempotent static requests after the pooled-p95 delay, first committed response wins (stands down at Saturated tier)")
 		hedgeCap = flag.Int("hedge-cap", 0, "with -hedge: max outstanding hedged requests per backend (0: default 2)")
-		deadline = flag.Duration("deadline", 0, "with -gray: per-request deadline budget at Normal tier; halves at Saturated, quarters at Critical (0 disables)")
+		deadline = flag.Duration("deadline", 0, "per-request deadline budget at Normal tier; halves at Saturated, quarters at Critical (0 disables)")
 		grayMult = flag.Float64("gray-multiplier", 0, "with -gray: relative outlier threshold k over the pool median (0: default 3)")
 		grayHold = flag.Duration("gray-hold", 0, "with -gray: time over threshold before ejection (0: default 2s)")
 
@@ -171,7 +172,6 @@ func main() {
 			Detector: health.DetectorConfig{Multiplier: *grayMult, Hold: *grayHold},
 			Hedge:    *hedge,
 			HedgeCap: *hedgeCap,
-			Deadline: *deadline,
 		}
 	}
 	dist, err := httpfront.New(httpfront.Config{
@@ -180,6 +180,7 @@ func main() {
 		Miner:    miner,
 		Prefetch: *polName == "PRORD",
 		Retries:  *retries,
+		Deadline: *deadline,
 		Health: health.Config{
 			Threshold:  *breakThresh,
 			Backoff:    *breakBackoff,

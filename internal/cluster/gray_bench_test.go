@@ -1,6 +1,10 @@
 package cluster
 
-import "testing"
+import (
+	"testing"
+
+	"prord/internal/dispatch"
+)
 
 // grayFaultPair runs the acceptance scenario twice on the same seeded
 // trace: one backend turns 10x slow an eighth of the way in, once with
@@ -8,7 +12,7 @@ import "testing"
 // virtual-time deterministic, so both results replay byte-identically.
 func grayFaultPair(t *testing.T) (off, on *Result) {
 	t.Helper()
-	run := func(gray *GrayConfig) *Result {
+	run := func(gray *dispatch.GrayConfig) *Result {
 		tr, cfg := compressedWorkload(t, 4000, 211, 200)
 		start := tr.Requests[len(tr.Requests)/8].Time
 		cfg.Failures = []Failure{{Server: 1, At: start, Mode: Slow, Slowdown: 10}}
@@ -26,7 +30,7 @@ func grayFaultPair(t *testing.T) (off, on *Result) {
 		}
 		return res
 	}
-	return run(nil), run(&GrayConfig{Detector: fastDetector(), Hedge: true})
+	return run(nil), run(&dispatch.GrayConfig{Detector: fastDetector(), Hedge: true})
 }
 
 // TestGrayLayerCutsP99AtLeast2x is the tentpole acceptance criterion:

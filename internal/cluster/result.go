@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"prord/internal/dispatch"
 	"prord/internal/metrics"
 	"prord/internal/overload"
 	"prord/internal/trace"
@@ -57,7 +58,7 @@ type Result struct {
 	TierTransitions []overload.Transition
 	// Gray summarizes the gray-failure resilience layer (nil when
 	// Config.Gray is nil).
-	Gray *GrayResult
+	Gray *dispatch.GrayStats
 }
 
 // result collects the run outcome, folding the dispatch core's decision
@@ -92,17 +93,7 @@ func (c *Cluster) result(tr *trace.Trace) *Result {
 		res.FrontUtilization = append(res.FrontUtilization, f.Utilization())
 	}
 	res.TierTransitions = c.core.TierTransitions()
-	if d := c.gray.detector; d != nil {
-		res.Gray = &GrayResult{
-			Ejections:    d.Ejections(),
-			Recoveries:   d.Recoveries(),
-			GrayRebinds:  cs.GrayRebinds,
-			HedgesFired:  cs.HedgesFired,
-			HedgeWins:    cs.HedgeWins,
-			HedgeCancels: c.gray.hedgeCancels,
-			Backends:     d.Snapshot(),
-		}
-	}
+	res.Gray = c.core.Gray()
 	for _, b := range c.backends {
 		res.Servers = append(res.Servers, ServerStats{
 			Served:          b.served,

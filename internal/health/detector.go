@@ -105,13 +105,13 @@ type lat struct {
 	ewma    float64         // smoothed latency, ns
 	haveEwm bool
 
-	phase       phase
-	overSince   time.Time // healthy/probation: first over-threshold instant (zero: not over)
-	ejectedAt   time.Time // degraded: when the ejection happened
-	readmitAt   time.Time // probation: when the dwell expired
-	dwell       time.Duration
-	ejections   int64
-	lastP90     time.Duration // from the most recent evaluation
+	phase     phase
+	overSince time.Time // healthy/probation: first over-threshold instant (zero: not over)
+	ejectedAt time.Time // degraded: when the ejection happened
+	readmitAt time.Time // probation: when the dwell expired
+	dwell     time.Duration
+	ejections int64
+	lastP90   time.Duration // from the most recent evaluation
 }
 
 // Detector is the pool-relative gray-failure detector: it ingests
@@ -145,12 +145,12 @@ type Detector struct {
 
 // BackendLatency is one backend's detector view for stats endpoints.
 type BackendLatency struct {
-	Degraded  bool
-	Probation bool
-	P90       time.Duration
-	EWMA      time.Duration
-	Samples   int
-	Ejections int64
+	Degraded  bool          `json:"degraded"`
+	Probation bool          `json:"probation"`
+	P90       time.Duration `json:"p90_ns"`
+	EWMA      time.Duration `json:"ewma_ns"`
+	Samples   int           `json:"samples"`
+	Ejections int64         `json:"ejections"`
 }
 
 // NewDetector builds a detector for n backends.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"prord/internal/cache"
+	"prord/internal/dispatch"
 )
 
 // CacheStateHeader reports whether a demo backend served from memory
@@ -186,11 +187,11 @@ func (b *DemoBackend) StatsHandler() http.Handler {
 // demo backend's counters, in backend order.
 func ClusterStatsHandler(d *Distributor, backends []*DemoBackend) http.Handler {
 	type payload struct {
-		Distributor Stats           `json:"distributor"`
-		Health      []BackendHealth `json:"health"`
-		Overload    *OverloadState  `json:"overload,omitempty"`
-		Gray        *GrayStats      `json:"gray,omitempty"`
-		Backends    []DemoStats     `json:"backends"`
+		Distributor Stats                      `json:"distributor"`
+		Health      []BackendHealth            `json:"health"`
+		Overload    *dispatch.OverloadSnapshot `json:"overload,omitempty"`
+		Gray        *dispatch.GrayStats        `json:"gray,omitempty"`
+		Backends    []DemoStats                `json:"backends"`
 	}
 	return jsonHandler(func() any {
 		p := payload{Distributor: d.Stats(), Health: d.Health(),

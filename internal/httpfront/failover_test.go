@@ -68,7 +68,7 @@ func killableCluster(t *testing.T, n int, cfg Config) (*Distributor, *httptest.S
 	return d, front, ks
 }
 
-// TestFailoverMasksBackendCrash is the live mirror of the simulator's
+// TestFailoverMasksBackendCrash is the live counterpart of the simulator's
 // TestBackendCrashCausesFailovers: killing one of three backends mid-run
 // must stay invisible to clients (at most one retry per request), count
 // failovers, and — once the breaker trips — keep all demand off the

@@ -126,8 +126,7 @@ func hopByHop(h *head, key string) bool {
 }
 
 // writeBare answers with a status and its text where there is no
-// backend response to pass through: a transport error, or a failure
-// that was swallowed for a retry that then found no healthy backend.
+// backend response to pass through: a transport error.
 func (d *Distributor) writeBare(w http.ResponseWriter, server, status int) {
 	h := w.Header()
 	h[BackendHeader] = d.backendIDs[server]

@@ -104,8 +104,10 @@ func TestSlowBackendEjectedAndSessionsRebound(t *testing.T) {
 	if g.Ejections == 0 {
 		t.Fatal("40ms-slow backend never ejected")
 	}
-	if len(g.Degraded) != 1 || g.Degraded[0] != 2 {
-		t.Fatalf("Degraded = %v, want [2]", g.Degraded)
+	for i, b := range g.Backends {
+		if b.Degraded != (i == 2) {
+			t.Fatalf("detector view %+v, want backend 2 alone degraded", g.Backends)
+		}
 	}
 	// Bound sessions rebind off the ejected backend on their next
 	// request rather than waiting out the outage.
@@ -144,7 +146,7 @@ func TestHedgedRequestsRescueSlowBackend(t *testing.T) {
 			get(t, c, front.URL, "/a.html")
 		}
 	}
-	if d.detector.HedgeDelay() <= 0 {
+	if d.core.HedgeDelay("/") <= 0 {
 		t.Fatal("hedge delay not published after warmup")
 	}
 	slows[2].delay.Store(int64(75 * time.Millisecond))
@@ -182,7 +184,7 @@ func TestHedgedRequestsRescueSlowBackend(t *testing.T) {
 // fast instead of holding the client for the backend's full latency.
 func TestDeadlineBudgetCutsLostCause(t *testing.T) {
 	_, front, slows := grayCluster(t, 1, Config{
-		Gray: &GrayConfig{Deadline: 30 * time.Millisecond},
+		Deadline: 30 * time.Millisecond,
 	})
 	slows[0].delay.Store(int64(300 * time.Millisecond))
 	start := time.Now()
@@ -248,7 +250,7 @@ func TestHedgeCancellationLeaksNeither(t *testing.T) {
 			get(t, c, front.URL, "/a.html")
 		}
 	}
-	if d.detector.HedgeDelay() <= 0 {
+	if d.core.HedgeDelay("/") <= 0 {
 		t.Fatal("hedge delay not published after warmup")
 	}
 	baseline := runtime.NumGoroutine()

@@ -145,7 +145,7 @@ func TestOverloadAdmissionShedsAtCritical(t *testing.T) {
 		t.Errorf("Requests = %d, want 3 (shed requests are received requests)", st.Requests)
 	}
 	ov := d.Overload()
-	if ov == nil || ov.Tier != "critical" {
+	if ov == nil || ov.Tier != overload.Critical {
 		t.Errorf("overload state = %+v, want critical tier held by MinHold", ov)
 	}
 	if len(ov.Transitions) == 0 {
@@ -307,7 +307,7 @@ func TestOverloadElevatedShedsPrefetch(t *testing.T) {
 	if st.Prefetches != 0 {
 		t.Errorf("Elevated tier still generated hints: %d", st.Prefetches)
 	}
-	if ov := d.Overload(); ov == nil || ov.Tier != "elevated" {
+	if ov := d.Overload(); ov == nil || ov.Tier != overload.Elevated {
 		t.Errorf("overload state = %+v, want elevated tier held by MinHold", ov)
 	}
 }

@@ -141,6 +141,7 @@ func (h *Harness) startCluster(polName string) (*liveCluster, error) {
 		ProbeSeed:     h.cfg.Seed,
 		Overload:      h.cfg.Overload,
 		Gray:          h.cfg.Gray,
+		Deadline:      h.cfg.Deadline,
 	}
 	if polName == "PRORD" {
 		cfg.Miner = h.freshMiner()

@@ -41,6 +41,7 @@ type configJSON struct {
 	Faults          []faultJSON `json:"faults,omitempty"`
 	ProbeIntervalMS int64       `json:"probe_interval_ms,omitempty"`
 	FrontRetries    int         `json:"front_retries,omitempty"`
+	DeadlineMS      int64       `json:"deadline_ms,omitempty"`
 	// Overload echoes the effective (defaulted) overload configuration;
 	// omitted when overload control is off so older artifacts are
 	// unchanged.
@@ -74,7 +75,6 @@ type grayJSON struct {
 	RecoverHoldMS int64   `json:"recover_hold_ms"`
 	Hedge         bool    `json:"hedge"`
 	HedgeCap      int     `json:"hedge_cap,omitempty"`
-	DeadlineMS    int64   `json:"deadline_ms,omitempty"`
 }
 
 // faultJSON is the stable echo of one scheduled backend fault. The
@@ -111,6 +111,7 @@ func (r *Result) Artifact() *metrics.BenchArtifact {
 		MissLatencyMS:   r.Config.MissLatency.Milliseconds(),
 		ProbeIntervalMS: r.Config.ProbeInterval.Milliseconds(),
 		FrontRetries:    r.Config.FrontRetries,
+		DeadlineMS:      r.Config.Deadline.Milliseconds(),
 		CompareSim:      r.Config.CompareSim,
 	}
 	for _, f := range r.Config.Faults {
@@ -132,10 +133,10 @@ func (r *Result) Artifact() *metrics.BenchArtifact {
 		}
 	}
 	if gc := r.Config.Gray; gc != nil {
-		det := gc.Detector.WithDefaults()
-		cap := gc.HedgeCap
-		if gc.Hedge && cap == 0 {
-			cap = 2
+		eff := gc.WithDefaults()
+		det, cap := eff.Detector, 0
+		if gc.Hedge {
+			cap = eff.HedgeCap
 		}
 		cfg.Gray = &grayJSON{
 			Window:        det.Window,
@@ -147,7 +148,6 @@ func (r *Result) Artifact() *metrics.BenchArtifact {
 			RecoverHoldMS: det.RecoverHold.Milliseconds(),
 			Hedge:         gc.Hedge,
 			HedgeCap:      cap,
-			DeadlineMS:    gc.Deadline.Milliseconds(),
 		}
 	}
 	switch r.Config.Mode {
