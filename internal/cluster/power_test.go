@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"prord/internal/dispatch"
+	"prord/internal/mining"
 	"prord/internal/policy"
 )
 
@@ -126,5 +128,60 @@ func TestPowerWithFailures(t *testing.T) {
 	}
 	if res.Metrics.Completed != int64(len(tr.Requests)) {
 		t.Fatalf("completed %d of %d with crash + power mgmt", res.Metrics.Completed, len(tr.Requests))
+	}
+}
+
+// TestPowerWakesForAFailover: the lightly loaded trace leaves backend 0
+// the only one awake; it crashes just after the core routed a request
+// to it. The failover finds nothing available and must wake a sleeper,
+// as Route does, rather than lose the request.
+func TestPowerWakesForAFailover(t *testing.T) {
+	cfg := func(m *mining.Miner) Config {
+		return Config{
+			Params: smallParams(4, 4, 2),
+			Policy: policy.NewLARD(policy.Thresholds{}),
+			Miner:  m,
+			Power:  PowerParams{Enabled: true, Interval: 100 * time.Millisecond},
+		}
+	}
+	// A fault-free run finds when a request past mid-trace goes to 0.
+	tr, m := testWorkload(t, 2000, 213)
+	mid := tr.Requests[len(tr.Requests)/2].Time
+	var probe *Cluster
+	var at time.Duration
+	c := cfg(m)
+	c.Recorder = func(r dispatch.Record) {
+		if at == 0 && r.Server == 0 && probe.eng.Now() > mid {
+			if probe.power.asleepCount() != 3 {
+				t.Fatalf("asleep %v at the routing, want only backend 0 awake", probe.power.asleep)
+			}
+			at = probe.eng.Now()
+		}
+	}
+	probe, err := New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := probe.Run(tr); err != nil {
+		t.Fatal(err)
+	}
+	if at == 0 {
+		t.Fatal("no request went to backend 0 after mid-trace")
+	}
+
+	tr, m = testWorkload(t, 2000, 213)
+	c = cfg(m)
+	c.Failures = []Failure{{Server: 0, At: at + time.Nanosecond}}
+	cl, err := New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Metrics.Failovers != 1 || res.Metrics.Failed != 0 || res.Metrics.Completed != int64(len(tr.Requests)) {
+		t.Fatalf("failovers %d failed %d completed %d of %d; want the one caught request failed over",
+			res.Metrics.Failovers, res.Metrics.Failed, res.Metrics.Completed, len(tr.Requests))
 	}
 }
