@@ -7,6 +7,7 @@ import (
 
 	"prord/internal/cluster"
 	"prord/internal/health"
+	"prord/internal/metrics"
 )
 
 // The -faults and -scale-events grammar lives in cluster beside the
@@ -201,5 +202,29 @@ func TestRunWithFaultsClosedLoop(t *testing.T) {
 	}
 	if run.Sim == nil {
 		t.Fatal("sim comparison missing")
+	}
+}
+
+// TestSimCompareSpendsFrontRetries: the simulator side of a comparison
+// fails over under the budget the live front-end was given, so
+// FrontRetries -1 leaves it no failovers where the default has some.
+func TestSimCompareSpendsFrontRetries(t *testing.T) {
+	failovers := func(retries int) int64 {
+		cfg := smallConfig(OpenLoop)
+		cfg.Backends = 3
+		cfg.Faults = []cluster.Failure{{Server: 1, At: 300 * time.Millisecond}}
+		cfg.FrontRetries = retries
+		h, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := h.simCompare("PRORD", &metrics.BenchRun{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sim.Failovers
+	}
+	if def, off := failovers(0), failovers(-1); def == 0 || off != 0 {
+		t.Fatalf("sim failovers: %d with the default budget, %d with retries disabled; want some, then none", def, off)
 	}
 }
