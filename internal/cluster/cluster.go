@@ -44,10 +44,6 @@ type Config struct {
 	// failure surface Config.Gray's detection and hedging layer exists
 	// to absorb.
 	Failures []Failure
-	// Retries is the core's per-request failover budget
-	// (dispatch.Config.Retries), the one the live front-end spends: 0
-	// means one retry, negative disables failover.
-	Retries int
 	// Gray enables the core's gray-failure layer, driven by virtual
 	// time: the relative slow-backend detector as the Degraded mask,
 	// plus optional hedged backup requests. Nil disables the layer
@@ -249,7 +245,6 @@ func New(cfg Config) (*Cluster, error) {
 		},
 		Overload: cfg.Overload,
 		Gray:     cfg.Gray,
-		Retries:  cfg.Retries,
 		Recorder: cfg.Recorder,
 	}
 	if cfg.Overload != nil {

@@ -7,8 +7,7 @@ import (
 	"prord/internal/trace"
 )
 
-// FailureMode selects the injected failure kind; the load generator
-// replays the same modes against live backends. The zero value is the
+// FailureMode selects the injected failure kind. The zero value is the
 // original fail-stop crash; the other modes are gray failures the
 // breaker alone cannot see.
 type FailureMode int

@@ -53,6 +53,7 @@ func TestGrayFailureValidation(t *testing.T) {
 		{Server: 0, At: time.Second, Mode: ErrRate, ErrRate: 0},
 		{Server: 0, At: time.Second, RecoverAt: 2 * time.Second, Mode: Flap},
 		{Server: 0, At: time.Second, Mode: Flap, FlapPeriod: 50 * time.Millisecond},
+		{Server: 0, At: time.Second, Mode: Flap + 1},
 	}
 	for i, f := range bad {
 		if _, err := New(mkCfg(f)); err == nil {

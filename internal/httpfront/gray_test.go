@@ -17,7 +17,7 @@ import (
 )
 
 // slowable wraps a demo backend with a switchable pre-delay — the live
-// tests' stand-in for the load generator's slow=xN gray fault gate.
+// tests' stand-in for the simulator's Slow gray failure.
 // The delay aborts early when the request is canceled so a hedged
 // loser's connection releases promptly.
 type slowable struct {

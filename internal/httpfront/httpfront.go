@@ -130,8 +130,8 @@ type Config struct {
 }
 
 // Observation is one completed demand request as seen by the front-end:
-// the input to Config.Observe, and the raw material for load-generator
-// and benchmark measurements.
+// the input to Config.Observe, and the raw material for benchmark
+// measurements.
 type Observation struct {
 	// Backend is the backend index that served the request.
 	Backend int
@@ -354,8 +354,8 @@ func (d *Distributor) admit(key, path string) bool {
 
 // reject answers a demand request the front-end refuses to proxy. shed
 // marks Critical-tier admission control (the response carries
-// ShedHeader so clients and load generators can tell it from a
-// failure); without it the refusal is the all-breakers-open fast 503.
+// ShedHeader so clients can tell it from a failure); without it the
+// refusal is the all-breakers-open fast 503.
 func (d *Distributor) reject(w http.ResponseWriter, shed bool) {
 	w.Header().Set("Retry-After", strconv.Itoa(d.core.RetryAfter()))
 	msg := "no healthy backend available"

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -335,6 +336,82 @@ func TestOverloadSaturatedStopsBundleBypass(t *testing.T) {
 	}
 	if st.Dispatches != 2 {
 		t.Errorf("Dispatches = %d, want 2 (both requests through the dispatcher)", st.Dispatches)
+	}
+}
+
+// TestOverloadLadderClimbsUnderRisingLoad: as concurrent fresh
+// sessions rise step by step past the admission capacity, the live
+// ladder climbs one way to Critical, proactive work is shed before the
+// first 503, and a shed is a 503 with ShedHeader, never an error.
+func TestOverloadLadderClimbsUnderRisingLoad(t *testing.T) {
+	const miss = 10 * time.Millisecond
+	d, front := overloadCluster(t, Config{
+		Miner:    testMiner(),
+		Prefetch: true,
+		// MinHold pins every step up, so the ladder can only climb.
+		Overload: &overload.Config{CapacityPerBackend: 2, QueueLimit: -1, MinHold: time.Hour},
+	}, NewDemoBackend("b0", testFiles, 1, miss), NewDemoBackend("b1", testFiles, 1, miss))
+
+	var first503 sync.Once
+	prefetchShedAtFirst503 := int64(-1)
+	var shed, failed atomic.Int64
+	// Capacity is 2 backends x 2 in flight, so the steps reach Elevated
+	// (2), Saturated (3) and Critical (4 and more) in turn.
+	for _, clients := range []int{1, 2, 3, 8} {
+		var wg sync.WaitGroup
+		for range clients {
+			client := freshClient(t)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, path := range []string{"/a.html", "/a.gif", "/b.html", "/b.gif"} {
+					resp, err := client.Get(front.URL + path)
+					if err != nil {
+						failed.Add(1)
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get(ShedHeader) != "" {
+						first503.Do(func() { prefetchShedAtFirst503 = d.Stats().PrefetchShed })
+						shed.Add(1)
+						return // a refused session gives up
+					}
+					if resp.StatusCode != http.StatusOK {
+						failed.Add(1)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	if n := failed.Load(); n != 0 {
+		t.Errorf("%d requests failed; sheds must be 503s with ShedHeader", n)
+	}
+	if shed.Load() == 0 {
+		t.Fatal("no request shed at twice the admission capacity")
+	}
+	if st := d.Stats(); st.Shed != shed.Load() || st.Errors != 0 {
+		t.Errorf("Shed/Errors = %d/%d, want %d/0", st.Shed, st.Errors, shed.Load())
+	}
+	if prefetchShedAtFirst503 <= 0 {
+		t.Errorf("PrefetchShed = %d at the first 503, want proactive work shed first", prefetchShedAtFirst503)
+	}
+	ov := d.Overload()
+	if len(ov.Transitions) == 0 {
+		t.Fatal("no tier transitions recorded")
+	}
+	for i, tr := range ov.Transitions {
+		if tr.To <= tr.From {
+			t.Errorf("transition %d (%v to %v) does not climb", i, tr.From, tr.To)
+		}
+		if i > 0 && tr.At < ov.Transitions[i-1].At {
+			t.Errorf("transition offsets out of order: %v", ov.Transitions)
+		}
+	}
+	if last := ov.Transitions[len(ov.Transitions)-1].To; last != overload.Critical || ov.Tier != overload.Critical {
+		t.Errorf("ladder topped out at %v (tier %v), want critical", last, ov.Tier)
 	}
 }
 

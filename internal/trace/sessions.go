@@ -44,37 +44,3 @@ func (t *Trace) SessionScripts() []SessionScript {
 	})
 	return scripts
 }
-
-// SessionIter iterates a trace's session scripts in replay order. It is
-// not safe for concurrent use; closed-loop workers should pull scripts
-// from one goroutine or partition the scripts up front.
-type SessionIter struct {
-	t       *Trace
-	scripts []SessionScript
-	next    int
-}
-
-// SessionIter returns an iterator over the trace's sessions in the
-// deterministic SessionScripts order.
-func (t *Trace) SessionIter() *SessionIter {
-	return &SessionIter{t: t, scripts: t.SessionScripts()}
-}
-
-// Len reports the total number of sessions.
-func (it *SessionIter) Len() int { return len(it.scripts) }
-
-// Next returns the next session script, reporting false when exhausted.
-func (it *SessionIter) Next() (SessionScript, bool) {
-	if it.next >= len(it.scripts) {
-		return SessionScript{}, false
-	}
-	s := it.scripts[it.next]
-	it.next++
-	return s, true
-}
-
-// Reset rewinds the iterator to the first session.
-func (it *SessionIter) Reset() { it.next = 0 }
-
-// Request resolves a script request index against the iterator's trace.
-func (it *SessionIter) Request(idx int) *Request { return &it.t.Requests[idx] }

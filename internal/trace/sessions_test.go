@@ -45,37 +45,6 @@ func TestSessionScriptsOrder(t *testing.T) {
 	}
 }
 
-func TestSessionIter(t *testing.T) {
-	tr := sessionTestTrace()
-	it := tr.SessionIter()
-	if it.Len() != 3 {
-		t.Fatalf("Len = %d", it.Len())
-	}
-	var ids []int
-	for {
-		s, ok := it.Next()
-		if !ok {
-			break
-		}
-		ids = append(ids, s.ID)
-		for _, idx := range s.Reqs {
-			if it.Request(idx).Session != s.ID {
-				t.Fatalf("Request(%d) belongs to session %d, script %d", idx, it.Request(idx).Session, s.ID)
-			}
-		}
-	}
-	if len(ids) != 3 || ids[0] != 2 {
-		t.Fatalf("iterated ids = %v", ids)
-	}
-	if _, ok := it.Next(); ok {
-		t.Fatal("exhausted iterator should report false")
-	}
-	it.Reset()
-	if s, ok := it.Next(); !ok || s.ID != 2 {
-		t.Fatalf("after Reset, first = %+v (%v)", s, ok)
-	}
-}
-
 func TestSessionScriptsDeterministic(t *testing.T) {
 	tr := sessionTestTrace()
 	a := tr.SessionScripts()
