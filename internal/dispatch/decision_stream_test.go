@@ -21,12 +21,13 @@ import (
 	"prord/internal/trace"
 )
 
-// The golden digests of the seeded replays below, captured when the
-// test was introduced. They change only when decision semantics change,
-// and then under ROADMAP's digit contract.
+// The golden digests of the seeded replays below, re-captured on a
+// one-stripe core: striping only relabelled connection ids. They change
+// only when decision semantics change, and then under ROADMAP's digit
+// contract.
 const (
-	goldenPlainDigest    uint64 = 0x37f86f2c042ad7d5
-	goldenOverloadDigest uint64 = 0x8e57878b7380d7df
+	goldenPlainDigest    uint64 = 0x8b4393bb6d35561a
+	goldenOverloadDigest uint64 = 0x366cbd510acd5aec
 )
 
 // replayDigest replays a seeded synthetic trace through a PRORD core
@@ -47,6 +48,7 @@ func replayDigest(t *testing.T, ov *overload.Config) uint64 {
 		Backends: 4,
 		Policy:   policy.NewPRORD(policy.Thresholds{}),
 		Fallback: policy.NewLARD(policy.Thresholds{}),
+		Shards:   1,
 		Miner:    m,
 		Features: dispatch.Features{Bundle: true, NavPrefetch: true, GroupPrefetch: true},
 		Overload: ov,
