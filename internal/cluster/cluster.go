@@ -227,9 +227,6 @@ func New(cfg Config) (*Cluster, error) {
 		// Replayed sessions are closed explicitly when their script ends;
 		// the idle-eviction valve must never fire mid-trace.
 		MaxSessions: 1 << 30,
-		// Single-threaded replay needs no lock striping, and one stripe
-		// keeps connection ids dense.
-		Shards: 1,
 		LoadOf: func(server int) int {
 			b := c.backends[server]
 			return b.cpu.QueueLen() + b.disk.QueueLen()
@@ -246,10 +243,6 @@ func New(cfg Config) (*Cluster, error) {
 		Overload: cfg.Overload,
 		Gray:     cfg.Gray,
 		Recorder: cfg.Recorder,
-	}
-	if cfg.Overload != nil {
-		// Saturated-tier routing degrades to locality-only LARD.
-		dcfg.Fallback = policy.NewLARD(policy.Thresholds{})
 	}
 	if cfg.Power.Enabled {
 		dcfg.WakeFallback = c.wakeFallback

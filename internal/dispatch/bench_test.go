@@ -6,12 +6,11 @@ package dispatch_test
 // overload layer attached.
 //
 // BenchmarkDispatch is single-goroutine decision latency.
-// BenchmarkDispatchParallel drives the same mix from all cores: the
-// routing read path takes no global lock — policy inputs are fixed at
-// New, policy state is striped, and booking runs on
-// striped shard locks — so decisions per second scale with
-// GOMAXPROCS, and the steady-state pair allocates nothing (asserted
-// by TestRouteDoneAllocs).
+// BenchmarkDispatchParallel drives the same mix from all cores: no
+// lock spans a decision — policy inputs are fixed at New, and the
+// policy target table and the core's session and file tables are each
+// held for one map operation — and the steady-state pair allocates
+// nothing (asserted by TestRouteDoneAllocs).
 
 import (
 	"fmt"
@@ -38,9 +37,9 @@ func benchCore(b *testing.B, backends int) *dispatch.Core {
 	return c
 }
 
-// benchPaths is a static working set large enough to spread across
-// every file shard and small enough to stay resident in the locality
-// maps, so steady-state Route decisions hit the LARD fast paths.
+// benchPaths is a static working set small enough to stay resident in
+// the locality maps, so steady-state Route decisions hit the LARD fast
+// paths.
 func benchPaths(n int) []string {
 	out := make([]string, n)
 	for i := range out {
@@ -80,8 +79,8 @@ func BenchmarkDispatchParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		// Each goroutine replays its own client population so session
-		// state spreads across the lock stripes like real traffic does.
+		// Each goroutine replays its own client population so the
+		// goroutines interleave sessions and files like real traffic does.
 		g := int(gid.Add(1))
 		i := 0
 		for pb.Next() {

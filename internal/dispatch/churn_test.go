@@ -3,9 +3,9 @@ package dispatch_test
 // Concurrency churn test for the decision core, aimed at the race
 // detector (`make race`): many goroutines drive the full
 // booking lifecycle — Route, failed attempts, Rebook retries, Done —
-// while another goroutine keeps invalidating backends, which rewrites
-// every lock stripe's locality and session state mid-flight. After the
-// storm the core's books must balance exactly.
+// while two more goroutines keep invalidating backends concurrently,
+// each sweep rewriting the file and session tables mid-flight. After
+// the storm the core's books must balance exactly.
 
 import (
 	"fmt"
@@ -67,22 +67,27 @@ func TestCoreConcurrentChurn(t *testing.T) {
 		}(w)
 	}
 
+	// Two invalidators race each other as well as the routers: with no
+	// lock serializing sweeps, each sweep is one critical section per
+	// table, and concurrent sweeps must commute.
 	stop := make(chan struct{})
 	var inv sync.WaitGroup
-	inv.Add(1)
-	go func() {
-		defer inv.Done()
-		rng := randutil.New(7)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+	for s := int64(0); s < 2; s++ {
+		inv.Add(1)
+		go func(seed int64) {
+			defer inv.Done()
+			rng := randutil.New(seed)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				c.InvalidateBackend(rng.Intn(backends))
+				runtime.Gosched()
 			}
-			c.InvalidateBackend(rng.Intn(backends))
-			runtime.Gosched()
-		}
-	}()
+		}(7 + s)
+	}
 
 	wg.Wait()
 	close(stop)

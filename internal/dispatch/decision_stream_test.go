@@ -47,8 +47,6 @@ func replayDigest(t *testing.T, ov *overload.Config) uint64 {
 	c, err := dispatch.New(dispatch.Config{
 		Backends: 4,
 		Policy:   policy.NewPRORD(policy.Thresholds{}),
-		Fallback: policy.NewLARD(policy.Thresholds{}),
-		Shards:   1,
 		Miner:    m,
 		Features: dispatch.Features{Bundle: true, NavPrefetch: true, GroupPrefetch: true},
 		Overload: ov,

@@ -88,11 +88,9 @@ func (s *recordSink) snapshot() []dispatch.Record {
 	return append([]dispatch.Record(nil), s.recs...)
 }
 
-// normalizeConns rewrites connection ids to first-appearance order. The
-// two adapters number sessions differently (the simulator runs one
-// lock stripe, the live front-end sixteen), so raw ids differ while the
-// session structure is identical. -1 (shed before a session was looked
-// up) is preserved.
+// normalizeConns rewrites connection ids to first-appearance order, so
+// the comparison checks the session structure, not the id numbering.
+// -1 (shed before a session was looked up) is preserved.
 func normalizeConns(recs []dispatch.Record) []dispatch.Record {
 	seen := make(map[int]int)
 	out := make([]dispatch.Record, len(recs))

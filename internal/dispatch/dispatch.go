@@ -17,20 +17,19 @@
 // Every method that consults or advances a clock takes the current time
 // as an argument, so the simulator drives the core with virtual time
 // and stays bit-reproducible (the repo's clockflow analyzer enforces
-// this). The core is goroutine-safe and its decision read path is
-// contention-free: the policy inputs (policies, bundle index,
-// navigation predictor) are fixed at New and never replaced, so
-// decisions read them without a lock; the navigation predictor learns
-// in place, per connection, under one narrow tracker mutex (Algorithm
-// 2's online tracking); and the mutable hot-path state (one record per
-// file holding its backend sets and in-flight counts, the locality
-// maps, session bindings) is striped into per-shard leaf locks keyed by
-// file-path and connection hashes.
-// A steady-state Route+Done pair takes no global lock and performs no
-// heap allocation, so the live front-end scales across cores instead
-// of serializing every request on one dispatcher mutex. Under the
-// single-threaded simulator the same locks are uncontended and the
-// core stays deterministic.
+// this). The core is goroutine-safe, and no lock spans a decision: the
+// policy inputs (policies, bundle index, navigation predictor) are
+// fixed at New and never replaced, so decisions read them without a
+// lock; the navigation predictor learns in place, per connection, under
+// one narrow tracker mutex (Algorithm 2's online tracking); and the
+// mutable hot-path state lives in two tables, each under its own leaf
+// mutex held only for a map operation — the session table (bindings)
+// and the file table (one record per file holding its backend sets and
+// in-flight counts, and the locality maps). A steady-state Route+Done
+// pair performs no heap allocation, and because no mutex is held across
+// the policy call, the live front-end does not serialize every request
+// on one dispatcher mutex. Under the single-threaded simulator the same
+// locks are uncontended and the core stays deterministic.
 package dispatch
 
 import (
@@ -69,11 +68,10 @@ func (f Features) any() bool { return f.Bundle || f.NavPrefetch || f.GroupPrefet
 type Config struct {
 	// Backends is the backend server count, 1 to 64. Required.
 	Backends int
-	// Policy is the distribution policy under test. Required.
+	// Policy is the distribution policy under test. Required. With the
+	// overload ladder on, locality-only LARD replaces it from the
+	// Saturated tier up.
 	Policy policy.Policy
-	// Fallback, when non-nil, replaces Policy from the Saturated tier up
-	// (conventionally locality-only LARD).
-	Fallback policy.Policy
 	// Miner supplies bundles, the navigation predictor and the
 	// categorizer. Required when any Feature is enabled.
 	Miner *mining.Miner
@@ -85,17 +83,12 @@ type Config struct {
 	// core tracks locality optimistically — a backend is assumed to hold
 	// a file after being routed it — in bounded per-backend LRU maps.
 	Exact bool
-	// LocalityEntries bounds the optimistic per-backend locality map.
+	// LocalityEntries bounds each backend's optimistic locality map.
 	// Ignored in Exact mode. Default 4096.
 	LocalityEntries int64
 	// MaxSessions bounds tracked sessions; past it, idle sessions are
 	// evicted. Default 65536.
 	MaxSessions int
-	// Shards is the lock-stripe count for session and file state.
-	// Default 16. A small LocalityEntries or MaxSessions bound collapses
-	// the stripe count so the bound splits exactly across stripes
-	// instead of rounding up per stripe.
-	Shards int
 	// LoadOf, when non-nil, overrides the per-backend load signal (the
 	// simulator reports modeled queue lengths). Nil uses the core's own
 	// outstanding-request counters. Only consulted for available
@@ -129,7 +122,7 @@ type Config struct {
 	// accept mask, and a session pinned to one loses its pin on its next
 	// request, re-binding through the normal routing path (progressive
 	// rebinding rather than a mass detach). The hook is consulted on the
-	// routing hot path, sometimes under shard leaf locks: it must be
+	// routing hot path, sometimes under the file table's lock: it must be
 	// lock-free and non-blocking (health.Detector.Degraded is). Nil
 	// means no backend is ever degraded — bit-identical to the
 	// pre-detector behavior. The adapters set Gray instead, whose
@@ -314,38 +307,35 @@ type Stats struct {
 // Core is the shared decision engine. Build one with New; all methods
 // are safe for concurrent use.
 //
-// Per-file state lives in one record per path in the path's file
-// shard: the backends holding it (exact mode), the backends with a
-// prefetch mark, the backends with a request in flight, and per-backend
-// in-flight counts. Every such set — and every per-decision mask — is a
-// ServerSet word, which caps a core at 64 backends.
+// Per-file state lives in one record per path in the file table: the
+// backends holding it (exact mode), the backends with a prefetch mark,
+// the backends with a request in flight, and per-backend in-flight
+// counts. Every such set — and every per-decision mask — is a ServerSet
+// word, which caps a core at 64 backends.
 //
 // Lock hierarchy (machine-checked by internal/lint's lockorder analyzer —
 // see lockHierarchy in internal/lint/lockset.go): locks nest only in
-// ascending rank, and the leaf mutexes — the shard locks, the record
-// emitter and the policy stripes — admit no nested acquisition and no
-// blocking operation while held.
+// ascending rank, and the leaf mutexes — the session and file tables,
+// the record emitter and the policy target tables — admit no nested
+// acquisition and no blocking operation while held.
 //
-//	wrMu (10) → trackMu (20) → ovMu (30) → sessionShard.mu / fileShard.mu / leaves
+//	trackMu (20) → ovMu (30) → sessionTable.mu / fileTable.mu / leaves
 //
 // The routing read path takes none of the ranked locks: the policy
 // inputs (cfg's policies and its Miner's bundle index) are fixed at
-// New, and Route touches only leaf locks. wrMu serializes backend invalidation
-// sweeps against each other, not against readers; trackMu serializes
-// the navigation tracker, which trains its predictor in place.
+// New, and Route touches only leaf locks. trackMu serializes the
+// navigation tracker, which trains its predictor in place. A backend
+// invalidation sweep is one critical section per table, so two sweeps
+// commute.
 type Core struct {
-	cfg     Config
-	nshards int
-	ssh     []sessionShard
-	fsh     []fileShard
-
-	sessionsPerShard int
+	cfg      Config
+	fallback policy.Policy // replaces cfg.Policy from Saturated up; nil without Overload
+	sessions sessionTable
+	files    fileTable
 
 	loads      []atomic.Int64 // outstanding bookings per backend
 	perBackend []atomic.Int64 // total bookings per backend
 	hedges     []atomic.Int64 // outstanding hedged attempts per backend
-
-	wrMu sync.Mutex // serializes invalidation sweeps
 
 	emitter *recordEmitter // nil without a Recorder
 
@@ -389,9 +379,6 @@ func New(cfg Config) (*Core, error) {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = 65536
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 16
-	}
 	var gray GrayConfig
 	var detector *health.Detector
 	if cfg.Gray != nil {
@@ -410,23 +397,10 @@ func New(cfg Config) (*Core, error) {
 	} else if cfg.Retries < 0 {
 		cfg.Retries = 0
 	}
-	if !cfg.Exact {
-		// A stripe is only worth its lock when it carries a meaningful
-		// slice of the locality budget; with a tiny bound, extra stripes
-		// would each round up to at least one entry and overshoot it.
-		if maxUseful := int((cfg.LocalityEntries + 255) / 256); maxUseful < cfg.Shards {
-			cfg.Shards = maxUseful
-		}
-	}
-	// Same for the session valve: MaxSessions splits evenly across
-	// stripes, and each stripe's share must stay large enough that the
-	// global bound holds to within a stripe's rounding.
-	if maxUseful := (cfg.MaxSessions + 255) / 256; maxUseful < cfg.Shards {
-		cfg.Shards = maxUseful
-	}
 	c := &Core{
 		cfg:        cfg,
-		nshards:    cfg.Shards,
+		sessions:   sessionTable{byKey: make(map[string]*session)},
+		files:      fileTable{files: make(map[string]*fileState)},
 		loads:      make([]atomic.Int64, cfg.Backends),
 		perBackend: make([]atomic.Int64, cfg.Backends),
 		hedges:     make([]atomic.Int64, cfg.Backends),
@@ -436,24 +410,11 @@ func New(cfg Config) (*Core, error) {
 	if cfg.Recorder != nil {
 		c.emitter = newRecordEmitter(cfg.Recorder)
 	}
-	c.sessionsPerShard = cfg.MaxSessions / c.nshards
-	if c.sessionsPerShard < 1 {
-		c.sessionsPerShard = 1
-	}
-	c.ssh = make([]sessionShard, c.nshards)
-	for i := range c.ssh {
-		c.ssh[i].byKey = make(map[string]*session)
-		c.ssh[i].byID = make(map[int]*session)
-	}
-	c.fsh = make([]fileShard, c.nshards)
-	for i := range c.fsh {
-		f := &c.fsh[i]
-		f.files = make(map[string]*fileState)
-		if !cfg.Exact {
-			f.locality = make([]*cache.LRU, cfg.Backends)
-			for s := range f.locality {
-				f.locality[s] = newShardLRU(cfg.LocalityEntries, c.nshards)
-			}
+	if !cfg.Exact {
+		// The locality maps count entries, not bytes: every file weighs 1.
+		c.files.locality = make([]*cache.LRU, cfg.Backends)
+		for s := range c.files.locality {
+			c.files.locality[s] = cache.NewLRU(cfg.LocalityEntries)
 		}
 	}
 	if cfg.Miner != nil && cfg.Miner.Bundles != nil {
@@ -478,6 +439,7 @@ func New(cfg Config) (*Core, error) {
 		c.ovcfg = oc
 		c.est = overload.NewEstimator(oc, cfg.Backends)
 		c.gate = overload.NewGate(oc.CapacityPerBackend*cfg.Backends, oc.QueueLimit)
+		c.fallback = policy.NewLARD(policy.Thresholds{})
 	}
 	return c, nil
 }

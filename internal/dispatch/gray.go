@@ -142,7 +142,7 @@ func (c *Core) pickTarget(path string, exclude int, acceptOnly bool, now time.Ti
 	if !acceptOnly {
 		avail = c.wakeIfEmpty(avail, now).Remove(exclude)
 	}
-	f := c.fileShardFor(path)
+	f := &c.files
 	f.mu.Lock()
 	holders := f.believed(c.cfg.Exact, path, avail) | f.peek(path).prefetched&avail
 	f.mu.Unlock()

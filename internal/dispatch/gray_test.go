@@ -449,7 +449,7 @@ func TestCoreGrayDegradedChurn(t *testing.T) {
 			default:
 			}
 			// At most one backend degraded at a time, so a route target
-			// always exists even while every stripe rewrites.
+			// always exists while the mask flips.
 			s := rng.Intn(backends)
 			g.set(s, true)
 			runtime.Gosched()

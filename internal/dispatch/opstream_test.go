@@ -340,10 +340,9 @@ func runOpStream(t *testing.T, exact bool, seed int64, steps int) uint64 {
 		Available: func(s int, _ time.Time) bool { return d.up[s] },
 		Degraded:  func(s int) bool { return d.gray[s] },
 		// Small bounds so the locality LRUs and the idle-session valve
-		// evict during the stream (300 sessions split over two stripes).
+		// evict during the stream (300 sessions over 400 keys).
 		LocalityEntries: 16,
 		MaxSessions:     300,
-		Shards:          1,
 	})
 	if err != nil {
 		t.Fatal(err)

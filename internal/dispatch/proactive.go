@@ -29,7 +29,7 @@ func (c *Core) PlanProactive(key string, server int, page string, now time.Time)
 		c.stats.prefetchShed.Add(1)
 		return Plan{}, false
 	}
-	sh := c.sessionShardFor(key)
+	sh := &c.sessions
 	sh.mu.Lock()
 	st, ok := sh.byKey[key]
 	var id int
@@ -62,7 +62,7 @@ func (c *Core) PlanProactive(key string, server int, page string, now time.Time)
 		}
 	}
 	if c.cfg.Features.GroupPrefetch && c.cfg.Miner.Categorizer != nil {
-		plan.Group = c.groupPrefetch(sh, st, server, page)
+		plan.Group = c.groupPrefetch(st, server, page)
 	}
 	return plan, len(plan.Bundle)+len(plan.Nav)+len(plan.Group) > 0
 }
@@ -81,8 +81,9 @@ func (c *Core) observeNav(id int, page string) (mining.Prediction, bool) {
 // ("the longer the comparison paths are, the better the confidence of
 // the predicted category"), the group's characteristic pages are pulled
 // into the serving backend's memory. Fires at most once per connection.
-func (c *Core) groupPrefetch(sh *sessionShard, st *session, server int, page string) []string {
+func (c *Core) groupPrefetch(st *session, server int, page string) []string {
 	cat := c.cfg.Miner.Categorizer
+	sh := &c.sessions
 	sh.mu.Lock()
 	if st.classified {
 		sh.mu.Unlock()
@@ -133,7 +134,7 @@ func (c *Core) admitGroup(server int, group []string) []string {
 // cold reports whether no backend holds file and no prefetch of it is
 // marked anywhere.
 func (c *Core) cold(file string) bool {
-	f := c.fileShardFor(file)
+	f := &c.files
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.peek(file).prefetched.Empty() && f.believed(c.cfg.Exact, file, ^ServerSet(0)).Empty()
@@ -150,7 +151,7 @@ func (c *Core) admitPrefetch(server int, file string) bool {
 	if c.cfg.Prefetchable != nil && !c.cfg.Prefetchable(file) {
 		return false
 	}
-	f := c.fileShardFor(file)
+	f := &c.files
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.residentHere(c.cfg.Exact, server, file) || f.peek(file).prefetched.Has(server) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"prord/internal/cache"
 	"prord/internal/overload"
 	"prord/internal/policy"
 	"prord/internal/trace"
@@ -25,7 +26,7 @@ func (c *Core) Admit(key, path string, now time.Time, grant func()) (Verdict, *o
 	}
 	bypass := false
 	if trace.IsEmbeddedPath(path) {
-		sh := c.sessionShardFor(key)
+		sh := &c.sessions
 		sh.mu.Lock()
 		if st, ok := sh.byKey[key]; ok && st.hasSrv {
 			bypass = true
@@ -120,7 +121,8 @@ func (c *Core) FinishRequest(now time.Time, latency time.Duration) {
 //
 // Route takes no ranked lock: the policy inputs are fixed at New, the
 // tier comes from its lock-free cache, and every mutable touch goes
-// through leaf locks (session/file shards, policy stripes) or atomics.
+// through leaf locks (the session and file tables, the policy target
+// tables) or atomics.
 // The per-decision masks are single words and the policy view comes
 // from a pool, so the steady-state path does not allocate.
 func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
@@ -128,9 +130,9 @@ func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
 	c.closeIDs(evicted)
 	c.stats.requests.Add(1)
 
-	// Session snapshot for classification; the shard lock is released
-	// before routing so view methods can take shard locks as leaves.
-	sh := c.sessionShardFor(key)
+	// Session snapshot for classification; the session lock is released
+	// before routing so view methods can take table locks as leaves.
+	sh := &c.sessions
 	sh.mu.Lock()
 	lastPage := st.lastPage
 	sh.mu.Unlock()
@@ -172,13 +174,15 @@ func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
 
 	// From Saturated up, routing degrades to the locality-only fallback:
 	// cheap, cache-friendly placement with none of PRORD's machinery.
+	// The tier only climbs with the overload layer on, which New gives a
+	// fallback.
 	pol := c.cfg.Policy
-	if tier >= overload.Saturated && c.cfg.Fallback != nil {
-		pol = c.cfg.Fallback
+	if tier >= overload.Saturated {
+		pol = c.fallback
 	}
 
 	accept := c.acceptMask(avail)
-	view := c.getView(avail, accept)
+	view := c.getView(st, avail, accept)
 	last, haveLast := view.LastServer(st.id)
 
 	var dec policy.Decision
@@ -291,7 +295,7 @@ func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
 func (c *Core) Done(key string, server int, path string, failed, retried bool) {
 	c.release(server, path, failed)
 
-	sh := c.sessionShardFor(key)
+	sh := &c.sessions
 	sh.mu.Lock()
 	if st, ok := sh.byKey[key]; ok && st.active > 0 {
 		st.active--
@@ -338,7 +342,7 @@ func (c *Core) Rebook(key, path string, exclude int, now time.Time) (server int,
 		return 0, false
 	}
 	conn := -1
-	sh := c.sessionShardFor(key)
+	sh := &c.sessions
 	sh.mu.Lock()
 	if st, okSt := sh.byKey[key]; okSt {
 		st.server = best
@@ -374,7 +378,7 @@ func (c *Core) Rebook(key, path string, exclude int, now time.Time) (server int,
 // files.
 func (c *Core) book(server int, path string) {
 	c.loads[server].Add(1)
-	f := c.fileShardFor(path)
+	f := &c.files
 	f.mu.Lock()
 	fs := f.record(path, c.cfg.Backends)
 	fs.flight[server]++
@@ -392,7 +396,7 @@ func (c *Core) book(server int, path string) {
 // memory).
 func (c *Core) release(server int, path string, failed bool) {
 	c.loads[server].Add(-1)
-	f := c.fileShardFor(path)
+	f := &c.files
 	f.mu.Lock()
 	if fs := f.files[path]; fs != nil && fs.flight[server] > 0 {
 		fs.flight[server]--
@@ -413,35 +417,29 @@ func (c *Core) release(server int, path string, failed bool) {
 // likely lost its memory), its prefetch marks, every session pinned to
 // it, which must re-bind on its next request, and its gray detector
 // window: a hard failure supersedes gray detection, so a past life's
-// latencies never drive an ejection after the backend returns. wrMu
-// serializes the sweep against concurrent invalidations; routing reads
-// proceed under the shard leaves throughout.
+// latencies never drive an ejection after the backend returns. The
+// sweep is one critical section per table, and it only removes server
+// from sets, so concurrent sweeps commute.
 func (c *Core) InvalidateBackend(server int) {
 	if c.detector != nil {
 		c.detector.Reset(server)
 	}
-	c.wrMu.Lock()
-	defer c.wrMu.Unlock()
-	for i := range c.fsh {
-		f := &c.fsh[i]
-		f.mu.Lock()
-		for _, fs := range f.files {
-			fs.resident = fs.resident.Remove(server)
-			fs.prefetched = fs.prefetched.Remove(server)
-		}
-		if !c.cfg.Exact {
-			f.locality[server] = newShardLRU(c.cfg.LocalityEntries, c.nshards)
-		}
-		f.mu.Unlock()
+	f := &c.files
+	f.mu.Lock()
+	for _, fs := range f.files {
+		fs.resident = fs.resident.Remove(server)
+		fs.prefetched = fs.prefetched.Remove(server)
 	}
-	for i := range c.ssh {
-		sh := &c.ssh[i]
-		sh.mu.Lock()
-		for _, st := range sh.byKey {
-			if st.hasSrv && st.server == server {
-				st.hasSrv = false
-			}
-		}
-		sh.mu.Unlock()
+	if !c.cfg.Exact {
+		f.locality[server] = cache.NewLRU(c.cfg.LocalityEntries)
 	}
+	f.mu.Unlock()
+	sh := &c.sessions
+	sh.mu.Lock()
+	for _, st := range sh.byKey {
+		if st.hasSrv && st.server == server {
+			st.hasSrv = false
+		}
+	}
+	sh.mu.Unlock()
 }

@@ -2,9 +2,10 @@ package dispatch_test
 
 // Tests of the routed path beyond its golden decision stream
 // (decision_stream_test.go): the steady-state allocation budget, the
-// ordered record emitter's independence from a blocked Recorder, and a
-// race-detector storm of in-place navigation learning and backend
-// invalidation against routing traffic (`make race`).
+// ordered record emitter's independence from a blocked Recorder, the
+// session and locality bounds, and a race-detector storm of in-place
+// navigation learning and backend invalidation against routing traffic
+// (`make race`).
 
 import (
 	"fmt"
@@ -21,9 +22,8 @@ import (
 
 // TestRouteDoneAllocs pins the steady-state allocation budget of the
 // Route/Done pair at zero: policy inputs are plain fields fixed at New,
-// masks are single words, the policy view comes from a pool, shard
-// hashing is inline FNV-1a, and booking reuses retained per-path
-// records. Warm-up pays the one-time costs (sessions, records, views).
+// masks are single words, the policy view comes from a pool, and
+// booking reuses retained per-path records. Warm-up pays the one-time costs (sessions, records, views).
 func TestRouteDoneAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on paths the production build does not")
@@ -144,10 +144,42 @@ func TestRecorderBlockingDoesNotStallRoutes(t *testing.T) {
 	}
 }
 
+// TestCoreBoundsAreExact fills the session table and the locality maps
+// exactly to their bounds with distinct keys and paths: MaxSessions and
+// LocalityEntries are global bounds, so nothing may be evicted before
+// either is reached.
+func TestCoreBoundsAreExact(t *testing.T) {
+	const n = 4096
+	c, err := dispatch.New(dispatch.Config{
+		Backends:        2,
+		Policy:          policy.NewPRORD(policy.Thresholds{}),
+		MaxSessions:     n,
+		LocalityEntries: n,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(0, 0)
+	for i := 0; i < n; i++ {
+		key, path := fmt.Sprintf("client-%d", i*7919), fmt.Sprintf("/p%d.html", i)
+		out := c.Route(key, path, 1024, now)
+		if !out.OK {
+			t.Fatalf("Route(%s, %s) found no backend", key, path)
+		}
+		c.Done(key, out.Server, path, false, false)
+	}
+	if got := c.SessionCount(); got != n {
+		t.Errorf("SessionCount() = %d after %d distinct sessions, want %d", got, n, n)
+	}
+	if got := c.LocalityLen(0) + c.LocalityLen(1); got != n {
+		t.Errorf("locality entries over both backends = %d after %d distinct paths, want %d", got, n, n)
+	}
+}
+
 // TestLearnAndInvalidateChurn storms the core under the race detector:
 // routing workers drive Route/PlanProactive/Rebook/Done — PlanProactive
 // trains the navigation model in place under trackMu — while a crasher
-// invalidates backends under wrMu. Afterward the books must balance and
+// invalidates backends. Afterward the books must balance and
 // the session table must be intact and within its bound.
 func TestLearnAndInvalidateChurn(t *testing.T) {
 	_, full, err := trace.GeneratePreset(trace.PresetSynthetic, 800.0/30000.0, 7777)

@@ -42,8 +42,8 @@ func (m ServerSet) AppendTo(dst []int) []int {
 	return dst
 }
 
-// session is one tracked client connection. Guarded by its shard's
-// mutex.
+// session is one tracked client connection. Guarded by the session
+// table's mutex.
 type session struct {
 	id       int
 	key      string
@@ -57,20 +57,19 @@ type session struct {
 	classified bool
 }
 
-// sessionShard is one stripe of the session table.
-type sessionShard struct {
+// sessionTable is the core's session table: every tracked connection
+// by key, under one leaf mutex. Session ids come from one counter.
+type sessionTable struct {
 	mu    sync.Mutex
 	seq   int
 	byKey map[string]*session
-	byID  map[int]*session
 }
 
-// fileShard is one stripe of the per-file routing state: one record
-// per path the stripe has booked, marked or (exact mode) placed. In
-// optimistic mode it also carries this stripe's slice of every
-// backend's locality LRU (each bounded to LocalityEntries/Shards
-// entries).
-type fileShard struct {
+// fileTable is the per-file routing state: one record per path the
+// core has booked, marked or (exact mode) placed, under one leaf mutex.
+// In optimistic mode it also carries every backend's locality LRU, each
+// bounded to LocalityEntries entries.
+type fileTable struct {
 	mu       sync.Mutex
 	files    map[string]*fileState
 	locality []*cache.LRU // optimistic mode: per backend
@@ -90,8 +89,8 @@ type fileState struct {
 }
 
 // record returns path's record, creating it on first touch. Callers
-// hold the shard mutex.
-func (f *fileShard) record(path string, backends int) *fileState {
+// hold the file table's mutex.
+func (f *fileTable) record(path string, backends int) *fileState {
 	fs := f.files[path]
 	if fs == nil {
 		fs = &fileState{flight: make([]int32, backends)}
@@ -101,8 +100,8 @@ func (f *fileShard) record(path string, backends int) *fileState {
 }
 
 // peek returns a copy of path's record for reading its sets (the zero
-// record when the stripe has none). Callers hold the shard mutex.
-func (f *fileShard) peek(path string) fileState {
+// record when there is none). Callers hold the file table's mutex.
+func (f *fileTable) peek(path string) fileState {
 	if fs := f.files[path]; fs != nil {
 		return *fs
 	}
@@ -110,8 +109,8 @@ func (f *fileShard) peek(path string) fileState {
 }
 
 // unmark drops path's prefetch mark at server and reports whether one
-// was set. Callers hold the shard mutex.
-func (f *fileShard) unmark(path string, server int) bool {
+// was set. Callers hold the file table's mutex.
+func (f *fileTable) unmark(path string, server int) bool {
 	fs := f.files[path]
 	if fs == nil || !fs.prefetched.Has(server) {
 		return false
@@ -119,23 +118,6 @@ func (f *fileShard) unmark(path string, server int) bool {
 	fs.prefetched = fs.prefetched.Remove(server)
 	return true
 }
-
-// shardOf hashes a string onto a stripe index. The FNV-1a loop is
-// inlined rather than using hash/fnv: the hasher interface costs two
-// heap allocations per call, and shardOf runs on every Route, Done and
-// Admit. Same polynomial, same constants — the stripe assignment (and
-// the session-id formula built on it) is bit-identical to fnv.New32a.
-func (c *Core) shardOf(s string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return int(h % uint32(c.nshards))
-}
-
-func (c *Core) sessionShardFor(key string) *sessionShard { return &c.ssh[c.shardOf(key)] }
-func (c *Core) fileShardFor(file string) *fileShard      { return &c.fsh[c.shardOf(file)] }
 
 // lookupSession returns the session for key, creating it if needed. A
 // found-or-created session has active incremented as a reservation so a
@@ -145,78 +127,61 @@ func (c *Core) fileShardFor(file string) *fileShard      { return &c.fsh[c.shard
 // MaxSessions valve dropped; the caller must pass them to closeIDs
 // after releasing every lock.
 func (c *Core) lookupSession(key string) (st *session, evicted []int) {
-	sh := c.sessionShardFor(key)
+	sh := &c.sessions
 	sh.mu.Lock()
 	st, ok := sh.byKey[key]
 	if !ok {
-		if len(sh.byKey) >= c.sessionsPerShard {
+		if len(sh.byKey) >= c.cfg.MaxSessions {
 			evicted = sh.evictIdle()
 		}
+		st = &session{id: sh.seq, key: key}
 		sh.seq++
-		st = &session{id: (sh.seq-1)*c.nshards + c.shardOf(key), key: key}
 		sh.byKey[key] = st
-		sh.byID[st.id] = st
 	}
 	st.active++
 	sh.mu.Unlock()
 	return st, evicted
 }
 
-// evictIdle drops every session in the shard with no request in flight.
-// Sessions mid-request keep their binding; if every session is busy the
-// shard temporarily grows past its bound instead of yanking state out
-// from under in-flight requests. Callers hold the shard mutex and must
+// evictIdle drops every session with no request in flight. Sessions
+// mid-request keep their binding; if every session is busy the table
+// temporarily grows past its bound instead of yanking state out from
+// under in-flight requests. Callers hold the table's mutex and must
 // closeIDs the returned ids after releasing it.
-func (sh *sessionShard) evictIdle() (evicted []int) {
+func (sh *sessionTable) evictIdle() (evicted []int) {
 	for key, st := range sh.byKey {
 		if st.active > 0 {
 			continue
 		}
 		delete(sh.byKey, key)
-		delete(sh.byID, st.id)
 		evicted = append(evicted, st.id)
 	}
 	sort.Ints(evicted)
 	return evicted
 }
 
-// closeIDs releases the tracker's and the policies' per-connection
-// state for evicted or closed session ids. Callers hold no locks.
-// ConnClose implementations must be concurrency-safe (the policy
-// package's contract), so no core lock wraps them.
+// closeIDs releases the navigation tracker's per-connection state for
+// evicted or closed session ids. Callers hold no locks.
 func (c *Core) closeIDs(ids []int) {
-	if len(ids) == 0 {
+	if len(ids) == 0 || c.tracker == nil {
 		return
 	}
-	if c.tracker != nil {
-		c.trackMu.Lock()
-		for _, id := range ids {
-			c.tracker.Close(id)
-		}
-		c.trackMu.Unlock()
-	}
-	cc, closes := c.cfg.Policy.(policy.ConnCloser)
-	fc, fcloses := c.cfg.Fallback.(policy.ConnCloser)
+	c.trackMu.Lock()
 	for _, id := range ids {
-		if closes {
-			cc.ConnClose(id)
-		}
-		if fcloses {
-			fc.ConnClose(id)
-		}
+		c.tracker.Close(id)
 	}
+	c.trackMu.Unlock()
 }
 
 // CloseConn drops a finished connection's session state (the simulator
 // calls it when a replayed session's script ends; the live front-end
 // relies on idle eviction instead).
 func (c *Core) CloseConn(key string) {
-	sh := c.sessionShardFor(key)
+	sh := &c.sessions
 	sh.mu.Lock()
 	st, ok := sh.byKey[key]
 	if ok {
 		delete(sh.byKey, key)
-		delete(sh.byID, st.id)
 	}
 	sh.mu.Unlock()
 	if ok {
@@ -270,7 +235,7 @@ func (c *Core) leastLoaded(set ServerSet) (best int, found bool) {
 
 // degraded reports the gray-failure detector's verdict for a backend
 // (never degraded without a Degraded hook). Lock-free per the Config
-// contract, so it is safe under shard leaf locks.
+// contract, so it is safe under the core's leaf locks.
 func (c *Core) degraded(server int) bool {
 	return c.cfg.Degraded != nil && c.cfg.Degraded(server)
 }
@@ -305,29 +270,29 @@ func (c *Core) acceptMask(avail ServerSet) ServerSet {
 // allocate.
 var viewPool = sync.Pool{New: func() any { return new(coreView) }}
 
-// getView borrows a view of one decision's masks.
-func (c *Core) getView(avail, accept ServerSet) *coreView {
+// getView borrows a view of one decision for session st.
+func (c *Core) getView(st *session, avail, accept ServerSet) *coreView {
 	v := viewPool.Get().(*coreView)
-	v.c, v.avail, v.accept = c, avail, accept
+	v.c, v.st, v.avail, v.accept = c, st, avail, accept
 	return v
 }
 
-// put returns a view to the pool, dropping its reference to the core.
+// put returns a view to the pool, dropping its references.
 func (v *coreView) put() {
-	v.c = nil
+	v.c, v.st = nil, nil
 	viewPool.Put(v)
 }
 
 // residentHere reports whether the core believes a backend holds file.
-// Callers hold the file's shard mutex.
-func (f *fileShard) residentHere(exact bool, server int, file string) bool {
+// Callers hold the file table's mutex.
+func (f *fileTable) residentHere(exact bool, server int, file string) bool {
 	return !f.believed(exact, file, ServerSet(0).Add(server)).Empty()
 }
 
 // believed returns the members of among that the core believes hold
 // file: ground truth in exact mode, the bounded locality LRUs
-// otherwise. Callers hold the file's shard mutex.
-func (f *fileShard) believed(exact bool, file string, among ServerSet) ServerSet {
+// otherwise. Callers hold the file table's mutex.
+func (f *fileTable) believed(exact bool, file string, among ServerSet) ServerSet {
 	if exact {
 		return f.peek(file).resident & among
 	}
@@ -345,13 +310,16 @@ func (f *fileShard) believed(exact bool, file string, among ServerSet) ServerSet
 // reads as the UnavailableLoad sentinel, they vanish from server sets,
 // and a connection pinned to one loses its binding. With a gray-failure
 // detector the accept mask additionally hides degraded backends from
-// new placements. The view is pooled, takes shard mutexes strictly as
-// leaves (an ordering the lockorder analyzer verifies interprocedurally
-// on every lint run) and serves server-set results from one reusable
-// buffer — per the policy.View contract those slices are valid only
-// until the next view call.
+// new placements. The view is pooled, takes the table mutexes strictly
+// as leaves (an ordering the lockorder analyzer verifies
+// interprocedurally on every lint run) and serves server-set results
+// from one reusable buffer — per the policy.View contract those slices
+// are valid only until the next view call. A policy asks LastServer
+// only about the deciding request's own connection, so the view
+// answers from the session Route already holds.
 type coreView struct {
 	c      *Core
+	st     *session  // the deciding request's session
 	avail  ServerSet // present and healthy: bound sessions may stay
 	accept ServerSet // additionally open to new placements
 	buf    []int     // reusable result buffer for ServersWith/PrefetchedAt
@@ -367,7 +335,7 @@ func (v *coreView) Load(i int) int {
 }
 
 func (v *coreView) ServersWith(file string) []int {
-	f := v.c.fileShardFor(file)
+	f := &v.c.files
 	f.mu.Lock()
 	holders := f.believed(v.c.cfg.Exact, file, v.accept)
 	f.mu.Unlock()
@@ -375,7 +343,7 @@ func (v *coreView) ServersWith(file string) []int {
 }
 
 func (v *coreView) PrefetchedAt(file string) []int {
-	f := v.c.fileShardFor(file)
+	f := &v.c.files
 	f.mu.Lock()
 	marked := f.peek(file).prefetched & v.accept
 	f.mu.Unlock()
@@ -396,7 +364,7 @@ func (v *coreView) list(set ServerSet) []int {
 // InFlight returns the lowest accepting backend with a request for file
 // outstanding.
 func (v *coreView) InFlight(file string) (int, bool) {
-	f := v.c.fileShardFor(file)
+	f := &v.c.files
 	f.mu.Lock()
 	busy := f.peek(file).busy & v.accept
 	f.mu.Unlock()
@@ -407,13 +375,12 @@ func (v *coreView) InFlight(file string) (int, bool) {
 }
 
 func (v *coreView) LastServer(conn int) (int, bool) {
-	sh := &v.c.ssh[conn%v.c.nshards]
-	sh.mu.Lock()
-	st, ok := sh.byID[conn]
-	server, has := 0, false
-	if ok && st.hasSrv {
-		server, has = st.server, true
+	if conn != v.st.id {
+		return 0, false
 	}
+	sh := &v.c.sessions
+	sh.mu.Lock()
+	server, has := v.st.server, v.st.hasSrv
 	sh.mu.Unlock()
 	if !has || !v.avail.Has(server) {
 		return 0, false
@@ -436,7 +403,7 @@ func (c *Core) NoteResident(server int, file string) {
 	if !c.cfg.Exact {
 		return
 	}
-	f := c.fileShardFor(file)
+	f := &c.files
 	f.mu.Lock()
 	fs := f.record(file, c.cfg.Backends)
 	fs.resident = fs.resident.Add(server)
@@ -449,7 +416,7 @@ func (c *Core) NoteGone(server int, file string) {
 	if !c.cfg.Exact {
 		return
 	}
-	f := c.fileShardFor(file)
+	f := &c.files
 	f.mu.Lock()
 	if fs := f.files[file]; fs != nil {
 		fs.resident = fs.resident.Remove(server)
@@ -462,7 +429,7 @@ func (c *Core) NoteGone(server int, file string) {
 // backend (the simulator's piggyback check: a prefetch disk read is in
 // progress or completed there).
 func (c *Core) PrefetchedHere(server int, file string) bool {
-	f := c.fileShardFor(file)
+	f := &c.files
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.peek(file).prefetched.Has(server)
@@ -471,7 +438,7 @@ func (c *Core) PrefetchedHere(server int, file string) bool {
 // ConsumePrefetch clears file's prefetch mark at the backend and
 // reports whether one was present — a prefetch hit.
 func (c *Core) ConsumePrefetch(server int, file string) bool {
-	f := c.fileShardFor(file)
+	f := &c.files
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.unmark(file, server)
@@ -480,7 +447,7 @@ func (c *Core) ConsumePrefetch(server int, file string) bool {
 // UnmarkPrefetch drops file's prefetch mark at the backend without
 // counting a hit (the placement failed or was invalidated).
 func (c *Core) UnmarkPrefetch(server int, file string) {
-	f := c.fileShardFor(file)
+	f := &c.files
 	f.mu.Lock()
 	f.unmark(file, server)
 	f.mu.Unlock()
@@ -501,20 +468,16 @@ func (c *Core) Loads() []int {
 
 // SessionCount returns the number of tracked sessions.
 func (c *Core) SessionCount() int {
-	n := 0
-	for i := range c.ssh {
-		sh := &c.ssh[i]
-		sh.mu.Lock()
-		n += len(sh.byKey)
-		sh.mu.Unlock()
-	}
-	return n
+	sh := &c.sessions
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return len(sh.byKey)
 }
 
 // SessionBinding reports a session's backend pin, or ok=false when the
 // session is unknown or unbound.
 func (c *Core) SessionBinding(key string) (server int, ok bool) {
-	sh := c.sessionShardFor(key)
+	sh := &c.sessions
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if st, found := sh.byKey[key]; found && st.hasSrv {
@@ -529,20 +492,16 @@ func (c *Core) LocalityLen(server int) int {
 	if c.cfg.Exact {
 		return 0
 	}
-	n := 0
-	for i := range c.fsh {
-		f := &c.fsh[i]
-		f.mu.Lock()
-		n += f.locality[server].Len()
-		f.mu.Unlock()
-	}
-	return n
+	f := &c.files
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.locality[server].Len()
 }
 
 // LocalityContains reports whether the core believes a backend holds
 // file (either locality mode).
 func (c *Core) LocalityContains(server int, file string) bool {
-	f := c.fileShardFor(file)
+	f := &c.files
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.residentHere(c.cfg.Exact, server, file)
@@ -564,73 +523,46 @@ func (c *Core) PrefetchMarks() map[string][]int {
 }
 
 // setsByFile lists one set of every file's record, ascending, for the
-// files where that set is not empty. It locks every shard in turn; not
-// for hot paths.
+// files where that set is not empty. It holds the file table's mutex
+// for the whole walk; not for hot paths.
 func (c *Core) setsByFile(set func(*fileState) ServerSet) map[string][]int {
 	out := make(map[string][]int)
-	for i := range c.fsh {
-		f := &c.fsh[i]
-		f.mu.Lock()
-		for file, fs := range f.files {
-			if m := set(fs); !m.Empty() {
-				// A file lives in exactly one shard, so this is the only
-				// write to its entry.
-				out[file] = m.AppendTo(nil)
-			}
+	f := &c.files
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for file, fs := range f.files {
+		if m := set(fs); !m.Empty() {
+			out[file] = m.AppendTo(nil)
 		}
-		f.mu.Unlock()
 	}
 	return out
 }
 
 // SessionCheck audits the session table for tests: total tracked
 // sessions, how many have requests in flight, and the first invariant
-// violation found ("" when clean) — a negative in-flight count or an
-// id-index entry out of sync with the key table. (A busy session may
-// legitimately be observed unbound for an instant: admission reserves
-// the session before the routing lock books its backend.) It locks
-// every shard in turn; not for hot paths.
+// violation found ("" when clean) — a negative in-flight count. (A busy
+// session may legitimately be observed unbound for an instant:
+// admission reserves the session before Route books its backend.) It
+// holds the session table's mutex for the whole walk; not for hot
+// paths.
 func (c *Core) SessionCheck() (total, busy int, problem string) {
-	for i := range c.ssh {
-		sh := &c.ssh[i]
-		sh.mu.Lock()
-		total += len(sh.byKey)
-		if len(sh.byID) != len(sh.byKey) && problem == "" {
-			problem = "byID/byKey size mismatch"
+	sh := &c.sessions
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, st := range sh.byKey {
+		if st.active > 0 {
+			busy++
 		}
-		for _, st := range sh.byKey {
-			if st.active > 0 {
-				busy++
-			}
-			switch {
-			case problem != "":
-			case st.active < 0:
-				problem = "negative session in-flight count"
-			case sh.byID[st.id] != st:
-				problem = "byID entry out of sync with byKey"
-			}
+		if st.active < 0 && problem == "" {
+			problem = "negative session in-flight count"
 		}
-		sh.mu.Unlock()
 	}
-	return total, busy, problem
+	return len(sh.byKey), busy, problem
 }
 
 // InFlightFiles returns the number of files with outstanding requests:
-// records whose busy set is not empty. A drained record stays in its
-// shard (see fileState) but does not count.
+// records whose busy set is not empty. A drained record stays in the
+// file table (see fileState) but does not count.
 func (c *Core) InFlightFiles() int {
 	return len(c.setsByFile(func(fs *fileState) ServerSet { return fs.busy }))
-}
-
-// --- small helpers ---
-
-// newShardLRU builds one stripe's share of a backend's optimistic
-// locality map: the configured entry bound is split evenly across the
-// stripes. The map counts entries, not bytes: every file weighs 1.
-func newShardLRU(entries int64, shards int) *cache.LRU {
-	per := entries / int64(shards)
-	if per < 1 {
-		per = 1
-	}
-	return cache.NewLRU(per)
 }

@@ -302,7 +302,7 @@ func TestHandoffsExcludeFirstAssignment(t *testing.T) {
 
 // TestSessionEvictionKeepsActiveSessions: the MaxSessions valve may only
 // evict idle sessions — one with a request in flight keeps its server
-// binding — and the byID index must stay consistent with the table.
+// binding — and the session table must stay consistent.
 func TestSessionEvictionKeepsActiveSessions(t *testing.T) {
 	release := make(chan struct{})
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

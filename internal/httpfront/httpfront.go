@@ -283,10 +283,6 @@ func New(cfg Config) (*Distributor, error) {
 		Retries:  cfg.Retries,
 		Recorder: cfg.Recorder,
 	}
-	if cfg.Overload != nil {
-		// Saturated-tier routing degrades to locality-only LARD.
-		dcfg.Fallback = policy.NewLARD(policy.Thresholds{})
-	}
 	core, err := dispatch.New(dcfg)
 	if err != nil {
 		return nil, fmt.Errorf("httpfront: %w", err)

@@ -75,7 +75,7 @@ type Node struct {
 }
 
 // Name returns a human-readable identifier for diagnostics:
-// "Core.Route", "shardOf", or "func@file:line" for literals.
+// "Core.Route", "lookupSession", or "func@file:line" for literals.
 func (n *Node) Name() string {
 	if n.Func != nil {
 		if recv := n.Func.Type().(*types.Signature).Recv(); recv != nil {

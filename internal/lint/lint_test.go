@@ -170,7 +170,7 @@ func TestEffectSummariesPropagate(t *testing.T) {
 		switch n.Name() {
 		case "push":
 			helper = n
-		case "fileShard.sendViaHelper":
+		case "fileTable.sendViaHelper":
 			caller = n
 		}
 	}

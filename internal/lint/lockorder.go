@@ -11,19 +11,18 @@ import (
 //
 // The hierarchy (see lockHierarchy in lockset.go and DESIGN.md):
 //
-//	Core.wrMu (10) → Core.trackMu (20) → Core.ovMu (30) → leaves
-//	sessionShard.mu (90)  fileShard.mu (91)  recordEmitter.mu (92)
-//	targetStripe.mu (93)  WRR.mu (94)  Detector.mu (97)
+//	Core.trackMu (20) → Core.ovMu (30) → leaves
+//	sessionTable.mu (90)  fileTable.mu (91)  recordEmitter.mu (92)
+//	targetTable.mu (93)  WRR.mu (94)  Detector.mu (97)
 //
-// wrMu serializes backend invalidation sweeps: the routing read path
-// itself acquires no Core-level lock (policy inputs are fixed at New),
-// so only the sweeps ever hold it.
+// The routing read path itself acquires no Core-level lock (policy
+// inputs are fixed at New); it takes only leaves.
 //
 // Three ordering rules apply at every acquisition — direct, or
 // transitively through a synchronous callee:
 //
 //  1. Acquiring a class already held is flagged: either a self-deadlock
-//     on the same mutex or a second stripe of a striped table, whose
+//     on the same mutex or a second instance of the same type, whose
 //     relative order is not statically checkable.
 //  2. Nothing may be acquired while a leaf class is held.
 //  3. Two ranked classes must be acquired in ascending rank.
@@ -111,15 +110,15 @@ func lockOrderViolation(held, acq lockClass) string {
 	switch {
 	case held.key == acq.key:
 		return fmt.Sprintf(
-			"%s acquired while an instance of %s is already held (self-deadlock, or two stripes whose order is not statically checkable)",
+			"%s acquired while an instance of %s is already held (self-deadlock, or two instances whose order is not statically checkable)",
 			acq.display, held.display)
 	case held.leaf:
 		return fmt.Sprintf(
-			"%s acquired while holding %s, a leaf of the lock hierarchy; nothing may be acquired under a shard lock",
+			"%s acquired while holding %s, a leaf of the lock hierarchy; nothing may be acquired under a leaf lock",
 			acq.display, held.display)
 	case held.ranked && acq.ranked && acq.rank <= held.rank:
 		return fmt.Sprintf(
-			"lock order inversion: %s (rank %d) acquired while holding %s (rank %d); the documented order is wrMu → trackMu → ovMu → leaves",
+			"lock order inversion: %s (rank %d) acquired while holding %s (rank %d); the documented order is trackMu → ovMu → leaves",
 			acq.display, acq.rank, held.display, held.rank)
 	}
 	return ""

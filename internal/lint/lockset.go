@@ -13,10 +13,10 @@ import (
 // whether it may block. lockorder consumes both tables.
 //
 // A lock class is the static identity of a mutex: the struct field it
-// lives in ("dispatch.Core.polMu", "dispatch.sessionShard.mu"), a
-// package-level variable, or a local declaration. Two stripes of one
-// striped table share a class — exactly what the stripe-order rule
-// needs, since stripe indices are not statically known.
+// lives in ("dispatch.Core.trackMu", "dispatch.sessionTable.mu"), a
+// package-level variable, or a local declaration. Two instances of one
+// struct type share a class — exactly what the same-class rule needs,
+// since which instance is locked is not statically known.
 //
 // The held-set walk is an approximation, tuned to under-report:
 //
@@ -38,7 +38,7 @@ type lockClass struct {
 	// fields, "pkgpath.var" for package-level mutexes, "local@pos" for
 	// locals.
 	key string
-	// display is the short human name ("Core.polMu", "sh.mu").
+	// display is the short human name ("Core.trackMu", "sh.mu").
 	display string
 	// rank orders the class in the configured hierarchy; 0 = unranked.
 	rank int
@@ -58,26 +58,22 @@ type rankDef struct {
 }
 
 // lockHierarchy is the dispatch core's documented lock order: the
-// invalidation-sweep mutex first (the read path takes no lock at all —
-// policy inputs are fixed at New, so the old polMu is gone), then the
-// tracker and overload locks, with the session/file shard stripes as
-// leaves — nothing is ever acquired while a shard stripe is held, and
-// a second stripe of either shard class is never taken (stripe order
-// is not statically checkable, so nesting same-class stripes is
-// flagged outright). The record emitter's mutex, the striped policy
-// target tables and the WRR rotor are leaves for the same reason:
-// each guards a few fields and calls nothing while held. The gray
-// layer adds one more leaf: the latency-outlier detector's state
-// mutex (its evaluation sorts in-memory buffers only); the hedge race
-// itself is refereed over a channel and holds no lock.
+// tracker and overload locks first (the read path takes neither —
+// policy inputs are fixed at New), then the session and file tables as
+// leaves — nothing is ever acquired while a table lock is held. The
+// record emitter's mutex, each policy's target table and the WRR rotor
+// are leaves for the same reason: each guards a few fields and calls
+// nothing while held. The gray layer adds one more leaf: the
+// latency-outlier detector's state mutex (its evaluation sorts
+// in-memory buffers only); the hedge race itself is refereed over a
+// channel and holds no lock.
 var lockHierarchy = []rankDef{
-	{"internal/dispatch", "Core", "wrMu", 10, false},
 	{"internal/dispatch", "Core", "trackMu", 20, false},
 	{"internal/dispatch", "Core", "ovMu", 30, false},
-	{"internal/dispatch", "sessionShard", "mu", 90, true},
-	{"internal/dispatch", "fileShard", "mu", 91, true},
+	{"internal/dispatch", "sessionTable", "mu", 90, true},
+	{"internal/dispatch", "fileTable", "mu", 91, true},
 	{"internal/dispatch", "recordEmitter", "mu", 92, true},
-	{"internal/policy", "targetStripe", "mu", 93, true},
+	{"internal/policy", "targetTable", "mu", 93, true},
 	{"internal/policy", "WRR", "mu", 94, true},
 	{"internal/health", "Detector", "mu", 97, true},
 }

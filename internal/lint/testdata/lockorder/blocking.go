@@ -5,14 +5,14 @@ package dispatch
 
 import "sync"
 
-type fileShard struct {
+type fileTable struct {
 	mu sync.Mutex
 	ch chan int
 }
 
 // sendUnderLock performs a blocking channel send while holding the
-// shard lock: if no receiver is ready, every other acquirer stalls.
-func (f *fileShard) sendUnderLock(v int) {
+// table lock: if no receiver is ready, every other acquirer stalls.
+func (f *fileTable) sendUnderLock(v int) {
 	f.mu.Lock()
 	f.ch <- v // want lockorder
 	f.mu.Unlock()
@@ -20,7 +20,7 @@ func (f *fileShard) sendUnderLock(v int) {
 
 // sendViaHelper reaches the same send through a callee; the effect
 // summary propagates "may block" to this call site.
-func (f *fileShard) sendViaHelper(v int) {
+func (f *fileTable) sendViaHelper(v int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	push(f.ch, v) // want lockorder
@@ -32,7 +32,7 @@ func push(ch chan int, v int) {
 
 // tryEnqueue is the sanctioned shape: a select with a default case is
 // a non-blocking attempt and is fine under the lock.
-func (f *fileShard) tryEnqueue(v int) bool {
+func (f *fileTable) tryEnqueue(v int) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	select {
@@ -44,7 +44,7 @@ func (f *fileShard) tryEnqueue(v int) bool {
 }
 
 // recvUnlocked blocks only after the lock is released.
-func (f *fileShard) recvUnlocked() int {
+func (f *fileTable) recvUnlocked() int {
 	f.mu.Lock()
 	f.mu.Unlock()
 	return <-f.ch

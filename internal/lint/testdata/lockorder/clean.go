@@ -1,28 +1,27 @@
 // lockorder fixture: a clean hierarchy. Every acquisition follows the
-// documented order (wrMu → trackMu → ovMu → shard leaves) and no
-// blocking operation happens under a lock; the analyzer must stay
-// silent on this file.
+// documented order (trackMu → ovMu → table leaves) and no blocking
+// operation happens under a lock; the analyzer must stay silent on
+// this file.
 package dispatch
 
 import "sync"
 
 type Core struct {
-	wrMu    sync.Mutex
 	trackMu sync.Mutex
 	ovMu    sync.Mutex
-	sess    sessionShard
+	sess    sessionTable
 }
 
-type sessionShard struct {
+type sessionTable struct {
 	mu sync.Mutex
 	n  int
 }
 
-// route nests in documented order: wrMu, then ovMu, then a shard leaf
-// taken and released as the innermost lock.
+// route nests in documented order: trackMu, then ovMu, then a table
+// leaf taken and released as the innermost lock.
 func (c *Core) route() {
-	c.wrMu.Lock()
-	defer c.wrMu.Unlock()
+	c.trackMu.Lock()
+	defer c.trackMu.Unlock()
 	c.ovMu.Lock()
 	c.ovMu.Unlock()
 	c.sess.mu.Lock()
@@ -33,21 +32,21 @@ func (c *Core) route() {
 // sequential takes ranked locks against rank order but never nested —
 // ordering rules only apply to locks held simultaneously.
 func (c *Core) sequential() {
+	c.ovMu.Lock()
+	c.ovMu.Unlock()
 	c.trackMu.Lock()
 	c.trackMu.Unlock()
-	c.wrMu.Lock()
-	c.wrMu.Unlock()
 }
 
 // helperAfterRelease calls a leaf-taking helper only after releasing
 // everything, so the effect summary has nothing to flag.
 func (c *Core) helperAfterRelease() {
-	c.wrMu.Lock()
-	c.wrMu.Unlock()
-	c.touchShard()
+	c.trackMu.Lock()
+	c.trackMu.Unlock()
+	c.touchTable()
 }
 
-func (c *Core) touchShard() {
+func (c *Core) touchTable() {
 	c.sess.mu.Lock()
 	defer c.sess.mu.Unlock()
 	c.sess.n++
@@ -57,10 +56,10 @@ func (c *Core) touchShard() {
 // error arm unlocks and returns, the fall-through path still holds the
 // lock and releases it at the end.
 func (c *Core) earlyUnlockBranch(bad bool) {
-	c.wrMu.Lock()
+	c.trackMu.Lock()
 	if bad {
-		c.wrMu.Unlock()
+		c.trackMu.Unlock()
 		return
 	}
-	c.wrMu.Unlock()
+	c.trackMu.Unlock()
 }

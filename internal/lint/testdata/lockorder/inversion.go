@@ -1,41 +1,40 @@
-// lockorder fixture: shard→writer lock inversions. Type-checked under
+// lockorder fixture: table→ranked lock inversions. Type-checked under
 // the import path prord/internal/dispatch so the ranked hierarchy
-// (Core.wrMu 10, Core.trackMu 20, Core.ovMu 30, sessionShard.mu leaf)
-// applies to these mirror types.
+// (Core.trackMu 20, Core.ovMu 30, sessionTable.mu leaf) applies to
+// these mirror types.
 package dispatch
 
 import "sync"
 
 type Core struct {
-	wrMu    sync.Mutex
 	trackMu sync.Mutex
 	ovMu    sync.Mutex
 }
 
-type sessionShard struct {
+type sessionTable struct {
 	mu sync.Mutex
 	n  int
 }
 
-// badDirect takes the writer lock while holding a shard leaf.
-func (c *Core) badDirect(sh *sessionShard) {
+// badDirect takes a ranked lock while holding a table leaf.
+func (c *Core) badDirect(sh *sessionTable) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	c.wrMu.Lock() // want lockorder
-	c.wrMu.Unlock()
+	c.trackMu.Lock() // want lockorder
+	c.trackMu.Unlock()
 }
 
 // badIndirect reaches the same inversion through a callee: the caller
-// holds the leaf, the helper acquires wrMu.
-func (c *Core) badIndirect(sh *sessionShard) {
+// holds the leaf, the helper acquires ovMu.
+func (c *Core) badIndirect(sh *sessionTable) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	c.publishSnapshot() // want lockorder
 }
 
 func (c *Core) publishSnapshot() {
-	c.wrMu.Lock()
-	defer c.wrMu.Unlock()
+	c.ovMu.Lock()
+	defer c.ovMu.Unlock()
 }
 
 // badRank inverts two ranked non-leaf classes (ovMu 30 → trackMu 20).

@@ -9,10 +9,10 @@
 // decision — queueing, caching, prefetching, replication — is the cluster
 // model's job.
 // All built-in policies are safe for concurrent Route calls: WRR
-// serializes its rotor on a small mutex, and the LARD family keeps its
-// file → target assignments in a striped leaf-locked table (stripe.go).
-// A custom Policy or ConnCloser used with the dispatch core must be
-// equally concurrency-safe, since the core no longer serializes Route.
+// serializes its rotor on a small mutex, and each LARD-family policy
+// keeps its file → target assignments in one table under one leaf
+// mutex (targetTable). A custom Policy used with the dispatch core must
+// be equally concurrency-safe, since the core does not serialize Route.
 package policy
 
 import (
@@ -85,19 +85,13 @@ type Decision struct {
 }
 
 // Policy routes requests to backends. Route must be safe for
-// concurrent calls: the dispatch core's lock-free read path invokes it
-// from many goroutines without serialization.
+// concurrent calls: the dispatch core invokes it from many goroutines
+// and holds no lock around it.
 type Policy interface {
 	// Name identifies the policy in tables ("WRR", "LARD", ...).
 	Name() string
 	// Route decides where req goes given the current cluster view.
 	Route(req Request, view View) Decision
-}
-
-// ConnCloser is implemented by policies that keep per-connection
-// state. ConnClose must be safe for concurrent use alongside Route.
-type ConnCloser interface {
-	ConnClose(conn int)
 }
 
 // LeastLoaded returns the index of the least-loaded backend (ties go to
@@ -388,6 +382,74 @@ func (p *ExtLARD) Route(req Request, view View) Decision {
 		d.Source = LeastLoadedOf(view, holders)
 	}
 	return d
+}
+
+// targetTable is a LARD-family policy's file → target assignment
+// table, under one leaf mutex: each method holds it for one map
+// operation and takes no other lock. The scalar-target policies (LARD,
+// ConnLARD, ExtLARD, PRORD) use m; LARD/R uses sets. Two racing Routes
+// for the same cold file may both compute a target, and the later set
+// wins: the same outcome back-to-back requests get.
+type targetTable struct {
+	mu   sync.Mutex
+	m    map[string]int
+	sets map[string][]int
+}
+
+// newTargetTable returns a table for scalar targets.
+func newTargetTable() *targetTable {
+	return &targetTable{m: make(map[string]int)}
+}
+
+// newTargetSetTable returns a table for replicated target sets.
+func newTargetSetTable() *targetTable {
+	return &targetTable{sets: make(map[string][]int)}
+}
+
+func (t *targetTable) get(path string) (int, bool) {
+	t.mu.Lock()
+	v, ok := t.m[path]
+	t.mu.Unlock()
+	return v, ok
+}
+
+func (t *targetTable) set(path string, server int) {
+	t.mu.Lock()
+	t.m[path] = server
+	t.mu.Unlock()
+}
+
+// getSet returns the published replica set for path. Sets are
+// copy-on-append: once published a slice is never mutated, so the
+// caller may read it after the table unlocks.
+func (t *targetTable) getSet(path string) []int {
+	t.mu.Lock()
+	v := t.sets[path]
+	t.mu.Unlock()
+	return v
+}
+
+// initSet publishes the initial single-member set for path unless a
+// concurrent writer beat this one to it.
+func (t *targetTable) initSet(path string, server int) {
+	t.mu.Lock()
+	if len(t.sets[path]) == 0 {
+		t.sets[path] = []int{server}
+	}
+	t.mu.Unlock()
+}
+
+// addToSet publishes set+{server} for path (copy-on-append) unless a
+// concurrent writer already added it.
+func (t *targetTable) addToSet(path string, set []int, server int) {
+	t.mu.Lock()
+	cur := t.sets[path]
+	if len(cur) == len(set) && !containsInt(cur, server) {
+		ns := make([]int, len(cur), len(cur)+1)
+		copy(ns, cur)
+		t.sets[path] = append(ns, server)
+	}
+	t.mu.Unlock()
 }
 
 func containsInt(xs []int, v int) bool {
