@@ -109,6 +109,14 @@ func TestFig9EnhancementShape(t *testing.T) {
 	if bundle <= lard {
 		t.Errorf("LARD-bundle %v should beat plain LARD %v", bundle, lard)
 	}
+	// The mechanism columns count what fired: plain LARD has none, and
+	// bundle prefetching fires on every trace with mined bundles.
+	if r, p := tab.MustGet("LARD", "replicas"), tab.MustGet("LARD", "prefetches"); r != 0 || p != 0 {
+		t.Errorf("plain LARD reports %v replicas and %v prefetches, want 0 and 0", r, p)
+	}
+	if p := tab.MustGet("LARD-bundle", "prefetches"); p == 0 {
+		t.Error("LARD-bundle reports 0 prefetches")
+	}
 	// No enhancement should cripple the system.
 	for _, v := range fig9Variants() {
 		if thr := tab.MustGet(v.Label, "throughput"); thr < 0.85*lard {

@@ -172,12 +172,14 @@ func fig9Variants() []struct {
 }
 
 // Fig9 regenerates "Throughput Comparison for Individual Enhancements
-// with CS-Trace".
+// with CS-Trace". The Replicas and Prefetches columns show whether each
+// row's mechanism fired at all: a row whose count is 0 is LARD run
+// again, not a measured +0.0%.
 func (r *Runner) Fig9() (*Table, error) {
 	t := &Table{
 		ID:     "fig9",
-		Title:  "Individual enhancements on CS-Trace (throughput, hit rate)",
-		Header: []string{"Variant", "Throughput", "Hit rate", "vs LARD"},
+		Title:  "Individual enhancements on CS-Trace (throughput, hit rate, mechanism counts)",
+		Header: []string{"Variant", "Throughput", "Hit rate", "vs LARD", "Replicas", "Prefetches"},
 	}
 	var base float64
 	for _, v := range fig9Variants() {
@@ -197,9 +199,13 @@ func (r *Runner) Fig9() (*Table, error) {
 			fmt.Sprintf("%.0f", res.Throughput),
 			fmt.Sprintf("%.3f", res.HitRate),
 			fmt.Sprintf("%+.1f%%", gain),
+			fmt.Sprintf("%d", res.Metrics.Replications),
+			fmt.Sprintf("%d", res.Metrics.Prefetches),
 		})
 		t.set(v.Label, "throughput", res.Throughput)
 		t.set(v.Label, "hitrate", res.HitRate)
+		t.set(v.Label, "replicas", float64(res.Metrics.Replications))
+		t.set(v.Label, "prefetches", float64(res.Metrics.Prefetches))
 	}
 	t.Notes = append(t.Notes, "* LARD-prefetch-group is this reproduction's extension (§4.1's category-driven prefetching), not a paper row")
 	return t, nil

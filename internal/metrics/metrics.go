@@ -59,16 +59,13 @@ func (h *Histogram) Mean() time.Duration {
 // Max returns the largest sample.
 func (h *Histogram) Max() time.Duration { return h.max }
 
-// Min returns the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() time.Duration { return h.min }
-
 // Sum returns the total of all samples.
 func (h *Histogram) Sum() time.Duration { return h.sum }
 
 // Quantile estimates the q-quantile (q in [0,1]) by locating the bucket
 // holding the requested rank and interpolating linearly within it,
 // assuming samples spread uniformly across the bucket. The estimate is
-// clamped to the observed [Min, Max], so single-bucket distributions and
+// clamped to the observed [min, max], so single-bucket distributions and
 // the extreme quantiles stay exact at the edges.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	if h.count == 0 {
@@ -111,23 +108,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		return est
 	}
 	return h.max
-}
-
-// Merge adds other's samples into h.
-func (h *Histogram) Merge(other *Histogram) {
-	for i := range h.buckets {
-		h.buckets[i] += other.buckets[i]
-	}
-	if other.count > 0 {
-		if h.count == 0 || other.min < h.min {
-			h.min = other.min
-		}
-		if other.max > h.max {
-			h.max = other.max
-		}
-	}
-	h.count += other.count
-	h.sum += other.sum
 }
 
 // Collector accumulates every counter the experiments report.

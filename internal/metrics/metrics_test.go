@@ -26,8 +26,8 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Mean() != sum/time.Duration(len(samples)) {
 		t.Fatalf("Mean = %v", h.Mean())
 	}
-	if h.Max() != 10*time.Millisecond || h.Min() != time.Microsecond {
-		t.Fatalf("Max/Min = %v/%v", h.Max(), h.Min())
+	if h.Max() != 10*time.Millisecond {
+		t.Fatalf("Max = %v", h.Max())
 	}
 	if h.Sum() != sum {
 		t.Fatalf("Sum = %v, want %v", h.Sum(), sum)
@@ -131,20 +131,6 @@ func TestHistogramQuantileClampsToObserved(t *testing.T) {
 	}
 	if q := b.Quantile(0.75); q < 512*time.Microsecond || q > 1000*time.Microsecond {
 		t.Errorf("Quantile(0.75) = %v, want within high mode's bucket", q)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	a.Observe(time.Millisecond)
-	b.Observe(3 * time.Millisecond)
-	b.Observe(time.Microsecond)
-	a.Merge(&b)
-	if a.Count() != 3 {
-		t.Fatalf("merged Count = %d, want 3", a.Count())
-	}
-	if a.Max() != 3*time.Millisecond || a.Min() != time.Microsecond {
-		t.Fatalf("merged Max/Min = %v/%v", a.Max(), a.Min())
 	}
 }
 
