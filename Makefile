@@ -8,6 +8,8 @@
 #                churn and differential suites and the determinism
 #                regressions)
 #   make vet     go vet
+#   make allocs  every allocation ratchet (the tests matching Allocs),
+#                uncached; they skip under the race detector
 #   make stress  repeat a slice of the suite under the race detector to
 #                hunt a flake: make stress RUN='Golden|Deterministic' PKG=./internal/cluster/ COUNT=20
 #                (a developer tool, not part of ci: `make race` already
@@ -35,7 +37,7 @@ COUNT ?= 2
 # fuzz parameter: how long each Fuzz* target runs.
 FUZZTIME ?= 5s
 
-.PHONY: build test race vet stress fuzz bench ci
+.PHONY: build test race vet allocs stress fuzz bench ci
 
 build:
 	$(GO) build ./...
@@ -48,6 +50,9 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+allocs:
+	$(GO) test -count=1 -run Allocs ./...
 
 stress:
 	$(GO) test -race -count=$(COUNT) -run '$(RUN)' $(PKG)
@@ -74,7 +79,7 @@ bench:
 		grep -q '"correct":true' BENCH_$$w.json || { echo "bench: $$w: run is not correct" >&2; exit 1; }; \
 	done
 
-# test runs before race: the allocation ratchets (TestRouteDoneAllocs,
-# TestRunAllocsPerRequest, TestForwardAllocs) skip under the race
-# detector, whose instrumentation allocates.
+# test runs before race: the allocation ratchets (every test matching
+# Allocs, which `make allocs` runs alone) skip under the race detector,
+# whose instrumentation allocates.
 ci: build vet test race fuzz bench

@@ -309,8 +309,8 @@ func (c *Cluster) recoverServer(server int) {
 func (c *Cluster) NumServers() int { return len(c.backends) }
 
 // Holders implements replicate.Placer.
-func (c *Cluster) Holders(file string) []int {
-	return c.replicas[file].AppendTo(nil)
+func (c *Cluster) Holders(file string, dst []int) []int {
+	return c.replicas[file].AppendTo(dst)
 }
 
 // Replicate implements replicate.Placer: copy the file over the internal

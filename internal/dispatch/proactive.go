@@ -57,8 +57,7 @@ func (c *Core) PlanProactive(key string, server int, page string, now time.Time)
 			// §4.1: the backend prefetches "a specific group of data
 			// containing currently requested pages" — the predicted page
 			// together with its embedded objects.
-			group := append([]string{pred.Page}, c.cfg.Miner.Bundles.Objects(pred.Page)...)
-			plan.Nav = c.admitGroup(server, group)
+			plan.Nav = c.admitGroup(server, pred.Page, c.cfg.Miner.Bundles.Objects(pred.Page))
 		}
 	}
 	if c.cfg.Features.GroupPrefetch && c.cfg.Miner.Categorizer != nil {
@@ -106,7 +105,7 @@ func (c *Core) groupPrefetch(st *session, server int, page string) []string {
 	sh.mu.Lock()
 	st.classified = true
 	sh.mu.Unlock()
-	return c.admitGroup(server, cat.TopPages(group, 4))
+	return c.admitGroup(server, "", cat.TopPages(group, 4))
 }
 
 // admitGroup applies the navigation-prefetch admission chain to a page
@@ -115,18 +114,26 @@ func (c *Core) groupPrefetch(st *session, server int, page string) []string {
 // (files resident — or already marked prefetched — anywhere are
 // skipped: the dispatcher routes requests to existing holders, so a
 // duplicate copy would only churn the disk), then per-file admission.
-func (c *Core) admitGroup(server int, group []string) []string {
+// The group is head (none when "") followed by rest, admitted in that
+// order; taking the head apart spares building the group.
+func (c *Core) admitGroup(server int, head string, rest []string) []string {
 	if c.cfg.NavBudget != nil && !c.cfg.NavBudget(server) {
 		return nil
 	}
 	var out []string
-	for _, file := range group {
-		if !c.cold(file) {
-			continue
-		}
-		if c.admitPrefetch(server, file) {
-			out = append(out, file)
-		}
+	if head != "" {
+		out = c.admitCold(server, head, out)
+	}
+	for _, file := range rest {
+		out = c.admitCold(server, file, out)
+	}
+	return out
+}
+
+// admitCold appends file to out if it is cold and admitted at server.
+func (c *Core) admitCold(server int, file string, out []string) []string {
+	if c.cold(file) && c.admitPrefetch(server, file) {
+		out = append(out, file)
 	}
 	return out
 }

@@ -225,7 +225,8 @@ func (d *DG) Arcs() int {
 // paper's n-order model (PPM-style longest match), PPM with escape, the
 // DG baseline, sequence rules and association rules.
 type Predictor interface {
-	// Predict proposes the next page given the most recent page sequence.
+	// Predict proposes the next page given the most recent page
+	// sequence. It does not keep recent, which the caller may reuse.
 	Predict(recent []string) (Prediction, bool)
 	// Train fits the predictor on a training trace.
 	Train(tr *trace.Trace)
@@ -237,6 +238,8 @@ type Predictor interface {
 type OnlinePredictor interface {
 	Predictor
 	// ObserveSequence folds one observed page sequence into the model.
+	// It does not keep pages: the Tracker passes a buffer it owns and
+	// overwrites on its next call.
 	ObserveSequence(pages []string)
 	// Window is the number of trailing pages worth tracking per
 	// connection.

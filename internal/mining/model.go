@@ -47,6 +47,30 @@ type ctxStats struct {
 
 const ctxSep = "|"
 
+// ctxKeyBuf is the size of the stack buffer context keys are built in;
+// a longer key spills to the heap.
+const ctxKeyBuf = 256
+
+// context returns the stats stored under the context pages (the key
+// strings.Join(pages, ctxSep)), or nil. The key is built in a stack
+// buffer and the map is indexed with string(buf), which the compiler
+// does without copying, so a lookup allocates nothing unless the key
+// is longer than ctxKeyBuf.
+func (m *Model) context(pages []string) *ctxStats {
+	if len(pages) == 1 {
+		return m.ctx[pages[0]]
+	}
+	var buf [ctxKeyBuf]byte
+	key := buf[:0]
+	for i, p := range pages {
+		if i > 0 {
+			key = append(key, ctxSep...)
+		}
+		key = append(key, p...)
+	}
+	return m.ctx[string(key)]
+}
+
 // NewModel returns an empty model of the given order (max context length).
 // Order must be at least 1.
 func NewModel(order int) *Model {
@@ -84,11 +108,10 @@ func (m *Model) ObserveSequence(pages []string) {
 		m.observations++
 		// Register the transition under every context length that fits.
 		for k := 1; k <= m.order && k <= i; k++ {
-			key := strings.Join(pages[i-k:i], ctxSep)
-			cs, ok := m.ctx[key]
-			if !ok {
+			cs := m.context(pages[i-k : i])
+			if cs == nil {
 				cs = &ctxStats{next: make(map[string]int)}
-				m.ctx[key] = cs
+				m.ctx[strings.Join(pages[i-k:i], ctxSep)] = cs
 			}
 			cs.total++
 			cs.next[p]++
@@ -133,9 +156,8 @@ func (m *Model) Predict(recent []string) (Prediction, bool) {
 		start = 0
 	}
 	for k := len(recent) - start; k >= 1; k-- {
-		key := strings.Join(recent[len(recent)-k:], ctxSep)
-		cs, ok := m.ctx[key]
-		if !ok || cs.total == 0 {
+		cs := m.context(recent[len(recent)-k:])
+		if cs == nil || cs.total == 0 {
 			continue
 		}
 		best, bestCount := "", 0
@@ -167,9 +189,8 @@ func (m *Model) PredictAll(recent []string) []Prediction {
 		start = 0
 	}
 	for k := len(recent) - start; k >= 1; k-- {
-		key := strings.Join(recent[len(recent)-k:], ctxSep)
-		cs, ok := m.ctx[key]
-		if !ok || cs.total == 0 {
+		cs := m.context(recent[len(recent)-k:])
+		if cs == nil || cs.total == 0 {
 			continue
 		}
 		preds := make([]Prediction, 0, len(cs.next))
@@ -194,10 +215,18 @@ func (m *Model) PredictAll(recent []string) []Prediction {
 // Tracker maintains the per-connection navigation state Algorithm 2
 // attaches to every persistent connection ("sequence and previous_page
 // are assigned to each connection"): the last Window() pages requested.
+// In steady state Observe allocates nothing: each connection's window
+// slides in place in a slice of capacity Window(), a closed
+// connection's slice is kept for the next one to open, and the
+// transition handed to the model lives in the tracker.
 type Tracker struct {
 	model  OnlinePredictor
 	recent map[int][]string
 	online bool
+	// pair is the [prev, page] or [page] sequence ObserveSequence sees.
+	pair [2]string
+	// free holds the emptied windows of closed connections.
+	free [][]string
 }
 
 // NewTracker returns a tracker over an online predictor (usually the
@@ -211,31 +240,54 @@ func NewTracker(model OnlinePredictor, online bool) *Tracker {
 // Observe records that conn requested page and returns the prediction for
 // the connection's next page.
 func (t *Tracker) Observe(conn int, page string) (Prediction, bool) {
-	seq := t.recent[conn]
+	window := max(t.model.Window(), 1)
+	seq, ok := t.recent[conn]
+	if !ok {
+		seq = t.window(window)
+	}
 	if t.online {
+		obs := t.pair[:0]
 		if len(seq) > 0 {
-			t.model.ObserveSequence([]string{seq[len(seq)-1], page})
-		} else {
-			t.model.ObserveSequence([]string{page})
+			obs = append(obs, seq[len(seq)-1])
 		}
+		t.model.ObserveSequence(append(obs, page))
+	}
+	if over := len(seq) + 1 - window; over > 0 {
+		copy(seq, seq[over:])
+		seq = seq[:len(seq)-over]
 	}
 	seq = append(seq, page)
-	window := t.model.Window()
-	if window < 1 {
-		window = 1
-	}
-	if over := len(seq) - window; over > 0 {
-		seq = seq[over:]
-	}
 	t.recent[conn] = seq
 	return t.model.Predict(seq)
 }
 
-// Recent returns the connection's tracked page sequence.
+// window returns an empty window of capacity n, reusing a closed
+// connection's when one is free.
+func (t *Tracker) window(n int) []string {
+	if k := len(t.free); k > 0 {
+		seq := t.free[k-1]
+		t.free = t.free[:k-1]
+		return seq
+	}
+	return make([]string, 0, n)
+}
+
+// Recent returns the connection's tracked page sequence. The slice is
+// the tracker's own: it is valid until the connection's next Observe
+// or its Close.
 func (t *Tracker) Recent(conn int) []string { return t.recent[conn] }
 
-// Close discards a finished connection's state.
-func (t *Tracker) Close(conn int) { delete(t.recent, conn) }
+// Close discards a finished connection's state, keeping its window for
+// the next connection to open.
+func (t *Tracker) Close(conn int) {
+	seq, ok := t.recent[conn]
+	if !ok {
+		return
+	}
+	delete(t.recent, conn)
+	clear(seq)
+	t.free = append(t.free, seq[:0])
+}
 
 // Connections returns the number of tracked live connections.
 func (t *Tracker) Connections() int { return len(t.recent) }

@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -231,6 +232,118 @@ func TestTrackerIsolatesConnections(t *testing.T) {
 	p1, _ := m.Predict(tr.Recent(1))
 	if p1.Page != "B" || p2.Page != "D" {
 		t.Fatalf("connections leaked state: p1=%+v p2=%+v", p1, p2)
+	}
+}
+
+// TestTrackerWindowReuse checks that a connection opened after a Close
+// starts from an empty window, though it reuses the closed one's slice:
+// Recent and the predictions see only the new connection's own pages.
+// Reopening allocates nothing once a window has been freed.
+func TestTrackerWindowReuse(t *testing.T) {
+	m := NewModel(2)
+	m.ObserveSequence([]string{"A", "B", "C"})
+	m.ObserveSequence([]string{"X", "B", "D"})
+	m.ObserveSequence([]string{"B", "E"})
+	m.ObserveSequence([]string{"B", "E"})
+	tr := NewTracker(m, false)
+	tr.Observe(1, "A")
+	if p, _ := tr.Observe(1, "B"); p.Page != "C" || p.Order != 2 {
+		t.Fatalf("setup: prediction after [A B] = %+v, want C at order 2", p)
+	}
+	tr.Close(1)
+
+	p, ok := tr.Observe(2, "B")
+	if got := tr.Recent(2); len(got) != 1 || got[0] != "B" {
+		t.Fatalf("Recent of a connection opened after a Close = %v, want [B]", got)
+	}
+	if !ok || p.Page != "E" || p.Order != 1 {
+		t.Fatalf("prediction after [B] = %+v ok=%v, want E at order 1", p, ok)
+	}
+	tr.Close(2)
+	tr.Observe(3, "X")
+	if p, _ := tr.Observe(3, "B"); p.Page != "D" || p.Order != 2 {
+		t.Fatalf("prediction after [X B] = %+v, want D at order 2", p)
+	}
+	if got := tr.Recent(3); len(got) != 2 || got[0] != "X" || got[1] != "B" {
+		t.Fatalf("Recent = %v, want [X B]", got)
+	}
+	tr.Close(3)
+
+	if raceEnabled {
+		return
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		tr.Observe(4, "A")
+		tr.Observe(4, "B")
+		tr.Close(4)
+	})
+	if allocs != 0 {
+		t.Errorf("a connection opened after a Close allocates %.1f objects, want 0 (its window is reused)", allocs)
+	}
+}
+
+// TestTrackerObserveAllocs pins a steady-state Observe at zero
+// allocations for every online predictor the core tracks with: on a
+// warm connection, whose window is full and whose transitions are all
+// known, online learning only bumps counters and the prediction's
+// context keys are built on the stack.
+func TestTrackerObserveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on paths the production build does not")
+	}
+	cycle := []string{"/english/index.html", "/english/news/today.html", "/english/teams/bra.html", "/english/scores.html"}
+	for _, nav := range []OnlinePredictor{NewModel(2), NewDG(2), NewPPM(2)} {
+		nav.ObserveSequence(append(append([]string(nil), cycle...), cycle...))
+		tr := NewTracker(nav, true)
+		for i := 0; i < 2*len(cycle); i++ {
+			tr.Observe(1, cycle[i%len(cycle)])
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, ok := tr.Observe(1, cycle[i%len(cycle)]); !ok {
+				t.Fatalf("%T: no prediction on a warm connection", nav)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%T: steady-state Observe allocates %.2f objects, want 0", nav, allocs)
+		}
+	}
+}
+
+// TestContextLookup checks the allocation-free context lookup against
+// the map lookup of the strings.Join key it replaces, for keys inside
+// and beyond the stack buffer, found and missing.
+func TestContextLookup(t *testing.T) {
+	long := "/" + strings.Repeat("deep/", ctxKeyBuf/5) + "page.html"
+	cases := []struct {
+		name   string
+		pages  []string
+		spills bool // the key is longer than the stack buffer
+	}{
+		{"one page", []string{"/a.html"}, false},
+		{"two pages", []string{"/a.html", "/b.html"}, false},
+		{"key longer than the stack buffer", []string{long, "/b.html"}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if spills := len(strings.Join(c.pages, ctxSep)) > ctxKeyBuf; spills != c.spills {
+				t.Fatalf("setup: key spills = %v, want %v", spills, c.spills)
+			}
+			m := NewModel(len(c.pages))
+			m.ObserveSequence(append(append([]string(nil), c.pages...), "/next.html"))
+			want := m.ctx[strings.Join(c.pages, ctxSep)]
+			if want == nil {
+				t.Fatal("setup: the trained context is missing")
+			}
+			if got := m.context(c.pages); got != want {
+				t.Errorf("context(%q) = %p, want %p", c.pages, got, want)
+			}
+			missing := append([]string{"/elsewhere.html"}, c.pages[1:]...)
+			if got, want := m.context(missing), m.ctx[strings.Join(missing, ctxSep)]; got != want {
+				t.Errorf("context(%q) = %p, want %p", missing, got, want)
+			}
+		})
 	}
 }
 

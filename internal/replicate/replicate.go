@@ -7,6 +7,7 @@ package replicate
 
 import (
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"prord/internal/mining"
@@ -18,9 +19,10 @@ import (
 type Placer interface {
 	// NumServers returns the backend count.
 	NumServers() int
-	// Holders returns the backends currently holding a replica of file
-	// placed by the replication manager.
-	Holders(file string) []int
+	// Holders appends to dst the backends currently holding a replica
+	// of file placed by the replication manager, each once, and returns
+	// the extended slice. The Manager owns dst and reuses it.
+	Holders(file string, dst []int) []int
 	// Replicate pushes a copy of file to server.
 	Replicate(file string, server int)
 	// Drop removes the replica of file from server.
@@ -59,9 +61,11 @@ type Manager struct {
 	ranker *mining.Ranker
 	steps  int
 	placed map[string]bool // files with manager-placed replicas
-	// table and examined are Step's scratch space, kept between rounds.
+	// table, examined and holders are Step's scratch space, kept
+	// between rounds.
 	table    []mining.Entry
 	examined map[string]bool
+	holders  []int
 }
 
 // NewManager returns a manager reading popularity from ranker.
@@ -133,7 +137,7 @@ func (m *Manager) Step(p Placer) int {
 			if degree < 0 {
 				continue // NO_CHANGE
 			}
-			pushed += converge(p, e.Path, degree)
+			pushed += m.converge(p, e.Path, degree)
 			if degree > 0 {
 				m.placed[e.Path] = true
 			} else {
@@ -145,7 +149,7 @@ func (m *Manager) Step(p Placer) int {
 	// band by definition: reclaim their pinned replicas.
 	for file := range m.placed {
 		if !examined[file] {
-			converge(p, file, 0)
+			m.converge(p, file, 0)
 			delete(m.placed, file)
 		}
 	}
@@ -157,8 +161,9 @@ func (m *Manager) Step(p Placer) int {
 // placed. Server choice is deterministic: existing holders are kept
 // (lowest index first), new replicas fill round-robin from a hash of the
 // file name so hot files spread across different starting servers.
-func converge(p Placer, file string, degree int) int {
-	holders := append([]int(nil), p.Holders(file)...)
+func (m *Manager) converge(p Placer, file string, degree int) int {
+	holders := p.Holders(file, m.holders[:0])
+	m.holders = holders
 	sort.Ints(holders)
 	if len(holders) > degree {
 		for _, s := range holders[degree:] {
@@ -166,19 +171,14 @@ func converge(p Placer, file string, degree int) int {
 		}
 		return 0
 	}
-	have := make(map[int]bool, len(holders))
-	for _, s := range holders {
-		have[s] = true
-	}
 	pushed := 0
 	start := int(hashString(file) % uint32(p.NumServers()))
-	for i := 0; len(have) < degree && i < p.NumServers(); i++ {
+	for i := 0; len(holders)+pushed < degree && i < p.NumServers(); i++ {
 		s := (start + i) % p.NumServers()
-		if have[s] {
+		if _, held := slices.BinarySearch(holders, s); held {
 			continue
 		}
 		p.Replicate(file, s)
-		have[s] = true
 		pushed++
 	}
 	return pushed

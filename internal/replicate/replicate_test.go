@@ -22,13 +22,12 @@ func newFakePlacer(n int) *fakePlacer {
 
 func (p *fakePlacer) NumServers() int { return p.n }
 
-func (p *fakePlacer) Holders(file string) []int {
-	var out []int
+func (p *fakePlacer) Holders(file string, dst []int) []int {
 	for s := range p.replicas[file] {
-		out = append(out, s)
+		dst = append(dst, s)
 	}
-	sort.Ints(out)
-	return out
+	sort.Ints(dst)
+	return dst
 }
 
 func (p *fakePlacer) Replicate(file string, server int) {
@@ -90,14 +89,14 @@ func TestStepReplicatesHotFile(t *testing.T) {
 	m := NewManager(r, Config{T1Fraction: 0.5}) // T1 = 50
 	p := newFakePlacer(4)
 	pushed := m.Step(p)
-	if got := p.Holders("/hot"); len(got) != 4 {
+	if got := p.Holders("/hot", nil); len(got) != 4 {
 		t.Fatalf("/hot holders = %v, want all 4", got)
 	}
 	if pushed < 4 {
 		t.Fatalf("pushed = %d, want >= 4", pushed)
 	}
 	// /cold count (4) <= T1/8 (6.25): no replicas.
-	if got := p.Holders("/cold"); len(got) != 0 {
+	if got := p.Holders("/cold", nil); len(got) != 0 {
 		t.Fatalf("/cold holders = %v, want none", got)
 	}
 	if m.Steps() != 1 {
@@ -119,8 +118,8 @@ func TestStepShrinksCooledFile(t *testing.T) {
 	m := NewManager(r, Config{T1Fraction: 0.25})
 	p := newFakePlacer(4)
 	m.Step(p)
-	if len(p.Holders("/was-hot")) != 4 {
-		t.Fatalf("setup: file should be fully replicated, got %v", p.Holders("/was-hot"))
+	if len(p.Holders("/was-hot", nil)) != 4 {
+		t.Fatalf("setup: file should be fully replicated, got %v", p.Holders("/was-hot", nil))
 	}
 	// /was-hot stops being requested while /stays-hot keeps its traffic.
 	// Decay sinks /was-hot through the bands until its replicas vanish.
@@ -128,10 +127,10 @@ func TestStepShrinksCooledFile(t *testing.T) {
 		observeRound()
 		m.Step(p)
 	}
-	if got := p.Holders("/was-hot"); len(got) != 0 {
+	if got := p.Holders("/was-hot", nil); len(got) != 0 {
 		t.Fatalf("cooled file still has replicas: %v", got)
 	}
-	if got := p.Holders("/stays-hot"); len(got) != 4 {
+	if got := p.Holders("/stays-hot", nil); len(got) != 4 {
 		t.Fatalf("hot file should stay replicated: %v", got)
 	}
 	if p.drops == 0 {
@@ -147,7 +146,7 @@ func TestFileFallingOffTableLosesReplicas(t *testing.T) {
 	m := NewManager(r, Config{T1Fraction: 0.25})
 	p := newFakePlacer(4)
 	m.Step(p)
-	if len(p.Holders("/gone")) == 0 {
+	if len(p.Holders("/gone", nil)) == 0 {
 		t.Fatal("setup: /gone should have replicas")
 	}
 	// Decay /gone out of the rank table entirely (counts < 0.01 are
@@ -155,7 +154,7 @@ func TestFileFallingOffTableLosesReplicas(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		m.Step(p)
 	}
-	if got := p.Holders("/gone"); len(got) != 0 {
+	if got := p.Holders("/gone", nil); len(got) != 0 {
 		t.Fatalf("table-absent file keeps replicas: %v", got)
 	}
 }
@@ -178,7 +177,7 @@ func TestStepNoChangeBandPreservesReplicas(t *testing.T) {
 	m.Step(p)
 	// /mid count 20 is in (T1/8=6.25, T1/4=12.5]? No: 20 > 12.5, so it is
 	// in the (T1/4, T1/2] half band -> degree 2: one replica dropped.
-	if got := p.Holders("/mid"); len(got) != 2 {
+	if got := p.Holders("/mid", nil); len(got) != 2 {
 		t.Fatalf("/mid holders = %v, want trimmed to 2", got)
 	}
 }
@@ -197,7 +196,7 @@ func TestStepNoChangeExactBand(t *testing.T) {
 	p.Replicate("/nc", 3)
 	p.pushes = 0
 	m.Step(p)
-	if got := p.Holders("/nc"); len(got) != 1 || got[0] != 3 {
+	if got := p.Holders("/nc", nil); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("NO_CHANGE band must not touch /nc: %v", got)
 	}
 }
@@ -234,7 +233,7 @@ func TestConvergeDeterministicSpread(t *testing.T) {
 	NewManager(r2, Config{T1Fraction: 0.001}).Step(p2)
 	for f := 0; f < 16; f++ {
 		key := fmt.Sprintf("/f%d", f)
-		a, b := p.Holders(key), p2.Holders(key)
+		a, b := p.Holders(key, nil), p2.Holders(key, nil)
 		if len(a) != len(b) {
 			t.Fatalf("placements differ for %s: %v vs %v", key, a, b)
 		}
@@ -256,7 +255,7 @@ func TestMaxFilesCap(t *testing.T) {
 	m.Step(p)
 	count := 0
 	for f := 0; f < 100; f++ {
-		if len(p.Holders(fmt.Sprintf("/f%02d", f))) > 0 {
+		if len(p.Holders(fmt.Sprintf("/f%02d", f), nil)) > 0 {
 			count++
 		}
 	}
