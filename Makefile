@@ -20,6 +20,8 @@
 #                hit-rate band, schedule digest — never on this
 #                machine's speed; leaves each run's final JSON line in
 #                BENCH_<workload>.json
+#   make benchsmoke  every Benchmark* once (-benchtime 1x), so each keeps
+#                compiling and running; it times nothing
 #   make fuzz    run every Fuzz* target for FUZZTIME (default 5s), one
 #                target per invocation; a failing input lands in the
 #                target's testdata/fuzz directory, to be committed under
@@ -37,7 +39,7 @@ COUNT ?= 2
 # fuzz parameter: how long each Fuzz* target runs.
 FUZZTIME ?= 5s
 
-.PHONY: build test race vet allocs stress fuzz bench ci
+.PHONY: build test race vet allocs stress benchsmoke fuzz bench ci
 
 build:
 	$(GO) build ./...
@@ -56,6 +58,9 @@ allocs:
 
 stress:
 	$(GO) test -race -count=$(COUNT) -run '$(RUN)' $(PKG)
+
+benchsmoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Targets are found by name, so a new Fuzz* function joins without an
 # edit here. go test fuzzes one target per invocation.
@@ -82,4 +87,4 @@ bench:
 # test runs before race: the allocation ratchets (every test matching
 # Allocs, which `make allocs` runs alone) skip under the race detector,
 # whose instrumentation allocates.
-ci: build vet test race fuzz bench
+ci: build vet test race benchsmoke fuzz bench

@@ -87,21 +87,31 @@ func (b *DemoBackend) Stats() DemoStats {
 }
 
 // ensureResident loads the file into memory, reporting whether it was
-// already there. The simulated disk read happens outside the lock.
-func (b *DemoBackend) ensureResident(path string, size int64) (hit bool) {
+// already there, and counts the request in the same critical section: a
+// demand request as served and a hit or miss, a prefetch as a prefetch.
+// The simulated disk read happens outside the lock.
+func (b *DemoBackend) ensureResident(path string, size int64, prefetch bool) (hit bool) {
 	b.mu.Lock()
-	if b.cache.Touch(path) {
+	if hit = b.cache.Touch(path); !hit {
 		b.mu.Unlock()
-		return true
+		if b.missLatency > 0 {
+			time.Sleep(b.missLatency)
+		}
+		b.mu.Lock()
+		b.cache.Insert(path, size)
+	}
+	switch {
+	case prefetch:
+		b.stats.Prefetches++
+	case hit:
+		b.stats.Served++
+		b.stats.Hits++
+	default:
+		b.stats.Served++
+		b.stats.Misses++
 	}
 	b.mu.Unlock()
-	if b.missLatency > 0 {
-		time.Sleep(b.missLatency)
-	}
-	b.mu.Lock()
-	b.cache.Insert(path, size)
-	b.mu.Unlock()
-	return false
+	return hit
 }
 
 // ServeHTTP implements http.Handler.
@@ -118,22 +128,11 @@ func (b *DemoBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.Header.Get(PrefetchHeader) != "" {
-		b.ensureResident(r.URL.Path, f.size)
-		b.mu.Lock()
-		b.stats.Prefetches++
-		b.mu.Unlock()
+		b.ensureResident(r.URL.Path, f.size, true)
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	hit := b.ensureResident(r.URL.Path, f.size)
-	b.mu.Lock()
-	b.stats.Served++
-	if hit {
-		b.stats.Hits++
-	} else {
-		b.stats.Misses++
-	}
-	b.mu.Unlock()
+	hit := b.ensureResident(r.URL.Path, f.size, false)
 
 	h := w.Header()
 	h[CacheStateHeader] = cacheMiss
@@ -143,9 +142,33 @@ func (b *DemoBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h["X-Prord-Server"] = b.server
 	h["Content-Type"] = f.contentType
 	h["Content-Length"] = f.length
-	var written int64
-	for written < f.size {
-		chunk := f.pattern
+	f.writeBody(w)
+}
+
+// writeBody writes the file's content: the pattern repeated and cut at
+// the file size. The body goes out in blocks of a pooled copy buffer
+// filled with whole repetitions of the pattern, so every block starts
+// at the pattern's first byte; a pattern longer than the buffer is its
+// own block.
+func (f *demoFile) writeBody(w http.ResponseWriter) {
+	block := f.pattern
+	if f.size > int64(len(block)) && len(block) <= copyBufSize {
+		bufp := copyBufs.Get().(*[]byte)
+		defer copyBufs.Put(bufp)
+		buf := *bufp
+		n := len(buf) / len(block) * len(block)
+		if f.size < int64(n) {
+			// One block holds the whole body.
+			n = int(f.size)
+		}
+		copy(buf, block)
+		for filled := len(block); filled < n; filled *= 2 {
+			copy(buf[filled:n], buf[:filled])
+		}
+		block = buf[:n]
+	}
+	for written := int64(0); written < f.size; {
+		chunk := block
 		if rest := f.size - written; rest < int64(len(chunk)) {
 			chunk = chunk[:rest]
 		}

@@ -232,9 +232,11 @@ func (c *conn) roundTrip(ctx context.Context, r *http.Request) (resp *response, 
 	}
 }
 
-// write sends the request line, Host, the prepared header fields and
-// the body: with Content-Length when its length is known, chunked when
-// not.
+// write sends the request line, Host, the prepared header fields, one
+// X-Forwarded-For field and the body: with Content-Length when its
+// length is known, chunked when not. X-Forwarded-For carries the prior
+// values joined by ", " and then the client's IP; when RemoteAddr is not
+// a host:port the prior values pass through unchanged.
 func (c *conn) write(r *http.Request) error {
 	w := c.bw
 	w.WriteString(r.Method)
@@ -247,11 +249,17 @@ func (c *conn) write(r *http.Request) error {
 		w.WriteString(c.b.host)
 	}
 	w.WriteString("\r\n")
+	clientIP, _, err := net.SplitHostPort(r.RemoteAddr)
+	forwardFor := err == nil
 	//lint:ignore maporder the order of fields with different names carries no meaning (RFC 7230 §3.2.2); one name's values keep theirs
 	for k, vv := range r.Header {
 		switch k {
 		case "Host", "Content-Length", "Transfer-Encoding", "Trailer":
 			continue
+		case "X-Forwarded-For":
+			if forwardFor {
+				continue
+			}
 		}
 		for _, v := range vv {
 			if v == "" && k == "User-Agent" {
@@ -262,6 +270,15 @@ func (c *conn) write(r *http.Request) error {
 			w.WriteString(v)
 			w.WriteString("\r\n")
 		}
+	}
+	if forwardFor {
+		w.WriteString("X-Forwarded-For: ")
+		for _, v := range r.Header["X-Forwarded-For"] {
+			w.WriteString(v)
+			w.WriteString(", ")
+		}
+		w.WriteString(clientIP)
+		w.WriteString("\r\n")
 	}
 	hasBody := r.ContentLength != 0 && r.Body != nil && r.Body != http.NoBody
 	switch {

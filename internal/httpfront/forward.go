@@ -2,7 +2,6 @@ package httpfront
 
 import (
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -30,22 +29,12 @@ func stripHopByHop(h http.Header) {
 	}
 }
 
-// prepareOutbound turns the inbound header map into the outbound one,
-// once per request: every attempt and hedge leg then shares it
-// read-only.
-func prepareOutbound(r *http.Request) {
-	stripHopByHop(r.Header)
-	if ip, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-		if prior := r.Header["X-Forwarded-For"]; len(prior) > 0 {
-			ip = strings.Join(prior, ", ") + ", " + ip
-		}
-		r.Header.Set("X-Forwarded-For", ip)
-	}
-}
+// copyBufSize is the size of the buffers in copyBufs.
+const copyBufSize = 32 << 10
 
-// copyBufs holds the 32 KB buffers response bodies are copied through.
+// copyBufs holds the buffers response bodies are copied through.
 var copyBufs = sync.Pool{New: func() any {
-	b := make([]byte, 32<<10)
+	b := make([]byte, copyBufSize)
 	return &b
 }}
 

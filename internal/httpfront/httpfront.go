@@ -457,7 +457,10 @@ func (d *Distributor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		d.reject(w, false)
 		return
 	}
-	prepareOutbound(r)
+	// The inbound header map becomes the outbound one once per request:
+	// every attempt and hedge leg then shares it read-only, and
+	// conn.write adds X-Forwarded-For on the wire.
+	stripHopByHop(r.Header)
 	server := out.Server
 	d.beginAttempt(server)
 	idempotent := r.Method == http.MethodGet || r.Method == http.MethodHead

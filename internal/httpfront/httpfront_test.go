@@ -44,12 +44,20 @@ func testMiner() *mining.Miner {
 	return mining.Mine(tr, mining.Options{})
 }
 
-// testCluster spins up n demo backends plus a distributor in front.
+// testCluster spins up n demo backends serving testFiles plus a
+// distributor in front.
 func testCluster(t *testing.T, n int, cfg Config) (*Distributor, *httptest.Server, []*DemoBackend) {
+	t.Helper()
+	return demoCluster(t, n, testFiles, cfg)
+}
+
+// demoCluster spins up n demo backends serving files plus a distributor
+// in front.
+func demoCluster(t testing.TB, n int, files map[string]int64, cfg Config) (*Distributor, *httptest.Server, []*DemoBackend) {
 	t.Helper()
 	var backends []*DemoBackend
 	for i := 0; i < n; i++ {
-		b := NewDemoBackend("b"+strconv.Itoa(i), testFiles, 1<<20, 0)
+		b := NewDemoBackend("b"+strconv.Itoa(i), files, 1<<20, 0)
 		backends = append(backends, b)
 		srv := httptest.NewServer(b)
 		t.Cleanup(srv.Close)
