@@ -4,6 +4,7 @@
 // Usage:
 //
 //	prord-sim -exp all                 # every experiment, paper order
+//	prord-sim -exp extras              # every experiment beyond the paper
 //	prord-sim -exp fig7 -scale 0.5     # one experiment at half trace scale
 //	prord-sim -list                    # list experiment ids
 //
@@ -21,7 +22,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id or 'all'")
+		exp      = flag.String("exp", "all", "experiment id, 'all' or 'extras'")
 		scale    = flag.Float64("scale", 0.2, "trace scale (1.0 = the paper's request counts)")
 		seed     = flag.Int64("seed", 42, "workload generation seed")
 		backends = flag.Int("backends", 8, "number of backend servers")
@@ -31,21 +32,15 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()
-	if *scale <= 0 {
-		fmt.Fprintf(os.Stderr, "prord-sim: -scale must be positive, got %g\n", *scale)
-		os.Exit(1)
-	}
-	if *backends <= 0 {
-		fmt.Fprintf(os.Stderr, "prord-sim: -backends must be positive, got %d\n", *backends)
-		os.Exit(1)
-	}
-	if *memFrac <= 0 {
-		fmt.Fprintf(os.Stderr, "prord-sim: -mem must be positive, got %g\n", *memFrac)
-		os.Exit(1)
-	}
-	if *load <= 0 {
-		fmt.Fprintf(os.Stderr, "prord-sim: -load must be positive, got %g\n", *load)
-		os.Exit(1)
+	for _, f := range []struct {
+		name string
+		bad  bool
+		got  any
+	}{{"scale", *scale <= 0, *scale}, {"backends", *backends <= 0, *backends}, {"mem", *memFrac <= 0, *memFrac}, {"load", *load <= 0, *load}} {
+		if f.bad {
+			fmt.Fprintf(os.Stderr, "prord-sim: -%s must be positive, got %v\n", f.name, f.got)
+			os.Exit(1)
+		}
 	}
 
 	if *list {
@@ -64,26 +59,14 @@ func main() {
 
 	var tables []*experiment.Table
 	var err error
-	switch {
-	case *exp == "all":
+	switch *exp {
+	case "all":
 		tables, err = r.All()
-	case *exp == "extras":
-		for _, id := range []string{"dynamic", "predictors", "power", "failover",
-			"frontends", "ablation-order", "ablation-threshold", "ablation-cache",
-			"ablation-predictor"} {
-			var t *experiment.Table
-			t, err = r.ByID(id)
-			if t != nil {
-				tables = append(tables, t)
-			}
-			if err != nil {
-				break
-			}
-		}
+	case "extras":
+		tables, err = r.Extras()
 	default:
 		var t *experiment.Table
-		t, err = r.ByID(*exp)
-		if t != nil {
+		if t, err = r.ByID(*exp); t != nil {
 			tables = append(tables, t)
 		}
 	}

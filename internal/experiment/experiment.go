@@ -8,11 +8,14 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"prord/internal/cluster"
 	"prord/internal/mining"
 	"prord/internal/policy"
+	"prord/internal/randutil"
 	"prord/internal/replicate"
 	"prord/internal/trace"
 )
@@ -97,16 +100,6 @@ func NewRunner(opt Options) *Runner {
 // Options returns the effective options.
 func (r *Runner) Options() Options { return r.opt }
 
-// replay runs tr through cl, adding the run to the runner's tally.
-func (r *Runner) replay(cl *cluster.Cluster, tr *trace.Trace) (*cluster.Result, error) {
-	res, err := cl.Run(tr)
-	if err == nil {
-		r.requests += len(tr.Requests)
-		r.events += res.Events
-	}
-	return res, err
-}
-
 // Simulated reports how many requests the runner has replayed so far,
 // over all its experiments, and how many simulator events that took.
 func (r *Runner) Simulated() (requests int, events uint64) { return r.requests, r.events }
@@ -136,43 +129,23 @@ func presetLoadScale(p trace.Preset) float64 {
 	}
 }
 
-// workload builds the evaluation trace and the miner for a preset. Every
-// call regenerates from the seed, so runs never share mutable state (the
-// PRORD tracker learns online and would otherwise leak across runs).
-func (r *Runner) workload(p trace.Preset) (*trace.Trace, *mining.Miner, error) {
-	_, full, err := trace.GeneratePreset(p, r.opt.Scale, r.opt.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	compress(full, r.opt.LoadFactor*presetLoadScale(p))
-	train, eval := full.Split(r.opt.TrainFraction)
-	miner := mining.Mine(train, r.opt.Mining)
-	return eval, miner, nil
-}
-
 // params builds cluster parameters for a memory fraction: total memory =
 // frac * dataset, split 64/36 between demand and pinned partitions
 // (Table 1's 128 MB / 72 MB ratio). Baseline runs (no features) merge the
 // two, so every policy sees the same total memory.
-func (r *Runner) params(datasetBytes int64, backends int, memFraction float64) cluster.Params {
+func params(datasetBytes int64, backends int, memFraction float64) cluster.Params {
 	p := cluster.DefaultParams()
 	p.Backends = backends
 	total := memFraction * float64(datasetBytes) / float64(backends)
-	app := int64(total * 0.64)
-	pin := int64(total * 0.36)
 	const floor = 64 << 10
-	if app < floor {
-		app = floor
-	}
-	if pin < floor {
-		pin = floor
-	}
-	p.AppMemory = app
-	p.PinnedMemory = pin
+	p.AppMemory = max(int64(total*0.64), floor)
+	p.PinnedMemory = max(int64(total*0.36), floor)
 	return p
 }
 
-// Run describes one simulation cell.
+// Run describes one simulation cell: a workload and a policy, plus what
+// the cell changes from the campaign's options. A zero field keeps the
+// campaign's value.
 type Run struct {
 	Preset   trace.Preset
 	Policy   string
@@ -180,63 +153,283 @@ type Run struct {
 	// Backends and MemoryFraction override the campaign options when > 0.
 	Backends       int
 	MemoryFraction float64
+	// LoadScale multiplies the campaign's LoadFactor when > 0.
+	LoadScale float64
+	// MiningOrder, PrefetchThreshold and Predictor override the
+	// campaign's mining options when set.
+	MiningOrder       int
+	PrefetchThreshold float64
+	Predictor         string
+	// Cache, "LRU" or "GDSF", overrides the campaign's UseGDSF when set.
+	Cache string
+	// DynamicFraction is the share of the site's pages generated per
+	// request (uncacheable).
+	DynamicFraction float64
+	// Power turns on PARD-style power management.
+	Power bool
+	// Distributors is the number of front-end distributors (0 = one).
+	Distributors int
+	// CrashAt, when > 0, crashes backend 0 at that fraction of the eval
+	// trace's requests; RecoverAt, when > 0, brings it back at that
+	// fraction.
+	CrashAt, RecoverAt float64
+}
+
+// options returns the campaign's options with the cell's overrides.
+func (r *Runner) options(run Run) Options {
+	opt := r.opt
+	if run.Backends > 0 {
+		opt.Backends = run.Backends
+	}
+	if run.MemoryFraction > 0 {
+		opt.MemoryFraction = run.MemoryFraction
+	}
+	if run.LoadScale > 0 {
+		opt.LoadFactor *= run.LoadScale
+	}
+	if run.MiningOrder > 0 {
+		opt.Mining.Order = run.MiningOrder
+	}
+	if run.PrefetchThreshold > 0 {
+		opt.Mining.PrefetchThreshold = run.PrefetchThreshold
+	}
+	if run.Predictor != "" {
+		opt.Mining.Predictor = run.Predictor
+	}
+	if run.Cache != "" {
+		opt.UseGDSF = run.Cache == "GDSF"
+	}
+	return opt
+}
+
+// outcome is one replayed cell: the cluster's result, the length of the
+// eval trace and the number of contexts the mined model started with.
+type outcome struct {
+	*cluster.Result
+	requests int
+	contexts int
 }
 
 // Execute runs one cell and returns the cluster result.
 func (r *Runner) Execute(run Run) (*cluster.Result, error) {
-	eval, miner, err := r.workload(run.Preset)
+	o, err := r.run(run)
 	if err != nil {
 		return nil, err
 	}
-	backends := run.Backends
-	if backends <= 0 {
-		backends = r.opt.Backends
+	return o.Result, nil
+}
+
+// workload generates a cell's trace from the seed and splits it into
+// the training prefix the miner reads and the eval trace the cluster
+// replays.
+func workload(run Run, opt Options) (train, eval *trace.Trace, err error) {
+	sc, tc, err := trace.PresetConfigs(run.Preset, opt.Scale)
+	if err != nil {
+		return nil, nil, err
 	}
-	memFrac := run.MemoryFraction
-	if memFrac <= 0 {
-		memFrac = r.opt.MemoryFraction
+	sc.DynamicFraction = run.DynamicFraction
+	rng := randutil.New(opt.Seed)
+	site, err := trace.GenerateSite(sc, rng)
+	if err != nil {
+		return nil, nil, err
 	}
-	pol, err := policy.ByName(run.Policy, backends, policy.Thresholds{})
+	full, err := trace.Generate(run.Preset.String(), site, tc, rng)
+	if err != nil {
+		return nil, nil, err
+	}
+	compress(full, opt.LoadFactor*presetLoadScale(run.Preset))
+	train, eval = full.Split(opt.TrainFraction)
+	return train, eval, nil
+}
+
+// run is the one path from a cell to a replay. It regenerates the
+// workload on every call, so runs never share mutable state (the PRORD
+// tracker learns online and would otherwise leak across runs).
+func (r *Runner) run(run Run) (*outcome, error) {
+	opt := r.options(run)
+	train, eval, err := workload(run, opt)
+	if err != nil {
+		return nil, err
+	}
+	miner := mining.Mine(train, opt.Mining)
+	// Counted before the replay, which teaches the model online.
+	contexts := miner.Model.Contexts()
+	pol, err := policy.ByName(run.Policy, opt.Backends, policy.Thresholds{})
 	if err != nil {
 		return nil, err
 	}
 	// Algorithm 3's period t shrinks with the trace's compressed
 	// timescale so replication still runs several rounds per experiment.
-	replInterval := time.Duration(float64(5*time.Second) / r.opt.LoadFactor)
-	if replInterval < 100*time.Millisecond {
-		replInterval = 100 * time.Millisecond
-	}
-	cl, err := cluster.New(cluster.Config{
-		Params:   r.params(eval.TotalFileBytes(), backends, memFrac),
+	replInterval := max(time.Duration(float64(5*time.Second)/opt.LoadFactor), 100*time.Millisecond)
+	cfg := cluster.Config{
+		Params:   params(eval.TotalFileBytes(), opt.Backends, opt.MemoryFraction),
 		Policy:   pol,
 		Features: run.Features,
 		Miner:    miner,
-		UseGDSF:  r.opt.UseGDSF,
+		UseGDSF:  opt.UseGDSF,
 		// Replicate the hot head only: wide replication of the long tail
 		// evicts demand-cached files for no hit-rate return.
 		ReplicateConfig:     replicate.Config{T1Fraction: 0.05, MaxFiles: 64},
 		ReplicationInterval: replInterval,
-	})
+		Power: cluster.PowerParams{
+			Enabled:  run.Power,
+			Interval: time.Duration(float64(time.Second) / opt.LoadFactor * 10),
+		},
+		Distributors: run.Distributors,
+	}
+	if run.CrashAt > 0 {
+		f := cluster.Failure{At: eval.Requests[int(run.CrashAt*float64(len(eval.Requests)))].Time}
+		if run.RecoverAt > 0 {
+			f.RecoverAt = eval.Requests[int(run.RecoverAt*float64(len(eval.Requests)))].Time
+		}
+		cfg.Failures = []cluster.Failure{f}
+	}
+	cl, err := cluster.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := r.replay(cl, eval)
+	res, err := cl.Run(eval)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %s on %s: %w", run.Policy, run.Preset, err)
 	}
-	return res, nil
+	r.requests += len(eval.Requests)
+	r.events += res.Events
+	return &outcome{Result: res, requests: len(eval.Requests), contexts: contexts}, nil
 }
 
-// featuresFor returns the feature set a named comparison row uses: PRORD
-// gets all three enhancements, baselines get none.
-func featuresFor(policyName string) cluster.Features {
-	if policyName == "PRORD" {
-		return cluster.AllFeatures()
+// row is a table row: its leading text cells and the cells it runs.
+type row struct {
+	lead  []string
+	cells []Run
+}
+
+// col is a table column computed from a row's outcomes, in the order of
+// its cells: its header, the key its raw value is recorded under in
+// Values, its print format and the value.
+type col struct {
+	head, key, format string
+	value             func(o []*outcome) float64
+}
+
+// fill runs each row's cells in order and appends the row to t: its
+// leading cells, then one cell per column. The columns' heads extend
+// t.Header, and a row's values are keyed by its leading cells joined
+// with "/".
+func (r *Runner) fill(t *Table, rows []row, cols ...col) (*Table, error) {
+	for _, c := range cols {
+		t.Header = append(t.Header, c.head)
 	}
-	return cluster.Features{}
+	for _, rw := range rows {
+		outs := make([]*outcome, len(rw.cells))
+		for i, run := range rw.cells {
+			var err error
+			if outs[i], err = r.run(run); err != nil {
+				return nil, err
+			}
+		}
+		label := strings.Join(rw.lead, "/")
+		cells := slices.Clone(rw.lead)
+		for _, c := range cols {
+			v := c.value(outs)
+			cells = append(cells, fmt.Sprintf(c.format, v))
+			t.set(label, c.key, v)
+		}
+		t.Rows = append(t.Rows, cells)
+	}
+	return t, nil
+}
+
+// at reads metric m off a row's i-th cell.
+func at(i int, m func(*outcome) float64) func([]*outcome) float64 {
+	return func(o []*outcome) float64 { return m(o[i]) }
+}
+
+// The metrics columns read off an outcome.
+func throughput(o *outcome) float64 { return o.Throughput }
+func hitRate(o *outcome) float64    { return o.HitRate }
+func respMs(o *outcome) float64     { return float64(o.MeanResponse) / float64(time.Millisecond) }
+func prefetches(o *outcome) float64 { return float64(o.Metrics.Prefetches) }
+func accuracy(o *outcome) float64   { return o.Metrics.PrefetchAccuracy() }
+
+// cell is the comparison cell for a policy on a preset: PRORD gets all
+// three enhancements, baselines get none.
+func cell(p trace.Preset, policyName string) Run {
+	run := Run{Preset: p, Policy: policyName}
+	if policyName == "PRORD" {
+		run.Features = cluster.AllFeatures()
+	}
+	return run
 }
 
 // presets are the three workloads of §5.1 in table order.
 func presets() []trace.Preset {
 	return []trace.Preset{trace.PresetCS, trace.PresetWorldCup, trace.PresetSynthetic}
+}
+
+// experiments is the registry of runnable tables, in the order IDs lists
+// them: the paper's §5 (All) first, then the extras (Extras).
+var experiments = []struct {
+	id    string
+	paper bool
+	build func(*Runner) (*Table, error)
+}{
+	{"table1", true, (*Runner).Table1},
+	{"fig6", true, (*Runner).Fig6},
+	{"fig7", true, (*Runner).Fig7},
+	{"fig8", true, (*Runner).Fig8},
+	{"fig9", true, (*Runner).Fig9},
+	{"scale", true, (*Runner).Scale},
+	{"response", true, (*Runner).ResponseTime},
+	{"hitrate", true, (*Runner).HitRate},
+	{"dynamic", false, (*Runner).Dynamic},
+	{"predictors", false, (*Runner).PredictorComparison},
+	{"power", false, (*Runner).Power},
+	{"failover", false, (*Runner).Failover},
+	{"frontends", false, (*Runner).FrontEnds},
+	{"ablation-order", false, (*Runner).AblationOrder},
+	{"ablation-threshold", false, (*Runner).AblationThreshold},
+	{"ablation-cache", false, (*Runner).AblationCache},
+	{"ablation-predictor", false, (*Runner).AblationPredictor},
+}
+
+// IDs lists the runnable experiment ids.
+func IDs() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// ByID runs one experiment by its table id.
+func (r *Runner) ByID(id string) (*Table, error) {
+	for _, e := range experiments {
+		if e.id == id {
+			return e.build(r)
+		}
+	}
+	return nil, fmt.Errorf("experiment: unknown id %q", id)
+}
+
+// All runs every experiment of the paper's evaluation, in paper order.
+func (r *Runner) All() ([]*Table, error) { return r.campaign(true) }
+
+// Extras runs every experiment beyond the paper's evaluation.
+func (r *Runner) Extras() ([]*Table, error) { return r.campaign(false) }
+
+// campaign runs the registry's paper or extra experiments in order,
+// returning the tables made before any error.
+func (r *Runner) campaign(paper bool) ([]*Table, error) {
+	var out []*Table
+	for _, e := range experiments {
+		if e.paper != paper {
+			continue
+		}
+		t, err := e.build(r)
+		if err != nil {
+			return out, fmt.Errorf("experiment %s: %w", e.id, err)
+		}
+		out = append(out, t)
+	}
+	return out, nil
 }

@@ -8,7 +8,8 @@ import (
 )
 
 // testRunner is small and fast: every experiment stays deterministic, so
-// the shape assertions below are stable.
+// the shape assertions below are stable. Each test builds its own Runner,
+// so the slowest tests run in parallel.
 func testRunner() *Runner {
 	opt := DefaultOptions()
 	opt.Scale = 0.15
@@ -42,6 +43,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFig6DispatchShape(t *testing.T) {
+	t.Parallel()
 	tab, err := testRunner().Fig6()
 	if err != nil {
 		t.Fatal(err)
@@ -56,6 +58,7 @@ func TestFig6DispatchShape(t *testing.T) {
 }
 
 func TestFig7ThroughputShape(t *testing.T) {
+	t.Parallel()
 	tab, err := testRunner().Fig7()
 	if err != nil {
 		t.Fatal(err)
@@ -119,8 +122,8 @@ func TestFig9EnhancementShape(t *testing.T) {
 	}
 	// No enhancement should cripple the system.
 	for _, v := range fig9Variants() {
-		if thr := tab.MustGet(v.Label, "throughput"); thr < 0.85*lard {
-			t.Errorf("%s throughput %v collapsed below 85%% of LARD %v", v.Label, thr, lard)
+		if thr := tab.MustGet(v.lead[0], "throughput"); thr < 0.85*lard {
+			t.Errorf("%s throughput %v collapsed below 85%% of LARD %v", v.lead[0], thr, lard)
 		}
 	}
 }
@@ -139,6 +142,7 @@ func TestScaleConsistency(t *testing.T) {
 }
 
 func TestResponseTimeShape(t *testing.T) {
+	t.Parallel()
 	tab, err := testRunner().ResponseTime()
 	if err != nil {
 		t.Fatal(err)
@@ -153,6 +157,7 @@ func TestResponseTimeShape(t *testing.T) {
 }
 
 func TestHitRateShape(t *testing.T) {
+	t.Parallel()
 	tab, err := testRunner().HitRate()
 	if err != nil {
 		t.Fatal(err)

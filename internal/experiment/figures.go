@@ -2,7 +2,7 @@ package experiment
 
 import (
 	"fmt"
-	"time"
+	"slices"
 
 	"prord/internal/cluster"
 	"prord/internal/trace"
@@ -18,18 +18,18 @@ func (r *Runner) Table1() (*Table, error) {
 		Title:  "System parameters",
 		Header: []string{"Parameter", "Value"},
 	}
-	row := func(name, value string) {
+	add := func(name, value string) {
 		t.Rows = append(t.Rows, []string{name, value})
 	}
-	row("Backend servers", fmt.Sprintf("%d (experiments sweep 6-16)", r.opt.Backends))
-	row("Application memory", fmt.Sprintf("%d MB", p.AppMemory>>20))
-	row("Pinned memory", fmt.Sprintf("%d MB (variable)", p.PinnedMemory>>20))
-	row("Connection latency", p.ConnectionLatency.String())
-	row("TCP handoff latency", p.HandoffLatency.String()+" per request")
-	row("Data transmission (migration)", p.NetPerKB.String()+" per KB")
-	row("Disk latency", fmt.Sprintf("%v fixed + %v per KB (substituted; Table 1 row garbled)", p.DiskFixed, p.DiskPerKB))
-	row("Backend CPU", fmt.Sprintf("%v per request + %v per KB", p.CPUPerRequest, p.CPUPerKB))
-	row("Distributor", fmt.Sprintf("%v per request + %v per dispatch", p.FrontPerRequest, p.DispatchLatency))
+	add("Backend servers", fmt.Sprintf("%d (experiments sweep 6-16)", r.opt.Backends))
+	add("Application memory", fmt.Sprintf("%d MB", p.AppMemory>>20))
+	add("Pinned memory", fmt.Sprintf("%d MB (variable)", p.PinnedMemory>>20))
+	add("Connection latency", p.ConnectionLatency.String())
+	add("TCP handoff latency", p.HandoffLatency.String()+" per request")
+	add("Data transmission (migration)", p.NetPerKB.String()+" per KB")
+	add("Disk latency", fmt.Sprintf("%v fixed + %v per KB (substituted; Table 1 row garbled)", p.DiskFixed, p.DiskPerKB))
+	add("Backend CPU", fmt.Sprintf("%v per request + %v per KB", p.CPUPerRequest, p.CPUPerKB))
+	add("Distributor", fmt.Sprintf("%v per request + %v per dispatch", p.FrontPerRequest, p.DispatchLatency))
 	t.Notes = append(t.Notes, "power parameters (Table 1's ON/OFF/hibernation row) belong to PARD and are outside PRORD's evaluation")
 	return t, nil
 }
@@ -40,37 +40,66 @@ func (r *Runner) Fig6() (*Table, error) {
 	t := &Table{
 		ID:     "fig6",
 		Title:  "Frequency of dispatches (LARD vs PRORD)",
-		Header: []string{"Trace", "Requests", "LARD", "PRORD", "Reduction"},
+		Header: []string{"Trace"},
 	}
-	for _, p := range presets() {
-		lard, err := r.Execute(Run{Preset: p, Policy: "LARD"})
-		if err != nil {
-			return nil, err
-		}
-		prord, err := r.Execute(Run{Preset: p, Policy: "PRORD", Features: cluster.AllFeatures()})
-		if err != nil {
-			return nil, err
-		}
-		reduction := 0.0
-		if lard.Metrics.Dispatches > 0 {
-			reduction = 1 - float64(prord.Metrics.Dispatches)/float64(lard.Metrics.Dispatches)
-		}
-		t.Rows = append(t.Rows, []string{
-			p.String(),
-			fmt.Sprintf("%d", lard.Metrics.Completed),
-			fmt.Sprintf("%d", lard.Metrics.Dispatches),
-			fmt.Sprintf("%d", prord.Metrics.Dispatches),
-			fmt.Sprintf("%.1f%%", 100*reduction),
-		})
-		t.set(p.String(), "LARD", float64(lard.Metrics.Dispatches))
-		t.set(p.String(), "PRORD", float64(prord.Metrics.Dispatches))
-	}
-	return t, nil
+	dispatches := func(o *outcome) float64 { return float64(o.Metrics.Dispatches) }
+	return r.fill(t, byTrace([]string{"LARD", "PRORD"}, 0),
+		col{"Requests", "requests", "%.0f", at(0, func(o *outcome) float64 { return float64(o.Metrics.Completed) })},
+		col{"LARD", "LARD", "%.0f", at(0, dispatches)},
+		col{"PRORD", "PRORD", "%.0f", at(1, dispatches)},
+		col{"Reduction", "reduction", "%.1f%%", func(o []*outcome) float64 {
+			if o[0].Metrics.Dispatches == 0 {
+				return 0
+			}
+			return 100 * (1 - dispatches(o[1])/dispatches(o[0]))
+		}})
 }
 
 // fig7Policies is the comparison set of Fig. 7.
 func fig7Policies() []string {
 	return []string{"WRR", "LARD", "Ext-LARD-PHTTP", "PRORD"}
+}
+
+// sweep is one row per point i < n. Row i runs each policy's comparison
+// cell on the Synthetic trace, changed by point(i, &run), which returns
+// the row's label.
+func sweep(n int, policies []string, point func(i int, run *Run) string) []row {
+	rows := make([]row, n)
+	for i := range rows {
+		for _, polName := range policies {
+			run := cell(trace.PresetSynthetic, polName)
+			rows[i].lead = []string{point(i, &run)}
+			rows[i].cells = append(rows[i].cells, run)
+		}
+	}
+	return rows
+}
+
+// byTrace is a sweep over the three traces; memFraction overrides the
+// campaign's memory when > 0.
+func byTrace(policies []string, memFraction float64) []row {
+	return sweep(len(presets()), policies, func(i int, run *Run) string {
+		run.Preset, run.MemoryFraction = presets()[i], memFraction
+		return run.Preset.String()
+	})
+}
+
+// perPolicy is one column per policy of byTrace's rows, each the
+// policy's metric m printed with format.
+func perPolicy(policies []string, format string, m func(*outcome) float64) []col {
+	cols := make([]col, len(policies))
+	for i, polName := range policies {
+		cols[i] = col{polName, polName, format, at(i, m)}
+	}
+	return cols
+}
+
+// gain is x's percentage gain over base, or 0 without a base.
+func gain(x, base float64) float64 {
+	if base <= 0 {
+		return 0
+	}
+	return 100 * (x - base) / base
 }
 
 // Fig7 regenerates "Throughput Comparison" across WRR, LARD,
@@ -79,35 +108,27 @@ func (r *Runner) Fig7() (*Table, error) {
 	t := &Table{
 		ID:     "fig7",
 		Title:  "Throughput comparison (requests/second)",
-		Header: append([]string{"Trace"}, fig7Policies()...),
+		Header: []string{"Trace"},
+		Notes:  []string{"paper reports PRORD 10-45% over LARD; shapes, not absolute req/s, are comparable"},
 	}
-	t.Header = append(t.Header, "PRORD vs LARD")
-	for _, p := range presets() {
-		row := []string{p.String()}
-		var lardThr, prordThr float64
-		for _, polName := range fig7Policies() {
-			res, err := r.Execute(Run{Preset: p, Policy: polName, Features: featuresFor(polName)})
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.0f", res.Throughput))
-			t.set(p.String(), polName, res.Throughput)
-			switch polName {
-			case "LARD":
-				lardThr = res.Throughput
-			case "PRORD":
-				prordThr = res.Throughput
-			}
+	pols := fig7Policies()
+	// A row's cells follow pols: LARD's is the second, PRORD's the fourth.
+	cols := append(perPolicy(pols, "%.0f", throughput), col{"PRORD vs LARD", "gain", "%+.1f%%",
+		func(o []*outcome) float64 { return gain(o[3].Throughput, o[1].Throughput) }})
+	return r.fill(t, byTrace(pols, 0), cols...)
+}
+
+// lardVsPRORD are the columns of a LARD-then-PRORD sweep: both
+// throughputs and their ratio.
+var lardVsPRORD = []col{
+	{"LARD", "LARD", "%.0f", at(0, throughput)},
+	{"PRORD", "PRORD", "%.0f", at(1, throughput)},
+	{"PRORD/LARD", "ratio", "%.2fx", func(o []*outcome) float64 {
+		if o[0].Throughput <= 0 {
+			return 0
 		}
-		gain := 0.0
-		if lardThr > 0 {
-			gain = 100 * (prordThr - lardThr) / lardThr
-		}
-		row = append(row, fmt.Sprintf("%+.1f%%", gain))
-		t.Rows = append(t.Rows, row)
-	}
-	t.Notes = append(t.Notes, "paper reports PRORD 10-45% over LARD; shapes, not absolute req/s, are comparable")
-	return t, nil
+		return o[1].Throughput / o[0].Throughput
+	}},
 }
 
 // Fig8MemoryPoints are the memory fractions Fig. 8 sweeps.
@@ -119,55 +140,30 @@ func (r *Runner) Fig8() (*Table, error) {
 	t := &Table{
 		ID:     "fig8",
 		Title:  "Throughput vs fraction of site data in backend memory (Synthetic)",
-		Header: []string{"Memory fraction", "LARD", "PRORD", "PRORD/LARD"},
+		Header: []string{"Memory fraction"},
+		Notes:  []string{"the paper's claim: PRORD preserves locality better than LARD as memory shrinks"},
 	}
-	for _, frac := range Fig8MemoryPoints {
-		lard, err := r.Execute(Run{Preset: trace.PresetSynthetic, Policy: "LARD", MemoryFraction: frac})
-		if err != nil {
-			return nil, err
-		}
-		prord, err := r.Execute(Run{Preset: trace.PresetSynthetic, Policy: "PRORD",
-			Features: cluster.AllFeatures(), MemoryFraction: frac})
-		if err != nil {
-			return nil, err
-		}
-		label := fmt.Sprintf("%.0f%%", 100*frac)
-		ratio := 0.0
-		if lard.Throughput > 0 {
-			ratio = prord.Throughput / lard.Throughput
-		}
-		t.Rows = append(t.Rows, []string{
-			label,
-			fmt.Sprintf("%.0f", lard.Throughput),
-			fmt.Sprintf("%.0f", prord.Throughput),
-			fmt.Sprintf("%.2fx", ratio),
-		})
-		t.set(label, "LARD", lard.Throughput)
-		t.set(label, "PRORD", prord.Throughput)
-	}
-	t.Notes = append(t.Notes, "the paper's claim: PRORD preserves locality better than LARD as memory shrinks")
-	return t, nil
+	rows := sweep(len(Fig8MemoryPoints), []string{"LARD", "PRORD"}, func(i int, run *Run) string {
+		run.MemoryFraction = Fig8MemoryPoints[i]
+		return fmt.Sprintf("%.0f%%", 100*run.MemoryFraction)
+	})
+	return r.fill(t, rows, lardVsPRORD...)
 }
 
-// fig9Variants maps the Fig. 9 row labels to policy + feature selections.
-// The enhancements layer onto the LARD baseline exactly as §5.2 describes;
-// PRORD is the combination (with its proactive routing policy).
-func fig9Variants() []struct {
-	Label    string
-	Policy   string
-	Features cluster.Features
-} {
-	return []struct {
-		Label    string
-		Policy   string
-		Features cluster.Features
-	}{
-		{"LARD", "LARD", cluster.Features{}},
-		{"LARD-bundle", "LARD", cluster.Features{Bundle: true}},
-		{"LARD-distribution", "LARD", cluster.Features{Replication: true}},
-		{"LARD-prefetch-nav", "LARD", cluster.Features{NavPrefetch: true}},
-		{"LARD-prefetch-group*", "LARD", cluster.Features{GroupPrefetch: true}},
-		{"PRORD", "PRORD", cluster.AllFeatures()},
+// fig9Variants are the Fig. 9 rows. The enhancements layer onto the LARD
+// baseline exactly as §5.2 describes; PRORD is the combination (with its
+// proactive routing policy).
+func fig9Variants() []row {
+	lard := func(label string, f cluster.Features) row {
+		return row{[]string{label}, []Run{{Preset: trace.PresetCS, Policy: "LARD", Features: f}}}
+	}
+	return []row{
+		lard("LARD", cluster.Features{}),
+		lard("LARD-bundle", cluster.Features{Bundle: true}),
+		lard("LARD-distribution", cluster.Features{Replication: true}),
+		lard("LARD-prefetch-nav", cluster.Features{NavPrefetch: true}),
+		lard("LARD-prefetch-group*", cluster.Features{GroupPrefetch: true}),
+		{[]string{"PRORD"}, []Run{cell(trace.PresetCS, "PRORD")}},
 	}
 }
 
@@ -179,33 +175,21 @@ func (r *Runner) Fig9() (*Table, error) {
 	t := &Table{
 		ID:     "fig9",
 		Title:  "Individual enhancements on CS-Trace (throughput, hit rate, mechanism counts)",
-		Header: []string{"Variant", "Throughput", "Hit rate", "vs LARD", "Replicas", "Prefetches"},
+		Header: []string{"Variant"},
 	}
-	var base float64
-	for _, v := range fig9Variants() {
-		res, err := r.Execute(Run{Preset: trace.PresetCS, Policy: v.Policy, Features: v.Features})
-		if err != nil {
-			return nil, err
-		}
-		if v.Label == "LARD" {
-			base = res.Throughput
-		}
-		gain := 0.0
-		if base > 0 {
-			gain = 100 * (res.Throughput - base) / base
-		}
-		t.Rows = append(t.Rows, []string{
-			v.Label,
-			fmt.Sprintf("%.0f", res.Throughput),
-			fmt.Sprintf("%.3f", res.HitRate),
-			fmt.Sprintf("%+.1f%%", gain),
-			fmt.Sprintf("%d", res.Metrics.Replications),
-			fmt.Sprintf("%d", res.Metrics.Prefetches),
-		})
-		t.set(v.Label, "throughput", res.Throughput)
-		t.set(v.Label, "hitrate", res.HitRate)
-		t.set(v.Label, "replicas", float64(res.Metrics.Replications))
-		t.set(v.Label, "prefetches", float64(res.Metrics.Prefetches))
+	_, err := r.fill(t, fig9Variants(),
+		col{"Throughput", "throughput", "%.0f", at(0, throughput)},
+		col{"Hit rate", "hitrate", "%.3f", at(0, hitRate)},
+		col{"Replicas", "replicas", "%.0f", at(0, func(o *outcome) float64 { return float64(o.Metrics.Replications) })},
+		col{"Prefetches", "prefetches", "%.0f", at(0, prefetches)})
+	if err != nil {
+		return nil, err
+	}
+	// Each row's gain over plain LARD goes after the hit rate.
+	base := t.MustGet("LARD", "throughput")
+	t.Header = slices.Insert(t.Header, 3, "vs LARD")
+	for i, rw := range t.Rows {
+		t.Rows[i] = slices.Insert(rw, 3, fmt.Sprintf("%+.1f%%", gain(t.MustGet(rw[0], "throughput"), base)))
 	}
 	t.Notes = append(t.Notes, "* LARD-prefetch-group is this reproduction's extension (§4.1's category-driven prefetching), not a paper row")
 	return t, nil
@@ -220,34 +204,13 @@ func (r *Runner) Scale() (*Table, error) {
 	t := &Table{
 		ID:     "scale",
 		Title:  "PRORD vs LARD across cluster sizes (Synthetic)",
-		Header: []string{"Backends", "LARD", "PRORD", "PRORD/LARD"},
+		Header: []string{"Backends"},
 	}
-	for _, n := range ScaleBackendCounts {
-		lard, err := r.Execute(Run{Preset: trace.PresetSynthetic, Policy: "LARD", Backends: n})
-		if err != nil {
-			return nil, err
-		}
-		prord, err := r.Execute(Run{Preset: trace.PresetSynthetic, Policy: "PRORD",
-			Features: cluster.AllFeatures(), Backends: n})
-		if err != nil {
-			return nil, err
-		}
-		label := fmt.Sprintf("%d", n)
-		ratio := 0.0
-		if lard.Throughput > 0 {
-			ratio = prord.Throughput / lard.Throughput
-		}
-		t.Rows = append(t.Rows, []string{
-			label,
-			fmt.Sprintf("%.0f", lard.Throughput),
-			fmt.Sprintf("%.0f", prord.Throughput),
-			fmt.Sprintf("%.2fx", ratio),
-		})
-		t.set(label, "LARD", lard.Throughput)
-		t.set(label, "PRORD", prord.Throughput)
-		t.set(label, "ratio", ratio)
-	}
-	return t, nil
+	rows := sweep(len(ScaleBackendCounts), []string{"LARD", "PRORD"}, func(i int, run *Run) string {
+		run.Backends = ScaleBackendCounts[i]
+		return fmt.Sprintf("%d", run.Backends)
+	})
+	return r.fill(t, rows, lardVsPRORD...)
 }
 
 // ResponseTime regenerates §5.2's average response time comparison.
@@ -255,22 +218,10 @@ func (r *Runner) ResponseTime() (*Table, error) {
 	t := &Table{
 		ID:     "response",
 		Title:  "Average response time (ms)",
-		Header: append([]string{"Trace"}, fig7Policies()...),
+		Header: []string{"Trace"},
 	}
-	for _, p := range presets() {
-		row := []string{p.String()}
-		for _, polName := range fig7Policies() {
-			res, err := r.Execute(Run{Preset: p, Policy: polName, Features: featuresFor(polName)})
-			if err != nil {
-				return nil, err
-			}
-			ms := float64(res.MeanResponse) / float64(time.Millisecond)
-			row = append(row, fmt.Sprintf("%.2f", ms))
-			t.set(p.String(), polName, ms)
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+	pols := fig7Policies()
+	return r.fill(t, byTrace(pols, 0), perPolicy(pols, "%.2f", respMs)...)
 }
 
 // HitRate regenerates §5.2's claim: ~30% of the site in memory yields
@@ -279,96 +230,8 @@ func (r *Runner) HitRate() (*Table, error) {
 	t := &Table{
 		ID:     "hitrate",
 		Title:  "Memory hit rates at 30% of site data in memory",
-		Header: []string{"Trace", "WRR", "LARD", "PRORD"},
+		Header: []string{"Trace"},
 	}
-	for _, p := range presets() {
-		row := []string{p.String()}
-		for _, polName := range []string{"WRR", "LARD", "PRORD"} {
-			res, err := r.Execute(Run{Preset: p, Policy: polName,
-				Features: featuresFor(polName), MemoryFraction: 0.3})
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.3f", res.HitRate))
-			t.set(p.String(), polName, res.HitRate)
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-// All runs every experiment in paper order.
-func (r *Runner) All() ([]*Table, error) {
-	type fn struct {
-		name string
-		f    func() (*Table, error)
-	}
-	fns := []fn{
-		{"table1", r.Table1},
-		{"fig6", r.Fig6},
-		{"fig7", r.Fig7},
-		{"fig8", r.Fig8},
-		{"fig9", r.Fig9},
-		{"scale", r.Scale},
-		{"response", r.ResponseTime},
-		{"hitrate", r.HitRate},
-	}
-	var out []*Table
-	for _, x := range fns {
-		t, err := x.f()
-		if err != nil {
-			return out, fmt.Errorf("experiment %s: %w", x.name, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-// ByID runs one experiment by its table id.
-func (r *Runner) ByID(id string) (*Table, error) {
-	switch id {
-	case "table1":
-		return r.Table1()
-	case "fig6":
-		return r.Fig6()
-	case "fig7":
-		return r.Fig7()
-	case "fig8":
-		return r.Fig8()
-	case "fig9":
-		return r.Fig9()
-	case "scale":
-		return r.Scale()
-	case "response":
-		return r.ResponseTime()
-	case "hitrate":
-		return r.HitRate()
-	case "ablation-order":
-		return r.AblationOrder()
-	case "ablation-threshold":
-		return r.AblationThreshold()
-	case "ablation-cache":
-		return r.AblationCache()
-	case "ablation-predictor":
-		return r.AblationPredictor()
-	case "dynamic":
-		return r.Dynamic()
-	case "predictors":
-		return r.PredictorComparison()
-	case "power":
-		return r.Power()
-	case "frontends":
-		return r.FrontEnds()
-	case "failover":
-		return r.Failover()
-	default:
-		return nil, fmt.Errorf("experiment: unknown id %q", id)
-	}
-}
-
-// IDs lists the runnable experiment ids.
-func IDs() []string {
-	return []string{"table1", "fig6", "fig7", "fig8", "fig9", "scale",
-		"response", "hitrate", "dynamic", "predictors", "power", "failover", "frontends",
-		"ablation-order", "ablation-threshold", "ablation-cache", "ablation-predictor"}
+	pols := []string{"WRR", "LARD", "PRORD"}
+	return r.fill(t, byTrace(pols, 0.3), perPolicy(pols, "%.3f", hitRate)...)
 }

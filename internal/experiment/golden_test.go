@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"prord/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current code")
@@ -28,15 +30,9 @@ var goldenCampaigns = sync.OnceValues(func() (map[string][]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var extras []*Table
-	for _, id := range []string{"dynamic", "predictors", "power", "failover",
-		"frontends", "ablation-order", "ablation-threshold", "ablation-cache",
-		"ablation-predictor"} {
-		tab, err := r.ByID(id)
-		if err != nil {
-			return nil, err
-		}
-		extras = append(extras, tab)
+	extras, err := r.Extras()
+	if err != nil {
+		return nil, err
 	}
 	return map[string][]*Table{"all": all, "extras": extras}, nil
 })
@@ -57,6 +53,7 @@ func render(tables []*Table) []byte {
 // `go test ./internal/experiment -run TablesGolden -update` and commits
 // them on their own.
 func TestTablesGolden(t *testing.T) {
+	t.Parallel()
 	campaigns, err := goldenCampaigns()
 	if err != nil {
 		t.Fatal(err)
@@ -77,5 +74,77 @@ func TestTablesGolden(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s differs from the tables at scale 0.05, seed 42 (rerun with -update if the change is intended):\n--- got\n%s\n--- want\n%s", path, got, want)
 		}
+	}
+}
+
+// goldenTable returns the golden campaign's table with the given id.
+func goldenTable(t *testing.T, id string) *Table {
+	t.Helper()
+	campaigns, err := goldenCampaigns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tables := range campaigns {
+		for _, tab := range tables {
+			if tab.ID == id {
+				return tab
+			}
+		}
+	}
+	t.Fatalf("no table %q in the golden campaigns", id)
+	return nil
+}
+
+// TestSameCellSameNumber checks that a cell two tables share reads the
+// same in both: the extras differ from the paper's figures only in the
+// fields their cells set.
+func TestSameCellSameNumber(t *testing.T) {
+	same := func(a *Table, arow, acol string, b *Table, brow, bcol string) {
+		t.Helper()
+		if x, y := a.MustGet(arow, acol), b.MustGet(brow, bcol); x != y {
+			t.Errorf("%s (%s, %s) = %v, but %s (%s, %s) = %v",
+				a.ID, arow, acol, x, b.ID, brow, bcol, y)
+		}
+	}
+	fig7, response, hitrate := goldenTable(t, "fig7"), goldenTable(t, "response"), goldenTable(t, "hitrate")
+	power, dynamic, failover := goldenTable(t, "power"), goldenTable(t, "dynamic"), goldenTable(t, "failover")
+	for _, pol := range []string{"LARD", "PRORD"} {
+		same(power, pol, "throughput", fig7, "Synthetic", pol)
+		same(power, pol, "respms", response, "Synthetic", pol)
+		same(dynamic, "0%", pol, fig7, "Synthetic", pol)
+	}
+	same(failover, "healthy", "hitrate", hitrate, "Synthetic", "PRORD")
+	same(failover, "healthy", "respms", response, "Synthetic", "PRORD")
+}
+
+// TestGDSFReachesEveryCell checks the campaign's cache choice reaches
+// the extras that configure a cluster beyond the paper's cells.
+func TestGDSFReachesEveryCell(t *testing.T) {
+	opt := goldenOptions()
+	opt.UseGDSF = true
+	gdsf, err := NewRunner(opt).Power()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lru := goldenTable(t, "power"); gdsf.String() == lru.String() {
+		t.Errorf("power with UseGDSF reads the same as with LRU:\n%s", gdsf)
+	}
+}
+
+// TestEveryReplayIsCounted checks that Simulated counts the replays an
+// ablation makes: four thresholds, four replays of the eval trace.
+func TestEveryReplayIsCounted(t *testing.T) {
+	opt := goldenOptions()
+	r := NewRunner(opt)
+	if _, err := r.AblationThreshold(); err != nil {
+		t.Fatal(err)
+	}
+	_, full, err := trace.GeneratePreset(trace.PresetSynthetic, opt.Scale, opt.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, eval := full.Split(opt.TrainFraction)
+	if got, _ := r.Simulated(); got != 4*len(eval.Requests) {
+		t.Errorf("Simulated() = %d requests after the threshold ablation, want 4 x %d", got, len(eval.Requests))
 	}
 }
