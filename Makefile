@@ -4,6 +4,10 @@
 #   make test    tier-1 tests, including the lint gate: TestRepoIsClean
 #                runs the repo's determinism/concurrency analyzers
 #                (internal/lint) over the whole module
+#                and TestTablesGolden compares every experiment table with
+#                internal/experiment/testdata/*.golden; after a change
+#                that moves a simulated digit on purpose, rewrite them with
+#                go test ./internal/experiment -run TablesGolden -update
 #   make race    tests under the race detector (includes the storm,
 #                churn and differential suites and the determinism
 #                regressions)
