@@ -176,6 +176,7 @@ func (r *Runner) Fig9() (*Table, error) {
 		ID:     "fig9",
 		Title:  "Individual enhancements on CS-Trace (throughput, hit rate, mechanism counts)",
 		Header: []string{"Variant"},
+		Notes:  []string{"* LARD-prefetch-group is this reproduction's extension (§4.1's category-driven prefetching), not a paper row"},
 	}
 	_, err := r.fill(t, fig9Variants(),
 		col{"Throughput", "throughput", "%.0f", at(0, throughput)},
@@ -191,7 +192,6 @@ func (r *Runner) Fig9() (*Table, error) {
 	for i, rw := range t.Rows {
 		t.Rows[i] = slices.Insert(rw, 3, fmt.Sprintf("%+.1f%%", gain(t.MustGet(rw[0], "throughput"), base)))
 	}
-	t.Notes = append(t.Notes, "* LARD-prefetch-group is this reproduction's extension (§4.1's category-driven prefetching), not a paper row")
 	return t, nil
 }
 
