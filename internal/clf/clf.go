@@ -12,12 +12,14 @@ package clf
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // Entry is one parsed access-log record.
@@ -60,8 +62,14 @@ func (e Entry) String() string {
 
 // Parse parses one CLF line.
 func Parse(line string) (Entry, error) {
+	return parse(strings.TrimSpace(line))
+}
+
+// parse is Parse on a line already trimmed of surrounding white space.
+// On a well-formed line it allocates nothing: every string field of the
+// entry is a substring of line.
+func parse(rest string) (Entry, error) {
 	var e Entry
-	rest := strings.TrimSpace(line)
 	if rest == "" {
 		return e, fmt.Errorf("%w: empty", ErrMalformed)
 	}
@@ -84,7 +92,7 @@ func Parse(line string) (Entry, error) {
 	if end < 0 {
 		return e, fmt.Errorf("%w: unterminated timestamp", ErrMalformed)
 	}
-	ts, err := time.Parse(TimeLayout, rest[1:end])
+	ts, err := parseTime(rest[1:end])
 	if err == nil && ts.Nanosecond() != 0 {
 		// time.Parse accepts a fractional second the layout does not
 		// have, and String could not write it back.
@@ -106,8 +114,8 @@ func Parse(line string) (Entry, error) {
 	reqLine := rest[1 : 1+end]
 	rest = strings.TrimSpace(rest[end+2:])
 
-	parts := strings.Fields(reqLine)
-	switch len(parts) {
+	parts, n := splitRequest(reqLine)
+	switch n {
 	case 3:
 		e.Method, e.Path, e.Proto = parts[0], parts[1], parts[2]
 	case 2:
@@ -137,17 +145,147 @@ func Parse(line string) (Entry, error) {
 	return e, nil
 }
 
-// cutField splits off the first whitespace-delimited field.
+// cutField splits off the first field delimited by spaces or tabs.
 func cutField(s string) (field, rest string, ok bool) {
-	s = strings.TrimLeft(s, " \t")
-	if s == "" {
+	i := skipBlanks(s, 0)
+	if i == len(s) {
 		return "", "", false
 	}
-	i := strings.IndexAny(s, " \t")
-	if i < 0 {
-		return s, "", true
+	j := i
+	for j < len(s) && s[j] != ' ' && s[j] != '\t' {
+		j++
 	}
-	return s[:i], strings.TrimLeft(s[i:], " \t"), true
+	return s[i:j], s[skipBlanks(s, j):], true
+}
+
+// skipBlanks returns the index of the first byte of s at or after i
+// that is neither a space nor a tab.
+func skipBlanks(s string, i int) int {
+	for i < len(s) && (s[i] == ' ' || s[i] == '\t') {
+		i++
+	}
+	return i
+}
+
+// splitRequest splits a request line into its white-space separated
+// words the way strings.Fields does: n is the number of words, and
+// parts holds the first three. A line of printable ASCII and spaces is
+// split on its spaces without allocating; any other line, one with a
+// tab, a control byte or a non-ASCII byte, goes to strings.Fields
+// itself, which also splits on Unicode spaces such as U+0085 and U+00A0.
+func splitRequest(s string) (parts [3]string, n int) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c >= utf8.RuneSelf {
+			words := strings.Fields(s)
+			copy(parts[:], words)
+			return parts, len(words)
+		}
+	}
+	for {
+		for s != "" && s[0] == ' ' {
+			s = s[1:]
+		}
+		if s == "" {
+			return parts, n
+		}
+		end := strings.IndexByte(s, ' ')
+		if end < 0 {
+			end = len(s)
+		}
+		if n < len(parts) {
+			parts[n] = s[:end]
+		}
+		n++
+		s = s[end:]
+	}
+}
+
+// parseTime is time.Parse(TimeLayout, s). The canonical shape
+// "dd/Mon/yyyy:hh:mm:ss ±hhmm", with a day that every month has and an
+// offset below a day, is decoded by hand; any other string, including
+// the ones time.Parse accepts too (a lowercase month, a one-digit
+// day, a fractional second, an offset of +2400), goes to time.Parse.
+func parseTime(s string) (time.Time, error) {
+	if t, ok := parseCanonicalTime(s); ok {
+		return t, nil
+	}
+	return time.Parse(TimeLayout, s)
+}
+
+// parseCanonicalTime decodes the canonical shape of TimeLayout and
+// reports false on anything else. Like time.Parse, it places the result
+// in time.Local when the local zone has the logged offset at that
+// instant, and in an unnamed fixed zone otherwise.
+func parseCanonicalTime(s string) (time.Time, bool) {
+	if len(s) != len(TimeLayout) || s[2] != '/' || s[6] != '/' || s[11] != ':' ||
+		s[14] != ':' || s[17] != ':' || s[20] != ' ' {
+		return time.Time{}, false
+	}
+	month := monthNumber(s[3:6])
+	day, ok1 := twoDigits(s, 0)
+	century, ok2 := twoDigits(s, 7)
+	yy, ok3 := twoDigits(s, 9)
+	hour, ok4 := twoDigits(s, 12)
+	minute, ok5 := twoDigits(s, 15)
+	sec, ok6 := twoDigits(s, 18)
+	offHour, ok7 := twoDigits(s, 22)
+	offMin, ok8 := twoDigits(s, 24)
+	if month == 0 || !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6 && ok7 && ok8) ||
+		day < 1 || day > 28 || hour > 23 || minute > 59 || sec > 59 || offHour > 23 || offMin > 59 {
+		return time.Time{}, false
+	}
+	off := (offHour*60 + offMin) * 60
+	switch s[21] {
+	case '+':
+	case '-':
+		off = -off
+	default:
+		return time.Time{}, false
+	}
+	t := time.Date(100*century+yy, month, day, hour, minute, sec, 0, time.UTC).Add(-time.Duration(off) * time.Second)
+	local := t.In(time.Local)
+	if _, localOff := local.Zone(); localOff == off {
+		return local, true
+	}
+	return t.In(time.FixedZone("", off)), true
+}
+
+// twoDigits decodes the two ASCII digits at s[i:i+2].
+func twoDigits(s string, i int) (int, bool) {
+	hi, lo := s[i]-'0', s[i+1]-'0'
+	return int(hi)*10 + int(lo), hi <= 9 && lo <= 9
+}
+
+// monthNumber maps the three-letter month names time.Format writes to
+// their month, and anything else to 0.
+func monthNumber(s string) time.Month {
+	switch s {
+	case "Jan":
+		return time.January
+	case "Feb":
+		return time.February
+	case "Mar":
+		return time.March
+	case "Apr":
+		return time.April
+	case "May":
+		return time.May
+	case "Jun":
+		return time.June
+	case "Jul":
+		return time.July
+	case "Aug":
+		return time.August
+	case "Sep":
+		return time.September
+	case "Oct":
+		return time.October
+	case "Nov":
+		return time.November
+	case "Dec":
+		return time.December
+	}
+	return 0
 }
 
 // Reader streams entries from an access log. Malformed lines are counted
@@ -156,7 +294,6 @@ func cutField(s string) (field, rest string, ok bool) {
 type Reader struct {
 	sc      *bufio.Scanner
 	skipped int
-	line    int
 }
 
 // NewReader returns a Reader over r. Lines longer than 1 MiB are rejected.
@@ -169,13 +306,12 @@ func NewReader(r io.Reader) *Reader {
 // Next returns the next well-formed entry, or io.EOF when the log is
 // exhausted. I/O errors are returned as-is.
 func (r *Reader) Next() (Entry, error) {
-	for r.sc.Scan() {
-		r.line++
-		text := strings.TrimSpace(r.sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
+	for {
+		line, ok := r.nextLine()
+		if !ok {
+			break
 		}
-		e, err := Parse(text)
+		e, err := parse(line)
 		if err != nil {
 			r.skipped++
 			continue
@@ -188,19 +324,42 @@ func (r *Reader) Next() (Entry, error) {
 	return Entry{}, io.EOF
 }
 
-// ReadAll consumes the remaining entries.
-func (r *Reader) ReadAll() ([]Entry, error) {
-	var out []Entry
-	for {
-		e, err := r.Next()
-		if err == io.EOF {
-			return out, nil
+// nextLine returns the next line that is neither blank nor a comment,
+// trimmed, and false at the end of the log or on an I/O error.
+func (r *Reader) nextLine() (string, bool) {
+	for r.sc.Scan() {
+		if text := bytes.TrimSpace(r.sc.Bytes()); len(text) > 0 && text[0] != '#' {
+			return string(text), true
 		}
+	}
+	return "", false
+}
+
+// ReadAll consumes the remaining entries. It reads every line before it
+// parses any, so that it can parse straight into a slice as long as
+// the log, rather than re-copying a doubling slice of entries.
+func (r *Reader) ReadAll() ([]Entry, error) {
+	var lines []string
+	for {
+		line, ok := r.nextLine()
+		if !ok {
+			break
+		}
+		lines = append(lines, line)
+	}
+	var out []Entry
+	for i, line := range lines {
+		e, err := parse(line)
 		if err != nil {
-			return out, err
+			r.skipped++
+			continue
+		}
+		if out == nil {
+			out = make([]Entry, 0, len(lines)-i)
 		}
 		out = append(out, e)
 	}
+	return out, r.sc.Err()
 }
 
 // Skipped reports how many malformed lines were dropped so far.

@@ -1,0 +1,237 @@
+package clf
+
+import (
+	"fmt"
+	"io"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+)
+
+// timeSeeds are timestamps around the edges of parseTime's fast path:
+// each either takes it or must fall back to time.Parse.
+var timeSeeds = []string{
+	"10/Oct/2000:13:55:36 -0700",
+	"01/Jul/2006:00:00:00 +0000",
+	"28/Feb/2001:23:59:59 +0530",
+	"29/Feb/2004:12:00:00 +0100", // leap year
+	"29/Feb/2001:12:00:00 +0100", // not a leap year
+	"31/Dec/1999:23:59:59 -1200",
+	"01/Jan/2000:00:00:00 +2400",
+	"01/Jan/2000:00:00:00 -0060",
+	"01/Jan/2000:00:00:00 +2401",
+	"01/Jan/2000:00:00:00 -0000",
+	"10/oct/2000:13:55:36 -0700", // lowercase month
+	"1/Oct/2000:13:55:36 -0700",  // one-digit day
+	"10/Oct/2000:13:55:05.5 -0700",
+	"10/Oct/2000:13:55:36 -070",   // 25 bytes
+	"10/Oct/2000:13:55:36 -07000", // 27 bytes
+	"00/Oct/2000:13:55:36 -0700",
+	"10/Oct/2000:24:00:00 -0700",
+	"10/Oct/2000:13:60:00 -0700",
+	"10/Oct/2000:13:55:60 -0700",
+	"10/Oct/0000:13:55:36 -0700",
+	"10/Oct/2000:13:55:36 *0700",
+	"10/Oct/2000 13:55:36 -0700",
+	"10/Oct/2000:13:55:36 -07a0",
+	"",
+}
+
+// sameTime fails t unless parseTime agrees with time.Parse on s: both
+// fail, or both succeed with equal instants in the same zone.
+func sameTime(t *testing.T, s string) {
+	t.Helper()
+	got, gotErr := parseTime(s)
+	want, wantErr := time.Parse(TimeLayout, s)
+	if (gotErr != nil) != (wantErr != nil) {
+		t.Fatalf("parseTime(%q) error %v, time.Parse error %v", s, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	_, gotOff := got.Zone()
+	_, wantOff := want.Zone()
+	if !got.Equal(want) || gotOff != wantOff || got.Location().String() != want.Location().String() {
+		t.Fatalf("parseTime(%q) = %v in %q, time.Parse = %v in %q", s, got, got.Location(), want, want.Location())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parseTime(%q) = %#v, time.Parse = %#v", s, got, want)
+	}
+}
+
+// FuzzParseTime holds parseTime to time.Parse(TimeLayout, ·) on any
+// string: the fast path must decide exactly what time.Parse decides,
+// zone included.
+func FuzzParseTime(f *testing.F) {
+	for _, s := range timeSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(sameTime)
+}
+
+// TestParseTimeLocalZone repeats the seeds with a local zone that has
+// summer time, so an offset is the local zone's in one season and an
+// unnamed fixed zone in the other, as time.Parse decides.
+func TestParseTimeLocalZone(t *testing.T) {
+	berlin, err := time.LoadLocation("Europe/Berlin")
+	if err != nil {
+		t.Skipf("no zone database: %v", err)
+	}
+	saved := time.Local
+	time.Local = berlin
+	defer func() { time.Local = saved }()
+	for _, s := range append(timeSeeds,
+		"10/Jan/2006:12:00:00 +0100", "10/Jan/2006:12:00:00 +0200",
+		"10/Jul/2006:12:00:00 +0100", "10/Jul/2006:12:00:00 +0200") {
+		sameTime(t, s)
+	}
+	if e, err := Parse(`h - - [10/Jul/2006:12:00:00 +0200] "GET / HTTP/1.1" 200 1`); err != nil || e.Time.Location() != time.Local {
+		t.Fatalf("a summer +0200 line in Berlin reads as %v (%v), want the local zone", e.Time, err)
+	}
+}
+
+// FuzzSplitRequest holds splitRequest to strings.Fields.
+func FuzzSplitRequest(f *testing.F) {
+	for _, s := range []string{
+		"GET / HTTP/1.1",
+		"GET /x",
+		"G E T / HTTP/1.1",
+		"",
+		"  \t ",
+		"GET\v/\fHTTP/1.0\r",
+		"GET\u0085/ HTTP/1.1",
+		"GET / HTTP/1.1",
+		"GET /café HTTP/1.1",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		parts, n := splitRequest(s)
+		words := strings.Fields(s)
+		if n != len(words) {
+			t.Fatalf("splitRequest(%q) finds %d words, strings.Fields %d", s, n, len(words))
+		}
+		for i := 0; i < min(n, len(parts)); i++ {
+			if parts[i] != words[i] {
+				t.Fatalf("splitRequest(%q) word %d = %q, strings.Fields %q", s, i, parts[i], words[i])
+			}
+		}
+	})
+}
+
+// TestParseAllocs pins Parse of a well-formed line at zero allocations:
+// its fields are substrings of the line and its timestamp is decoded
+// without time.Parse.
+func TestParseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on paths the production build does not")
+	}
+	for _, line := range []string{sample, `s1 - - [01/Jul/2006:00:00:00 +0000] "GET /g0/p0.html HTTP/1.1" 200 4096`} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := Parse(line); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("Parse(%q) allocates %.1f objects, want 0", line, allocs)
+		}
+	}
+}
+
+// testLog is n lines of access log; with dirty set, every seventh line
+// is malformed and comments and blank lines are mixed in.
+func testLog(n int, dirty bool) string {
+	var b strings.Builder
+	base := time.Date(2006, 7, 1, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < n; i++ {
+		if dirty && i%7 == 3 {
+			b.WriteString("garbage [line\n# comment\n\n")
+			continue
+		}
+		e := Entry{Host: fmt.Sprintf("h%d", i%13), Time: base.Add(time.Duration(i) * time.Second),
+			Method: "GET", Path: fmt.Sprintf("/p%d.html", i%101), Proto: "HTTP/1.1", Status: 200, Bytes: int64(i)}
+		b.WriteString(e.String())
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// readByNext is ReadAll's reference: Next until io.EOF.
+func readByNext(r *Reader) ([]Entry, error) {
+	var out []Entry
+	for {
+		e, err := r.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, e)
+	}
+}
+
+// TestReadAllMatchesNext requires ReadAll to return the entries and
+// the skipped count that reading by Next gives, on clean and dirty logs
+// of lengths around the growth steps of a slice.
+func TestReadAllMatchesNext(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 255, 256, 257, 10000} {
+		for _, dirty := range []bool{false, true} {
+			log := testLog(n, dirty)
+			ref := NewReader(strings.NewReader(log))
+			want, wantErr := readByNext(ref)
+			r := NewReader(strings.NewReader(log))
+			got, err := r.ReadAll()
+			if err != nil || wantErr != nil {
+				t.Fatalf("%d lines: ReadAll error %v, Next error %v", n, err, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d lines (dirty %v): ReadAll differs from reading by Next", n, dirty)
+			}
+			if r.Skipped() != ref.Skipped() {
+				t.Fatalf("%d lines (dirty %v): ReadAll skipped %d, Next %d", n, dirty, r.Skipped(), ref.Skipped())
+			}
+		}
+	}
+	// A log of malformed lines reads as nil, as by Next.
+	r := NewReader(strings.NewReader("garbage\nmore garbage\n"))
+	if got, err := r.ReadAll(); got != nil || err != nil || r.Skipped() != 2 {
+		t.Fatalf("all-malformed log: ReadAll = %v, %v with %d skipped; want nil, nil, 2", got, err, r.Skipped())
+	}
+}
+
+// TestReadAllAllocs caps ReadAll at one allocation per line, the line's
+// string, plus the growth of the slice of lines, the entries and a
+// constant for the reader.
+func TestReadAllAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on paths the production build does not")
+	}
+	const n = 10000
+	log := testLog(n, false)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := NewReader(strings.NewReader(log)).ReadAll(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if ceiling := float64(n + 40); allocs > ceiling {
+		t.Errorf("ReadAll of %d lines allocates %.0f objects, want at most %.0f", n, allocs, ceiling)
+	}
+}
+
+var sinkEntries []Entry
+
+// BenchmarkReadAll reads a 10,000-line log; allocs/op is about one per
+// line.
+func BenchmarkReadAll(b *testing.B) {
+	log := testLog(10000, false)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(log)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if sinkEntries, err = NewReader(strings.NewReader(log)).ReadAll(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

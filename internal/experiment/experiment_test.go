@@ -57,21 +57,31 @@ func TestFig6DispatchShape(t *testing.T) {
 	}
 }
 
-func TestFig7ThroughputShape(t *testing.T) {
+// TestFig7AndResponseShape checks Fig. 7's throughput shape and the
+// response-time table's shape on one replay of the cells both tables
+// are built from: byTrace(fig7Policies(), 0), whose cells follow
+// fig7Policies' order.
+func TestFig7AndResponseShape(t *testing.T) {
 	t.Parallel()
-	tab, err := testRunner().Fig7()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range presets() {
-		wrr := tab.MustGet(p.String(), "WRR")
-		lard := tab.MustGet(p.String(), "LARD")
-		prord := tab.MustGet(p.String(), "PRORD")
-		if prord <= lard {
-			t.Errorf("%s: PRORD %v should beat LARD %v (paper: +10-45%%)", p, prord, lard)
+	r := testRunner()
+	for _, rw := range byTrace(fig7Policies(), 0) {
+		p := rw.lead[0]
+		outs := make([]*outcome, len(rw.cells))
+		for i, run := range rw.cells {
+			var err error
+			if outs[i], err = r.run(run); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if lard <= wrr {
-			t.Errorf("%s: LARD %v should beat WRR %v", p, lard, wrr)
+		wrr, lard, prord := outs[0], outs[1], outs[3]
+		if prord.Throughput <= lard.Throughput {
+			t.Errorf("%s: PRORD %v should beat LARD %v (paper: +10-45%%)", p, prord.Throughput, lard.Throughput)
+		}
+		if lard.Throughput <= wrr.Throughput {
+			t.Errorf("%s: LARD %v should beat WRR %v", p, lard.Throughput, wrr.Throughput)
+		}
+		if respMs(prord) >= respMs(wrr) {
+			t.Errorf("%s: PRORD response %vms should beat WRR %vms", p, respMs(prord), respMs(wrr))
 		}
 	}
 }
@@ -137,21 +147,6 @@ func TestScaleConsistency(t *testing.T) {
 		ratio := tab.MustGet(n, "ratio")
 		if ratio < 0.9 {
 			t.Errorf("%s backends: PRORD/LARD ratio %v fell below 0.9", n, ratio)
-		}
-	}
-}
-
-func TestResponseTimeShape(t *testing.T) {
-	t.Parallel()
-	tab, err := testRunner().ResponseTime()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range presets() {
-		wrr := tab.MustGet(p.String(), "WRR")
-		prord := tab.MustGet(p.String(), "PRORD")
-		if prord >= wrr {
-			t.Errorf("%s: PRORD response %vms should beat WRR %vms", p, prord, wrr)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"prord/internal/clf"
 )
@@ -34,31 +35,56 @@ func WriteCLF(w io.Writer, t *Trace) error {
 	return cw.Flush()
 }
 
-// embeddedExtensions lists object suffixes treated as embedded content
-// when sessionizing real logs where the site structure is unknown.
-var embeddedExtensions = map[string]bool{
-	".gif": true, ".jpg": true, ".jpeg": true, ".png": true, ".ico": true,
-	".css": true, ".js": true, ".class": true, ".swf": true, ".bmp": true,
-	".mp3": true, ".wav": true, ".avi": true, ".mpg": true,
+// pathKind is what a path's extension says about its content.
+type pathKind uint8
+
+const (
+	pageKind     pathKind = iota // a main page, or an unknown extension
+	embeddedKind                 // an embedded object: image, style sheet, applet...
+	dynamicKind                  // generated per request
+)
+
+// extensionKinds classifies the lower-case object suffixes used when
+// sessionizing real logs where the site structure is unknown.
+var extensionKinds = map[string]pathKind{
+	".gif": embeddedKind, ".jpg": embeddedKind, ".jpeg": embeddedKind, ".png": embeddedKind, ".ico": embeddedKind,
+	".css": embeddedKind, ".js": embeddedKind, ".class": embeddedKind, ".swf": embeddedKind, ".bmp": embeddedKind,
+	".mp3": embeddedKind, ".wav": embeddedKind, ".avi": embeddedKind, ".mpg": embeddedKind,
+	".cgi": dynamicKind, ".php": dynamicKind, ".asp": dynamicKind, ".jsp": dynamicKind, ".pl": dynamicKind,
+}
+
+// classifyPath judges p by its file extension, matched without regard
+// to case. An ASCII extension is lowered in a stack buffer; any other
+// goes through strings.ToLower, whose Unicode case mapping can turn a
+// non-ASCII letter into an ASCII one.
+func classifyPath(p string) pathKind {
+	ext := path.Ext(p)
+	for i := 0; i < len(ext); i++ {
+		if ext[i] >= utf8.RuneSelf {
+			return extensionKinds[strings.ToLower(ext)]
+		}
+	}
+	var buf [len(".class")]byte
+	if len(ext) > len(buf) {
+		return pageKind
+	}
+	for i := 0; i < len(ext); i++ {
+		c := ext[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return extensionKinds[string(buf[:len(ext)])]
 }
 
 // IsEmbeddedPath reports whether p looks like an embedded object rather
 // than a main page, judged by its file extension.
-func IsEmbeddedPath(p string) bool {
-	return embeddedExtensions[strings.ToLower(path.Ext(p))]
-}
-
-// dynamicExtensions lists suffixes treated as generated-per-request
-// content when the ground-truth Dynamic flag is unavailable.
-var dynamicExtensions = map[string]bool{
-	".cgi": true, ".php": true, ".asp": true, ".jsp": true, ".pl": true,
-}
+func IsEmbeddedPath(p string) bool { return classifyPath(p) == embeddedKind }
 
 // IsDynamicPath reports whether p looks like dynamically generated
 // (uncacheable) content, judged by its extension.
-func IsDynamicPath(p string) bool {
-	return dynamicExtensions[strings.ToLower(path.Ext(p))]
-}
+func IsDynamicPath(p string) bool { return classifyPath(p) == dynamicKind }
 
 // SessionizeOptions controls CLF import.
 type SessionizeOptions struct {
@@ -87,15 +113,36 @@ func FromCLF(name string, entries []clf.Entry, opt SessionizeOptions) *Trace {
 	if opt.EmbedWindow <= 0 {
 		opt.EmbedWindow = DefaultSessionizeOptions().EmbedWindow
 	}
-	sorted := make([]clf.Entry, len(entries))
-	copy(sorted, entries)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Time.Before(sorted[j].Time) })
-
 	t := &Trace{Name: name, Files: make(map[string]int64)}
-	if len(sorted) == 0 {
+	if len(entries) == 0 {
 		return t
 	}
-	origin := sorted[0].Time
+	// One pass finds whether the log is already in time order, as logs
+	// usually are, its earliest time and how many requests survive the
+	// filter.
+	inOrder, origin, kept := true, entries[0].Time, 0
+	for i := range entries {
+		e := &entries[i]
+		if e.Time.Before(origin) {
+			origin = e.Time
+		}
+		if i > 0 && e.Time.Before(entries[i-1].Time) {
+			inOrder = false
+		}
+		if keep(e) {
+			kept++
+		}
+	}
+	// A log out of order is read through a stably sorted permutation,
+	// leaving the caller's entries as they are.
+	var order []int
+	if !inOrder {
+		order = make([]int, len(entries))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(i, j int) bool { return entries[order[i]].Time.Before(entries[order[j]].Time) })
+	}
 
 	type clientState struct {
 		session  int
@@ -105,9 +152,27 @@ func FromCLF(name string, entries []clf.Entry, opt SessionizeOptions) *Trace {
 	}
 	clients := make(map[string]*clientState)
 	nextSession := 0
+	// files holds each requested path once, in first-request order, with
+	// its extension's verdict and its largest response; reqFile is each
+	// request's index into it.
+	type file struct {
+		path string
+		kind pathKind
+		size int64
+	}
+	var files []file
+	fileIndex := make(map[string]int32)
+	reqFile := make([]int32, 0, kept)
+	if kept > 0 {
+		t.Requests = make([]Request, 0, kept)
+	}
 
-	for _, e := range sorted {
-		if e.Method != "GET" || e.Status >= 400 {
+	for i := range entries {
+		e := &entries[i]
+		if order != nil {
+			e = &entries[order[i]]
+		}
+		if !keep(e) {
 			continue
 		}
 		size := e.Bytes
@@ -122,35 +187,52 @@ func FromCLF(name string, entries []clf.Entry, opt SessionizeOptions) *Trace {
 		}
 		cs.lastSeen = e.Time
 
+		k, ok := fileIndex[e.Path]
+		if !ok {
+			k = int32(len(files))
+			files = append(files, file{path: e.Path, kind: classifyPath(e.Path)})
+			fileIndex[e.Path] = k
+		}
+		f := &files[k]
+		f.size = max(f.size, size)
+		reqFile = append(reqFile, k)
+
 		r := Request{
 			Time:    e.Time.Sub(origin),
 			Session: cs.session,
 			Client:  e.Host,
 			Path:    e.Path,
-			Size:    size,
 			Group:   -1,
-			Dynamic: IsDynamicPath(e.Path),
+			Dynamic: f.kind == dynamicKind,
 		}
-		if IsEmbeddedPath(e.Path) && cs.lastPage != "" &&
-			e.Time.Sub(cs.pageSeen) <= opt.EmbedWindow {
-			r.Embedded = true
-			r.Parent = cs.lastPage
-		} else if !IsEmbeddedPath(e.Path) {
+		if f.kind == embeddedKind {
+			if cs.lastPage != "" && e.Time.Sub(cs.pageSeen) <= opt.EmbedWindow {
+				r.Embedded = true
+				r.Parent = cs.lastPage
+			}
+		} else {
 			cs.lastPage = e.Path
 			cs.pageSeen = e.Time
 		}
-		if size > t.Files[e.Path] {
-			t.Files[e.Path] = size
-		}
 		t.Requests = append(t.Requests, r)
 	}
-	// The file table records the max response size per path; requests must
-	// agree with the table for Validate, so rewrite sizes.
+	// The file table records the max response size per path, leaving
+	// out paths only ever sized 0; requests must agree with the table for
+	// Validate, so they take its sizes.
+	for _, f := range files {
+		if f.size > 0 {
+			t.Files[f.path] = f.size
+		}
+	}
 	for i := range t.Requests {
-		t.Requests[i].Size = t.Files[t.Requests[i].Path]
+		t.Requests[i].Size = files[reqFile[i]].size
 	}
 	return t
 }
+
+// keep reports whether FromCLF turns e into a request: a GET that did
+// not fail.
+func keep(e *clf.Entry) bool { return e.Method == "GET" && e.Status < 400 }
 
 // ReadCLF reads a whole CLF stream and sessionizes it into a trace.
 func ReadCLF(name string, r io.Reader, opt SessionizeOptions) (*Trace, error) {
