@@ -45,8 +45,8 @@ func (r *Runner) FrontEnds() (*Table, error) {
 		Title:  "Decentralized front-end (WorldCup98, elevated load)",
 		Header: []string{"Policy", "Distributors"},
 		Notes: []string{
-			"decentralizing removes the front-end bottleneck (util drops) but floods the backends with a wider concurrent working set, collapsing locality",
-			"the result supports §2.1's skepticism about [4]: parallel distributors are not a free win; PRORD attacks the same bottleneck by eliminating dispatches instead",
+			"decentralizing removes the front-end bottleneck (util drops); under LARD it floods the backends with a wider concurrent working set, collapsing locality and throughput",
+			"PRORD dispatches far less often, keeps its locality and gains from every added distributor: §2.1's skepticism about [4] holds for LARD, not for PRORD",
 		},
 	}
 	var rows []row
