@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"prord/internal/trace"
@@ -57,29 +58,53 @@ func TestFig6DispatchShape(t *testing.T) {
 	}
 }
 
-// TestFig7AndResponseShape checks Fig. 7's throughput shape and the
-// response-time table's shape on one replay of the cells both tables
-// are built from: byTrace(fig7Policies(), 0), whose cells follow
-// fig7Policies' order.
-func TestFig7AndResponseShape(t *testing.T) {
-	t.Parallel()
+// fig7Outcomes replays the cells Fig. 7 and the response-time table
+// are both built from, byTrace(fig7Policies(), 0), once per test binary
+// at testRunner's options. Each row's outcomes follow fig7Policies'
+// order: WRR, LARD, Ext-LARD-PHTTP, PRORD.
+var fig7Outcomes = sync.OnceValues(func() ([][]*outcome, error) {
 	r := testRunner()
-	for _, rw := range byTrace(fig7Policies(), 0) {
-		p := rw.lead[0]
-		outs := make([]*outcome, len(rw.cells))
-		for i, run := range rw.cells {
+	rows := byTrace(fig7Policies(), 0)
+	outs := make([][]*outcome, len(rows))
+	for i, rw := range rows {
+		outs[i] = make([]*outcome, len(rw.cells))
+		for j, run := range rw.cells {
 			var err error
-			if outs[i], err = r.run(run); err != nil {
-				t.Fatal(err)
+			if outs[i][j], err = r.run(run); err != nil {
+				return nil, err
 			}
 		}
-		wrr, lard, prord := outs[0], outs[1], outs[3]
+	}
+	return outs, nil
+})
+
+func TestFig7ThroughputShape(t *testing.T) {
+	t.Parallel()
+	outs, err := fig7Outcomes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rw := range byTrace(fig7Policies(), 0) {
+		p := rw.lead[0]
+		wrr, lard, prord := outs[i][0], outs[i][1], outs[i][3]
 		if prord.Throughput <= lard.Throughput {
 			t.Errorf("%s: PRORD %v should beat LARD %v (paper: +10-45%%)", p, prord.Throughput, lard.Throughput)
 		}
 		if lard.Throughput <= wrr.Throughput {
 			t.Errorf("%s: LARD %v should beat WRR %v", p, lard.Throughput, wrr.Throughput)
 		}
+	}
+}
+
+func TestResponseTimeShape(t *testing.T) {
+	t.Parallel()
+	outs, err := fig7Outcomes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rw := range byTrace(fig7Policies(), 0) {
+		p := rw.lead[0]
+		wrr, prord := outs[i][0], outs[i][3]
 		if respMs(prord) >= respMs(wrr) {
 			t.Errorf("%s: PRORD response %vms should beat WRR %vms", p, respMs(prord), respMs(wrr))
 		}
