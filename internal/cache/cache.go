@@ -6,10 +6,7 @@
 // (Table 1's "pinned memory").
 package cache
 
-import (
-	"container/heap"
-	"container/list"
-)
+import "container/heap"
 
 // Item is a cached object: a web file identified by its URL path.
 type Item struct {
@@ -29,7 +26,8 @@ type Cache interface {
 	// Insert adds the object, evicting as needed. It returns the evicted
 	// items and whether the object now resides in the cache (false when
 	// it is larger than the total capacity). Re-inserting an existing key
-	// updates its size and hit state.
+	// updates its size and hit state. The evicted slice may be a buffer
+	// the cache reuses: it is valid until the cache's next insertion.
 	Insert(key string, size int64) (evicted []Item, ok bool)
 	// Remove drops the object if present.
 	Remove(key string) bool
@@ -45,7 +43,8 @@ type Cache interface {
 // demand cache plus a pinned region for prefetched and replicated pages.
 type Store interface {
 	Cache
-	// InsertPinned places an object in the pinned region.
+	// InsertPinned places an object in the pinned region; its evicted
+	// slice is valid as long as Insert's.
 	InsertPinned(key string, size int64) (evicted []Item, ok bool)
 	// RemovePinned removes key only if it is pinned.
 	RemovePinned(key string) bool
@@ -55,111 +54,46 @@ type Store interface {
 
 // --- LRU ---
 
-// LRU is a least-recently-used cache with byte capacity.
-type LRU struct {
-	capacity int64
-	bytes    int64
-	ll       *list.List // front = most recent
-	items    map[string]*list.Element
-}
-
-type lruEntry struct {
-	key  string
-	size int64
-}
+// LRU is a least-recently-used cache with byte capacity: a Pinning
+// cache that never pins, so its demand list is the whole LRU order.
+type LRU struct{ p Pinning }
 
 // NewLRU returns an LRU cache. It panics if capacity is negative.
-func NewLRU(capacity int64) *LRU {
-	if capacity < 0 {
-		panic("cache: negative capacity")
-	}
-	return &LRU{
-		capacity: capacity,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
-	}
-}
+func NewLRU(capacity int64) *LRU { return &LRU{p: *NewPinning(capacity, 0)} }
 
 // Contains implements Cache.
-func (c *LRU) Contains(key string) bool {
-	_, ok := c.items[key]
-	return ok
-}
+func (c *LRU) Contains(key string) bool { return c.p.Contains(key) }
 
 // Touch implements Cache.
-func (c *LRU) Touch(key string) bool {
-	el, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	c.ll.MoveToFront(el)
-	return true
-}
+func (c *LRU) Touch(key string) bool { return c.p.Touch(key) }
 
-// Insert implements Cache.
+// Insert implements Cache. An object larger than the capacity is
+// rejected, and an earlier entry under its key stays as it was.
 func (c *LRU) Insert(key string, size int64) (evicted []Item, ok bool) {
-	if size < 0 {
-		size = 0
-	}
-	if size > c.capacity {
+	if size > c.p.capacity {
 		return nil, false
 	}
-	if el, exists := c.items[key]; exists {
-		ent := el.Value.(*lruEntry)
-		c.bytes += size - ent.size
-		ent.size = size
-		c.ll.MoveToFront(el)
-	} else {
-		el := c.ll.PushFront(&lruEntry{key: key, size: size})
-		c.items[key] = el
-		c.bytes += size
-	}
-	for c.bytes > c.capacity {
-		back := c.ll.Back()
-		ent := back.Value.(*lruEntry)
-		if ent.key == key {
-			// The inserted item is the eviction victim; keep it (it fits
-			// by the capacity check) and evict from the next-oldest.
-			c.ll.MoveToFront(back)
-			continue
-		}
-		c.removeElement(back)
-		evicted = append(evicted, Item{Key: ent.key, Size: ent.size})
-	}
-	return evicted, true
+	return c.p.Insert(key, size)
 }
 
 // Remove implements Cache.
-func (c *LRU) Remove(key string) bool {
-	el, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	c.removeElement(el)
-	return true
-}
-
-func (c *LRU) removeElement(el *list.Element) {
-	ent := el.Value.(*lruEntry)
-	c.ll.Remove(el)
-	delete(c.items, ent.key)
-	c.bytes -= ent.size
-}
+func (c *LRU) Remove(key string) bool { return c.p.Remove(key) }
 
 // Bytes implements Cache.
-func (c *LRU) Bytes() int64 { return c.bytes }
+func (c *LRU) Bytes() int64 { return c.p.bytes }
 
 // Capacity implements Cache.
-func (c *LRU) Capacity() int64 { return c.capacity }
+func (c *LRU) Capacity() int64 { return c.p.capacity }
 
 // Len implements Cache.
-func (c *LRU) Len() int { return c.ll.Len() }
+func (c *LRU) Len() int { return c.p.Len() }
 
 // Keys returns the cached keys from most to least recently used.
 func (c *LRU) Keys() []string {
-	keys := make([]string, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*lruEntry).key)
+	s := &c.p.s
+	keys := make([]string, 0, c.Len())
+	for i := s.ents[demand].next; i != demand; i = s.ents[i].next {
+		keys = append(keys, s.ents[i].key)
 	}
 	return keys
 }

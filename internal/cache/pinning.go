@@ -1,7 +1,5 @@
 package cache
 
-import "container/list"
-
 // Pinning is a shared-capacity cache with a pinned region of *variable*
 // size, matching Table 1's "Pinned Memory 72 MB (Variable)": demand and
 // pinned objects share one byte budget; pinned bytes are capped by
@@ -18,16 +16,16 @@ type Pinning struct {
 	maxPinned int64
 	bytes     int64
 	pinBytes  int64
-	demand    *list.List // front = most recent
-	pinned    *list.List // front = most recent
-	items     map[string]*list.Element
+	s         slab             // lists demand and pinned, front = most recent
+	items     map[string]int32 // key -> slab index
+	evicted   []Item           // the insertions' reused result buffer
 }
 
-type pinEntry struct {
-	key    string
-	size   int64
-	pinned bool
-}
+// The slab lists of a Pinning cache.
+const (
+	demand int32 = iota
+	pinned
+)
 
 // NewPinning returns a cache with the given total capacity and pinned cap
 // (clamped to capacity). It panics on negative arguments.
@@ -41,9 +39,8 @@ func NewPinning(capacity, maxPinned int64) *Pinning {
 	return &Pinning{
 		capacity:  capacity,
 		maxPinned: maxPinned,
-		demand:    list.New(),
-		pinned:    list.New(),
-		items:     make(map[string]*list.Element),
+		s:         newSlab(2),
+		items:     make(map[string]int32),
 	}
 }
 
@@ -55,22 +52,17 @@ func (c *Pinning) Contains(key string) bool {
 
 // IsPinned reports whether key is resident in the pinned region.
 func (c *Pinning) IsPinned(key string) bool {
-	el, ok := c.items[key]
-	return ok && el.Value.(*pinEntry).pinned
+	i, ok := c.items[key]
+	return ok && c.s.ents[i].list == pinned
 }
 
 // Touch implements Cache.
 func (c *Pinning) Touch(key string) bool {
-	el, ok := c.items[key]
-	if !ok {
-		return false
+	i, ok := c.items[key]
+	if ok {
+		c.s.moveToFront(c.s.ents[i].list, i)
 	}
-	if el.Value.(*pinEntry).pinned {
-		c.pinned.MoveToFront(el)
-	} else {
-		c.demand.MoveToFront(el)
-	}
-	return true
+	return ok
 }
 
 // Insert adds a demand object. It never evicts pinned objects; when the
@@ -79,47 +71,47 @@ func (c *Pinning) Insert(key string, size int64) (evicted []Item, ok bool) {
 	if size < 0 {
 		size = 0
 	}
-	if el, exists := c.items[key]; exists {
-		ent := el.Value.(*pinEntry)
-		if ent.pinned {
-			c.pinned.MoveToFront(el)
+	if i, exists := c.items[key]; exists {
+		ent := &c.s.ents[i]
+		if ent.list == pinned {
+			c.s.moveToFront(pinned, i)
 			return nil, true
 		}
 		if size > c.capacity-c.pinBytes {
-			c.removeElement(el)
+			c.remove(i)
 			return nil, false
 		}
 		c.bytes += size - ent.size
 		ent.size = size
-		c.demand.MoveToFront(el)
-		return c.evictDemandOverflow(key), true
+		c.s.moveToFront(demand, i)
+	} else {
+		if size > c.capacity-c.pinBytes {
+			return nil, false
+		}
+		c.items[key] = c.s.add(demand, key, size)
+		c.bytes += size
 	}
-	if size > c.capacity-c.pinBytes {
-		return nil, false
-	}
-	el := c.demand.PushFront(&pinEntry{key: key, size: size})
-	c.items[key] = el
-	c.bytes += size
-	return c.evictDemandOverflow(key), true
+	c.evicted = c.evicted[:0]
+	c.evictDemandOverflow(key)
+	return c.evicted, true
 }
 
-// evictDemandOverflow drops demand LRU victims until total bytes fit.
-func (c *Pinning) evictDemandOverflow(keep string) []Item {
-	var evicted []Item
+// evictDemandOverflow drops demand LRU victims until total bytes fit,
+// appending them to the eviction buffer.
+func (c *Pinning) evictDemandOverflow(keep string) {
 	for c.bytes > c.capacity {
-		back := c.demand.Back()
-		if back == nil {
+		back := c.s.back(demand)
+		if back == demand {
 			break // only pinned objects remain; caller guaranteed fit
 		}
-		ent := back.Value.(*pinEntry)
+		ent := c.s.ents[back]
 		if ent.key == keep {
-			c.demand.MoveToFront(back)
+			c.s.moveToFront(demand, back)
 			continue
 		}
-		c.removeElement(back)
-		evicted = append(evicted, Item{Key: ent.key, Size: ent.size})
+		c.remove(back)
+		c.evicted = append(c.evicted, Item{Key: ent.key, Size: ent.size})
 	}
-	return evicted
 }
 
 // InsertPinned adds or promotes an object into the pinned region.
@@ -130,77 +122,67 @@ func (c *Pinning) InsertPinned(key string, size int64) (evicted []Item, ok bool)
 	if size > c.maxPinned {
 		return nil, false
 	}
-	if el, exists := c.items[key]; exists {
+	if i, exists := c.items[key]; exists {
 		// Promote or refresh.
-		ent := el.Value.(*pinEntry)
-		if ent.pinned {
-			c.pinBytes += size - ent.size
-			c.bytes += size - ent.size
-			ent.size = size
-			c.pinned.MoveToFront(el)
-		} else {
-			c.demand.Remove(el)
-			c.bytes -= ent.size
-			ent.size = size
-			ent.pinned = true
-			c.items[key] = c.pinned.PushFront(ent)
-			c.bytes += size
-			c.pinBytes += size
+		ent := &c.s.ents[i]
+		if ent.list == pinned {
+			c.pinBytes -= ent.size
 		}
+		c.bytes += size - ent.size
+		c.pinBytes += size
+		ent.size = size
+		c.s.moveToFront(pinned, i)
 	} else {
-		el := c.pinned.PushFront(&pinEntry{key: key, size: size, pinned: true})
-		c.items[key] = el
+		c.items[key] = c.s.add(pinned, key, size)
 		c.bytes += size
 		c.pinBytes += size
 	}
+	c.evicted = c.evicted[:0]
 	// Oldest pinned objects yield past the pinned cap.
 	for c.pinBytes > c.maxPinned {
-		back := c.pinned.Back()
-		ent := back.Value.(*pinEntry)
+		back := c.s.back(pinned)
+		ent := c.s.ents[back]
 		if ent.key == key {
-			c.pinned.MoveToFront(back)
+			c.s.moveToFront(pinned, back)
 			continue
 		}
-		c.removeElement(back)
-		evicted = append(evicted, Item{Key: ent.key, Size: ent.size})
+		c.remove(back)
+		c.evicted = append(c.evicted, Item{Key: ent.key, Size: ent.size})
 	}
 	// Then demand objects yield past the total capacity.
-	evicted = append(evicted, c.evictDemandOverflow("")...)
-	return evicted, true
+	c.evictDemandOverflow("")
+	return c.evicted, true
 }
 
 // Remove implements Cache.
 func (c *Pinning) Remove(key string) bool {
-	el, ok := c.items[key]
-	if !ok {
-		return false
+	i, ok := c.items[key]
+	if ok {
+		c.remove(i)
 	}
-	c.removeElement(el)
-	return true
+	return ok
 }
 
 // RemovePinned removes key only if it is resident and pinned, reporting
 // whether it did. The replication manager uses it to drop replicas
 // without disturbing demand-cached copies.
 func (c *Pinning) RemovePinned(key string) bool {
-	el, ok := c.items[key]
-	if !ok || !el.Value.(*pinEntry).pinned {
+	i, ok := c.items[key]
+	if !ok || c.s.ents[i].list != pinned {
 		return false
 	}
-	c.removeElement(el)
+	c.remove(i)
 	return true
 }
 
-func (c *Pinning) removeElement(el *list.Element) {
-	ent := el.Value.(*pinEntry)
-	if ent.pinned {
-		c.pinned.Remove(el)
+func (c *Pinning) remove(i int32) {
+	ent := &c.s.ents[i]
+	if ent.list == pinned {
 		c.pinBytes -= ent.size
-	} else {
-		c.demand.Remove(el)
 	}
 	c.bytes -= ent.size
 	delete(c.items, ent.key)
+	c.s.release(i)
 }
 
 // Bytes implements Cache.

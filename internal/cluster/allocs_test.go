@@ -11,26 +11,16 @@ import (
 	"prord/internal/trace"
 )
 
-// TestRunAllocsPerRequest is the simulator's allocation ratchet, the
-// counterpart of httpfront's TestForwardAllocs: the benchmark's
-// sim-paper cell in small — the WorldCup preset, PRORD with every
-// feature, memory at 30% of the data set — must replay for at most
-// one and a half heap objects a request, counted over the whole process
-// around Run. Scheduling a request's steps, navigation tracking and
-// planning a pass whose candidates are already marked allocate nothing.
-// What is counted: the pinned cache's list elements and evicted-item
-// slices, a session record and its strconv session key per session,
-// the completion closures of FCFS resources, replica transfers and
-// batched prefetch reads, the files a prefetch plan admits, and the
-// per-run set-up, which a longer trace spreads thinner.
-func TestRunAllocsPerRequest(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	const ceiling = 1.5
+// paperCell returns the benchmark's sim-paper cell in small: the
+// WorldCup preset at scale 0.05, PRORD with every feature on 8
+// backends, memory at 30% of the data set. The returned function
+// builds a fresh cluster on a freshly mined model each call: a cluster
+// is single-use, and the navigation predictor learns in place.
+func paperCell(tb testing.TB) (eval *trace.Trace, build func() *Cluster) {
+	tb.Helper()
 	_, full, err := trace.GeneratePreset(trace.PresetWorldCup, 0.05, 1)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	train, eval := full.Split(0.4)
 	opt := mining.DefaultOptions()
@@ -39,17 +29,40 @@ func TestRunAllocsPerRequest(t *testing.T) {
 	p.Backends = 8
 	per := 0.3 * float64(eval.TotalFileBytes()) / float64(p.Backends)
 	p.AppMemory, p.PinnedMemory = int64(per*0.64), int64(per*0.36)
-	cl, err := New(Config{
-		Params:              p,
-		Policy:              policy.NewPRORD(policy.Thresholds{}),
-		Features:            AllFeatures(),
-		Miner:               mining.Mine(train, opt),
-		ReplicateConfig:     replicate.Config{T1Fraction: 0.05, MaxFiles: 64},
-		ReplicationInterval: 5 * time.Second / 30,
-	})
-	if err != nil {
-		t.Fatal(err)
+	return eval, func() *Cluster {
+		cl, err := New(Config{
+			Params:              p,
+			Policy:              policy.NewPRORD(policy.Thresholds{}),
+			Features:            AllFeatures(),
+			Miner:               mining.Mine(train, opt),
+			ReplicateConfig:     replicate.Config{T1Fraction: 0.05, MaxFiles: 64},
+			ReplicationInterval: 5 * time.Second / 30,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return cl
 	}
+}
+
+// TestRunAllocsPerRequest is the simulator's allocation ratchet, the
+// counterpart of httpfront's TestForwardAllocs: paperCell's replay must
+// allocate at most ceiling heap objects a request, counted over the
+// whole process around Run. Scheduling a request's steps, caching,
+// recycled session records and pooled prefetch reads and replica
+// copies allocate nothing in the steady state. What is counted is
+// growth: one routing record per file the core first meets, a session
+// record and a navigation window per connection open at once, the
+// caches' slabs, the event pools and the per-run set-up, which a
+// longer trace spreads thinner (the benchmark's full-scale sim-paper
+// replay reads about 0.011).
+func TestRunAllocsPerRequest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const ceiling = 0.157
+	eval, build := paperCell(t)
+	cl := build()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -64,6 +77,25 @@ func TestRunAllocsPerRequest(t *testing.T) {
 	perReq := float64(after.Mallocs-before.Mallocs) / float64(len(eval.Requests))
 	t.Logf("%d requests, %d events, %.3f allocations per request", len(eval.Requests), cl.eng.Executed(), perReq)
 	if perReq > ceiling {
-		t.Errorf("Run allocated %.3f objects per request over %d requests, ceiling %.1f", perReq, len(eval.Requests), ceiling)
+		t.Errorf("Run allocated %.3f objects per request over %d requests, ceiling %.3f", perReq, len(eval.Requests), ceiling)
 	}
+}
+
+// BenchmarkRun replays paperCell's trace once per iteration; mining and
+// building the cluster are outside the timer. ns/op and allocs/op are
+// per replay: divide by the request count it reports for a per-request
+// figure.
+func BenchmarkRun(b *testing.B) {
+	eval, build := paperCell(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cl := build()
+		b.StartTimer()
+		if _, err := cl.Run(eval); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(eval.Requests)), "requests/op")
 }

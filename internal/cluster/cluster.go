@@ -127,6 +127,13 @@ type Cluster struct {
 	// the same file at the same backend, so demand traffic piggybacks on
 	// the prefetch disk read instead of issuing a duplicate one.
 	waiters map[waiterKey][]*flight
+	// spareWaiters holds emptied waiters lists for reuse; batches,
+	// transfers and plan are the reused records of prefetch reads,
+	// replica copies and proactive passes.
+	spareWaiters [][]*flight
+	batches      pool[batch]
+	transfers    pool[transfer]
+	plan         dispatch.Plan
 
 	met       metrics.Collector
 	tr        *trace.Trace // the trace Run is replaying
@@ -320,23 +327,38 @@ func (c *Cluster) Replicate(file string, server int) {
 	if !ok || trace.IsDynamicPath(file) || c.down[server] {
 		return // unknown, uncacheable or target crashed
 	}
-	b := c.backends[server]
 	c.replicas[file] = c.replicas[file].Add(server)
 	c.met.Replications++
-	b.net.Schedule(c.dilate(server, perKBCost(size, c.cfg.Params.NetPerKB)), func(_, _ time.Duration) {
-		// The replica may have been dropped — or the backend crashed —
-		// while in transit.
-		if !c.replicas[file].Has(server) || c.down[server] {
-			return
-		}
-		evicted, stored := b.store.InsertPinned(file, size)
-		c.noteEvictions(server, evicted)
-		if stored {
-			c.core.NoteResident(server, file)
-		} else {
-			c.unplace(file, server)
-		}
-	})
+	t := c.transfers.get()
+	*t = transfer{c: c, file: file, server: server, size: size}
+	c.backends[server].net.ScheduleOp(c.dilate(server, perKBCost(size, c.cfg.Params.NetPerKB)), t, 0)
+}
+
+// transfer is one replica copy in flight over a backend's internal
+// link. Transfers are recycled through the cluster's pool.
+type transfer struct {
+	c      *Cluster
+	file   string
+	server int
+	size   int64
+}
+
+// Handle implements sim.Handler: the copy arrived.
+func (t *transfer) Handle(int) {
+	c, file, server, size := t.c, t.file, t.server, t.size
+	c.transfers.put(t)
+	// The replica may have been dropped — or the backend crashed —
+	// while in transit.
+	if !c.replicas[file].Has(server) || c.down[server] {
+		return
+	}
+	evicted, stored := c.backends[server].store.InsertPinned(file, size)
+	c.noteEvictions(server, evicted)
+	if stored {
+		c.core.NoteResident(server, file)
+	} else {
+		c.unplace(file, server)
+	}
 }
 
 // Drop implements replicate.Placer.

@@ -190,7 +190,7 @@ func (c *Cluster) deliver(f *flight, server int) {
 		// batched disk read per trigger ([7]'s premise: bundles are
 		// stored together, so the objects come off in one near-sequential
 		// read).
-		if plan, ok := c.core.PlanProactive(s.key, server, r.Path, c.vnow()); ok {
+		if plan := &c.plan; c.core.PlanInto(plan, s.key, server, r.Path, c.vnow()) {
 			c.prefetchBatch(plan.Server, plan.Bundle)
 			c.prefetchBatch(plan.Server, plan.Nav)
 			c.prefetchBatch(plan.Server, plan.Group)

@@ -99,7 +99,7 @@ func (c *Cluster) Run(tr *trace.Trace) (*Result, error) {
 	bySession := tr.Sessions()
 	sessions := make([]session, 0, len(bySession))
 	for id, idxs := range bySession {
-		sessions = append(sessions, session{id: id, key: strconv.Itoa(id), reqs: idxs})
+		sessions = append(sessions, session{id: id, reqs: idxs})
 	}
 	sort.Slice(sessions, func(i, j int) bool {
 		ti := tr.Requests[sessions[i].reqs[0]].Time
@@ -109,9 +109,18 @@ func (c *Cluster) Run(tr *trace.Trace) (*Result, error) {
 		}
 		return sessions[i].id < sessions[j].id
 	})
+	// Every session key, the id in decimal, is a slice of one string.
+	var digits []byte
+	ends := make([]int, len(sessions))
+	for i := range sessions {
+		digits = strconv.AppendInt(digits, int64(sessions[i].id), 10)
+		ends[i] = len(digits)
+	}
+	keys, from := string(digits), 0
 	c.firstArr = -1
 	for i := range sessions {
 		s := &sessions[i]
+		s.key, from = keys[from:ends[i]], ends[i]
 		s.fl = flight{c: c, s: s}
 		start := tr.Requests[s.reqs[0]].Time
 		if c.firstArr < 0 || start < c.firstArr {
@@ -318,7 +327,11 @@ func (c *Cluster) arriveAtBackend(f *flight) {
 		c.met.MemoryMisses++
 		c.met.PrefetchHits++
 		key := waiterKey{r.Path, server}
-		c.waiters[key] = append(c.waiters[key], f)
+		ws, ok := c.waiters[key]
+		if n := len(c.spareWaiters); !ok && n > 0 {
+			ws, c.spareWaiters = c.spareWaiters[n-1], c.spareWaiters[:n-1]
+		}
+		c.waiters[key] = append(ws, f)
 	default:
 		c.met.MemoryMisses++
 		b.disk.ScheduleOp(
@@ -438,26 +451,41 @@ type waiterKey struct {
 // prefetchBatch reads one trigger's admitted files off the backend disk
 // in a single operation and pins them on completion. The core has
 // already admitted and marked every file; sizes come from the trace's
-// file table (the Prefetchable hook guarantees they are known).
+// file table (the Prefetchable hook guarantees they are known). files
+// is copied, so the caller may reuse it.
 func (c *Cluster) prefetchBatch(server int, files []string) {
 	if len(files) == 0 {
 		return
 	}
-	b := c.backends[server]
-	sizes := make([]int64, len(files))
+	b := c.batches.get()
+	b.c, b.server = c, server
+	b.files = append(b.files[:0], files...)
+	b.sizes = b.sizes[:0]
 	var bytes int64
-	for i, f := range files {
-		sizes[i] = c.files[f]
-		bytes += sizes[i]
+	for _, f := range files {
+		size := c.files[f]
+		b.sizes = append(b.sizes, size)
+		bytes += size
 	}
-	b.disk.Schedule(
-		c.dilate(server, c.cfg.Params.DiskFixed+perKBCost(bytes, c.cfg.Params.DiskPerKB)),
-		func(_, _ time.Duration) {
-			for i, f := range files {
-				c.finishPrefetch(server, f, sizes[i])
-			}
-		},
-	)
+	c.backends[server].disk.ScheduleOp(
+		c.dilate(server, c.cfg.Params.DiskFixed+perKBCost(bytes, c.cfg.Params.DiskPerKB)), b, 0)
+}
+
+// batch is one prefetch read in flight: the files a plan admitted at
+// one backend. Batches are recycled through the cluster's pool.
+type batch struct {
+	c      *Cluster
+	server int
+	files  []string
+	sizes  []int64
+}
+
+// Handle implements sim.Handler: the batch's disk read finished.
+func (b *batch) Handle(int) {
+	for i, f := range b.files {
+		b.c.finishPrefetch(b.server, f, b.sizes[i])
+	}
+	b.c.batches.put(b)
 }
 
 // finishPrefetch inserts a completed prefetch into pinned memory and
@@ -469,6 +497,10 @@ func (c *Cluster) finishPrefetch(server int, file string, size int64) {
 		delete(c.waiters, key)
 		for _, f := range ws {
 			c.serve(f)
+		}
+		if ws != nil {
+			clear(ws)
+			c.spareWaiters = append(c.spareWaiters, ws[:0])
 		}
 	}
 	if !c.core.PrefetchedHere(server, file) || c.down[server] {
@@ -484,3 +516,21 @@ func (c *Cluster) finishPrefetch(server int, file string, size int64) {
 	}
 	release()
 }
+
+// pool is a free list of the records the simulator's events run on.
+// The simulator is single-threaded, so it takes no lock.
+type pool[T any] struct{ free []*T }
+
+// get returns a recycled record, or a new zero one.
+func (p *pool[T]) get() *T {
+	n := len(p.free)
+	if n == 0 {
+		return new(T)
+	}
+	x := p.free[n-1]
+	p.free = p.free[:n-1]
+	return x
+}
+
+// put returns a record whose event has run to the pool.
+func (p *pool[T]) put(x *T) { p.free = append(p.free, x) }

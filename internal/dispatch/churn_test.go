@@ -4,8 +4,9 @@ package dispatch_test
 // detector (`make race`): many goroutines drive the full
 // booking lifecycle — Route, failed attempts, Rebook retries, Done —
 // while two more goroutines keep invalidating backends concurrently,
-// each sweep rewriting the file and session tables mid-flight. After
-// the storm the core's books must balance exactly.
+// each sweep rewriting the file and session tables mid-flight, and
+// closed or evicted sessions' records are recycled across workers.
+// After the storm the core's books must balance exactly.
 
 import (
 	"fmt"
@@ -60,6 +61,11 @@ func TestCoreConcurrentChurn(t *testing.T) {
 				case 1:
 					// Failed attempt with no retry.
 					c.Done(key, out.Server, path, true, false)
+				case 2:
+					// The connection ends: its session record is
+					// recycled for another worker's next connection.
+					c.Done(key, out.Server, path, false, false)
+					c.CloseConn(key)
 				default:
 					c.Done(key, out.Server, path, false, false)
 				}

@@ -160,13 +160,8 @@ const (
 
 // String returns the verdict's lower-case name.
 func (v Verdict) String() string {
-	switch v {
-	case Admitted:
-		return "admitted"
-	case Queued:
-		return "queued"
-	case Shed:
-		return "shed"
+	if v >= Admitted && v <= Shed {
+		return [...]string{"admitted", "queued", "shed"}[v]
 	}
 	return fmt.Sprintf("Verdict(%d)", int(v))
 }
@@ -246,15 +241,6 @@ type Plan struct {
 	Nav []string
 	// Group holds §4.1's category pages.
 	Group []string
-}
-
-// Files returns the plan's targets in one slice, bundle first.
-func (p Plan) Files() []string {
-	out := make([]string, 0, len(p.Bundle)+len(p.Nav)+len(p.Group))
-	out = append(out, p.Bundle...)
-	out = append(out, p.Nav...)
-	out = append(out, p.Group...)
-	return out
 }
 
 // Stats are the core's decision counters. PerBackend is indexed by

@@ -21,27 +21,35 @@ import (
 // From the Elevated tier up the whole pass is shed (counted in
 // PrefetchShed) — speculative work goes first under pressure. ok is
 // false when nothing was planned.
-func (c *Core) PlanProactive(key string, server int, page string, now time.Time) (Plan, bool) {
+func (c *Core) PlanProactive(key string, server int, page string, now time.Time) (plan Plan, ok bool) {
+	ok = c.PlanInto(&plan, key, server, page, now)
+	return plan, ok
+}
+
+// PlanInto is PlanProactive filling a plan the caller owns: its lists
+// are emptied and refilled in place, so reusing one plan allocates
+// nothing once the lists have grown.
+func (c *Core) PlanInto(plan *Plan, key string, server int, page string, now time.Time) bool {
+	*plan = Plan{Bundle: plan.Bundle[:0], Nav: plan.Nav[:0], Group: plan.Group[:0]}
 	if !c.cfg.Features.any() || c.cfg.Miner == nil || trace.IsEmbeddedPath(page) {
-		return Plan{}, false
+		return false
 	}
 	if c.est != nil && c.Tier() >= overload.Elevated {
 		c.stats.prefetchShed.Add(1)
-		return Plan{}, false
+		return false
 	}
 	sh := &c.sessions
+	id := -1
 	sh.mu.Lock()
-	st, ok := sh.byKey[key]
-	var id int
-	if ok {
+	if st, ok := sh.byKey[key]; ok {
 		id = st.id
 	}
 	sh.mu.Unlock()
-	if !ok {
-		return Plan{}, false
+	if id < 0 {
+		return false
 	}
 
-	plan := Plan{Server: server}
+	plan.Server = server
 	if c.cfg.Features.Bundle {
 		// Bundle prefetch is neither budgeted nor cold-filtered: the
 		// page's objects are requested by the browser within milliseconds.
@@ -57,13 +65,13 @@ func (c *Core) PlanProactive(key string, server int, page string, now time.Time)
 			// §4.1: the backend prefetches "a specific group of data
 			// containing currently requested pages" — the predicted page
 			// together with its embedded objects.
-			plan.Nav = c.admitGroup(server, pred.Page, c.cfg.Miner.Bundles.Objects(pred.Page))
+			plan.Nav = c.admitGroup(plan.Nav, server, pred.Page, c.cfg.Miner.Bundles.Objects(pred.Page))
 		}
 	}
 	if c.cfg.Features.GroupPrefetch && c.cfg.Miner.Categorizer != nil {
-		plan.Group = c.groupPrefetch(st, server, page)
+		plan.Group = c.groupPrefetch(plan.Group, key, server, page)
 	}
-	return plan, len(plan.Bundle)+len(plan.Nav)+len(plan.Group) > 0
+	return len(plan.Bundle)+len(plan.Nav)+len(plan.Group) > 0
 }
 
 // observeNav advances a connection's navigation window with the new
@@ -80,32 +88,35 @@ func (c *Core) observeNav(id int, page string) (mining.Prediction, bool) {
 // ("the longer the comparison paths are, the better the confidence of
 // the predicted category"), the group's characteristic pages are pulled
 // into the serving backend's memory. Fires at most once per connection.
-func (c *Core) groupPrefetch(st *session, server int, page string) []string {
+// The admitted pages are appended to out. The session is looked up by
+// key under each lock: once the lock is released its record may be
+// dropped and recycled for another connection.
+func (c *Core) groupPrefetch(out []string, key string, server int, page string) []string {
 	cat := c.cfg.Miner.Categorizer
 	sh := &c.sessions
 	sh.mu.Lock()
-	if st.classified {
-		sh.mu.Unlock()
-		return nil
+	var pages []string
+	if st, ok := sh.byKey[key]; ok && !st.classified {
+		if len(st.pages) == 8 {
+			st.pages = append(st.pages[:0], st.pages[1:]...)
+		}
+		st.pages = append(st.pages, page)
+		pages = append(pages, st.pages...)
 	}
-	pages := append(st.pages, page)
-	if len(pages) > 8 {
-		pages = pages[len(pages)-8:]
-	}
-	st.pages = pages
-	pages = append([]string(nil), pages...)
 	sh.mu.Unlock()
 	if len(pages) < 2 {
-		return nil
+		return out
 	}
 	group, conf := cat.Classify(pages)
 	if conf < 0.8 {
-		return nil
+		return out
 	}
 	sh.mu.Lock()
-	st.classified = true
+	if st, ok := sh.byKey[key]; ok {
+		st.classified = true
+	}
 	sh.mu.Unlock()
-	return c.admitGroup(server, "", cat.TopPages(group, 4))
+	return c.admitGroup(out, server, "", cat.TopPages(group, 4))
 }
 
 // admitGroup applies the navigation-prefetch admission chain to a page
@@ -115,12 +126,12 @@ func (c *Core) groupPrefetch(st *session, server int, page string) []string {
 // skipped: the dispatcher routes requests to existing holders, so a
 // duplicate copy would only churn the disk), then per-file admission.
 // The group is head (none when "") followed by rest, admitted in that
-// order; taking the head apart spares building the group.
-func (c *Core) admitGroup(server int, head string, rest []string) []string {
+// order and appended to out; taking the head apart spares building the
+// group.
+func (c *Core) admitGroup(out []string, server int, head string, rest []string) []string {
 	if c.cfg.NavBudget != nil && !c.cfg.NavBudget(server) {
-		return nil
+		return out
 	}
-	var out []string
 	if head != "" {
 		out = c.admitCold(server, head, out)
 	}

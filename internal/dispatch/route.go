@@ -28,9 +28,8 @@ func (c *Core) Admit(key, path string, now time.Time, grant func()) (Verdict, *o
 	if trace.IsEmbeddedPath(path) {
 		sh := &c.sessions
 		sh.mu.Lock()
-		if st, ok := sh.byKey[key]; ok && st.hasSrv {
-			bypass = true
-		}
+		st, ok := sh.byKey[key]
+		bypass = ok && st.hasSrv
 		sh.mu.Unlock()
 	}
 	c.ovMu.Lock()
@@ -221,8 +220,7 @@ func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
 	hadServer := st.hasSrv
 	prevServer := st.server
 	switched := hadServer && st.server != dec.Server
-	st.server = dec.Server
-	st.hasSrv = true
+	st.server, st.hasSrv = dec.Server, true
 	if !trace.IsEmbeddedPath(path) {
 		st.lastPage = path
 	}
@@ -304,9 +302,7 @@ func (c *Core) Done(key string, server int, path string, failed, retried bool) {
 
 	if failed {
 		c.stats.errors.Add(1)
-		return
-	}
-	if retried {
+	} else if retried {
 		c.stats.failovers.Add(1)
 	}
 }
@@ -345,8 +341,7 @@ func (c *Core) Rebook(key, path string, exclude int, now time.Time) (server int,
 	sh := &c.sessions
 	sh.mu.Lock()
 	if st, okSt := sh.byKey[key]; okSt {
-		st.server = best
-		st.hasSrv = true
+		st.server, st.hasSrv = best, true
 		st.active++
 		conn = st.id
 	}

@@ -177,7 +177,7 @@ func TestCoreBoundsAreExact(t *testing.T) {
 }
 
 // TestLearnAndInvalidateChurn storms the core under the race detector:
-// routing workers drive Route/PlanProactive/Rebook/Done — PlanProactive
+// routing workers drive Route/PlanProactive/Rebook/Done/CloseConn — PlanProactive
 // trains the navigation model in place under trackMu — while a crasher
 // invalidates backends. Afterward the books must balance and
 // the session table must be intact and within its bound.
@@ -227,6 +227,13 @@ func TestLearnAndInvalidateChurn(t *testing.T) {
 					continue
 				}
 				c.Done(key, out.Server, path, false, false)
+				if rng.Intn(8) == 0 {
+					// The live front-end plans after Done, when the
+					// session may already be evicted and its record
+					// recycled for another connection; then it closes.
+					c.PlanProactive(key, out.Server, path, now)
+					c.CloseConn(key)
+				}
 			}
 		}(w)
 	}

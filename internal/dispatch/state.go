@@ -59,10 +59,13 @@ type session struct {
 
 // sessionTable is the core's session table: every tracked connection
 // by key, under one leaf mutex. Session ids come from one counter.
+// Records dropped with no request in flight wait on free for reuse, so
+// connection churn does not allocate a record per connection.
 type sessionTable struct {
 	mu    sync.Mutex
 	seq   int
 	byKey map[string]*session
+	free  []*session
 }
 
 // fileTable is the per-file routing state: one record per path the
@@ -134,7 +137,12 @@ func (c *Core) lookupSession(key string) (st *session, evicted []int) {
 		if len(sh.byKey) >= c.cfg.MaxSessions {
 			evicted = sh.evictIdle()
 		}
-		st = &session{id: sh.seq, key: key}
+		if n := len(sh.free); n > 0 {
+			st, sh.free = sh.free[n-1], sh.free[:n-1]
+		} else {
+			st = new(session)
+		}
+		*st = session{id: sh.seq, key: key, pages: st.pages[:0]}
 		sh.seq++
 		sh.byKey[key] = st
 	}
@@ -149,15 +157,24 @@ func (c *Core) lookupSession(key string) (st *session, evicted []int) {
 // under in-flight requests. Callers hold the table's mutex and must
 // closeIDs the returned ids after releasing it.
 func (sh *sessionTable) evictIdle() (evicted []int) {
-	for key, st := range sh.byKey {
-		if st.active > 0 {
-			continue
+	for _, st := range sh.byKey {
+		if st.active == 0 {
+			evicted = append(evicted, st.id)
+			sh.drop(st)
 		}
-		delete(sh.byKey, key)
-		evicted = append(evicted, st.id)
 	}
 	sort.Ints(evicted)
 	return evicted
+}
+
+// drop removes a session from the table, recycling its record unless a
+// request in flight still holds it. Callers hold the table's mutex.
+func (sh *sessionTable) drop(st *session) {
+	delete(sh.byKey, st.key)
+	if st.active == 0 {
+		clear(st.pages)
+		sh.free = append(sh.free, st)
+	}
 }
 
 // closeIDs releases the navigation tracker's per-connection state for
@@ -179,13 +196,14 @@ func (c *Core) closeIDs(ids []int) {
 func (c *Core) CloseConn(key string) {
 	sh := &c.sessions
 	sh.mu.Lock()
-	st, ok := sh.byKey[key]
-	if ok {
-		delete(sh.byKey, key)
+	id := -1
+	if st, ok := sh.byKey[key]; ok {
+		id = st.id
+		sh.drop(st)
 	}
 	sh.mu.Unlock()
-	if ok {
-		c.closeIDs([]int{st.id})
+	if id >= 0 {
+		c.closeIDs([]int{id})
 	}
 }
 
@@ -472,18 +490,6 @@ func (c *Core) SessionCount() int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return len(sh.byKey)
-}
-
-// SessionBinding reports a session's backend pin, or ok=false when the
-// session is unknown or unbound.
-func (c *Core) SessionBinding(key string) (server int, ok bool) {
-	sh := &c.sessions
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if st, found := sh.byKey[key]; found && st.hasSrv {
-		return st.server, true
-	}
-	return 0, false
 }
 
 // LocalityLen returns the optimistic locality map's entry count for a

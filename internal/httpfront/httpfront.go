@@ -393,8 +393,7 @@ func (d *Distributor) endAttempt(server int, failed bool) {
 // The channel is read under the lock so a concurrent Close can never
 // race the send.
 func (d *Distributor) enqueuePrefetch(plan dispatch.Plan) {
-	files := plan.Files()
-	if len(files) == 0 {
+	if len(plan.Bundle)+len(plan.Nav)+len(plan.Group) == 0 {
 		return
 	}
 	d.hmu.Lock()
@@ -402,13 +401,16 @@ func (d *Distributor) enqueuePrefetch(plan dispatch.Plan) {
 	if d.prefetch == nil {
 		return
 	}
-	for _, file := range files {
-		select {
-		case d.prefetch <- prefetchJob{server: plan.Server, path: file}:
-		default:
-			// The prefetch queue is best-effort; drop under pressure, but
-			// visibly — a saturated hint queue is an overload signal.
-			d.hintsDropped++
+	for _, files := range [...][]string{plan.Bundle, plan.Nav, plan.Group} {
+		for _, file := range files {
+			select {
+			case d.prefetch <- prefetchJob{server: plan.Server, path: file}:
+			default:
+				// The prefetch queue is best-effort; drop under pressure,
+				// but visibly — a saturated hint queue is an overload
+				// signal.
+				d.hintsDropped++
+			}
 		}
 	}
 }

@@ -170,9 +170,6 @@ func BuildProgram(pkgs []*Package) *Program {
 	return prog
 }
 
-// PackageOf returns the analyzed package a node belongs to.
-func (p *Program) PackageOf(n *Node) *Package { return n.Pkg }
-
 type graphBuilder struct {
 	prog  *Program
 	graph *CallGraph

@@ -216,13 +216,12 @@ func FromCLF(name string, entries []clf.Entry, opt SessionizeOptions) *Trace {
 		}
 		t.Requests = append(t.Requests, r)
 	}
-	// The file table records the max response size per path, leaving
-	// out paths only ever sized 0; requests must agree with the table for
-	// Validate, so they take its sizes.
+	// The file table records the max response size of every requested
+	// path, 0 for one never logged with a size (say, only ever answered
+	// 304 with "-"); requests must agree with the table for Validate, so
+	// they take its sizes.
 	for _, f := range files {
-		if f.size > 0 {
-			t.Files[f.path] = f.size
-		}
+		t.Files[f.path] = f.size
 	}
 	for i := range t.Requests {
 		t.Requests[i].Size = files[reqFile[i]].size

@@ -239,12 +239,3 @@ func (s *Site) Bundles() map[string][]string {
 	}
 	return m
 }
-
-// PageIndex returns a map from page path to index in s.Pages.
-func (s *Site) PageIndex() map[string]int {
-	m := make(map[string]int, len(s.Pages))
-	for i := range s.Pages {
-		m[s.Pages[i].Path] = i
-	}
-	return m
-}
