@@ -4,8 +4,7 @@
 // navigation patterns.
 //
 // The example mines a CS-department-like access log, shows what the miner
-// learns (user categorization accuracy, bundle quality, prediction
-// accuracy), then reruns Fig. 9's per-enhancement ablation on the same
+// learns (bundle quality and a next-page prediction), then reruns Fig. 9's per-enhancement ablation on the same
 // workload.
 //
 //	go run ./examples/university-site
@@ -27,23 +26,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	train, eval := full.Split(0.4)
+	train, _ := full.Split(0.4)
 	miner := mining.Mine(train, mining.DefaultOptions())
 
 	stats := full.Stats()
 	fmt.Printf("workload: %d requests, %d files, %d sessions, %.0f%% embedded objects\n",
 		stats.Requests, stats.Files, stats.Sessions, 100*stats.EmbeddedFrac)
 	fmt.Printf("miner:    %s\n\n", miner.Summary())
-
-	// User categorization (§3.1): how well do the first pages of a visit
-	// identify the visitor's group?
-	if miner.Categorizer != nil {
-		for _, k := range []int{1, 2, 4} {
-			acc := miner.Categorizer.Accuracy(eval, k)
-			fmt.Printf("categorization accuracy from first %d page(s): %.2f (chance %.2f)\n",
-				k, acc, 1/float64(miner.Categorizer.Groups()))
-		}
-	}
 
 	// Bundle mining quality against the generator's ground truth (§3.2).
 	precision, recall := miner.Bundles.Score(site.Bundles())

@@ -224,9 +224,8 @@ func New(cfg Config) (*Cluster, error) {
 		Policy:   cfg.Policy,
 		Miner:    cfg.Miner,
 		Features: dispatch.Features{
-			Bundle:        cfg.Features.Bundle,
-			NavPrefetch:   cfg.Features.NavPrefetch,
-			GroupPrefetch: cfg.Features.GroupPrefetch,
+			Bundle:      cfg.Features.Bundle,
+			NavPrefetch: cfg.Features.NavPrefetch,
 		},
 		// The simulator reports ground-truth residency from its modeled
 		// caches; the core never guesses locality.

@@ -234,7 +234,7 @@ func seqTraceForTest() *trace.Trace {
 		Name:  "tiny",
 		Files: map[string]int64{"/a.html": 1024},
 		Requests: []trace.Request{
-			{Session: 0, Client: "c", Path: "/a.html", Size: 1024, Group: 0},
+			{Session: 0, Client: "c", Path: "/a.html", Size: 1024},
 		},
 	}
 }

@@ -104,59 +104,3 @@ func TestStaticOnlySiteHasNoDynamicRequests(t *testing.T) {
 		t.Fatalf("static site served %d dynamic requests", res.Metrics.DynamicServed)
 	}
 }
-
-func TestGroupPrefetch(t *testing.T) {
-	tr, m := testWorkload(t, 3000, 301)
-	if m.Categorizer == nil {
-		t.Fatal("synthetic workload should be labeled")
-	}
-	cl, err := New(Config{
-		Params:   smallParams(4, 4, 2),
-		Policy:   policy.NewLARD(policy.Thresholds{}),
-		Features: Features{GroupPrefetch: true},
-		Miner:    m,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cl.Run(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.Completed != int64(len(tr.Requests)) {
-		t.Fatalf("completed %d of %d", res.Metrics.Completed, len(tr.Requests))
-	}
-	if res.Metrics.Prefetches == 0 {
-		t.Fatal("group prefetch never fired on a labeled workload")
-	}
-}
-
-func TestGroupPrefetchNoCategorizerNoOps(t *testing.T) {
-	// Strip labels so the categorizer cannot be trained.
-	tr, _ := testWorkload(t, 1000, 303)
-	unlabeled := &trace.Trace{Name: "u", Files: tr.Files}
-	for _, r := range tr.Requests {
-		r.Group = -1
-		unlabeled.Requests = append(unlabeled.Requests, r)
-	}
-	m := mining.Mine(unlabeled, mining.Options{})
-	if m.Categorizer != nil {
-		t.Fatal("unlabeled trace should not train a categorizer")
-	}
-	cl, err := New(Config{
-		Params:   smallParams(4, 4, 2),
-		Policy:   policy.NewLARD(policy.Thresholds{}),
-		Features: Features{GroupPrefetch: true},
-		Miner:    m,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cl.Run(unlabeled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.Prefetches != 0 {
-		t.Fatalf("group prefetch fired without a categorizer: %d", res.Metrics.Prefetches)
-	}
-}

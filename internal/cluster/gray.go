@@ -185,7 +185,7 @@ func (c *Cluster) deliver(f *flight, server int) {
 	c.remaining--
 
 	if !trace.IsEmbeddedPath(r.Path) {
-		// PRORD's proactive pass (bundle, navigation, category prefetch):
+		// PRORD's proactive pass (bundle and navigation prefetch):
 		// the core plans and marks placements, the simulator models one
 		// batched disk read per trigger ([7]'s premise: bundles are
 		// stored together, so the objects come off in one near-sequential
@@ -193,7 +193,6 @@ func (c *Cluster) deliver(f *flight, server int) {
 		if plan := &c.plan; c.core.PlanInto(plan, s.key, server, r.Path, c.vnow()) {
 			c.prefetchBatch(plan.Server, plan.Bundle)
 			c.prefetchBatch(plan.Server, plan.Nav)
-			c.prefetchBatch(plan.Server, plan.Group)
 		}
 	}
 	c.scheduleNext(s)

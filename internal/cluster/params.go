@@ -115,16 +115,10 @@ type Features struct {
 	// NavPrefetch enables navigation-pattern prefetching via the n-order
 	// dependency graph (Algorithms 1-2, "LARD-prefetch-nav").
 	NavPrefetch bool
-	// GroupPrefetch enables user-category prefetching (§4.1: once the
-	// user's access path identifies their group with confidence, the
-	// group's characteristic pages are prefetched). Needs a labeled
-	// training trace (Miner.Categorizer != nil); no-ops otherwise.
-	GroupPrefetch bool
 }
 
 // AllFeatures is the full PRORD feature set as evaluated in the paper
-// (bundle forwarding, replication, navigation prefetch). Group prefetch
-// is this reproduction's extension and stays opt-in.
+// (bundle forwarding, replication, navigation prefetch).
 func AllFeatures() Features {
 	return Features{Bundle: true, Replication: true, NavPrefetch: true}
 }
@@ -133,5 +127,5 @@ func AllFeatures() Features {
 // pinned partition is merged into the demand cache so baselines get the
 // same total memory.
 func (f Features) Any() bool {
-	return f.Bundle || f.Replication || f.NavPrefetch || f.GroupPrefetch
+	return f.Bundle || f.Replication || f.NavPrefetch
 }

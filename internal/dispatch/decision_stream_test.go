@@ -48,7 +48,7 @@ func replayDigest(t *testing.T, ov *overload.Config) uint64 {
 		Backends: 4,
 		Policy:   policy.NewPRORD(policy.Thresholds{}),
 		Miner:    m,
-		Features: dispatch.Features{Bundle: true, NavPrefetch: true, GroupPrefetch: true},
+		Features: dispatch.Features{Bundle: true, NavPrefetch: true},
 		Overload: ov,
 		Recorder: func(r dispatch.Record) {
 			fmt.Fprintf(h, "R|%d|%d|%s|%d|%d|%d|%t|%t|%t|%t|%t\n",
@@ -80,7 +80,7 @@ func replayDigest(t *testing.T, ov *overload.Config) uint64 {
 		}
 		if !trace.IsEmbeddedPath(r.Path) {
 			if plan, ok := c.PlanProactive(key, out.Server, r.Path, now); ok {
-				fmt.Fprintf(h, "P|%d|%v|%v|%v\n", plan.Server, plan.Bundle, plan.Nav, plan.Group)
+				fmt.Fprintf(h, "P|%d|%v|%v\n", plan.Server, plan.Bundle, plan.Nav)
 			}
 		}
 		c.Done(key, out.Server, r.Path, false, false)

@@ -263,14 +263,11 @@ func diffRecords(t *testing.T, sim, live []dispatch.Record) {
 }
 
 // TestDifferentialPRORD replays one trace through both adapters with
-// the full PRORD stack (bundle forwarding, navigation and group
-// prefetch) and requires byte-identical decision records.
+// the full PRORD stack (bundle forwarding and navigation prefetch) and
+// requires byte-identical decision records.
 func TestDifferentialPRORD(t *testing.T) {
 	tr, mine := diffWorkload(t, 700, 211)
-	if mine().Categorizer == nil {
-		t.Fatal("synthetic workload should train a categorizer")
-	}
-	feats := cluster.Features{Bundle: true, NavPrefetch: true, GroupPrefetch: true}
+	feats := cluster.Features{Bundle: true, NavPrefetch: true}
 	sim := runSim(t, tr, mine(), policy.NewPRORD(policy.Thresholds{}), feats, nil, 4)
 	live, _ := runLive(t, tr, mine(), policy.NewPRORD(policy.Thresholds{}), true, nil, 4, nil)
 	if len(sim) != len(tr.Requests) {
@@ -295,7 +292,7 @@ func TestDifferentialWRR(t *testing.T) {
 // tier-driven suppression of the proactive pass must match exactly.
 func TestDifferentialOverloadTier(t *testing.T) {
 	tr, mine := diffWorkload(t, 400, 227)
-	feats := cluster.Features{Bundle: true, NavPrefetch: true, GroupPrefetch: true}
+	feats := cluster.Features{Bundle: true, NavPrefetch: true}
 	ov := func() *overload.Config {
 		return &overload.Config{
 			CapacityPerBackend: 100,
@@ -339,7 +336,7 @@ func retries(recs []dispatch.Record) []dispatch.Record {
 // everything after around the corpse identically.
 func TestDifferentialFailStop(t *testing.T) {
 	tr, mine := diffWorkload(t, 600, 229)
-	feats := cluster.Features{Bundle: true, NavPrefetch: true, GroupPrefetch: true}
+	feats := cluster.Features{Bundle: true, NavPrefetch: true}
 	const backends = 4
 	// k opens a session, so the simulator routes it exactly at its trace
 	// time plus the connection setup; of those, take the one nearest the

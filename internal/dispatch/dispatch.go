@@ -56,13 +56,10 @@ type Features struct {
 	Bundle bool
 	// NavPrefetch enables Algorithm 2's navigation prefetch planning.
 	NavPrefetch bool
-	// GroupPrefetch enables §4.1's user-category prefetch planning
-	// (needs Miner.Categorizer; no-ops otherwise).
-	GroupPrefetch bool
 }
 
 // any reports whether any proactive planning feature is on.
-func (f Features) any() bool { return f.Bundle || f.NavPrefetch || f.GroupPrefetch }
+func (f Features) any() bool { return f.Bundle || f.NavPrefetch }
 
 // Config assembles a Core.
 type Config struct {
@@ -72,8 +69,8 @@ type Config struct {
 	// overload ladder on, locality-only LARD replaces it from the
 	// Saturated tier up.
 	Policy policy.Policy
-	// Miner supplies bundles, the navigation predictor and the
-	// categorizer. Required when any Feature is enabled.
+	// Miner supplies bundles and the navigation predictor. Required
+	// when any Feature is enabled.
 	Miner *mining.Miner
 	// Features selects the proactive enhancements the core plans for.
 	Features Features
@@ -103,7 +100,7 @@ type Config struct {
 	// available: it may bring one back (the simulator's wake-on-demand
 	// power path) and return its index.
 	WakeFallback func(now time.Time) (int, bool)
-	// NavBudget, when non-nil, gates navigation/group prefetch planning
+	// NavBudget, when non-nil, gates navigation prefetch planning
 	// per backend (the simulator skips prefetching into a disk already
 	// loaded with demand work). Nil means always.
 	NavBudget func(server int) bool
@@ -239,8 +236,6 @@ type Plan struct {
 	Bundle []string
 	// Nav holds Algorithm 2's predicted next page group.
 	Nav []string
-	// Group holds §4.1's category pages.
-	Group []string
 }
 
 // Stats are the core's decision counters. PerBackend is indexed by

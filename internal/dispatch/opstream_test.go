@@ -335,7 +335,7 @@ func runOpStream(t *testing.T, exact bool, seed int64, steps int) uint64 {
 		Backends:  backends,
 		Policy:    policy.NewPRORD(policy.Thresholds{}),
 		Miner:     m,
-		Features:  dispatch.Features{Bundle: true, NavPrefetch: true, GroupPrefetch: true},
+		Features:  dispatch.Features{Bundle: true, NavPrefetch: true},
 		Exact:     exact,
 		Available: func(s int, _ time.Time) bool { return d.up[s] },
 		Degraded:  func(s int) bool { return d.gray[s] },

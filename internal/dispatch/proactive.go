@@ -10,11 +10,9 @@ import (
 
 // PlanProactive runs PRORD's proactive pass after a main page was
 // served by a backend: bundle prefetch of the page's embedded objects
-// (§4.1), navigation prefetch of the predicted next page group
-// (Algorithm 2), and the one-shot category prefetch once a session's
-// access path identifies the user's group (§4.1). Every admitted file
-// is marked prefetched at the target backend before the plan is
-// returned; the adapter executes the transfers (one batched disk read
+// (§4.1) and navigation prefetch of the predicted next page group
+// (Algorithm 2). Every admitted file is marked prefetched at the target
+// backend before the plan is returned; the adapter executes the transfers (one batched disk read
 // per trigger in the simulator, HTTP hints in the live front-end) and
 // reports failures back through UnmarkPrefetch.
 //
@@ -30,7 +28,7 @@ func (c *Core) PlanProactive(key string, server int, page string, now time.Time)
 // are emptied and refilled in place, so reusing one plan allocates
 // nothing once the lists have grown.
 func (c *Core) PlanInto(plan *Plan, key string, server int, page string, now time.Time) bool {
-	*plan = Plan{Bundle: plan.Bundle[:0], Nav: plan.Nav[:0], Group: plan.Group[:0]}
+	*plan = Plan{Bundle: plan.Bundle[:0], Nav: plan.Nav[:0]}
 	if !c.cfg.Features.any() || c.cfg.Miner == nil || trace.IsEmbeddedPath(page) {
 		return false
 	}
@@ -68,10 +66,7 @@ func (c *Core) PlanInto(plan *Plan, key string, server int, page string, now tim
 			plan.Nav = c.admitGroup(plan.Nav, server, pred.Page, c.cfg.Miner.Bundles.Objects(pred.Page))
 		}
 	}
-	if c.cfg.Features.GroupPrefetch && c.cfg.Miner.Categorizer != nil {
-		plan.Group = c.groupPrefetch(plan.Group, key, server, page)
-	}
-	return len(plan.Bundle)+len(plan.Nav)+len(plan.Group) > 0
+	return len(plan.Bundle)+len(plan.Nav) > 0
 }
 
 // observeNav advances a connection's navigation window with the new
@@ -83,58 +78,19 @@ func (c *Core) observeNav(id int, page string) (mining.Prediction, bool) {
 	return c.tracker.Observe(id, page)
 }
 
-// groupPrefetch implements §4.1's category-driven prefetching: once a
-// connection's access path identifies the user's group with confidence
-// ("the longer the comparison paths are, the better the confidence of
-// the predicted category"), the group's characteristic pages are pulled
-// into the serving backend's memory. Fires at most once per connection.
-// The admitted pages are appended to out. The session is looked up by
-// key under each lock: once the lock is released its record may be
-// dropped and recycled for another connection.
-func (c *Core) groupPrefetch(out []string, key string, server int, page string) []string {
-	cat := c.cfg.Miner.Categorizer
-	sh := &c.sessions
-	sh.mu.Lock()
-	var pages []string
-	if st, ok := sh.byKey[key]; ok && !st.classified {
-		if len(st.pages) == 8 {
-			st.pages = append(st.pages[:0], st.pages[1:]...)
-		}
-		st.pages = append(st.pages, page)
-		pages = append(pages, st.pages...)
-	}
-	sh.mu.Unlock()
-	if len(pages) < 2 {
-		return out
-	}
-	group, conf := cat.Classify(pages)
-	if conf < 0.8 {
-		return out
-	}
-	sh.mu.Lock()
-	if st, ok := sh.byKey[key]; ok {
-		st.classified = true
-	}
-	sh.mu.Unlock()
-	return c.admitGroup(out, server, "", cat.TopPages(group, 4))
-}
-
 // admitGroup applies the navigation-prefetch admission chain to a page
 // group: the adapter's per-backend budget (the simulator skips
 // prefetching into a disk loaded with demand work), a cold filter
 // (files resident — or already marked prefetched — anywhere are
 // skipped: the dispatcher routes requests to existing holders, so a
 // duplicate copy would only churn the disk), then per-file admission.
-// The group is head (none when "") followed by rest, admitted in that
-// order and appended to out; taking the head apart spares building the
-// group.
+// The group is head followed by rest, admitted in that order and
+// appended to out; taking the head apart spares building the group.
 func (c *Core) admitGroup(out []string, server int, head string, rest []string) []string {
 	if c.cfg.NavBudget != nil && !c.cfg.NavBudget(server) {
 		return out
 	}
-	if head != "" {
-		out = c.admitCold(server, head, out)
-	}
+	out = c.admitCold(server, head, out)
 	for _, file := range rest {
 		out = c.admitCold(server, file, out)
 	}

@@ -14,8 +14,6 @@ import (
 // once every candidate it would plan is already marked prefetched: the
 // navigation tracker observes and predicts without allocating, and the
 // predicted group is admitted without being assembled into a slice.
-// Group prefetch is off: until a session is classified, each pass
-// copies its access path for the categorizer.
 func TestPlanProactiveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on paths the production build does not")

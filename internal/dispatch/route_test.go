@@ -192,7 +192,7 @@ func TestLearnAndInvalidateChurn(t *testing.T) {
 		Backends:        backends,
 		Policy:          policy.NewPRORD(policy.Thresholds{}),
 		Miner:           mining.Mine(train, mining.Options{}),
-		Features:        dispatch.Features{Bundle: true, NavPrefetch: true, GroupPrefetch: true},
+		Features:        dispatch.Features{Bundle: true, NavPrefetch: true},
 		LocalityEntries: 512,
 		MaxSessions:     256,
 	})

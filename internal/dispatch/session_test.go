@@ -11,7 +11,7 @@ import (
 // TestSessionRecycling checks the session table's free list: a record
 // dropped by CloseConn or by the idle-eviction valve comes back for a
 // new connection with a fresh id and nothing of its previous life — no
-// binding, last page, group-prefetch path or classification — while a
+// binding or last page — while a
 // record with a request in flight is never reused, so a caller between
 // Route and Done can never write into another connection's state.
 func TestSessionRecycling(t *testing.T) {
@@ -31,10 +31,6 @@ func TestSessionRecycling(t *testing.T) {
 		out := c.Route(key, "/index.html", 100, now)
 		c.Done(key, out.Server, "/index.html", false, false)
 		st := record(key)
-		sh.mu.Lock()
-		st.pages = append(st.pages, "/index.html", "/about.html")
-		st.classified = true
-		sh.mu.Unlock()
 		if !st.hasSrv || st.lastPage != "/index.html" {
 			t.Fatalf("%s: bound %v, last page %q after a routed page", key, st.hasSrv, st.lastPage)
 		}
@@ -42,8 +38,7 @@ func TestSessionRecycling(t *testing.T) {
 	}
 	fresh := func(st *session, key string, oldID int) {
 		t.Helper()
-		if st.key != key || st.id == oldID || st.hasSrv || st.lastPage != "" ||
-			len(st.pages) != 0 || st.classified || st.active != 1 {
+		if st.key != key || st.id == oldID || st.hasSrv || st.lastPage != "" || st.active != 1 {
 			t.Fatalf("recycled record for %s carries its past: %+v (old id %d)", key, *st, oldID)
 		}
 	}

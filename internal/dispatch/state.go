@@ -51,10 +51,6 @@ type session struct {
 	hasSrv   bool
 	active   int // requests currently in flight for this session
 	lastPage string
-	// pages is the recent main-page path used by group prefetch;
-	// classified marks that the one-shot category prefetch already fired.
-	pages      []string
-	classified bool
 }
 
 // sessionTable is the core's session table: every tracked connection
@@ -142,7 +138,7 @@ func (c *Core) lookupSession(key string) (st *session, evicted []int) {
 		} else {
 			st = new(session)
 		}
-		*st = session{id: sh.seq, key: key, pages: st.pages[:0]}
+		*st = session{id: sh.seq, key: key}
 		sh.seq++
 		sh.byKey[key] = st
 	}
@@ -172,7 +168,6 @@ func (sh *sessionTable) evictIdle() (evicted []int) {
 func (sh *sessionTable) drop(st *session) {
 	delete(sh.byKey, st.key)
 	if st.active == 0 {
-		clear(st.pages)
 		sh.free = append(sh.free, st)
 	}
 }

@@ -162,7 +162,6 @@ func fig9Variants() []row {
 		lard("LARD-bundle", cluster.Features{Bundle: true}),
 		lard("LARD-distribution", cluster.Features{Replication: true}),
 		lard("LARD-prefetch-nav", cluster.Features{NavPrefetch: true}),
-		lard("LARD-prefetch-group*", cluster.Features{GroupPrefetch: true}),
 		{[]string{"PRORD"}, []Run{cell(trace.PresetCS, "PRORD")}},
 	}
 }
@@ -176,7 +175,6 @@ func (r *Runner) Fig9() (*Table, error) {
 		ID:     "fig9",
 		Title:  "Individual enhancements on CS-Trace (throughput, hit rate, mechanism counts)",
 		Header: []string{"Variant"},
-		Notes:  []string{"* LARD-prefetch-group is this reproduction's extension (§4.1's category-driven prefetching), not a paper row"},
 	}
 	_, err := r.fill(t, fig9Variants(),
 		col{"Throughput", "throughput", "%.0f", at(0, throughput)},

@@ -266,9 +266,8 @@ func New(cfg Config) (*Distributor, error) {
 			// Bundle classification only needs mined bundles; prefetch
 			// planning additionally needs the Prefetch switch (checked at
 			// PlanProactive call sites).
-			Bundle:        cfg.Miner != nil,
-			NavPrefetch:   cfg.Prefetch,
-			GroupPrefetch: cfg.Prefetch && cfg.Miner != nil && cfg.Miner.Categorizer != nil,
+			Bundle:      cfg.Miner != nil,
+			NavPrefetch: cfg.Prefetch,
 		},
 		Exact:           false,
 		LocalityEntries: cfg.LocalityEntries,
@@ -393,7 +392,7 @@ func (d *Distributor) endAttempt(server int, failed bool) {
 // The channel is read under the lock so a concurrent Close can never
 // race the send.
 func (d *Distributor) enqueuePrefetch(plan dispatch.Plan) {
-	if len(plan.Bundle)+len(plan.Nav)+len(plan.Group) == 0 {
+	if len(plan.Bundle)+len(plan.Nav) == 0 {
 		return
 	}
 	d.hmu.Lock()
@@ -401,7 +400,7 @@ func (d *Distributor) enqueuePrefetch(plan dispatch.Plan) {
 	if d.prefetch == nil {
 		return
 	}
-	for _, files := range [...][]string{plan.Bundle, plan.Nav, plan.Group} {
+	for _, files := range [...][]string{plan.Bundle, plan.Nav} {
 		for _, file := range files {
 			select {
 			case d.prefetch <- prefetchJob{server: plan.Server, path: file}:

@@ -32,7 +32,7 @@ func testMiner() *mining.Miner {
 	add := func(sess int, path, parent string) {
 		tr.Requests = append(tr.Requests, trace.Request{
 			Session: sess, Client: "c", Path: path, Size: testFiles[path],
-			Embedded: parent != "", Parent: parent, Group: -1,
+			Embedded: parent != "", Parent: parent,
 		})
 	}
 	for s := 0; s < 5; s++ {

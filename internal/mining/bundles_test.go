@@ -34,7 +34,7 @@ func TestBundlesTrainWithParentField(t *testing.T) {
 	tr.Files["/x.gif"] = 10
 	tr.Requests = append(tr.Requests, trace.Request{
 		Session: 0, Client: "c", Path: "/x.gif", Size: 10,
-		Embedded: true, Parent: "/p.html", Group: -1,
+		Embedded: true, Parent: "/p.html",
 	})
 	b := NewBundles(0.5)
 	b.Train(tr)
@@ -52,7 +52,7 @@ func TestBundlesTrainHeuristicAttribution(t *testing.T) {
 	}}
 	add := func(sess int, path string) {
 		tr.Requests = append(tr.Requests, trace.Request{
-			Session: sess, Client: "c", Path: path, Size: tr.Files[path], Group: -1,
+			Session: sess, Client: "c", Path: path, Size: tr.Files[path],
 		})
 	}
 	add(0, "/p.html")

@@ -56,18 +56,16 @@ func (o Options) withDefaults() Options {
 
 // Miner bundles every mining product PRORD consumes: the navigation model
 // for prefetching, the embedded-object table for bundle forwarding and
-// prefetching, the popularity ranker for replication, and (when the
-// training trace is labeled) the user categorizer.
+// prefetching and the popularity ranker for replication.
 type Miner struct {
 	Options Options
 	Model   *Model
 	// Nav is the navigation predictor driving Algorithm 2's prefetching,
 	// selected by Options.Predictor; with the default "model" it is the
 	// same object as Model.
-	Nav         OnlinePredictor
-	Bundles     *Bundles
-	Ranker      *Ranker
-	Categorizer *Categorizer // nil when the trace carries no group labels
+	Nav     OnlinePredictor
+	Bundles *Bundles
+	Ranker  *Ranker
 }
 
 // Mine performs the offline log-mining pass over a training trace.
@@ -95,7 +93,6 @@ func Mine(tr *trace.Trace, opt Options) *Miner {
 	}
 	m.Bundles.Train(tr)
 	m.Ranker.Train(tr)
-	m.Categorizer = TrainCategorizer(tr)
 	return m
 }
 
@@ -107,11 +104,7 @@ func (m *Miner) ShouldPrefetch(p Prediction) bool {
 
 // Summary returns a one-line description used by the logmine CLI.
 func (m *Miner) Summary() string {
-	cat := "no"
-	if m.Categorizer != nil {
-		cat = fmt.Sprintf("%d-group", m.Categorizer.Groups())
-	}
-	return fmt.Sprintf("order-%d model: %d contexts, %d transitions; %d bundled pages; %d ranked files; %s categorizer",
+	return fmt.Sprintf("order-%d model: %d contexts, %d transitions; %d bundled pages; %d ranked files",
 		m.Model.Order(), m.Model.Contexts(), m.Model.Observations(),
-		len(m.Bundles.Pages()), m.Ranker.Len(), cat)
+		len(m.Bundles.Pages()), m.Ranker.Len())
 }

@@ -2,8 +2,7 @@
 // n-order dependency graph and candidate paths of Algorithm 1, the
 // prefetch-prediction of Algorithm 2, a PPM (prediction-by-partial-match)
 // Markov predictor for comparison, popularity ranking for the replication
-// of Algorithm 3, bundle (embedded-object table) discovery, and user-group
-// categorization from navigation patterns (§3, §4.1).
+// of Algorithm 3, and bundle (embedded-object table) discovery (§3, §4.1).
 package mining
 
 import (

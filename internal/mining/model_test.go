@@ -14,16 +14,14 @@ import (
 func seqTrace(sessions ...[]string) *trace.Trace {
 	t := &trace.Trace{Name: "seq", Files: make(map[string]int64)}
 	for sid, pages := range sessions {
-		for i, p := range pages {
+		for _, p := range pages {
 			t.Files[p] = 1024
 			t.Requests = append(t.Requests, trace.Request{
 				Session: sid,
 				Client:  "c",
 				Path:    p,
 				Size:    1024,
-				Group:   -1,
 			})
-			_ = i
 		}
 	}
 	return t

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"prord/internal/trace"
 )
@@ -17,6 +16,8 @@ import (
 
 // minerJSON is the serialized form. Only the default "model" navigation
 // predictor round-trips; alternate predictors are retrained from logs.
+// Files written before the user categorizer was retired carry a
+// "categorizer" section; Load ignores it like any unknown key.
 type minerJSON struct {
 	Version int     `json:"version"`
 	Options Options `json:"options"`
@@ -28,20 +29,11 @@ type minerJSON struct {
 	PageViews  map[string]int            `json:"page_views"`
 	ObjCounts  map[string]map[string]int `json:"object_counts"`
 	RankCounts map[string]float64        `json:"rank_counts"`
-
-	Categorizer *categorizerJSON `json:"categorizer,omitempty"`
 }
 
 type ctxJSON struct {
 	Total int            `json:"total"`
 	Next  map[string]int `json:"next"`
-}
-
-type categorizerJSON struct {
-	Groups     int                  `json:"groups"`
-	PageFreq   []map[string]float64 `json:"page_freq"`
-	Prior      []float64            `json:"prior"`
-	Vocabulary []string             `json:"vocabulary"`
 }
 
 const minerFormatVersion = 1
@@ -60,20 +52,6 @@ func (m *Miner) Save(w io.Writer) error {
 	}
 	for key, cs := range m.Model.ctx {
 		out.Contexts[key] = ctxJSON{Total: cs.total, Next: cs.next}
-	}
-	if c := m.Categorizer; c != nil {
-		cj := &categorizerJSON{
-			Groups:   c.groups,
-			PageFreq: c.pageFreq,
-			Prior:    c.prior,
-		}
-		for page := range c.vocabulary {
-			cj.Vocabulary = append(cj.Vocabulary, page)
-		}
-		// Sorted so two Saves of the same miner are byte-identical (maps
-		// marshal sorted, but this slice would keep iteration order).
-		sort.Strings(cj.Vocabulary)
-		out.Categorizer = cj
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(&out)
@@ -115,24 +93,6 @@ func Load(r io.Reader) (*Miner, error) {
 	m.Bundles.dirty = true
 	if in.RankCounts != nil {
 		m.Ranker.counts = in.RankCounts
-	}
-	if cj := in.Categorizer; cj != nil && cj.Groups > 0 {
-		// Classify indexes both tables by group: a short one would
-		// panic the first session that reaches category prefetching.
-		if len(cj.PageFreq) != cj.Groups || len(cj.Prior) != cj.Groups {
-			return nil, fmt.Errorf("mining: categorizer has %d groups but %d page_freq rows and %d priors",
-				cj.Groups, len(cj.PageFreq), len(cj.Prior))
-		}
-		c := &Categorizer{
-			groups:     cj.Groups,
-			pageFreq:   cj.PageFreq,
-			prior:      cj.Prior,
-			vocabulary: make(map[string]bool, len(cj.Vocabulary)),
-		}
-		for _, page := range cj.Vocabulary {
-			c.vocabulary[page] = true
-		}
-		m.Categorizer = c
 	}
 	// Alternate navigation predictors do not round-trip; the model is
 	// always available.

@@ -2,6 +2,7 @@ package mining
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -77,14 +78,6 @@ func TestMinerSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Categorizer round-trips (classification agreement).
-	if orig.Categorizer == nil || loaded.Categorizer == nil {
-		t.Fatal("categorizer should survive the round trip")
-	}
-	if got, want := loaded.Categorizer.Accuracy(eval, 3), orig.Categorizer.Accuracy(eval, 3); got != want {
-		t.Fatalf("categorizer accuracy diverged: %v vs %v", got, want)
-	}
-
 	// The loaded miner is usable for prefetch admission.
 	if loaded.Nav == nil {
 		t.Fatal("loaded miner must have a Nav predictor")
@@ -100,39 +93,66 @@ func TestLoadRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsMismatchedCategorizer is the regression test for a
-// model file whose categorizer declares more groups than it has tables:
-// Load used to accept it, and the first Classify panicked with an index
-// out of range.
-func TestLoadRejectsMismatchedCategorizer(t *testing.T) {
+// savedWithCategorizer is a version-1 model file as Save wrote it
+// while the miner still trained a user categorizer on group-labeled
+// logs: four sessions of two groups, mined with DefaultOptions. Its
+// last section is the categorizer's.
+const savedWithCategorizer = `{"version":1,"options":{"Order":2,"BundleSupport":0.5,"RankDecay":0.5,"PrefetchThreshold":0.4,"Predictor":"model"},"contexts":{"/f/x":{"total":2,"next":{"/f/y":1,"/f/z":1}},"/f/x|/f/z":{"total":1,"next":{"/f/z.css":1}},"/f/z":{"total":1,"next":{"/f/z.css":1}},"/s/a":{"total":2,"next":{"/s/a.gif":2}},"/s/a.gif":{"total":2,"next":{"/s/b":1,"/s/c":1}},"/s/a|/s/a.gif":{"total":2,"next":{"/s/b":1,"/s/c":1}}},"accessed":{"/f/x":2,"/f/y":1,"/f/z":1,"/f/z.css":1,"/s/a":2,"/s/a.gif":2,"/s/b":1,"/s/c":1},"observed":7,"page_views":{"/f/x":2,"/f/y":1,"/f/z":1,"/s/a":2,"/s/b":1,"/s/c":1},"object_counts":{"/f/z":{"/f/z.css":1},"/s/a":{"/s/a.gif":2}},"rank_counts":{"/f/x":2,"/f/y":1,"/f/z":1,"/f/z.css":1,"/s/a":2,"/s/a.gif":2,"/s/b":1,"/s/c":1},"categorizer":{"groups":2,"page_freq":[{"/s/a":0.21428571428571427,"/s/a.gif":0.21428571428571427,"/s/b":0.14285714285714285,"/s/c":0.14285714285714285},{"/f/x":0.23076923076923078,"/f/y":0.15384615384615385,"/f/z":0.15384615384615385,"/f/z.css":0.15384615384615385}],"prior":[0.5384615384615384,0.46153846153846156],"vocabulary":["/f/x","/f/y","/f/z","/f/z.css","/s/a","/s/a.gif","/s/b","/s/c"]}}`
+
+// TestLoadIgnoresCategorizerSection: model files written before the
+// categorizer was retired carry a "categorizer" section, well formed or
+// (as a fuzzed file did) with fewer tables than groups. Load accepts
+// both and reads the model, bundles and rank table exactly as from the
+// same file without the section, which is what Save writes today.
+func TestLoadIgnoresCategorizerSection(t *testing.T) {
+	head, _, ok := strings.Cut(savedWithCategorizer, `,"categorizer":`)
+	if !ok {
+		t.Fatal("the fixture has no categorizer section")
+	}
+	bare := head + "}"
+	var saved bytes.Buffer
+	m := Mine(seqTrace(
+		[]string{"/s/a", "/s/a.gif", "/s/b"}, []string{"/s/a", "/s/a.gif", "/s/c"},
+		[]string{"/f/x", "/f/y"}, []string{"/f/x", "/f/z", "/f/z.css"}), DefaultOptions())
+	if err := m.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.TrimSpace(saved.String()); got != bare {
+		t.Fatalf("Save of the fixture's log no longer writes the fixture without its categorizer:\n%s\nwant\n%s", got, bare)
+	}
+	cases := [][2]string{{savedWithCategorizer, bare}}
 	for _, cat := range []string{
 		`{"groups":2,"page_freq":[],"prior":[]}`,
 		`{"groups":2,"page_freq":[{},{}],"prior":[0.5]}`,
 		`{"groups":1,"page_freq":[{},{}],"prior":[1]}`,
 	} {
-		m, err := Load(strings.NewReader(`{"version":1,"categorizer":` + cat + `}`))
-		if err == nil {
-			t.Errorf("Load accepted categorizer %s (Classify would see %d groups)", cat, m.Categorizer.Groups())
+		cases = append(cases, [2]string{`{"version":1,"categorizer":` + cat + `}`, `{"version":1}`})
+	}
+	for _, c := range cases {
+		with, err := Load(strings.NewReader(c[0]))
+		if err != nil {
+			t.Errorf("Load rejected %s: %v", c[0], err)
+			continue
+		}
+		without, err := Load(strings.NewReader(c[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(with.Model, without.Model) || !reflect.DeepEqual(with.Bundles, without.Bundles) ||
+			!reflect.DeepEqual(with.Ranker, without.Ranker) {
+			t.Errorf("the categorizer section changed what Load read from %s", c[0])
 		}
 	}
 }
 
 // FuzzLoad: for any input Load accepts, the queries the front-end makes
 // of a loaded miner — navigation prediction and online learning, bundle
-// lookups, the rank table and category classification — do not panic.
+// lookups and the rank table — do not panic.
 func FuzzLoad(f *testing.F) {
-	// A small labeled log, so the saved seed carries every section
-	// (contexts, bundles, ranks, categorizer) and stays short enough
-	// for the fuzzer to minimize quickly.
-	tr := labeledTrace(map[int][][]string{
-		0: {{"/s/a", "/s/a.gif", "/s/b"}, {"/s/a", "/s/a.gif", "/s/c"}},
-		1: {{"/f/x", "/f/y"}, {"/f/x", "/f/z", "/f/z.css"}},
-	})
-	var saved bytes.Buffer
-	if err := Mine(tr, DefaultOptions()).Save(&saved); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(saved.Bytes())
+	// A saved model carrying every section (contexts, bundles, ranks and
+	// a retired categorizer), short enough for the fuzzer to minimize
+	// quickly.
+	f.Add([]byte(savedWithCategorizer))
 	f.Add([]byte(`{"version":1}`))
 	f.Add([]byte(`{"version":1,"categorizer":{"groups":2,"page_freq":[],"prior":[]}}`))
 	f.Add([]byte(`{"version":1,"options":{"Order":3},"contexts":{"/a":{"total":0,"next":null},"/a|/b":{"total":-1,"next":{"/c":2}}},"accessed":{"/a":1}}`))
@@ -174,19 +194,6 @@ func FuzzLoad(f *testing.F) {
 		}
 		m.Ranker.Table()
 		m.Ranker.Top(3)
-
-		if c := m.Categorizer; c != nil {
-			vocab := make([]string, 0, len(c.vocabulary))
-			for p := range c.vocabulary {
-				vocab = append(vocab, p)
-			}
-			c.Classify(nil)
-			c.Classify(pages)
-			c.Classify(vocab)
-			for g := -1; g <= c.Groups() && g < 8; g++ {
-				c.TopPages(g, 4)
-			}
-		}
 	})
 }
 
@@ -221,8 +228,5 @@ func TestLoadEmptyModel(t *testing.T) {
 	}
 	if loaded.Model.Contexts() != 0 {
 		t.Fatal("empty model should stay empty")
-	}
-	if loaded.Categorizer != nil {
-		t.Fatal("no categorizer expected")
 	}
 }

@@ -202,7 +202,6 @@ func FromCLF(name string, entries []clf.Entry, opt SessionizeOptions) *Trace {
 			Session: cs.session,
 			Client:  e.Host,
 			Path:    e.Path,
-			Group:   -1,
 			Dynamic: f.kind == dynamicKind,
 		}
 		if f.kind == embeddedKind {

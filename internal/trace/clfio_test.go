@@ -105,17 +105,6 @@ func TestFromCLFEmpty(t *testing.T) {
 	}
 }
 
-func TestFromCLFGroupUnknown(t *testing.T) {
-	base := time.Date(2006, 7, 1, 0, 0, 0, 0, time.UTC)
-	entries := []clf.Entry{
-		{Host: "h", Time: base, Method: "GET", Path: "/x.html", Proto: "HTTP/1.1", Status: 200, Bytes: 10},
-	}
-	tr := FromCLF("t", entries, DefaultSessionizeOptions())
-	if tr.Requests[0].Group != -1 {
-		t.Fatalf("imported trace group = %d, want -1", tr.Requests[0].Group)
-	}
-}
-
 func TestWriteCLFFormat(t *testing.T) {
 	_, tr := smallTrace(t, 23)
 	var buf bytes.Buffer

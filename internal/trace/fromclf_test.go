@@ -65,7 +65,6 @@ func referenceFromCLF(name string, entries []clf.Entry, opt SessionizeOptions) *
 			Client:  e.Host,
 			Path:    e.Path,
 			Size:    size,
-			Group:   -1,
 			Dynamic: referenceIsDynamic(e.Path),
 		}
 		if referenceIsEmbedded(e.Path) && cs.lastPage != "" &&

@@ -108,7 +108,7 @@ func Generate(name string, site *Site, cfg TraceConfig, rng *randutil.Source) (*
 		now += time.Duration(rng.Exp(float64(time.Second) / cfg.SessionRate))
 		g := rng.WeightedChoice(weights)
 		client := fmt.Sprintf("c%d", rng.Intn(cfg.Clients))
-		genSession(t, site, cfg, rng, session, client, g, entries[g], now)
+		genSession(t, site, cfg, rng, session, client, entries[g], now)
 		session++
 	}
 	t.SortByTime()
@@ -117,7 +117,7 @@ func Generate(name string, site *Site, cfg TraceConfig, rng *randutil.Source) (*
 
 // genSession appends the requests of one session starting at time start.
 func genSession(t *Trace, site *Site, cfg TraceConfig, rng *randutil.Source,
-	session int, client string, group int, entry []int, start time.Duration) {
+	session int, client string, entry []int, start time.Duration) {
 
 	pages := 1
 	for rng.Float64() < 1-1/cfg.MeanPagesPerSession {
@@ -130,14 +130,14 @@ func genSession(t *Trace, site *Site, cfg TraceConfig, rng *randutil.Source,
 		page := &site.Pages[cur]
 		t.Requests = append(t.Requests, Request{
 			Time: now, Session: session, Client: client,
-			Path: page.Path, Size: page.Size, Group: group,
+			Path: page.Path, Size: page.Size,
 			Dynamic: page.Dynamic,
 		})
 		for _, o := range page.Embedded {
 			now += time.Duration(rng.Exp(float64(cfg.EmbeddedGap)))
 			t.Requests = append(t.Requests, Request{
 				Time: now, Session: session, Client: client,
-				Path: o.Path, Size: o.Size, Group: group,
+				Path: o.Path, Size: o.Size,
 				Embedded: true, Parent: page.Path,
 			})
 		}

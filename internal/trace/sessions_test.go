@@ -10,7 +10,7 @@ func sessionTestTrace() *Trace {
 	tr := &Trace{Name: "s", Files: files}
 	add := func(at time.Duration, sess int, path string) {
 		tr.Requests = append(tr.Requests, Request{
-			Time: at, Session: sess, Client: "c", Path: path, Size: files[path], Group: -1,
+			Time: at, Session: sess, Client: "c", Path: path, Size: files[path],
 		})
 	}
 	// Session 2 starts first, session 0 and 1 tie on start time.

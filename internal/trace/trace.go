@@ -31,9 +31,6 @@ type Request struct {
 	// Parent is the path of the main page this object is embedded in.
 	// Empty for main-page requests.
 	Parent string
-	// Group is the ground-truth user category of the session's user, or
-	// -1 when unknown (e.g. traces loaded from real logs).
-	Group int
 	// Dynamic reports that the response is generated per request (CGI,
 	// ...) and therefore uncacheable. The paper's §6 names dynamic
 	// content as planned future work; the simulator supports it.

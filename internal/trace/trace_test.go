@@ -132,17 +132,12 @@ func TestEmbeddedRequestsFollowParent(t *testing.T) {
 func TestSessionsAreConsistent(t *testing.T) {
 	_, tr := smallTrace(t, 3)
 	client := make(map[int]string)
-	group := make(map[int]int)
 	for i := range tr.Requests {
 		r := &tr.Requests[i]
 		if c, ok := client[r.Session]; ok && c != r.Client {
 			t.Fatalf("session %d has two clients", r.Session)
 		}
-		if g, ok := group[r.Session]; ok && g != r.Group {
-			t.Fatalf("session %d has two groups", r.Session)
-		}
 		client[r.Session] = r.Client
-		group[r.Session] = r.Group
 	}
 	sess := tr.Sessions()
 	if len(sess) != len(client) {
