@@ -22,11 +22,12 @@ import (
 )
 
 // The golden digests of the seeded replays below, re-captured on a
-// one-stripe core: striping only relabelled connection ids. They change
-// only when decision semantics change, and then under ROADMAP's digit
-// contract.
+// one-stripe core: striping only relabelled connection ids. The plain
+// one was re-captured again when the printed plan lost its category
+// list (the overload replay sheds every plan). They change only when
+// decision semantics change, and then under ROADMAP's digit contract.
 const (
-	goldenPlainDigest    uint64 = 0x8b4393bb6d35561a
+	goldenPlainDigest    uint64 = 0xeeaba12f78b04db0
 	goldenOverloadDigest uint64 = 0x366cbd510acd5aec
 )
 

@@ -28,11 +28,13 @@ import (
 // The op-stream digests of the two locality modes, captured before the
 // core's per-file state moved to bitset records; the exact one was
 // re-captured on a one-stripe core, whose MaxSessions valve is one
-// global bound. They change only when a decision or an observable
-// answer changes.
+// global bound. Both were re-captured when category prefetching was
+// retired: the printed plan lost its Group list, and the exact stream
+// its category placements. They change only when a decision or an
+// observable answer changes.
 const (
-	goldenOpStreamExact      uint64 = 0x0e48faa84dd97779
-	goldenOpStreamOptimistic uint64 = 0xc62d8ff0f08cc591
+	goldenOpStreamExact      uint64 = 0xe8f6786949320591
+	goldenOpStreamOptimistic uint64 = 0x275754999666265d
 )
 
 // opBooking is one outstanding Route, Rebook or hedge booking the
