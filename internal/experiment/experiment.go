@@ -20,8 +20,9 @@ import (
 	"prord/internal/trace"
 )
 
-// Options configures an experiment campaign. The zero value is NOT usable;
-// call DefaultOptions and override.
+// Options configures an experiment campaign. A zero field takes its
+// DefaultOptions value, except Seed and UseGDSF, whose zero values are
+// choices: Options{} runs the defaults at seed 0.
 type Options struct {
 	// Scale multiplies each preset's published request count (1.0 = the
 	// paper's full trace sizes). Default 0.2 for quick runs.
@@ -41,7 +42,8 @@ type Options struct {
 	LoadFactor float64
 	// TrainFraction is the prefix of each trace mined offline. Default 0.4.
 	TrainFraction float64
-	// Mining configures the log miner.
+	// Mining configures the log miner. Default: mining's defaults with
+	// RankDecay 0.9.
 	Mining mining.Options
 	// UseGDSF switches the demand caches from LRU to GDSF.
 	UseGDSF bool
@@ -80,6 +82,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TrainFraction <= 0 || o.TrainFraction >= 1 {
 		o.TrainFraction = d.TrainFraction
+	}
+	if o.Mining == (mining.Options{}) {
+		o.Mining = d.Mining
 	}
 	return o
 }

@@ -27,6 +27,17 @@ func TestOptionsDefaulting(t *testing.T) {
 	}
 }
 
+// TestZeroMiningOptionsDefault checks that a campaign built from a bare
+// Options mines with the campaign defaults (RankDecay 0.9), not with
+// mining's own (0.5).
+func TestZeroMiningOptionsDefault(t *testing.T) {
+	want := DefaultOptions()
+	want.Scale = 0.05
+	if got := NewRunner(Options{Scale: 0.05, Seed: 42}).Options(); got != NewRunner(want).Options() {
+		t.Errorf("NewRunner(Options{Scale: 0.05, Seed: 42}) runs with %+v, want %+v", got, want)
+	}
+}
+
 func TestTable1(t *testing.T) {
 	tab, err := testRunner().Table1()
 	if err != nil {
