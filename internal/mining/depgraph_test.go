@@ -1,7 +1,11 @@
 package mining
 
 import (
+	"slices"
+	"strings"
 	"testing"
+
+	"prord/internal/trace"
 )
 
 func TestBuildLinkGraph(t *testing.T) {
@@ -82,6 +86,40 @@ func TestCandidatePathsGrowWithOrder(t *testing.T) {
 	}
 	if t2 <= t1 {
 		t.Fatalf("order-2 should store strictly more paths here: %d vs %d", t2, t1)
+	}
+}
+
+// TestModelContextsAreCandidatePaths holds the trained n-order model to
+// Algorithm 1 as an oracle: every order-2 (context, next) pair the model
+// counts is a path of MakeCandidatePaths over the same trace's link
+// graph. The generated traces have no reloads; a log with one can break
+// the inclusion, because BuildLinkGraph skips a page requested twice in
+// a row and ObserveSequence counts the repeat.
+func TestModelContextsAreCandidatePaths(t *testing.T) {
+	for _, p := range []trace.Preset{trace.PresetCS, trace.PresetWorldCup, trace.PresetSynthetic} {
+		_, tr, err := trace.GeneratePreset(p, 0.05, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewModel(2)
+		m.Train(tr)
+		cp := MakeCandidatePaths(BuildLinkGraph(tr), 2)
+		pairs := 0
+		for key, cs := range m.ctx {
+			if strings.Count(key, ctxSep) != 1 {
+				continue // an order-1 context
+			}
+			for next := range cs.next {
+				pairs++
+				if _, found := slices.BinarySearch(cp.Paths(next), key); !found {
+					t.Errorf("%s: the model counts %s -> %s, which is no candidate path of Algorithm 1", p, key, next)
+				}
+			}
+		}
+		if pairs == 0 {
+			t.Errorf("%s: the model has no order-2 pairs, so the inclusion holds vacuously", p)
+		}
+		t.Logf("%s: %d order-2 pairs", p, pairs)
 	}
 }
 
