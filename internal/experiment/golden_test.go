@@ -5,6 +5,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -72,9 +74,30 @@ func TestTablesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s differs from the tables at scale 0.05, seed 42 (rerun with -update if the change is intended):\n--- got\n%s\n--- want\n%s", path, got, want)
+			n, g, w := firstDiff(string(got), string(want))
+			t.Errorf("%s differs from the tables at scale 0.05, seed 42, first at line %d (rerun with -update if the change is intended):\n got: %s\nwant: %s\n(%d lines got, %d lines in the golden)",
+				path, n, g, w, bytes.Count(got, []byte("\n")), bytes.Count(want, []byte("\n")))
 		}
 	}
+}
+
+// firstDiff returns the 1-based number of the first line where got and
+// want differ, and that line of each, quoted so trailing blanks show;
+// a side that has ended reads "(end of file)".
+func firstDiff(got, want string) (n int, g, w string) {
+	gl := strings.Split(strings.TrimSuffix(got, "\n"), "\n")
+	wl := strings.Split(strings.TrimSuffix(want, "\n"), "\n")
+	i := 0
+	for i < len(gl) && i < len(wl) && gl[i] == wl[i] {
+		i++
+	}
+	line := func(lines []string) string {
+		if i < len(lines) {
+			return strconv.Quote(lines[i])
+		}
+		return "(end of file)"
+	}
+	return i + 1, line(gl), line(wl)
 }
 
 // goldenTable returns the golden campaign's table with the given id.
