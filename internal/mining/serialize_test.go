@@ -93,19 +93,19 @@ func TestLoadRejectsBadInput(t *testing.T) {
 	}
 }
 
-// savedWithCategorizer is a version-1 model file as Save wrote it
+// savedV1WithGroups is a version-1 model file as Save wrote it
 // while the miner still trained a user categorizer on group-labeled
 // logs: four sessions of two groups, mined with DefaultOptions. Its
 // last section is the categorizer's.
-const savedWithCategorizer = `{"version":1,"options":{"Order":2,"BundleSupport":0.5,"RankDecay":0.5,"PrefetchThreshold":0.4,"Predictor":"model"},"contexts":{"/f/x":{"total":2,"next":{"/f/y":1,"/f/z":1}},"/f/x|/f/z":{"total":1,"next":{"/f/z.css":1}},"/f/z":{"total":1,"next":{"/f/z.css":1}},"/s/a":{"total":2,"next":{"/s/a.gif":2}},"/s/a.gif":{"total":2,"next":{"/s/b":1,"/s/c":1}},"/s/a|/s/a.gif":{"total":2,"next":{"/s/b":1,"/s/c":1}}},"accessed":{"/f/x":2,"/f/y":1,"/f/z":1,"/f/z.css":1,"/s/a":2,"/s/a.gif":2,"/s/b":1,"/s/c":1},"observed":7,"page_views":{"/f/x":2,"/f/y":1,"/f/z":1,"/s/a":2,"/s/b":1,"/s/c":1},"object_counts":{"/f/z":{"/f/z.css":1},"/s/a":{"/s/a.gif":2}},"rank_counts":{"/f/x":2,"/f/y":1,"/f/z":1,"/f/z.css":1,"/s/a":2,"/s/a.gif":2,"/s/b":1,"/s/c":1},"categorizer":{"groups":2,"page_freq":[{"/s/a":0.21428571428571427,"/s/a.gif":0.21428571428571427,"/s/b":0.14285714285714285,"/s/c":0.14285714285714285},{"/f/x":0.23076923076923078,"/f/y":0.15384615384615385,"/f/z":0.15384615384615385,"/f/z.css":0.15384615384615385}],"prior":[0.5384615384615384,0.46153846153846156],"vocabulary":["/f/x","/f/y","/f/z","/f/z.css","/s/a","/s/a.gif","/s/b","/s/c"]}}`
+const savedV1WithGroups = `{"version":1,"options":{"Order":2,"BundleSupport":0.5,"RankDecay":0.5,"PrefetchThreshold":0.4,"Predictor":"model"},"contexts":{"/f/x":{"total":2,"next":{"/f/y":1,"/f/z":1}},"/f/x|/f/z":{"total":1,"next":{"/f/z.css":1}},"/f/z":{"total":1,"next":{"/f/z.css":1}},"/s/a":{"total":2,"next":{"/s/a.gif":2}},"/s/a.gif":{"total":2,"next":{"/s/b":1,"/s/c":1}},"/s/a|/s/a.gif":{"total":2,"next":{"/s/b":1,"/s/c":1}}},"accessed":{"/f/x":2,"/f/y":1,"/f/z":1,"/f/z.css":1,"/s/a":2,"/s/a.gif":2,"/s/b":1,"/s/c":1},"observed":7,"page_views":{"/f/x":2,"/f/y":1,"/f/z":1,"/s/a":2,"/s/b":1,"/s/c":1},"object_counts":{"/f/z":{"/f/z.css":1},"/s/a":{"/s/a.gif":2}},"rank_counts":{"/f/x":2,"/f/y":1,"/f/z":1,"/f/z.css":1,"/s/a":2,"/s/a.gif":2,"/s/b":1,"/s/c":1},"categorizer":{"groups":2,"page_freq":[{"/s/a":0.21428571428571427,"/s/a.gif":0.21428571428571427,"/s/b":0.14285714285714285,"/s/c":0.14285714285714285},{"/f/x":0.23076923076923078,"/f/y":0.15384615384615385,"/f/z":0.15384615384615385,"/f/z.css":0.15384615384615385}],"prior":[0.5384615384615384,0.46153846153846156],"vocabulary":["/f/x","/f/y","/f/z","/f/z.css","/s/a","/s/a.gif","/s/b","/s/c"]}}`
 
-// TestLoadIgnoresCategorizerSection: model files written before the
+// TestLoadIgnoresCategorySection: model files written before the
 // categorizer was retired carry a "categorizer" section, well formed or
 // (as a fuzzed file did) with fewer tables than groups. Load accepts
 // both and reads the model, bundles and rank table exactly as from the
 // same file without the section, which is what Save writes today.
-func TestLoadIgnoresCategorizerSection(t *testing.T) {
-	head, _, ok := strings.Cut(savedWithCategorizer, `,"categorizer":`)
+func TestLoadIgnoresCategorySection(t *testing.T) {
+	head, _, ok := strings.Cut(savedV1WithGroups, `,"categorizer":`)
 	if !ok {
 		t.Fatal("the fixture has no categorizer section")
 	}
@@ -120,7 +120,7 @@ func TestLoadIgnoresCategorizerSection(t *testing.T) {
 	if got := strings.TrimSpace(saved.String()); got != bare {
 		t.Fatalf("Save of the fixture's log no longer writes the fixture without its categorizer:\n%s\nwant\n%s", got, bare)
 	}
-	cases := [][2]string{{savedWithCategorizer, bare}}
+	cases := [][2]string{{savedV1WithGroups, bare}}
 	for _, cat := range []string{
 		`{"groups":2,"page_freq":[],"prior":[]}`,
 		`{"groups":2,"page_freq":[{},{}],"prior":[0.5]}`,
@@ -152,7 +152,7 @@ func FuzzLoad(f *testing.F) {
 	// A saved model carrying every section (contexts, bundles, ranks and
 	// a retired categorizer), short enough for the fuzzer to minimize
 	// quickly.
-	f.Add([]byte(savedWithCategorizer))
+	f.Add([]byte(savedV1WithGroups))
 	f.Add([]byte(`{"version":1}`))
 	f.Add([]byte(`{"version":1,"categorizer":{"groups":2,"page_freq":[],"prior":[]}}`))
 	f.Add([]byte(`{"version":1,"options":{"Order":3},"contexts":{"/a":{"total":0,"next":null},"/a|/b":{"total":-1,"next":{"/c":2}}},"accessed":{"/a":1}}`))
