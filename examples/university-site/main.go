@@ -4,8 +4,8 @@
 // navigation patterns.
 //
 // The example mines a CS-department-like access log, shows what the miner
-// learns (bundle quality and a next-page prediction), then reruns Fig. 9's per-enhancement ablation on the same
-// workload.
+// learns (bundle quality and a next-page prediction), then reruns Fig.
+// 9's per-enhancement ablation on the same workload.
 //
 //	go run ./examples/university-site
 package main

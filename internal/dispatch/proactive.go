@@ -12,9 +12,10 @@ import (
 // served by a backend: bundle prefetch of the page's embedded objects
 // (§4.1) and navigation prefetch of the predicted next page group
 // (Algorithm 2). Every admitted file is marked prefetched at the target
-// backend before the plan is returned; the adapter executes the transfers (one batched disk read
-// per trigger in the simulator, HTTP hints in the live front-end) and
-// reports failures back through UnmarkPrefetch.
+// backend before the plan is returned; the adapter executes the
+// transfers (one batched disk read per trigger in the simulator, HTTP
+// hints in the live front-end) and reports failures back through
+// UnmarkPrefetch.
 //
 // From the Elevated tier up the whole pass is shed (counted in
 // PrefetchShed) — speculative work goes first under pressure. ok is

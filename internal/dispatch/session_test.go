@@ -11,9 +11,9 @@ import (
 // TestSessionRecycling checks the session table's free list: a record
 // dropped by CloseConn or by the idle-eviction valve comes back for a
 // new connection with a fresh id and nothing of its previous life — no
-// binding or last page — while a
-// record with a request in flight is never reused, so a caller between
-// Route and Done can never write into another connection's state.
+// binding or last page — while a record with a request in flight is
+// never reused, so a caller between Route and Done can never write into
+// another connection's state.
 func TestSessionRecycling(t *testing.T) {
 	c, err := New(Config{Backends: 4, Policy: policy.NewPRORD(policy.Thresholds{}), MaxSessions: 4})
 	if err != nil {
