@@ -1,8 +1,6 @@
 // Package cache implements the backend-server memory caches used by the
 // cluster model: byte-capacity LRU, GDSF (Greedy-Dual-Size-Frequency,
-// Cherkasova [30]), the GDSF extension from Yang et al. [20] that splits
-// frequency into past and predicted future frequency, and a partitioned
-// store with a pinned region for prefetched and replicated pages
+// Cherkasova [30]) and a partitioned store with a pinned region for prefetched and replicated pages
 // (Table 1's "pinned memory").
 package cache
 
@@ -107,7 +105,6 @@ type gdsfEntry struct {
 	key     string
 	size    int64
 	freq    float64 // past access count
-	future  float64 // predicted future accesses (GDSF-split only)
 	pri     float64 // cached priority key
 	heapIdx int
 }
@@ -128,37 +125,23 @@ func (h *gdsfHeap) Pop() any {
 }
 
 // GDSF implements Greedy-Dual-Size-Frequency replacement:
-// priority = clock + (pastFreq + futureWeight*futureFreq) / size.
+// priority = clock + frequency / size.
 // Objects with the smallest priority are evicted first, and the clock is
 // advanced to each eviction victim's priority, aging resident objects.
-// With futureWeight == 0 this is classic GDSF; the split variant of Yang
-// et al. feeds predicted future frequency via SetFuture.
 type GDSF struct {
-	capacity     int64
-	bytes        int64
-	clock        float64
-	futureWeight float64
-	items        map[string]*gdsfEntry
-	h            gdsfHeap
+	capacity int64
+	bytes    int64
+	clock    float64
+	items    map[string]*gdsfEntry
+	h        gdsfHeap
 }
 
-// NewGDSF returns a classic GDSF cache.
-func NewGDSF(capacity int64) *GDSF { return NewGDSFSplit(capacity, 0) }
-
-// NewGDSFSplit returns a GDSF cache whose priority adds futureWeight times
-// the predicted future frequency of each object (the [20] extension).
-func NewGDSFSplit(capacity int64, futureWeight float64) *GDSF {
+// NewGDSF returns a GDSF cache.
+func NewGDSF(capacity int64) *GDSF {
 	if capacity < 0 {
 		panic("cache: negative capacity")
 	}
-	if futureWeight < 0 {
-		futureWeight = 0
-	}
-	return &GDSF{
-		capacity:     capacity,
-		futureWeight: futureWeight,
-		items:        make(map[string]*gdsfEntry),
-	}
+	return &GDSF{capacity: capacity, items: make(map[string]*gdsfEntry)}
 }
 
 func (c *GDSF) priority(e *gdsfEntry) float64 {
@@ -166,7 +149,7 @@ func (c *GDSF) priority(e *gdsfEntry) float64 {
 	if size <= 0 {
 		size = 1
 	}
-	return c.clock + (e.freq+c.futureWeight*e.future)/float64(size)
+	return c.clock + e.freq/float64(size)
 }
 
 func (c *GDSF) update(e *gdsfEntry) {
@@ -187,21 +170,6 @@ func (c *GDSF) Touch(key string) bool {
 		return false
 	}
 	e.freq++
-	c.update(e)
-	return true
-}
-
-// SetFuture records the predicted future access frequency for key if it is
-// resident, returning whether it was. Predictions come from the log miner.
-func (c *GDSF) SetFuture(key string, future float64) bool {
-	e, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	if future < 0 {
-		future = 0
-	}
-	e.future = future
 	c.update(e)
 	return true
 }

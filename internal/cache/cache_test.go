@@ -189,16 +189,6 @@ func TestGDSFInvariantsProperty(t *testing.T) {
 	}
 }
 
-func TestGDSFSplitInvariantsProperty(t *testing.T) {
-	f := func(ops []byte) bool {
-		invariantCheck(t, func() Cache { return NewGDSFSplit(120, 2) }, ops)
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGDSFPrefersSmallAndFrequent(t *testing.T) {
 	c := NewGDSF(100)
 	c.Insert("small-hot", 10)
@@ -219,30 +209,6 @@ func TestGDSFPrefersSmallAndFrequent(t *testing.T) {
 	}
 	if !c.Contains("small-hot") {
 		t.Fatal("small-hot should survive")
-	}
-}
-
-func TestGDSFFutureFrequencyProtects(t *testing.T) {
-	// Two identical objects; the one with predicted future accesses
-	// should survive eviction pressure.
-	c := NewGDSFSplit(100, 5)
-	c.Insert("doomed", 40)
-	c.Insert("protected", 40)
-	if !c.SetFuture("protected", 10) {
-		t.Fatal("SetFuture on resident key should succeed")
-	}
-	if c.SetFuture("ghost", 1) {
-		t.Fatal("SetFuture on absent key should fail")
-	}
-	ev, ok := c.Insert("x", 40)
-	if !ok || len(ev) == 0 {
-		t.Fatalf("pressure insert: ev=%v ok=%v", ev, ok)
-	}
-	if !c.Contains("protected") {
-		t.Fatal("object with future frequency should be protected")
-	}
-	if c.Contains("doomed") {
-		t.Fatal("object without future frequency should be the victim")
 	}
 }
 

@@ -31,9 +31,7 @@ type Config struct {
 	ReplicationInterval time.Duration
 	// ReplicateConfig tunes Algorithm 3's thresholds.
 	ReplicateConfig replicate.Config
-	// UseGDSF selects GDSF instead of LRU for the demand caches; when
-	// NavPrefetch is on it becomes GDSF-split fed by predicted future
-	// frequency (the [20] extension).
+	// UseGDSF selects GDSF instead of LRU for the demand caches.
 	UseGDSF bool
 	// Failures injects backend failures. The default mode is a fail-stop
 	// crash: the backend loses its memory, is removed from the
@@ -49,9 +47,6 @@ type Config struct {
 	// plus optional hedged backup requests. Nil disables the layer
 	// (injected gray failures then hit the cluster with no defense).
 	Gray *dispatch.GrayConfig
-	// Power enables PARD-style [3] power management with Table 1's power
-	// parameters.
-	Power PowerParams
 	// Distributors is the number of front-end distributor nodes behind an
 	// L4 switch (Aron et al. [4], §2.1: the scalable content-aware
 	// architecture). Connections stick to one distributor; dispatcher
@@ -107,7 +102,7 @@ type backend struct {
 // Cluster is a runnable simulated web cluster: the exact-locality
 // adapter around the shared dispatch core. The core makes every routing
 // decision; the cluster models the substrate — virtual time, CPUs,
-// disks, the internal network, caches and power state — and reports
+// disks, the internal network and caches — and reports
 // ground-truth residency back. Build one with New, run a trace with
 // Run; a Cluster is single-use.
 type Cluster struct {
@@ -138,7 +133,6 @@ type Cluster struct {
 	met       metrics.Collector
 	tr        *trace.Trace // the trace Run is replaying
 	files     map[string]int64
-	power     *powerTracker // nil unless Config.Power.Enabled
 	gray      *grayState    // injected gray faults
 	down      []bool        // per backend: currently crashed
 	remaining int           // requests not yet completed
@@ -185,14 +179,7 @@ func New(cfg Config) (*Cluster, error) {
 		if cfg.UseGDSF {
 			// GDSF keeps a fixed split: a GDSF demand partition plus an
 			// LRU pinned partition.
-			demand := total - maxPinned
-			var main cache.Cache
-			if cfg.Features.NavPrefetch {
-				main = cache.NewGDSFSplit(demand, 2)
-			} else {
-				main = cache.NewGDSF(demand)
-			}
-			store = cache.NewPartitioned(main, cache.NewLRU(maxPinned))
+			store = cache.NewPartitioned(cache.NewGDSF(total-maxPinned), cache.NewLRU(maxPinned))
 		} else {
 			// LRU mode models Table 1's "pinned memory (variable)": one
 			// shared pool whose pinned bytes are capped but whose free
@@ -214,9 +201,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if cfg.Features.Replication {
 		c.replmgr = replicate.NewManager(cfg.Miner.Ranker, cfg.ReplicateConfig)
-	}
-	if cfg.Power.Enabled {
-		c.power = newPowerTracker(cfg.Power, cfg.Params.Backends)
 	}
 
 	dcfg := dispatch.Config{
@@ -250,9 +234,6 @@ func New(cfg Config) (*Cluster, error) {
 		Gray:     cfg.Gray,
 		Recorder: cfg.Recorder,
 	}
-	if cfg.Power.Enabled {
-		dcfg.WakeFallback = c.wakeFallback
-	}
 	core, err := dispatch.New(dcfg)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
@@ -270,21 +251,13 @@ func (c *Cluster) vnow() time.Time {
 	return time.Time{}.Add(c.eng.Now())
 }
 
-// wakeFallback is the core's last resort when no backend is available:
-// wake the lowest-index live sleeper (wake-on-demand, e.g. after the
-// last active backend crashed).
-func (c *Cluster) wakeFallback(time.Time) (int, bool) {
-	for i := range c.backends {
-		if c.down[i] || !c.power.asleep[i] {
-			continue
-		}
-		c.power.accrue(c.eng.Now())
-		c.power.asleep[i] = false
-		c.power.wakes++
-		c.backends[i].cpu.Schedule(c.power.params.WakeLatency, nil)
-		return i, true
-	}
-	return 0, false
+// unavailable reports whether a backend can accept new work. A
+// flapping backend's down half-cycles count — the outage is visible —
+// while the other gray modes (slow, errrate) deliberately do not: the
+// backend looks available, and only the detector's Degraded hook can
+// steer work away.
+func (c *Cluster) unavailable(i int) bool {
+	return c.down[i] || c.gray.softDown[i]
 }
 
 // crash takes a backend down: its memory is lost and the core forgets

@@ -266,31 +266,6 @@ func TestGoldenRuns(t *testing.T) {
 				counters: "[395 60 340 400 50 0 0 0 0 0 0 584 824 70 0 2671132 0]"},
 		},
 		{
-			name: "power", workload: goldenSynth(4000, 207, 400),
-			config: func(_, mid, _ time.Duration) Config {
-				c := goldenPRORD()
-				c.Params = smallParams(8, 1, 1)
-				c.Power = PowerParams{Enabled: true, Interval: 20 * time.Millisecond, TargetLoad: 4, WakeLatency: 10 * time.Millisecond}
-				c.Failures = []Failure{{Server: 0, At: mid}}
-				return c
-			},
-			want: golden{digest: 0xb4da43aaa847c58a, events: 8492, thr: 0x40920bdd5d91fe37, hit: 0x3fe51732ca8d3bfd, resp: 20636673,
-				counters: "[2445 1651 854 1077 632 1356 435 487 0 0 60 0 0 0 0 18752051 0]"},
-		},
-		{
-			// The lightly loaded trace leaves one backend awake; crashing
-			// it forces the core's wake-on-demand fallback.
-			name: "power-wake-fallback", workload: goldenSynth(2000, 213, 0),
-			config: func(_, mid, _ time.Duration) Config {
-				c := goldenPRORD()
-				c.Power = PowerParams{Enabled: true, Interval: 100 * time.Millisecond}
-				c.Failures = []Failure{{Server: 0, At: mid}}
-				return c
-			},
-			want: golden{digest: 0xc511b2c29289963e, events: 6491, thr: 0x4027110931cb4937, hit: 0x3fdf1b2c55cf5fd2, resp: 7608819,
-				counters: "[1253 609 644 822 70 430 281 210 757 0 0 0 0 0 0 9068502 0]"},
-		},
-		{
 			name: "gdsf", workload: goldenSynth(2000, 43, 0),
 			config: func(_, _, _ time.Duration) Config {
 				c := goldenPRORD()
@@ -372,8 +347,5 @@ func goldenCoverage(t *testing.T, name string, res *Result) {
 		need("HedgesFired", res.Gray.HedgesFired)
 	case "overload-queue", "overload-crash":
 		need("Shed", m.Shed)
-	case "power", "power-wake-fallback":
-		need("Wakes", res.Wakes)
-		need("Sleeps", res.Sleeps)
 	}
 }

@@ -41,11 +41,6 @@ type Result struct {
 	MeanResponse time.Duration
 	// HitRate is the backend memory hit fraction.
 	HitRate float64
-	// AvgPower is the mean cluster power draw as a fraction of the
-	// all-active draw (1.0 without power management).
-	AvgPower float64
-	// Wakes and Sleeps count power-state transitions.
-	Wakes, Sleeps int64
 	// Servers holds per-backend statistics.
 	Servers []ServerStats
 	// FrontUtilization is each front-end distributor's busy fraction; a
@@ -82,12 +77,6 @@ func (c *Cluster) result(tr *trace.Trace) *Result {
 		Throughput:   c.met.Throughput(makespan),
 		MeanResponse: c.met.Response.Mean(),
 		HitRate:      c.met.HitRate(),
-		AvgPower:     1,
-	}
-	if c.power != nil {
-		res.AvgPower = c.power.avgPower(c.lastDone)
-		res.Wakes = c.power.wakes
-		res.Sleeps = c.power.sleeps
 	}
 	for _, f := range c.fronts {
 		res.FrontUtilization = append(res.FrontUtilization, f.Utilization())

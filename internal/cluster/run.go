@@ -160,18 +160,6 @@ func (c *Cluster) Run(tr *trace.Trace) (*Result, error) {
 			}
 		}
 	}
-	// The PARD-style power controller, kept alive only while work remains.
-	if c.power != nil {
-		var tick func()
-		tick = func() {
-			if c.remaining <= 0 {
-				return
-			}
-			c.powerTick()
-			c.eng.After(c.power.params.Interval, tick)
-		}
-		c.eng.After(c.power.params.Interval, tick)
-	}
 	// Periodic replication (Algorithm 3's "every t seconds"), kept alive
 	// only while work remains so the event queue can drain. The degrade
 	// ladder sheds refresh rounds along with prefetching: no proactive

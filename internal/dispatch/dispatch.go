@@ -92,14 +92,10 @@ type Config struct {
 	// backends.
 	LoadOf func(server int) int
 	// Available, when non-nil, reports whether a backend can take new
-	// work at now (breaker closed, not crashed, not hibernating).
+	// work at now (breaker closed, not crashed, not in a flap's outage).
 	// Unavailable backends are invisible to the policy. Nil means always
 	// available.
 	Available func(server int, now time.Time) bool
-	// WakeFallback, when non-nil, is consulted when no backend is
-	// available: it may bring one back (the simulator's wake-on-demand
-	// power path) and return its index.
-	WakeFallback func(now time.Time) (int, bool)
 	// NavBudget, when non-nil, gates navigation prefetch planning
 	// per backend (the simulator skips prefetching into a disk already
 	// loaded with demand work). Nil means always.

@@ -133,15 +133,11 @@ func (c *Core) Hedge(path string, primary int, now time.Time) (server int, ok bo
 // backend exclude: least-loaded among accepting backends the locality
 // state says hold the file (replication and prefetch make a holder
 // likely), then least-loaded accepting, then — unless acceptOnly —
-// least-loaded merely-available (degraded; a hard failover must land
-// somewhere, so with nothing else up it may also wake a backend, as
-// Route does). Shared by Rebook's failover retry and HedgeTarget so both
+// least-loaded merely-available (degraded: a hard failover must land
+// somewhere). Shared by Rebook's failover retry and HedgeTarget so both
 // prefer a warm replica over a cold least-loaded backend.
 func (c *Core) pickTarget(path string, exclude int, acceptOnly bool, now time.Time) (int, bool) {
 	avail := c.availMask(now).Remove(exclude)
-	if !acceptOnly {
-		avail = c.wakeIfEmpty(avail, now).Remove(exclude)
-	}
 	f := &c.files
 	f.mu.Lock()
 	holders := f.believed(c.cfg.Exact, path, avail) | f.peek(path).prefetched&avail

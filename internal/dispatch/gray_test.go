@@ -262,22 +262,13 @@ func TestNewRejectsNegativeHedgeCap(t *testing.T) {
 	}
 }
 
-// TestFailoverWakesASleeper: when the failed attempt's backend was the
-// only one available, the retry goes to the backend WakeFallback brings
-// back, as Route's own fallback does; with nothing to wake the failed
-// attempt is left to the caller.
-func TestFailoverWakesASleeper(t *testing.T) {
-	awake := []bool{true, false}
-	asleep := true // backend 1 hibernates until woken
+// TestFailoverDeclinesWithNothingElseUp: the only available backend
+// fails with a request in flight and no other backend is up, so
+// Failover declines and leaves the attempt booked for the caller.
+func TestFailoverDeclinesWithNothingElseUp(t *testing.T) {
+	up := []bool{true, false}
 	c, err := dispatch.New(dispatch.Config{Backends: 2, Policy: policy.NewWRR(2),
-		Available: func(s int, _ time.Time) bool { return awake[s] },
-		WakeFallback: func(time.Time) (int, bool) {
-			if !asleep {
-				return 0, false
-			}
-			asleep, awake[1] = false, true
-			return 1, true
-		}})
+		Available: func(s int, _ time.Time) bool { return up[s] }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,31 +276,19 @@ func TestFailoverWakesASleeper(t *testing.T) {
 	const key, path = "10.3.4.1:1", "/g0/p0.html"
 	out := c.Route(key, path, 1024, now)
 	if !out.OK || out.Server != 0 {
-		t.Fatalf("Route = %+v, want backend 0, the only one awake", out)
+		t.Fatalf("Route = %+v, want backend 0, the only one up", out)
 	}
-	awake[0] = false // it crashes with the request in flight
-	next, ok := c.Failover(key, path, 0, 0, now)
-	if !ok || next != 1 || asleep {
-		t.Fatalf("Failover = %d %t, want the woken backend 1", next, ok)
+	up[0] = false
+	if next, ok := c.Failover(key, path, 0, 0, now); ok {
+		t.Fatalf("Failover went to %d with nothing up", next)
 	}
-	c.Done(key, next, path, false, true)
-	if st := c.Stats(); st.Failovers != 1 || st.Errors != 1 || c.Loads()[0] != 0 || c.Loads()[1] != 0 {
-		t.Fatalf("stats %+v loads %v, want one failover, one error, no load", st, c.Loads())
-	}
-	// Backend 1 now fails the same way, with no sleeper left to wake:
-	// Failover declines and leaves the attempt booked for the caller.
-	out = c.Route(key, path, 1024, now)
-	if !out.OK || out.Server != 1 {
-		t.Fatalf("Route = %+v, want backend 1, the only one awake", out)
-	}
-	awake[1] = false
-	if next, ok := c.Failover(key, path, 1, 0, now); ok {
-		t.Fatalf("Failover went to %d with nothing up or asleep", next)
-	}
-	if got := c.Loads()[1]; got != 1 {
+	if got := c.Loads()[0]; got != 1 {
 		t.Fatalf("a declined Failover released the attempt: load %d, want 1", got)
 	}
-	c.Done(key, 1, path, true, false)
+	c.Done(key, 0, path, true, false)
+	if st := c.Stats(); st.Failovers != 0 || st.Errors != 1 || c.Loads()[0] != 0 {
+		t.Fatalf("stats %+v loads %v, want no failover, one error, no load", st, c.Loads())
+	}
 }
 
 // TestHedgeIsOneCall: the gray layer's Hedge books under the defaulted

@@ -149,7 +149,7 @@ func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
 		}
 	}
 
-	avail := c.wakeIfEmpty(c.availMask(now), now)
+	avail := c.availMask(now)
 	if avail.Empty() {
 		// Undo the session reservation: the request was never booked.
 		sh.mu.Lock()
@@ -327,8 +327,7 @@ func (c *Core) Failover(key, path string, server, attempt int, now time.Time) (n
 // failed: it picks the best alternative via the shared target helper —
 // a backend the locality state says holds the file first (replication
 // placed warm copies for exactly this moment), then the least-loaded
-// backend open to new placements, falling back to degraded ones, then
-// to one WakeFallback brings back, only when nothing else is up —
+// backend open to new placements, falling back to degraded ones —
 // re-pins the session, registers the retry in the routing state and
 // records it (Record.Retry). ok is false when no alternative backend
 // exists.

@@ -213,19 +213,6 @@ func (c *Core) availMask(now time.Time) ServerSet {
 	return m
 }
 
-// wakeIfEmpty returns avail unless it is empty and the adapter supplies
-// WakeFallback (wake-on-demand, e.g. after the last awake backend
-// crashed); then it returns the one backend the fallback brought back,
-// if any.
-func (c *Core) wakeIfEmpty(avail ServerSet, now time.Time) ServerSet {
-	if avail.Empty() && c.cfg.WakeFallback != nil {
-		if s, ok := c.cfg.WakeFallback(now); ok && s >= 0 && s < c.cfg.Backends {
-			return avail.Add(s)
-		}
-	}
-	return avail
-}
-
 // loadOf returns the routable-load signal for an available backend.
 func (c *Core) loadOf(server int) int {
 	if c.cfg.LoadOf != nil {

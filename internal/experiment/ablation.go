@@ -47,24 +47,23 @@ func (r *Runner) AblationThreshold() (*Table, error) {
 		col{"Throughput", "throughput", "%.0f", at(0, throughput)})
 }
 
-// AblationCache compares LRU against GDSF / GDSF-split demand caches
-// (§2.2.3 and [20]'s extension).
+// AblationCache compares LRU against GDSF demand caches (§2.2.3).
 func (r *Runner) AblationCache() (*Table, error) {
 	t := &Table{
 		ID:     "ablation-cache",
 		Title:  "Demand-cache policy (Synthetic)",
 		Header: []string{"Cache", "Policy"},
 	}
-	with := func(label, policyName, cache string) row {
+	with := func(cache, policyName string) row {
 		run := cell(trace.PresetSynthetic, policyName)
 		run.Cache = cache
-		return row{[]string{label, policyName}, []Run{run}}
+		return row{[]string{cache, policyName}, []Run{run}}
 	}
 	rows := []row{
-		with("LRU", "LARD", "LRU"),
-		with("GDSF", "LARD", "GDSF"),
-		with("LRU", "PRORD", "LRU"),
-		with("GDSF-split", "PRORD", "GDSF"),
+		with("LRU", "LARD"),
+		with("GDSF", "LARD"),
+		with("LRU", "PRORD"),
+		with("GDSF", "PRORD"),
 	}
 	return r.fill(t, rows,
 		col{"Hit rate", "hitrate", "%.3f", at(0, hitRate)},

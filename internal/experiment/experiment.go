@@ -170,8 +170,6 @@ type Run struct {
 	// DynamicFraction is the share of the site's pages generated per
 	// request (uncacheable).
 	DynamicFraction float64
-	// Power turns on PARD-style power management.
-	Power bool
 	// Distributors is the number of front-end distributors (0 = one).
 	Distributors int
 	// CrashAt, when > 0, crashes backend 0 at that fraction of the eval
@@ -276,11 +274,7 @@ func (r *Runner) run(run Run) (*outcome, error) {
 		// evicts demand-cached files for no hit-rate return.
 		ReplicateConfig:     replicate.Config{T1Fraction: 0.05, MaxFiles: 64},
 		ReplicationInterval: replInterval,
-		Power: cluster.PowerParams{
-			Enabled:  run.Power,
-			Interval: time.Duration(float64(time.Second) / opt.LoadFactor * 10),
-		},
-		Distributors: run.Distributors,
+		Distributors:        run.Distributors,
 	}
 	if run.CrashAt > 0 {
 		f := cluster.Failure{At: eval.Requests[int(run.CrashAt*float64(len(eval.Requests)))].Time}
@@ -388,7 +382,6 @@ var experiments = []struct {
 	{"hitrate", true, (*Runner).HitRate},
 	{"dynamic", false, (*Runner).Dynamic},
 	{"predictors", false, (*Runner).PredictorComparison},
-	{"power", false, (*Runner).Power},
 	{"failover", false, (*Runner).Failover},
 	{"frontends", false, (*Runner).FrontEnds},
 	{"ablation-order", false, (*Runner).AblationOrder},

@@ -289,27 +289,6 @@ func TestDynamicSweep(t *testing.T) {
 	}
 }
 
-func TestPowerExperiment(t *testing.T) {
-	tab, err := testRunner().Power()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pol := range []string{"WRR", "LARD", "PRORD"} {
-		plain := tab.MustGet(pol, "power")
-		managed := tab.MustGet(pol+"+power", "power")
-		if plain != 1 {
-			t.Errorf("%s unmanaged power = %v, want 1", pol, plain)
-		}
-		if managed >= plain {
-			t.Errorf("%s+power should draw less than %v, got %v", pol, plain, managed)
-		}
-		// Energy savings must not collapse throughput.
-		if thr, base := tab.MustGet(pol+"+power", "throughput"), tab.MustGet(pol, "throughput"); thr < 0.7*base {
-			t.Errorf("%s+power throughput %v collapsed from %v", pol, thr, base)
-		}
-	}
-}
-
 func TestFailoverExperiment(t *testing.T) {
 	tab, err := testRunner().Failover()
 	if err != nil {

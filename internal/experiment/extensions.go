@@ -7,33 +7,6 @@ import (
 	"prord/internal/trace"
 )
 
-// Power regenerates the PARD angle embedded in Table 1 (power rows: 100%
-// active / 5% hibernation): what power-aware operation costs and saves
-// under each distribution policy, at a load where the cluster is
-// over-provisioned.
-func (r *Runner) Power() (*Table, error) {
-	t := &Table{
-		ID:     "power",
-		Title:  "Power-managed operation (Synthetic, Table 1 power parameters)",
-		Header: []string{"Policy"},
-		Notes:  []string{"power rows use Table 1's 100%/5% active/hibernation draws; savings depend on offered load vs capacity"},
-	}
-	var rows []row
-	for _, polName := range []string{"WRR", "LARD", "PRORD"} {
-		managed := cell(trace.PresetSynthetic, polName)
-		managed.Power = true
-		rows = append(rows,
-			row{[]string{polName}, []Run{cell(trace.PresetSynthetic, polName)}},
-			row{[]string{polName + "+power"}, []Run{managed}})
-	}
-	return r.fill(t, rows,
-		col{"Throughput", "throughput", "%.0f", at(0, throughput)},
-		col{"Mean resp (ms)", "respms", "%.2f", at(0, respMs)},
-		col{"Avg power", "power", "%.3f", at(0, func(o *outcome) float64 { return o.AvgPower })},
-		col{"Wakes", "wakes", "%.0f", at(0, func(o *outcome) float64 { return float64(o.Wakes) })},
-		col{"Sleeps", "sleeps", "%.0f", at(0, func(o *outcome) float64 { return float64(o.Sleeps) })})
-}
-
 // FrontEnds regenerates §2.1's scalability discussion (Aron et al. [4]):
 // the front-end distributor becomes the bottleneck under per-request
 // handoff traffic, and decentralizing it (2-4 distributors behind an L4

@@ -130,10 +130,8 @@ func TestSameCellSameNumber(t *testing.T) {
 		}
 	}
 	fig7, response, hitrate := goldenTable(t, "fig7"), goldenTable(t, "response"), goldenTable(t, "hitrate")
-	power, dynamic, failover := goldenTable(t, "power"), goldenTable(t, "dynamic"), goldenTable(t, "failover")
+	dynamic, failover := goldenTable(t, "dynamic"), goldenTable(t, "failover")
 	for _, pol := range []string{"LARD", "PRORD"} {
-		same(power, pol, "throughput", fig7, "Synthetic", pol)
-		same(power, pol, "respms", response, "Synthetic", pol)
 		same(dynamic, "0%", pol, fig7, "Synthetic", pol)
 	}
 	same(failover, "healthy", "hitrate", hitrate, "Synthetic", "PRORD")
@@ -145,12 +143,12 @@ func TestSameCellSameNumber(t *testing.T) {
 func TestGDSFReachesEveryCell(t *testing.T) {
 	opt := goldenOptions()
 	opt.UseGDSF = true
-	gdsf, err := NewRunner(opt).Power()
+	gdsf, err := NewRunner(opt).Failover()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lru := goldenTable(t, "power"); gdsf.String() == lru.String() {
-		t.Errorf("power with UseGDSF reads the same as with LRU:\n%s", gdsf)
+	if lru := goldenTable(t, "failover"); gdsf.String() == lru.String() {
+		t.Errorf("failover with UseGDSF reads the same as with LRU:\n%s", gdsf)
 	}
 }
 

@@ -176,9 +176,7 @@ func (m *Model) Predict(recent []string) (Prediction, bool) {
 }
 
 // PredictAll returns every continuation of the longest matching context,
-// sorted by descending confidence (ties by page). Used by prefetchers that
-// fetch more than one candidate and by the GDSF-split cache's future
-// frequency.
+// sorted by descending confidence (ties by page).
 func (m *Model) PredictAll(recent []string) []Prediction {
 	if len(recent) == 0 {
 		return nil
