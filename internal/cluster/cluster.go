@@ -43,7 +43,7 @@ type Config struct {
 	// to absorb.
 	Failures []Failure
 	// Gray enables the core's gray-failure layer, driven by virtual
-	// time: the relative slow-backend detector as the Degraded mask,
+	// time: the relative slow-backend detector as the degraded mask,
 	// plus optional hedged backup requests. Nil disables the layer
 	// (injected gray failures then hit the cluster with no defense).
 	Gray *dispatch.GrayConfig
@@ -254,7 +254,7 @@ func (c *Cluster) vnow() time.Time {
 // unavailable reports whether a backend can accept new work. A
 // flapping backend's down half-cycles count — the outage is visible —
 // while the other gray modes (slow, errrate) deliberately do not: the
-// backend looks available, and only the detector's Degraded hook can
+// backend looks available, and only the detector's degraded mask can
 // steer work away.
 func (c *Cluster) unavailable(i int) bool {
 	return c.down[i] || c.gray.softDown[i]

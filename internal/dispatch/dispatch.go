@@ -107,24 +107,9 @@ type Config struct {
 	// Overload enables the degrade ladder: estimator, tiered shedding
 	// and Critical-tier admission. Nil disables the layer.
 	Overload *overload.Config
-	// Degraded, when non-nil, reports whether a backend is gray-failing
-	// (the health detector's ejection verdict: alive, but serving
-	// latencies far above the pool). Degraded backends stay available —
-	// requests in flight finish and hard failures still go through the
-	// breaker — but they are soft-excluded from new placements via the
-	// accept mask, and a session pinned to one loses its pin on its next
-	// request, re-binding through the normal routing path (progressive
-	// rebinding rather than a mass detach). The hook is consulted on the
-	// routing hot path, sometimes under the file table's lock: it must be
-	// lock-free and non-blocking (health.Detector.Degraded is). Nil
-	// means no backend is ever degraded — bit-identical to the
-	// pre-detector behavior. The adapters set Gray instead, whose
-	// detector becomes this mask; Degraded is the hook for tests that
-	// script the mask directly, and New rejects a config setting both.
-	Degraded func(server int) bool
 	// Gray enables the gray-failure layer: the latency-outlier detector
-	// as the Degraded mask, and optionally hedged backups. Nil disables
-	// it.
+	// as the degraded mask, and optionally hedged backups. Nil disables
+	// it, and no backend is ever degraded.
 	Gray *GrayConfig
 	// Retries is the per-request failover budget Failover spends: a
 	// request whose attempt failed is re-booked on another backend at
@@ -327,6 +312,18 @@ type Core struct {
 
 	gray     GrayConfig       // defaulted Config.Gray
 	detector *health.Detector // nil with the gray layer off
+	// degradedMask reports whether a backend is gray-failing (the
+	// detector's ejection verdict: alive, but serving latencies far
+	// above the pool). Degraded backends stay available — requests in
+	// flight finish and hard failures still go through the breaker — but
+	// they are soft-excluded from new placements via the accept mask,
+	// and a session pinned to one loses its pin on its next request,
+	// re-binding through the normal routing path (progressive rebinding
+	// rather than a mass detach). It is consulted on the routing hot
+	// path, sometimes under the file table's lock, so it is lock-free
+	// and non-blocking (health.Detector.Degraded is). Nil with the gray
+	// layer off: no backend is ever degraded.
+	degradedMask func(server int) bool
 
 	seq   atomic.Int64 // decision sequence for Records
 	stats coreStats
@@ -359,15 +356,11 @@ func New(cfg Config) (*Core, error) {
 	var gray GrayConfig
 	var detector *health.Detector
 	if cfg.Gray != nil {
-		if cfg.Degraded != nil {
-			return nil, fmt.Errorf("dispatch: set Config.Gray or Config.Degraded, not both")
-		}
 		gray = cfg.Gray.WithDefaults()
 		if gray.HedgeCap < 0 {
 			return nil, fmt.Errorf("dispatch: Gray.HedgeCap must not be negative, got %d", gray.HedgeCap)
 		}
 		detector = health.NewDetector(cfg.Backends, gray.Detector)
-		cfg.Degraded = detector.Degraded
 	}
 	if cfg.Retries == 0 {
 		cfg.Retries = 1
@@ -383,6 +376,9 @@ func New(cfg Config) (*Core, error) {
 		hedges:     make([]atomic.Int64, cfg.Backends),
 		gray:       gray,
 		detector:   detector,
+	}
+	if detector != nil {
+		c.degradedMask = detector.Degraded
 	}
 	if cfg.Recorder != nil {
 		c.emitter = newRecordEmitter(cfg.Recorder)

@@ -9,7 +9,7 @@ import (
 )
 
 // GrayConfig enables the gray-failure layer: a relative latency-outlier
-// detector whose ejections are the core's Degraded mask (soft exclusion
+// detector whose ejections are the core's degraded mask (soft exclusion
 // from new placements plus progressive session rebinding), and hedged
 // backup requests for static content. Both adapters run it through the
 // core: they feed it latencies on their own clock and carry the hedge

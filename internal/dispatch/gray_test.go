@@ -1,6 +1,6 @@
 package dispatch_test
 
-// Gray-failure wiring tests for the decision core: the Degraded hook's
+// Gray-failure wiring tests for the decision core: the degraded mask's
 // soft exclusion and progressive rebinding, the shared holder-
 // preferring target helper behind Rebook and HedgeTarget, and the
 // hedge booking lifecycle.
@@ -20,7 +20,7 @@ import (
 	"prord/internal/randutil"
 )
 
-// grayMask is a lock-free Degraded hook for tests.
+// grayMask is a lock-free scripted degraded mask for tests.
 type grayMask struct{ bits []atomic.Bool }
 
 func newGrayMask(n int) *grayMask       { return &grayMask{bits: make([]atomic.Bool, n)} }
@@ -33,10 +33,11 @@ func newGrayCore(t *testing.T, backends int, g *grayMask) *dispatch.Core {
 		Backends: backends,
 		Policy:   policy.NewPRORD(policy.Thresholds{}),
 	}
+	var mask func(int) bool
 	if g != nil {
-		cfg.Degraded = g.degraded
+		mask = g.degraded
 	}
-	c, err := dispatch.New(cfg)
+	c, err := dispatch.NewWithDegraded(cfg, mask)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,12 +255,6 @@ func TestNewRejectsNegativeHedgeCap(t *testing.T) {
 	if _, err := dispatch.New(cfg); err != nil {
 		t.Fatalf("HedgeCap 0 (the default): %v", err)
 	}
-	// Gray's detector is the Degraded mask; a second mask is an error,
-	// not a silent overwrite.
-	cfg.Degraded = func(int) bool { return false }
-	if _, err := dispatch.New(cfg); err == nil || !strings.Contains(err.Error(), "Degraded") {
-		t.Fatalf("Gray with Degraded: err = %v, want an error naming Degraded", err)
-	}
 }
 
 // TestFailoverDeclinesWithNothingElseUp: the only available backend
@@ -322,8 +317,8 @@ func TestHedgeIsOneCall(t *testing.T) {
 
 // TestDegradedHookNoopKeepsDecisionStream pins the narrowed accept-mask
 // plumbing to the historical behavior: a core with an always-false
-// Degraded hook must emit byte-identical decision records to one with
-// no hook at all.
+// degraded mask must emit byte-identical decision records to one with
+// no mask at all.
 func TestDegradedHookNoopKeepsDecisionStream(t *testing.T) {
 	run := func(withHook bool) []dispatch.Record {
 		var recs []dispatch.Record
@@ -332,10 +327,11 @@ func TestDegradedHookNoopKeepsDecisionStream(t *testing.T) {
 			Policy:   policy.NewPRORD(policy.Thresholds{}),
 			Recorder: func(r dispatch.Record) { recs = append(recs, r) },
 		}
+		var mask func(int) bool
 		if withHook {
-			cfg.Degraded = func(int) bool { return false }
+			mask = func(int) bool { return false }
 		}
-		c, err := dispatch.New(cfg)
+		c, err := dispatch.NewWithDegraded(cfg, mask)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +349,7 @@ func TestDegradedHookNoopKeepsDecisionStream(t *testing.T) {
 	}
 	plain, hooked := run(false), run(true)
 	if !reflect.DeepEqual(plain, hooked) {
-		t.Fatal("always-false Degraded hook changed the decision stream")
+		t.Fatal("always-false degraded mask changed the decision stream")
 	}
 }
 
@@ -361,18 +357,17 @@ func TestDegradedHookNoopKeepsDecisionStream(t *testing.T) {
 // wiring, aimed at the race detector (`make race`): workers
 // drive the full booking lifecycle — Route, failed attempts, Rebook,
 // hedge bookings, Done — while a flipper goroutine keeps toggling the
-// Degraded mask, rewriting the accept set mid-flight. After the storm
+// degraded mask, rewriting the accept set mid-flight. After the storm
 // every book must balance exactly.
 func TestCoreGrayDegradedChurn(t *testing.T) {
 	const backends = 4
 	g := newGrayMask(backends)
-	c, err := dispatch.New(dispatch.Config{
+	c, err := dispatch.NewWithDegraded(dispatch.Config{
 		Backends:        backends,
 		Policy:          policy.NewPRORD(policy.Thresholds{}),
-		Degraded:        g.degraded,
 		LocalityEntries: 512,
 		MaxSessions:     256,
-	})
+	}, g.degraded)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@ package dispatch_test
 // decision core's public surface — Route, Done ok and failed, Rebook,
 // hedge target/begin/finish, InvalidateBackend, CloseConn,
 // PlanProactive, exact-mode residency reports and flips of the
-// Available and Degraded hooks — checks the core's accounting
+// Available hook and the degraded mask — checks the core's accounting
 // invariants after every step, and reduces everything the core
 // answered to one FNV-1a digest per locality mode. A rework of the
 // core's internal state must keep both digests.
@@ -58,7 +58,7 @@ type opDriver struct {
 	keys  []string
 	now   time.Time
 
-	up, gray []bool // the Available and Degraded masks the hooks read
+	up, gray []bool // the Available and degraded masks the hooks read
 
 	bookings   []opBooking
 	hedges     []opBooking
@@ -333,19 +333,18 @@ func runOpStream(t *testing.T, exact bool, seed int64, steps int) uint64 {
 	for s := range d.up {
 		d.up[s] = true
 	}
-	d.c, err = dispatch.New(dispatch.Config{
+	d.c, err = dispatch.NewWithDegraded(dispatch.Config{
 		Backends:  backends,
 		Policy:    policy.NewPRORD(policy.Thresholds{}),
 		Miner:     m,
 		Features:  dispatch.Features{Bundle: true, NavPrefetch: true},
 		Exact:     exact,
 		Available: func(s int, _ time.Time) bool { return d.up[s] },
-		Degraded:  func(s int) bool { return d.gray[s] },
 		// Small bounds so the locality LRUs and the idle-session valve
 		// evict during the stream (300 sessions over 400 keys).
 		LocalityEntries: 16,
 		MaxSessions:     300,
-	})
+	}, func(s int) bool { return d.gray[s] })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -234,20 +234,20 @@ func (c *Core) leastLoaded(set ServerSet) (best int, found bool) {
 }
 
 // degraded reports the gray-failure detector's verdict for a backend
-// (never degraded without a Degraded hook). Lock-free per the Config
-// contract, so it is safe under the core's leaf locks.
+// (never degraded with the gray layer off). The mask is lock-free, so
+// it is safe under the core's leaf locks.
 func (c *Core) degraded(server int) bool {
-	return c.cfg.Degraded != nil && c.cfg.Degraded(server)
+	return c.degradedMask != nil && c.degradedMask(server)
 }
 
 // healthy returns the members of set the gray-failure detector does
-// not flag (all of them without a Degraded hook).
+// not flag (all of them with the gray layer off).
 func (c *Core) healthy(set ServerSet) ServerSet {
-	if c.cfg.Degraded == nil {
+	if c.degradedMask == nil {
 		return set
 	}
 	for i := 0; i < c.cfg.Backends; i++ {
-		if set.Has(i) && c.cfg.Degraded(i) {
+		if set.Has(i) && c.degradedMask(i) {
 			set = set.Remove(i)
 		}
 	}
