@@ -160,6 +160,16 @@ func TestLockOrderExactFindings(t *testing.T) {
 	}
 }
 
+// TestMapOrderExactFindings pins the maporder fixture to one finding
+// per seeded violation: five unsorted sinks and Bundles.rebuild's
+// parent choice before its tie-break.
+func TestMapOrderExactFindings(t *testing.T) {
+	pkg := checkFixture(t, "maporder.go", "prord/internal/experiment")
+	if findings := Run([]*Package{pkg}, []*Analyzer{MapOrder}); len(findings) != 6 {
+		t.Errorf("want exactly 6 maporder findings, got %d: %v", len(findings), findings)
+	}
+}
+
 // TestEffectSummariesPropagate checks the fixed point directly: the
 // caller of a locking, blocking helper inherits both effects.
 func TestEffectSummariesPropagate(t *testing.T) {

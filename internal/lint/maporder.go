@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -11,8 +12,15 @@ import (
 // Go randomizes map iteration order, so such loops make results, figures
 // and serialized artifacts differ between identical runs.
 //
+// It also flags compare-and-assign: an `if` inside the loop that keeps
+// the loop's key, or an enclosing map-range's key, in a location outside
+// that loop while its condition orders values with `<` or `>` and has
+// no tie-break on the key. Among equal values the last key the range
+// visits wins. `count > best || (count == best && page < bestPage)`
+// breaks the tie and is clean.
+//
 // Order-insensitive uses (summing counters, filling another map, finding
-// a minimum) are not flagged, and the collect-then-sort idiom
+// a minimum value) are not flagged, and the collect-then-sort idiom
 // (append keys, sort, iterate the slice) is recognized as safe.
 //
 // MapOrder stays a per-package pass on the Program-backed engine: both
@@ -62,6 +70,7 @@ func checkMapRanges(pass *Pass, body *ast.BlockStmt) {
 		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 			return true
 		}
+		checkCompareAssign(pass, rs)
 		sink, sinkKind := findOrderSink(pass, rs)
 		if sink == nil {
 			return true
@@ -77,6 +86,50 @@ func checkMapRanges(pass *Pass, body *ast.BlockStmt) {
 		case sinkWrite:
 			pass.Reportf(rs.Pos(),
 				"map iteration emits output in nondeterministic order; collect the keys, sort them, then iterate the slice")
+		}
+		return true
+	})
+}
+
+// checkCompareAssign reports each `if` inside map-range rs whose body
+// assigns rs's key to a location declared outside rs under a condition
+// that orders values with no tie-break on the key.
+func checkCompareAssign(pass *Pass, rs *ast.RangeStmt) {
+	info := pass.Pkg.Info
+	key, _ := rs.Key.(*ast.Ident)
+	if key == nil || info.ObjectOf(key) == nil {
+		return
+	}
+	isKey := func(e ast.Expr) bool {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		return ok && info.ObjectOf(id) == info.ObjectOf(key)
+	}
+	ast.Inspect(rs.Body, func(n ast.Node) bool {
+		ifs, ok := n.(*ast.IfStmt)
+		if !ok {
+			_, lit := n.(*ast.FuncLit)
+			return !lit
+		}
+		kept, orders, tieBreak := false, false, false
+		for _, st := range ifs.Body.List {
+			if as, ok := st.(*ast.AssignStmt); ok && as.Tok == token.ASSIGN && len(as.Lhs) == len(as.Rhs) {
+				for i, rhs := range as.Rhs {
+					base := baseIdent(as.Lhs[i])
+					kept = kept || isKey(rhs) && base != nil && declaredOutside(info, base, rs)
+				}
+			}
+		}
+		ast.Inspect(ifs.Cond, func(n ast.Node) bool {
+			if be, ok := n.(*ast.BinaryExpr); ok && (be.Op == token.LSS || be.Op == token.GTR || be.Op == token.LEQ || be.Op == token.GEQ) {
+				orders = true
+				tieBreak = tieBreak || isKey(be.X) || isKey(be.Y)
+			}
+			return true
+		})
+		if kept && orders && !tieBreak {
+			pass.Reportf(ifs.Pos(),
+				"map iteration keeps key %s under an ordering test with no tie-break on it; among equal values the random range order picks it, so compare %s on ties",
+				key.Name, key.Name)
 		}
 		return true
 	})

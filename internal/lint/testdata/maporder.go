@@ -8,7 +8,8 @@ import (
 )
 
 type holder struct {
-	names []string
+	names    []string
+	parentOf map[string]string
 }
 
 func badAppend(m map[string]int) []string {
@@ -93,4 +94,29 @@ func goodSliceRange(xs []string) []string {
 		out = append(out, x)
 	}
 	return out
+}
+
+// The shape of Bundles.rebuild before its parents broke ties on the page
+// path: among pages with equal counts, the range order picked an
+// object's parent.
+func (h *holder) badParentOf(objCounts map[string]map[string]int) {
+	bestCount := make(map[string]int)
+	for page, objs := range objCounts {
+		for obj, count := range objs {
+			if count > bestCount[obj] { // want maporder
+				bestCount[obj] = count
+				h.parentOf[obj] = page
+			}
+		}
+	}
+}
+
+func goodArgmaxTieBreak(m map[string]int) string {
+	best, bestN := "", 0
+	for k, n := range m { // ties go to the smaller key: allowed
+		if n > bestN || (n == bestN && k < best) {
+			best, bestN = k, n
+		}
+	}
+	return best
 }
