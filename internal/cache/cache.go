@@ -1,7 +1,7 @@
 // Package cache implements the backend-server memory caches used by the
 // cluster model: byte-capacity LRU, GDSF (Greedy-Dual-Size-Frequency,
-// Cherkasova [30]) and a partitioned store with a pinned region for prefetched and replicated pages
-// (Table 1's "pinned memory").
+// Cherkasova [30]) and a partitioned store with a pinned region for
+// prefetched and replicated pages (Table 1's "pinned memory").
 package cache
 
 import "container/heap"

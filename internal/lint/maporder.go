@@ -120,7 +120,8 @@ func checkCompareAssign(pass *Pass, rs *ast.RangeStmt) {
 			}
 		}
 		ast.Inspect(ifs.Cond, func(n ast.Node) bool {
-			if be, ok := n.(*ast.BinaryExpr); ok && (be.Op == token.LSS || be.Op == token.GTR || be.Op == token.LEQ || be.Op == token.GEQ) {
+			be, ok := n.(*ast.BinaryExpr)
+			if ok && (be.Op == token.LSS || be.Op == token.GTR || be.Op == token.LEQ || be.Op == token.GEQ) {
 				orders = true
 				tieBreak = tieBreak || isKey(be.X) || isKey(be.Y)
 			}
