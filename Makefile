@@ -12,6 +12,11 @@
 #                churn and differential suites and the determinism
 #                regressions)
 #   make vet     go vet
+#   make procs   the set-up tests (ReadAll, FromCLF, Mine, the
+#                determinism tests and TestTablesGolden) at GOMAXPROCS
+#                1, 2 and 4: the parse, sessionize and mine stages run
+#                on every core, and their output must not depend on how
+#                many there are
 #   make allocs  every allocation ratchet (the tests matching Allocs),
 #                uncached; they skip under the race detector
 #   make stress  repeat a slice of the suite under the race detector to
@@ -43,7 +48,7 @@ COUNT ?= 2
 # fuzz parameter: how long each Fuzz* target runs.
 FUZZTIME ?= 5s
 
-.PHONY: build test race vet allocs stress benchsmoke fuzz bench ci
+.PHONY: build test race vet procs allocs stress benchsmoke fuzz bench ci
 
 build:
 	$(GO) build ./...
@@ -56,6 +61,10 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+procs:
+	$(GO) test -count=1 -cpu 1,2,4 -run 'ReadAll|Reader|FromCLF|Mine|Train|Determinis|TablesGolden' \
+		./internal/clf/ ./internal/trace/ ./internal/mining/ ./internal/experiment/ .
 
 allocs:
 	$(GO) test -count=1 -run Allocs ./...
@@ -91,4 +100,4 @@ bench:
 # test runs before race: the allocation ratchets (every test matching
 # Allocs, which `make allocs` runs alone) skip under the race detector,
 # whose instrumentation allocates.
-ci: build vet test race benchsmoke fuzz bench
+ci: build vet test race procs benchsmoke fuzz bench

@@ -3,6 +3,7 @@ package cache
 import (
 	"container/list"
 	"fmt"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -144,6 +145,16 @@ func allocKeys(n int) []string {
 	return keys
 }
 
+// settleRuntime collects the garbage and returns every free page to
+// the operating system before an allocation count. AllocsPerRun reads
+// the process-wide malloc count, and the runtime's background scavenger,
+// woken by a collection to return pages, re-arms its sleep timer between
+// passes; now and then that grows a timer heap, one allocation that is
+// not the cache's (a MemProfileRate = 1 profile of a failing run showed
+// runtime.(*timers).addHeap under runtime.bgscavenge). With nothing
+// left to return, the scavenger parks instead, through the measured run.
+func settleRuntime() { debug.FreeOSMemory() }
+
 // TestLRUAllocs pins a full LRU at zero allocations: entries come off
 // the slab's free list and evictions go into the cache's reused buffer.
 func TestLRUAllocs(t *testing.T) {
@@ -157,6 +168,7 @@ func TestLRUAllocs(t *testing.T) {
 	}
 	// One run of many operations: AllocsPerRun truncates its mean, so
 	// an amortized growth spread over many runs would read 0.
+	settleRuntime()
 	allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < 20000; i++ {
 			k := keys[(i*7)%len(keys)]
@@ -188,6 +200,7 @@ func TestPinningAllocs(t *testing.T) {
 			c.Insert(k, 100)
 		}
 	}
+	settleRuntime()
 	allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < 20000; i++ {
 			k := keys[(i*7)%len(keys)]

@@ -12,12 +12,13 @@ package clf
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 	"unicode/utf8"
 )
@@ -288,78 +289,146 @@ func monthNumber(s string) time.Month {
 	return 0
 }
 
-// Reader streams entries from an access log. Malformed lines are counted
-// and skipped rather than aborting the whole read, matching how log miners
-// treat dirty logs.
+// Reader reads an access log. Malformed lines are counted and skipped
+// rather than aborting the whole read, matching how log miners treat
+// dirty logs.
 type Reader struct {
-	sc      *bufio.Scanner
+	r       io.Reader
 	skipped int
 }
 
-// NewReader returns a Reader over r. Lines longer than 1 MiB are rejected.
-func NewReader(r io.Reader) *Reader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	return &Reader{sc: sc}
-}
+// NewReader returns a Reader over r. A line of maxLine bytes or more is
+// rejected.
+func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
-// Next returns the next well-formed entry, or io.EOF when the log is
-// exhausted. I/O errors are returned as-is.
-func (r *Reader) Next() (Entry, error) {
-	for {
-		line, ok := r.nextLine()
-		if !ok {
-			break
-		}
-		e, err := parse(line)
-		if err != nil {
-			r.skipped++
-			continue
-		}
-		return e, nil
-	}
-	if err := r.sc.Err(); err != nil {
-		return Entry{}, err
-	}
-	return Entry{}, io.EOF
-}
+// maxLine is the length, newline excluded, at which a line is too long
+// to read: 1 MiB, the line limit of a bufio.Scanner with a 1 MiB buffer,
+// so that a log reads the same as it does line by line.
+const maxLine = 1 << 20
 
-// nextLine returns the next line that is neither blank nor a comment,
-// trimmed, and false at the end of the log or on an I/O error.
-func (r *Reader) nextLine() (string, bool) {
-	for r.sc.Scan() {
-		if text := bytes.TrimSpace(r.sc.Bytes()); len(text) > 0 && text[0] != '#' {
-			return string(text), true
-		}
-	}
-	return "", false
-}
+// minChunk is the least log one parse worker is given, so that a small
+// log is parsed as one chunk.
+const minChunk = 64 << 10
 
-// ReadAll consumes the remaining entries. It reads every line before it
-// parses any, so that it can parse straight into a slice as long as
-// the log, rather than re-copying a doubling slice of entries.
+// ReadAll reads the rest of the log and returns its well-formed entries
+// in log order, or nil if there are none. Blank lines and lines that
+// start with '#' are ignored. A line of maxLine bytes or more ends the
+// read with bufio.ErrTooLong, and an I/O error ends it with that error;
+// either way the entries before it are returned.
+//
+// The log is read into one string, sized up front when r reports its
+// Len, and every entry's fields are substrings of it. Its lines are
+// parsed in newline-aligned chunks, one per GOMAXPROCS, each into its
+// own range of one slice of entries.
 func (r *Reader) ReadAll() ([]Entry, error) {
-	var lines []string
-	for {
-		line, ok := r.nextLine()
-		if !ok {
+	var b strings.Builder
+	if l, ok := r.r.(interface{ Len() int }); ok {
+		b.Grow(l.Len())
+	}
+	_, err := io.Copy(&b, r.r)
+	block := b.String()
+	entries, tooLong := r.parseBlock(block, min(runtime.GOMAXPROCS(0), 1+len(block)/minChunk))
+	if tooLong {
+		return entries, bufio.ErrTooLong
+	}
+	return entries, err
+}
+
+// parseBlock parses the lines of block on the given number of workers
+// and returns the entries before the first line too long to read, and
+// whether there was one.
+func (r *Reader) parseBlock(block string, workers int) ([]Entry, bool) {
+	// Chunk c is block[bounds[c]:bounds[c+1]], whole lines, and its
+	// entries go to out[first[c]:first[c+1]], one place per line.
+	bounds := make([]int, workers+1)
+	first := make([]int, workers+1)
+	bounds[workers] = len(block)
+	for c := 1; c <= workers; c++ {
+		if c < workers {
+			at := max(c*len(block)/workers, bounds[c-1])
+			if at > 0 && at < len(block) {
+				if i := strings.IndexByte(block[at-1:], '\n'); i >= 0 {
+					at += i
+				} else {
+					at = len(block)
+				}
+			}
+			bounds[c] = at
+		}
+		chunk := block[bounds[c-1]:bounds[c]]
+		first[c] = first[c-1] + strings.Count(chunk, "\n")
+		if chunk != "" && chunk[len(chunk)-1] != '\n' {
+			first[c]++
+		}
+	}
+	if first[workers] == 0 {
+		return nil, false
+	}
+	out := make([]Entry, first[workers])
+	results := make([]chunkResult, workers)
+	var wg sync.WaitGroup
+	for c := workers - 1; c >= 0; c-- {
+		run := func() { results[c] = parseChunk(block[bounds[c]:bounds[c+1]], out[first[c]:first[c+1]]) }
+		if c == 0 {
+			run()
 			break
 		}
-		lines = append(lines, line)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
 	}
-	var out []Entry
-	for i, line := range lines {
-		e, err := parse(line)
-		if err != nil {
-			r.skipped++
+	wg.Wait()
+	// Each chunk's entries move down to follow the previous chunk's,
+	// closing the places of its blank, comment and malformed lines.
+	n, tooLong := 0, false
+	for c, res := range results {
+		n += copy(out[n:], out[first[c]:first[c]+res.n])
+		r.skipped += res.skipped
+		if tooLong = res.tooLong; tooLong {
+			break
+		}
+	}
+	if n == 0 {
+		return nil, tooLong
+	}
+	return out[:n], tooLong
+}
+
+// chunkResult is what parseChunk found in its chunk.
+type chunkResult struct {
+	n, skipped int  // entries written and malformed lines skipped
+	tooLong    bool // the chunk ends early at a line too long to read
+}
+
+// parseChunk parses the lines of chunk into dst, one place per line,
+// and stops at the first line too long to read.
+func parseChunk(chunk string, dst []Entry) chunkResult {
+	var res chunkResult
+	for chunk != "" {
+		line := chunk
+		if i := strings.IndexByte(chunk, '\n'); i >= 0 {
+			line, chunk = chunk[:i], chunk[i+1:]
+		} else {
+			chunk = ""
+		}
+		if len(line) >= maxLine {
+			res.tooLong = true
+			break
+		}
+		if line = strings.TrimSpace(line); line == "" || line[0] == '#' {
 			continue
 		}
-		if out == nil {
-			out = make([]Entry, 0, len(lines)-i)
+		e, err := parse(line)
+		if err != nil {
+			res.skipped++
+			continue
 		}
-		out = append(out, e)
+		dst[res.n] = e
+		res.n++
 	}
-	return out, r.sc.Err()
+	return res
 }
 
 // Skipped reports how many malformed lines were dropped so far.

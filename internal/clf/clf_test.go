@@ -3,7 +3,6 @@ package clf
 import (
 	"bytes"
 	"errors"
-	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -169,8 +168,8 @@ func TestReaderSkipsMalformed(t *testing.T) {
 
 func TestReaderEOF(t *testing.T) {
 	r := NewReader(strings.NewReader(""))
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("Next on empty input = %v, want io.EOF", err)
+	if entries, err := r.ReadAll(); entries != nil || err != nil || r.Skipped() != 0 {
+		t.Fatalf("ReadAll on empty input = %v, %v with %d skipped; want nil, nil, 0", entries, err, r.Skipped())
 	}
 }
 

@@ -1,11 +1,13 @@
 package clf
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -156,53 +158,112 @@ func testLog(n int, dirty bool) string {
 	return b.String()
 }
 
-// readByNext is ReadAll's reference: Next until io.EOF.
-func readByNext(r *Reader) ([]Entry, error) {
-	var out []Entry
-	for {
-		e, err := r.Next()
-		if err == io.EOF {
-			return out, nil
+// readAllOn is ReadAll of log on the given number of parse workers.
+func readAllOn(log string, workers int) ([]Entry, int, error) {
+	r := NewReader(nil)
+	entries, tooLong := r.parseBlock(log, workers)
+	if tooLong {
+		return entries, r.Skipped(), bufio.ErrTooLong
+	}
+	return entries, r.Skipped(), nil
+}
+
+// sameAsReference fails t unless ReadAll of log, through a reader that
+// reports its length and through one that does not, and the block
+// parser on 1 to 4 workers return the reference's entries, skipped
+// count and error.
+func sameAsReference(t *testing.T, log string) {
+	t.Helper()
+	ref := newRefReader(strings.NewReader(log))
+	want, wantErr := ref.ReadAll()
+	check := func(how string, got []Entry, skipped int, err error) {
+		t.Helper()
+		if err != wantErr {
+			t.Fatalf("%s: error %v, reference %v", how, err, wantErr)
 		}
-		if err != nil {
-			return out, err
+		if skipped != ref.Skipped() {
+			t.Fatalf("%s: skipped %d, reference %d", how, skipped, ref.Skipped())
 		}
-		out = append(out, e)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %d entries differ from the reference's %d", how, len(got), len(want))
+		}
+	}
+	for _, in := range []io.Reader{strings.NewReader(log), iotest.HalfReader(strings.NewReader(log))} {
+		r := NewReader(in)
+		got, err := r.ReadAll()
+		check(fmt.Sprintf("ReadAll from %T", in), got, r.Skipped(), err)
+	}
+	for workers := 1; workers <= 4; workers++ {
+		got, skipped, err := readAllOn(log, workers)
+		check(fmt.Sprintf("%d workers", workers), got, skipped, err)
 	}
 }
 
-// TestReadAllMatchesNext requires ReadAll to return the entries and
-// the skipped count that reading by Next gives, on clean and dirty logs
-// of lengths around the growth steps of a slice.
-func TestReadAllMatchesNext(t *testing.T) {
+// TestReadAllMatchesReference requires ReadAll to return the entries,
+// the skipped count and the error of the bufio.Scanner reader it
+// replaced, on clean and dirty logs of lengths around the growth steps
+// of a slice and across chunk boundaries.
+func TestReadAllMatchesReference(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 255, 256, 257, 10000} {
 		for _, dirty := range []bool{false, true} {
-			log := testLog(n, dirty)
-			ref := NewReader(strings.NewReader(log))
-			want, wantErr := readByNext(ref)
-			r := NewReader(strings.NewReader(log))
-			got, err := r.ReadAll()
-			if err != nil || wantErr != nil {
-				t.Fatalf("%d lines: ReadAll error %v, Next error %v", n, err, wantErr)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%d lines (dirty %v): ReadAll differs from reading by Next", n, dirty)
-			}
-			if r.Skipped() != ref.Skipped() {
-				t.Fatalf("%d lines (dirty %v): ReadAll skipped %d, Next %d", n, dirty, r.Skipped(), ref.Skipped())
-			}
+			sameAsReference(t, testLog(n, dirty))
 		}
 	}
-	// A log of malformed lines reads as nil, as by Next.
+	// A log of malformed lines reads as nil.
 	r := NewReader(strings.NewReader("garbage\nmore garbage\n"))
 	if got, err := r.ReadAll(); got != nil || err != nil || r.Skipped() != 2 {
 		t.Fatalf("all-malformed log: ReadAll = %v, %v with %d skipped; want nil, nil, 2", got, err, r.Skipped())
 	}
 }
 
-// TestReadAllAllocs caps ReadAll at one allocation per line, the line's
-// string, plus the growth of the slice of lines, the entries and a
-// constant for the reader.
+// TestReadAllLongLines puts lines one byte either side of maxLine, the
+// length bufio.Scanner's 1 MiB buffer rejects, before, between and
+// after well-formed lines: ReadAll returns bufio.ErrTooLong exactly
+// where the reference does, with the entries before the long line.
+func TestReadAllLongLines(t *testing.T) {
+	for _, n := range []int{maxLine - 2, maxLine - 1, maxLine, maxLine + 1} {
+		long := "#" + strings.Repeat("x", n-1)
+		for _, log := range []string{
+			long,
+			long + "\n",
+			long + "\r\n" + sample,
+			sample + "\n" + long + "\n" + sample + "\n",
+			sample + "\n" + long,
+			sample + "\r\n" + long[1:] + "\r\n" + sample,
+		} {
+			sameAsReference(t, log)
+		}
+	}
+	if _, _, err := readAllOn(strings.Repeat("x", maxLine), 1); err != bufio.ErrTooLong {
+		t.Fatalf("a line of maxLine bytes reads with error %v, want bufio.ErrTooLong", err)
+	}
+}
+
+// FuzzReadAll holds ReadAll to the bufio.Scanner reader it replaced on
+// any log, at 1 to 4 parse workers.
+func FuzzReadAll(f *testing.F) {
+	f.Add(sample+"\r\n"+sample+"\r\n", uint8(1))
+	f.Add("\n\n# comment\n \t \n"+sample+"\n\n#"+sample+"\n", uint8(2))
+	f.Add("\u00a0"+sample+"\u0085\n\u2003\n"+sample+"\u3000", uint8(3))
+	f.Add(sample+"\n"+sample, uint8(1))
+	f.Add(sample+"\ngarbage\nmore [garbage\n\"GET / HTTP/1.1\"\n"+sample+"\n", uint8(3))
+	f.Add(testLog(20, true), uint8(3))
+	f.Fuzz(func(t *testing.T, log string, workers uint8) {
+		ref := newRefReader(strings.NewReader(log))
+		want, wantErr := ref.ReadAll()
+		got, skipped, err := readAllOn(log, 1+int(workers%4))
+		if err != wantErr || skipped != ref.Skipped() || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d workers: %d entries, %d skipped, error %v; reference %d, %d, %v",
+				1+workers%4, len(got), skipped, err, len(want), ref.Skipped(), wantErr)
+		}
+	})
+}
+
+// TestReadAllAllocs caps ReadAll at a few allocations per parse worker
+// however long the log: the block, the entries, the chunk tables and
+// each worker's goroutine, and no string per line. AllocsPerRun runs
+// at GOMAXPROCS 1, so ReadAll parses on one worker there, and the
+// block parser is measured on four as well.
 func TestReadAllAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on paths the production build does not")
@@ -214,15 +275,22 @@ func TestReadAllAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if ceiling := float64(n + 40); allocs > ceiling {
-		t.Errorf("ReadAll of %d lines allocates %.0f objects, want at most %.0f", n, allocs, ceiling)
+	if allocs > 12 {
+		t.Errorf("ReadAll of %d lines allocates %.0f objects, want at most 12", n, allocs)
+	}
+	allocs = testing.AllocsPerRun(5, func() {
+		if _, _, err := readAllOn(log, 4); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 24 {
+		t.Errorf("parsing %d lines on 4 workers allocates %.0f objects, want at most 24", n, allocs)
 	}
 }
 
 var sinkEntries []Entry
 
-// BenchmarkReadAll reads a 10,000-line log; allocs/op is about one per
-// line.
+// BenchmarkReadAll reads a 10,000-line log.
 func BenchmarkReadAll(b *testing.B) {
 	log := testLog(10000, false)
 	b.ReportAllocs()

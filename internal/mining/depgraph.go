@@ -169,23 +169,7 @@ func (d *DG) ObserveSequence(pages []string) {
 }
 
 // Train consumes a whole trace (main pages only).
-func (d *DG) Train(tr *trace.Trace) {
-	sessions := tr.Sessions()
-	ids := make([]int, 0, len(sessions))
-	for id := range sessions {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		var pages []string
-		for _, idx := range sessions[id] {
-			if r := &tr.Requests[idx]; !r.Embedded {
-				pages = append(pages, r.Path)
-			}
-		}
-		d.ObserveSequence(pages)
-	}
-}
+func (d *DG) Train(tr *trace.Trace) { eachPageSequence(tr, d.ObserveSequence) }
 
 // Predict returns the highest-confidence successor of the most recent
 // page in recent. DG is first-order: only the last page matters.

@@ -3,6 +3,10 @@ package mining
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -92,6 +96,105 @@ func TestParentIsAFunctionOfTheLog(t *testing.T) {
 		}
 		if a != "/page00.html" {
 			t.Errorf("%s: parent %q, want the smallest tied page /page00.html", img, a)
+		}
+	}
+}
+
+// referenceTrain is the trainers' session loop as it was before
+// eachPageSequence: group through Trace.Sessions' map, sort the ids,
+// and observe each session's main pages.
+func referenceTrain(tr *trace.Trace, observe func(pages []string)) {
+	sessions := tr.Sessions()
+	ids := make([]int, 0, len(sessions))
+	for id := range sessions {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		var pages []string
+		for _, idx := range sessions[id] {
+			if r := &tr.Requests[idx]; !r.Embedded {
+				pages = append(pages, r.Path)
+			}
+		}
+		observe(pages)
+	}
+}
+
+// TestTrainMatchesReference trains every session-sequence predictor
+// through eachPageSequence and through the reference loop, on a
+// generated trace and on the same trace with sparse, negative and
+// shuffled session ids: the trained state is the same.
+func TestTrainMatchesReference(t *testing.T) {
+	_, dense, err := trace.GeneratePreset(trace.PresetCS, 0.05, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse := &trace.Trace{Name: "sparse", Files: dense.Files, Requests: slices.Clone(dense.Requests)}
+	for i := range sparse.Requests {
+		s := &sparse.Requests[i].Session
+		*s = (*s*7919)%1000 - 500 + 1000*(*s%3)
+	}
+	for _, tr := range []*trace.Trace{dense, sparse} {
+		got, want := NewModel(2), NewModel(2)
+		got.Train(tr)
+		referenceTrain(tr, want.ObserveSequence)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Model.Train differs from the reference", tr.Name)
+		}
+		gotDG, wantDG := NewDG(2), NewDG(2)
+		gotDG.Train(tr)
+		referenceTrain(tr, wantDG.ObserveSequence)
+		if !reflect.DeepEqual(gotDG, wantDG) {
+			t.Errorf("%s: DG.Train differs from the reference", tr.Name)
+		}
+		gotSR, wantSR := NewSeqRules(3), NewSeqRules(3)
+		gotSR.Train(tr)
+		referenceTrain(tr, wantSR.ObserveSequence)
+		if !reflect.DeepEqual(gotSR, wantSR) {
+			t.Errorf("%s: SeqRules.Train differs from the reference", tr.Name)
+		}
+	}
+}
+
+// TestMineConcurrently mines one trace on two goroutines at once, with
+// the default navigation model and with one trained beside it: each
+// result equals a serial Mine's and saves to the same bytes. Under
+// -race it also checks that the trainers only read the shared trace.
+func TestMineConcurrently(t *testing.T) {
+	_, tr, err := trace.GeneratePreset(trace.PresetCS, 0.05, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, predictor := range []string{"model", "ppm"} {
+		opt := DefaultOptions()
+		opt.Predictor = predictor
+		want := Mine(tr, opt)
+		var wantJSON bytes.Buffer
+		if err := want.Save(&wantJSON); err != nil {
+			t.Fatal(err)
+		}
+		var got [2]*Miner
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = Mine(tr, opt)
+			}()
+		}
+		wg.Wait()
+		for i, m := range got {
+			if !reflect.DeepEqual(m, want) {
+				t.Errorf("%s: concurrent Mine %d differs from a serial one", predictor, i)
+			}
+			var js bytes.Buffer
+			if err := m.Save(&js); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(js.Bytes(), wantJSON.Bytes()) {
+				t.Errorf("%s: concurrent Mine %d saves differently from a serial one", predictor, i)
+			}
 		}
 	}
 }

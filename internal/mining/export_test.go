@@ -1,0 +1,37 @@
+package mining
+
+import "sort"
+
+// PredictAll returns every continuation of the longest matching context,
+// sorted by descending confidence (ties by page).
+func (m *Model) PredictAll(recent []string) []Prediction {
+	if len(recent) == 0 {
+		return nil
+	}
+	start := len(recent) - m.order
+	if start < 0 {
+		start = 0
+	}
+	for k := len(recent) - start; k >= 1; k-- {
+		cs := m.context(recent[len(recent)-k:])
+		if cs == nil || cs.total == 0 {
+			continue
+		}
+		preds := make([]Prediction, 0, len(cs.next))
+		for page, count := range cs.next {
+			preds = append(preds, Prediction{
+				Page:       page,
+				Confidence: float64(count) / float64(cs.total),
+				Order:      k,
+			})
+		}
+		sort.Slice(preds, func(i, j int) bool {
+			if preds[i].Confidence != preds[j].Confidence {
+				return preds[i].Confidence > preds[j].Confidence
+			}
+			return preds[i].Page < preds[j].Page
+		})
+		return preds
+	}
+	return nil
+}

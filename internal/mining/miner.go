@@ -2,6 +2,7 @@ package mining
 
 import (
 	"fmt"
+	"sync"
 
 	"prord/internal/trace"
 )
@@ -77,7 +78,6 @@ func Mine(tr *trace.Trace, opt Options) *Miner {
 		Bundles: NewBundles(opt.BundleSupport),
 		Ranker:  NewRanker(opt.RankDecay),
 	}
-	m.Model.Train(tr)
 	switch opt.Predictor {
 	case "ppm":
 		m.Nav = NewPPM(opt.Order)
@@ -88,11 +88,24 @@ func Mine(tr *trace.Trace, opt Options) *Miner {
 	default:
 		m.Nav = m.Model
 	}
+	// The trainers share nothing but the trace, which they only read,
+	// so they train at once, each as the same sequential pass it would
+	// be alone.
+	var wg sync.WaitGroup
+	train := func(p Predictor) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.Train(tr)
+		}()
+	}
+	train(m.Model)
 	if m.Nav != m.Model {
-		m.Nav.Train(tr)
+		train(m.Nav)
 	}
 	m.Bundles.Train(tr)
 	m.Ranker.Train(tr)
+	wg.Wait()
 	return m
 }
 

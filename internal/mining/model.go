@@ -7,7 +7,6 @@ package mining
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"prord/internal/trace"
@@ -121,22 +120,49 @@ func (m *Model) ObserveSequence(pages []string) {
 // Train consumes a whole trace, feeding every session's main-page
 // sequence (embedded-object requests are excluded: navigation prediction
 // operates on pages, bundles cover the objects).
-func (m *Model) Train(tr *trace.Trace) {
-	sessions := tr.Sessions()
-	ids := make([]int, 0, len(sessions))
-	for id := range sessions {
-		ids = append(ids, id)
+func (m *Model) Train(tr *trace.Trace) { eachPageSequence(tr, m.ObserveSequence) }
+
+// eachPageSequence calls observe with the main-page sequence of every
+// session of tr that has one, in ascending session id, each in arrival
+// order. The sessions are grouped by a counting sort over their ids, not
+// through a map: FromCLF and Generate number sessions densely from 0,
+// so the count table is as long as the list of sessions.
+func eachPageSequence(tr *trace.Trace, observe func(pages []string)) {
+	if len(tr.Requests) == 0 {
+		return
 	}
-	sort.Ints(ids) // deterministic training order
-	for _, id := range ids {
-		var pages []string
-		for _, idx := range sessions[id] {
-			r := &tr.Requests[idx]
-			if !r.Embedded {
-				pages = append(pages, r.Path)
-			}
+	lo, hi := tr.Requests[0].Session, tr.Requests[0].Session
+	for i := range tr.Requests {
+		lo, hi = min(lo, tr.Requests[i].Session), max(hi, tr.Requests[i].Session)
+	}
+	// end[s-lo] counts session s's pages, then holds where they end in
+	// pages, and once pages is filled back to front, where they start.
+	end := make([]int, hi-lo+1)
+	for i := range tr.Requests {
+		if r := &tr.Requests[i]; !r.Embedded {
+			end[r.Session-lo]++
 		}
-		m.ObserveSequence(pages)
+	}
+	n := 0
+	for k, c := range end {
+		n += c
+		end[k] = n
+	}
+	pages := make([]string, n)
+	for i := len(tr.Requests) - 1; i >= 0; i-- {
+		if r := &tr.Requests[i]; !r.Embedded {
+			end[r.Session-lo]--
+			pages[end[r.Session-lo]] = r.Path
+		}
+	}
+	for k, start := range end {
+		stop := n
+		if k+1 < len(end) {
+			stop = end[k+1]
+		}
+		if start < stop {
+			observe(pages[start:stop:stop])
+		}
 	}
 }
 
@@ -173,40 +199,6 @@ func (m *Model) Predict(recent []string) (Prediction, bool) {
 		}, true
 	}
 	return Prediction{}, false
-}
-
-// PredictAll returns every continuation of the longest matching context,
-// sorted by descending confidence (ties by page).
-func (m *Model) PredictAll(recent []string) []Prediction {
-	if len(recent) == 0 {
-		return nil
-	}
-	start := len(recent) - m.order
-	if start < 0 {
-		start = 0
-	}
-	for k := len(recent) - start; k >= 1; k-- {
-		cs := m.context(recent[len(recent)-k:])
-		if cs == nil || cs.total == 0 {
-			continue
-		}
-		preds := make([]Prediction, 0, len(cs.next))
-		for page, count := range cs.next {
-			preds = append(preds, Prediction{
-				Page:       page,
-				Confidence: float64(count) / float64(cs.total),
-				Order:      k,
-			})
-		}
-		sort.Slice(preds, func(i, j int) bool {
-			if preds[i].Confidence != preds[j].Confidence {
-				return preds[i].Confidence > preds[j].Confidence
-			}
-			return preds[i].Page < preds[j].Page
-		})
-		return preds
-	}
-	return nil
 }
 
 // Tracker maintains the per-connection navigation state Algorithm 2

@@ -1,10 +1,6 @@
 package mining
 
-import (
-	"sort"
-
-	"prord/internal/trace"
-)
+import "prord/internal/trace"
 
 // SeqRules is a generalized-sequence-rule predictor ([28], "mining web
 // navigation path fragments"): its contexts are ordered page pairs that
@@ -64,23 +60,7 @@ func (s *SeqRules) ObserveSequence(pages []string) {
 }
 
 // Train implements Predictor.
-func (s *SeqRules) Train(tr *trace.Trace) {
-	sessions := tr.Sessions()
-	ids := make([]int, 0, len(sessions))
-	for id := range sessions {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		var pages []string
-		for _, idx := range sessions[id] {
-			if r := &tr.Requests[idx]; !r.Embedded {
-				pages = append(pages, r.Path)
-			}
-		}
-		s.ObserveSequence(pages)
-	}
-}
+func (s *SeqRules) Train(tr *trace.Trace) { eachPageSequence(tr, s.ObserveSequence) }
 
 // bestOf returns the deterministic argmax continuation of a context.
 func bestOf(cs *ctxStats, order int) (Prediction, bool) {

@@ -105,7 +105,8 @@ func DefaultSessionizeOptions() SessionizeOptions {
 // FromCLF builds a trace from parsed log entries: it sessionizes per
 // client host with the given idle timeout, classifies embedded objects by
 // extension and recency, sizes the file table from the largest observed
-// response per path, and rebases times to a zero origin.
+// response per path, and rebases times to a zero origin. The trace's
+// strings are its own, so it does not keep the entries' log alive.
 func FromCLF(name string, entries []clf.Entry, opt SessionizeOptions) *Trace {
 	if opt.Timeout <= 0 {
 		opt.Timeout = DefaultSessionizeOptions().Timeout
@@ -118,9 +119,11 @@ func FromCLF(name string, entries []clf.Entry, opt SessionizeOptions) *Trace {
 		return t
 	}
 	// One pass finds whether the log is already in time order, as logs
-	// usually are, its earliest time and how many requests survive the
-	// filter.
-	inOrder, origin, kept := true, entries[0].Time, 0
+	// usually are, its earliest time and the requests that survive the
+	// filter. A log out of order is read through a stably sorted
+	// permutation, leaving the caller's entries as they are.
+	inOrder, origin := true, entries[0].Time
+	kept := make([]int32, 0, len(entries))
 	for i := range entries {
 		e := &entries[i]
 		if e.Time.Before(origin) {
@@ -130,102 +133,116 @@ func FromCLF(name string, entries []clf.Entry, opt SessionizeOptions) *Trace {
 			inOrder = false
 		}
 		if keep(e) {
-			kept++
+			kept = append(kept, int32(i))
 		}
 	}
-	// A log out of order is read through a stably sorted permutation,
-	// leaving the caller's entries as they are.
-	var order []int
 	if !inOrder {
-		order = make([]int, len(entries))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(i, j int) bool { return entries[order[i]].Time.Before(entries[order[j]].Time) })
+		sort.SliceStable(kept, func(i, j int) bool { return entries[kept[i]].Time.Before(entries[kept[j]].Time) })
 	}
 
-	type clientState struct {
-		session  int
-		lastSeen time.Time
-		lastPage string
-		pageSeen time.Time
-	}
-	clients := make(map[string]*clientState)
-	nextSession := 0
-	// files holds each requested path once, in first-request order, with
-	// its extension's verdict and its largest response; reqFile is each
-	// request's index into it.
-	type file struct {
-		path string
-		kind pathKind
-		size int64
-	}
-	var files []file
-	fileIndex := make(map[string]int32)
-	reqFile := make([]int32, 0, kept)
-	if kept > 0 {
-		t.Requests = make([]Request, 0, kept)
-	}
+	// The two passes that index a map run at once. One interns each
+	// requested path, in first-request order, with its extension's
+	// verdict and its largest response; the other numbers the sessions.
+	interned, reqFile := make(chan []file, 1), make([]int32, len(kept))
+	go func() { interned <- internPaths(entries, kept, reqFile) }()
+	clients, sessions, reqSession := sessionize(entries, kept, opt.Timeout)
+	files := <-interned
 
-	for i := range entries {
-		e := &entries[i]
-		if order != nil {
-			e = &entries[order[i]]
-		}
-		if !keep(e) {
-			continue
-		}
-		size := e.Bytes
-		if size < 0 {
-			size = 0
-		}
-		cs, ok := clients[e.Host]
-		if !ok || e.Time.Sub(cs.lastSeen) > opt.Timeout {
-			cs = &clientState{session: nextSession}
-			nextSession++
-			clients[e.Host] = cs
-		}
-		cs.lastSeen = e.Time
-
-		k, ok := fileIndex[e.Path]
-		if !ok {
-			k = int32(len(files))
-			files = append(files, file{path: e.Path, kind: classifyPath(e.Path)})
-			fileIndex[e.Path] = k
-		}
-		f := &files[k]
-		f.size = max(f.size, size)
-		reqFile = append(reqFile, k)
-
-		r := Request{
+	// The join attributes each embedded object to its session's most
+	// recent main page. Requests take the file table's sizes, which
+	// Validate requires: a path never logged with a size (say, only ever
+	// answered 304 with "-") has size 0.
+	if len(kept) > 0 {
+		t.Requests = make([]Request, len(kept))
+	}
+	for j, i := range kept {
+		e, f, s := &entries[i], &files[reqFile[j]], &sessions[reqSession[j]]
+		t.Requests[j] = Request{
 			Time:    e.Time.Sub(origin),
-			Session: cs.session,
-			Client:  e.Host,
-			Path:    e.Path,
+			Session: int(reqSession[j]),
+			Client:  clients[s.client],
+			Path:    f.path,
+			Size:    f.size,
 			Dynamic: f.kind == dynamicKind,
 		}
-		if f.kind == embeddedKind {
-			if cs.lastPage != "" && e.Time.Sub(cs.pageSeen) <= opt.EmbedWindow {
-				r.Embedded = true
-				r.Parent = cs.lastPage
-			}
-		} else {
-			cs.lastPage = e.Path
-			cs.pageSeen = e.Time
+		if f.kind != embeddedKind {
+			s.page = int32(j)
+		} else if s.page >= 0 && e.Time.Sub(entries[kept[s.page]].Time) <= opt.EmbedWindow {
+			t.Requests[j].Embedded = true
+			t.Requests[j].Parent = t.Requests[s.page].Path
 		}
-		t.Requests = append(t.Requests, r)
 	}
-	// The file table records the max response size of every requested
-	// path, 0 for one never logged with a size (say, only ever answered
-	// 304 with "-"); requests must agree with the table for Validate, so
-	// they take its sizes.
+	t.Files = make(map[string]int64, len(files))
 	for _, f := range files {
 		t.Files[f.path] = f.size
 	}
-	for i := range t.Requests {
-		t.Requests[i].Size = files[reqFile[i]].size
-	}
 	return t
+}
+
+// file is one requested path, interned: the trace's copy of it, its
+// extension's verdict and its largest logged response.
+type file struct {
+	path string
+	kind pathKind
+	size int64
+}
+
+// internPaths returns the files of the kept entries, in first-request
+// order, and sets reqFile[j] to the kept entry j's index among them.
+func internPaths(entries []clf.Entry, kept, reqFile []int32) []file {
+	var files []file
+	index := make(map[string]int32)
+	for j, i := range kept {
+		e := &entries[i]
+		k, ok := index[e.Path]
+		if !ok {
+			k = int32(len(files))
+			p := strings.Clone(e.Path)
+			files = append(files, file{path: p, kind: classifyPath(p)})
+			index[p] = k
+		}
+		files[k].size = max(files[k].size, e.Bytes)
+		reqFile[j] = k
+	}
+	return files
+}
+
+// session is one session's client and the kept entry of its most
+// recent main page, which its embedded objects are attributed to, or -1.
+type session struct {
+	client, page int32
+}
+
+// sessionize numbers the kept entries' sessions in order of first
+// request: a client's request after more than timeout of idle time
+// opens its next session. It returns the clients, interned, the
+// sessions and each kept entry's session.
+func sessionize(entries []clf.Entry, kept []int32, timeout time.Duration) ([]string, []session, []int32) {
+	var clients []string
+	var sessions []session
+	// latest[k] is client k's current session and latest kept entry.
+	type state struct{ session, entry int32 }
+	var latest []state
+	reqSession := make([]int32, len(kept))
+	index := make(map[string]int32)
+	for j, i := range kept {
+		e := &entries[i]
+		k, ok := index[e.Host]
+		if !ok {
+			k = int32(len(clients))
+			clients = append(clients, strings.Clone(e.Host))
+			index[clients[k]] = k
+			latest = append(latest, state{})
+		}
+		c := &latest[k]
+		if !ok || e.Time.Sub(entries[kept[c.entry]].Time) > timeout {
+			c.session = int32(len(sessions))
+			sessions = append(sessions, session{client: k, page: -1})
+		}
+		c.entry = int32(j)
+		reqSession[j] = c.session
+	}
+	return clients, sessions, reqSession
 }
 
 // keep reports whether FromCLF turns e into a request: a GET that did

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"prord/internal/clf"
 	"prord/internal/randutil"
@@ -240,5 +241,58 @@ func BenchmarkFromCLF(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkTrace = FromCLF("bench", entries, opt)
+	}
+}
+
+// TestFromCLFDoesNotPinTheLog parses a log whose entries' strings are
+// substrings of it, as ReadAll's are of its block, and requires every
+// string of the trace to be a copy: a request or file-table key that
+// points into the log would keep all of it alive.
+func TestFromCLFDoesNotPinTheLog(t *testing.T) {
+	var buf bytes.Buffer
+	w := clf.NewWriter(&buf)
+	for _, e := range generatedEntries(t, 2000) {
+		if err := w.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	log := buf.String()
+	var entries []clf.Entry
+	for _, line := range strings.Split(strings.TrimSuffix(log, "\n"), "\n") {
+		e, err := clf.Parse(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, e)
+	}
+	start := uintptr(unsafe.Pointer(unsafe.StringData(log)))
+	inLog := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return s != "" && start <= p && p < start+uintptr(len(log))
+	}
+	if !inLog(entries[0].Host) || !inLog(entries[0].Path) {
+		t.Fatal("the parsed entries do not point into the log; the test checks nothing")
+	}
+	tr := FromCLF("pin", entries, DefaultSessionizeOptions())
+	embedded := 0
+	for i := range tr.Requests {
+		r := &tr.Requests[i]
+		if inLog(r.Client) || inLog(r.Path) || inLog(r.Parent) {
+			t.Fatalf("request %d (%s %s, parent %q) points into the log", i, r.Client, r.Path, r.Parent)
+		}
+		if r.Parent != "" {
+			embedded++
+		}
+	}
+	for p := range tr.Files {
+		if inLog(p) {
+			t.Fatalf("file table key %s points into the log", p)
+		}
+	}
+	if embedded == 0 {
+		t.Fatal("no request has a parent; the test does not check Parent")
 	}
 }
