@@ -16,7 +16,10 @@
 #                determinism tests and TestTablesGolden) at GOMAXPROCS
 #                1, 2 and 4: the parse, sessionize and mine stages run
 #                on every core, and their output must not depend on how
-#                many there are
+#                many there are; and the dispatch package's tests (its
+#                storm, differential and stream-golden tests) at the
+#                same counts: the core hands live file ids out in
+#                first-touch order, and no decision may depend on it
 #   make allocs  every allocation ratchet (the tests matching Allocs),
 #                uncached; they skip under the race detector
 #   make stress  repeat a slice of the suite under the race detector to
@@ -65,6 +68,7 @@ vet:
 procs:
 	$(GO) test -count=1 -cpu 1,2,4 -run 'ReadAll|Reader|FromCLF|Mine|Train|Determinis|TablesGolden' \
 		./internal/clf/ ./internal/trace/ ./internal/mining/ ./internal/experiment/ .
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/dispatch/
 
 allocs:
 	$(GO) test -count=1 -run Allocs ./...

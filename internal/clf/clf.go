@@ -44,73 +44,126 @@ const TimeLayout = "02/Jan/2006:15:04:05 -0700"
 var ErrMalformed = errors.New("clf: malformed line")
 
 // String formats e as one CLF line (without trailing newline).
-func (e Entry) String() string {
-	ident, user := e.Ident, e.AuthUser
-	if ident == "" {
-		ident = "-"
+func (e Entry) String() string { return string(e.appendTo(make([]byte, 0, 128))) }
+
+// appendTo appends e as one CLF line, without the newline, to b.
+func (e *Entry) appendTo(b []byte) []byte {
+	b = append(b, e.Host...)
+	b = append(append(b, ' '), dash(e.Ident)...)
+	b = append(append(b, ' '), dash(e.AuthUser)...)
+	b = e.Time.AppendFormat(append(b, " ["...), TimeLayout)
+	b = append(append(b, "] \""...), e.Method...)
+	b = append(append(b, ' '), e.Path...)
+	b = append(append(b, ' '), e.Proto...)
+	b = strconv.AppendInt(append(b, "\" "...), int64(e.Status), 10)
+	if b = append(b, ' '); e.Bytes < 0 {
+		return append(b, '-')
 	}
-	if user == "" {
-		user = "-"
+	return strconv.AppendInt(b, e.Bytes, 10)
+}
+
+// dash returns s, or "-" for the empty string.
+func dash(s string) string {
+	if s == "" {
+		return "-"
 	}
-	size := "-"
-	if e.Bytes >= 0 {
-		size = strconv.FormatInt(e.Bytes, 10)
-	}
-	return fmt.Sprintf("%s %s %s [%s] \"%s %s %s\" %d %s",
-		e.Host, ident, user, e.Time.Format(TimeLayout),
-		e.Method, e.Path, e.Proto, e.Status, size)
+	return s
 }
 
 // Parse parses one CLF line.
 func Parse(line string) (Entry, error) {
-	return parse(strings.TrimSpace(line))
+	var e Entry
+	if f, ok := parse(strings.TrimSpace(line), &e, nil); !ok {
+		return e, f.error()
+	}
+	return e, nil
 }
 
-// parse is Parse on a line already trimmed of surrounding white space.
-// On a well-formed line it allocates nothing: every string field of the
-// entry is a substring of line.
-func parse(rest string) (Entry, error) {
-	var e Entry
+// fault is why parse rejected a line: what is wrong, the text the
+// message quotes when quote is set, and a bad timestamp's decoding
+// error. Making one allocates nothing; only Parse turns it into an
+// error.
+type fault struct {
+	what, text string
+	quote      bool
+	err        error
+}
+
+// error is the ErrMalformed error f describes.
+func (f fault) error() error {
+	switch {
+	case f.err != nil:
+		return fmt.Errorf("%w: %s %q: %v", ErrMalformed, f.what, f.text, f.err)
+	case f.quote:
+		return fmt.Errorf("%w: %s %q", ErrMalformed, f.what, f.text)
+	}
+	return fmt.Errorf("%w: %s", ErrMalformed, f.what)
+}
+
+// errFractional rejects a timestamp with a fractional second: time.Parse
+// accepts one the layout does not have, and String could not write it
+// back.
+var errFractional = errors.New("fractional seconds")
+
+// stamp is the last timestamp text a parse decoded and its time, so
+// that the lines logged in one second decode it once.
+type stamp struct {
+	text string
+	t    time.Time
+}
+
+// parse is Parse on a line already trimmed of surrounding white space,
+// written into e; last, when not nil, caches the last timestamp. It
+// reports false and the fault on a malformed line, leaving e partly
+// written. On a well-formed line it allocates nothing: every string
+// field of the entry is a substring of line.
+func parse(rest string, e *Entry, last *stamp) (fault, bool) {
 	if rest == "" {
-		return e, fmt.Errorf("%w: empty", ErrMalformed)
+		return fault{what: "empty"}, false
 	}
 
 	var ok bool
 	if e.Host, rest, ok = cutField(rest); !ok {
-		return e, fmt.Errorf("%w: missing host", ErrMalformed)
+		return fault{what: "missing host"}, false
 	}
 	if e.Ident, rest, ok = cutField(rest); !ok {
-		return e, fmt.Errorf("%w: missing ident", ErrMalformed)
+		return fault{what: "missing ident"}, false
 	}
 	if e.AuthUser, rest, ok = cutField(rest); !ok {
-		return e, fmt.Errorf("%w: missing authuser", ErrMalformed)
+		return fault{what: "missing authuser"}, false
 	}
 
 	if !strings.HasPrefix(rest, "[") {
-		return e, fmt.Errorf("%w: missing timestamp", ErrMalformed)
+		return fault{what: "missing timestamp"}, false
 	}
 	end := strings.IndexByte(rest, ']')
 	if end < 0 {
-		return e, fmt.Errorf("%w: unterminated timestamp", ErrMalformed)
+		return fault{what: "unterminated timestamp"}, false
 	}
-	ts, err := parseTime(rest[1:end])
-	if err == nil && ts.Nanosecond() != 0 {
-		// time.Parse accepts a fractional second the layout does not
-		// have, and String could not write it back.
-		err = errors.New("fractional seconds")
+	// The zero stamp holds the empty text, which never decodes.
+	if text := rest[1:end]; last != nil && text != "" && text == last.text {
+		e.Time = last.t
+	} else {
+		ts, err := parseTime(text)
+		if err == nil && ts.Nanosecond() != 0 {
+			err = errFractional
+		}
+		if err != nil {
+			return fault{what: "bad timestamp", text: text, err: err}, false
+		}
+		e.Time = ts
+		if last != nil {
+			*last = stamp{text, ts}
+		}
 	}
-	if err != nil {
-		return e, fmt.Errorf("%w: bad timestamp %q: %v", ErrMalformed, rest[1:end], err)
-	}
-	e.Time = ts
 	rest = strings.TrimSpace(rest[end+1:])
 
 	if !strings.HasPrefix(rest, `"`) {
-		return e, fmt.Errorf("%w: missing request line", ErrMalformed)
+		return fault{what: "missing request line"}, false
 	}
 	end = strings.IndexByte(rest[1:], '"')
 	if end < 0 {
-		return e, fmt.Errorf("%w: unterminated request line", ErrMalformed)
+		return fault{what: "unterminated request line"}, false
 	}
 	reqLine := rest[1 : 1+end]
 	rest = strings.TrimSpace(rest[end+2:])
@@ -123,15 +176,16 @@ func parse(rest string) (Entry, error) {
 		// HTTP/0.9 simple requests have no protocol field.
 		e.Method, e.Path, e.Proto = parts[0], parts[1], "HTTP/0.9"
 	default:
-		return e, fmt.Errorf("%w: bad request line %q", ErrMalformed, reqLine)
+		return fault{what: "bad request line", text: reqLine, quote: true}, false
 	}
 
 	var statusStr string
 	if statusStr, rest, ok = cutField(rest); !ok {
-		return e, fmt.Errorf("%w: missing status", ErrMalformed)
+		return fault{what: "missing status"}, false
 	}
+	var err error
 	if e.Status, err = strconv.Atoi(statusStr); err != nil {
-		return e, fmt.Errorf("%w: bad status %q", ErrMalformed, statusStr)
+		return fault{what: "bad status", text: statusStr, quote: true}, false
 	}
 
 	sizeStr, _, _ := cutField(rest)
@@ -141,9 +195,9 @@ func parse(rest string) (Entry, error) {
 		// "-" is the only way to log an unknown size: String writes
 		// every negative size as "-", so "-5" would not survive a
 		// write and a re-read.
-		return e, fmt.Errorf("%w: bad size %q", ErrMalformed, sizeStr)
+		return fault{what: "bad size", text: sizeStr, quote: true}, false
 	}
-	return e, nil
+	return fault{}, true
 }
 
 // cutField splits off the first field delimited by spaces or tabs.
@@ -403,9 +457,12 @@ type chunkResult struct {
 }
 
 // parseChunk parses the lines of chunk into dst, one place per line,
-// and stops at the first line too long to read.
+// and stops at the first line too long to read. Each line is parsed in
+// its place, and a timestamp repeated from the line before is decoded
+// once.
 func parseChunk(chunk string, dst []Entry) chunkResult {
 	var res chunkResult
+	var last stamp
 	for chunk != "" {
 		line := chunk
 		if i := strings.IndexByte(chunk, '\n'); i >= 0 {
@@ -420,12 +477,10 @@ func parseChunk(chunk string, dst []Entry) chunkResult {
 		if line = strings.TrimSpace(line); line == "" || line[0] == '#' {
 			continue
 		}
-		e, err := parse(line)
-		if err != nil {
+		if _, ok := parse(line, &dst[res.n], &last); !ok {
 			res.skipped++
 			continue
 		}
-		dst[res.n] = e
 		res.n++
 	}
 	return res
@@ -436,8 +491,9 @@ func (r *Reader) Skipped() int { return r.skipped }
 
 // Writer emits entries as CLF lines.
 type Writer struct {
-	w  *bufio.Writer
-	nw int
+	w   *bufio.Writer
+	nw  int
+	buf []byte // the line being written, reused
 }
 
 // NewWriter returns a Writer on w. Call Flush when done.
@@ -445,12 +501,10 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: bufio.NewWriter(w)}
 }
 
-// Write emits one entry.
+// Write emits one entry, as String formats it, and a newline.
 func (w *Writer) Write(e Entry) error {
-	if _, err := w.w.WriteString(e.String()); err != nil {
-		return err
-	}
-	if err := w.w.WriteByte('\n'); err != nil {
+	w.buf = append(e.appendTo(w.buf[:0]), '\n')
+	if _, err := w.w.Write(w.buf); err != nil {
 		return err
 	}
 	w.nw++

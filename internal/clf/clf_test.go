@@ -3,6 +3,9 @@ package clf
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -209,5 +212,113 @@ func TestEmptyIdentFormatsAsDash(t *testing.T) {
 	s := e.String()
 	if !strings.HasPrefix(s, "h - - [") {
 		t.Fatalf("empty ident/user should format as dashes: %q", s)
+	}
+}
+
+// TestParseErrorText pins the message Parse gives each kind of
+// malformed line.
+func TestParseErrorText(t *testing.T) {
+	for _, c := range []struct{ line, want string }{
+		{"", "clf: malformed line: empty"},
+		{"   ", "clf: malformed line: empty"},
+		{"h", "clf: malformed line: missing ident"},
+		{"h -", "clf: malformed line: missing authuser"},
+		{"h - -", "clf: malformed line: missing timestamp"},
+		{"h - - 01/Jul/2006:00:00:00 +0000]", "clf: malformed line: missing timestamp"},
+		{"h - - [01/Jul/2006:00:00:00 +0000", "clf: malformed line: unterminated timestamp"},
+		{"h - - [31/Feb/2006:00:00:00 +0000] \"GET / HTTP/1.0\" 200 1", "clf: malformed line: bad timestamp \"31/Feb/2006:00:00:00 +0000\": parsing time \"31/Feb/2006:00:00:00 +0000\": day out of range"},
+		{"h - - [01/Jul/2006:00:00:00.5 +0000] \"GET / HTTP/1.0\" 200 1", "clf: malformed line: bad timestamp \"01/Jul/2006:00:00:00.5 +0000\": fractional seconds"},
+		{"h - - [01/Jul/2006:00:00:00 +0000] GET / HTTP/1.0 200 1", "clf: malformed line: missing request line"},
+		{"h - - [01/Jul/2006:00:00:00 +0000] \"GET / HTTP/1.0 200 1", "clf: malformed line: unterminated request line"},
+		{"h - - [01/Jul/2006:00:00:00 +0000] \"\" 200 1", "clf: malformed line: bad request line \"\""},
+		{"h - - [01/Jul/2006:00:00:00 +0000] \"GET\" 200 1", "clf: malformed line: bad request line \"GET\""},
+		{"h - - [01/Jul/2006:00:00:00 +0000] \"GET / HTTP/1.0\"", "clf: malformed line: missing status"},
+		{"h - - [01/Jul/2006:00:00:00 +0000] \"GET / HTTP/1.0\" 2x0 1", "clf: malformed line: bad status \"2x0\""},
+		{"h - - [01/Jul/2006:00:00:00 +0000] \"GET / HTTP/1.0\" 200 -5", "clf: malformed line: bad size \"-5\""},
+		{"h - - [01/Jul/2006:00:00:00 +0000] \"GET / HTTP/1.0\" 200 x", "clf: malformed line: bad size \"x\""},
+	} {
+		if _, err := Parse(c.line); err == nil || err.Error() != c.want || !errors.Is(err, ErrMalformed) {
+			t.Errorf("Parse(%q) error %v, want %q", c.line, err, c.want)
+		}
+	}
+}
+
+// sprintfString is how String formatted an entry with fmt, kept as the
+// reference the append-based formatting must match byte for byte.
+func sprintfString(e Entry) string {
+	ident, user := e.Ident, e.AuthUser
+	if ident == "" {
+		ident = "-"
+	}
+	if user == "" {
+		user = "-"
+	}
+	size := "-"
+	if e.Bytes >= 0 {
+		size = strconv.FormatInt(e.Bytes, 10)
+	}
+	return fmt.Sprintf("%s %s %s [%s] \"%s %s %s\" %d %s",
+		e.Host, ident, user, e.Time.Format(TimeLayout),
+		e.Method, e.Path, e.Proto, e.Status, size)
+}
+
+// TestStringMatchesSprintf holds String, and the lines Writer writes,
+// to the fmt formatting on random entries and on edge values: empty
+// fields, unknown and zero sizes, negative statuses and odd zones.
+func TestStringMatchesSprintf(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	var want strings.Builder
+	check := func(e Entry) bool {
+		if got, ref := e.String(), sprintfString(e); got != ref {
+			t.Errorf("String = %q, fmt gives %q", got, ref)
+			return false
+		}
+		if err := w.Write(e); err != nil {
+			t.Fatal(err)
+		}
+		want.WriteString(sprintfString(e) + "\n")
+		return true
+	}
+	zone := time.FixedZone("", -(9*60+30)*60)
+	for _, e := range []Entry{
+		{},
+		{Host: "h", Bytes: -1, Time: time.Unix(0, 0).UTC()},
+		{Host: "h", Ident: "i", AuthUser: "u", Method: "GET", Path: "/a b", Proto: "HTTP/1.1", Status: -3, Bytes: 0, Time: time.Date(1999, 12, 31, 23, 59, 59, 5e8, zone)},
+		{Host: "::1", Method: "POST", Path: "/é\"q", Status: 999999, Bytes: 1 << 62, Time: time.Date(2006, 7, 1, 0, 0, 0, 0, time.Local)},
+	} {
+		check(e)
+	}
+	if err := quick.Check(func(host, ident, user, method, path, proto string, status int, size int64, sec int64) bool {
+		return check(Entry{Host: host, Ident: ident, AuthUser: user, Method: method, Path: path, Proto: proto,
+			Status: status, Bytes: size, Time: time.Unix(sec%(1<<34), 0).In(zone)})
+	}, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != want.String() {
+		t.Fatal("Writer's lines differ from the fmt formatting")
+	}
+}
+
+// TestWriterAllocs pins Write at zero allocations once its line buffer
+// has grown.
+func TestWriterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on paths the production build does not")
+	}
+	w := NewWriter(io.Discard)
+	e, err := Parse(sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if err := w.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Write allocates %.2f objects a line, want 0", allocs)
 	}
 }

@@ -209,11 +209,34 @@ func TestReadAllMatchesReference(t *testing.T) {
 			sameAsReference(t, testLog(n, dirty))
 		}
 	}
+	sameAsReference(t, stampLog())
 	// A log of malformed lines reads as nil.
 	r := NewReader(strings.NewReader("garbage\nmore garbage\n"))
 	if got, err := r.ReadAll(); got != nil || err != nil || r.Skipped() != 2 {
 		t.Fatalf("all-malformed log: ReadAll = %v, %v with %d skipped; want nil, nil, 2", got, err, r.Skipped())
 	}
+}
+
+// stampLog is a log whose lines share timestamps — an empty one first,
+// runs of one second, a second that comes back after another, a bad
+// timestamp repeated, and every seed of parseTime's fast path — so a
+// chunk's cached timestamp is hit, replaced and never taken for a
+// different text.
+func stampLog() string {
+	var b strings.Builder
+	b.WriteString("h - - [] \"GET / HTTP/1.1\" 200 1\n")
+	line := func(ts string, i int) {
+		fmt.Fprintf(&b, "h%d - - [%s] \"GET /p%d.html HTTP/1.1\" 200 %d\n", i%5, ts, i%7, i)
+	}
+	a, c := "01/Jul/2006:00:00:00 +0000", "01/Jul/2006:00:00:01 +0200"
+	for i, ts := range []string{a, a, a, c, a, c, c, "31/Feb/2006:00:00:00 +0000", "31/Feb/2006:00:00:00 +0000", a} {
+		line(ts, i)
+	}
+	for i, ts := range timeSeeds {
+		line(ts, i)
+		line(ts, i+1)
+	}
+	return b.String()
 }
 
 // TestReadAllLongLines puts lines one byte either side of maxLine, the
@@ -248,6 +271,7 @@ func FuzzReadAll(f *testing.F) {
 	f.Add(sample+"\n"+sample, uint8(1))
 	f.Add(sample+"\ngarbage\nmore [garbage\n\"GET / HTTP/1.1\"\n"+sample+"\n", uint8(3))
 	f.Add(testLog(20, true), uint8(3))
+	f.Add(stampLog(), uint8(2))
 	f.Fuzz(func(t *testing.T, log string, workers uint8) {
 		ref := newRefReader(strings.NewReader(log))
 		want, wantErr := ref.ReadAll()
@@ -285,6 +309,18 @@ func TestReadAllAllocs(t *testing.T) {
 	})
 	if allocs > 24 {
 		t.Errorf("parsing %d lines on 4 workers allocates %.0f objects, want at most 24", n, allocs)
+	}
+	// A malformed line is counted and dropped without building an
+	// error: a dirty log allocates what a clean one does, plus slack.
+	dirty := testLog(n, true)
+	clean := allocs
+	allocs = testing.AllocsPerRun(5, func() {
+		if _, _, err := readAllOn(dirty, 4); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > clean+4 {
+		t.Errorf("parsing a dirty log of %d lines on 4 workers allocates %.0f objects, the clean log %.0f; want at most 4 more", n, allocs, clean)
 	}
 }
 

@@ -51,7 +51,7 @@ func (r *refReader) ReadAll() ([]Entry, error) {
 	}
 	var out []Entry
 	for i, line := range lines {
-		e, err := parse(line)
+		e, err := Parse(line)
 		if err != nil {
 			r.skipped++
 			continue

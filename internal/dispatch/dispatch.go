@@ -23,9 +23,10 @@
 // lock; the navigation predictor learns in place, per connection, under
 // one narrow tracker mutex (Algorithm 2's online tracking); and the
 // mutable hot-path state lives in two tables, each under its own leaf
-// mutex held only for a map operation — the session table (bindings)
-// and the file table (one record per file holding its backend sets and
-// in-flight counts, and the locality maps). A steady-state Route+Done
+// mutex held only for a map or slice operation — the session table
+// (bindings) and the file table (each path interned once to a dense
+// FileID, and per file its backend sets, in-flight counts and place in
+// the locality lists, in id-indexed slabs). A steady-state Route+Done
 // pair performs no heap allocation, and because no mutex is held across
 // the policy call, the live front-end does not serialize every request
 // on one dispatcher mutex. Under the single-threaded simulator the same
@@ -38,7 +39,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"prord/internal/cache"
 	"prord/internal/health"
 	"prord/internal/mining"
 	"prord/internal/overload"
@@ -78,9 +78,9 @@ type Config struct {
 	// owns ground-truth residency and reports it through NoteResident/
 	// NoteGone; the core never guesses. False (the live front-end): the
 	// core tracks locality optimistically — a backend is assumed to hold
-	// a file after being routed it — in bounded per-backend LRU maps.
+	// a file after being routed it — in bounded per-backend recency lists.
 	Exact bool
-	// LocalityEntries bounds each backend's optimistic locality map.
+	// LocalityEntries bounds each backend's optimistic locality list.
 	// Ignored in Exact mode. Default 4096.
 	LocalityEntries int64
 	// MaxSessions bounds tracked sessions; past it, idle sessions are
@@ -269,11 +269,11 @@ type Stats struct {
 // Core is the shared decision engine. Build one with New; all methods
 // are safe for concurrent use.
 //
-// Per-file state lives in one record per path in the file table: the
-// backends holding it (exact mode), the backends with a prefetch mark,
-// the backends with a request in flight, and per-backend in-flight
-// counts. Every such set — and every per-decision mask — is a ServerSet
-// word, which caps a core at 64 backends.
+// Per-file state lives in the file table, indexed by the file's id: the
+// backends believed to hold it, the backends with a prefetch mark, the
+// backends with a request in flight, and per-backend in-flight counts.
+// Every such set — and every per-decision mask — is a ServerSet word,
+// which caps a core at 64 backends.
 //
 // Lock hierarchy (machine-checked by internal/lint's lockorder analyzer —
 // see lockHierarchy in internal/lint/lockset.go): locks nest only in
@@ -370,7 +370,6 @@ func New(cfg Config) (*Core, error) {
 	c := &Core{
 		cfg:        cfg,
 		sessions:   sessionTable{byKey: make(map[string]*session)},
-		files:      fileTable{files: make(map[string]*fileState)},
 		loads:      make([]atomic.Int64, cfg.Backends),
 		perBackend: make([]atomic.Int64, cfg.Backends),
 		hedges:     make([]atomic.Int64, cfg.Backends),
@@ -383,18 +382,11 @@ func New(cfg Config) (*Core, error) {
 	if cfg.Recorder != nil {
 		c.emitter = newRecordEmitter(cfg.Recorder)
 	}
-	if !cfg.Exact {
-		// The locality maps count entries, not bytes: every file weighs 1.
-		c.files.locality = make([]*cache.LRU, cfg.Backends)
-		for s := range c.files.locality {
-			c.files.locality[s] = cache.NewLRU(cfg.LocalityEntries)
-		}
+	var bundles *mining.Bundles
+	if cfg.Miner != nil {
+		bundles = cfg.Miner.Bundles
 	}
-	if cfg.Miner != nil && cfg.Miner.Bundles != nil {
-		// Force the lazy bundle materialization now: afterwards Parent and
-		// Objects are read-only and safe without a lock on the hot path.
-		cfg.Miner.Bundles.Pages()
-	}
+	c.files.init(cfg.Backends, cfg.Exact, cfg.LocalityEntries, bundles)
 	if cfg.Features.NavPrefetch && cfg.Miner != nil {
 		// The tracker trains the predictor in place per observation,
 		// under trackMu.

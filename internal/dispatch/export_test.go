@@ -1,5 +1,7 @@
 package dispatch
 
+import "time"
+
 // NewWithDegraded builds a Core from cfg whose degraded mask is the
 // scripted degraded instead of a gray detector's verdict, so a test
 // can flag and clear backends directly. degraded must be lock-free and
@@ -11,4 +13,39 @@ func NewWithDegraded(cfg Config, degraded func(server int) bool) (*Core, error) 
 	}
 	c.degradedMask = degraded
 	return c, nil
+}
+
+// HedgeTarget is Hedge's choice of backend for a backup request on
+// path, booking nothing: the best accepting, non-degraded backend other
+// than the primary, preferring one that already holds the file. ok is
+// false (and the backend -1) when no backend is worth hedging to.
+func (c *Core) HedgeTarget(path string, primary int, now time.Time) (int, bool) {
+	_, fs := c.intern(path)
+	return c.pickTarget(fs, primary, true, now)
+}
+
+// TryBeginHedge is Hedge's booking of a backup attempt for path on
+// server under limit outstanding hedges per backend (see beginHedge).
+func (c *Core) TryBeginHedge(server int, path string, limit int) bool {
+	id, _ := c.intern(path)
+	return c.beginHedge(server, id, limit)
+}
+
+// MaxLiveFiles is the intern table's cap on ids beyond the miner's
+// paths.
+const MaxLiveFiles = maxLiveFiles
+
+// InternID returns path's id, interning it as an entry point does.
+func (c *Core) InternID(path string) FileID {
+	id, _ := c.intern(path)
+	return id
+}
+
+// FileTableSize returns the intern table's entries and the lengths of
+// the file slab and of its cell slab.
+func (c *Core) FileTableSize() (ids, files, cells int) {
+	f := &c.files
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.ids), len(f.files), len(f.cells)
 }

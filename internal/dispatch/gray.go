@@ -5,7 +5,6 @@ import (
 
 	"prord/internal/health"
 	"prord/internal/overload"
-	"prord/internal/trace"
 )
 
 // GrayConfig enables the gray-failure layer: a relative latency-outlier
@@ -106,7 +105,10 @@ func (c *Core) TickInterval() time.Duration {
 // It is 0 — arm no hedge — with hedging off, for generated content
 // (not idempotent to duplicate) and until the detector has samples.
 func (c *Core) HedgeDelay(path string) time.Duration {
-	if c.detector == nil || !c.gray.Hedge || trace.IsDynamicPath(path) {
+	if c.detector == nil || !c.gray.Hedge {
+		return 0
+	}
+	if _, fs := c.intern(path); fs.dynamic {
 		return 0
 	}
 	return c.detector.HedgeDelay()
@@ -114,34 +116,32 @@ func (c *Core) HedgeDelay(path string) time.Duration {
 
 // Hedge fires the hedge armed for path when its delay expires: unless
 // the ladder is at Saturated or above, it picks the best accepting,
-// non-degraded backend other than the primary (HedgeTarget) and books
-// the backup there under HedgeCap (TryBeginHedge). ok is false when no
-// hedge goes out; every true return must be paired with exactly one
-// FinishHedge.
+// non-degraded backend other than the primary, preferring one that
+// already holds the file, and books the backup there under HedgeCap.
+// ok is false when no hedge goes out; every true return must be paired
+// with exactly one FinishHedge.
 func (c *Core) Hedge(path string, primary int, now time.Time) (server int, ok bool) {
 	if c.Tier() >= overload.Saturated {
 		return -1, false
 	}
-	target, ok := c.HedgeTarget(path, primary, now)
-	if !ok || !c.TryBeginHedge(target, path, c.gray.HedgeCap) {
+	id, fs := c.intern(path)
+	target, ok := c.pickTarget(fs, primary, true, now)
+	if !ok || !c.beginHedge(target, id, c.gray.HedgeCap) {
 		return -1, false
 	}
 	return target, true
 }
 
-// pickTarget picks the best alternative backend for path, excluding
-// backend exclude: least-loaded among accepting backends the locality
-// state says hold the file (replication and prefetch make a holder
-// likely), then least-loaded accepting, then — unless acceptOnly —
-// least-loaded merely-available (degraded: a hard failover must land
-// somewhere). Shared by Rebook's failover retry and HedgeTarget so both
-// prefer a warm replica over a cold least-loaded backend.
-func (c *Core) pickTarget(path string, exclude int, acceptOnly bool, now time.Time) (int, bool) {
+// pickTarget picks the best alternative backend for the file whose
+// record is fs, excluding backend exclude: least-loaded among accepting
+// backends the locality state says hold the file (replication and
+// prefetch make a holder likely), then least-loaded accepting, then —
+// unless acceptOnly — least-loaded merely-available (degraded: a hard
+// failover must land somewhere). Shared by Rebook's failover retry and
+// Hedge so both prefer a warm replica over a cold least-loaded backend.
+func (c *Core) pickTarget(fs fileState, exclude int, acceptOnly bool, now time.Time) (int, bool) {
 	avail := c.availMask(now).Remove(exclude)
-	f := &c.files
-	f.mu.Lock()
-	holders := f.believed(c.cfg.Exact, path, avail) | f.peek(path).prefetched&avail
-	f.mu.Unlock()
+	holders := (fs.held | fs.prefetched) & avail
 	accept := c.healthy(avail)
 	if s, ok := c.leastLoaded(holders & accept); ok {
 		return s, true
@@ -152,16 +152,7 @@ func (c *Core) pickTarget(path string, exclude int, acceptOnly bool, now time.Ti
 	return c.leastLoaded(avail)
 }
 
-// HedgeTarget picks the backend for a hedged backup request on path:
-// the best accepting, non-degraded backend other than the primary,
-// preferring one that already holds the file. ok is false (and the
-// backend -1) when no backend is worth hedging to. The choice books
-// nothing; Hedge pairs it with TryBeginHedge.
-func (c *Core) HedgeTarget(path string, primary int, now time.Time) (int, bool) {
-	return c.pickTarget(path, primary, true, now)
-}
-
-// TryBeginHedge books a hedged backup attempt for path on server,
+// beginHedge books a hedged backup attempt for file id on server,
 // respecting limit outstanding hedges per backend; limit must be
 // positive. The booking mirrors a Route booking's load and in-flight
 // state but binds no session and emits no decision record, so hedging
@@ -169,7 +160,7 @@ func (c *Core) HedgeTarget(path string, primary int, now time.Time) (int, bool) 
 // false return means the backend is at its hedge cap and nothing was
 // booked. Every true return must be paired with exactly one
 // FinishHedge.
-func (c *Core) TryBeginHedge(server int, path string, limit int) bool {
+func (c *Core) beginHedge(server int, id FileID, limit int) bool {
 	if server < 0 || server >= c.cfg.Backends {
 		return false
 	}
@@ -178,7 +169,7 @@ func (c *Core) TryBeginHedge(server int, path string, limit int) bool {
 		return false
 	}
 	c.stats.hedgesFired.Add(1)
-	c.book(server, path)
+	c.book(server, id)
 	return true
 }
 

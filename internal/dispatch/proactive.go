@@ -5,7 +5,6 @@ import (
 
 	"prord/internal/mining"
 	"prord/internal/overload"
-	"prord/internal/trace"
 )
 
 // PlanProactive runs PRORD's proactive pass after a main page was
@@ -30,7 +29,11 @@ func (c *Core) PlanProactive(key string, server int, page string, now time.Time)
 // nothing once the lists have grown.
 func (c *Core) PlanInto(plan *Plan, key string, server int, page string, now time.Time) bool {
 	*plan = Plan{Bundle: plan.Bundle[:0], Nav: plan.Nav[:0]}
-	if !c.cfg.Features.any() || c.cfg.Miner == nil || trace.IsEmbeddedPath(page) {
+	if !c.cfg.Features.any() || c.cfg.Miner == nil {
+		return false
+	}
+	_, pfs := c.intern(page)
+	if pfs.embedded {
 		return false
 	}
 	if c.est != nil && c.Tier() >= overload.Elevated {
@@ -52,11 +55,7 @@ func (c *Core) PlanInto(plan *Plan, key string, server int, page string, now tim
 	if c.cfg.Features.Bundle {
 		// Bundle prefetch is neither budgeted nor cold-filtered: the
 		// page's objects are requested by the browser within milliseconds.
-		for _, obj := range c.cfg.Miner.Bundles.Objects(page) {
-			if c.admitPrefetch(server, obj) {
-				plan.Bundle = append(plan.Bundle, obj)
-			}
-		}
+		plan.Bundle = c.admitPrefetch(server, c.files.objects(pfs.fileMeta), false, plan.Bundle)
 	}
 	if c.cfg.Features.NavPrefetch && c.tracker != nil {
 		pred, predicted := c.observeNav(id, page)
@@ -64,7 +63,7 @@ func (c *Core) PlanInto(plan *Plan, key string, server int, page string, now tim
 			// §4.1: the backend prefetches "a specific group of data
 			// containing currently requested pages" — the predicted page
 			// together with its embedded objects.
-			plan.Nav = c.admitGroup(plan.Nav, server, pred.Page, c.cfg.Miner.Bundles.Objects(pred.Page))
+			plan.Nav = c.admitGroup(plan.Nav, server, pred.Page)
 		}
 	}
 	return len(plan.Bundle)+len(plan.Nav) > 0
@@ -79,61 +78,55 @@ func (c *Core) observeNav(id int, page string) (mining.Prediction, bool) {
 	return c.tracker.Observe(id, page)
 }
 
-// admitGroup applies the navigation-prefetch admission chain to a page
-// group: the adapter's per-backend budget (the simulator skips
-// prefetching into a disk loaded with demand work), a cold filter
-// (files resident — or already marked prefetched — anywhere are
-// skipped: the dispatcher routes requests to existing holders, so a
-// duplicate copy would only churn the disk), then per-file admission.
-// The group is head followed by rest, admitted in that order and
-// appended to out; taking the head apart spares building the group.
-func (c *Core) admitGroup(out []string, server int, head string, rest []string) []string {
+// admitGroup applies the navigation-prefetch admission chain to the
+// page group of head — head followed by its bundle's objects, admitted
+// in that order and appended to out: the adapter's per-backend budget
+// (the simulator skips prefetching into a disk loaded with demand
+// work), then per-file admission with the cold filter (files resident —
+// or already marked prefetched — anywhere are skipped: the dispatcher
+// routes requests to existing holders, so a duplicate copy would only
+// churn the disk).
+func (c *Core) admitGroup(out []string, server int, head string) []string {
 	if c.cfg.NavBudget != nil && !c.cfg.NavBudget(server) {
 		return out
 	}
-	out = c.admitCold(server, head, out)
-	for _, file := range rest {
-		out = c.admitCold(server, file, out)
-	}
-	return out
+	id, fs := c.intern(head)
+	out = c.admitPrefetch(server, []FileID{id}, true, out)
+	return c.admitPrefetch(server, c.files.objects(fs.fileMeta), true, out)
 }
 
-// admitCold appends file to out if it is cold and admitted at server.
-func (c *Core) admitCold(server int, file string, out []string) []string {
-	if c.cold(file) && c.admitPrefetch(server, file) {
-		out = append(out, file)
-	}
-	return out
-}
-
-// cold reports whether no backend holds file and no prefetch of it is
-// marked anywhere.
-func (c *Core) cold(file string) bool {
+// admitPrefetch registers a prefetch placement at server for each file
+// of ids, in order, that is eligible — not cold, cacheable, passing the
+// adapter filter and, with coldOnly, held and marked nowhere — absent
+// from the target backend and not already marked there. Each admitted
+// file's path is appended to out, for the adapter to fetch. The file
+// table's mutex is held throughout but for the adapter filter's calls.
+func (c *Core) admitPrefetch(server int, ids []FileID, coldOnly bool, out []string) []string {
 	f := &c.files
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.peek(file).prefetched.Empty() && f.believed(c.cfg.Exact, file, ^ServerSet(0)).Empty()
-}
-
-// admitPrefetch registers one prefetch placement if the file is
-// eligible (cacheable, passes the adapter filter), absent from the
-// target backend, and not already marked there. It reports whether the
-// adapter should fetch it.
-func (c *Core) admitPrefetch(server int, file string) bool {
-	if trace.IsDynamicPath(file) {
-		return false // generated content cannot be prefetched
+	for _, id := range ids {
+		if id < 0 {
+			continue // a cold path is never prefetched
+		}
+		path := f.paths[id]
+		if c.cfg.Prefetchable != nil {
+			f.mu.Unlock()
+			ok := c.cfg.Prefetchable(path)
+			f.mu.Lock()
+			if !ok {
+				continue
+			}
+		}
+		switch fs := &f.files[id]; {
+		case fs.dynamic: // generated content cannot be prefetched
+		case coldOnly && !(fs.held | fs.prefetched).Empty():
+		case fs.held.Has(server) || fs.prefetched.Has(server): // held, or already being prefetched here
+		default:
+			fs.prefetched = fs.prefetched.Add(server)
+			c.stats.prefetches.Add(1)
+			out = append(out, path)
+		}
 	}
-	if c.cfg.Prefetchable != nil && !c.cfg.Prefetchable(file) {
-		return false
-	}
-	f := &c.files
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.residentHere(c.cfg.Exact, server, file) || f.peek(file).prefetched.Has(server) {
-		return false // held, or already being prefetched here
-	}
-	fs := f.record(file, c.cfg.Backends)
-	fs.prefetched = fs.prefetched.Add(server)
-	c.stats.prefetches.Add(1)
-	return true
+	f.mu.Unlock()
+	return out
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"prord/internal/cache"
 	"prord/internal/overload"
 	"prord/internal/policy"
-	"prord/internal/trace"
 )
 
 // Admit runs Critical-tier admission control for one demand request.
@@ -25,7 +23,7 @@ func (c *Core) Admit(key, path string, now time.Time, grant func()) (Verdict, *o
 		return Admitted, nil
 	}
 	bypass := false
-	if trace.IsEmbeddedPath(path) {
+	if _, fs := c.intern(path); fs.embedded {
 		sh := &c.sessions
 		sh.mu.Lock()
 		st, ok := sh.byKey[key]
@@ -114,7 +112,7 @@ func (c *Core) FinishRequest(now time.Time, latency time.Duration) {
 // Route runs the Fig. 4 front-end flow for one admitted request and
 // books the outcome: the session binds (or re-binds) to the chosen
 // backend, loads and in-flight state update, and in optimistic mode the
-// backend's locality map learns the file. Every Route with OK true must
+// backend's locality list learns the file. Every Route with OK true must
 // be paired with exactly one Done; OK false means no backend was
 // available (the request was counted and released, not booked).
 //
@@ -125,30 +123,21 @@ func (c *Core) FinishRequest(now time.Time, latency time.Duration) {
 // The per-decision masks are single words and the policy view comes
 // from a pool, so the steady-state path does not allocate.
 func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
-	st, evicted := c.lookupSession(key)
+	id, fs := c.intern(path)
+	// The session lock is released before routing, so the view answers
+	// from its snapshot and takes table locks as leaves.
+	st, snap, evicted := c.lookupSession(key)
 	c.closeIDs(evicted)
 	c.stats.requests.Add(1)
-
-	// Session snapshot for classification; the session lock is released
-	// before routing so view methods can take table locks as leaves.
-	sh := &c.sessions
-	sh.mu.Lock()
-	lastPage := st.lastPage
-	sh.mu.Unlock()
-
 	tier := c.Tier()
 
 	// From Saturated up the ladder stops the bundle-aware dispatcher
-	// bypass: requests route as plain (non-embedded) traffic. New
-	// guarantees a Miner whenever a feature is on.
-	embedded := false
-	if tier < overload.Saturated && c.cfg.Features.Bundle && c.cfg.Miner.Bundles != nil &&
-		lastPage != "" && trace.IsEmbeddedPath(path) {
-		if parent, ok := c.cfg.Miner.Bundles.Parent(path); ok && parent == lastPage {
-			embedded = true
-		}
-	}
+	// bypass: requests route as plain (non-embedded) traffic. Only a
+	// mined object has a parent, and no page is cold.
+	embedded := tier < overload.Saturated && c.cfg.Features.Bundle && fs.embedded &&
+		fs.parent != policy.ColdFile && fs.parent == snap.lastPage
 
+	sh := &c.sessions
 	avail := c.availMask(now)
 	if avail.Empty() {
 		// Undo the session reservation: the request was never booked.
@@ -181,7 +170,7 @@ func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
 	}
 
 	accept := c.acceptMask(avail)
-	view := c.getView(st, avail, accept)
+	view := c.getView(snap, id, fs, avail, accept)
 	last, haveLast := view.LastServer(st.id)
 
 	var dec policy.Decision
@@ -193,7 +182,7 @@ func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
 	} else {
 		dec = pol.Route(policy.Request{
 			Conn:     st.id,
-			Path:     path,
+			File:     id,
 			Size:     size,
 			Embedded: embedded,
 			First:    !haveLast,
@@ -221,8 +210,8 @@ func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
 	prevServer := st.server
 	switched := hadServer && st.server != dec.Server
 	st.server, st.hasSrv = dec.Server, true
-	if !trace.IsEmbeddedPath(path) {
-		st.lastPage = path
+	if !fs.embedded {
+		st.lastPage = id
 	}
 	sh.mu.Unlock()
 	if switched && c.degraded(prevServer) {
@@ -243,7 +232,7 @@ func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
 		c.stats.switches.Add(1)
 	}
 	c.perBackend[dec.Server].Add(1)
-	c.book(dec.Server, path)
+	c.book(dec.Server, id)
 
 	if c.est != nil {
 		c.ovMu.Lock()
@@ -332,7 +321,8 @@ func (c *Core) Failover(key, path string, server, attempt int, now time.Time) (n
 // records it (Record.Retry). ok is false when no alternative backend
 // exists.
 func (c *Core) Rebook(key, path string, exclude int, now time.Time) (server int, ok bool) {
-	best, found := c.pickTarget(path, exclude, false, now)
+	id, fs := c.intern(path)
+	best, found := c.pickTarget(fs, exclude, false, now)
 	if !found {
 		return 0, false
 	}
@@ -347,7 +337,7 @@ func (c *Core) Rebook(key, path string, exclude int, now time.Time) (server int,
 	sh.mu.Unlock()
 	c.perBackend[best].Add(1)
 	c.stats.retries.Add(1)
-	c.book(best, path)
+	c.book(best, id)
 	if c.emitter != nil {
 		c.emitter.emit(Record{
 			Seq:     c.seq.Add(1),
@@ -363,46 +353,52 @@ func (c *Core) Rebook(key, path string, exclude int, now time.Time) (server int,
 	return best, true
 }
 
-// book registers one attempt of path on server — a Route, Rebook or
+// book registers one attempt of file id on server — a Route, Rebook or
 // hedge booking: the backend's load and the file's in-flight count go
 // up, and in optimistic mode the backend is assumed to have the file
 // hot after serving it, consuming any prefetch mark there. Dynamic
 // responses are uncacheable, so they never enter the locality view —
 // matching exact mode, where residency only ever reports cached static
 // files.
-func (c *Core) book(server int, path string) {
+func (c *Core) book(server int, id FileID) {
 	c.loads[server].Add(1)
+	if id < 0 {
+		return
+	}
 	f := &c.files
 	f.mu.Lock()
-	fs := f.record(path, c.cfg.Backends)
-	fs.flight[server]++
+	fs := &f.files[id]
+	f.cells[f.at(id, server)].flight++
 	fs.busy = fs.busy.Add(server)
-	if !c.cfg.Exact && !trace.IsDynamicPath(path) {
-		f.locality[server].Insert(path, 1)
+	if !c.cfg.Exact && !fs.dynamic {
+		f.touch(server, id)
 		fs.prefetched = fs.prefetched.Remove(server)
 	}
 	f.mu.Unlock()
 }
 
-// release undoes one book after the attempt ends. failed marks a
-// backend error: in optimistic mode its locality claim and prefetch
+// release undoes one book of path after the attempt ends. failed marks
+// a backend error: in optimistic mode its locality claim and prefetch
 // mark for the file drop (the process behind it may have lost its
-// memory).
+// memory). A path with no id was booked cold, with no file state.
 func (c *Core) release(server int, path string, failed bool) {
 	c.loads[server].Add(-1)
 	f := &c.files
 	f.mu.Lock()
-	if fs := f.files[path]; fs != nil && fs.flight[server] > 0 {
-		fs.flight[server]--
-		if fs.flight[server] == 0 {
-			fs.busy = fs.busy.Remove(server)
+	defer f.mu.Unlock()
+	id, ok := f.ids[path]
+	if !ok {
+		return
+	}
+	if cl := &f.cells[f.at(id, server)]; cl.flight > 0 {
+		if cl.flight--; cl.flight == 0 {
+			f.files[id].busy = f.files[id].busy.Remove(server)
 		}
 	}
 	if failed && !c.cfg.Exact {
-		f.locality[server].Remove(path)
-		f.unmark(path, server)
+		f.forget(server, id)
+		f.unmark(id, server)
 	}
-	f.mu.Unlock()
 }
 
 // InvalidateBackend forgets everything the core believes about a
@@ -420,12 +416,14 @@ func (c *Core) InvalidateBackend(server int) {
 	}
 	f := &c.files
 	f.mu.Lock()
-	for _, fs := range f.files {
-		fs.resident = fs.resident.Remove(server)
+	for i := range f.files {
+		fs := &f.files[i]
+		fs.held = fs.held.Remove(server)
 		fs.prefetched = fs.prefetched.Remove(server)
 	}
 	if !c.cfg.Exact {
-		f.locality[server] = cache.NewLRU(c.cfg.LocalityEntries)
+		f.cells[server].prev, f.cells[server].next = int32(server), int32(server)
+		f.localLen[server] = 0
 	}
 	f.mu.Unlock()
 	sh := &c.sessions

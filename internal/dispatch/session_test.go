@@ -31,14 +31,14 @@ func TestSessionRecycling(t *testing.T) {
 		out := c.Route(key, "/index.html", 100, now)
 		c.Done(key, out.Server, "/index.html", false, false)
 		st := record(key)
-		if !st.hasSrv || st.lastPage != "/index.html" {
-			t.Fatalf("%s: bound %v, last page %q after a routed page", key, st.hasSrv, st.lastPage)
+		if page, _ := c.intern("/index.html"); !st.hasSrv || st.lastPage != page {
+			t.Fatalf("%s: bound %v, last page %d after a routed page", key, st.hasSrv, st.lastPage)
 		}
 		return st
 	}
 	fresh := func(st *session, key string, oldID int) {
 		t.Helper()
-		if st.key != key || st.id == oldID || st.hasSrv || st.lastPage != "" || st.active != 1 {
+		if st.key != key || st.id == oldID || st.hasSrv || st.lastPage != policy.ColdFile || st.active != 1 {
 			t.Fatalf("recycled record for %s carries its past: %+v (old id %d)", key, *st, oldID)
 		}
 	}
@@ -47,7 +47,7 @@ func TestSessionRecycling(t *testing.T) {
 	old := used("a")
 	oldID := old.id
 	c.CloseConn("a")
-	st, _ := c.lookupSession("b")
+	st, _, _ := c.lookupSession("b")
 	if st != old {
 		t.Fatal("CloseConn of an idle session did not recycle its record")
 	}
@@ -60,10 +60,10 @@ func TestSessionRecycling(t *testing.T) {
 	c.Done("b", out.Server, "/b.html", false, false) // lookupSession's reservation
 
 	// A session closed mid-request keeps its record.
-	busy, _ := c.lookupSession("busy")
+	busy, _, _ := c.lookupSession("busy")
 	busyID := busy.id
 	c.CloseConn("busy")
-	if st, _ := c.lookupSession("other"); st == busy {
+	if st, _, _ := c.lookupSession("other"); st == busy {
 		t.Fatal("a session with a request in flight was recycled")
 	}
 	if busy.id != busyID || busy.key != "busy" || busy.active != 1 {
@@ -73,13 +73,13 @@ func TestSessionRecycling(t *testing.T) {
 
 	// The idle-eviction valve recycles idle records and skips busy ones.
 	c.CloseConn("b")
-	pinned, _ := c.lookupSession("pinned") // stays in flight
+	pinned, _, _ := c.lookupSession("pinned") // stays in flight
 	idle := map[*session]int{}
 	for i := 0; len(sh.byKey) < c.cfg.MaxSessions; i++ {
 		st := used(fmt.Sprintf("idle%d", i))
 		idle[st] = st.id
 	}
-	st, evicted := c.lookupSession("new")
+	st, _, evicted := c.lookupSession("new")
 	c.closeIDs(evicted)
 	oldID, ok := idle[st]
 	if !ok {

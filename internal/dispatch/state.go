@@ -7,8 +7,9 @@ import (
 	"sync"
 	"time"
 
-	"prord/internal/cache"
+	"prord/internal/mining"
 	"prord/internal/policy"
+	"prord/internal/trace"
 )
 
 // maxBackends is the most backends a Core serves: a ServerSet holds
@@ -42,6 +43,16 @@ func (m ServerSet) AppendTo(dst []int) []int {
 	return dst
 }
 
+// FileID is a path's dense id in the core's intern table.
+type FileID = policy.FileID
+
+// maxLiveFiles is how many paths beyond the miner's the intern table
+// gives an id. A path first met past it is cold: it shares
+// policy.ColdFile, keeps no per-file state, routes with no locality and
+// is never prefetched, so a flood of distinct paths cannot grow the
+// core or the policies' tables.
+const maxLiveFiles = 1 << 16
+
 // session is one tracked client connection. Guarded by the session
 // table's mutex.
 type session struct {
@@ -49,8 +60,8 @@ type session struct {
 	key      string
 	server   int
 	hasSrv   bool
-	active   int // requests currently in flight for this session
-	lastPage string
+	active   int    // requests currently in flight for this session
+	lastPage FileID // ColdFile before the first page and after a cold one
 }
 
 // sessionTable is the core's session table: every tracked connection
@@ -64,68 +75,185 @@ type sessionTable struct {
 	free  []*session
 }
 
-// fileTable is the per-file routing state: one record per path the
-// core has booked, marked or (exact mode) placed, under one leaf mutex.
-// In optimistic mode it also carries every backend's locality LRU, each
-// bounded to LocalityEntries entries.
+// fileTable is the per-file routing state under one leaf mutex. Each
+// path is interned once to a dense id — the miner's bundle paths at New
+// in the miner's sorted order, any other path on first touch, up to
+// maxLiveFiles more — and everything the core knows about a file lives
+// in slices indexed by it: its record, and one cell per backend. In
+// optimistic mode the cells also thread every backend's locality list,
+// most recent first, bounded to LocalityEntries entries. Ids are never
+// given back, so the slabs grow only to the cap.
 type fileTable struct {
-	mu       sync.Mutex
-	files    map[string]*fileState
-	locality []*cache.LRU // optimistic mode: per backend
+	mu    sync.Mutex
+	ids   map[string]FileID
+	paths []string    // by id
+	files []fileState // by id
+	// cells holds file id's cell at backend s at (id+1)*backends + s;
+	// row 0 heads the backends' locality lists.
+	cells    []cell
+	objs     []FileID // the bundles' objects, fixed at New
+	backends int
+	limit    int   // ids given out before paths go cold
+	entries  int   // optimistic mode: each locality list's bound
+	localLen []int // optimistic mode: each locality list's length
 }
 
-// fileState is what the core tracks about one path. A record outlives
-// its last booking: a hot file cycles between one and zero outstanding
-// requests constantly, and re-making the record on every cycle would be
-// the routing path's only steady-state allocation. Per-path retention
-// is bounded by the same request universe as the policies' target
-// tables.
+// fileState is what the core tracks about one file.
 type fileState struct {
-	resident   ServerSet // exact mode: backends holding the file
+	// held is the backends believed to hold the file: ground truth in
+	// exact mode, membership of their locality lists otherwise.
+	held       ServerSet
 	prefetched ServerSet // backends with a prefetch mark
-	busy       ServerSet // backends with flight > 0
-	flight     []int32   // outstanding requests per backend
+	busy       ServerSet // backends with a request in flight
+	fileMeta
 }
 
-// record returns path's record, creating it on first touch. Callers
-// hold the file table's mutex.
-func (f *fileTable) record(path string, backends int) *fileState {
-	fs := f.files[path]
-	if fs == nil {
-		fs = &fileState{flight: make([]int32, backends)}
-		f.files[path] = fs
+// fileMeta is what a path's id carries from its first touch, so no
+// request classifies a path or looks up a bundle.
+type fileMeta struct {
+	embedded, dynamic bool   // the path's extension kind
+	parent            FileID // the bundle page it belongs to, or ColdFile
+	objLo, objHi      int32  // its bundle's objects: objs[objLo:objHi]
+}
+
+// cell is one file at one backend: its requests in flight there and,
+// in optimistic mode, its links in the backend's locality list.
+type cell struct{ flight, prev, next int32 }
+
+// init builds the table, interning the bundles' paths (b may be nil).
+func (f *fileTable) init(backends int, exact bool, entries int64, b *mining.Bundles) {
+	var mined []string
+	if b != nil {
+		mined = b.Paths()
 	}
-	return fs
-}
-
-// peek returns a copy of path's record for reading its sets (the zero
-// record when there is none). Callers hold the file table's mutex.
-func (f *fileTable) peek(path string) fileState {
-	if fs := f.files[path]; fs != nil {
-		return *fs
+	f.ids = make(map[string]FileID, len(mined))
+	f.paths = make([]string, 0, len(mined))
+	f.files = make([]fileState, 0, len(mined))
+	f.cells = make([]cell, backends, (len(mined)+1)*backends)
+	f.backends, f.limit = backends, len(mined)+maxLiveFiles
+	if !exact {
+		f.entries, f.localLen = int(entries), make([]int, backends)
+		for s := range backends {
+			f.cells[s].prev, f.cells[s].next = int32(s), int32(s)
+		}
 	}
-	return fileState{}
+	for _, p := range mined {
+		f.add(p)
+	}
+	for id, p := range mined {
+		m := &f.files[id].fileMeta
+		if parent, ok := b.Parent(p); ok {
+			m.parent = f.ids[parent]
+		}
+		m.objLo = int32(len(f.objs))
+		for _, obj := range b.Objects(p) {
+			f.objs = append(f.objs, f.ids[obj])
+		}
+		m.objHi = int32(len(f.objs))
+	}
 }
 
-// unmark drops path's prefetch mark at server and reports whether one
-// was set. Callers hold the file table's mutex.
-func (f *fileTable) unmark(path string, server int) bool {
-	fs := f.files[path]
-	if fs == nil || !fs.prefetched.Has(server) {
+// classify works out the facts a path carries outside the bundles.
+func classify(path string) fileMeta {
+	return fileMeta{embedded: trace.IsEmbeddedPath(path), dynamic: trace.IsDynamicPath(path), parent: policy.ColdFile}
+}
+
+// add gives path the next id. Callers hold the mutex.
+func (f *fileTable) add(path string) FileID {
+	id := FileID(len(f.files))
+	f.ids[path] = id
+	f.paths = append(f.paths, path)
+	f.files = append(f.files, fileState{fileMeta: classify(path)})
+	f.cells = append(f.cells, make([]cell, f.backends)...)
+	return id
+}
+
+// lookup returns path's id, giving a path met for the first time the
+// next id while the table is under its cap and ColdFile past it.
+// Callers hold the mutex.
+func (f *fileTable) lookup(path string) FileID {
+	if id, ok := f.ids[path]; ok {
+		return id
+	}
+	if len(f.files) >= f.limit {
+		return policy.ColdFile
+	}
+	return f.add(path)
+}
+
+// intern looks path up and returns its id with a copy of its record. A
+// cold path's record is empty but for the facts worked out for this
+// call alone.
+func (c *Core) intern(path string) (FileID, fileState) {
+	f := &c.files
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if id := f.lookup(path); id >= 0 {
+		return id, f.files[id]
+	}
+	return policy.ColdFile, fileState{fileMeta: classify(path)}
+}
+
+// objects returns a file's bundle objects. The list is fixed at New,
+// so no lock is needed.
+func (f *fileTable) objects(m fileMeta) []FileID { return f.objs[m.objLo:m.objHi] }
+
+// at returns the index of id's cell at server.
+func (f *fileTable) at(id FileID, server int) int32 {
+	return int32((int(id)+1)*f.backends + server)
+}
+
+// unmark drops id's prefetch mark at server and reports whether one was
+// set. Callers hold the mutex.
+func (f *fileTable) unmark(id FileID, server int) bool {
+	if id < 0 || !f.files[id].prefetched.Has(server) {
 		return false
 	}
-	fs.prefetched = fs.prefetched.Remove(server)
+	f.files[id].prefetched = f.files[id].prefetched.Remove(server)
 	return true
+}
+
+// touch makes id the most recent entry of server's locality list and
+// drops the least recent one past the bound. Callers hold the mutex.
+func (f *fileTable) touch(server int, id FileID) {
+	fs, n := &f.files[id], f.at(id, server)
+	if fs.held.Has(server) {
+		f.unlink(n)
+	} else {
+		fs.held = fs.held.Add(server)
+		f.localLen[server]++
+	}
+	head := &f.cells[server]
+	f.cells[n].prev, f.cells[n].next = int32(server), head.next
+	f.cells[head.next].prev, head.next = n, n
+	if f.localLen[server] > f.entries {
+		f.forget(server, FileID(int(head.prev)/f.backends-1))
+	}
+}
+
+// forget drops id from server's locality list. Callers hold the mutex.
+func (f *fileTable) forget(server int, id FileID) {
+	if fs := &f.files[id]; fs.held.Has(server) {
+		f.unlink(f.at(id, server))
+		fs.held = fs.held.Remove(server)
+		f.localLen[server]--
+	}
+}
+
+// unlink takes cell n out of its locality list.
+func (f *fileTable) unlink(n int32) {
+	cl := f.cells[n]
+	f.cells[cl.prev].next, f.cells[cl.next].prev = cl.next, cl.prev
 }
 
 // lookupSession returns the session for key, creating it if needed. A
 // found-or-created session has active incremented as a reservation so a
 // concurrent eviction pass cannot drop it before the caller books the
 // request; every lookupSession is paired with a Done (or an explicit
-// release on the unroutable path). evicted lists the idle sessions the
-// MaxSessions valve dropped; the caller must pass them to closeIDs
-// after releasing every lock.
-func (c *Core) lookupSession(key string) (st *session, evicted []int) {
+// release on the unroutable path). snap is a copy of the session as
+// found. evicted lists the idle sessions the MaxSessions valve dropped;
+// the caller must pass them to closeIDs after releasing every lock.
+func (c *Core) lookupSession(key string) (st *session, snap session, evicted []int) {
 	sh := &c.sessions
 	sh.mu.Lock()
 	st, ok := sh.byKey[key]
@@ -138,13 +266,14 @@ func (c *Core) lookupSession(key string) (st *session, evicted []int) {
 		} else {
 			st = new(session)
 		}
-		*st = session{id: sh.seq, key: key}
+		*st = session{id: sh.seq, key: key, lastPage: policy.ColdFile}
 		sh.seq++
 		sh.byKey[key] = st
 	}
 	st.active++
+	snap = *st
 	sh.mu.Unlock()
-	return st, evicted
+	return st, snap, evicted
 }
 
 // evictIdle drops every session with no request in flight. Sessions
@@ -270,39 +399,18 @@ func (c *Core) acceptMask(avail ServerSet) ServerSet {
 // allocate.
 var viewPool = sync.Pool{New: func() any { return new(coreView) }}
 
-// getView borrows a view of one decision for session st.
-func (c *Core) getView(st *session, avail, accept ServerSet) *coreView {
+// getView borrows a view of one decision for the session Route found
+// as st and the file it interned as id with record fs.
+func (c *Core) getView(st session, id FileID, fs fileState, avail, accept ServerSet) *coreView {
 	v := viewPool.Get().(*coreView)
-	v.c, v.st, v.avail, v.accept = c, st, avail, accept
+	v.c, v.st, v.file, v.fs, v.avail, v.accept = c, st, id, fs, avail, accept
 	return v
 }
 
 // put returns a view to the pool, dropping its references.
 func (v *coreView) put() {
-	v.c, v.st = nil, nil
+	v.c, v.st.key = nil, ""
 	viewPool.Put(v)
-}
-
-// residentHere reports whether the core believes a backend holds file.
-// Callers hold the file table's mutex.
-func (f *fileTable) residentHere(exact bool, server int, file string) bool {
-	return !f.believed(exact, file, ServerSet(0).Add(server)).Empty()
-}
-
-// believed returns the members of among that the core believes hold
-// file: ground truth in exact mode, the bounded locality LRUs
-// otherwise. Callers hold the file table's mutex.
-func (f *fileTable) believed(exact bool, file string, among ServerSet) ServerSet {
-	if exact {
-		return f.peek(file).resident & among
-	}
-	var out ServerSet
-	for s := range f.locality {
-		if among.Has(s) && f.locality[s].Contains(file) {
-			out = out.Add(s)
-		}
-	}
-	return out
 }
 
 // coreView implements policy.View for one routing decision, filtering
@@ -315,11 +423,15 @@ func (f *fileTable) believed(exact bool, file string, among ServerSet) ServerSet
 // interprocedurally on every lint run) and serves server-set results
 // from one reusable buffer — per the policy.View contract those slices
 // are valid only until the next view call. A policy asks LastServer
-// only about the deciding request's own connection, so the view
-// answers from the session Route already holds.
+// only about the deciding request's own connection, and about the
+// request's own file first of all, so the view answers from the copies
+// of the session and the file's record Route took when it looked them
+// up.
 type coreView struct {
 	c      *Core
-	st     *session  // the deciding request's session
+	st     session   // the deciding request's session
+	file   FileID    // the deciding request's file
+	fs     fileState // file's record as Route interned it
 	avail  ServerSet // present and healthy: bound sessions may stay
 	accept ServerSet // additionally open to new placements
 	buf    []int     // reusable result buffer for ServersWith/PrefetchedAt
@@ -334,20 +446,24 @@ func (v *coreView) Load(i int) int {
 	return v.c.loadOf(i)
 }
 
-func (v *coreView) ServersWith(file string) []int {
-	f := &v.c.files
-	f.mu.Lock()
-	holders := f.believed(v.c.cfg.Exact, file, v.accept)
-	f.mu.Unlock()
-	return v.list(holders)
-}
+func (v *coreView) ServersWith(file FileID) []int { return v.list(v.sets(file).held & v.accept) }
 
-func (v *coreView) PrefetchedAt(file string) []int {
+func (v *coreView) PrefetchedAt(file FileID) []int { return v.list(v.sets(file).prefetched & v.accept) }
+
+// sets returns a copy of file's record: the deciding request's from
+// Route's read, another's under the file table's mutex as a leaf, and
+// the zero record for a cold path.
+func (v *coreView) sets(file FileID) fileState {
+	switch {
+	case file == v.file:
+		return v.fs
+	case file < 0:
+		return fileState{}
+	}
 	f := &v.c.files
 	f.mu.Lock()
-	marked := f.peek(file).prefetched & v.accept
-	f.mu.Unlock()
-	return v.list(marked)
+	defer f.mu.Unlock()
+	return f.files[file]
 }
 
 // list returns a server set in ascending order, so policies that pick
@@ -363,11 +479,8 @@ func (v *coreView) list(set ServerSet) []int {
 
 // InFlight returns the lowest accepting backend with a request for file
 // outstanding.
-func (v *coreView) InFlight(file string) (int, bool) {
-	f := &v.c.files
-	f.mu.Lock()
-	busy := f.peek(file).busy & v.accept
-	f.mu.Unlock()
+func (v *coreView) InFlight(file FileID) (int, bool) {
+	busy := v.sets(file).busy & v.accept
 	if busy.Empty() {
 		return 0, false
 	}
@@ -375,14 +488,8 @@ func (v *coreView) InFlight(file string) (int, bool) {
 }
 
 func (v *coreView) LastServer(conn int) (int, bool) {
-	if conn != v.st.id {
-		return 0, false
-	}
-	sh := &v.c.sessions
-	sh.mu.Lock()
-	server, has := v.st.server, v.st.hasSrv
-	sh.mu.Unlock()
-	if !has || !v.avail.Has(server) {
+	server := v.st.server
+	if conn != v.st.id || !v.st.hasSrv || !v.avail.Has(server) {
 		return 0, false
 	}
 	if v.c.degraded(server) {
@@ -400,26 +507,31 @@ var _ policy.View = (*coreView)(nil)
 // NoteResident records ground-truth residency: the adapter's backend
 // now holds file in memory. Exact mode only.
 func (c *Core) NoteResident(server int, file string) {
-	if !c.cfg.Exact {
-		return
-	}
-	f := &c.files
-	f.mu.Lock()
-	fs := f.record(file, c.cfg.Backends)
-	fs.resident = fs.resident.Add(server)
-	f.mu.Unlock()
+	c.noteHeld(server, file, true)
 }
 
 // NoteGone records that a backend no longer holds file (eviction or
 // crash); any prefetch mark there falls with it. Exact mode only.
 func (c *Core) NoteGone(server int, file string) {
+	c.noteHeld(server, file, false)
+}
+
+// noteHeld is NoteResident (held) and NoteGone.
+func (c *Core) noteHeld(server int, file string, held bool) {
 	if !c.cfg.Exact {
+		return
+	}
+	id, _ := c.intern(file)
+	if id < 0 {
 		return
 	}
 	f := &c.files
 	f.mu.Lock()
-	if fs := f.files[file]; fs != nil {
-		fs.resident = fs.resident.Remove(server)
+	fs := &f.files[id]
+	if held {
+		fs.held = fs.held.Add(server)
+	} else {
+		fs.held = fs.held.Remove(server)
 		fs.prefetched = fs.prefetched.Remove(server)
 	}
 	f.mu.Unlock()
@@ -429,28 +541,24 @@ func (c *Core) NoteGone(server int, file string) {
 // backend (the simulator's piggyback check: a prefetch disk read is in
 // progress or completed there).
 func (c *Core) PrefetchedHere(server int, file string) bool {
-	f := &c.files
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.peek(file).prefetched.Has(server)
+	_, fs := c.intern(file)
+	return fs.prefetched.Has(server)
 }
 
 // ConsumePrefetch clears file's prefetch mark at the backend and
 // reports whether one was present — a prefetch hit.
 func (c *Core) ConsumePrefetch(server int, file string) bool {
+	id, _ := c.intern(file)
 	f := &c.files
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.unmark(file, server)
+	return f.unmark(id, server)
 }
 
 // UnmarkPrefetch drops file's prefetch mark at the backend without
 // counting a hit (the placement failed or was invalidated).
 func (c *Core) UnmarkPrefetch(server int, file string) {
-	f := &c.files
-	f.mu.Lock()
-	f.unmark(file, server)
-	f.mu.Unlock()
+	c.ConsumePrefetch(server, file)
 }
 
 // --- observability accessors (tests, stats endpoints) ---
@@ -474,7 +582,7 @@ func (c *Core) SessionCount() int {
 	return len(sh.byKey)
 }
 
-// LocalityLen returns the optimistic locality map's entry count for a
+// LocalityLen returns the optimistic locality list's entry count for a
 // backend (0 in exact mode, where residency is adapter ground truth).
 func (c *Core) LocalityLen(server int) int {
 	if c.cfg.Exact {
@@ -483,16 +591,14 @@ func (c *Core) LocalityLen(server int) int {
 	f := &c.files
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.locality[server].Len()
+	return f.localLen[server]
 }
 
 // LocalityContains reports whether the core believes a backend holds
 // file (either locality mode).
 func (c *Core) LocalityContains(server int, file string) bool {
-	f := &c.files
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.residentHere(c.cfg.Exact, server, file)
+	_, fs := c.intern(file)
+	return fs.held.Has(server)
 }
 
 // ResidencySnapshot returns the exact-mode residency map: file ->
@@ -501,7 +607,7 @@ func (c *Core) ResidencySnapshot() map[string][]int {
 	if !c.cfg.Exact {
 		return nil
 	}
-	return c.setsByFile(func(fs *fileState) ServerSet { return fs.resident })
+	return c.setsByFile(func(fs *fileState) ServerSet { return fs.held })
 }
 
 // PrefetchMarks returns the current prefetch placements: file ->
@@ -518,9 +624,9 @@ func (c *Core) setsByFile(set func(*fileState) ServerSet) map[string][]int {
 	f := &c.files
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for file, fs := range f.files {
-		if m := set(fs); !m.Empty() {
-			out[file] = m.AppendTo(nil)
+	for id := range f.files {
+		if m := set(&f.files[id]); !m.Empty() {
+			out[f.paths[id]] = m.AppendTo(nil)
 		}
 	}
 	return out
@@ -549,8 +655,7 @@ func (c *Core) SessionCheck() (total, busy int, problem string) {
 }
 
 // InFlightFiles returns the number of files with outstanding requests:
-// records whose busy set is not empty. A drained record stays in the
-// file table (see fileState) but does not count.
+// records whose busy set is not empty.
 func (c *Core) InFlightFiles() int {
 	return len(c.setsByFile(func(fs *fileState) ServerSet { return fs.busy }))
 }

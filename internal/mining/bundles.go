@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"slices"
 	"sort"
 
 	"prord/internal/trace"
@@ -129,6 +130,22 @@ func (b *Bundles) Pages() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Paths returns every path the table names — each page with a bundle,
+// each object a page was seen with, and each object's parent page —
+// sorted and without repeats.
+func (b *Bundles) Paths() []string {
+	b.rebuild()
+	out := make([]string, 0, len(b.objects)+2*len(b.parentOf))
+	for p := range b.objects {
+		out = append(out, p)
+	}
+	for obj, page := range b.parentOf {
+		out = append(out, obj, page)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Score compares the mined bundles against ground truth (page -> object

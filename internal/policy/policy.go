@@ -11,8 +11,9 @@
 // All built-in policies are safe for concurrent Route calls: WRR
 // serializes its rotor on a small mutex, and each LARD-family policy
 // keeps its file → target assignments in one table under one leaf
-// mutex (targetTable). A custom Policy used with the dispatch core must
-// be equally concurrency-safe, since the core does not serialize Route.
+// mutex (targetTable), a slice indexed by the file's FileID. A custom
+// Policy used with the dispatch core must be equally concurrency-safe,
+// since the core does not serialize Route.
 package policy
 
 import (
@@ -20,12 +21,23 @@ import (
 	"sync"
 )
 
+// FileID is a file's dense id, handed out by the dispatch core's intern
+// table: small integers from 0, so per-file state lives in slices
+// indexed by it rather than in maps keyed by the path.
+type FileID int32
+
+// ColdFile is the id every path past the intern table's cap shares. It
+// keeps no per-file state: a View reports no holder, prefetch or
+// request in flight for it, and the target tables remember nothing.
+const ColdFile FileID = -1
+
 // Request is the routing-relevant view of one incoming request.
 type Request struct {
 	// Conn is the persistent-connection id carrying the request.
 	Conn int
-	// Path identifies the requested file.
-	Path string
+	// File is the requested file's id: what the policy and the View key
+	// per-file state by.
+	File FileID
 	// Size is the response size in bytes.
 	Size int64
 	// Embedded reports whether the distributor classified this request as
@@ -50,14 +62,14 @@ type View interface {
 	// ServersWith returns the dispatcher's server set for a file: the
 	// backends believed to hold it in memory. Consulting it costs a
 	// dispatch; policies must set Decision.Dispatch when they use it.
-	ServersWith(file string) []int
+	ServersWith(file FileID) []int
 	// PrefetchedAt returns the backends that proactively prefetched the
 	// file. This map lives at the front-end (backends push placement
 	// notifications), so consulting it is dispatch-free.
-	PrefetchedAt(file string) []int
+	PrefetchedAt(file FileID) []int
 	// InFlight reports the backend already processing an outstanding
 	// request for the file, if any.
-	InFlight(file string) (server int, ok bool)
+	InFlight(file FileID) (server int, ok bool)
 	// LastServer returns the backend that served the connection's
 	// previous request, if any.
 	LastServer(conn int) (int, bool)
@@ -220,24 +232,24 @@ type ConnLARD struct {
 
 // NewConnLARD returns a connection-granularity LARD policy.
 func NewConnLARD(t Thresholds) *ConnLARD {
-	return &ConnLARD{T: t.orDefault(), target: newTargetTable()}
+	return &ConnLARD{T: t.orDefault(), target: new(targetTable)}
 }
 
 // Name implements Policy.
 func (p *ConnLARD) Name() string { return "LARD-conn" }
 
 // lardTarget applies the original LARD assignment rule for a file.
-func lardTarget(assign *targetTable, path string, t Thresholds, view View) int {
-	target, ok := assign.get(path)
+func lardTarget(assign *targetTable, file FileID, t Thresholds, view View) int {
+	target, ok := assign.get(file)
 	if !ok {
 		target = LeastLoaded(view)
-		assign.set(path, target)
+		assign.set(file, target)
 		return target
 	}
 	if (view.Load(target) > t.High && anyBelow(view, t.Low)) ||
 		view.Load(target) > 2*t.High {
 		target = LeastLoaded(view)
-		assign.set(path, target)
+		assign.set(file, target)
 	}
 	return target
 }
@@ -249,7 +261,7 @@ func (p *ConnLARD) Route(req Request, view View) Decision {
 		// connection cannot migrate.
 		return Decision{Server: s, Source: -1, Dispatch: true}
 	}
-	target := lardTarget(p.target, req.Path, p.T, view)
+	target := lardTarget(p.target, req.File, p.T, view)
 	return Decision{Server: target, Source: -1, Dispatch: true, Handoff: true}
 }
 
@@ -269,7 +281,7 @@ type LARD struct {
 
 // NewLARD returns a per-request LARD policy.
 func NewLARD(t Thresholds) *LARD {
-	return &LARD{T: t.orDefault(), target: newTargetTable()}
+	return &LARD{T: t.orDefault(), target: new(targetTable)}
 }
 
 // Name implements Policy.
@@ -280,16 +292,16 @@ func (p *LARD) Name() string { return "LARD" }
 // when no backend has the file cached. Shared by LARD and PRORD's
 // dispatcher step.
 func localityTarget(assign *targetTable, req Request, t Thresholds, view View) int {
-	if holders := view.ServersWith(req.Path); len(holders) > 0 {
+	if holders := view.ServersWith(req.File); len(holders) > 0 {
 		target := LeastLoadedOf(view, holders)
 		if (view.Load(target) > t.High && anyBelow(view, t.Low)) ||
 			view.Load(target) > 2*t.High {
 			target = LeastLoaded(view)
 		}
-		assign.set(req.Path, target)
+		assign.set(req.File, target)
 		return target
 	}
-	return lardTarget(assign, req.Path, t, view)
+	return lardTarget(assign, req.File, t, view)
 }
 
 // Route implements Policy.
@@ -315,7 +327,7 @@ type LARDR struct {
 
 // NewLARDR returns a per-request LARD/R policy.
 func NewLARDR(t Thresholds) *LARDR {
-	return &LARDR{T: t.orDefault(), targets: newTargetSetTable()}
+	return &LARDR{T: t.orDefault(), targets: new(targetTable)}
 }
 
 // Name implements Policy.
@@ -324,19 +336,19 @@ func (p *LARDR) Name() string { return "LARD/R" }
 // Route implements Policy. Replica sets are copy-on-append, so the
 // set read here stays immutable while the view consults it.
 func (p *LARDR) Route(req Request, view View) Decision {
-	set := p.targets.getSet(req.Path)
+	set := p.targets.getSet(req.File)
 	var target int
 	switch {
 	case len(set) == 0:
 		target = LeastLoaded(view)
-		p.targets.initSet(req.Path, target)
+		p.targets.initSet(req.File, target)
 	default:
 		target = LeastLoadedOf(view, set)
 		if (view.Load(target) > p.T.High && anyBelow(view, p.T.Low)) ||
 			view.Load(target) > 2*p.T.High {
 			ll := LeastLoaded(view)
 			if !containsInt(set, ll) {
-				p.targets.addToSet(req.Path, set, ll)
+				p.targets.addToSet(req.File, set, ll)
 			}
 			target = ll
 		}
@@ -363,7 +375,7 @@ type ExtLARD struct {
 
 // NewExtLARD returns an Ext-LARD-PHTTP (back-end forwarding) policy.
 func NewExtLARD(t Thresholds) *ExtLARD {
-	return &ExtLARD{T: t.orDefault(), target: newTargetTable()}
+	return &ExtLARD{T: t.orDefault(), target: new(targetTable)}
 }
 
 // Name implements Policy.
@@ -373,81 +385,96 @@ func (p *ExtLARD) Name() string { return "Ext-LARD-PHTTP" }
 func (p *ExtLARD) Route(req Request, view View) Decision {
 	last, ok := view.LastServer(req.Conn)
 	if !ok {
-		target := lardTarget(p.target, req.Path, p.T, view)
+		target := lardTarget(p.target, req.File, p.T, view)
 		return Decision{Server: target, Source: -1, Dispatch: true, Handoff: true}
 	}
 	// Connection pinned to last; find where the content lives.
 	d := Decision{Server: last, Source: -1, Dispatch: true}
-	if holders := view.ServersWith(req.Path); len(holders) > 0 && !containsInt(holders, last) {
+	if holders := view.ServersWith(req.File); len(holders) > 0 && !containsInt(holders, last) {
 		d.Source = LeastLoadedOf(view, holders)
 	}
 	return d
 }
 
 // targetTable is a LARD-family policy's file → target assignment
-// table, under one leaf mutex: each method holds it for one map
-// operation and takes no other lock. The scalar-target policies (LARD,
-// ConnLARD, ExtLARD, PRORD) use m; LARD/R uses sets. Two racing Routes
-// for the same cold file may both compute a target, and the later set
-// wins: the same outcome back-to-back requests get.
+// table, under one leaf mutex: each method holds it for one slice
+// operation and takes no other lock. Both slices are indexed by FileID
+// and grow to the largest id assigned; ColdFile is never stored. The
+// scalar-target policies (LARD, ConnLARD, ExtLARD, PRORD) use m, which
+// holds a target plus one so that 0 means unassigned; LARD/R uses
+// sets. Two racing Routes for the same unassigned file may both compute a
+// target, and the later set wins: the same outcome back-to-back
+// requests get.
 type targetTable struct {
 	mu   sync.Mutex
-	m    map[string]int
-	sets map[string][]int
+	m    []int32
+	sets [][]int
 }
 
-// newTargetTable returns a table for scalar targets.
-func newTargetTable() *targetTable {
-	return &targetTable{m: make(map[string]int)}
+// grow returns s long enough to index file.
+func grow[T any](s []T, file FileID) []T {
+	if n := int(file) + 1; n > len(s) {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s
 }
 
-// newTargetSetTable returns a table for replicated target sets.
-func newTargetSetTable() *targetTable {
-	return &targetTable{sets: make(map[string][]int)}
-}
-
-func (t *targetTable) get(path string) (int, bool) {
+func (t *targetTable) get(file FileID) (int, bool) {
 	t.mu.Lock()
-	v, ok := t.m[path]
-	t.mu.Unlock()
-	return v, ok
+	defer t.mu.Unlock()
+	if file < 0 || int(file) >= len(t.m) || t.m[file] == 0 {
+		return 0, false
+	}
+	return int(t.m[file]) - 1, true
 }
 
-func (t *targetTable) set(path string, server int) {
+func (t *targetTable) set(file FileID, server int) {
+	if file < 0 {
+		return
+	}
 	t.mu.Lock()
-	t.m[path] = server
+	t.m = grow(t.m, file)
+	t.m[file] = int32(server) + 1
 	t.mu.Unlock()
 }
 
-// getSet returns the published replica set for path. Sets are
+// getSet returns the published replica set for file. Sets are
 // copy-on-append: once published a slice is never mutated, so the
 // caller may read it after the table unlocks.
-func (t *targetTable) getSet(path string) []int {
+func (t *targetTable) getSet(file FileID) []int {
 	t.mu.Lock()
-	v := t.sets[path]
-	t.mu.Unlock()
-	return v
+	defer t.mu.Unlock()
+	if file < 0 || int(file) >= len(t.sets) {
+		return nil
+	}
+	return t.sets[file]
 }
 
-// initSet publishes the initial single-member set for path unless a
+// initSet publishes the initial single-member set for file unless a
 // concurrent writer beat this one to it.
-func (t *targetTable) initSet(path string, server int) {
+func (t *targetTable) initSet(file FileID, server int) {
+	if file < 0 {
+		return
+	}
 	t.mu.Lock()
-	if len(t.sets[path]) == 0 {
-		t.sets[path] = []int{server}
+	if t.sets = grow(t.sets, file); len(t.sets[file]) == 0 {
+		t.sets[file] = []int{server}
 	}
 	t.mu.Unlock()
 }
 
-// addToSet publishes set+{server} for path (copy-on-append) unless a
+// addToSet publishes set+{server} for file (copy-on-append) unless a
 // concurrent writer already added it.
-func (t *targetTable) addToSet(path string, set []int, server int) {
+func (t *targetTable) addToSet(file FileID, set []int, server int) {
+	if file < 0 {
+		return
+	}
 	t.mu.Lock()
-	cur := t.sets[path]
+	cur := t.sets[file]
 	if len(cur) == len(set) && !containsInt(cur, server) {
 		ns := make([]int, len(cur), len(cur)+1)
 		copy(ns, cur)
-		t.sets[path] = append(ns, server)
+		t.sets[file] = append(ns, server)
 	}
 	t.mu.Unlock()
 }
@@ -479,7 +506,7 @@ type PRORD struct {
 
 // NewPRORD returns the PRORD routing policy.
 func NewPRORD(t Thresholds) *PRORD {
-	return &PRORD{T: t.orDefault(), target: newTargetTable()}
+	return &PRORD{T: t.orDefault(), target: new(targetTable)}
 }
 
 // Name implements Policy.
@@ -494,10 +521,10 @@ func (p *PRORD) Route(req Request, view View) Decision {
 		return Decision{Server: last, Source: -1}
 	}
 	// Step 2: prefetched or in-flight.
-	if s, ok := view.InFlight(req.Path); ok {
+	if s, ok := view.InFlight(req.File); ok {
 		return Decision{Server: s, Source: -1, Handoff: !haveLast || last != s}
 	}
-	if pre := view.PrefetchedAt(req.Path); len(pre) > 0 {
+	if pre := view.PrefetchedAt(req.File); len(pre) > 0 {
 		s := LeastLoadedOf(view, pre)
 		return Decision{Server: s, Source: -1, Handoff: !haveLast || last != s}
 	}

@@ -8,28 +8,40 @@ import (
 // fakeView is a scriptable View for policy unit tests.
 type fakeView struct {
 	loads      []int
-	serversFor map[string][]int
-	prefetched map[string][]int
-	inflight   map[string]int
+	serversFor map[FileID][]int
+	prefetched map[FileID][]int
+	inflight   map[FileID]int
 	last       map[int]int
 }
 
 func newFakeView(loads ...int) *fakeView {
 	return &fakeView{
 		loads:      loads,
-		serversFor: make(map[string][]int),
-		prefetched: make(map[string][]int),
-		inflight:   make(map[string]int),
+		serversFor: make(map[FileID][]int),
+		prefetched: make(map[FileID][]int),
+		inflight:   make(map[FileID]int),
 		last:       make(map[int]int),
 	}
 }
 
 func (v *fakeView) NumServers() int               { return len(v.loads) }
 func (v *fakeView) Load(i int) int                { return v.loads[i] }
-func (v *fakeView) ServersWith(f string) []int    { return v.serversFor[f] }
-func (v *fakeView) PrefetchedAt(f string) []int   { return v.prefetched[f] }
-func (v *fakeView) InFlight(f string) (int, bool) { s, ok := v.inflight[f]; return s, ok }
+func (v *fakeView) ServersWith(f FileID) []int    { return v.serversFor[f] }
+func (v *fakeView) PrefetchedAt(f FileID) []int   { return v.prefetched[f] }
+func (v *fakeView) InFlight(f FileID) (int, bool) { s, ok := v.inflight[f]; return s, ok }
 func (v *fakeView) LastServer(c int) (int, bool)  { s, ok := v.last[c]; return s, ok }
+
+// The files the tests route, by id.
+const (
+	fileA FileID = iota
+	fileB
+	fileC
+	fileHot
+	fileX
+	fileImg
+	fileY
+	fileZ
+)
 
 func TestLeastLoaded(t *testing.T) {
 	v := newFakeView(5, 2, 2, 9)
@@ -55,7 +67,7 @@ func TestWRRRoundRobin(t *testing.T) {
 	v := newFakeView(0, 0, 0)
 	var got []int
 	for conn := 0; conn < 6; conn++ {
-		d := p.Route(Request{Conn: conn, Path: "/x", First: true}, v)
+		d := p.Route(Request{Conn: conn, File: fileX, First: true}, v)
 		if d.Dispatch {
 			t.Fatal("WRR must never dispatch")
 		}
@@ -111,12 +123,12 @@ func TestWRRInvalidWeights(t *testing.T) {
 func TestLARDFirstRequestAssignsLeastLoaded(t *testing.T) {
 	p := NewLARD(Thresholds{})
 	v := newFakeView(4, 1, 3)
-	d := p.Route(Request{Conn: 1, Path: "/a", First: true}, v)
+	d := p.Route(Request{Conn: 1, File: fileA, First: true}, v)
 	if d.Server != 1 || !d.Dispatch || !d.Handoff {
 		t.Fatalf("first LARD route = %+v, want server 1 with dispatch+handoff", d)
 	}
 	// Same target for the same path on a new connection.
-	d2 := p.Route(Request{Conn: 2, Path: "/a", First: true}, v)
+	d2 := p.Route(Request{Conn: 2, File: fileA, First: true}, v)
 	if d2.Server != 1 {
 		t.Fatalf("LARD target for /a moved to %d", d2.Server)
 	}
@@ -126,7 +138,7 @@ func TestLARDConnConnectionPinned(t *testing.T) {
 	p := NewConnLARD(Thresholds{})
 	v := newFakeView(0, 0)
 	v.last[5] = 1
-	d := p.Route(Request{Conn: 5, Path: "/b"}, v)
+	d := p.Route(Request{Conn: 5, File: fileB}, v)
 	if d.Server != 1 || d.Handoff {
 		t.Fatalf("pinned connection should stay: %+v", d)
 	}
@@ -138,9 +150,9 @@ func TestLARDConnConnectionPinned(t *testing.T) {
 func TestLARDRebalanceOnOverload(t *testing.T) {
 	p := NewLARD(Thresholds{Low: 5, High: 10})
 	v := newFakeView(0, 0)
-	p.Route(Request{Conn: 1, Path: "/hot", First: true}, v) // assigns server 0
-	v.loads[0] = 11                                         // above High, and server 1 below Low
-	d := p.Route(Request{Conn: 2, Path: "/hot", First: true}, v)
+	p.Route(Request{Conn: 1, File: fileHot, First: true}, v) // assigns server 0
+	v.loads[0] = 11                                          // above High, and server 1 below Low
+	d := p.Route(Request{Conn: 2, File: fileHot, First: true}, v)
 	if d.Server != 1 {
 		t.Fatalf("overloaded target should move to 1, got %+v", d)
 	}
@@ -149,9 +161,9 @@ func TestLARDRebalanceOnOverload(t *testing.T) {
 func TestLARDRebalanceOnExtremeLoadEvenWithoutIdleNode(t *testing.T) {
 	p := NewLARD(Thresholds{Low: 5, High: 10})
 	v := newFakeView(0, 8) // server 1 not below Low
-	p.Route(Request{Conn: 1, Path: "/hot", First: true}, v)
+	p.Route(Request{Conn: 1, File: fileHot, First: true}, v)
 	v.loads[0] = 21 // > 2*High
-	d := p.Route(Request{Conn: 2, Path: "/hot", First: true}, v)
+	d := p.Route(Request{Conn: 2, File: fileHot, First: true}, v)
 	if d.Server != 1 {
 		t.Fatalf("2*Thigh rule should trigger, got %+v", d)
 	}
@@ -160,19 +172,19 @@ func TestLARDRebalanceOnExtremeLoadEvenWithoutIdleNode(t *testing.T) {
 func TestLARDPerRequestHandoffs(t *testing.T) {
 	p := NewLARD(Thresholds{})
 	v := newFakeView(0, 5)
-	d1 := p.Route(Request{Conn: 1, Path: "/a", First: true}, v)
+	d1 := p.Route(Request{Conn: 1, File: fileA, First: true}, v)
 	if d1.Server != 0 || !d1.Handoff || !d1.Dispatch {
 		t.Fatalf("d1 = %+v", d1)
 	}
 	v.last[1] = d1.Server
 	// /b is unassigned; least loaded is still 0 -> no handoff.
-	d2 := p.Route(Request{Conn: 1, Path: "/b"}, v)
+	d2 := p.Route(Request{Conn: 1, File: fileB}, v)
 	if d2.Server != 0 || d2.Handoff {
 		t.Fatalf("same-server follow-up should not hand off: %+v", d2)
 	}
 	// Assign /c to server 1 by loading server 0.
 	v.loads[0], v.loads[1] = 9, 0
-	d3 := p.Route(Request{Conn: 1, Path: "/c"}, v)
+	d3 := p.Route(Request{Conn: 1, File: fileC}, v)
 	if d3.Server != 1 || !d3.Handoff {
 		t.Fatalf("server change must hand off: %+v", d3)
 	}
@@ -181,18 +193,18 @@ func TestLARDPerRequestHandoffs(t *testing.T) {
 func TestLARDRGrowsReplicaSet(t *testing.T) {
 	p := NewLARDR(Thresholds{Low: 2, High: 4})
 	v := newFakeView(0, 0, 0)
-	d1 := p.Route(Request{Conn: 1, Path: "/hot", First: true}, v)
+	d1 := p.Route(Request{Conn: 1, File: fileHot, First: true}, v)
 	if d1.Server != 0 {
 		t.Fatalf("d1 = %+v", d1)
 	}
 	v.loads[0] = 5 // overload; server 1 below Low
-	d2 := p.Route(Request{Conn: 2, Path: "/hot", First: true}, v)
+	d2 := p.Route(Request{Conn: 2, File: fileHot, First: true}, v)
 	if d2.Server != 1 {
 		t.Fatalf("set should grow to include 1, got %+v", d2)
 	}
 	// Now both 0 and 1 are in the set; request goes to least loaded of them.
 	v.loads[0], v.loads[1] = 3, 2
-	d3 := p.Route(Request{Conn: 3, Path: "/hot", First: true}, v)
+	d3 := p.Route(Request{Conn: 3, File: fileHot, First: true}, v)
 	if d3.Server != 1 {
 		t.Fatalf("least-loaded set member should serve, got %+v", d3)
 	}
@@ -201,13 +213,13 @@ func TestLARDRGrowsReplicaSet(t *testing.T) {
 func TestExtLARDPullsRemoteContent(t *testing.T) {
 	p := NewExtLARD(Thresholds{})
 	v := newFakeView(0, 0)
-	d1 := p.Route(Request{Conn: 1, Path: "/a", First: true}, v)
+	d1 := p.Route(Request{Conn: 1, File: fileA, First: true}, v)
 	if !d1.Handoff || d1.Source != -1 {
 		t.Fatalf("d1 = %+v", d1)
 	}
 	v.last[1] = d1.Server
-	v.serversFor["/b"] = []int{1}
-	d2 := p.Route(Request{Conn: 1, Path: "/b"}, v)
+	v.serversFor[fileB] = []int{1}
+	d2 := p.Route(Request{Conn: 1, File: fileB}, v)
 	if d2.Server != d1.Server {
 		t.Fatalf("connection must not move: %+v", d2)
 	}
@@ -218,8 +230,8 @@ func TestExtLARDPullsRemoteContent(t *testing.T) {
 		t.Fatal("backend forwarding avoids handoffs after the first")
 	}
 	// Local content: no remote pull.
-	v.serversFor["/c"] = []int{d1.Server}
-	d3 := p.Route(Request{Conn: 1, Path: "/c"}, v)
+	v.serversFor[fileC] = []int{d1.Server}
+	d3 := p.Route(Request{Conn: 1, File: fileC}, v)
 	if d3.Source != -1 {
 		t.Fatalf("local content should not be pulled remotely: %+v", d3)
 	}
@@ -229,7 +241,7 @@ func TestPRORDEmbeddedFastPath(t *testing.T) {
 	p := NewPRORD(Thresholds{})
 	v := newFakeView(9, 0)
 	v.last[1] = 0
-	d := p.Route(Request{Conn: 1, Path: "/img.gif", Embedded: true}, v)
+	d := p.Route(Request{Conn: 1, File: fileImg, Embedded: true}, v)
 	if d.Server != 0 || d.Dispatch || d.Handoff {
 		t.Fatalf("embedded object must follow previous request without dispatch: %+v", d)
 	}
@@ -238,8 +250,8 @@ func TestPRORDEmbeddedFastPath(t *testing.T) {
 func TestPRORDInFlightFastPath(t *testing.T) {
 	p := NewPRORD(Thresholds{})
 	v := newFakeView(0, 0)
-	v.inflight["/x"] = 1
-	d := p.Route(Request{Conn: 1, Path: "/x", First: true}, v)
+	v.inflight[fileX] = 1
+	d := p.Route(Request{Conn: 1, File: fileX, First: true}, v)
 	if d.Server != 1 || d.Dispatch {
 		t.Fatalf("in-flight request should piggyback without dispatch: %+v", d)
 	}
@@ -248,8 +260,8 @@ func TestPRORDInFlightFastPath(t *testing.T) {
 func TestPRORDPrefetchedFastPath(t *testing.T) {
 	p := NewPRORD(Thresholds{})
 	v := newFakeView(3, 1, 9)
-	v.prefetched["/x"] = []int{0, 2}
-	d := p.Route(Request{Conn: 1, Path: "/x", First: true}, v)
+	v.prefetched[fileX] = []int{0, 2}
+	d := p.Route(Request{Conn: 1, File: fileX, First: true}, v)
 	if d.Server != 0 || d.Dispatch {
 		t.Fatalf("prefetched file should route to least-loaded prefetcher: %+v", d)
 	}
@@ -258,13 +270,13 @@ func TestPRORDPrefetchedFastPath(t *testing.T) {
 func TestPRORDDispatchFallback(t *testing.T) {
 	p := NewPRORD(Thresholds{})
 	v := newFakeView(2, 1)
-	v.serversFor["/y"] = []int{0}
-	d := p.Route(Request{Conn: 1, Path: "/y", First: true}, v)
+	v.serversFor[fileY] = []int{0}
+	d := p.Route(Request{Conn: 1, File: fileY, First: true}, v)
 	if d.Server != 0 || !d.Dispatch || !d.Handoff {
 		t.Fatalf("memory holder should win with a dispatch: %+v", d)
 	}
 	// Unknown file: least loaded overall.
-	d2 := p.Route(Request{Conn: 2, Path: "/z", First: true}, v)
+	d2 := p.Route(Request{Conn: 2, File: fileZ, First: true}, v)
 	if d2.Server != 1 || !d2.Dispatch {
 		t.Fatalf("unknown file goes to least loaded: %+v", d2)
 	}
@@ -273,8 +285,8 @@ func TestPRORDDispatchFallback(t *testing.T) {
 func TestPRORDOverloadProtection(t *testing.T) {
 	p := NewPRORD(Thresholds{Low: 2, High: 4})
 	v := newFakeView(9, 0)
-	v.serversFor["/y"] = []int{0}
-	d := p.Route(Request{Conn: 1, Path: "/y", First: true}, v)
+	v.serversFor[fileY] = []int{0}
+	d := p.Route(Request{Conn: 1, File: fileY, First: true}, v)
 	if d.Server != 0 {
 		// Overloaded holder should be bypassed.
 		if d.Server != 1 {
@@ -289,8 +301,8 @@ func TestPRORDNoHandoffWhenStaying(t *testing.T) {
 	p := NewPRORD(Thresholds{})
 	v := newFakeView(0, 9)
 	v.last[1] = 0
-	v.serversFor["/y"] = []int{0}
-	d := p.Route(Request{Conn: 1, Path: "/y"}, v)
+	v.serversFor[fileY] = []int{0}
+	d := p.Route(Request{Conn: 1, File: fileY}, v)
 	if d.Server != 0 || d.Handoff {
 		t.Fatalf("staying on the same backend needs no handoff: %+v", d)
 	}
@@ -301,9 +313,32 @@ func TestPRORDEmbeddedWithoutHistoryFallsThrough(t *testing.T) {
 	v := newFakeView(1, 0)
 	// Embedded flagged but no previous server known (e.g. trace import
 	// glitch): must fall through to the normal path, not crash.
-	d := p.Route(Request{Conn: 99, Path: "/img.gif", Embedded: true, First: true}, v)
+	d := p.Route(Request{Conn: 99, File: fileImg, Embedded: true, First: true}, v)
 	if d.Server != 1 || !d.Dispatch {
 		t.Fatalf("fallthrough = %+v", d)
+	}
+}
+
+// TestColdFileKeepsNoState routes ColdFile through every LARD-family
+// policy: each sends it to the least-loaded backend every time, with no
+// stickiness, and no target table grows for it.
+func TestColdFileKeepsNoState(t *testing.T) {
+	lard, connLARD, ext, prord, lardr := NewLARD(Thresholds{}), NewConnLARD(Thresholds{}), NewExtLARD(Thresholds{}), NewPRORD(Thresholds{}), NewLARDR(Thresholds{})
+	for _, p := range []Policy{lard, connLARD, ext, prord, lardr} {
+		for conn, want := range []int{1, 0} {
+			v := newFakeView(3, 1, 2)
+			if want == 0 {
+				v.loads[0] = 0
+			}
+			if d := p.Route(Request{Conn: conn, File: ColdFile, First: true}, v); d.Server != want {
+				t.Errorf("%s routed a cold file to %d, want the least-loaded %d", p.Name(), d.Server, want)
+			}
+		}
+	}
+	for _, tt := range []*targetTable{lard.target, connLARD.target, ext.target, prord.target, lardr.targets} {
+		if len(tt.m) != 0 || len(tt.sets) != 0 {
+			t.Errorf("a target table grew to %d targets and %d sets for a cold file", len(tt.m), len(tt.sets))
+		}
 	}
 }
 
@@ -350,21 +385,21 @@ func TestPoliciesAlwaysRouteValidProperty(t *testing.T) {
 		}
 		for i, op := range ops {
 			conn := int(op % 5)
-			path := "/p" + string(rune('a'+op%11))
+			file := FileID(op % 11)
 			// Randomize the view.
 			v.loads[int(op)%n] = int(op % 97)
 			switch op % 4 {
 			case 0:
-				v.serversFor[path] = []int{int(op) % n}
+				v.serversFor[file] = []int{int(op) % n}
 			case 1:
-				v.prefetched[path] = []int{int(op+1) % n}
+				v.prefetched[file] = []int{int(op+1) % n}
 			case 2:
-				v.inflight[path] = int(op+2) % n
+				v.inflight[file] = int(op+2) % n
 			}
 			for _, p := range pols {
 				d := p.Route(Request{
 					Conn:     conn,
-					Path:     path,
+					File:     file,
 					Embedded: op%5 == 0,
 					First:    i == 0,
 				}, v)
