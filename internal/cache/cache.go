@@ -86,16 +86,6 @@ func (c *LRU) Capacity() int64 { return c.p.capacity }
 // Len implements Cache.
 func (c *LRU) Len() int { return c.p.Len() }
 
-// Keys returns the cached keys from most to least recently used.
-func (c *LRU) Keys() []string {
-	s := &c.p.s
-	keys := make([]string, 0, c.Len())
-	for i := s.ents[demand].next; i != demand; i = s.ents[i].next {
-		keys = append(keys, s.ents[i].key)
-	}
-	return keys
-}
-
 var _ Cache = (*LRU)(nil)
 
 // --- GDSF ---
@@ -332,9 +322,6 @@ func (p *Partitioned) Capacity() int64 { return p.main.Capacity() + p.pinned.Cap
 
 // Len is the combined object count.
 func (p *Partitioned) Len() int { return p.main.Len() + p.pinned.Len() }
-
-// Main exposes the demand partition.
-func (p *Partitioned) Main() Cache { return p.main }
 
 // Pinned exposes the pinned partition.
 func (p *Partitioned) Pinned() Cache { return p.pinned }

@@ -188,14 +188,8 @@ func (c *Pinning) remove(i int32) {
 // Bytes implements Cache.
 func (c *Pinning) Bytes() int64 { return c.bytes }
 
-// PinnedBytes returns the bytes currently pinned.
-func (c *Pinning) PinnedBytes() int64 { return c.pinBytes }
-
 // Capacity implements Cache.
 func (c *Pinning) Capacity() int64 { return c.capacity }
-
-// MaxPinned returns the pinned-region cap.
-func (c *Pinning) MaxPinned() int64 { return c.maxPinned }
 
 // Len implements Cache.
 func (c *Pinning) Len() int { return len(c.items) }

@@ -211,9 +211,11 @@ func TestBaselineMemoryMerging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// InsertPinned refuses an object larger than the pinned cap, so a
+	// probe object of the cap's size is admitted and one byte more is not.
 	base := cl.backends[0].store.(*cache.Pinning)
-	if base.Capacity() != 8<<20 || base.MaxPinned() != 0 {
-		t.Fatalf("baseline capacity/maxPinned = %d/%d, want 8 MiB / 0", base.Capacity(), base.MaxPinned())
+	if _, pinned := base.InsertPinned("/probe", 1); base.Capacity() != 8<<20 || pinned {
+		t.Fatalf("baseline capacity = %d, pinned a byte %t; want 8 MiB, nothing pinnable", base.Capacity(), pinned)
 	}
 	m := mining.Mine(seqTraceForTest(), mining.Options{})
 	cl2, err := New(Config{Params: smallParams(2, 4, 4), Policy: policy.NewPRORD(policy.Thresholds{}), Features: AllFeatures(), Miner: m})
@@ -224,8 +226,10 @@ func TestBaselineMemoryMerging(t *testing.T) {
 	if st.Capacity() != 8<<20 {
 		t.Fatalf("PRORD capacity = %d, want 8 MiB", st.Capacity())
 	}
-	if st.MaxPinned() != 4<<20 {
-		t.Fatalf("PRORD pinned cap = %d, want 4 MiB", st.MaxPinned())
+	_, atCap := st.InsertPinned("/probe", 4<<20)
+	_, pastCap := st.InsertPinned("/probe", 4<<20+1)
+	if !atCap || pastCap {
+		t.Fatalf("PRORD pins 4 MiB %t, 4 MiB + 1 %t; want a 4 MiB pinned cap", atCap, pastCap)
 	}
 }
 

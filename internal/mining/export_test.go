@@ -35,3 +35,11 @@ func (m *Model) PredictAll(recent []string) []Prediction {
 	}
 	return nil
 }
+
+// Recent returns the connection's tracked page sequence. The slice is
+// the tracker's own: it is valid until the connection's next Observe
+// or its Close.
+func (t *Tracker) Recent(conn int) []string { return t.recent[conn] }
+
+// Connections returns the number of tracked live connections.
+func (t *Tracker) Connections() int { return len(t.recent) }

@@ -261,11 +261,6 @@ func (t *Tracker) window(n int) []string {
 	return make([]string, 0, n)
 }
 
-// Recent returns the connection's tracked page sequence. The slice is
-// the tracker's own: it is valid until the connection's next Observe
-// or its Close.
-func (t *Tracker) Recent(conn int) []string { return t.recent[conn] }
-
 // Close discards a finished connection's state, keeping its window for
 // the next connection to open.
 func (t *Tracker) Close(conn int) {
@@ -277,6 +272,3 @@ func (t *Tracker) Close(conn int) {
 	clear(seq)
 	t.free = append(t.free, seq[:0])
 }
-
-// Connections returns the number of tracked live connections.
-func (t *Tracker) Connections() int { return len(t.recent) }
