@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -32,15 +33,24 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()
+	if *backends <= 0 {
+		fmt.Fprintf(os.Stderr, "prord-sim: -backends must be positive, got %d\n", *backends)
+		os.Exit(1)
+	}
 	for _, f := range []struct {
 		name string
-		bad  bool
-		got  any
-	}{{"scale", *scale <= 0, *scale}, {"backends", *backends <= 0, *backends}, {"mem", *memFrac <= 0, *memFrac}, {"load", *load <= 0, *load}} {
-		if f.bad {
-			fmt.Fprintf(os.Stderr, "prord-sim: -%s must be positive, got %v\n", f.name, f.got)
+		v    float64
+	}{{"scale", *scale}, {"mem", *memFrac}, {"load", *load}} {
+		if !(f.v > 0) || math.IsInf(f.v, 1) {
+			fmt.Fprintf(os.Stderr, "prord-sim: -%s must be positive and finite, got %v\n", f.name, f.v)
 			os.Exit(1)
 		}
+	}
+	// The runner takes a memory fraction above 4 for a slip and runs its
+	// default instead, which would print the default's tables.
+	if *memFrac > 4 {
+		fmt.Fprintf(os.Stderr, "prord-sim: -mem must be at most 4, got %v\n", *memFrac)
+		os.Exit(1)
 	}
 
 	if *list {

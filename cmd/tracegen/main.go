@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"prord"
@@ -24,8 +25,8 @@ func main() {
 		out      = flag.String("o", "-", "output file ('-' = stdout)")
 	)
 	flag.Parse()
-	if *scale <= 0 {
-		fmt.Fprintf(os.Stderr, "tracegen: -scale must be positive, got %g\n", *scale)
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		fmt.Fprintf(os.Stderr, "tracegen: -scale must be positive and finite, got %g\n", *scale)
 		os.Exit(1)
 	}
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
@@ -93,22 +92,13 @@ func (c *Cluster) Run(tr *trace.Trace) (*Result, error) {
 	c.files = tr.Files
 	c.remaining = len(tr.Requests)
 
-	// Group requests by session preserving time order. Scheduling order
-	// must be deterministic (the event heap breaks time ties FIFO), so
-	// sort sessions by first-request time, then id.
-	bySession := tr.Sessions()
-	sessions := make([]session, 0, len(bySession))
-	for id, idxs := range bySession {
-		sessions = append(sessions, session{id: id, reqs: idxs})
+	// Scheduling order must be deterministic (the event heap breaks time
+	// ties FIFO): the scripts come ordered by first arrival, then id.
+	scripts := tr.SessionScripts()
+	sessions := make([]session, len(scripts))
+	for i, sc := range scripts {
+		sessions[i] = session{id: sc.ID, reqs: sc.Reqs}
 	}
-	sort.Slice(sessions, func(i, j int) bool {
-		ti := tr.Requests[sessions[i].reqs[0]].Time
-		tj := tr.Requests[sessions[j].reqs[0]].Time
-		if ti != tj {
-			return ti < tj
-		}
-		return sessions[i].id < sessions[j].id
-	})
 	// Every session key, the id in decimal, is a slice of one string.
 	var digits []byte
 	ends := make([]int, len(sessions))
@@ -117,16 +107,12 @@ func (c *Cluster) Run(tr *trace.Trace) (*Result, error) {
 		ends[i] = len(digits)
 	}
 	keys, from := string(digits), 0
-	c.firstArr = -1
+	c.firstArr = scripts[0].Start
 	for i := range sessions {
 		s := &sessions[i]
 		s.key, from = keys[from:ends[i]], ends[i]
 		s.fl = flight{c: c, s: s}
-		start := tr.Requests[s.reqs[0]].Time
-		if c.firstArr < 0 || start < c.firstArr {
-			c.firstArr = start
-		}
-		c.eng.AtOp(start, &s.fl, stepConnect)
+		c.eng.AtOp(scripts[i].Start, &s.fl, stepConnect)
 	}
 	// Injected backend failures and recoveries. Fail-stop crashes; the
 	// gray modes only change how the backend behaves while "up".

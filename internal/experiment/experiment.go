@@ -8,6 +8,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"time"
@@ -22,7 +23,8 @@ import (
 
 // Options configures an experiment campaign. A zero field takes its
 // DefaultOptions value, except Seed and UseGDSF, whose zero values are
-// choices: Options{} runs the defaults at seed 0.
+// choices: Options{} runs the defaults at seed 0. So does a float field
+// out of its range, NaN and the infinities included.
 type Options struct {
 	// Scale multiplies each preset's published request count (1.0 = the
 	// paper's full trace sizes). Default 0.2 for quick runs.
@@ -68,19 +70,19 @@ func DefaultOptions() Options {
 
 func (o Options) withDefaults() Options {
 	d := DefaultOptions()
-	if o.Scale <= 0 {
+	if !finitePositive(o.Scale) {
 		o.Scale = d.Scale
 	}
 	if o.Backends <= 0 {
 		o.Backends = d.Backends
 	}
-	if o.MemoryFraction <= 0 || o.MemoryFraction > 4 {
+	if !(o.MemoryFraction > 0 && o.MemoryFraction <= 4) {
 		o.MemoryFraction = d.MemoryFraction
 	}
-	if o.LoadFactor <= 0 {
+	if !finitePositive(o.LoadFactor) {
 		o.LoadFactor = d.LoadFactor
 	}
-	if o.TrainFraction <= 0 || o.TrainFraction >= 1 {
+	if !(o.TrainFraction > 0 && o.TrainFraction < 1) {
 		o.TrainFraction = d.TrainFraction
 	}
 	if o.Mining == (mining.Options{}) {
@@ -88,6 +90,10 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// finitePositive reports whether v is a number in (0, +Inf): false for
+// NaN, which fails every comparison and so passes a "v <= 0" check.
+func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // Runner executes experiments.
 type Runner struct {

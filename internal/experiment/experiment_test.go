@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -24,6 +25,19 @@ func TestOptionsDefaulting(t *testing.T) {
 	}
 	if r.Options().LoadFactor != 30 {
 		t.Fatalf("default LoadFactor = %v, want 30", r.Options().LoadFactor)
+	}
+}
+
+// TestNonFiniteOptionsDefault: a NaN or infinite float option takes its
+// default like a zero one. NaN fails every comparison, so a "<= 0"
+// check lets it through to size caches and compress times with.
+func TestNonFiniteOptionsDefault(t *testing.T) {
+	d := DefaultOptions()
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		got := NewRunner(Options{Scale: v, MemoryFraction: v, LoadFactor: v, TrainFraction: v, Seed: d.Seed}).Options()
+		if got != d {
+			t.Errorf("options at %v run with %+v, want the defaults %+v", v, got, d)
+		}
 	}
 }
 

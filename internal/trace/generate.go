@@ -2,6 +2,8 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"time"
 
@@ -51,17 +53,23 @@ func DefaultTraceConfig() TraceConfig {
 	}
 }
 
+// maxRequests caps a generated trace's request count: over a thousand
+// times the paper's largest trace (WorldCup-98's 897,498). A larger
+// count is an overflowed scale, not a workload, and Generate sizes its
+// request slice from it in one allocation.
+const maxRequests = 1 << 30
+
 func (c TraceConfig) validate(site *Site) error {
-	if c.Requests <= 0 {
-		return fmt.Errorf("trace: TraceConfig.Requests must be positive, got %d", c.Requests)
+	if c.Requests <= 0 || c.Requests > maxRequests {
+		return fmt.Errorf("trace: TraceConfig.Requests must be in [1, %d], got %d", maxRequests, c.Requests)
 	}
-	if c.SessionRate <= 0 {
-		return fmt.Errorf("trace: TraceConfig.SessionRate must be positive")
+	if !(c.SessionRate > 0) || math.IsInf(c.SessionRate, 1) {
+		return fmt.Errorf("trace: TraceConfig.SessionRate must be positive and finite")
 	}
-	if c.MeanPagesPerSession < 1 {
-		return fmt.Errorf("trace: TraceConfig.MeanPagesPerSession must be >= 1")
+	if !(c.MeanPagesPerSession >= 1) || math.IsInf(c.MeanPagesPerSession, 1) {
+		return fmt.Errorf("trace: TraceConfig.MeanPagesPerSession must be >= 1 and finite")
 	}
-	if c.Determinism < 0 || c.Determinism > 1 {
+	if !(c.Determinism >= 0 && c.Determinism <= 1) {
 		return fmt.Errorf("trace: TraceConfig.Determinism must be in [0,1]")
 	}
 	if c.Clients <= 0 {
@@ -82,17 +90,29 @@ func Generate(name string, site *Site, cfg TraceConfig, rng *randutil.Source) (*
 	if err := cfg.validate(site); err != nil {
 		return nil, err
 	}
-	t := &Trace{Name: name, Files: site.FileTable()}
-
 	// Entry pages per group: the first (most popular by construction)
-	// pages of each group's section.
+	// pages of each group's section. bundle is the longest page plus
+	// its objects, the most one page view adds to the trace.
 	entries := make([][]int, len(site.Groups))
+	bundle := 0
 	for i := range site.Pages {
 		g := site.Pages[i].Group
 		if len(entries[g]) < 3 {
 			entries[g] = append(entries[g], i)
 		}
+		bundle = max(bundle, 1+len(site.Pages[i].Embedded))
 	}
+	// Generation stops at the first session boundary past cfg.Requests,
+	// so the last session overshoots it. The room left for that session
+	// is eight mean sessions' pages, each with the longest bundle, and
+	// never more than the trace itself. A session runs past 8*mean pages
+	// with probability (1-1/mean)^(8*mean), under 1 in 2,900; a last
+	// session longer than the room grows the slice once.
+	room := cfg.Requests
+	if r := float64(bundle) * math.Ceil(8*cfg.MeanPagesPerSession); r < float64(room) {
+		room = int(r)
+	}
+	t := &Trace{Name: name, Files: site.FileTable(), Requests: make([]Request, 0, cfg.Requests+room)}
 
 	weights := cfg.GroupWeights
 	if weights == nil {
@@ -104,10 +124,18 @@ func Generate(name string, site *Site, cfg TraceConfig, rng *randutil.Source) (*
 
 	var now time.Duration // session arrival clock
 	session := 0
+	// clients holds one host name per client drawn so far, shared by all
+	// of its sessions' requests.
+	clients := make(map[int]string)
 	for len(t.Requests) < cfg.Requests {
 		now += time.Duration(rng.Exp(float64(time.Second) / cfg.SessionRate))
 		g := rng.WeightedChoice(weights)
-		client := fmt.Sprintf("c%d", rng.Intn(cfg.Clients))
+		c := rng.Intn(cfg.Clients)
+		client, ok := clients[c]
+		if !ok {
+			client = "c" + strconv.Itoa(c)
+			clients[c] = client
+		}
 		genSession(t, site, cfg, rng, session, client, entries[g], now)
 		session++
 	}
@@ -218,9 +246,10 @@ func ParsePreset(s string) (Preset, error) {
 // values shrink the request count proportionally while keeping the file
 // population intact).
 func PresetConfigs(p Preset, scale float64) (SiteConfig, TraceConfig, error) {
-	if scale <= 0 {
-		return SiteConfig{}, TraceConfig{}, fmt.Errorf("trace: scale must be positive, got %v", scale)
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return SiteConfig{}, TraceConfig{}, fmt.Errorf("trace: scale must be positive and finite, got %v", scale)
 	}
+	var published float64 // the paper's request count, at scale 1
 	sc := DefaultSiteConfig()
 	tc := DefaultTraceConfig()
 	switch p {
@@ -232,7 +261,7 @@ func PresetConfigs(p Preset, scale float64) (SiteConfig, TraceConfig, error) {
 		sc.MeanEmbedded = 4
 		sc.MeanPageKB = 14
 		sc.MeanObjectKB = 10
-		tc.Requests = int(27000 * scale)
+		published = 27000
 		tc.SessionRate = 15
 	case PresetWorldCup:
 		// 3,809 files; flash-crowd traffic: few groups, shallow site,
@@ -243,7 +272,7 @@ func PresetConfigs(p Preset, scale float64) (SiteConfig, TraceConfig, error) {
 		sc.MeanPageKB = 8
 		sc.MeanObjectKB = 6
 		sc.PopTheta = 1.1
-		tc.Requests = int(897498 * scale)
+		published = 897498
 		tc.SessionRate = 120
 		tc.MeanThinkTime = time.Second
 		// Flash-crowd visits are short and concentrated: check the score
@@ -257,14 +286,16 @@ func PresetConfigs(p Preset, scale float64) (SiteConfig, TraceConfig, error) {
 		sc.MeanEmbedded = 4
 		sc.MeanPageKB = 12
 		sc.MeanObjectKB = 9
-		tc.Requests = int(30000 * scale)
+		published = 30000
 		tc.SessionRate = 25
 	default:
 		return SiteConfig{}, TraceConfig{}, fmt.Errorf("trace: unknown preset %d", int(p))
 	}
-	if tc.Requests < 100 {
-		tc.Requests = 100
+	n := published * scale
+	if n > maxRequests {
+		return SiteConfig{}, TraceConfig{}, fmt.Errorf("trace: scale %v asks for %.4g requests, more than %d", scale, n, maxRequests)
 	}
+	tc.Requests = max(int(n), 100)
 	return sc, tc, nil
 }
 

@@ -1,7 +1,8 @@
 package trace
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -36,11 +37,11 @@ func (t *Trace) SessionScripts() []SessionScript {
 			Reqs:   idxs,
 		})
 	}
-	sort.Slice(scripts, func(i, j int) bool {
-		if scripts[i].Start != scripts[j].Start {
-			return scripts[i].Start < scripts[j].Start
+	slices.SortFunc(scripts, func(a, b SessionScript) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		return scripts[i].ID < scripts[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	return scripts
 }

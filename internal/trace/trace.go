@@ -7,7 +7,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -25,12 +27,13 @@ type Request struct {
 	Path string
 	// Size is the response size in bytes.
 	Size int64
-	// Embedded reports whether this request fetches an object embedded in
-	// a previously requested main page (image, applet, stylesheet...).
-	Embedded bool
 	// Parent is the path of the main page this object is embedded in.
 	// Empty for main-page requests.
 	Parent string
+	// Embedded reports whether this request fetches an object embedded in
+	// a previously requested main page (image, applet, stylesheet...).
+	// It sits beside Dynamic so the two flags share one word.
+	Embedded bool
 	// Dynamic reports that the response is generated per request (CGI,
 	// ...) and therefore uncacheable. The paper's §6 names dynamic
 	// content as planned future work; the simulator supports it.
@@ -113,11 +116,43 @@ func (t *Trace) Split(frac float64) (train, eval *Trace) {
 }
 
 // SortByTime orders the requests by arrival time, keeping the relative
-// order of simultaneous requests stable.
+// order of simultaneous requests stable. It sorts (Time, index) keys,
+// a total order whose one sorted arrangement is the stable sort's, and
+// then moves the requests into place cycle by cycle: the records move
+// once each, and no second copy of them is made.
 func (t *Trace) SortByTime() {
-	sort.SliceStable(t.Requests, func(i, j int) bool {
-		return t.Requests[i].Time < t.Requests[j].Time
+	type key struct {
+		at time.Duration
+		i  int
+	}
+	keys := make([]key, len(t.Requests))
+	for i := range t.Requests {
+		keys[i] = key{t.Requests[i].Time, i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
 	})
+	// Place p takes request keys[p].i. Each cycle starts at its
+	// lowest unplaced place; a placed one is marked by keys[p].i = p.
+	rs := t.Requests
+	for start := range keys {
+		if keys[start].i == start {
+			continue
+		}
+		held := rs[start]
+		p := start
+		for keys[p].i != start {
+			from := keys[p].i
+			rs[p] = rs[from]
+			keys[p].i = p
+			p = from
+		}
+		rs[p] = held
+		keys[p].i = p
+	}
 }
 
 // Validate checks internal consistency: requests sorted by time, every
