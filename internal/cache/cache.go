@@ -323,9 +323,6 @@ func (p *Partitioned) Capacity() int64 { return p.main.Capacity() + p.pinned.Cap
 // Len is the combined object count.
 func (p *Partitioned) Len() int { return p.main.Len() + p.pinned.Len() }
 
-// Pinned exposes the pinned partition.
-func (p *Partitioned) Pinned() Cache { return p.pinned }
-
 var (
 	_ Cache = (*Partitioned)(nil)
 	_ Store = (*Partitioned)(nil)

@@ -13,6 +13,9 @@ func (c *LRU) Keys() []string {
 // Main exposes the demand partition.
 func (p *Partitioned) Main() Cache { return p.main }
 
+// Pinned exposes the pinned partition.
+func (p *Partitioned) Pinned() Cache { return p.pinned }
+
 // PinnedBytes returns the bytes currently pinned.
 func (c *Pinning) PinnedBytes() int64 { return c.pinBytes }
 
