@@ -19,7 +19,11 @@
 #                many there are; and the dispatch package's tests (its
 #                storm, differential and stream-golden tests) at the
 #                same counts: the core hands live file ids out in
-#                first-touch order, and no decision may depend on it
+#                first-touch order, and no decision may depend on it;
+#                and the backend client's cancellation, hedge, deadline,
+#                pool and shared-value tests at the same counts: an
+#                attempt registers its abort only when its grace
+#                deadline passes, a timing edge worth running on one P
 #   make allocs  every allocation ratchet (the tests matching Allocs),
 #                uncached; they skip under the race detector
 #   make stress  repeat a slice of the suite under the race detector to
@@ -69,6 +73,7 @@ procs:
 	$(GO) test -count=1 -cpu 1,2,4 -run 'ReadAll|Reader|FromCLF|Mine|Train|Determinis|TablesGolden' \
 		./internal/clf/ ./internal/trace/ ./internal/mining/ ./internal/experiment/ .
 	$(GO) test -count=1 -cpu 1,2,4 ./internal/dispatch/
+	$(GO) test -count=1 -cpu 1,2,4 -run 'Cancel|Hedge|HangUp|Deadline|Pool|Grace|Share' ./internal/httpfront/
 
 allocs:
 	$(GO) test -count=1 -run Allocs ./...

@@ -3,12 +3,14 @@ package httpfront
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httputil"
 	"net/url"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -30,6 +32,11 @@ const (
 	idleTimeout = 90 * time.Second
 	// max1xx bounds the interim heads read past before the final one.
 	max1xx = 5
+	// abortGrace is how long an attempt runs before it registers its
+	// abort on the request's context. Most round trips end well within
+	// it and register nothing; a cancel is acted on at most abortGrace
+	// after the attempt began, or at once after that.
+	abortGrace = time.Millisecond
 )
 
 var backendDialer = net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}
@@ -46,6 +53,8 @@ type backend struct {
 	// path and query are the base URL's escaped path and query, joined
 	// onto every request target.
 	path, query string
+	// values are the field values this backend's connections share.
+	values *valueTable
 
 	// mu guards the stack and is held only to push and pop: never
 	// across a dial or any I/O.
@@ -63,10 +72,11 @@ func newBackend(u *url.URL) (*backend, error) {
 		port = "80"
 	}
 	return &backend{
-		addr:  net.JoinHostPort(u.Hostname(), port),
-		host:  u.Host,
-		path:  u.EscapedPath(),
-		query: u.RawQuery,
+		addr:   net.JoinHostPort(u.Hostname(), port),
+		host:   u.Host,
+		path:   u.EscapedPath(),
+		query:  u.RawQuery,
+		values: newValueTable(),
 	}, nil
 }
 
@@ -147,30 +157,90 @@ func (b *backend) dial(ctx context.Context) (*conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &conn{b: b, nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
-	c.hr = newHeadReader(c.br, maxHeadBytes)
+	return b.newConn(nc), nil
+}
+
+// newConn makes nc, a new connection to b, ready for its first request.
+func (b *backend) newConn(nc net.Conn) *conn {
+	c := &conn{b: b, socket: socket{nc: nc}}
+	c.br, c.bw = bufio.NewReader(&c.socket), bufio.NewWriter(&c.socket)
+	c.hr = newHeadReader(c.br, maxHeadBytes, b.values)
 	c.abort = func() { nc.SetDeadline(aLongTimeAgo) }
-	return c, nil
+	return c
 }
 
 // conn is one persistent connection to a backend and everything a
 // request on it reuses.
 type conn struct {
+	socket
 	b      *backend
-	nc     net.Conn
 	br     *bufio.Reader
 	bw     *bufio.Writer
 	hr     headReader
 	resp   response
 	num    [20]byte
 	idleAt time.Time
-	// abort fails the connection's I/O; it is bound once, at dial.
+}
+
+// socket is a connection's net.Conn as its bufio reader and writer see
+// it. An attempt does not register its abort on the request's context
+// at once: it arms the socket's deadline abortGrace ahead. When that
+// deadline passes mid-read or mid-write and the context is still live,
+// the socket clears the deadline, registers the abort and carries on
+// with the same read or write, below bufio, so no error sticks and no
+// byte is lost. A context already done at that point fails the I/O as
+// an abort would.
+type socket struct {
+	nc net.Conn
+	// abort fails the socket's I/O; it is bound once, at dial.
 	abort func()
 
-	// ctx is the request in flight's context, and stop unregisters
-	// abort from it.
+	// ctx is the request in flight's context. stop unregisters abort
+	// from it; nil while abort is not registered.
 	ctx  context.Context
 	stop func() bool
+}
+
+func (s *socket) Read(p []byte) (int, error) {
+	for {
+		n, err := s.nc.Read(p)
+		if !s.graceOver(err) {
+			return n, err
+		}
+		if n > 0 {
+			return n, nil
+		}
+	}
+}
+
+func (s *socket) Write(p []byte) (int, error) {
+	n := 0
+	for {
+		m, err := s.nc.Write(p[n:])
+		if n += m; !s.graceOver(err) {
+			return n, err
+		}
+	}
+}
+
+// arm starts an attempt under ctx: abort is registered once the
+// attempt outlasts abortGrace.
+func (s *socket) arm(ctx context.Context) {
+	s.ctx = ctx
+	s.nc.SetDeadline(time.Now().Add(abortGrace))
+}
+
+// graceOver reports whether err is the grace deadline passing while
+// ctx is live, and if so clears the deadline and registers abort, so
+// that the I/O can go on. A timeout once abort is registered is the
+// abort firing on a done ctx, and so is never retried.
+func (s *socket) graceOver(err error) bool {
+	if err == nil || !errors.Is(err, os.ErrDeadlineExceeded) || s.ctx.Err() != nil {
+		return false
+	}
+	s.nc.SetDeadline(time.Time{})
+	s.stop = context.AfterFunc(s.ctx, s.abort)
+	return true
 }
 
 // response is a backend's answer: the head, and the body as an
@@ -206,8 +276,7 @@ func (r *response) Close() error {
 // EOF or reset on the first read — which on a pooled connection means
 // the backend had closed it while it sat idle.
 func (c *conn) roundTrip(ctx context.Context, r *http.Request) (resp *response, stale bool, err error) {
-	c.ctx = ctx
-	c.stop = context.AfterFunc(ctx, c.abort)
+	c.arm(ctx)
 	if err := c.write(r); err != nil {
 		return nil, true, c.fail(err)
 	}
@@ -236,7 +305,8 @@ func (c *conn) roundTrip(ctx context.Context, r *http.Request) (resp *response, 
 // X-Forwarded-For field and the body: with Content-Length when its
 // length is known, chunked when not. X-Forwarded-For carries the prior
 // values joined by ", " and then the client's IP; when RemoteAddr is not
-// a host:port the prior values pass through unchanged.
+// a host:port the prior values pass through unchanged. It only reads r,
+// so a request's header may be one shared by many.
 func (c *conn) write(r *http.Request) error {
 	w := c.bw
 	w.WriteString(r.Method)
@@ -249,8 +319,15 @@ func (c *conn) write(r *http.Request) error {
 		w.WriteString(c.b.host)
 	}
 	w.WriteString("\r\n")
-	clientIP, _, err := net.SplitHostPort(r.RemoteAddr)
-	forwardFor := err == nil
+	// The front-end's own requests have no RemoteAddr, and no error is
+	// made for them.
+	var clientIP string
+	forwardFor := false
+	if r.RemoteAddr != "" {
+		var err error
+		clientIP, _, err = net.SplitHostPort(r.RemoteAddr)
+		forwardFor = err == nil
+	}
 	//lint:ignore maporder the order of fields with different names carries no meaning (RFC 7230 §3.2.2); one name's values keep theirs
 	for k, vv := range r.Header {
 		switch k {
@@ -332,11 +409,16 @@ func (c *conn) fail(err error) error {
 }
 
 // release ends the request on the connection: it goes back to the pool
-// when reuse holds, the abort did not fire and the backend sent nothing
-// past the response, and is closed otherwise.
+// when reuse holds, the abort did not fire (or was never registered)
+// and the backend sent nothing past the response, and is closed
+// otherwise. A pooled connection's grace deadline is cleared, so an
+// idle connection leaves no timer to fire.
 func (c *conn) release(reuse bool) {
-	if !c.stop() || c.br.Buffered() > 0 {
+	if c.stop != nil && !c.stop() || c.br.Buffered() > 0 {
 		reuse = false
+	}
+	if reuse && c.stop == nil {
+		c.nc.SetDeadline(time.Time{})
 	}
 	c.stop, c.ctx = nil, nil
 	if reuse {

@@ -5,20 +5,26 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"net/http"
 	"net/textproto"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // maxHeadBytes bounds one response head: the status line, the fields
 // and the blank line that ends them.
 const maxHeadBytes = 64 << 10
 
-// maxSharedValues bounds the field values one connection keeps to hand
-// out again; the set is emptied when it would grow past the bound.
-const maxSharedValues = 64
+// valueSlots is the number of field values a backend's connections
+// keep to hand out again, a power of two; maxSharedLen bounds the
+// length of a value kept, and so the table's memory.
+const (
+	valueSlots   = 4096
+	maxSharedLen = 128
+)
 
 // ows is the optional whitespace around a field value (RFC 7230 §3.2.3).
 const ows = " \t"
@@ -52,9 +58,6 @@ func malformed(what string, b []byte) error {
 type field struct {
 	key  string
 	vals []string
-	// at and end locate the value in the reader's raw bytes while the
-	// head is being read.
-	at, end int
 }
 
 // head is one response head and the framing of the body after it
@@ -82,16 +85,16 @@ type headReader struct {
 	max int
 	// long holds a line longer than br's buffer.
 	long []byte
-	// raw holds the field values of the head being read.
+	// raw holds the value of the field being read.
 	raw []byte
-	// shared are values this connection has seen recently, keyed by
-	// themselves, so that a value that repeats is handed out again
-	// instead of allocated again.
-	shared map[string][]string
+	// shared are values seen recently on this connection and the others
+	// that share the table, so that a value that repeats is handed out
+	// again instead of allocated again.
+	shared *valueTable
 }
 
-func newHeadReader(br *bufio.Reader, max int) headReader {
-	return headReader{br: br, max: max, shared: make(map[string][]string)}
+func newHeadReader(br *bufio.Reader, max int, shared *valueTable) headReader {
+	return headReader{br: br, max: max, shared: shared}
 }
 
 // read reads one head into h. method is the request's: a HEAD response
@@ -105,7 +108,7 @@ func (p *headReader) read(h *head, method string) error {
 	if err := h.parseStatus(line); err != nil {
 		return err
 	}
-	h.fields, h.trailer, p.raw = h.fields[:0], nil, p.raw[:0]
+	h.fields, h.trailer = h.fields[:0], nil
 	for first := true; ; first = false {
 		line, err := p.line(&left)
 		if err != nil {
@@ -125,8 +128,7 @@ func (p *headReader) read(h *head, method string) error {
 		if err != nil {
 			return err
 		}
-		at := len(p.raw)
-		p.raw = append(p.raw, bytes.TrimRight(line[colon+1:], ows)...)
+		p.raw = append(p.raw[:0], bytes.TrimRight(line[colon+1:], ows)...)
 		// A line that starts with whitespace continues the field
 		// (obs-fold); each is joined on with one space, as RFC 7230
 		// §3.2.4 lets a recipient do.
@@ -141,15 +143,14 @@ func (p *headReader) read(h *head, method string) error {
 			}
 			p.raw = append(append(p.raw, ' '), bytes.Trim(more, ows)...)
 		}
-		at = len(p.raw) - len(bytes.TrimLeft(p.raw[at:], ows))
-		for _, c := range p.raw[at:] {
+		v := bytes.TrimLeft(p.raw, ows)
+		for _, c := range v {
 			if !validValueByte(c) {
-				return malformed("field value", p.raw[at:])
+				return malformed("field value", v)
 			}
 		}
-		h.fields = append(h.fields, field{key: key, at: at, end: len(p.raw)})
+		h.fields = append(h.fields, field{key: key, vals: p.shared.value(v)})
 	}
-	p.share(h)
 	return h.frame(method)
 }
 
@@ -181,34 +182,34 @@ func (p *headReader) line(left *int) ([]byte, error) {
 	return b, nil
 }
 
-// share gives every field its value: a shared one where the connection
-// saw the same value before, otherwise a new one. The new values of a
-// head cost two allocations together, one string and one slice.
-func (p *headReader) share(h *head) {
-	fresh := 0
-	for i := range h.fields {
-		f := &h.fields[i]
-		f.vals = p.shared[string(p.raw[f.at:f.end])]
-		if f.vals == nil {
-			fresh++
-		}
+// valueTable hands out again the field values that a backend's
+// connections have read before. It is direct-mapped: a value's hash
+// picks its one slot, and a new value takes the slot over, so a value
+// that never repeats evicts one other, not the set. Connections use it
+// concurrently; a value, once handed out, is never written again.
+type valueTable struct {
+	seed  maphash.Seed
+	slots [valueSlots]atomic.Pointer[[1]string]
+}
+
+func newValueTable() *valueTable {
+	return &valueTable{seed: maphash.MakeSeed()}
+}
+
+// value returns the kept value equal to v, or else a new one, which it
+// keeps when v is no longer than maxSharedLen. A new value costs two
+// allocations, its string and its one-element array.
+func (t *valueTable) value(v []byte) []string {
+	if len(v) > maxSharedLen {
+		return (&[1]string{string(v)})[:]
 	}
-	if fresh == 0 {
-		return
+	slot := &t.slots[maphash.Bytes(t.seed, v)%valueSlots]
+	if kept := slot.Load(); kept != nil && kept[0] == string(v) {
+		return kept[:]
 	}
-	if len(p.shared)+fresh > maxSharedValues {
-		clear(p.shared)
-	}
-	s, vals := string(p.raw), make([]string, fresh)
-	for i := range h.fields {
-		f := &h.fields[i]
-		if f.vals != nil {
-			continue
-		}
-		vals[0] = s[f.at:f.end]
-		f.vals, vals = vals[:1:1], vals[1:]
-		p.shared[f.vals[0]] = f.vals
-	}
+	fresh := &[1]string{string(v)}
+	slot.Store(fresh)
+	return fresh[:]
 }
 
 // parseStatus reads "HTTP/1.x nnn reason" the way http.ReadResponse

@@ -4,11 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"hash/maphash"
 	"io"
 	"maps"
 	"net/http"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -57,10 +60,12 @@ func FuzzReadHead(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	// One table for every input, as one backend's connections share it.
+	shared := newValueTable()
 	f.Fuzz(func(t *testing.T, in []byte) {
 		mine := bufio.NewReaderSize(bytes.NewReader(in), fuzzBufSize)
 		std := bufio.NewReaderSize(bytes.NewReader(in), fuzzBufSize)
-		hr := newHeadReader(mine, fuzzHeadLimit)
+		hr := newHeadReader(mine, fuzzHeadLimit, shared)
 		var h head
 		for i := 0; i <= max1xx; i++ {
 			err := hr.read(&h, http.MethodGet)
@@ -173,13 +178,16 @@ func compareBodies(t *testing.T, br *bufio.Reader, h *head, resp *http.Response)
 	}
 }
 
-// TestReadHeadSharesRepeatedValues: a value a connection has seen
-// before is handed out again, not allocated again, so a steady stream
-// of alike heads costs the parser nothing.
+// TestReadHeadSharesRepeatedValues: a value a backend's connections
+// have seen before is handed out again, not allocated again, so a
+// steady stream of alike heads costs the parser nothing — also with
+// more distinct values than one connection ever sees, and across the
+// connections of one backend. A value that never repeats costs its own
+// two objects and nothing more.
 func TestReadHeadSharesRepeatedValues(t *testing.T) {
 	const resp = "HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nX-Prord-Cache: hit\r\nContent-Length: 2\r\n\r\nok"
 	src := strings.NewReader(strings.Repeat(resp, 3))
-	hr := newHeadReader(bufio.NewReader(src), maxHeadBytes)
+	hr := newHeadReader(bufio.NewReader(src), maxHeadBytes, tableApart("text/html", "hit", "2"))
 	var first, second head
 	for _, h := range []*head{&first, &second} {
 		if err := hr.read(h, http.MethodGet); err != nil {
@@ -203,5 +211,130 @@ func TestReadHeadSharesRepeatedValues(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("%.1f allocations per repeated head, want 0", allocs)
+	}
+
+	// 500 distinct Content-Length values, read round-robin over four
+	// connections of one backend. The values are picked to fall in
+	// slots of their own, apart from each other's and Content-Type's,
+	// since a direct-mapped table keeps only one of two that collide;
+	// the first pass keeps them all, the second allocates nothing.
+	shared := newValueTable()
+	var heads [][]byte
+	taken := map[uint64]bool{shared.slot("text/html"): true}
+	for n := 0; len(heads) < 500; n++ {
+		v := strconv.Itoa(1000 + n)
+		if slot := shared.slot(v); !taken[slot] {
+			taken[slot] = true
+			heads = append(heads, []byte("HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: "+v+"\r\n\r\n"))
+		}
+	}
+	srcs := make([]*bytes.Reader, 4)
+	conns := make([]headReader, len(srcs))
+	for i := range conns {
+		srcs[i] = bytes.NewReader(nil)
+		conns[i] = newHeadReader(bufio.NewReader(srcs[i]), maxHeadBytes, shared)
+	}
+	pass := func() {
+		for i, in := range heads {
+			c := &conns[i%len(conns)]
+			srcs[i%len(conns)].Reset(in)
+			c.br.Reset(srcs[i%len(conns)])
+			if err := c.read(&second, http.MethodGet); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// AllocsPerRun's warm-up run is the first pass.
+	if allocs := testing.AllocsPerRun(1, pass); allocs != 0 {
+		t.Errorf("%.0f allocations over a second pass of %d heads, want 0", allocs, len(heads))
+	}
+
+	// A stream of values that never repeat: each head costs one string
+	// and one array, and each slot of the fixed-size table ends up
+	// keeping the last of the values that fell in it.
+	buf := []byte("HTTP/1.1 200 OK\r\nContent-Length: ")
+	prefix := len(buf)
+	const start = 1 << 20 // past every value read so far
+	unique := start
+	if allocs := testing.AllocsPerRun(4*valueSlots, func() {
+		unique++
+		buf = append(strconv.AppendInt(buf[:prefix], int64(unique), 10), "\r\n\r\n"...)
+		srcs[0].Reset(buf)
+		conns[0].br.Reset(srcs[0])
+		if err := conns[0].read(&second, http.MethodGet); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 2 {
+		t.Errorf("%.1f allocations per head with a value never seen before, want 2", allocs)
+	}
+	var last [valueSlots]string
+	for n := start + 1; n <= unique; n++ {
+		v := strconv.Itoa(n)
+		last[shared.slot(v)] = v
+	}
+	for i, want := range last {
+		if kept := shared.slots[i].Load(); want != "" && (kept == nil || kept[0] != want) {
+			t.Fatalf("slot %d keeps %q, want %q, the last value that fell in it", i, kept, want)
+		}
+	}
+}
+
+// slot is the slot v falls in.
+func (t *valueTable) slot(v string) uint64 { return maphash.String(t.seed, v) % valueSlots }
+
+// tableApart returns a value table in which each of vals falls in a
+// slot of its own, so that none evicts another.
+func tableApart(vals ...string) *valueTable {
+	for {
+		t, taken := newValueTable(), make(map[uint64]bool)
+		for _, v := range vals {
+			taken[t.slot(v)] = true
+		}
+		if len(taken) == len(vals) {
+			return t
+		}
+	}
+}
+
+// TestSharedValuesOutliveEviction: connections of one backend read
+// heads concurrently, each with values of its own that evict one
+// another's; every value handed out still reads as it did when the
+// head was read, and none can be appended to in place.
+func TestSharedValuesOutliveEviction(t *testing.T) {
+	shared := newValueTable()
+	const conns, heads = 4, valueSlots
+	type handed struct {
+		vals []string
+		want string
+	}
+	got := make([][]handed, conns)
+	var wg sync.WaitGroup
+	for g := 0; g < conns; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			src := strings.NewReader("")
+			hr := newHeadReader(bufio.NewReader(src), maxHeadBytes, shared)
+			for i := 0; i < heads; i++ {
+				own := strconv.Itoa(g*heads + i)
+				common := strconv.Itoa(i % 50)
+				src.Reset("HTTP/1.1 200 OK\r\nX-Own: " + own + "\r\nX-Common: " + common + "\r\nContent-Length: 0\r\n\r\n")
+				hr.br.Reset(src)
+				var h head
+				if err := hr.read(&h, http.MethodGet); err != nil {
+					t.Error(err)
+					return
+				}
+				got[g] = append(got[g], handed{h.fields[0].vals, own}, handed{h.fields[1].vals, common})
+			}
+		}()
+	}
+	wg.Wait()
+	for _, hs := range got {
+		for _, h := range hs {
+			if len(h.vals) != 1 || h.vals[0] != h.want || cap(h.vals) != 1 {
+				t.Fatalf("a value handed out as %q reads %q (cap %d)", h.want, h.vals, cap(h.vals))
+			}
+		}
 	}
 }

@@ -586,7 +586,7 @@ func (d *Distributor) prefetchLoop(jobs <-chan prefetchJob) {
 		// The timeout keeps one hung backend from stalling the single
 		// prefetch goroutine — and with it all prefetching — forever;
 		// an expired hint is simply dropped.
-		if _, err := d.ownGet(job.server, job.path, PrefetchHeader, prefetchTimeout); err != nil {
+		if _, err := d.ownGet(job.server, job.path, prefetchMark, prefetchTimeout); err != nil {
 			d.hmu.Lock()
 			d.prefetchFails++
 			d.hmu.Unlock()
@@ -629,20 +629,28 @@ func (d *Distributor) probeOnce() {
 
 // probeBackend issues one health probe and reports reachability.
 func (d *Distributor) probeBackend(i int) bool {
-	status, err := d.ownGet(i, probePath, ProbeHeader, d.cfg.ProbeTimeout)
+	status, err := d.ownGet(i, probePath, probeMark, d.cfg.ProbeTimeout)
 	return err == nil && status < http.StatusInternalServerError
 }
+
+// prefetchMark and probeMark are the headers of the front-end's own
+// requests, shared read-only by all of them: conn.write only reads a
+// request's header.
+var (
+	prefetchMark = http.Header{PrefetchHeader: {"1"}}
+	probeMark    = http.Header{ProbeHeader: {"1"}}
+)
 
 // ownGet sends one of the front-end's own requests — a prefetch hint or
 // a probe, as mark says — to a backend through roundTrip, reads the
 // answer to its end within timeout and returns its status.
-func (d *Distributor) ownGet(server int, path, mark string, timeout time.Duration) (int, error) {
+func (d *Distributor) ownGet(server int, path string, mark http.Header, timeout time.Duration) (int, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	r := &http.Request{
 		Method: http.MethodGet,
 		URL:    &url.URL{Path: path},
-		Header: http.Header{mark: {"1"}},
+		Header: mark,
 	}
 	resp, err := d.roundTrip(ctx, server, r)
 	if err != nil {
