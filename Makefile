@@ -12,9 +12,10 @@
 #                churn and differential suites and the determinism
 #                regressions)
 #   make vet     go vet
-#   make procs   the set-up tests (ReadAll, FromCLF, Mine, the
-#                determinism tests and TestTablesGolden) at GOMAXPROCS
-#                1, 2 and 4: the parse, sessionize and mine stages run
+#   make procs   the set-up tests (ReadAll, FromCLF, Mine, Sessions, the
+#                navigation Tracker, the determinism tests and
+#                TestTablesGolden) at GOMAXPROCS 1, 2 and 4: the
+#                parse, sessionize and mine stages run
 #                on every core, and their output must not depend on how
 #                many there are; and the dispatch package's tests (its
 #                storm, differential and stream-golden tests) at the
@@ -24,7 +25,10 @@
 #                pool and shared-value tests at the same counts: an
 #                attempt registers its abort only when its grace
 #                deadline passes, a timing edge worth running on one P
-#   make allocs  every allocation ratchet (the tests matching Allocs),
+#   make allocs  every allocation ratchet (the tests matching Allocs,
+#                among them TestSessionScriptsAllocs, TestSessionChurnAllocs
+#                and TestTrackerObserveAllocs' connection churn: per-session
+#                state costs nothing past its slabs' high-water mark),
 #                uncached; they skip under the race detector
 #   make stress  repeat a slice of the suite under the race detector to
 #                hunt a flake: make stress RUN='Golden|Deterministic' PKG=./internal/cluster/ COUNT=20
@@ -37,7 +41,8 @@
 #                machine's speed; leaves each run's final JSON line in
 #                BENCH_<workload>.json
 #   make benchsmoke  every Benchmark* once (-benchtime 1x), so each keeps
-#                compiling and running; it times nothing
+#                compiling and running (BenchmarkSessionScripts and
+#                BenchmarkSessionChurn among them); it times nothing
 #   make fuzz    run every Fuzz* target for FUZZTIME (default 5s), one
 #                target per invocation; a failing input lands in the
 #                target's testdata/fuzz directory, to be committed under
@@ -70,7 +75,7 @@ vet:
 	$(GO) vet ./...
 
 procs:
-	$(GO) test -count=1 -cpu 1,2,4 -run 'ReadAll|Reader|FromCLF|Mine|Train|Determinis|TablesGolden' \
+	$(GO) test -count=1 -cpu 1,2,4 -run 'ReadAll|Reader|FromCLF|Mine|Train|Tracker|Sessions|Determinis|TablesGolden' \
 		./internal/clf/ ./internal/trace/ ./internal/mining/ ./internal/experiment/ .
 	$(GO) test -count=1 -cpu 1,2,4 ./internal/dispatch/
 	$(GO) test -count=1 -cpu 1,2,4 -run 'Cancel|Hedge|HangUp|Deadline|Pool|Grace|Share' ./internal/httpfront/

@@ -11,6 +11,10 @@ package dispatch_test
 // policy target table and the core's session and file tables are each
 // held for one map operation — and the steady-state pair allocates
 // nothing (asserted by TestRouteDoneAllocs).
+// BenchmarkSessionChurn is one connection's whole life instead:
+// Route, Done and CloseConn on a key not tracked before, which takes
+// and frees a session slot (TestSessionChurnAllocs holds it at zero
+// allocations).
 
 import (
 	"fmt"
@@ -91,4 +95,19 @@ func BenchmarkDispatchParallel(b *testing.B) {
 			i++
 		}
 	})
+}
+
+func BenchmarkSessionChurn(b *testing.B) {
+	c := benchCore(b, 8)
+	paths := benchPaths(512)
+	keys := benchKeys(4096)
+	now := time.Unix(0, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key, path := keys[i%len(keys)], paths[i%len(paths)]
+		out := c.Route(key, path, 4096, now)
+		c.Done(key, out.Server, path, false, false)
+		c.CloseConn(key)
+	}
 }

@@ -369,7 +369,7 @@ func New(cfg Config) (*Core, error) {
 	}
 	c := &Core{
 		cfg:        cfg,
-		sessions:   sessionTable{byKey: make(map[string]*session)},
+		sessions:   sessionTable{byKey: make(map[string]int32)},
 		loads:      make([]atomic.Int64, cfg.Backends),
 		perBackend: make([]atomic.Int64, cfg.Backends),
 		hedges:     make([]atomic.Int64, cfg.Backends),

@@ -49,3 +49,22 @@ func (c *Core) FileTableSize() (ids, files, cells int) {
 	defer f.mu.Unlock()
 	return len(f.ids), len(f.files), len(f.cells)
 }
+
+// SessionSlots returns the session slab's length, live and free slots.
+func (c *Core) SessionSlots() int {
+	sh := &c.sessions
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return len(sh.slab)
+}
+
+// TrackerSlots returns the navigation tracker's window slots, open and
+// free; 0 without navigation prefetch.
+func (c *Core) TrackerSlots() int {
+	if c.tracker == nil {
+		return 0
+	}
+	c.trackMu.Lock()
+	defer c.trackMu.Unlock()
+	return c.tracker.Slots()
+}

@@ -49,15 +49,22 @@ func (p *idSpy) Route(req policy.Request, view policy.View) policy.Decision {
 // from two goroutines. The intern table and the file slab stop at the
 // cap, the policy is never handed an id past it (its target tables are
 // indexed by the ids it is handed), every cold path still routes, the
-// books balance and the session table stays sound.
+// books balance and the session table stays sound. Navigation tracking
+// skips cold pages, so the model learns no context past the cap and
+// the tracker holds no more windows than the core holds sessions.
 func TestFileFloodIsBounded(t *testing.T) {
 	const backends = 4
 	spy := &idSpy{Policy: policy.NewPRORD(policy.Thresholds{})}
+	miner := smallMiner(t)
+	if miner.Nav != mining.OnlinePredictor(miner.Model) {
+		t.Fatal("setup: the tracker learns into a predictor other than the model")
+	}
+	contexts := miner.Model.Contexts()
 	c, err := dispatch.New(dispatch.Config{
 		Backends:        backends,
 		Policy:          spy,
-		Miner:           smallMiner(t),
-		Features:        dispatch.Features{Bundle: true},
+		Miner:           miner,
+		Features:        dispatch.Features{Bundle: true, NavPrefetch: true},
 		LocalityEntries: 512,
 		MaxSessions:     256,
 	})
@@ -105,6 +112,12 @@ func TestFileFloodIsBounded(t *testing.T) {
 	if got, want := spy.cold.Load(), int64(flood-dispatch.MaxLiveFiles); got != want {
 		t.Errorf("the policy routed %d cold requests, want %d", got, want)
 	}
+	if got, want := miner.Model.Contexts(), contexts+dispatch.MaxLiveFiles; got > want {
+		t.Errorf("after %d distinct pages the model holds %d contexts, want at most %d", flood, got, want)
+	}
+	if got := c.TrackerSlots(); got > 256 {
+		t.Errorf("the tracker holds %d window slots, want at most MaxSessions (256)", got)
+	}
 
 	// A cold path books, fails over and hedges like any other, with no
 	// per-file state to leave behind.
@@ -136,6 +149,62 @@ func TestFileFloodIsBounded(t *testing.T) {
 	total, busy, problem := c.SessionCheck()
 	if problem != "" || busy != 0 || total > 256 {
 		t.Errorf("session table: %d sessions, %d busy, problem %q; want at most 256, none busy, no problem", total, busy, problem)
+	}
+}
+
+// TestSessionFloodIsBounded sends 200,000 distinct connection keys
+// through Route, PlanInto and Done, eight requests in flight at a time,
+// past MaxSessions: the session slab and the tracker's window slab stop
+// at MaxSessions plus the requests in flight, and the session table
+// drains sound.
+func TestSessionFloodIsBounded(t *testing.T) {
+	const flood, maxSessions, inFlight = 200000, 256, 8
+	miner := smallMiner(t)
+	c, err := dispatch.New(dispatch.Config{
+		Backends:    4,
+		Policy:      policy.NewPRORD(policy.Thresholds{}),
+		Miner:       miner,
+		Features:    dispatch.Features{Bundle: true, NavPrefetch: true},
+		MaxSessions: maxSessions,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pages []string
+	for _, p := range miner.Bundles.Paths() {
+		if !trace.IsEmbeddedPath(p) {
+			pages = append(pages, p)
+		}
+	}
+	now := time.Unix(0, 0)
+	type booked struct {
+		key, page string
+		server    int
+	}
+	var ring [inFlight]booked
+	var plan dispatch.Plan
+	for i := 0; i < flood+inFlight; i++ {
+		b := &ring[i%inFlight]
+		if b.key != "" {
+			c.Done(b.key, b.server, b.page, false, false)
+		}
+		if i >= flood {
+			continue
+		}
+		key, page := "10.8."+strconv.Itoa(i)+":80", pages[i%len(pages)]
+		out := c.Route(key, page, 100, now)
+		c.PlanInto(&plan, key, out.Server, page, now)
+		*b = booked{key, page, out.Server}
+	}
+	if got := c.SessionSlots(); got > maxSessions+inFlight {
+		t.Errorf("after %d connections the session slab holds %d slots, want at most %d", flood, got, maxSessions+inFlight)
+	}
+	if got := c.TrackerSlots(); got > maxSessions+inFlight {
+		t.Errorf("after %d connections the tracker holds %d window slots, want at most %d", flood, got, maxSessions+inFlight)
+	}
+	total, busy, problem := c.SessionCheck()
+	if problem != "" || busy != 0 || total > maxSessions {
+		t.Errorf("session table: %d sessions, %d busy, problem %q; want at most %d, none busy, no problem", total, busy, problem, maxSessions)
 	}
 }
 

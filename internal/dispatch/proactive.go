@@ -5,6 +5,7 @@ import (
 
 	"prord/internal/mining"
 	"prord/internal/overload"
+	"prord/internal/policy"
 )
 
 // PlanProactive runs PRORD's proactive pass after a main page was
@@ -32,7 +33,7 @@ func (c *Core) PlanInto(plan *Plan, key string, server int, page string, now tim
 	if !c.cfg.Features.any() || c.cfg.Miner == nil {
 		return false
 	}
-	_, pfs := c.intern(page)
+	pid, pfs := c.intern(page)
 	if pfs.embedded {
 		return false
 	}
@@ -43,7 +44,7 @@ func (c *Core) PlanInto(plan *Plan, key string, server int, page string, now tim
 	sh := &c.sessions
 	id := -1
 	sh.mu.Lock()
-	if st, ok := sh.byKey[key]; ok {
+	if st := sh.find(key); st != nil {
 		id = st.id
 	}
 	sh.mu.Unlock()
@@ -57,7 +58,9 @@ func (c *Core) PlanInto(plan *Plan, key string, server int, page string, now tim
 		// page's objects are requested by the browser within milliseconds.
 		plan.Bundle = c.admitPrefetch(server, c.files.objects(pfs.fileMeta), false, plan.Bundle)
 	}
-	if c.cfg.Features.NavPrefetch && c.tracker != nil {
+	// A cold page is neither learned nor predicted from: past the intern
+	// cap, a flood of distinct paths must not grow the tracker's model.
+	if c.cfg.Features.NavPrefetch && c.tracker != nil && pid != policy.ColdFile {
 		pred, predicted := c.observeNav(id, page)
 		if predicted && c.cfg.Miner.ShouldPrefetch(pred) {
 			// §4.1: the backend prefetches "a specific group of data

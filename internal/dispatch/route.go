@@ -26,8 +26,8 @@ func (c *Core) Admit(key, path string, now time.Time, grant func()) (Verdict, *o
 	if _, fs := c.intern(path); fs.embedded {
 		sh := &c.sessions
 		sh.mu.Lock()
-		st, ok := sh.byKey[key]
-		bypass = ok && st.hasSrv
+		st := sh.find(key)
+		bypass = st != nil && st.hasSrv
 		sh.mu.Unlock()
 	}
 	c.ovMu.Lock()
@@ -126,7 +126,7 @@ func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
 	id, fs := c.intern(path)
 	// The session lock is released before routing, so the view answers
 	// from its snapshot and takes table locks as leaves.
-	st, snap, evicted := c.lookupSession(key)
+	k, snap, evicted := c.lookupSession(key)
 	c.closeIDs(evicted)
 	c.stats.requests.Add(1)
 	tier := c.Tier()
@@ -142,7 +142,7 @@ func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
 	if avail.Empty() {
 		// Undo the session reservation: the request was never booked.
 		sh.mu.Lock()
-		if st.active > 0 {
+		if st := sh.live(k, snap.id); st != nil && st.active > 0 {
 			st.active--
 		}
 		sh.mu.Unlock()
@@ -150,14 +150,14 @@ func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
 		if c.emitter != nil {
 			c.emitter.emit(Record{
 				Seq:     c.seq.Add(1),
-				Conn:    st.id,
+				Conn:    snap.id,
 				Path:    path,
 				Tier:    tier,
 				Verdict: Admitted,
 				Server:  -1,
 			})
 		}
-		return Outcome{Conn: st.id, Server: -1, Source: -1, Tier: tier}
+		return Outcome{Conn: snap.id, Server: -1, Source: -1, Tier: tier}
 	}
 
 	// From Saturated up, routing degrades to the locality-only fallback:
@@ -171,7 +171,7 @@ func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
 
 	accept := c.acceptMask(avail)
 	view := c.getView(snap, id, fs, avail, accept)
-	last, haveLast := view.LastServer(st.id)
+	last, haveLast := view.LastServer(snap.id)
 
 	var dec policy.Decision
 	if embedded && haveLast {
@@ -181,7 +181,7 @@ func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
 		dec = policy.Decision{Server: last, Source: -1}
 	} else {
 		dec = pol.Route(policy.Request{
-			Conn:     st.id,
+			Conn:     snap.id,
 			File:     id,
 			Size:     size,
 			Embedded: embedded,
@@ -204,8 +204,13 @@ func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
 		dec.Source = -1
 	}
 
-	// Book the decision.
+	// Book the decision. A session dropped since the lookup (CloseConn
+	// mid-request) binds nothing; its outcome reads from the snapshot.
 	sh.mu.Lock()
+	st := sh.live(k, snap.id)
+	if st == nil {
+		st = &snap
+	}
 	hadServer := st.hasSrv
 	prevServer := st.server
 	switched := hadServer && st.server != dec.Server
@@ -242,7 +247,7 @@ func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
 	}
 
 	out := Outcome{
-		Conn:      st.id,
+		Conn:      snap.id,
 		Server:    dec.Server,
 		Source:    dec.Source,
 		Dispatch:  dec.Dispatch,
@@ -259,7 +264,7 @@ func (c *Core) Route(key, path string, size int64, now time.Time) Outcome {
 		// Recorder delays delivery, not routing.
 		c.emitter.emit(Record{
 			Seq:      c.seq.Add(1),
-			Conn:     st.id,
+			Conn:     snap.id,
 			Path:     path,
 			Tier:     tier,
 			Verdict:  Admitted,
@@ -284,7 +289,7 @@ func (c *Core) Done(key string, server int, path string, failed, retried bool) {
 
 	sh := &c.sessions
 	sh.mu.Lock()
-	if st, ok := sh.byKey[key]; ok && st.active > 0 {
+	if st := sh.find(key); st != nil && st.active > 0 {
 		st.active--
 	}
 	sh.mu.Unlock()
@@ -329,7 +334,7 @@ func (c *Core) Rebook(key, path string, exclude int, now time.Time) (server int,
 	conn := -1
 	sh := &c.sessions
 	sh.mu.Lock()
-	if st, okSt := sh.byKey[key]; okSt {
+	if st := sh.find(key); st != nil {
 		st.server, st.hasSrv = best, true
 		st.active++
 		conn = st.id
@@ -428,8 +433,8 @@ func (c *Core) InvalidateBackend(server int) {
 	f.mu.Unlock()
 	sh := &c.sessions
 	sh.mu.Lock()
-	for _, st := range sh.byKey {
-		if st.hasSrv && st.server == server {
+	for k := range sh.slab {
+		if st := &sh.slab[k]; st.hasSrv && st.server == server {
 			st.hasSrv = false
 		}
 	}

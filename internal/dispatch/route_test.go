@@ -65,6 +65,62 @@ func TestRouteDoneAllocs(t *testing.T) {
 	}
 }
 
+// TestSessionChurnAllocs pins connection churn at zero allocations:
+// once the session slab and the tracker's window slab have grown to the
+// most connections open at once, a fresh connection's Route, PlanInto,
+// Done and CloseConn reuse freed slots.
+func TestSessionChurnAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on paths the production build does not")
+	}
+	miner := smallMiner(t)
+	c, err := dispatch.New(dispatch.Config{
+		Backends: 4,
+		Policy:   policy.NewPRORD(policy.Thresholds{}),
+		Miner:    miner,
+		Features: dispatch.Features{Bundle: true, NavPrefetch: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := miner.Bundles.Paths()[0]
+	keys := make([]string, 4096)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("10.6.%d.%d:80", i/256, i%256)
+	}
+	now := time.Unix(0, 0)
+	var plan dispatch.Plan
+	open := func(key string) int {
+		out := c.Route(key, page, 100, now)
+		c.PlanInto(&plan, key, out.Server, page, now)
+		return out.Server
+	}
+	// The high-water mark: 64 connections open at once.
+	for _, key := range keys[:64] {
+		c.Done(key, open(key), page, false, false)
+	}
+	for _, key := range keys[:64] {
+		c.CloseConn(key)
+	}
+	sessions, windows := c.SessionSlots(), c.TrackerSlots()
+	i := 64
+	allocs := testing.AllocsPerRun(2000, func() {
+		key := keys[i%len(keys)]
+		c.Done(key, open(key), page, false, false)
+		c.CloseConn(key)
+		i++
+	})
+	// As in TestRouteDoneAllocs, a GC emptying the view pool costs a
+	// stray allocation now and then, far below one per connection.
+	if allocs > 0.1 {
+		t.Errorf("a fresh connection allocates %.3f objects, want 0", allocs)
+	}
+	if c.SessionSlots() != sessions || c.TrackerSlots() != windows {
+		t.Errorf("churn grew the slabs from %d sessions and %d windows to %d and %d",
+			sessions, windows, c.SessionSlots(), c.TrackerSlots())
+	}
+}
+
 // TestRecorderBlockingDoesNotStallRoutes is the regression test for
 // the lock-held Recorder bug: the sink used to run under the policy
 // lock on the routed path, so a slow Recorder serialized every decision. With the

@@ -53,10 +53,10 @@ type FileID = policy.FileID
 // core or the policies' tables.
 const maxLiveFiles = 1 << 16
 
-// session is one tracked client connection. Guarded by the session
-// table's mutex.
+// session is one tracked client connection, a slot of the session
+// table's slab. Guarded by the table's mutex.
 type session struct {
-	id       int
+	id       int // -1 while the slot is free
 	key      string
 	server   int
 	hasSrv   bool
@@ -64,15 +64,36 @@ type session struct {
 	lastPage FileID // ColdFile before the first page and after a cold one
 }
 
-// sessionTable is the core's session table: every tracked connection
-// by key, under one leaf mutex. Session ids come from one counter.
-// Records dropped with no request in flight wait on free for reuse, so
-// connection churn does not allocate a record per connection.
+// sessionTable is the core's session table under one leaf mutex: every
+// tracked connection's record in one slab, byKey giving each key's
+// slot, and dropped slots on free for reuse. Session ids come from one
+// counter and are never reused, so a slot with the id found in it is a
+// handle that outlives an unlock (see live), and the slab may grow and
+// move under it.
 type sessionTable struct {
 	mu    sync.Mutex
 	seq   int
-	byKey map[string]*session
-	free  []*session
+	byKey map[string]int32
+	slab  []session
+	free  []int32
+}
+
+// live returns the record slot k holds for session id, or nil when the
+// session has been dropped since, so a handle never touches the slot's
+// next session. Callers hold the mutex.
+func (sh *sessionTable) live(k int32, id int) *session {
+	if st := &sh.slab[k]; st.id == id {
+		return st
+	}
+	return nil
+}
+
+// find returns key's record, or nil. Callers hold the mutex.
+func (sh *sessionTable) find(key string) *session {
+	if k, ok := sh.byKey[key]; ok {
+		return &sh.slab[k]
+	}
+	return nil
 }
 
 // fileTable is the per-file routing state under one leaf mutex. Each
@@ -246,34 +267,38 @@ func (f *fileTable) unlink(n int32) {
 	f.cells[cl.prev].next, f.cells[cl.next].prev = cl.next, cl.prev
 }
 
-// lookupSession returns the session for key, creating it if needed. A
-// found-or-created session has active incremented as a reservation so a
-// concurrent eviction pass cannot drop it before the caller books the
-// request; every lookupSession is paired with a Done (or an explicit
-// release on the unroutable path). snap is a copy of the session as
-// found. evicted lists the idle sessions the MaxSessions valve dropped;
-// the caller must pass them to closeIDs after releasing every lock.
-func (c *Core) lookupSession(key string) (st *session, snap session, evicted []int) {
+// lookupSession returns the slot of key's session, creating it if
+// needed. A found-or-created session has active incremented as a
+// reservation so a concurrent eviction pass cannot drop it before the
+// caller books the request; every lookupSession is paired with a Done
+// (or an explicit release on the unroutable path). snap is a copy of
+// the session as found; the slot and snap.id are the caller's handle
+// (see sessionTable). evicted lists the idle sessions the MaxSessions
+// valve dropped; the caller must pass them to closeIDs after releasing
+// every lock.
+func (c *Core) lookupSession(key string) (k int32, snap session, evicted []int) {
 	sh := &c.sessions
 	sh.mu.Lock()
-	st, ok := sh.byKey[key]
+	k, ok := sh.byKey[key]
 	if !ok {
 		if len(sh.byKey) >= c.cfg.MaxSessions {
 			evicted = sh.evictIdle()
 		}
 		if n := len(sh.free); n > 0 {
-			st, sh.free = sh.free[n-1], sh.free[:n-1]
+			k, sh.free = sh.free[n-1], sh.free[:n-1]
 		} else {
-			st = new(session)
+			k = int32(len(sh.slab))
+			sh.slab = append(sh.slab, session{})
 		}
-		*st = session{id: sh.seq, key: key, lastPage: policy.ColdFile}
+		sh.slab[k] = session{id: sh.seq, key: key, lastPage: policy.ColdFile}
 		sh.seq++
-		sh.byKey[key] = st
+		sh.byKey[key] = k
 	}
+	st := &sh.slab[k]
 	st.active++
 	snap = *st
 	sh.mu.Unlock()
-	return st, snap, evicted
+	return k, snap, evicted
 }
 
 // evictIdle drops every session with no request in flight. Sessions
@@ -282,23 +307,23 @@ func (c *Core) lookupSession(key string) (st *session, snap session, evicted []i
 // under in-flight requests. Callers hold the table's mutex and must
 // closeIDs the returned ids after releasing it.
 func (sh *sessionTable) evictIdle() (evicted []int) {
-	for _, st := range sh.byKey {
-		if st.active == 0 {
+	for k := range sh.slab {
+		if st := &sh.slab[k]; st.id >= 0 && st.active == 0 {
 			evicted = append(evicted, st.id)
-			sh.drop(st)
+			sh.drop(int32(k))
 		}
 	}
 	sort.Ints(evicted)
 	return evicted
 }
 
-// drop removes a session from the table, recycling its record unless a
-// request in flight still holds it. Callers hold the table's mutex.
-func (sh *sessionTable) drop(st *session) {
-	delete(sh.byKey, st.key)
-	if st.active == 0 {
-		sh.free = append(sh.free, st)
-	}
+// drop removes slot k's session from the table and frees the slot. A
+// handle to it from before the drop finds the slot no longer holds its
+// id. Callers hold the table's mutex.
+func (sh *sessionTable) drop(k int32) {
+	delete(sh.byKey, sh.slab[k].key)
+	sh.slab[k] = session{id: -1}
+	sh.free = append(sh.free, k)
 }
 
 // closeIDs releases the navigation tracker's per-connection state for
@@ -321,9 +346,9 @@ func (c *Core) CloseConn(key string) {
 	sh := &c.sessions
 	sh.mu.Lock()
 	id := -1
-	if st, ok := sh.byKey[key]; ok {
-		id = st.id
-		sh.drop(st)
+	if k, ok := sh.byKey[key]; ok {
+		id = sh.slab[k].id
+		sh.drop(k)
 	}
 	sh.mu.Unlock()
 	if id >= 0 {
@@ -643,7 +668,8 @@ func (c *Core) SessionCheck() (total, busy int, problem string) {
 	sh := &c.sessions
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for _, st := range sh.byKey {
+	for k := range sh.slab {
+		st := &sh.slab[k]
 		if st.active > 0 {
 			busy++
 		}

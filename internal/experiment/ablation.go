@@ -150,9 +150,9 @@ func (r *Runner) PredictorComparison() (*Table, error) {
 // sessions.
 func predictorAccuracy(pred mining.Predictor, tr *trace.Trace) float64 {
 	var total, correct int
-	for _, idxs := range tr.Sessions() {
+	for _, s := range tr.Sessions() {
 		var pages []string
-		for _, i := range idxs {
+		for _, i := range s.Reqs {
 			if r := &tr.Requests[i]; !r.Embedded {
 				pages = append(pages, r.Path)
 			}

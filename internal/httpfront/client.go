@@ -270,14 +270,15 @@ func (r *response) Close() error {
 	return nil
 }
 
-// roundTrip sends r and reads the response head, reading past interim
-// 1xx heads; a 101 is a failure, since upgrades are not forwarded. stale
-// marks a failure before any response byte arrived — a write error, or
-// EOF or reset on the first read — which on a pooled connection means
-// the backend had closed it while it sat idle.
-func (c *conn) roundTrip(ctx context.Context, r *http.Request) (resp *response, stale bool, err error) {
+// roundTrip sends r with body (see write) and reads the response head,
+// reading past interim 1xx heads; a 101 is a failure, since upgrades
+// are not forwarded. stale marks a failure before any response byte
+// arrived — a write error, or EOF or reset on the first read — which on
+// a pooled connection means the backend had closed it while it sat
+// idle.
+func (c *conn) roundTrip(ctx context.Context, r *http.Request, body io.Reader) (resp *response, stale bool, err error) {
 	c.arm(ctx)
-	if err := c.write(r); err != nil {
+	if err := c.write(r, body); err != nil {
 		return nil, true, c.fail(err)
 	}
 	if _, err := c.br.Peek(1); err != nil {
@@ -306,28 +307,24 @@ func (c *conn) roundTrip(ctx context.Context, r *http.Request) (resp *response, 
 // length is known, chunked when not. X-Forwarded-For carries the prior
 // values joined by ", " and then the client's IP; when RemoteAddr is not
 // a host:port the prior values pass through unchanged. It only reads r,
-// so a request's header may be one shared by many.
-func (c *conn) write(r *http.Request) error {
+// so a request's header may be one shared by many. body is r's body,
+// passed apart from r: escape analysis tracks the fields of *r as one,
+// so a body handed to io.Copy would take every value r points at to the
+// heap, a front-end request's URL included.
+func (c *conn) write(r *http.Request, body io.Reader) error {
 	w := c.bw
-	w.WriteString(r.Method)
+	copyString(w, r.Method)
 	w.WriteByte(' ')
 	c.b.writeTarget(w, r.URL.EscapedPath(), r.URL.RawQuery)
 	w.WriteString(" HTTP/1.1\r\nHost: ")
 	if r.Host != "" {
-		w.WriteString(r.Host)
+		copyString(w, r.Host)
 	} else {
 		w.WriteString(c.b.host)
 	}
 	w.WriteString("\r\n")
-	// The front-end's own requests have no RemoteAddr, and no error is
-	// made for them.
-	var clientIP string
-	forwardFor := false
-	if r.RemoteAddr != "" {
-		var err error
-		clientIP, _, err = net.SplitHostPort(r.RemoteAddr)
-		forwardFor = err == nil
-	}
+	// The front-end's own requests have no RemoteAddr.
+	clientIP, forwardFor := remoteHost(r.RemoteAddr)
 	//lint:ignore maporder the order of fields with different names carries no meaning (RFC 7230 §3.2.2); one name's values keep theirs
 	for k, vv := range r.Header {
 		switch k {
@@ -354,10 +351,10 @@ func (c *conn) write(r *http.Request) error {
 			w.WriteString(v)
 			w.WriteString(", ")
 		}
-		w.WriteString(clientIP)
+		copyString(w, clientIP)
 		w.WriteString("\r\n")
 	}
-	hasBody := r.ContentLength != 0 && r.Body != nil && r.Body != http.NoBody
+	hasBody := r.ContentLength != 0 && body != nil && body != http.NoBody
 	switch {
 	case !hasBody:
 	case r.ContentLength > 0:
@@ -369,20 +366,60 @@ func (c *conn) write(r *http.Request) error {
 	}
 	w.WriteString("\r\n")
 	if hasBody {
-		if err := c.writeBody(r); err != nil {
+		if err := c.writeBody(body, r.ContentLength > 0); err != nil {
 			return err
 		}
 	}
 	return w.Flush()
 }
 
-func (c *conn) writeBody(r *http.Request) error {
-	if r.ContentLength > 0 {
-		_, err := io.Copy(c.bw, r.Body)
+// remoteHost returns net.SplitHostPort's host for addr, and whether
+// SplitHostPort accepts addr. It makes no error value, which would take
+// addr, and with it the request it was read from, to the heap.
+func remoteHost(addr string) (string, bool) {
+	i := strings.LastIndexByte(addr, ':')
+	if i < 0 {
+		return "", false
+	}
+	host, j, k := addr[:i], 0, 0
+	if addr[0] == '[' {
+		// The first ']' must sit just before the last ':'.
+		end := strings.IndexByte(addr, ']')
+		if end+1 != i {
+			return "", false
+		}
+		host, j, k = addr[1:end], 1, end+1
+	} else if strings.IndexByte(host, ':') >= 0 {
+		return "", false
+	}
+	if strings.IndexByte(addr[j:], '[') >= 0 || strings.IndexByte(addr[k:], ']') >= 0 {
+		return "", false
+	}
+	return host, true
+}
+
+// copyString writes s to w by copying its bytes into w's buffer. Unlike
+// w.WriteString it never hands s itself to the writer underneath, so
+// escape analysis leaves whatever s was read from where it is.
+func copyString(w *bufio.Writer, s string) {
+	for len(s) > 0 {
+		if w.Available() == 0 && w.Flush() != nil {
+			return
+		}
+		buf := w.AvailableBuffer()
+		n := copy(buf[:cap(buf)], s)
+		w.Write(buf[:n])
+		s = s[n:]
+	}
+}
+
+func (c *conn) writeBody(body io.Reader, sized bool) error {
+	if sized {
+		_, err := io.Copy(c.bw, body)
 		return err
 	}
 	cw := httputil.NewChunkedWriter(c.bw)
-	if _, err := io.Copy(cw, r.Body); err != nil {
+	if _, err := io.Copy(cw, body); err != nil {
 		return err
 	}
 	if err := cw.Close(); err != nil {
@@ -479,34 +516,34 @@ func (b *body) Read(p []byte) (n int, err error) {
 	return n, err
 }
 
-// roundTrip is one attempt: the prepared request sent to a backend, its
-// Host and headers as the client sent them, over a pooled connection or
-// a new one. Canceling ctx abandons the attempt, response body
+// roundTrip is one attempt: the prepared request, with body as its
+// body (see conn.write), sent to a backend, its Host and headers as the
+// client sent them, over a pooled connection or a new one. Canceling ctx abandons the attempt, response body
 // included, and the error then wraps ctx.Err(). A pooled connection
 // that fails before any response byte is one the backend closed while
 // it sat idle: a request without a body is sent once more on a new
 // connection, so an idle-closing backend shows no error.
-func (d *Distributor) roundTrip(ctx context.Context, server int, r *http.Request) (*response, error) {
+func (d *Distributor) roundTrip(ctx context.Context, server int, r *http.Request, body io.Reader) (*response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	b := d.backends[server]
 	c := b.pop()
 	if c == nil {
-		return dialAndSend(ctx, b, r)
+		return dialAndSend(ctx, b, r, body)
 	}
-	resp, stale, err := c.roundTrip(ctx, r)
+	resp, stale, err := c.roundTrip(ctx, r, body)
 	if err != nil && stale && r.ContentLength == 0 && ctx.Err() == nil {
-		return dialAndSend(ctx, b, r)
+		return dialAndSend(ctx, b, r, body)
 	}
 	return resp, err
 }
 
-func dialAndSend(ctx context.Context, b *backend, r *http.Request) (*response, error) {
+func dialAndSend(ctx context.Context, b *backend, r *http.Request, body io.Reader) (*response, error) {
 	c, err := b.dial(ctx)
 	if err != nil {
 		return nil, failure(ctx, err)
 	}
-	resp, _, err := c.roundTrip(ctx, r)
+	resp, _, err := c.roundTrip(ctx, r, body)
 	return resp, err
 }

@@ -88,7 +88,7 @@ func TestCancelWithinGraceFailsWithinGrace(t *testing.T) {
 	time.AfterFunc(abortGrace/10, cancel)
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := c.roundTrip(ctx, httptest.NewRequest(http.MethodGet, "/x", nil))
+		_, _, err := c.roundTrip(ctx, httptest.NewRequest(http.MethodGet, "/x", nil), nil)
 		errc <- err
 	}()
 	select {
@@ -113,7 +113,7 @@ func TestCancelAfterGraceAbortsAtOnce(t *testing.T) {
 	defer cancel()
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := c.roundTrip(ctx, httptest.NewRequest(http.MethodGet, "/x", nil))
+		_, _, err := c.roundTrip(ctx, httptest.NewRequest(http.MethodGet, "/x", nil), nil)
 		errc <- err
 	}()
 	for deadline := time.Now().Add(10 * time.Second); tc.n.Load() == 0; time.Sleep(abortGrace / 4) {
@@ -154,7 +154,7 @@ func TestHeadThenStallPastGrace(t *testing.T) {
 	})
 	for i := 0; i < 2; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		resp, err := d.roundTrip(ctx, 0, httptest.NewRequest(http.MethodGet, "/x", nil))
+		resp, err := d.roundTrip(ctx, 0, httptest.NewRequest(http.MethodGet, "/x", nil), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,8 @@ func TestRequestBodyPastGrace(t *testing.T) {
 		})
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		resp, _, err := c.roundTrip(ctx, post())
+		r := post()
+		resp, _, err := c.roundTrip(ctx, r, r.Body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +216,8 @@ func TestRequestBodyPastGrace(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		time.AfterFunc(5*abortGrace, cancel)
 		start := time.Now()
-		_, _, err := c.roundTrip(ctx, post())
+		r := post()
+		_, _, err := c.roundTrip(ctx, r, r.Body)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want one wrapping context.Canceled", err)
 		}
@@ -234,7 +236,7 @@ func TestPooledConnectionPastGraceReused(t *testing.T) {
 		if i > 0 {
 			time.Sleep(5 * abortGrace)
 		}
-		resp, err := d.roundTrip(context.Background(), 0, httptest.NewRequest(http.MethodGet, "/x", nil))
+		resp, err := d.roundTrip(context.Background(), 0, httptest.NewRequest(http.MethodGet, "/x", nil), nil)
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
@@ -251,12 +253,12 @@ func TestPooledConnectionPastGraceReused(t *testing.T) {
 
 // ownGetAllocsCeiling ratchets the allocations of one prefetch hint or
 // probe sent over a pooled connection to a backend that allocates
-// nothing: the deadline context (4) and the target URL (1), which
-// escapes because conn.write hands the request's body to io.Copy. It
-// read 14 with the mark's header built per call (3), the abort
-// registered per attempt (5) and an error made for the empty
-// RemoteAddr (1).
-const ownGetAllocsCeiling = 5
+// nothing: the deadline context (4). It read 14 with the mark's header
+// built per call (3), the abort registered per attempt (5), an error
+// made for the empty RemoteAddr (1) and the target URL (1), which
+// escaped while conn.write handed request fields to the writer, to
+// net.SplitHostPort and the body to io.Copy.
+const ownGetAllocsCeiling = 4
 
 func TestOwnGetAllocs(t *testing.T) {
 	if raceEnabled {
@@ -279,6 +281,40 @@ func TestOwnGetAllocs(t *testing.T) {
 	t.Logf("%.1f allocs/hint", allocs)
 	if allocs > ownGetAllocsCeiling {
 		t.Errorf("%.1f allocations per hint, ceiling %d", allocs, ownGetAllocsCeiling)
+	}
+}
+
+// FuzzRemoteHost holds remoteHost to net.SplitHostPort, whose host and
+// verdict it must give for every address.
+func FuzzRemoteHost(f *testing.F) {
+	for _, addr := range []string{"", "10.0.0.1:80", "[::1]:80", "[fe80::1%eth0]:443", "::1", "a:b:c",
+		"[::1]", "[::1]x:80", "[::1]:80:90", "a[b:80", "a]:80", "[a]]:80", "[:80", ":80", "host:"} {
+		f.Add(addr)
+	}
+	f.Fuzz(func(t *testing.T, addr string) {
+		host, ok := remoteHost(addr)
+		wantHost, _, err := net.SplitHostPort(addr)
+		if ok != (err == nil) || ok && host != wantHost {
+			t.Fatalf("remoteHost(%q) = %q, %v; SplitHostPort gives %q, %v", addr, host, ok, wantHost, err)
+		}
+	})
+}
+
+// TestCopyStringSpansFlushes writes strings longer than the writer's
+// buffer, starting at every fill level: every byte arrives in order.
+func TestCopyStringSpansFlushes(t *testing.T) {
+	s := strings.Repeat("0123456789", 7)
+	for fill := 0; fill < 16; fill++ {
+		var out bytes.Buffer
+		w := bufio.NewWriterSize(&out, 16)
+		w.WriteString(s[:fill])
+		copyString(w, s)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if want := s[:fill] + s; out.String() != want {
+			t.Fatalf("fill %d: wrote %q, want %q", fill, out.String(), want)
+		}
 	}
 }
 

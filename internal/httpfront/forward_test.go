@@ -824,7 +824,7 @@ func TestPooledConnectionsRunNoGoroutines(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					req := httptest.NewRequest(http.MethodGet, "/x", nil)
-					resp, err := d.roundTrip(context.Background(), 0, req)
+					resp, err := d.roundTrip(context.Background(), 0, req, req.Body)
 					if err != nil {
 						t.Error(err)
 						return

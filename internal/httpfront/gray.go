@@ -79,7 +79,7 @@ func (a answer) close() {
 // postHead runs one side of a hedged pair and posts its answer on its
 // own 1-buffered channel, so a leg never outlives its round trip.
 func (d *Distributor) postHead(ctx context.Context, server int, r *http.Request, out chan<- answer) {
-	resp, err := d.roundTrip(ctx, server, r)
+	resp, err := d.roundTrip(ctx, server, r, r.Body)
 	out <- answer{resp: resp, err: err, void: err != nil && ctx.Err() == context.Canceled}
 }
 

@@ -488,7 +488,7 @@ func (d *Distributor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			// The winning leg's context must outlive the body copy.
 			defer release()
 		} else {
-			resp, err = d.roundTrip(ctx, server, r)
+			resp, err = d.roundTrip(ctx, server, r, r.Body)
 		}
 		if err != nil && client.Err() != nil {
 			// The client hung up: no verdict on the backend — its breaker
@@ -652,7 +652,7 @@ func (d *Distributor) ownGet(server int, path string, mark http.Header, timeout 
 		URL:    &url.URL{Path: path},
 		Header: mark,
 	}
-	resp, err := d.roundTrip(ctx, server, r)
+	resp, err := d.roundTrip(ctx, server, r, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -61,18 +61,12 @@ const assocSep = "\x00"
 // (each session's distinct main pages form one transaction) and derives
 // rules with 1- and 2-page antecedents.
 func (a *Assoc) Train(tr *trace.Trace) {
-	// Build transactions deterministically.
-	sessions := tr.Sessions()
-	ids := make([]int, 0, len(sessions))
-	for id := range sessions {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+	// Build transactions deterministically, in ascending session id.
 	var transactions [][]string
-	for _, id := range ids {
+	for _, s := range tr.Sessions() {
 		seen := make(map[string]bool)
 		var tx []string
-		for _, idx := range sessions[id] {
+		for _, idx := range s.Reqs {
 			r := &tr.Requests[idx]
 			if r.Embedded || seen[r.Path] {
 				continue

@@ -182,9 +182,9 @@ func TestAssocOnGeneratedTrace(t *testing.T) {
 	// It should achieve nonzero accuracy, below the order-2 model's.
 	accuracy := func(p Predictor) float64 {
 		var total, correct int
-		for _, idxs := range eval.Sessions() {
+		for _, sess := range eval.Sessions() {
 			var pages []string
-			for _, i := range idxs {
+			for _, i := range sess.Reqs {
 				if r := &eval.Requests[i]; !r.Embedded {
 					pages = append(pages, r.Path)
 				}

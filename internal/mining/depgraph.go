@@ -18,9 +18,9 @@ type LinkGraph struct {
 // transitions.
 func BuildLinkGraph(tr *trace.Trace) *LinkGraph {
 	set := make(map[string]map[string]bool)
-	for _, idxs := range tr.Sessions() {
+	for _, s := range tr.Sessions() {
 		var prev string
-		for _, i := range idxs {
+		for _, i := range s.Reqs {
 			r := &tr.Requests[i]
 			if r.Embedded {
 				continue

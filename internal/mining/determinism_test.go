@@ -101,23 +101,22 @@ func TestParentIsAFunctionOfTheLog(t *testing.T) {
 }
 
 // referenceTrain is the trainers' session loop as it was before
-// eachPageSequence: group through Trace.Sessions' map, sort the ids,
-// and observe each session's main pages.
+// eachPageSequence: group each session's main pages through a map,
+// sort the ids, and observe each session's pages.
 func referenceTrain(tr *trace.Trace, observe func(pages []string)) {
-	sessions := tr.Sessions()
+	sessions := make(map[int][]string)
+	for i := range tr.Requests {
+		if r := &tr.Requests[i]; !r.Embedded {
+			sessions[r.Session] = append(sessions[r.Session], r.Path)
+		}
+	}
 	ids := make([]int, 0, len(sessions))
 	for id := range sessions {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		var pages []string
-		for _, idx := range sessions[id] {
-			if r := &tr.Requests[idx]; !r.Embedded {
-				pages = append(pages, r.Path)
-			}
-		}
-		observe(pages)
+		observe(sessions[id])
 	}
 }
 

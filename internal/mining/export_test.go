@@ -39,7 +39,12 @@ func (m *Model) PredictAll(recent []string) []Prediction {
 // Recent returns the connection's tracked page sequence. The slice is
 // the tracker's own: it is valid until the connection's next Observe
 // or its Close.
-func (t *Tracker) Recent(conn int) []string { return t.recent[conn] }
+func (t *Tracker) Recent(conn int) []string {
+	if k, ok := t.recent[conn]; ok {
+		return t.window(k)
+	}
+	return nil
+}
 
 // Connections returns the number of tracked live connections.
 func (t *Tracker) Connections() int { return len(t.recent) }

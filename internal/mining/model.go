@@ -124,44 +124,18 @@ func (m *Model) Train(tr *trace.Trace) { eachPageSequence(tr, m.ObserveSequence)
 
 // eachPageSequence calls observe with the main-page sequence of every
 // session of tr that has one, in ascending session id, each in arrival
-// order. The sessions are grouped by a counting sort over their ids, not
-// through a map: FromCLF and Generate number sessions densely from 0,
-// so the count table is as long as the list of sessions.
+// order, through one buffer it refills for every session.
 func eachPageSequence(tr *trace.Trace, observe func(pages []string)) {
-	if len(tr.Requests) == 0 {
-		return
-	}
-	lo, hi := tr.Requests[0].Session, tr.Requests[0].Session
-	for i := range tr.Requests {
-		lo, hi = min(lo, tr.Requests[i].Session), max(hi, tr.Requests[i].Session)
-	}
-	// end[s-lo] counts session s's pages, then holds where they end in
-	// pages, and once pages is filled back to front, where they start.
-	end := make([]int, hi-lo+1)
-	for i := range tr.Requests {
-		if r := &tr.Requests[i]; !r.Embedded {
-			end[r.Session-lo]++
+	var pages []string
+	for _, s := range tr.Sessions() {
+		pages = pages[:0]
+		for _, i := range s.Reqs {
+			if r := &tr.Requests[i]; !r.Embedded {
+				pages = append(pages, r.Path)
+			}
 		}
-	}
-	n := 0
-	for k, c := range end {
-		n += c
-		end[k] = n
-	}
-	pages := make([]string, n)
-	for i := len(tr.Requests) - 1; i >= 0; i-- {
-		if r := &tr.Requests[i]; !r.Embedded {
-			end[r.Session-lo]--
-			pages[end[r.Session-lo]] = r.Path
-		}
-	}
-	for k, start := range end {
-		stop := n
-		if k+1 < len(end) {
-			stop = end[k+1]
-		}
-		if start < stop {
-			observe(pages[start:stop:stop])
+		if len(pages) > 0 {
+			observe(pages)
 		}
 	}
 }
@@ -204,18 +178,21 @@ func (m *Model) Predict(recent []string) (Prediction, bool) {
 // Tracker maintains the per-connection navigation state Algorithm 2
 // attaches to every persistent connection ("sequence and previous_page
 // are assigned to each connection"): the last Window() pages requested.
-// In steady state Observe allocates nothing: each connection's window
-// slides in place in a slice of capacity Window(), a closed
-// connection's slice is kept for the next one to open, and the
-// transition handed to the model lives in the tracker.
+// The windows live in one slab, Window() entries per slot: recent maps
+// a connection to its slot, and a closed connection's slot is kept for
+// the next one to open. So Observe allocates nothing once the slab has
+// grown to the most connections open at once, and the transition handed
+// to the model lives in the tracker.
 type Tracker struct {
 	model  OnlinePredictor
-	recent map[int][]string
 	online bool
+	width  int           // entries per slot: the model's Window(), at least 1
+	recent map[int]int32 // conn -> slot
+	pages  []string      // slot k's entries at pages[k*width:(k+1)*width]
+	lens   []int32       // window length by slot
+	free   []int32       // slots of closed connections
 	// pair is the [prev, page] or [page] sequence ObserveSequence sees.
 	pair [2]string
-	// free holds the emptied windows of closed connections.
-	free [][]string
 }
 
 // NewTracker returns a tracker over an online predictor (usually the
@@ -223,17 +200,18 @@ type Tracker struct {
 // observed transitions also update the model (the paper's dynamic online
 // tracking complementing offline analysis).
 func NewTracker(model OnlinePredictor, online bool) *Tracker {
-	return &Tracker{model: model, recent: make(map[int][]string), online: online}
+	return &Tracker{model: model, online: online, width: max(model.Window(), 1), recent: make(map[int]int32)}
 }
 
 // Observe records that conn requested page and returns the prediction for
 // the connection's next page.
 func (t *Tracker) Observe(conn int, page string) (Prediction, bool) {
-	window := max(t.model.Window(), 1)
-	seq, ok := t.recent[conn]
+	k, ok := t.recent[conn]
 	if !ok {
-		seq = t.window(window)
+		k = t.open()
+		t.recent[conn] = k
 	}
+	seq := t.window(k)
 	if t.online {
 		obs := t.pair[:0]
 		if len(seq) > 0 {
@@ -241,34 +219,47 @@ func (t *Tracker) Observe(conn int, page string) (Prediction, bool) {
 		}
 		t.model.ObserveSequence(append(obs, page))
 	}
-	if over := len(seq) + 1 - window; over > 0 {
-		copy(seq, seq[over:])
-		seq = seq[:len(seq)-over]
+	if len(seq) == t.width {
+		copy(seq, seq[1:])
+		seq = seq[:len(seq)-1]
 	}
 	seq = append(seq, page)
-	t.recent[conn] = seq
+	t.lens[k] = int32(len(seq))
 	return t.model.Predict(seq)
 }
 
-// window returns an empty window of capacity n, reusing a closed
-// connection's when one is free.
-func (t *Tracker) window(n int) []string {
-	if k := len(t.free); k > 0 {
-		seq := t.free[k-1]
-		t.free = t.free[:k-1]
-		return seq
-	}
-	return make([]string, 0, n)
+// window returns slot k's window, whose capacity ends with the slot.
+func (t *Tracker) window(k int32) []string {
+	lo := int(k) * t.width
+	return t.pages[lo : lo+int(t.lens[k]) : lo+t.width]
 }
 
-// Close discards a finished connection's state, keeping its window for
+// open returns an empty slot: a closed connection's when one is free,
+// else a new one at the end of the slab.
+func (t *Tracker) open() int32 {
+	if n := len(t.free); n > 0 {
+		k := t.free[n-1]
+		t.free = t.free[:n-1]
+		return k
+	}
+	t.pages = append(t.pages, make([]string, t.width)...)
+	t.lens = append(t.lens, 0)
+	return int32(len(t.lens) - 1)
+}
+
+// Close discards a finished connection's state, keeping its slot for
 // the next connection to open.
 func (t *Tracker) Close(conn int) {
-	seq, ok := t.recent[conn]
+	k, ok := t.recent[conn]
 	if !ok {
 		return
 	}
 	delete(t.recent, conn)
-	clear(seq)
-	t.free = append(t.free, seq[:0])
+	clear(t.window(k))
+	t.lens[k] = 0
+	t.free = append(t.free, k)
 }
+
+// Slots returns the number of window slots in the slab, open and free:
+// the most connections the tracker has held at once.
+func (t *Tracker) Slots() int { return len(t.lens) }

@@ -284,7 +284,8 @@ func TestTrackerWindowReuse(t *testing.T) {
 // allocations for every online predictor the core tracks with: on a
 // warm connection, whose window is full and whose transitions are all
 // known, online learning only bumps counters and the prediction's
-// context keys are built on the stack.
+// context keys are built on the stack. Connection churn past the slab's
+// high-water mark allocates nothing either.
 func TestTrackerObserveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on paths the production build does not")
@@ -305,6 +306,26 @@ func TestTrackerObserveAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%T: steady-state Observe allocates %.2f objects, want 0", nav, allocs)
+		}
+
+		// Connection churn: once the slab holds a slot for the most
+		// connections ever open at once, opening, observing and closing
+		// fresh connections reuses freed slots and allocates nothing.
+		for conn := 2; conn < 66; conn++ {
+			tr.Observe(conn, cycle[0])
+		}
+		for conn := 2; conn < 66; conn++ {
+			tr.Close(conn)
+		}
+		slots, conn := tr.Slots(), 100
+		allocs = testing.AllocsPerRun(1000, func() {
+			tr.Observe(conn, cycle[0])
+			tr.Observe(conn, cycle[1])
+			tr.Close(conn)
+			conn++
+		})
+		if allocs != 0 || tr.Slots() != slots {
+			t.Errorf("%T: a fresh connection allocates %.2f objects and leaves %d slots, want 0 and %d", nav, allocs, tr.Slots(), slots)
 		}
 	}
 }
@@ -368,9 +389,9 @@ func TestModelOnGeneratedTrace(t *testing.T) {
 
 	sessions := eval.Sessions()
 	var total, correct int
-	for _, idxs := range sessions {
+	for _, sess := range sessions {
 		var pages []string
-		for _, i := range idxs {
+		for _, i := range sess.Reqs {
 			if r := &eval.Requests[i]; !r.Embedded {
 				pages = append(pages, r.Path)
 			}

@@ -94,9 +94,9 @@ func TestPPMTrainOnTrace(t *testing.T) {
 // predictorAccuracyForTest mirrors the experiment package's scorer.
 func predictorAccuracyForTest(pred Predictor, tr *trace.Trace) float64 {
 	var total, correct int
-	for _, idxs := range tr.Sessions() {
+	for _, sess := range tr.Sessions() {
 		var pages []string
-		for _, i := range idxs {
+		for _, i := range sess.Reqs {
 			if r := &tr.Requests[i]; !r.Embedded {
 				pages = append(pages, r.Path)
 			}

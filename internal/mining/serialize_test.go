@@ -35,9 +35,9 @@ func TestMinerSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Predictions agree on the evaluation stream.
 	agreements, total := 0, 0
-	for _, idxs := range eval.Sessions() {
+	for _, sess := range eval.Sessions() {
 		var pages []string
-		for _, i := range idxs {
+		for _, i := range sess.Reqs {
 			if r := &eval.Requests[i]; !r.Embedded {
 				pages = append(pages, r.Path)
 			}

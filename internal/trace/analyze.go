@@ -110,12 +110,10 @@ func Analyze(tr *Trace) *Analysis {
 	sessions := tr.Sessions()
 	var pages int
 	var starts []time.Duration
-	for _, idxs := range sessions {
-		if len(idxs) > a.MaxSessionRequests {
-			a.MaxSessionRequests = len(idxs)
-		}
-		starts = append(starts, tr.Requests[idxs[0]].Time)
-		for _, i := range idxs {
+	for _, s := range sessions {
+		a.MaxSessionRequests = max(a.MaxSessionRequests, len(s.Reqs))
+		starts = append(starts, s.Start)
+		for _, i := range s.Reqs {
 			if !tr.Requests[i].Embedded {
 				pages++
 			}

@@ -183,50 +183,6 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// Sessions groups request indices by session id, each slice ordered by
-// arrival time. It counts first and carves every session's slice out of
-// one backing array, so grouping costs a handful of allocations however
-// many sessions there are; each slice's capacity ends where its session
-// does, so appending to one copies it out rather than overwriting the
-// next.
-func (t *Trace) Sessions() map[int][]int {
-	// slot numbers the sessions by first appearance; next[k] holds slot
-	// k's request count, then the place of its next index in backing.
-	slot := make(map[int]int)
-	var next []int
-	for i := range t.Requests {
-		s := t.Requests[i].Session
-		k, seen := slot[s]
-		if !seen {
-			k = len(next)
-			slot[s] = k
-			next = append(next, 0)
-		}
-		next[k]++
-	}
-	off := 0
-	for k, n := range next {
-		next[k] = off
-		off += n
-	}
-	backing := make([]int, len(t.Requests))
-	for i := range t.Requests {
-		k := slot[t.Requests[i].Session]
-		backing[next[k]] = i
-		next[k]++
-	}
-	// Every next[k] has advanced to its slot's end, where slot k+1 starts.
-	m := make(map[int][]int, len(slot))
-	for s, k := range slot {
-		start := 0
-		if k > 0 {
-			start = next[k-1]
-		}
-		m[s] = backing[start:next[k]:next[k]]
-	}
-	return m
-}
-
 // PopularityRanking returns the distinct paths ordered by descending
 // request count (ties broken by path for determinism).
 func (t *Trace) PopularityRanking() []string {

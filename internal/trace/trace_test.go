@@ -143,10 +143,16 @@ func TestSessionsAreConsistent(t *testing.T) {
 	if len(sess) != len(client) {
 		t.Fatalf("Sessions() found %d sessions, want %d", len(sess), len(client))
 	}
-	for id, idxs := range sess {
-		for j := 1; j < len(idxs); j++ {
-			if tr.Requests[idxs[j-1]].Time > tr.Requests[idxs[j]].Time {
-				t.Fatalf("session %d indices out of time order", id)
+	for k, s := range sess {
+		if k > 0 && sess[k-1].ID >= s.ID {
+			t.Fatalf("session %d listed after session %d", s.ID, sess[k-1].ID)
+		}
+		if s.Client != client[s.ID] {
+			t.Fatalf("session %d: client %q, want %q", s.ID, s.Client, client[s.ID])
+		}
+		for j := 1; j < len(s.Reqs); j++ {
+			if tr.Requests[s.Reqs[j-1]].Time > tr.Requests[s.Reqs[j]].Time {
+				t.Fatalf("session %d indices out of time order", s.ID)
 			}
 		}
 	}
@@ -163,18 +169,21 @@ func TestSessionsSlicesDoNotShareRoom(t *testing.T) {
 		want[s] = append(want[s], i)
 	}
 	sess := tr.Sessions()
-	if !reflect.DeepEqual(sess, want) {
-		t.Fatal("Sessions() differs from grouping by append")
+	if len(sess) != len(want) {
+		t.Fatalf("Sessions() found %d sessions, want %d", len(sess), len(want))
 	}
-	for id, idxs := range sess {
-		if cap(idxs) != len(idxs) {
-			t.Fatalf("session %d: cap %d beyond len %d reaches into the next session", id, cap(idxs), len(idxs))
+	for k, s := range sess {
+		if !reflect.DeepEqual(s.Reqs, want[s.ID]) {
+			t.Fatalf("session %d: %v, want %v", s.ID, s.Reqs, want[s.ID])
 		}
-		sess[id] = append(idxs, -1)
+		if cap(s.Reqs) != len(s.Reqs) {
+			t.Fatalf("session %d: cap %d beyond len %d reaches into the next session", s.ID, cap(s.Reqs), len(s.Reqs))
+		}
+		sess[k].Reqs = append(s.Reqs, -1)
 	}
-	for id, idxs := range sess {
-		if got := idxs[:len(idxs)-1]; !reflect.DeepEqual(got, want[id]) {
-			t.Fatalf("session %d clobbered by an append to its neighbour: %v, want %v", id, got, want[id])
+	for _, s := range sess {
+		if got := s.Reqs[:len(s.Reqs)-1]; !reflect.DeepEqual(got, want[s.ID]) {
+			t.Fatalf("session %d clobbered by an append to its neighbour: %v, want %v", s.ID, got, want[s.ID])
 		}
 	}
 }
