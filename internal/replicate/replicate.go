@@ -66,6 +66,7 @@ type Manager struct {
 	table    []mining.Entry
 	examined map[string]bool
 	holders  []int
+	cooled   []string
 }
 
 // NewManager returns a manager reading popularity from ranker.
@@ -146,12 +147,17 @@ func (m *Manager) Step(p Placer) int {
 		}
 	}
 	// Files whose counts decayed off the hot window fall in the "NONE"
-	// band by definition: reclaim their pinned replicas.
+	// band by definition: reclaim their pinned replicas, in path order.
+	m.cooled = m.cooled[:0]
 	for file := range m.placed {
 		if !examined[file] {
-			m.converge(p, file, 0)
-			delete(m.placed, file)
+			m.cooled = append(m.cooled, file)
 		}
+	}
+	sort.Strings(m.cooled)
+	for _, file := range m.cooled {
+		m.converge(p, file, 0)
+		delete(m.placed, file)
 	}
 	m.ranker.Age()
 	return pushed
