@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"math"
 	"slices"
 	"strings"
 
@@ -14,6 +15,7 @@ import (
 type Ranker struct {
 	counts map[string]float64
 	decay  float64 // multiplier applied by Age
+	sum    fsum    // Total's accumulator, reused
 }
 
 // NewRanker returns an empty ranker. decay is the multiplicative factor
@@ -46,6 +48,16 @@ func (r *Ranker) Age() {
 			r.counts[p] = c
 		}
 	}
+}
+
+// Total returns the sum of every count, correctly rounded: the float64
+// nearest the exact sum, which no order of summation changes.
+func (r *Ranker) Total() float64 {
+	r.sum.reset()
+	for _, c := range r.counts {
+		r.sum.add(c)
+	}
+	return r.sum.total()
 }
 
 // Count returns the current (possibly decayed) request count for path.
@@ -95,4 +107,61 @@ func (r *Ranker) Top(n int) []string {
 		out[i] = t[i].Path
 	}
 	return out
+}
+
+// fsum accumulates float64s exactly, as a list of non-overlapping
+// partial sums in increasing magnitude (Shewchuk's algorithm, as in
+// Python's math.fsum), and rounds once at the end. The partials are
+// kept between sums, so a warm accumulator allocates nothing.
+type fsum struct{ partials []float64 }
+
+func (s *fsum) reset() { s.partials = s.partials[:0] }
+
+// add adds x, which must be finite.
+func (s *fsum) add(x float64) {
+	i := 0
+	for _, y := range s.partials {
+		if math.Abs(x) < math.Abs(y) {
+			x, y = y, x
+		}
+		hi := x + y
+		lo := y - (hi - x)
+		if lo != 0 {
+			s.partials[i] = lo
+			i++
+		}
+		x = hi
+	}
+	s.partials = append(s.partials[:i], x)
+}
+
+// total returns the sum of everything added, rounded to nearest even.
+func (s *fsum) total() float64 {
+	p := s.partials
+	n := len(p)
+	if n == 0 {
+		return 0
+	}
+	n--
+	hi, lo := p[n], 0.0
+	for n > 0 {
+		x, y := hi, p[n-1]
+		n--
+		hi = x + y
+		lo = y - (hi - x)
+		if lo != 0 {
+			break
+		}
+	}
+	// Round half to even across the partials: when the dropped lo is
+	// exactly half an ulp of hi and the next partial has the same sign,
+	// the exact sum lies beyond the halfway point.
+	if n > 0 && (lo < 0 && p[n-1] < 0 || lo > 0 && p[n-1] > 0) {
+		y := lo * 2
+		x := hi + y
+		if y == x-hi {
+			hi = x
+		}
+	}
+	return hi
 }

@@ -2,6 +2,7 @@ package replicate
 
 import (
 	"fmt"
+	"math/big"
 	"math/rand"
 	"slices"
 	"sort"
@@ -67,6 +68,17 @@ func (r *oracleRanker) TableInto(buf []oracleEntry) []oracleEntry {
 	return out
 }
 
+// exactSum is the table's total, correctly rounded: the float64 nearest
+// the exact sum. 2,200 bits hold any sum of float64s exactly.
+func exactSum(table []oracleEntry) float64 {
+	acc := new(big.Float).SetPrec(2200)
+	for _, e := range table {
+		acc.Add(acc, big.NewFloat(e.Count))
+	}
+	total, _ := acc.Float64()
+	return total
+}
+
 // oracleManager is Manager over the oracle's rank table.
 type oracleManager struct {
 	cfg      Config
@@ -86,13 +98,7 @@ func newOracleManager(ranker *oracleRanker, cfg Config) *oracleManager {
 func (m *oracleManager) Step(p Placer) int {
 	m.table = m.ranker.TableInto(m.table) // (i) Sort(rank_table)
 	table := m.table
-	// Sum in rank order: float addition is not associative, and the sum
-	// feeds every count > t1 comparison below.
-	var total float64
-	for _, e := range table {
-		total += e.Count
-	}
-	t1 := m.cfg.T1Fraction * total
+	t1 := m.cfg.T1Fraction * exactSum(table)
 	limit := len(table)
 	if m.cfg.MaxFiles > 0 && limit > m.cfg.MaxFiles {
 		limit = m.cfg.MaxFiles

@@ -117,13 +117,8 @@ func (m *Manager) Step(p Placer) int {
 	m.steps++
 	m.table = m.ranker.TableInto(m.table) // (i) Sort(rank_table)
 	table := m.table
-	// Sum in rank order: float addition is not associative, and the sum
-	// feeds every count > t1 comparison below.
-	var total float64
-	for _, e := range table {
-		total += e.Count
-	}
-	t1 := m.cfg.T1Fraction * total
+	// The total is correctly rounded, so no order of the rows moves it.
+	t1 := m.cfg.T1Fraction * m.ranker.Total()
 	limit := len(table)
 	if m.cfg.MaxFiles > 0 && limit > m.cfg.MaxFiles {
 		limit = m.cfg.MaxFiles
