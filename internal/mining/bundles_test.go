@@ -194,8 +194,8 @@ func TestRankerTableOrderOnTies(t *testing.T) {
 		}
 	}
 	want := make([]Entry, 0, r.Len())
-	for p, c := range r.counts {
-		want = append(want, Entry{Path: p, Count: c})
+	for _, row := range r.live {
+		want = append(want, Entry{Row: int(row), Path: r.paths[row], Count: r.counts[row]})
 	}
 	sort.Slice(want, func(i, j int) bool {
 		if want[i].Count != want[j].Count {

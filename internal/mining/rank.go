@@ -8,14 +8,27 @@ import (
 	"prord/internal/trace"
 )
 
+// maxLiveRows is how many paths beyond the trained ones the rank table
+// interns, the bound the dispatch core's file table has: a flood of
+// unique URLs cannot grow it without limit. A path first met past the
+// cap is never counted.
+const maxLiveRows = 1 << 16
+
 // Ranker maintains the popularity rank table Algorithm 3's replication is
 // driven by. It combines offline analysis (Train) with dynamic online
 // tracking (Observe) and exponential decay so the table reflects "the
 // recent history" (§4.1.2) rather than all-time counts.
+//
+// Each path is interned once to a row id, which is never given back;
+// a row is live while its count is positive.
 type Ranker struct {
-	counts map[string]float64
-	decay  float64 // multiplier applied by Age
-	sum    fsum    // Total's accumulator, reused
+	ids     map[string]int32
+	paths   []string  // by row
+	counts  []float64 // by row; 0 for a row that is not live
+	live    []int32   // the rows with a count, in no particular order
+	trained int       // rows Train and Load interned, outside the cap
+	decay   float64   // multiplier applied by Age
+	sum     fsum      // Total's accumulator, reused
 }
 
 // NewRanker returns an empty ranker. decay is the multiplicative factor
@@ -25,27 +38,87 @@ func NewRanker(decay float64) *Ranker {
 	if decay <= 0 || decay > 1 {
 		decay = 0.5
 	}
-	return &Ranker{counts: make(map[string]float64), decay: decay}
+	return &Ranker{ids: make(map[string]int32), decay: decay}
 }
 
 // Observe registers one request for path.
-func (r *Ranker) Observe(path string) { r.counts[path]++ }
+func (r *Ranker) Observe(path string) {
+	row, ok := r.ids[path]
+	if !ok {
+		if len(r.paths) >= r.trained+maxLiveRows {
+			return
+		}
+		row = r.intern(path)
+	}
+	r.add(row, 1)
+}
 
 // Train registers every request in a trace.
 func (r *Ranker) Train(tr *trace.Trace) {
 	for i := range tr.Requests {
-		r.counts[tr.Requests[i].Path]++
+		path := tr.Requests[i].Path
+		row, ok := r.ids[path]
+		if !ok {
+			row = r.intern(path)
+			r.trained++
+		}
+		r.add(row, 1)
 	}
 }
 
-// Age decays all counts, dropping entries that become negligible.
+func (r *Ranker) intern(path string) int32 {
+	row := int32(len(r.paths))
+	r.ids[path] = row
+	r.paths = append(r.paths, path)
+	r.counts = append(r.counts, 0)
+	return row
+}
+
+// add adds c > 0 to row's count, making the row live.
+func (r *Ranker) add(row int32, c float64) {
+	if r.counts[row] == 0 {
+		r.live = append(r.live, row)
+	}
+	r.counts[row] += c
+}
+
+// Age decays all counts, dropping rows whose count becomes negligible
+// from the live list.
 func (r *Ranker) Age() {
-	for p, c := range r.counts {
-		c *= r.decay
+	keep := r.live[:0]
+	for _, row := range r.live {
+		c := r.counts[row] * r.decay
 		if c < 0.01 {
-			delete(r.counts, p)
+			c = 0
 		} else {
-			r.counts[p] = c
+			keep = append(keep, row)
+		}
+		r.counts[row] = c
+	}
+	r.live = keep
+}
+
+// snapshot returns the live counts by path, Save's form of the table.
+func (r *Ranker) snapshot() map[string]float64 {
+	out := make(map[string]float64, len(r.live))
+	for _, row := range r.live {
+		out[r.paths[row]] = r.counts[row]
+	}
+	return out
+}
+
+// load interns a saved table's paths in path order, as trained rows.
+// A count that is not positive is not a live row and is skipped.
+func (r *Ranker) load(counts map[string]float64) {
+	paths := make([]string, 0, len(counts))
+	for p := range counts {
+		paths = append(paths, p)
+	}
+	slices.Sort(paths)
+	for _, p := range paths {
+		if c := counts[p]; c > 0 {
+			r.add(r.intern(p), c)
+			r.trained++
 		}
 	}
 }
@@ -54,20 +127,33 @@ func (r *Ranker) Age() {
 // nearest the exact sum, which no order of summation changes.
 func (r *Ranker) Total() float64 {
 	r.sum.reset()
-	for _, c := range r.counts {
-		r.sum.add(c)
+	for _, row := range r.live {
+		r.sum.add(r.counts[row])
 	}
 	return r.sum.total()
 }
 
 // Count returns the current (possibly decayed) request count for path.
-func (r *Ranker) Count(path string) float64 { return r.counts[path] }
+func (r *Ranker) Count(path string) float64 {
+	if row, ok := r.ids[path]; ok {
+		return r.counts[row]
+	}
+	return 0
+}
 
-// Len returns the number of tracked paths.
-func (r *Ranker) Len() int { return len(r.counts) }
+// Len returns the number of live rows: paths with a count.
+func (r *Ranker) Len() int { return len(r.live) }
+
+// Rows returns the number of interned rows, live or not. Row ids run
+// from 0 to Rows()-1.
+func (r *Ranker) Rows() int { return len(r.paths) }
+
+// Path returns row's path.
+func (r *Ranker) Path(row int) string { return r.paths[row] }
 
 // Entry is one row of the rank table.
 type Entry struct {
+	Row   int
 	Path  string
 	Count float64
 }
@@ -80,9 +166,9 @@ func (r *Ranker) Table() []Entry { return r.TableInto(nil) }
 // too small: a caller that ranks every tick passes the previous tick's
 // table back and allocates nothing.
 func (r *Ranker) TableInto(buf []Entry) []Entry {
-	out := slices.Grow(buf[:0], len(r.counts))
-	for p, c := range r.counts {
-		out = append(out, Entry{Path: p, Count: c})
+	out := slices.Grow(buf[:0], len(r.live))
+	for _, row := range r.live {
+		out = append(out, Entry{Row: int(row), Path: r.paths[row], Count: r.counts[row]})
 	}
 	slices.SortFunc(out, func(a, b Entry) int {
 		switch {

@@ -3,6 +3,7 @@ package mining
 import (
 	"math"
 	"math/big"
+	"strconv"
 	"testing"
 
 	"prord/internal/randutil"
@@ -69,5 +70,56 @@ func TestFsumIsCorrectlyRounded(t *testing.T) {
 		_ = s.total()
 	}); allocs != 0 {
 		t.Errorf("a warm accumulator allocates %v times a sum", allocs)
+	}
+}
+
+// TestRankFloodIsBounded is the rank table's half of the dispatch
+// core's TestFileFloodIsBounded: a flood of distinct unknown paths
+// interns at most maxLiveRows rows beyond the trained ones, the trained
+// paths keep counting, and Observe allocates nothing once the table is
+// full, whether the path is known or not.
+func TestRankFloodIsBounded(t *testing.T) {
+	r := NewRanker(0.5)
+	r.Train(seqTrace([]string{"/a", "/b", "/a"}, []string{"/c"}))
+	trained := r.Rows()
+	const flood = 200_000
+	for i := 0; i < flood; i++ {
+		r.Observe("/flood/" + strconv.Itoa(i) + ".html")
+	}
+	if got, want := r.Rows(), trained+maxLiveRows; got != want {
+		t.Fatalf("after %d distinct paths the table has %d rows, want %d", flood, got, want)
+	}
+	if got, want := r.Len(), trained+maxLiveRows; got != want {
+		t.Fatalf("%d live rows, want %d", got, want)
+	}
+	first, past := "/flood/0.html", "/flood/"+strconv.Itoa(flood-1)+".html"
+	r.Observe("/a")
+	r.Observe(first)
+	r.Observe(past)
+	if r.Count("/a") != 3 || r.Count(first) != 2 || r.Count(past) != 0 {
+		t.Fatalf("counts /a=%v first=%v past=%v; want 3, 2 and 0", r.Count("/a"), r.Count(first), r.Count(past))
+	}
+	// Aging empties the live list but gives no row back: a path met
+	// again counts in its old row, and the cap still holds.
+	for i := 0; i < 10; i++ {
+		r.Age()
+	}
+	if r.Len() != 0 || r.Rows() != trained+maxLiveRows {
+		t.Fatalf("after aging: %d live rows of %d, want 0 of %d", r.Len(), r.Rows(), trained+maxLiveRows)
+	}
+	r.Observe(first)
+	r.Observe(past)
+	if r.Count(first) != 1 || r.Count(past) != 0 || r.Len() != 1 {
+		t.Fatalf("after aging: first=%v past=%v live=%d; want 1, 0 and 1", r.Count(first), r.Count(past), r.Len())
+	}
+	if raceEnabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		r.Observe("/b")
+		r.Observe(first)
+		r.Observe(past)
+	}); allocs != 0 {
+		t.Errorf("Observe on a full table allocates %v times", allocs)
 	}
 }

@@ -48,7 +48,7 @@ func (m *Miner) Save(w io.Writer) error {
 		Observed:   m.Model.observations,
 		PageViews:  m.Bundles.pageViews,
 		ObjCounts:  m.Bundles.objCounts,
-		RankCounts: m.Ranker.counts,
+		RankCounts: m.Ranker.snapshot(),
 	}
 	for key, cs := range m.Model.ctx {
 		out.Contexts[key] = ctxJSON{Total: cs.total, Next: cs.next}
@@ -91,9 +91,7 @@ func Load(r io.Reader) (*Miner, error) {
 		m.Bundles.objCounts = in.ObjCounts
 	}
 	m.Bundles.dirty = true
-	if in.RankCounts != nil {
-		m.Ranker.counts = in.RankCounts
-	}
+	m.Ranker.load(in.RankCounts)
 	// Alternate navigation predictors do not round-trip; the model is
 	// always available.
 	m.Nav = m.Model

@@ -9,6 +9,7 @@ import (
 	"hash/fnv"
 	"slices"
 	"sort"
+	"strings"
 
 	"prord/internal/mining"
 )
@@ -60,13 +61,17 @@ type Manager struct {
 	cfg    Config
 	ranker *mining.Ranker
 	steps  int
-	placed map[string]bool // files with manager-placed replicas
-	// table, examined and holders are Step's scratch space, kept
-	// between rounds.
-	table    []mining.Entry
-	examined map[string]bool
-	holders  []int
-	cooled   []string
+	// placed and examined are flags by rank row: the row's file has
+	// manager-placed replicas, and Step examined the row this round.
+	// held lists the rows placed is set for.
+	placed   []bool
+	examined []bool
+	held     []int
+	// table, cooled and holders are Step's scratch space, kept between
+	// rounds.
+	table   []mining.Entry
+	cooled  []int
+	holders []int
 }
 
 // NewManager returns a manager reading popularity from ranker.
@@ -74,7 +79,7 @@ func NewManager(ranker *mining.Ranker, cfg Config) *Manager {
 	if ranker == nil {
 		panic("replicate: nil ranker")
 	}
-	return &Manager{cfg: cfg.withDefaults(), ranker: ranker, placed: make(map[string]bool), examined: make(map[string]bool)}
+	return &Manager{cfg: cfg.withDefaults(), ranker: ranker}
 }
 
 // Ranker exposes the underlying rank table (Observe feeds it per request).
@@ -115,6 +120,10 @@ func ceilFrac(n, num, den int) int {
 // the number of replicas pushed.
 func (m *Manager) Step(p Placer) int {
 	m.steps++
+	if n := m.ranker.Rows(); len(m.placed) < n {
+		m.placed = append(m.placed, make([]bool, n-len(m.placed))...)
+		m.examined = append(m.examined, make([]bool, n-len(m.examined))...)
+	}
 	m.table = m.ranker.TableInto(m.table) // (i) Sort(rank_table)
 	table := m.table
 	// The total is correctly rounded, so no order of the rows moves it.
@@ -123,36 +132,45 @@ func (m *Manager) Step(p Placer) int {
 	if m.cfg.MaxFiles > 0 && limit > m.cfg.MaxFiles {
 		limit = m.cfg.MaxFiles
 	}
+	if t1 <= 0 {
+		limit = 0
+	}
 	pushed := 0
-	examined := m.examined
-	clear(examined)
-	if t1 > 0 {
-		for _, e := range table[:limit] { // (ii) for every element
-			examined[e.Path] = true
-			degree := Degree(e.Count, t1, p.NumServers())
-			if degree < 0 {
-				continue // NO_CHANGE
-			}
-			pushed += m.converge(p, e.Path, degree)
-			if degree > 0 {
-				m.placed[e.Path] = true
-			} else {
-				delete(m.placed, e.Path)
-			}
+	for _, e := range table[:limit] { // (ii) for every element
+		m.examined[e.Row] = true
+		degree := Degree(e.Count, t1, p.NumServers())
+		if degree < 0 {
+			continue // NO_CHANGE
 		}
+		pushed += m.converge(p, e.Path, degree)
+		if degree > 0 && !m.placed[e.Row] {
+			m.held = append(m.held, e.Row)
+		}
+		m.placed[e.Row] = degree > 0
 	}
 	// Files whose counts decayed off the hot window fall in the "NONE"
 	// band by definition: reclaim their pinned replicas, in path order.
+	held := m.held[:0]
 	m.cooled = m.cooled[:0]
-	for file := range m.placed {
-		if !examined[file] {
-			m.cooled = append(m.cooled, file)
+	for _, row := range m.held {
+		switch {
+		case !m.placed[row]: // dropped above
+		case m.examined[row]:
+			held = append(held, row)
+		default:
+			m.cooled = append(m.cooled, row)
 		}
 	}
-	sort.Strings(m.cooled)
-	for _, file := range m.cooled {
-		m.converge(p, file, 0)
-		delete(m.placed, file)
+	m.held = held
+	slices.SortFunc(m.cooled, func(a, b int) int {
+		return strings.Compare(m.ranker.Path(a), m.ranker.Path(b))
+	})
+	for _, row := range m.cooled {
+		m.converge(p, m.ranker.Path(row), 0)
+		m.placed[row] = false
+	}
+	for _, e := range table[:limit] {
+		m.examined[e.Row] = false
 	}
 	m.ranker.Age()
 	return pushed
