@@ -2,7 +2,6 @@ package mining
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -130,9 +129,9 @@ func TestRankerTableAndDecay(t *testing.T) {
 		r.Observe("/hot")
 	}
 	r.Observe("/cold")
-	table := r.Table()
-	if table[0].Path != "/hot" || table[0].Count != 10 {
-		t.Fatalf("Table head = %+v, want /hot:10", table[0])
+	head, total := r.Head(nil, 1)
+	if len(head) != 1 || r.Path(head[0]) != "/hot" || r.CountOf(head[0]) != 10 || total != 11 {
+		t.Fatalf("Head(1) = %v of total %v, want /hot:10 of 11", head, total)
 	}
 	top := r.Top(1)
 	if len(top) != 1 || top[0] != "/hot" {
@@ -167,20 +166,19 @@ func TestRankerDeterministicTies(t *testing.T) {
 	r := NewRanker(0.5)
 	r.Observe("/b")
 	r.Observe("/a")
-	tab := r.Table()
-	if tab[0].Path != "/a" || tab[1].Path != "/b" {
-		t.Fatalf("tie break should be lexicographic: %+v", tab)
+	if top := r.Top(2); top[0] != "/a" || top[1] != "/b" {
+		t.Fatalf("tie break should be lexicographic: %v", top)
 	}
 	if got := r.Top(99); len(got) != 2 {
 		t.Fatalf("Top clamps to table size, got %v", got)
 	}
 }
 
-// TestRankerTableOrderOnTies holds TableInto — slices.SortFunc into a
-// reused buffer — to the order Table has always had, written out here
-// as the sort.Slice it used to be: count descending, path ascending.
-// The table is full of count ties, where a comparator that is not a
-// total order would let the two sorts disagree.
+// TestRankerTableOrderOnTies holds Head — a bounded heap, then a sort
+// of the few — to the order the rank table has always had, written out
+// here as the sort.Slice of the whole table it used to be: count
+// descending, path ascending. The table is full of count ties, where a
+// comparator that is not a total order would let the two disagree.
 func TestRankerTableOrderOnTies(t *testing.T) {
 	r := NewRanker(0.9)
 	rng := randutil.New(5)
@@ -193,9 +191,13 @@ func TestRankerTableOrderOnTies(t *testing.T) {
 			r.Age() // fractional counts, still heavily tied
 		}
 	}
-	want := make([]Entry, 0, r.Len())
+	type entry struct {
+		Path  string
+		Count float64
+	}
+	want := make([]entry, 0, r.Len())
 	for _, row := range r.live {
-		want = append(want, Entry{Row: int(row), Path: r.paths[row], Count: r.counts[row]})
+		want = append(want, entry{Path: r.paths[row], Count: r.counts[row]})
 	}
 	sort.Slice(want, func(i, j int) bool {
 		if want[i].Count != want[j].Count {
@@ -212,19 +214,31 @@ func TestRankerTableOrderOnTies(t *testing.T) {
 	if ties < len(want)/2 {
 		t.Fatalf("only %d ties in %d rows: the table does not test tie order", ties, len(want))
 	}
-	buf := r.TableInto(nil)
-	if !reflect.DeepEqual(buf, want) {
-		t.Fatal("TableInto order differs from count desc, path asc")
+	var exact fsum
+	for _, e := range want {
+		exact.add(e.Count)
 	}
-	if got := r.Table(); !reflect.DeepEqual(got, want) {
-		t.Fatal("Table order differs from count desc, path asc")
+	for _, n := range []int{0, 1, 2, 64, 512, len(want) - 1, len(want), len(want) + 5} {
+		rows, total := r.Head(nil, n)
+		if total != exact.total() {
+			t.Fatalf("Head(%d) total %v, want %v", n, total, exact.total())
+		}
+		if len(rows) != min(n, len(want)) {
+			t.Fatalf("Head(%d) returned %d rows of %d", n, len(rows), len(want))
+		}
+		for i, row := range rows {
+			if got := (entry{Path: r.paths[row], Count: r.counts[row]}); got != want[i] {
+				t.Fatalf("Head(%d) row %d is %+v, want %+v", n, i, got, want[i])
+			}
+		}
 	}
+	buf, _ := r.Head(nil, 64)
 	r.Observe(want[len(want)-1].Path) // move one row, then rank into the same storage
-	again := r.TableInto(buf)
+	again, _ := r.Head(buf, 64)
 	if &again[0] != &buf[0] {
-		t.Error("TableInto did not reuse a buffer that was large enough")
+		t.Error("Head did not reuse a buffer that was large enough")
 	}
-	if allocs := testing.AllocsPerRun(10, func() { again = r.TableInto(again) }); allocs != 0 {
-		t.Errorf("TableInto into a large enough buffer allocates %v times", allocs)
+	if allocs := testing.AllocsPerRun(10, func() { again, _ = r.Head(again, 64) }); allocs != 0 && !raceEnabled {
+		t.Errorf("Head into a large enough buffer allocates %v times", allocs)
 	}
 }

@@ -28,7 +28,7 @@ type Ranker struct {
 	live    []int32   // the rows with a count, in no particular order
 	trained int       // rows Train and Load interned, outside the cap
 	decay   float64   // multiplier applied by Age
-	sum     fsum      // Total's accumulator, reused
+	sum     fsum      // Head's accumulator, reused
 }
 
 // NewRanker returns an empty ranker. decay is the multiplicative factor
@@ -123,16 +123,6 @@ func (r *Ranker) load(counts map[string]float64) {
 	}
 }
 
-// Total returns the sum of every count, correctly rounded: the float64
-// nearest the exact sum, which no order of summation changes.
-func (r *Ranker) Total() float64 {
-	r.sum.reset()
-	for _, row := range r.live {
-		r.sum.add(r.counts[row])
-	}
-	return r.sum.total()
-}
-
 // Count returns the current (possibly decayed) request count for path.
 func (r *Ranker) Count(path string) float64 {
 	if row, ok := r.ids[path]; ok {
@@ -151,46 +141,85 @@ func (r *Ranker) Rows() int { return len(r.paths) }
 // Path returns row's path.
 func (r *Ranker) Path(row int) string { return r.paths[row] }
 
-// Entry is one row of the rank table.
-type Entry struct {
-	Row   int
-	Path  string
-	Count float64
+// CountOf returns row's current count, 0 once the row is not live.
+func (r *Ranker) CountOf(row int) float64 { return r.counts[row] }
+
+// Compare orders rows as Algorithm 3's sorted rank table does: by count
+// descending, ties broken by path.
+func (r *Ranker) Compare(a, b int) int {
+	switch ca, cb := r.counts[a], r.counts[b]; {
+	case ca > cb:
+		return -1
+	case ca < cb:
+		return 1
+	}
+	return strings.Compare(r.paths[a], r.paths[b])
 }
 
-// Table returns the rank table sorted by descending count (Algorithm 3's
-// "Sort(rank_table)"), ties broken by path for determinism.
-func (r *Ranker) Table() []Entry { return r.TableInto(nil) }
-
-// TableInto is Table built in buf's storage, which is grown when it is
-// too small: a caller that ranks every tick passes the previous tick's
-// table back and allocates nothing.
-func (r *Ranker) TableInto(buf []Entry) []Entry {
-	out := slices.Grow(buf[:0], len(r.live))
-	for _, row := range r.live {
-		out = append(out, Entry{Row: int(row), Path: r.paths[row], Count: r.counts[row]})
-	}
-	slices.SortFunc(out, func(a, b Entry) int {
+// Head returns the n rows that head the sorted rank table, in order,
+// and the correctly rounded total of every live count: the float64
+// nearest the exact sum, which no order of the rows moves. One pass
+// over the live rows keeps the n best in a bounded heap, so only those
+// n are sorted. The rows are built in dst's storage: a caller that
+// ranks every tick passes the previous tick's rows back and allocates
+// nothing.
+func (r *Ranker) Head(dst []int, n int) ([]int, float64) {
+	h := dst[:0]
+	r.sum.reset()
+	for _, live := range r.live {
+		row := int(live)
+		r.sum.add(r.counts[row])
 		switch {
-		case a.Count > b.Count:
-			return -1
-		case a.Count < b.Count:
-			return 1
+		case len(h) < n:
+			// Sift up: h[0] is the kept row that sorts last.
+			h = append(h, row)
+			for i := len(h) - 1; i > 0; {
+				up := (i - 1) / 2
+				if r.Compare(h[i], h[up]) <= 0 {
+					break
+				}
+				h[i], h[up] = h[up], h[i]
+				i = up
+			}
+		case n > 0 && r.Compare(row, h[0]) < 0:
+			h[0] = row
+			for i := 0; ; {
+				worst, left := i, 2*i+1
+				if left < len(h) && r.Compare(h[left], h[worst]) > 0 {
+					worst = left
+				}
+				if left+1 < len(h) && r.Compare(h[left+1], h[worst]) > 0 {
+					worst = left + 1
+				}
+				if worst == i {
+					break
+				}
+				h[i], h[worst] = h[worst], h[i]
+				i = worst
+			}
 		}
-		return strings.Compare(a.Path, b.Path)
-	})
-	return out
+	}
+	slices.SortFunc(h, r.Compare)
+	return h, r.sum.total()
+}
+
+// Above appends to dst, in no particular order, the live rows whose
+// count exceeds min.
+func (r *Ranker) Above(dst []int, min float64) []int {
+	for _, row := range r.live {
+		if r.counts[row] > min {
+			dst = append(dst, int(row))
+		}
+	}
+	return dst
 }
 
 // Top returns the n most popular paths.
 func (r *Ranker) Top(n int) []string {
-	t := r.Table()
-	if n > len(t) {
-		n = len(t)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = t[i].Path
+	rows, _ := r.Head(nil, n)
+	out := make([]string, len(rows))
+	for i, row := range rows {
+		out[i] = r.paths[row]
 	}
 	return out
 }

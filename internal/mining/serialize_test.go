@@ -192,7 +192,7 @@ func FuzzLoad(f *testing.F) {
 				m.Bundles.Parent(obj)
 			}
 		}
-		m.Ranker.Table()
+		m.Ranker.Head(nil, 8)
 		m.Ranker.Top(3)
 	})
 }

@@ -67,9 +67,9 @@ type Manager struct {
 	placed   []bool
 	examined []bool
 	held     []int
-	// table, cooled and holders are Step's scratch space, kept between
+	// rows, cooled and holders are Step's scratch space, kept between
 	// rounds.
-	table   []mining.Entry
+	rows    []int
 	cooled  []int
 	holders []int
 }
@@ -84,9 +84,6 @@ func NewManager(ranker *mining.Ranker, cfg Config) *Manager {
 
 // Ranker exposes the underlying rank table (Observe feeds it per request).
 func (m *Manager) Ranker() *mining.Ranker { return m.ranker }
-
-// Steps reports how many replication rounds have run.
-func (m *Manager) Steps() int { return m.steps }
 
 // Degree returns the desired number of replicas for a file with the given
 // (decayed) request count under threshold t1 and n servers. A degree of
@@ -115,38 +112,29 @@ func ceilFrac(n, num, den int) int {
 	return v
 }
 
-// Step runs one round of Algorithm 3: sort the rank table, compute each
-// hot file's desired degree, and converge the Placer to it. It returns
-// the number of replicas pushed.
+// Step runs one round of Algorithm 3: take the head of the sorted rank
+// table, compute each hot file's desired degree, and converge the Placer
+// to it. It returns the number of replicas pushed.
 func (m *Manager) Step(p Placer) int {
 	m.steps++
 	if n := m.ranker.Rows(); len(m.placed) < n {
 		m.placed = append(m.placed, make([]bool, n-len(m.placed))...)
 		m.examined = append(m.examined, make([]bool, n-len(m.examined))...)
 	}
-	m.table = m.ranker.TableInto(m.table) // (i) Sort(rank_table)
-	table := m.table
-	// The total is correctly rounded, so no order of the rows moves it.
-	t1 := m.cfg.T1Fraction * m.ranker.Total()
-	limit := len(table)
-	if m.cfg.MaxFiles > 0 && limit > m.cfg.MaxFiles {
-		limit = m.cfg.MaxFiles
-	}
-	if t1 <= 0 {
-		limit = 0
-	}
+	rows, t1 := m.candidates() // (i) Sort(rank_table), its head
+	m.rows = rows
 	pushed := 0
-	for _, e := range table[:limit] { // (ii) for every element
-		m.examined[e.Row] = true
-		degree := Degree(e.Count, t1, p.NumServers())
+	for _, row := range rows { // (ii) for every element
+		m.examined[row] = true
+		degree := Degree(m.ranker.CountOf(row), t1, p.NumServers())
 		if degree < 0 {
 			continue // NO_CHANGE
 		}
-		pushed += m.converge(p, e.Path, degree)
-		if degree > 0 && !m.placed[e.Row] {
-			m.held = append(m.held, e.Row)
+		pushed += m.converge(p, m.ranker.Path(row), degree)
+		if degree > 0 && !m.placed[row] {
+			m.held = append(m.held, row)
 		}
-		m.placed[e.Row] = degree > 0
+		m.placed[row] = degree > 0
 	}
 	// Files whose counts decayed off the hot window fall in the "NONE"
 	// band by definition: reclaim their pinned replicas, in path order.
@@ -169,11 +157,34 @@ func (m *Manager) Step(p Placer) int {
 		m.converge(p, m.ranker.Path(row), 0)
 		m.placed[row] = false
 	}
-	for _, e := range table[:limit] {
-		m.examined[e.Row] = false
+	for _, row := range rows {
+		m.examined[row] = false
 	}
 	m.ranker.Age()
 	return pushed
+}
+
+// candidates returns the rows the round examines, sorted as the rank
+// table is, and T1. With MaxFiles set they are the table's first
+// MaxFiles rows. Otherwise the whole table is examined, but only a row
+// above T1/8 or one already placed can change a placement: an unplaced
+// row of degree 0 has nothing to drop.
+func (m *Manager) candidates() ([]int, float64) {
+	rows, total := m.ranker.Head(m.rows[:0], m.cfg.MaxFiles)
+	t1 := m.cfg.T1Fraction * total
+	if t1 <= 0 {
+		return rows[:0], t1
+	}
+	if m.cfg.MaxFiles == 0 {
+		rows = m.ranker.Above(rows, t1/8)
+		for _, row := range m.held {
+			if c := m.ranker.CountOf(row); c > 0 && c <= t1/8 {
+				rows = append(rows, row)
+			}
+		}
+		slices.SortFunc(rows, m.ranker.Compare)
+	}
+	return rows, t1
 }
 
 // converge adds or drops replicas of file until exactly degree are

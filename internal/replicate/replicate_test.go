@@ -273,22 +273,55 @@ func TestNilRankerPanics(t *testing.T) {
 	NewManager(nil, Config{})
 }
 
-// BenchmarkManagerStep is Algorithm 3's tick at the simulator's shape: a
-// rank table of 3000 files of which the 64 hottest are examined. Decay
-// 1 keeps the table the same size from tick to tick.
-func BenchmarkManagerStep(b *testing.B) {
+// warmStep returns a manager over about 1,600 live rows with Zipf-like
+// counts, so the tail is all ties, that has run rounds enough for its
+// placements to settle: decay 1 keeps the table the same from round to
+// round.
+func warmStep(tb testing.TB, maxFiles int) (*Manager, *fakePlacer) {
+	tb.Helper()
 	r := mining.NewRanker(1)
-	for f := 0; f < 3000; f++ {
-		path := fmt.Sprintf("/f%04d", f)
-		for n := 3000 / (f + 1); n >= 0; n-- {
+	for f := 0; f < 1600; f++ {
+		path := fmt.Sprintf("/f%04d", (f*7919)%10007)
+		for n := 1600 / (f + 1); n >= 0; n-- {
 			r.Observe(path)
 		}
 	}
-	m := NewManager(r, Config{T1Fraction: 0.05, MaxFiles: 64})
+	m := NewManager(r, Config{T1Fraction: 0.02, MaxFiles: maxFiles})
 	p := newFakePlacer(8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; i < 3; i++ {
 		m.Step(p)
+	}
+	return m, p
+}
+
+// TestStepAllocs: once the manager's row flags and scratch space have
+// grown, a round allocates nothing.
+func TestStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, maxFiles := range []int{0, 64, 512} {
+		m, p := warmStep(t, maxFiles)
+		if p.pushes == 0 {
+			t.Fatalf("MaxFiles %d: setup placed no replica", maxFiles)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { m.Step(p) }); allocs != 0 {
+			t.Errorf("MaxFiles %d: a warm round allocates %v times", maxFiles, allocs)
+		}
+	}
+}
+
+// BenchmarkStep is Algorithm 3's round at the simulator's shape: about
+// 1,600 live rows, of which the head is examined.
+func BenchmarkStep(b *testing.B) {
+	for _, maxFiles := range []int{64, 512} {
+		b.Run(fmt.Sprintf("MaxFiles=%d", maxFiles), func(b *testing.B) {
+			m, p := warmStep(b, maxFiles)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Step(p)
+			}
+		})
 	}
 }
