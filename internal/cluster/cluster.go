@@ -89,7 +89,10 @@ type Failure struct {
 }
 
 // backend is one backend server: CPU, disk, internal NIC and memory.
+// It is also the handler of the replica copies its internal link
+// carries (see Handle).
 type backend struct {
+	c     *Cluster
 	id    int
 	cpu   *sim.FCFS
 	disk  *sim.FCFS
@@ -114,20 +117,20 @@ type Cluster struct {
 	core    *dispatch.Core
 	replmgr *replicate.Manager
 
-	// replicas tracks Algorithm 3's placements (file -> backends); the
-	// replication manager owns placement, the core only routes to them
-	// through the residency it is told about.
-	replicas map[string]dispatch.ServerSet
+	// replicas tracks Algorithm 3's placements by rank row (the
+	// ranker's id for a file); the replication manager owns placement,
+	// the core only routes to them through the residency it is told
+	// about.
+	replicas []dispatch.ServerSet
 	// waiters holds demand requests blocked on an in-flight prefetch of
 	// the same file at the same backend, so demand traffic piggybacks on
 	// the prefetch disk read instead of issuing a duplicate one.
 	waiters map[waiterKey][]*flight
-	// spareWaiters holds emptied waiters lists for reuse; batches,
-	// transfers and plan are the reused records of prefetch reads,
-	// replica copies and proactive passes.
+	// spareWaiters holds emptied waiters lists for reuse; batches and
+	// plan are the reused records of prefetch reads and proactive
+	// passes.
 	spareWaiters [][]*flight
 	batches      pool[batch]
-	transfers    pool[transfer]
 	plan         dispatch.Plan
 
 	met       metrics.Collector
@@ -156,10 +159,9 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.ReplicationInterval = 5 * time.Second
 	}
 	c := &Cluster{
-		cfg:      cfg,
-		eng:      &sim.Engine{},
-		replicas: make(map[string]dispatch.ServerSet),
-		waiters:  make(map[waiterKey][]*flight),
+		cfg:     cfg,
+		eng:     &sim.Engine{},
+		waiters: make(map[waiterKey][]*flight),
 	}
 	total := cfg.Params.AppMemory + cfg.Params.PinnedMemory
 	maxPinned := cfg.Params.PinnedMemory
@@ -187,6 +189,7 @@ func New(cfg Config) (*Cluster, error) {
 			store = cache.NewPinning(total, maxPinned)
 		}
 		c.backends = append(c.backends, &backend{
+			c:     c,
 			id:    i,
 			cpu:   sim.NewFCFS(c.eng),
 			disk:  sim.NewFCFS(c.eng),
@@ -266,8 +269,8 @@ func (c *Cluster) unavailable(i int) bool {
 func (c *Cluster) crash(server int) {
 	c.down[server] = true
 	c.core.InvalidateBackend(server)
-	for file := range c.replicas {
-		c.unplace(file, server)
+	for row, set := range c.replicas {
+		c.replicas[row] = set.Remove(server)
 	}
 	// Drop resident objects (memory contents are lost on restart). The
 	// store has no iteration API; rebuild it cold by removing every known
@@ -288,54 +291,52 @@ func (c *Cluster) recoverServer(server int) {
 func (c *Cluster) NumServers() int { return len(c.backends) }
 
 // Holders implements replicate.Placer.
-func (c *Cluster) Holders(file string, dst []int) []int {
-	return c.replicas[file].AppendTo(dst)
+func (c *Cluster) Holders(row int, _ string, dst []int) []int {
+	if row < len(c.replicas) {
+		dst = c.replicas[row].AppendTo(dst)
+	}
+	return dst
 }
 
 // Replicate implements replicate.Placer: copy the file over the internal
-// network into the target's pinned memory.
-func (c *Cluster) Replicate(file string, server int) {
+// network into the target's pinned memory. The copy is an event on the
+// target's link whose op is the rank row, so it needs no record.
+func (c *Cluster) Replicate(row int, file string, server int) {
 	size, ok := c.files[file]
 	if !ok || trace.IsDynamicPath(file) || c.down[server] {
 		return // unknown, uncacheable or target crashed
 	}
-	c.replicas[file] = c.replicas[file].Add(server)
+	if row >= len(c.replicas) {
+		c.replicas = append(c.replicas, make([]dispatch.ServerSet, row+1-len(c.replicas))...)
+	}
+	c.replicas[row] = c.replicas[row].Add(server)
 	c.met.Replications++
-	t := c.transfers.get()
-	*t = transfer{c: c, file: file, server: server, size: size}
-	c.backends[server].net.ScheduleOp(c.dilate(server, perKBCost(size, c.cfg.Params.NetPerKB)), t, 0)
+	b := c.backends[server]
+	b.net.ScheduleOp(c.dilate(server, perKBCost(size, c.cfg.Params.NetPerKB)), b, row)
 }
 
-// transfer is one replica copy in flight over a backend's internal
-// link. Transfers are recycled through the cluster's pool.
-type transfer struct {
-	c      *Cluster
-	file   string
-	server int
-	size   int64
-}
-
-// Handle implements sim.Handler: the copy arrived.
-func (t *transfer) Handle(int) {
-	c, file, server, size := t.c, t.file, t.server, t.size
-	c.transfers.put(t)
+// Handle implements sim.Handler: the replica copy of rank row row
+// arrived over the backend's internal link.
+func (b *backend) Handle(row int) {
+	c, server := b.c, b.id
 	// The replica may have been dropped — or the backend crashed —
 	// while in transit.
-	if !c.replicas[file].Has(server) || c.down[server] {
+	if !c.replicas[row].Has(server) || c.down[server] {
 		return
 	}
-	evicted, stored := c.backends[server].store.InsertPinned(file, size)
+	file := c.replmgr.Ranker().Path(row)
+	evicted, stored := b.store.InsertPinned(file, c.files[file])
 	c.noteEvictions(server, evicted)
 	if stored {
 		c.core.NoteResident(server, file)
 	} else {
-		c.unplace(file, server)
+		c.replicas[row] = c.replicas[row].Remove(server)
 	}
 }
 
 // Drop implements replicate.Placer.
-func (c *Cluster) Drop(file string, server int) {
-	c.unplace(file, server)
+func (c *Cluster) Drop(row int, file string, server int) {
+	c.replicas[row] = c.replicas[row].Remove(server)
 	if c.backends[server].store.RemovePinned(file) {
 		c.noteGone(server, file)
 	}
@@ -345,21 +346,15 @@ var _ replicate.Placer = (*Cluster)(nil)
 
 // --- residency bookkeeping (ground truth for the core) ---
 
-// noteGone records that a backend no longer holds file in memory.
+// noteGone records that a backend no longer holds file in memory, and
+// forgets a replica placement of it there.
 func (c *Cluster) noteGone(server int, file string) {
 	c.core.NoteGone(server, file)
-	c.unplace(file, server)
-}
-
-// unplace forgets a replica placement; a file with none left leaves the
-// table.
-func (c *Cluster) unplace(file string, server int) {
-	if set, ok := c.replicas[file]; ok {
-		if set = set.Remove(server); set.Empty() {
-			delete(c.replicas, file)
-		} else {
-			c.replicas[file] = set
-		}
+	if c.replmgr == nil {
+		return
+	}
+	if row, ok := c.replmgr.Ranker().Row(file); ok && row < len(c.replicas) {
+		c.replicas[row] = c.replicas[row].Remove(server)
 	}
 }
 

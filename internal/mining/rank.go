@@ -138,6 +138,12 @@ func (r *Ranker) Len() int { return len(r.live) }
 // from 0 to Rows()-1.
 func (r *Ranker) Rows() int { return len(r.paths) }
 
+// Row returns path's row id, if path has one.
+func (r *Ranker) Row(path string) (int, bool) {
+	row, ok := r.ids[path]
+	return int(row), ok
+}
+
 // Path returns row's path.
 func (r *Ranker) Path(row int) string { return r.paths[row] }
 

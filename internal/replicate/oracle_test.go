@@ -139,12 +139,12 @@ func (m *oracleManager) Step(p Placer) int {
 }
 
 func (m *oracleManager) converge(p Placer, file string, degree int) int {
-	holders := p.Holders(file, m.holders[:0])
+	holders := p.Holders(-1, file, m.holders[:0])
 	m.holders = holders
 	sort.Ints(holders)
 	if len(holders) > degree {
 		for _, s := range holders[degree:] {
-			p.Drop(file, s)
+			p.Drop(-1, file, s)
 		}
 		return 0
 	}
@@ -155,26 +155,43 @@ func (m *oracleManager) converge(p Placer, file string, degree int) int {
 		if _, held := slices.BinarySearch(holders, s); held {
 			continue
 		}
-		p.Replicate(file, s)
+		p.Replicate(-1, file, s)
 		pushed++
 	}
 	return pushed
 }
 
 // logPlacer is a fakePlacer that logs every Replicate and Drop call.
+// Given a ranker, it also checks that each call's rank row names its
+// file; the oracle, which has no rows, passes -1.
 type logPlacer struct {
 	*fakePlacer
-	log []string
+	ranker *mining.Ranker
+	log    []string
+	bad    []string
 }
 
-func (p *logPlacer) Replicate(file string, server int) {
+func (p *logPlacer) check(row int, file string) {
+	if p.ranker != nil && (row < 0 || row >= p.ranker.Rows() || p.ranker.Path(row) != file) {
+		p.bad = append(p.bad, fmt.Sprintf("row %d for %s", row, file))
+	}
+}
+
+func (p *logPlacer) Holders(row int, file string, dst []int) []int {
+	p.check(row, file)
+	return p.fakePlacer.Holders(row, file, dst)
+}
+
+func (p *logPlacer) Replicate(row int, file string, server int) {
+	p.check(row, file)
 	p.log = append(p.log, fmt.Sprintf("+%s@%d", file, server))
-	p.fakePlacer.Replicate(file, server)
+	p.fakePlacer.Replicate(row, file, server)
 }
 
-func (p *logPlacer) Drop(file string, server int) {
+func (p *logPlacer) Drop(row int, file string, server int) {
+	p.check(row, file)
 	p.log = append(p.log, fmt.Sprintf("-%s@%d", file, server))
-	p.fakePlacer.Drop(file, server)
+	p.fakePlacer.Drop(row, file, server)
 }
 
 // twin drives Manager and the oracle through one sequence of calls.
@@ -191,7 +208,8 @@ type twin struct {
 func newTwin(cfg Config, decay float64, servers int) *twin {
 	w := &twin{r: mining.NewRanker(decay), or: newOracleRanker(decay)}
 	w.m, w.om = NewManager(w.r, cfg), newOracleManager(w.or, cfg)
-	w.p, w.op = &logPlacer{fakePlacer: newFakePlacer(servers)}, &logPlacer{fakePlacer: newFakePlacer(servers)}
+	w.p = &logPlacer{fakePlacer: newFakePlacer(servers), ranker: w.r}
+	w.op = &logPlacer{fakePlacer: newFakePlacer(servers)}
 	return w
 }
 
@@ -204,6 +222,9 @@ func (w *twin) stepAndCompare() error {
 	w.step++
 	w.p.log, w.op.log = w.p.log[:0], w.op.log[:0]
 	got, want := w.m.Step(w.p), w.om.Step(w.op)
+	if len(w.p.bad) > 0 {
+		return fmt.Errorf("round %d: Step handed the placer a wrong rank row: %v", w.step, w.p.bad)
+	}
 	if !slices.Equal(w.p.log, w.op.log) {
 		return fmt.Errorf("round %d: Step made calls\n%v\nthe oracle made\n%v", w.step, w.p.log, w.op.log)
 	}

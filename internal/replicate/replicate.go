@@ -22,12 +22,14 @@ type Placer interface {
 	NumServers() int
 	// Holders appends to dst the backends currently holding a replica
 	// of file placed by the replication manager, each once, and returns
-	// the extended slice. The Manager owns dst and reuses it.
-	Holders(file string, dst []int) []int
+	// the extended slice. The Manager owns dst and reuses it. Every
+	// method is handed the file's rank row (mining.Ranker's row id)
+	// beside its path.
+	Holders(row int, file string, dst []int) []int
 	// Replicate pushes a copy of file to server.
-	Replicate(file string, server int)
+	Replicate(row int, file string, server int)
 	// Drop removes the replica of file from server.
-	Drop(file string, server int)
+	Drop(row int, file string, server int)
 }
 
 // Config tunes Algorithm 3.
@@ -130,7 +132,7 @@ func (m *Manager) Step(p Placer) int {
 		if degree < 0 {
 			continue // NO_CHANGE
 		}
-		pushed += m.converge(p, m.ranker.Path(row), degree)
+		pushed += m.converge(p, row, degree)
 		if degree > 0 && !m.placed[row] {
 			m.held = append(m.held, row)
 		}
@@ -154,7 +156,7 @@ func (m *Manager) Step(p Placer) int {
 		return strings.Compare(m.ranker.Path(a), m.ranker.Path(b))
 	})
 	for _, row := range m.cooled {
-		m.converge(p, m.ranker.Path(row), 0)
+		m.converge(p, row, 0)
 		m.placed[row] = false
 	}
 	for _, row := range rows {
@@ -187,17 +189,18 @@ func (m *Manager) candidates() ([]int, float64) {
 	return rows, t1
 }
 
-// converge adds or drops replicas of file until exactly degree are
+// converge adds or drops replicas of row's file until exactly degree are
 // placed. Server choice is deterministic: existing holders are kept
 // (lowest index first), new replicas fill round-robin from a hash of the
 // file name so hot files spread across different starting servers.
-func (m *Manager) converge(p Placer, file string, degree int) int {
-	holders := p.Holders(file, m.holders[:0])
+func (m *Manager) converge(p Placer, row, degree int) int {
+	file := m.ranker.Path(row)
+	holders := p.Holders(row, file, m.holders[:0])
 	m.holders = holders
 	sort.Ints(holders)
 	if len(holders) > degree {
 		for _, s := range holders[degree:] {
-			p.Drop(file, s)
+			p.Drop(row, file, s)
 		}
 		return 0
 	}
@@ -208,7 +211,7 @@ func (m *Manager) converge(p Placer, file string, degree int) int {
 		if _, held := slices.BinarySearch(holders, s); held {
 			continue
 		}
-		p.Replicate(file, s)
+		p.Replicate(row, file, s)
 		pushed++
 	}
 	return pushed

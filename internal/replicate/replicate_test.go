@@ -22,7 +22,10 @@ func newFakePlacer(n int) *fakePlacer {
 
 func (p *fakePlacer) NumServers() int { return p.n }
 
-func (p *fakePlacer) Holders(file string, dst []int) []int {
+// of returns file's holders.
+func (p *fakePlacer) of(file string) []int { return p.Holders(-1, file, nil) }
+
+func (p *fakePlacer) Holders(_ int, file string, dst []int) []int {
 	for s := range p.replicas[file] {
 		dst = append(dst, s)
 	}
@@ -30,7 +33,7 @@ func (p *fakePlacer) Holders(file string, dst []int) []int {
 	return dst
 }
 
-func (p *fakePlacer) Replicate(file string, server int) {
+func (p *fakePlacer) Replicate(_ int, file string, server int) {
 	m, ok := p.replicas[file]
 	if !ok {
 		m = make(map[int]bool)
@@ -40,7 +43,7 @@ func (p *fakePlacer) Replicate(file string, server int) {
 	p.pushes++
 }
 
-func (p *fakePlacer) Drop(file string, server int) {
+func (p *fakePlacer) Drop(_ int, file string, server int) {
 	delete(p.replicas[file], server)
 	p.drops++
 }
@@ -89,14 +92,14 @@ func TestStepReplicatesHotFile(t *testing.T) {
 	m := NewManager(r, Config{T1Fraction: 0.5}) // T1 = 50
 	p := newFakePlacer(4)
 	pushed := m.Step(p)
-	if got := p.Holders("/hot", nil); len(got) != 4 {
+	if got := p.of("/hot"); len(got) != 4 {
 		t.Fatalf("/hot holders = %v, want all 4", got)
 	}
 	if pushed < 4 {
 		t.Fatalf("pushed = %d, want >= 4", pushed)
 	}
 	// /cold count (4) <= T1/8 (6.25): no replicas.
-	if got := p.Holders("/cold", nil); len(got) != 0 {
+	if got := p.of("/cold"); len(got) != 0 {
 		t.Fatalf("/cold holders = %v, want none", got)
 	}
 	if m.Steps() != 1 {
@@ -118,8 +121,8 @@ func TestStepShrinksCooledFile(t *testing.T) {
 	m := NewManager(r, Config{T1Fraction: 0.25})
 	p := newFakePlacer(4)
 	m.Step(p)
-	if len(p.Holders("/was-hot", nil)) != 4 {
-		t.Fatalf("setup: file should be fully replicated, got %v", p.Holders("/was-hot", nil))
+	if len(p.of("/was-hot")) != 4 {
+		t.Fatalf("setup: file should be fully replicated, got %v", p.of("/was-hot"))
 	}
 	// /was-hot stops being requested while /stays-hot keeps its traffic.
 	// Decay sinks /was-hot through the bands until its replicas vanish.
@@ -127,10 +130,10 @@ func TestStepShrinksCooledFile(t *testing.T) {
 		observeRound()
 		m.Step(p)
 	}
-	if got := p.Holders("/was-hot", nil); len(got) != 0 {
+	if got := p.of("/was-hot"); len(got) != 0 {
 		t.Fatalf("cooled file still has replicas: %v", got)
 	}
-	if got := p.Holders("/stays-hot", nil); len(got) != 4 {
+	if got := p.of("/stays-hot"); len(got) != 4 {
 		t.Fatalf("hot file should stay replicated: %v", got)
 	}
 	if p.drops == 0 {
@@ -146,7 +149,7 @@ func TestFileFallingOffTableLosesReplicas(t *testing.T) {
 	m := NewManager(r, Config{T1Fraction: 0.25})
 	p := newFakePlacer(4)
 	m.Step(p)
-	if len(p.Holders("/gone", nil)) == 0 {
+	if len(p.of("/gone")) == 0 {
 		t.Fatal("setup: /gone should have replicas")
 	}
 	// Decay /gone out of the rank table entirely (counts < 0.01 are
@@ -154,7 +157,7 @@ func TestFileFallingOffTableLosesReplicas(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		m.Step(p)
 	}
-	if got := p.Holders("/gone", nil); len(got) != 0 {
+	if got := p.of("/gone"); len(got) != 0 {
 		t.Fatalf("table-absent file keeps replicas: %v", got)
 	}
 }
@@ -170,14 +173,14 @@ func TestStepNoChangeBandPreservesReplicas(t *testing.T) {
 	m := NewManager(r, Config{T1Fraction: 0.5}) // T1 = 50
 	p := newFakePlacer(4)
 	// Pre-place replicas for /mid beyond what its band would assign.
-	p.Replicate("/mid", 0)
-	p.Replicate("/mid", 1)
-	p.Replicate("/mid", 2)
+	p.Replicate(-1, "/mid", 0)
+	p.Replicate(-1, "/mid", 1)
+	p.Replicate(-1, "/mid", 2)
 	p.pushes = 0
 	m.Step(p)
 	// /mid count 20 is in (T1/8=6.25, T1/4=12.5]? No: 20 > 12.5, so it is
 	// in the (T1/4, T1/2] half band -> degree 2: one replica dropped.
-	if got := p.Holders("/mid", nil); len(got) != 2 {
+	if got := p.of("/mid"); len(got) != 2 {
 		t.Fatalf("/mid holders = %v, want trimmed to 2", got)
 	}
 }
@@ -193,10 +196,10 @@ func TestStepNoChangeExactBand(t *testing.T) {
 	// T1 = 50; /nc count 10 in (6.25, 12.5] -> NO_CHANGE.
 	m := NewManager(r, Config{T1Fraction: 0.5})
 	p := newFakePlacer(4)
-	p.Replicate("/nc", 3)
+	p.Replicate(-1, "/nc", 3)
 	p.pushes = 0
 	m.Step(p)
-	if got := p.Holders("/nc", nil); len(got) != 1 || got[0] != 3 {
+	if got := p.of("/nc"); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("NO_CHANGE band must not touch /nc: %v", got)
 	}
 }
@@ -233,7 +236,7 @@ func TestConvergeDeterministicSpread(t *testing.T) {
 	NewManager(r2, Config{T1Fraction: 0.001}).Step(p2)
 	for f := 0; f < 16; f++ {
 		key := fmt.Sprintf("/f%d", f)
-		a, b := p.Holders(key, nil), p2.Holders(key, nil)
+		a, b := p.of(key), p2.of(key)
 		if len(a) != len(b) {
 			t.Fatalf("placements differ for %s: %v vs %v", key, a, b)
 		}
@@ -255,7 +258,7 @@ func TestMaxFilesCap(t *testing.T) {
 	m.Step(p)
 	count := 0
 	for f := 0; f < 100; f++ {
-		if len(p.Holders(fmt.Sprintf("/f%02d", f), nil)) > 0 {
+		if len(p.of(fmt.Sprintf("/f%02d", f))) > 0 {
 			count++
 		}
 	}
