@@ -88,9 +88,8 @@ type Failure struct {
 	FlapPeriod time.Duration
 }
 
-// backend is one backend server: CPU, disk, internal NIC and memory.
-// It is also the handler of the replica copies its internal link
-// carries (see Handle).
+// backend is one backend server: CPU, disk, internal NIC and memory;
+// it handles the replica copies its internal link carries.
 type backend struct {
 	c     *Cluster
 	id    int
@@ -117,10 +116,9 @@ type Cluster struct {
 	core    *dispatch.Core
 	replmgr *replicate.Manager
 
-	// replicas tracks Algorithm 3's placements by rank row (the
-	// ranker's id for a file); the replication manager owns placement,
-	// the core only routes to them through the residency it is told
-	// about.
+	// replicas tracks Algorithm 3's placements by rank row; the
+	// replication manager owns placement, the core only routes to them
+	// through the residency it is told about.
 	replicas []dispatch.ServerSet
 	// waiters holds demand requests blocked on an in-flight prefetch of
 	// the same file at the same backend, so demand traffic piggybacks on
@@ -324,7 +322,7 @@ func (b *backend) Handle(row int) {
 	if !c.replicas[row].Has(server) || c.down[server] {
 		return
 	}
-	file := c.replmgr.Ranker().Path(row)
+	file := c.cfg.Miner.Ranker.Path(row)
 	evicted, stored := b.store.InsertPinned(file, c.files[file])
 	c.noteEvictions(server, evicted)
 	if stored {
@@ -350,10 +348,10 @@ var _ replicate.Placer = (*Cluster)(nil)
 // forgets a replica placement of it there.
 func (c *Cluster) noteGone(server int, file string) {
 	c.core.NoteGone(server, file)
-	if c.replmgr == nil {
-		return
+	if len(c.replicas) == 0 {
+		return // nothing placed, or no replication manager
 	}
-	if row, ok := c.replmgr.Ranker().Row(file); ok && row < len(c.replicas) {
+	if row, ok := c.cfg.Miner.Ranker.Row(file); ok && row < len(c.replicas) {
 		c.replicas[row] = c.replicas[row].Remove(server)
 	}
 }

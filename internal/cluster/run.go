@@ -255,7 +255,7 @@ func (c *Cluster) routeRequest(f *flight) {
 		cost += c.cfg.Params.HandoffLatency
 	}
 	if c.replmgr != nil {
-		c.replmgr.Ranker().Observe(r.Path)
+		c.cfg.Miner.Ranker.Observe(r.Path)
 	}
 	// The L4 switch pins each connection to one distributor.
 	c.fronts[s.id%len(c.fronts)].ScheduleOp(cost, f, stepArrive)

@@ -49,9 +49,6 @@ func NewAssoc(minSupport int) *Assoc {
 	}
 }
 
-// Rules returns the number of stored rules (the memory-cost measure).
-func (a *Assoc) Rules() int { return a.ruleCount }
-
 // Sessions returns the number of training transactions.
 func (a *Assoc) Sessions() int { return a.sessions }
 

@@ -48,3 +48,26 @@ func (t *Tracker) Recent(conn int) []string {
 
 // Connections returns the number of tracked live connections.
 func (t *Tracker) Connections() int { return len(t.recent) }
+
+// Arcs returns the number of stored arcs (memory-cost measure).
+func (d *DG) Arcs() int {
+	n := 0
+	for _, m := range d.arcs {
+		n += len(m)
+	}
+	return n
+}
+
+// Rules returns the number of stored rules (the memory-cost measure).
+func (a *Assoc) Rules() int { return a.ruleCount }
+
+// Rules returns the number of stored pair contexts.
+func (s *SeqRules) Rules() int { return len(s.pair) }
+
+// Count returns the current (possibly decayed) request count for path.
+func (r *Ranker) Count(path string) float64 {
+	if row, ok := r.ids[path]; ok {
+		return r.counts[row]
+	}
+	return 0
+}

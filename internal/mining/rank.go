@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"strings"
@@ -9,18 +10,15 @@ import (
 )
 
 // maxLiveRows is how many paths beyond the trained ones the rank table
-// interns, the bound the dispatch core's file table has: a flood of
-// unique URLs cannot grow it without limit. A path first met past the
-// cap is never counted.
+// interns, the dispatch core's bound: a path first met past the cap is
+// never counted, so a flood of unique URLs cannot grow the table.
 const maxLiveRows = 1 << 16
 
 // Ranker maintains the popularity rank table Algorithm 3's replication is
 // driven by. It combines offline analysis (Train) with dynamic online
 // tracking (Observe) and exponential decay so the table reflects "the
-// recent history" (§4.1.2) rather than all-time counts.
-//
-// Each path is interned once to a row id, which is never given back;
-// a row is live while its count is positive.
+// recent history" (§4.1.2) rather than all-time counts. Each path is
+// interned once to a row id, which is never given back.
 type Ranker struct {
 	ids     map[string]int32
 	paths   []string  // by row
@@ -42,40 +40,31 @@ func NewRanker(decay float64) *Ranker {
 }
 
 // Observe registers one request for path.
-func (r *Ranker) Observe(path string) {
-	row, ok := r.ids[path]
-	if !ok {
-		if len(r.paths) >= r.trained+maxLiveRows {
-			return
-		}
-		row = r.intern(path)
-	}
-	r.add(row, 1)
-}
+func (r *Ranker) Observe(path string) { r.add(path, 1, false) }
 
 // Train registers every request in a trace.
 func (r *Ranker) Train(tr *trace.Trace) {
 	for i := range tr.Requests {
-		path := tr.Requests[i].Path
-		row, ok := r.ids[path]
-		if !ok {
-			row = r.intern(path)
-			r.trained++
-		}
-		r.add(row, 1)
+		r.add(tr.Requests[i].Path, 1, true)
 	}
 }
 
-func (r *Ranker) intern(path string) int32 {
-	row := int32(len(r.paths))
-	r.ids[path] = row
-	r.paths = append(r.paths, path)
-	r.counts = append(r.counts, 0)
-	return row
-}
-
-// add adds c > 0 to row's count, making the row live.
-func (r *Ranker) add(row int32, c float64) {
+// add adds c > 0 to path's count, making its row live. A path without a
+// row is interned, outside the cap when trained.
+func (r *Ranker) add(path string, c float64, trained bool) {
+	row, ok := r.ids[path]
+	if !ok {
+		if !trained && len(r.paths) >= r.trained+maxLiveRows {
+			return
+		}
+		if trained {
+			r.trained++
+		}
+		row = int32(len(r.paths))
+		r.ids[path] = row
+		r.paths = append(r.paths, path)
+		r.counts = append(r.counts, 0)
+	}
 	if r.counts[row] == 0 {
 		r.live = append(r.live, row)
 	}
@@ -87,13 +76,11 @@ func (r *Ranker) add(row int32, c float64) {
 func (r *Ranker) Age() {
 	keep := r.live[:0]
 	for _, row := range r.live {
-		c := r.counts[row] * r.decay
-		if c < 0.01 {
-			c = 0
+		if r.counts[row] *= r.decay; r.counts[row] < 0.01 {
+			r.counts[row] = 0
 		} else {
 			keep = append(keep, row)
 		}
-		r.counts[row] = c
 	}
 	r.live = keep
 }
@@ -117,25 +104,15 @@ func (r *Ranker) load(counts map[string]float64) {
 	slices.Sort(paths)
 	for _, p := range paths {
 		if c := counts[p]; c > 0 {
-			r.add(r.intern(p), c)
-			r.trained++
+			r.add(p, c, true)
 		}
 	}
-}
-
-// Count returns the current (possibly decayed) request count for path.
-func (r *Ranker) Count(path string) float64 {
-	if row, ok := r.ids[path]; ok {
-		return r.counts[row]
-	}
-	return 0
 }
 
 // Len returns the number of live rows: paths with a count.
 func (r *Ranker) Len() int { return len(r.live) }
 
-// Rows returns the number of interned rows, live or not. Row ids run
-// from 0 to Rows()-1.
+// Rows returns the number of interned rows, live or not: the row ids.
 func (r *Ranker) Rows() int { return len(r.paths) }
 
 // Row returns path's row id, if path has one.
@@ -153,71 +130,53 @@ func (r *Ranker) CountOf(row int) float64 { return r.counts[row] }
 // Compare orders rows as Algorithm 3's sorted rank table does: by count
 // descending, ties broken by path.
 func (r *Ranker) Compare(a, b int) int {
-	switch ca, cb := r.counts[a], r.counts[b]; {
-	case ca > cb:
-		return -1
-	case ca < cb:
-		return 1
+	if c := cmp.Compare(r.counts[b], r.counts[a]); c != 0 {
+		return c
 	}
 	return strings.Compare(r.paths[a], r.paths[b])
 }
 
-// Head returns the n rows that head the sorted rank table, in order,
-// and the correctly rounded total of every live count: the float64
-// nearest the exact sum, which no order of the rows moves. One pass
-// over the live rows keeps the n best in a bounded heap, so only those
-// n are sorted. The rows are built in dst's storage: a caller that
-// ranks every tick passes the previous tick's rows back and allocates
-// nothing.
+// Head returns, built in dst's storage, the n rows that head the sorted
+// rank table, and the correctly rounded total of every live count, which
+// no order of the rows moves. One pass over the live rows keeps the n
+// best in a bounded heap, and only those are sorted.
 func (r *Ranker) Head(dst []int, n int) ([]int, float64) {
 	h := dst[:0]
 	r.sum.reset()
 	for _, live := range r.live {
 		row := int(live)
 		r.sum.add(r.counts[row])
-		switch {
-		case len(h) < n:
-			// Sift up: h[0] is the kept row that sorts last.
-			h = append(h, row)
-			for i := len(h) - 1; i > 0; {
-				up := (i - 1) / 2
-				if r.Compare(h[i], h[up]) <= 0 {
-					break
+		if len(h) < n {
+			if h = append(h, row); len(h) == n {
+				for i := n/2 - 1; i >= 0; i-- {
+					r.down(h, i)
 				}
-				h[i], h[up] = h[up], h[i]
-				i = up
 			}
-		case n > 0 && r.Compare(row, h[0]) < 0:
+		} else if n > 0 && r.counts[row] >= r.counts[h[0]] && r.Compare(row, h[0]) < 0 {
 			h[0] = row
-			for i := 0; ; {
-				worst, left := i, 2*i+1
-				if left < len(h) && r.Compare(h[left], h[worst]) > 0 {
-					worst = left
-				}
-				if left+1 < len(h) && r.Compare(h[left+1], h[worst]) > 0 {
-					worst = left + 1
-				}
-				if worst == i {
-					break
-				}
-				h[i], h[worst] = h[worst], h[i]
-				i = worst
-			}
+			r.down(h, 0)
 		}
 	}
 	slices.SortFunc(h, r.Compare)
 	return h, r.sum.total()
 }
 
-// Above appends to dst, in no particular order, the live rows whose
-// count exceeds min.
-func (r *Ranker) Above(dst []int, min float64) []int {
-	for _, row := range r.live {
-		if r.counts[row] > min {
-			dst = append(dst, int(row))
+// down sifts h[i] down the heap, whose every row sorts no earlier than
+// its children, so h[0] is the kept row that sorts last.
+func (r *Ranker) down(h []int, i int) {
+	for {
+		last := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && r.Compare(h[c], h[last]) > 0 {
+				last = c
+			}
 		}
+		if last == i {
+			return
+		}
+		h[i], h[last] = h[last], h[i]
+		i = last
 	}
-	return dst
 }
 
 // Top returns the n most popular paths.
@@ -230,10 +189,9 @@ func (r *Ranker) Top(n int) []string {
 	return out
 }
 
-// fsum accumulates float64s exactly, as a list of non-overlapping
-// partial sums in increasing magnitude (Shewchuk's algorithm, as in
-// Python's math.fsum), and rounds once at the end. The partials are
-// kept between sums, so a warm accumulator allocates nothing.
+// fsum sums float64s exactly, as non-overlapping partial sums of
+// increasing magnitude, and rounds once (Shewchuk's algorithm, as in
+// Python's math.fsum). A warm accumulator allocates nothing.
 type fsum struct{ partials []float64 }
 
 func (s *fsum) reset() { s.partials = s.partials[:0] }
@@ -258,13 +216,12 @@ func (s *fsum) add(x float64) {
 
 // total returns the sum of everything added, rounded to nearest even.
 func (s *fsum) total() float64 {
-	p := s.partials
-	n := len(p)
-	if n == 0 {
-		return 0
+	p, n := s.partials, len(s.partials)
+	var hi, lo float64
+	if n > 0 {
+		n--
+		hi = p[n]
 	}
-	n--
-	hi, lo := p[n], 0.0
 	for n > 0 {
 		x, y := hi, p[n-1]
 		n--
@@ -274,9 +231,8 @@ func (s *fsum) total() float64 {
 			break
 		}
 	}
-	// Round half to even across the partials: when the dropped lo is
-	// exactly half an ulp of hi and the next partial has the same sign,
-	// the exact sum lies beyond the halfway point.
+	// lo exactly half an ulp of hi, with the next partial of its sign:
+	// the exact sum lies past the halfway point, so round away.
 	if n > 0 && (lo < 0 && p[n-1] < 0 || lo > 0 && p[n-1] > 0) {
 		y := lo * 2
 		x := hi + y

@@ -32,9 +32,6 @@ func NewSeqRules(maxGap int) *SeqRules {
 	}
 }
 
-// Rules returns the number of stored pair contexts.
-func (s *SeqRules) Rules() int { return len(s.pair) }
-
 // ObserveSequence trains on one session's page sequence.
 func (s *SeqRules) ObserveSequence(pages []string) {
 	record := func(m map[string]*ctxStats, key, next string) {

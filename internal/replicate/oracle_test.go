@@ -235,8 +235,8 @@ func (w *twin) stepAndCompare() error {
 		return fmt.Errorf("round %d: ranker holds %d rows, the oracle %d", w.step, w.r.Len(), len(w.or.counts))
 	}
 	for path, c := range w.or.counts {
-		if got := w.r.Count(path); got != c {
-			return fmt.Errorf("round %d: count of %s is %v, the oracle's %v", w.step, path, got, c)
+		if row, ok := w.r.Row(path); !ok || w.r.CountOf(row) != c {
+			return fmt.Errorf("round %d: count of %s differs from the oracle's %v", w.step, path, c)
 		}
 	}
 	return nil

@@ -22,9 +22,8 @@ type Placer interface {
 	NumServers() int
 	// Holders appends to dst the backends currently holding a replica
 	// of file placed by the replication manager, each once, and returns
-	// the extended slice. The Manager owns dst and reuses it. Every
-	// method is handed the file's rank row (mining.Ranker's row id)
-	// beside its path.
+	// the extended slice. The Manager owns dst and reuses it. Each
+	// method gets the file's rank row (mining.Ranker's id) beside it.
 	Holders(row int, file string, dst []int) []int
 	// Replicate pushes a copy of file to server.
 	Replicate(row int, file string, server int)
@@ -63,12 +62,10 @@ type Manager struct {
 	cfg    Config
 	ranker *mining.Ranker
 	steps  int
-	// placed and examined are flags by rank row: the row's file has
-	// manager-placed replicas, and Step examined the row this round.
-	// held lists the rows placed is set for.
-	placed   []bool
-	examined []bool
-	held     []int
+	// placed and seen are by rank row: the row's file has manager-placed
+	// replicas, and the last round that examined the row.
+	placed []bool
+	seen   []int
 	// rows, cooled and holders are Step's scratch space, kept between
 	// rounds.
 	rows    []int
@@ -83,9 +80,6 @@ func NewManager(ranker *mining.Ranker, cfg Config) *Manager {
 	}
 	return &Manager{cfg: cfg.withDefaults(), ranker: ranker}
 }
-
-// Ranker exposes the underlying rank table (Observe feeds it per request).
-func (m *Manager) Ranker() *mining.Ranker { return m.ranker }
 
 // Degree returns the desired number of replicas for a file with the given
 // (decayed) request count under threshold t1 and n servers. A degree of
@@ -121,37 +115,28 @@ func (m *Manager) Step(p Placer) int {
 	m.steps++
 	if n := m.ranker.Rows(); len(m.placed) < n {
 		m.placed = append(m.placed, make([]bool, n-len(m.placed))...)
-		m.examined = append(m.examined, make([]bool, n-len(m.examined))...)
+		m.seen = append(m.seen, make([]int, n-len(m.seen))...)
 	}
 	rows, t1 := m.candidates() // (i) Sort(rank_table), its head
 	m.rows = rows
 	pushed := 0
 	for _, row := range rows { // (ii) for every element
-		m.examined[row] = true
+		m.seen[row] = m.steps
 		degree := Degree(m.ranker.CountOf(row), t1, p.NumServers())
 		if degree < 0 {
 			continue // NO_CHANGE
 		}
 		pushed += m.converge(p, row, degree)
-		if degree > 0 && !m.placed[row] {
-			m.held = append(m.held, row)
-		}
 		m.placed[row] = degree > 0
 	}
 	// Files whose counts decayed off the hot window fall in the "NONE"
 	// band by definition: reclaim their pinned replicas, in path order.
-	held := m.held[:0]
 	m.cooled = m.cooled[:0]
-	for _, row := range m.held {
-		switch {
-		case !m.placed[row]: // dropped above
-		case m.examined[row]:
-			held = append(held, row)
-		default:
+	for row, placed := range m.placed {
+		if placed && m.seen[row] != m.steps {
 			m.cooled = append(m.cooled, row)
 		}
 	}
-	m.held = held
 	slices.SortFunc(m.cooled, func(a, b int) int {
 		return strings.Compare(m.ranker.Path(a), m.ranker.Path(b))
 	})
@@ -159,28 +144,20 @@ func (m *Manager) Step(p Placer) int {
 		m.converge(p, row, 0)
 		m.placed[row] = false
 	}
-	for _, row := range rows {
-		m.examined[row] = false
-	}
 	m.ranker.Age()
 	return pushed
 }
 
-// candidates returns the rows the round examines, sorted as the rank
-// table is, and T1. With MaxFiles set they are the table's first
-// MaxFiles rows. Otherwise the whole table is examined, but only a row
-// above T1/8 or one already placed can change a placement: an unplaced
-// row of degree 0 has nothing to drop.
+// candidates returns the rows the round examines, in rank order, and T1:
+// the table's first MaxFiles rows or, with MaxFiles 0, every row above
+// T1/8 and every placed row, since an unplaced row of degree 0 has
+// nothing to drop.
 func (m *Manager) candidates() ([]int, float64) {
 	rows, total := m.ranker.Head(m.rows[:0], m.cfg.MaxFiles)
 	t1 := m.cfg.T1Fraction * total
-	if t1 <= 0 {
-		return rows[:0], t1
-	}
 	if m.cfg.MaxFiles == 0 {
-		rows = m.ranker.Above(rows, t1/8)
-		for _, row := range m.held {
-			if c := m.ranker.CountOf(row); c > 0 && c <= t1/8 {
+		for row, placed := range m.placed {
+			if c := m.ranker.CountOf(row); c > t1/8 || placed && c > 0 {
 				rows = append(rows, row)
 			}
 		}
