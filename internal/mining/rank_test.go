@@ -40,6 +40,12 @@ func TestFsumIsCorrectlyRounded(t *testing.T) {
 	check([]float64{1 << 53, 1, 0x1p-30})
 	check([]float64{0x1p-30, 1, 1 << 53})
 	check([]float64{1 << 53, 1, 1, 1})
+	// 1e16 + 1 is halfway between two float64s. Alone it rounds to even
+	// (down); any more above it must round up, which only the final
+	// half-even pass over the partials sees.
+	check([]float64{1e16, 1})
+	check([]float64{1e16, 1, 1e-16})
+	check([]float64{1e-16, 1, 1e16})
 	check([]float64{1e300, 1e-300, 1e300, 3})
 	rng := randutil.New(9)
 	xs := make([]float64, 0, 2000)
